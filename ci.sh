@@ -16,23 +16,43 @@ echo "== tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
-echo "== suite runner: serial vs parallel output equality (fig03, smoke scale)"
+echo "== suite runner: serial vs parallel output equality (smoke scale, fixed seed)"
+# Each job must replay byte-identically across suite worker counts:
+# fig03 (float-heavy reductions), chaos (fault injection and the
+# resilience state machine), fleet (churn, placement, SLO merge, trace
+# laws; the filter also substring-matches the other two fleet jobs),
+# fleet-replay (every policy x guest mode over one generated day per
+# profile), fleet-chaos (a pinned SAP day x a pinned failure plan),
+# adversary (attack plans, domain rotation, probe hardening) and vcache
+# (the LLC occupancy model and cache-aware bvs steering).
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
-VSCHED_SCALE=smoke ./target/release/suite --filter fig03 --jobs 1 --seed 42 \
-    > "$tmpdir/serial.txt" 2>/dev/null
-VSCHED_SCALE=smoke ./target/release/suite --filter fig03 --jobs 4 --seed 42 \
-    > "$tmpdir/parallel.txt" 2>/dev/null
-diff "$tmpdir/serial.txt" "$tmpdir/parallel.txt"
+for id in fig03 chaos fleet fleet-replay fleet-chaos adversary vcache; do
+    for jobs in 1 4; do
+        VSCHED_SCALE=smoke ./target/release/suite --filter "$id" --jobs "$jobs" --seed 42 \
+            --no-ckpt > "$tmpdir/$id.jobs$jobs.txt" 2>/dev/null
+    done
+    diff "$tmpdir/$id.jobs1.txt" "$tmpdir/$id.jobs4.txt"
+done
+# The *cluster-stepping* pool (host shards inside each fleet cell,
+# distinct from the suite's job pool above) must be equally invisible: a
+# forced four-worker stepping pool vs the serial run, byte-identical.
+for id in fleet fleet-chaos; do
+    VSCHED_SCALE=smoke ./target/release/suite --filter "$id" --jobs 1 --seed 42 \
+        --fleet-threads 4 --no-ckpt > "$tmpdir/$id.step4.txt" 2>/dev/null
+    diff "$tmpdir/$id.jobs1.txt" "$tmpdir/$id.step4.txt"
+done
+# Every fleet cell reports its law verdict, and every fleet-chaos cell
+# ends with nothing stranded on a dead host; the adversary matrix reports
+# steal, and every vcache cell its cache picks and law verdict.
+grep -q "violations" "$tmpdir/fleet.jobs1.txt"
+grep -q "violations" "$tmpdir/fleet-replay.jobs1.txt"
+grep -q "stranded" "$tmpdir/fleet-chaos.jobs1.txt"
+grep -q "steal" "$tmpdir/adversary.jobs1.txt"
+grep -q "cache picks" "$tmpdir/vcache.jobs1.txt"
+grep -q "violations" "$tmpdir/vcache.jobs1.txt"
 
-echo "== chaos-smoke: fixed seed (determinism) + one randomized seed"
-# Fixed seed: the chaos cell must replay byte-identically across worker
-# counts, like the figures above.
-VSCHED_SCALE=smoke ./target/release/suite --filter chaos --jobs 1 --seed 42 \
-    > "$tmpdir/chaos_serial.txt" 2>/dev/null
-VSCHED_SCALE=smoke ./target/release/suite --filter chaos --jobs 4 --seed 42 \
-    > "$tmpdir/chaos_parallel.txt" 2>/dev/null
-diff "$tmpdir/chaos_serial.txt" "$tmpdir/chaos_parallel.txt"
+echo "== chaos-smoke: one randomized seed"
 # Randomized seed: fault-class invariant sweeps on a fresh schedule each
 # run. The seed is printed so a CI failure replays locally with
 # CHAOS_SEED=<seed> cargo test --release --test chaos.
@@ -42,24 +62,6 @@ if ! CHAOS_SEED="$chaos_seed" cargo test -q --release --test chaos invariants; t
     echo "chaos-smoke FAILED with CHAOS_SEED=$chaos_seed (replay locally with that env var)" >&2
     exit 1
 fi
-
-echo "== fleet-smoke: fixed-seed fleet cell, serial vs parallel byte-identity"
-# The fleet job churns a multi-host cluster per placement policy; its
-# placement decisions, SLO merge, and trace-law verdicts must replay
-# byte-identically regardless of worker count (mirrors the chaos-smoke
-# fixed-seed gate).
-VSCHED_SCALE=smoke ./target/release/suite --filter fleet --jobs 1 --seed 42 \
-    --no-ckpt > "$tmpdir/fleet_serial.txt" 2>/dev/null
-VSCHED_SCALE=smoke ./target/release/suite --filter fleet --jobs 4 --seed 42 \
-    --no-ckpt > "$tmpdir/fleet_parallel.txt" 2>/dev/null
-diff "$tmpdir/fleet_serial.txt" "$tmpdir/fleet_parallel.txt"
-grep -q "violations" "$tmpdir/fleet_serial.txt"
-# The *cluster-stepping* pool (host shards inside each cell, distinct from
-# the suite's job pool above) must be equally invisible: a forced
-# four-worker stepping pool vs the run above, byte-identical figures.
-VSCHED_SCALE=smoke ./target/release/suite --filter fleet --jobs 1 --seed 42 \
-    --fleet-threads 4 --no-ckpt > "$tmpdir/fleet_step4.txt" 2>/dev/null
-diff "$tmpdir/fleet_serial.txt" "$tmpdir/fleet_step4.txt"
 
 echo "== replay-smoke: fleettrace gen/validate + replayed-day byte-identity"
 # 1) Generate a small trace with the CLI and validate it; a corrupted copy
@@ -100,30 +102,9 @@ done
     --policy probe-aware --mode vsched --fleet-threads 4 \
     > "$tmpdir/step_parallel.txt"
 diff "$tmpdir/step_serial.txt" "$tmpdir/step_parallel.txt"
-# 3) The fleet-replay job (every policy x guest mode over one generated
-#    day per profile) must be byte-identical across worker counts.
-VSCHED_SCALE=smoke ./target/release/suite --filter fleet-replay --jobs 1 --seed 42 \
-    --no-ckpt > "$tmpdir/replay_serial.txt" 2>/dev/null
-VSCHED_SCALE=smoke ./target/release/suite --filter fleet-replay --jobs 4 --seed 42 \
-    --no-ckpt > "$tmpdir/replay_parallel.txt" 2>/dev/null
-diff "$tmpdir/replay_serial.txt" "$tmpdir/replay_parallel.txt"
-grep -q "violations" "$tmpdir/replay_serial.txt"
 
-echo "== fleet-chaos-smoke: faulted day determinism, seed sweep, shrink round-trip"
-# 1) Fixed seed: the fleet-chaos job (pinned SAP day x pinned failure
-#    plan, every policy x guest config) must be byte-identical across
-#    suite workers AND across cluster-stepping workers, and every cell
-#    must end law-clean with nothing stranded on a dead host.
-VSCHED_SCALE=smoke ./target/release/suite --filter fleet-chaos --jobs 1 --seed 42 \
-    --no-ckpt > "$tmpdir/fchaos_serial.txt" 2>/dev/null
-VSCHED_SCALE=smoke ./target/release/suite --filter fleet-chaos --jobs 4 --seed 42 \
-    --no-ckpt > "$tmpdir/fchaos_parallel.txt" 2>/dev/null
-diff "$tmpdir/fchaos_serial.txt" "$tmpdir/fchaos_parallel.txt"
-VSCHED_SCALE=smoke ./target/release/suite --filter fleet-chaos --jobs 1 --seed 42 \
-    --fleet-threads 4 --no-ckpt > "$tmpdir/fchaos_step4.txt" 2>/dev/null
-diff "$tmpdir/fchaos_serial.txt" "$tmpdir/fchaos_step4.txt"
-grep -q "stranded" "$tmpdir/fchaos_serial.txt"
-# 2) Randomized seed: migration laws on a fresh faulted day each run. The
+echo "== fleet-chaos-smoke: seed sweep, shrink round-trip, chaos-day replays"
+# 1) Randomized seed: migration laws on a fresh faulted day each run. The
 #    seed is printed so a CI failure replays locally with
 #    FLEET_CHAOS_SEED=<seed> cargo test --release -p vsched-fleet --test fleet_chaos.
 fleet_chaos_seed=$(date +%s%N)
@@ -133,7 +114,7 @@ if ! FLEET_CHAOS_SEED="$fleet_chaos_seed" \
     echo "fleet-chaos-smoke FAILED with FLEET_CHAOS_SEED=$fleet_chaos_seed (replay locally with that env var)" >&2
     exit 1
 fi
-# 3) Shrink + replay the fault plan under the synthetic law (healthy code
+# 2) Shrink + replay the fault plan under the synthetic law (healthy code
 #    passes the real checker, so CI exercises the fleet ddmin pipeline
 #    with the canary law), mirroring the single-host shrink gate below.
 VSCHED_SHRINK_LAW=synthetic ./target/release/suite --shrink-fleet 3735928559 \
@@ -143,7 +124,7 @@ VSCHED_SHRINK_LAW=synthetic ./target/release/suite \
     --replay-fleet target/fleet_chaos_repro_3735928559.json \
     2> "$tmpdir/freplay_err.txt"
 grep -q "reproduced law 'fleet-synthetic-canary'" "$tmpdir/freplay_err.txt"
-# 4) The committed maintenance-drain day replays law-clean under a chaos
+# 3) The committed maintenance-drain day replays law-clean under a chaos
 #    overlay, byte-identically at 1 vs 4 stepping workers.
 ./target/release/fleettrace replay examples/sap_drain.trace.jsonl \
     --policy probe-aware --mode vsched --chaos-seed 99 --migration handoff \
@@ -153,7 +134,7 @@ grep -q "reproduced law 'fleet-synthetic-canary'" "$tmpdir/freplay_err.txt"
     --fleet-threads 4 > "$tmpdir/drain_step4.txt"
 diff "$tmpdir/drain_serial.txt" "$tmpdir/drain_step4.txt"
 grep -q "chaos seed" "$tmpdir/drain_serial.txt"
-# 5) So does the committed resize-storm chaos day (the chaos-mode example
+# 4) So does the committed resize-storm chaos day (the chaos-mode example
 #    trace captured via the fleettrace codec).
 ./target/release/fleettrace replay examples/sap_storm_chaos.trace.jsonl \
     --policy probe-aware --mode vsched --chaos-seed 7 --migration handoff \
@@ -164,17 +145,8 @@ grep -q "chaos seed" "$tmpdir/drain_serial.txt"
 diff "$tmpdir/storm_serial.txt" "$tmpdir/storm_step4.txt"
 grep -q "chaos seed" "$tmpdir/storm_serial.txt"
 
-echo "== adversary-smoke: gamed-host determinism, seed sweep, shrink round-trip"
-# 1) Fixed seed: the adversary matrix (host policy x victim guest, a
-#    dodge and a pollute sub-run per cell) must be byte-identical across
-#    worker counts, like every other job.
-VSCHED_SCALE=smoke ./target/release/suite --filter adversary --jobs 1 --seed 42 \
-    --no-ckpt > "$tmpdir/adv_serial.txt" 2>/dev/null
-VSCHED_SCALE=smoke ./target/release/suite --filter adversary --jobs 4 --seed 42 \
-    --no-ckpt > "$tmpdir/adv_parallel.txt" 2>/dev/null
-diff "$tmpdir/adv_serial.txt" "$tmpdir/adv_parallel.txt"
-grep -q "steal" "$tmpdir/adv_serial.txt"
-# 2) Randomized seed: attack-archetype invariant sweeps on a fresh plan
+echo "== adversary-smoke: seed sweep, shrink round-trip"
+# 1) Randomized seed: attack-archetype invariant sweeps on a fresh plan
 #    each run. The seed is printed so a CI failure replays locally with
 #    ADVERSARY_SEED=<seed> cargo test --release --test adversary.
 adversary_seed=$(date +%s%N)
@@ -184,7 +156,7 @@ if ! ADVERSARY_SEED="$adversary_seed" \
     echo "adversary-smoke FAILED with ADVERSARY_SEED=$adversary_seed (replay locally with that env var)" >&2
     exit 1
 fi
-# 3) Shrink + replay the attack plan under the synthetic law (healthy
+# 2) Shrink + replay the attack plan under the synthetic law (healthy
 #    code passes the real checker, so CI exercises the attack-plan ddmin
 #    pipeline with the canary law), mirroring the chaos and fleet gates.
 VSCHED_SHRINK_LAW=synthetic ./target/release/suite --shrink-adversary 3735928559 \
@@ -195,18 +167,8 @@ VSCHED_SHRINK_LAW=synthetic ./target/release/suite \
     2> "$tmpdir/areplay_err.txt"
 grep -q "reproduced law 'adversary-synthetic-canary'" "$tmpdir/areplay_err.txt"
 
-echo "== vcache-smoke: cache-steering determinism + randomized occupancy sweep"
-# 1) Fixed seed: the vcache job (co-tenant LLC thrasher x guest config,
-#    cache-aware bvs steering) must be byte-identical across worker
-#    counts, and every cell must report its checker-law verdict.
-VSCHED_SCALE=smoke ./target/release/suite --filter vcache --jobs 1 --seed 42 \
-    --no-ckpt > "$tmpdir/vcache_serial.txt" 2>/dev/null
-VSCHED_SCALE=smoke ./target/release/suite --filter vcache --jobs 4 --seed 42 \
-    --no-ckpt > "$tmpdir/vcache_parallel.txt" 2>/dev/null
-diff "$tmpdir/vcache_serial.txt" "$tmpdir/vcache_parallel.txt"
-grep -q "cache picks" "$tmpdir/vcache_serial.txt"
-grep -q "violations" "$tmpdir/vcache_serial.txt"
-# 2) Randomized seed: LLC occupancy-model invariants (capacity, byte
+echo "== vcache-smoke: randomized occupancy sweep"
+# Randomized seed: LLC occupancy-model invariants (capacity, byte
 #    conservation, decay monotonicity) on a fresh schedule each run. The
 #    seed is printed so a CI failure replays locally with
 #    VCACHE_SEED=<seed> cargo test --release -p vsched-hostsim --test llc_propcheck.

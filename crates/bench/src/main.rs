@@ -2,23 +2,16 @@
 //!
 //! Times the simulator's hot paths end to end — no criterion, no registry
 //! deps, runs anywhere tier-1 builds — and writes the results to
-//! `BENCH_vsched.json` at the repo root. Six micro benches plus the suite
-//! wall clock:
+//! `BENCH_vsched.json` at the repo root. Three micro benches, the fleet
+//! stepping rows, and the suite wall clock:
 //!
 //! * `hostsim_dispatch` — events/sec through `Machine::run_until` on a
 //!   two-VM contention scenario (the simulator's outer loop).
 //! * `guest_context_switch` — guest context switches/sec under a
 //!   wakeup-heavy hackbench workload (the guest scheduler's inner loop).
-//! * `pelt_update` — ns per `Pelt::update` (the per-event decay math the
-//!   fixed-point table optimizes).
-//! * `llc_advance` — ns per `LlcModel::advance` on a contended two-socket
-//!   occupancy model (the lazy math behind `Machine::llc_pressure` and
-//!   the vcache probes).
 //! * `fleet_step_rate` — events/sec stepping a churned 16-host fleet
 //!   cluster in lockstep, pinned to one worker (the serial baseline the
 //!   sharded-stepping rows below measure against).
-//! * `figure_fig03_quick` — one full quick-scale figure, as simulated
-//!   seconds per wall second (everything composed).
 //! * `fleet` rows — the same churned cluster at 16/64/256/1000 hosts,
 //!   each stepped serially (`--fleet-threads 1`) and on the auto-sized
 //!   host-stepping pool, with the summaries asserted identical. The
@@ -29,10 +22,10 @@
 //!
 //! Scale comes from `VSCHED_SCALE` (default quick) or `--scale`; use
 //! `--skip-suite` for a micro-only pass and `--out` to redirect the JSON.
+//! The PELT and LLC unit costs are measured by `perfbench` instead.
 
 use experiments::runner::{run_suite, SuiteOptions};
 use experiments::Scale;
-use guestos::pelt::{Pelt, PeltState};
 use hostsim::{HostSpec, ScenarioBuilder, VmSpec};
 use simcore::time::MS;
 use simcore::{SimRng, SimTime};
@@ -96,70 +89,6 @@ fn bench_guest_context_switch(sim_secs: u64) -> Micro {
         unit: "switches",
         units: switches,
         secs: t0.elapsed().as_secs_f64(),
-    }
-}
-
-/// Raw PELT decay math: a realistic spread of update deltas cycling through
-/// all three entity states.
-fn bench_pelt_update(iters: u64) -> Micro {
-    let mut p = Pelt::new(SimTime(0));
-    let mut now = 0u64;
-    // Deltas spanning sub-tick to multi-half-life gaps, like real runs mix.
-    let deltas = [50_000u64, 350_000, 1_000_000, 4_000_000, 48_000_000];
-    let states = [PeltState::Running, PeltState::Runnable, PeltState::Sleeping];
-    let t0 = Instant::now();
-    for i in 0..iters {
-        now += deltas[(i % deltas.len() as u64) as usize];
-        p.update(SimTime(now), states[(i % 3) as usize]);
-    }
-    let secs = t0.elapsed().as_secs_f64();
-    // Keep the accumulated averages observable so the loop can't be
-    // dead-code-eliminated.
-    assert!(p.util() >= 0.0 && p.load() >= 0.0);
-    Micro {
-        name: "pelt_update",
-        unit: "updates",
-        units: iters,
-        secs,
-    }
-}
-
-/// Raw LLC occupancy math: `LlcModel::advance` on a contended two-socket
-/// model whose sockets hold a mix of running and descheduled working
-/// sets, so every call exercises the fill, decay, and over-capacity
-/// eviction passes (the lazy path behind `Machine::llc_pressure` and
-/// every vcache probe slice).
-fn bench_llc_advance(iters: u64) -> Micro {
-    const MB: f64 = 1024.0 * 1024.0;
-    let mut llc = hostsim::llc::LlcModel::new(2, 32.0 * MB);
-    for _ in 0..6 {
-        llc.add_vm();
-    }
-    for vm in 0..6 {
-        llc.set_footprint(SimTime::ZERO, vm, (4 + vm) as f64 * 4.0 * MB);
-    }
-    // Footprints total 114 MB against 64 MB of LLC; one VM per socket
-    // stays descheduled so decay runs alongside fill and eviction.
-    for vm in 0..3 {
-        llc.on_sched(SimTime::ZERO, vm, 0);
-    }
-    for vm in 3..5 {
-        llc.on_sched(SimTime::ZERO, vm, 1);
-    }
-    let mut now = SimTime::ZERO;
-    let t0 = Instant::now();
-    for i in 0..iters {
-        now = now.after(250_000 + (i % 7) * 50_000);
-        llc.advance(now, (i % 2) as usize);
-    }
-    let secs = t0.elapsed().as_secs_f64();
-    // Observable so the loop can't be dead-code-eliminated.
-    assert!(llc.pressure() > 0.0);
-    Micro {
-        name: "llc_advance",
-        unit: "advances",
-        units: iters,
-        secs,
     }
 }
 
@@ -262,21 +191,6 @@ fn bench_fleet_cluster(hosts: usize, horizon_secs: u64) -> FleetRow {
     }
 }
 
-/// One complete quick-scale figure: simulated seconds per wall second.
-fn bench_figure_fig03() -> Micro {
-    let t0 = Instant::now();
-    let fig = experiments::fig03::run(42, Scale::Quick);
-    let secs = t0.elapsed().as_secs_f64();
-    assert!(fig.improvement() > 0.0);
-    // Two modes at quick scale's 5 simulated seconds each.
-    Micro {
-        name: "figure_fig03_quick",
-        unit: "simulated_secs",
-        units: 10,
-        secs,
-    }
-}
-
 struct SuiteTiming {
     serial_secs: f64,
     parallel_secs: f64,
@@ -357,10 +271,7 @@ fn main() {
     let micros = [
         bench_hostsim_dispatch(30),
         bench_guest_context_switch(30),
-        bench_pelt_update(20_000_000),
-        bench_llc_advance(5_000_000),
         bench_fleet_step_rate(10),
-        bench_figure_fig03(),
     ];
     for m in &micros {
         eprintln!(

@@ -25,6 +25,7 @@
 //! shrinkable (`suite --shrink-adversary`).
 
 use crate::common::{check_report, checked_collector, Mode, Scale};
+use crate::runner::{cell, got, Job, Part};
 use hostsim::{DomainSchedule, HostSched, HostSpec, ScenarioBuilder, VmSpec};
 use metrics::Table;
 use simcore::time::{MS, SEC};
@@ -158,6 +159,10 @@ enum VictimKind {
     Serving,
 }
 
+/// Mixed into the cell seed to seed the attack plan; the plan's recorded
+/// seed XOR this recovers the cell seed (see `shrink::ShrinkPlan`).
+pub const PLAN_SALT: u64 = 0xAD5A;
+
 /// Builds the attack schedule a cell at this horizon uses; `kind`
 /// restricts the plan to one archetype (`None` = all three, the combined
 /// plan `--shrink-adversary` and `--replay-adversary` operate on).
@@ -166,7 +171,7 @@ pub fn plan_for(kind: Option<AttackKind>, horizon_secs: u64, seed: u64) -> Attac
     if let Some(k) = kind {
         spec = spec.only(k);
     }
-    AttackPlan::generate(seed ^ 0xAD5A, &spec)
+    AttackPlan::generate(seed ^ PLAN_SALT, &spec)
 }
 
 /// One scenario: victim + adversary on the shared host, one policy, one
@@ -220,7 +225,7 @@ fn run_scenario(
         vsched::instance(g)
             .map(|vs| {
                 (
-                    vs.vcap.rejected_samples,
+                    vs.vcap.vet.rejected_samples,
                     vs.resil
                         .as_ref()
                         .map(|r| r.episodes + u64::from(r.degraded()))
@@ -388,13 +393,36 @@ impl fmt::Display for AdversaryMatrix {
     }
 }
 
-/// Runs the full 2×3 matrix serially (the runner shards the same cells).
-pub fn run(seed: u64, scale: Scale) -> AdversaryMatrix {
-    let horizon = scale.secs(8, 30);
-    let rows = POLICIES
-        .iter()
-        .flat_map(|&p| GUESTS.iter().map(move |&g| (p, g)))
-        .map(|(p, g)| (p, g, run_cell(p, g, horizon, seed)))
-        .collect();
-    AdversaryMatrix { rows }
+/// The suite job: one cell per (host policy, victim guest). Each cell
+/// runs its own dodge and pollute sub-runs, so the matrix shards six ways.
+pub(crate) fn job() -> Job {
+    let mut cells = Vec::new();
+    for &policy in POLICIES.iter() {
+        for &guest in GUESTS.iter() {
+            cells.push(cell(
+                format!("{}/{}", policy.label(), guest.label()),
+                move |seed, scale: Scale| run_cell(policy, guest, scale.secs(8, 30), seed),
+            ));
+        }
+    }
+    Job {
+        name: "adversary",
+        desc: "scheduler-gaming co-tenants vs domain partitioning and hardened probing",
+        cells,
+        reduce: Box::new(|parts, _| AdversaryMatrix::from_parts(parts).to_string()),
+    }
+}
+
+impl AdversaryMatrix {
+    /// Assembles the matrix from its job's cell parts, in cell order.
+    pub fn from_parts(parts: Vec<Part>) -> AdversaryMatrix {
+        let mut it = parts.into_iter().map(got::<AdversaryOutcome>);
+        let mut rows = Vec::new();
+        for &policy in POLICIES.iter() {
+            for &guest in GUESTS.iter() {
+                rows.push((policy, guest, it.next().expect("one part per cell")));
+            }
+        }
+        AdversaryMatrix { rows }
+    }
 }

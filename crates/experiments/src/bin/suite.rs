@@ -22,15 +22,15 @@
 //! * `--shrink SEED` delta-debugs the chaos `FaultPlan` that seed generates
 //!   down to a locally-minimal action subset failing the same checker law,
 //!   written to `target/chaos_repro_<seed>.json`; `--replay FILE` re-runs a
-//!   repro file and exits 0 iff the failure still reproduces.
-//!   `--shrink-fleet SEED` does the same for the fleet-chaos cell's
-//!   `FleetChaosPlan` (host crashes/drains/degradations), writing
-//!   `target/fleet_chaos_repro_<seed>.json`; `--replay-fleet FILE` re-runs
-//!   one. `--shrink-adversary SEED` shrinks the adversary cell's
-//!   `AttackPlan` (scheduler-gaming guest actions), writing
-//!   `target/adversary_repro_<seed>.json`; `--replay-adversary FILE`
-//!   re-runs one. `VSCHED_SHRINK_LAW=synthetic` swaps the real checkers
-//!   for the synthetic canary laws (tests/CI).
+//!   repro file — under the seed its shrink used, which the file carries —
+//!   and exits 0 iff the failure still reproduces. `--shrink-fleet` /
+//!   `--replay-fleet` do the same for the fleet-chaos cell's
+//!   `FleetChaosPlan` (`target/fleet_chaos_repro_<seed>.json`), and
+//!   `--shrink-adversary` / `--replay-adversary` for the adversary cell's
+//!   `AttackPlan` (`target/adversary_repro_<seed>.json`). One generic
+//!   shrink driver and one replay driver serve all three plan types
+//!   (`experiments::shrink::ShrinkPlan`). `VSCHED_SHRINK_LAW=synthetic`
+//!   swaps the real checkers for the synthetic canary laws (tests/CI).
 //! * `VSCHED_CANARY=1` appends the always-failing canary job (CI
 //!   supervision smoke).
 //! * `--list` prints every registered job id with its cell count and a
@@ -41,10 +41,13 @@
 //!   changes suite output — only wall clock.
 
 use experiments::runner::{registry, run_suite, SuiteOptions};
-use experiments::{chaos, checkpoint, shrink, Scale};
+use experiments::shrink::{self, ShrinkPlan};
+use experiments::{checkpoint, Scale};
+use fleet::FleetChaosPlan;
 use hostsim::FaultPlan;
 use std::path::PathBuf;
 use std::time::Duration;
+use workloads::AttackPlan;
 
 fn usage() -> ! {
     eprintln!(
@@ -61,228 +64,72 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// Which oracle `--shrink`/`--replay` consult.
-fn use_synthetic_law() -> bool {
-    std::env::var("VSCHED_SHRINK_LAW").as_deref() == Ok("synthetic")
-}
-
-fn shrink_main(seed: u64, opts: &SuiteOptions) -> ! {
-    let horizon = opts.scale.secs(6, 20);
-    let (_, plan) = chaos::plan_for(horizon, seed);
-    eprintln!(
-        "# shrink: seed {seed} -> {} actions over {horizon}s horizon (law: {})",
-        plan.events.len(),
-        if use_synthetic_law() {
-            "synthetic"
-        } else {
-            "chaos checker"
-        },
-    );
-    let shrunk = if use_synthetic_law() {
-        shrink::shrink_plan(&plan, shrink::synthetic_law)
+/// The oracle `--shrink*`/`--replay*` consult: the real checker, or the
+/// synthetic canary law under `VSCHED_SHRINK_LAW=synthetic`.
+fn law<P: ShrinkPlan>(plan: &P, seed: u64) -> Option<String> {
+    if std::env::var("VSCHED_SHRINK_LAW").as_deref() == Ok("synthetic") {
+        plan.synthetic_law()
     } else {
-        shrink::shrink_plan(&plan, |p| shrink::chaos_checker_law(p, seed))
-    };
-    match shrunk {
-        Ok(out) => {
-            let path = PathBuf::from(format!("target/chaos_repro_{seed}.json"));
-            if let Some(parent) = path.parent() {
-                let _ = std::fs::create_dir_all(parent);
-            }
-            if let Err(e) = checkpoint::atomic_write(&path, out.plan.to_json().as_bytes()) {
-                eprintln!("# shrink: cannot write {}: {e}", path.display());
-                std::process::exit(2);
-            }
-            eprintln!(
-                "# shrink: law '{}' holds at {} of {} actions ({} oracle runs); \
-                 repro written to {}",
-                out.law,
-                out.plan.events.len(),
-                out.original_actions,
-                out.oracle_runs,
-                path.display()
-            );
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("# shrink: {e}");
-            std::process::exit(1);
-        }
+        plan.checker_law(seed)
     }
 }
 
-fn shrink_fleet_main(seed: u64, opts: &SuiteOptions) -> ! {
-    let horizon = opts.scale.secs(4, 16);
-    let plan = experiments::fleet_chaos::plan_for_seed(seed, horizon);
+/// `--shrink<FLAG> SEED`: shrinks the plan `seed` generates and writes the
+/// repro to `target/<STEM>_repro_<seed>.json`.
+fn shrink_main<P: ShrinkPlan>(seed: u64, scale: Scale) -> ! {
+    let tag = format!("shrink{}", P::FLAG);
+    let plan = P::from_seed(seed, scale);
     eprintln!(
-        "# shrink-fleet: seed {seed} -> {} host faults over {horizon}s horizon (law: {})",
-        plan.events.len(),
-        if use_synthetic_law() {
-            "synthetic"
-        } else {
-            "fleet chaos checker"
-        },
+        "# {tag}: seed {seed} -> {} {}s at {} scale",
+        plan.events().len(),
+        P::EVENT,
+        scale.label()
     );
-    let shrunk = if use_synthetic_law() {
-        shrink::shrink_fleet_plan(&plan, shrink::fleet_synthetic_law)
-    } else {
-        shrink::shrink_fleet_plan(&plan, |p| shrink::fleet_chaos_checker_law(p, seed))
-    };
-    match shrunk {
-        Ok(out) => {
-            let path = PathBuf::from(format!("target/fleet_chaos_repro_{seed}.json"));
-            if let Some(parent) = path.parent() {
-                let _ = std::fs::create_dir_all(parent);
-            }
-            if let Err(e) = checkpoint::atomic_write(&path, out.plan.to_json().as_bytes()) {
-                eprintln!("# shrink-fleet: cannot write {}: {e}", path.display());
-                std::process::exit(2);
-            }
-            eprintln!(
-                "# shrink-fleet: law '{}' holds at {} of {} host faults ({} oracle runs); \
-                 repro written to {}",
-                out.law,
-                out.plan.events.len(),
-                out.original_events,
-                out.oracle_runs,
-                path.display()
-            );
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("# shrink-fleet: {e}");
-            std::process::exit(1);
-        }
+    let out = shrink::shrink(&plan, law::<P>).unwrap_or_else(|e| {
+        eprintln!("# {tag}: {e}");
+        std::process::exit(1);
+    });
+    let path = PathBuf::from(format!("target/{}_repro_{seed}.json", P::STEM));
+    let _ = std::fs::create_dir_all("target");
+    if let Err(e) = checkpoint::atomic_write(&path, out.plan.to_json().as_bytes()) {
+        eprintln!("# {tag}: cannot write {}: {e}", path.display());
+        std::process::exit(2);
     }
+    eprintln!(
+        "# {tag}: law '{}' holds at {} of {} {}s ({} oracle runs); repro written to {}",
+        out.law,
+        out.plan.events().len(),
+        out.original_events,
+        P::EVENT,
+        out.oracle_runs,
+        path.display()
+    );
+    std::process::exit(0);
 }
 
-fn replay_fleet_main(path: &str, opts: &SuiteOptions) -> ! {
+/// `--replay<FLAG> FILE`: re-runs a repro under the seed its shrink used
+/// and exits 0 iff the failure still reproduces.
+fn replay_main<P: ShrinkPlan>(path: &str) -> ! {
+    let tag = format!("replay{}", P::FLAG);
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("# replay-fleet: cannot read {path}: {e}");
+        eprintln!("# {tag}: cannot read {path}: {e}");
         std::process::exit(2);
     });
-    let plan = fleet::FleetChaosPlan::from_json(&text).unwrap_or_else(|e| {
-        eprintln!("# replay-fleet: {path} is not a fleet chaos repro: {e}");
+    let (plan, failed) = shrink::replay::<P>(&text, law::<P>).unwrap_or_else(|e| {
+        eprintln!("# {tag}: {path} is not a {} repro: {e}", P::STEM);
         std::process::exit(2);
     });
-    let law = if use_synthetic_law() {
-        shrink::fleet_synthetic_law(&plan)
-    } else {
-        shrink::fleet_chaos_checker_law(&plan, opts.seed)
-    };
-    match law {
+    match failed {
         Some(l) => {
             eprintln!(
-                "# replay-fleet: reproduced law '{l}' with {} host fault(s) from {path}",
-                plan.events.len()
+                "# {tag}: reproduced law '{l}' with {} {}(s) from {path}",
+                plan.events().len(),
+                P::EVENT
             );
             std::process::exit(0);
         }
         None => {
-            eprintln!("# replay-fleet: plan from {path} passes every law; no reproduction");
-            std::process::exit(1);
-        }
-    }
-}
-
-fn shrink_adversary_main(seed: u64, opts: &SuiteOptions) -> ! {
-    let horizon = opts.scale.secs(8, 30);
-    let plan = experiments::adversary::plan_for(None, horizon, seed);
-    eprintln!(
-        "# shrink-adversary: seed {seed} -> {} attack actions over {horizon}s horizon (law: {})",
-        plan.events.len(),
-        if use_synthetic_law() {
-            "synthetic"
-        } else {
-            "adversary checker"
-        },
-    );
-    let shrunk = if use_synthetic_law() {
-        shrink::shrink_attack_plan(&plan, shrink::adversary_synthetic_law)
-    } else {
-        shrink::shrink_attack_plan(&plan, |p| shrink::adversary_checker_law(p, seed))
-    };
-    match shrunk {
-        Ok(out) => {
-            let path = PathBuf::from(format!("target/adversary_repro_{seed}.json"));
-            if let Some(parent) = path.parent() {
-                let _ = std::fs::create_dir_all(parent);
-            }
-            if let Err(e) = checkpoint::atomic_write(&path, out.plan.to_json().as_bytes()) {
-                eprintln!("# shrink-adversary: cannot write {}: {e}", path.display());
-                std::process::exit(2);
-            }
-            eprintln!(
-                "# shrink-adversary: law '{}' holds at {} of {} attack actions \
-                 ({} oracle runs); repro written to {}",
-                out.law,
-                out.plan.events.len(),
-                out.original_actions,
-                out.oracle_runs,
-                path.display()
-            );
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("# shrink-adversary: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-fn replay_adversary_main(path: &str, opts: &SuiteOptions) -> ! {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("# replay-adversary: cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    let plan = workloads::AttackPlan::from_json(&text).unwrap_or_else(|e| {
-        eprintln!("# replay-adversary: {path} is not an attack-plan repro: {e}");
-        std::process::exit(2);
-    });
-    let law = if use_synthetic_law() {
-        shrink::adversary_synthetic_law(&plan)
-    } else {
-        shrink::adversary_checker_law(&plan, opts.seed)
-    };
-    match law {
-        Some(l) => {
-            eprintln!(
-                "# replay-adversary: reproduced law '{l}' with {} attack action(s) from {path}",
-                plan.events.len()
-            );
-            std::process::exit(0);
-        }
-        None => {
-            eprintln!("# replay-adversary: plan from {path} passes every law; no reproduction");
-            std::process::exit(1);
-        }
-    }
-}
-
-fn replay_main(path: &str, opts: &SuiteOptions) -> ! {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("# replay: cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    let plan = FaultPlan::from_json(&text).unwrap_or_else(|e| {
-        eprintln!("# replay: {path} is not a fault-plan repro: {e}");
-        std::process::exit(2);
-    });
-    let law = if use_synthetic_law() {
-        shrink::synthetic_law(&plan)
-    } else {
-        shrink::chaos_checker_law(&plan, opts.seed)
-    };
-    match law {
-        Some(l) => {
-            eprintln!(
-                "# replay: reproduced law '{l}' with {} action(s) from {path}",
-                plan.events.len()
-            );
-            std::process::exit(0);
-        }
-        None => {
-            eprintln!("# replay: plan from {path} passes every law; no reproduction");
+            eprintln!("# {tag}: plan from {path} passes every law; no reproduction");
             std::process::exit(1);
         }
     }
@@ -299,12 +146,8 @@ fn main() {
     };
     let mut list = false;
     let mut no_ckpt = false;
-    let mut shrink_seed: Option<u64> = None;
-    let mut replay_file: Option<String> = None;
-    let mut shrink_fleet_seed: Option<u64> = None;
-    let mut replay_fleet_file: Option<String> = None;
-    let mut shrink_adversary_seed: Option<u64> = None;
-    let mut replay_adversary_file: Option<String> = None;
+    // A shrink or replay request: (flag, seed or repro path).
+    let mut repro: Option<(String, String)> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = |name: &str| {
@@ -341,23 +184,10 @@ fn main() {
             "--ckpt-dir" => opts.checkpoint = Some(PathBuf::from(value("--ckpt-dir"))),
             "--no-ckpt" => no_ckpt = true,
             "--resume" => opts.resume = true,
-            "--shrink" => {
-                shrink_seed = Some(value("--shrink").parse().unwrap_or_else(|_| usage()));
+            flag @ ("--shrink" | "--replay" | "--shrink-fleet" | "--replay-fleet"
+            | "--shrink-adversary" | "--replay-adversary") => {
+                repro = Some((flag.to_string(), value(flag)));
             }
-            "--replay" => replay_file = Some(value("--replay")),
-            "--shrink-fleet" => {
-                shrink_fleet_seed =
-                    Some(value("--shrink-fleet").parse().unwrap_or_else(|_| usage()));
-            }
-            "--replay-fleet" => replay_fleet_file = Some(value("--replay-fleet")),
-            "--shrink-adversary" => {
-                shrink_adversary_seed = Some(
-                    value("--shrink-adversary")
-                        .parse()
-                        .unwrap_or_else(|_| usage()),
-                );
-            }
-            "--replay-adversary" => replay_adversary_file = Some(value("--replay-adversary")),
             "--list" => list = true,
             "--help" | "-h" => usage(),
             other => {
@@ -381,23 +211,16 @@ fn main() {
         );
         return;
     }
-    if let Some(seed) = shrink_seed {
-        shrink_main(seed, &opts);
-    }
-    if let Some(path) = replay_file {
-        replay_main(&path, &opts);
-    }
-    if let Some(seed) = shrink_fleet_seed {
-        shrink_fleet_main(seed, &opts);
-    }
-    if let Some(path) = replay_fleet_file {
-        replay_fleet_main(&path, &opts);
-    }
-    if let Some(seed) = shrink_adversary_seed {
-        shrink_adversary_main(seed, &opts);
-    }
-    if let Some(path) = replay_adversary_file {
-        replay_adversary_main(&path, &opts);
+    if let Some((flag, arg)) = repro {
+        let seed = || arg.parse().unwrap_or_else(|_| usage());
+        match flag.as_str() {
+            "--shrink" => shrink_main::<FaultPlan>(seed(), opts.scale),
+            "--shrink-fleet" => shrink_main::<FleetChaosPlan>(seed(), opts.scale),
+            "--shrink-adversary" => shrink_main::<AttackPlan>(seed(), opts.scale),
+            "--replay" => replay_main::<FaultPlan>(&arg),
+            "--replay-fleet" => replay_main::<FleetChaosPlan>(&arg),
+            _ => replay_main::<AttackPlan>(&arg), // --replay-adversary
+        }
     }
 
     let res = match run_suite(&opts) {

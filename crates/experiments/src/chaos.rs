@@ -12,6 +12,7 @@
 //! while its traced invariants keep holding?
 
 use crate::common::{check_report, checked_collector, Mode, Scale};
+use crate::runner::{cell, got, Job, Part};
 use hostsim::{ChaosSpec, FaultPlan, HostSpec, ScenarioBuilder, VmSpec};
 use metrics::Table;
 use simcore::time::{MS, SEC};
@@ -71,10 +72,14 @@ pub struct ChaosOutcome {
     pub first_law: Option<String>,
 }
 
+/// Mixed into the cell seed to seed the fault plan; the plan's recorded
+/// seed XOR this recovers the cell seed (see `shrink::ShrinkPlan`).
+pub const PLAN_SALT: u64 = 0xC0A5;
+
 /// Builds the fault schedule a chaos run at this scale uses.
 pub fn plan_for(horizon_secs: u64, seed: u64) -> (ChaosSpec, FaultPlan) {
     let spec = ChaosSpec::for_pinned_vm(0, NR_VCPUS, horizon_secs * SEC);
-    let plan = FaultPlan::generate(seed ^ 0xC0A5, &spec);
+    let plan = FaultPlan::generate(seed ^ PLAN_SALT, &spec);
     (spec, plan)
 }
 
@@ -200,11 +205,31 @@ impl fmt::Display for Chaos {
     }
 }
 
-/// Runs the full cell pair.
-pub fn run(seed: u64, scale: Scale) -> Chaos {
-    let horizon = scale.secs(6, 20);
-    Chaos {
-        cfs: run_mode(ChaosMode::Cfs, horizon, seed),
-        vsched: run_mode(ChaosMode::VschedResilient, horizon, seed),
+/// The suite job: one cell per scheduler, under the same seeded faults.
+pub(crate) fn job() -> Job {
+    let cells = vec![
+        cell("cfs", |seed, scale: Scale| {
+            run_mode(ChaosMode::Cfs, scale.secs(6, 20), seed)
+        }),
+        cell("vsched-resilient", |seed, scale: Scale| {
+            run_mode(ChaosMode::VschedResilient, scale.secs(6, 20), seed)
+        }),
+    ];
+    Job {
+        name: "chaos",
+        desc: "graceful degradation under seed-driven fault injection",
+        cells,
+        reduce: Box::new(|parts, _| Chaos::from_parts(parts).to_string()),
+    }
+}
+
+impl Chaos {
+    /// Assembles the figure from its job's cell parts, in cell order.
+    pub fn from_parts(parts: Vec<Part>) -> Chaos {
+        let mut it = parts.into_iter().map(got::<ChaosOutcome>);
+        Chaos {
+            cfs: it.next().expect("cfs cell"),
+            vsched: it.next().expect("vsched cell"),
+        }
     }
 }

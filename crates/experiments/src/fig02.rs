@@ -9,6 +9,7 @@
 //! paper observes up to a 20× spread.
 
 use crate::common::Scale;
+use crate::runner::{cell, got, Job, Part};
 use hostsim::{HostSpec, ScenarioBuilder, VmSpec};
 use metrics::Table;
 use simcore::time::MS;
@@ -78,13 +79,7 @@ impl fmt::Display for Fig02 {
 
 /// Runs one cell: a 16-vCPU VM against a stressor VM with the host quantum
 /// set to the target vCPU latency.
-pub(crate) fn run_cell(
-    bench: &'static str,
-    best_effort: bool,
-    latency_ms: u64,
-    secs: u64,
-    seed: u64,
-) -> Cell {
+fn run_cell(bench: &'static str, best_effort: bool, latency_ms: u64, secs: u64, seed: u64) -> Cell {
     let n = 16;
     let mut host = HostSpec::flat(n);
     host.quantum_ns = latency_ms * MS;
@@ -133,16 +128,32 @@ pub(crate) fn run_cell(
     }
 }
 
-/// Runs the full figure.
-pub fn run(seed: u64, scale: Scale) -> Fig02 {
-    let secs = scale.secs(20, 120);
+/// The suite job: one cell per (best-effort, benchmark, vCPU latency).
+pub(crate) fn job() -> Job {
     let mut cells = Vec::new();
     for &be in &[false, true] {
         for bench in BENCHES {
             for &l in &LATENCIES_MS {
-                cells.push(run_cell(bench, be, l, secs, seed));
+                cells.push(cell(
+                    format!("{bench}/be={be}/lat={l}"),
+                    move |seed, scale: Scale| run_cell(bench, be, l, scale.secs(20, 120), seed),
+                ));
             }
         }
     }
-    Fig02 { cells }
+    Job {
+        name: "fig02",
+        desc: "vCPU latency vs request latency for latency-sensitive workloads",
+        cells,
+        reduce: Box::new(|parts, _| Fig02::from_parts(parts).to_string()),
+    }
+}
+
+impl Fig02 {
+    /// Assembles the figure from its job's cell parts, in cell order.
+    pub fn from_parts(parts: Vec<Part>) -> Fig02 {
+        Fig02 {
+            cells: parts.into_iter().map(got::<Cell>).collect(),
+        }
+    }
 }

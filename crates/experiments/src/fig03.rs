@@ -10,6 +10,7 @@
 //! (paper: "the vCPU utilization is doubled").
 
 use crate::common::Scale;
+use crate::runner::{cell, got, Job, Part};
 use guestos::{
     GuestOs, MigrateKind, Platform, SpawnSpec, TaskAction, TaskId, TaskState, VcpuId, Workload,
 };
@@ -135,7 +136,8 @@ impl fmt::Display for Fig03 {
     }
 }
 
-pub(crate) fn run_mode(
+/// Runs one mode, optionally with a trace collector attached.
+pub fn run_mode(
     migrate: bool,
     secs: u64,
     seed: u64,
@@ -180,31 +182,31 @@ pub(crate) fn run_mode(
     }
 }
 
-/// Runs the full figure.
-pub fn run(seed: u64, scale: Scale) -> Fig03 {
-    let secs = scale.secs(5, 20);
-    Fig03 {
-        default_mode: run_mode(false, secs, seed, None),
-        migration_mode: run_mode(true, secs, seed, None),
+/// The suite job: one cell per mode.
+pub(crate) fn job() -> Job {
+    let cells = vec![
+        cell("default", |seed, scale: Scale| {
+            run_mode(false, scale.secs(5, 20), seed, None)
+        }),
+        cell("migrate", |seed, scale: Scale| {
+            run_mode(true, scale.secs(5, 20), seed, None)
+        }),
+    ];
+    Job {
+        name: "fig03",
+        desc: "the stalled running task, with and without proactive migration",
+        cells,
+        reduce: Box::new(|parts, _| Fig03::from_parts(parts).to_string()),
     }
 }
 
-/// Runs the figure with the streaming invariant checker attached to each
-/// machine, returning one report per mode.
-pub fn run_checked(seed: u64, scale: Scale) -> (Fig03, Vec<trace::CheckReport>) {
-    let secs = scale.secs(5, 20);
-    let c0 = crate::common::checked_collector();
-    let default_mode = run_mode(false, secs, seed, Some(&c0));
-    let c1 = crate::common::checked_collector();
-    let migration_mode = run_mode(true, secs, seed, Some(&c1));
-    (
+impl Fig03 {
+    /// Assembles the figure from its job's cell parts, in cell order.
+    pub fn from_parts(parts: Vec<Part>) -> Fig03 {
+        let mut it = parts.into_iter().map(got::<ModeResult>);
         Fig03 {
-            default_mode,
-            migration_mode,
-        },
-        vec![
-            crate::common::check_report(&c0),
-            crate::common::check_report(&c1),
-        ],
-    )
+            default_mode: it.next().expect("default cell"),
+            migration_mode: it.next().expect("migrate cell"),
+        }
+    }
 }

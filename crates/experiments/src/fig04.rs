@@ -14,6 +14,7 @@
 //! motivation experiment that rwc later automates.
 
 use crate::common::Scale;
+use crate::runner::{cell, got, Job, Part};
 use hostsim::{HostSpec, Pinning, ScenarioBuilder, VmSpec};
 use metrics::Table;
 use simcore::{SimRng, SimTime};
@@ -86,7 +87,7 @@ impl fmt::Display for Fig04 {
     }
 }
 
-pub(crate) fn straggler_cell(bench: &'static str, exclude: bool, secs: u64, seed: u64) -> f64 {
+fn straggler_cell(bench: &'static str, exclude: bool, secs: u64, seed: u64) -> f64 {
     let (b, vm) = ScenarioBuilder::new(HostSpec::flat(16), seed).vm(VmSpec::pinned(16, 0));
     let mut m = b.host_load(15, 15 * 1024).build();
     if exclude {
@@ -100,7 +101,7 @@ pub(crate) fn straggler_cell(bench: &'static str, exclude: bool, secs: u64, seed
     handle.rate(dur)
 }
 
-pub(crate) fn stacking_cell(
+fn stacking_cell(
     bench: &'static str,
     exclude: bool,
     with_best_effort: bool,
@@ -147,36 +148,60 @@ pub(crate) fn stacking_cell(
     handle.rate(dur)
 }
 
-/// Runs the full figure.
-pub fn run(seed: u64, scale: Scale) -> Fig04 {
-    let secs = scale.secs(6, 25);
-    let straggler = BENCHES
-        .iter()
-        .map(|&bench| Pair {
-            bench,
-            work_conserving: straggler_cell(bench, false, secs, seed),
-            non_work_conserving: straggler_cell(bench, true, secs, seed),
-        })
-        .collect();
-    let stacking = BENCHES
-        .iter()
-        .map(|&bench| Pair {
-            bench,
-            work_conserving: stacking_cell(bench, false, false, secs, seed),
-            non_work_conserving: stacking_cell(bench, true, false, secs, seed),
-        })
-        .collect();
-    let priority_inversion = BENCHES
-        .iter()
-        .map(|&bench| Pair {
-            bench,
-            work_conserving: stacking_cell(bench, false, true, secs, seed),
-            non_work_conserving: stacking_cell(bench, true, true, secs, seed),
-        })
-        .collect();
-    Fig04 {
-        straggler,
-        stacking,
-        priority_inversion,
+/// The suite job: per scenario kind, per benchmark, a work-conserving
+/// then a non-work-conserving cell.
+pub(crate) fn job() -> Job {
+    let mut cells = Vec::new();
+    for bench in BENCHES {
+        for &exclude in &[false, true] {
+            cells.push(cell(
+                format!("straggler/{bench}/nwc={exclude}"),
+                move |seed, scale: Scale| straggler_cell(bench, exclude, scale.secs(6, 25), seed),
+            ));
+        }
+    }
+    for &prio_inv in &[false, true] {
+        for bench in BENCHES {
+            for &exclude in &[false, true] {
+                let kind = if prio_inv { "prio-inv" } else { "stacking" };
+                cells.push(cell(
+                    format!("{kind}/{bench}/nwc={exclude}"),
+                    move |seed, scale: Scale| {
+                        stacking_cell(bench, exclude, prio_inv, scale.secs(6, 25), seed)
+                    },
+                ));
+            }
+        }
+    }
+    Job {
+        name: "fig04",
+        desc: "deficient work conservation: stragglers, stacking, priority inversion",
+        cells,
+        reduce: Box::new(|parts, _| Fig04::from_parts(parts).to_string()),
+    }
+}
+
+impl Fig04 {
+    /// Assembles the figure from its job's cell parts, in cell order.
+    pub fn from_parts(parts: Vec<Part>) -> Fig04 {
+        let mut it = parts.into_iter().map(got::<f64>);
+        let mut pairs = || -> Vec<Pair> {
+            BENCHES
+                .iter()
+                .map(|&bench| Pair {
+                    bench,
+                    work_conserving: it.next().expect("work-conserving cell"),
+                    non_work_conserving: it.next().expect("non-work-conserving cell"),
+                })
+                .collect()
+        };
+        let straggler = pairs();
+        let stacking = pairs();
+        let priority_inversion = pairs();
+        Fig04 {
+            straggler,
+            stacking,
+            priority_inversion,
+        }
     }
 }

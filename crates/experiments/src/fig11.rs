@@ -12,6 +12,7 @@
 //! stable estimates remove the motive (paper: 74% fewer migrations).
 
 use crate::common::{Mode, Scale};
+use crate::runner::{cell, got, Job, Part};
 use hostsim::{HostSpec, ScenarioBuilder, ScriptAction, VmSpec};
 use metrics::Table;
 use simcore::{SimRng, SimTime};
@@ -95,7 +96,9 @@ impl fmt::Display for Fig11 {
     }
 }
 
-pub(crate) fn run_asym(
+/// Runs the asymmetric-host cell, optionally with a trace collector
+/// attached.
+pub fn run_asym(
     with_vcap: bool,
     secs: u64,
     seed: u64,
@@ -133,7 +136,9 @@ pub(crate) fn run_asym(
     }
 }
 
-pub(crate) fn run_sym(
+/// Runs the symmetric-host cell, optionally with a trace collector
+/// attached.
+pub fn run_sym(
     with_vcap: bool,
     secs: u64,
     seed: u64,
@@ -161,27 +166,44 @@ pub(crate) fn run_sym(
     }
 }
 
-/// Runs the full figure.
-pub fn run(seed: u64, scale: Scale) -> Fig11 {
-    let secs = scale.secs(10, 40);
-    Fig11 {
-        asym_cfs: run_asym(false, secs, seed, None),
-        asym_vcap: run_asym(true, secs, seed, None),
-        sym_cfs: run_sym(false, secs, seed, None),
-        sym_vcap: run_sym(true, secs, seed, None),
+/// The suite job: CFS then vcap, on the asymmetric then the symmetric
+/// host.
+pub(crate) fn job() -> Job {
+    let cells = vec![
+        cell("asym/cfs", |seed, scale: Scale| {
+            run_asym(false, scale.secs(10, 40), seed, None)
+        }),
+        cell("asym/vcap", |seed, scale: Scale| {
+            run_asym(true, scale.secs(10, 40), seed, None)
+        }),
+        cell("sym/cfs", |seed, scale: Scale| {
+            run_sym(false, scale.secs(10, 40), seed, None)
+        }),
+        cell("sym/vcap", |seed, scale: Scale| {
+            run_sym(true, scale.secs(10, 40), seed, None)
+        }),
+    ];
+    Job {
+        name: "fig11",
+        desc: "impact of accurate vCPU capacity (vcap) on asym/sym hosts",
+        cells,
+        reduce: Box::new(|parts, _| Fig11::from_parts(parts).to_string()),
     }
 }
 
-/// Runs the figure with the streaming invariant checker attached to each
-/// machine, returning one report per configuration.
-pub fn run_checked(seed: u64, scale: Scale) -> (Fig11, Vec<trace::CheckReport>) {
-    let secs = scale.secs(10, 40);
-    let cols: Vec<_> = (0..4).map(|_| crate::common::checked_collector()).collect();
-    let fig = Fig11 {
-        asym_cfs: run_asym(false, secs, seed, Some(&cols[0])),
-        asym_vcap: run_asym(true, secs, seed, Some(&cols[1])),
-        sym_cfs: run_sym(false, secs, seed, Some(&cols[2])),
-        sym_vcap: run_sym(true, secs, seed, Some(&cols[3])),
-    };
-    (fig, cols.iter().map(crate::common::check_report).collect())
+impl Fig11 {
+    /// Assembles the figure from its job's cell parts, in cell order.
+    pub fn from_parts(parts: Vec<Part>) -> Fig11 {
+        let mut it = parts.into_iter();
+        let asym_cfs = got::<AsymResult>(it.next().expect("asym/cfs cell"));
+        let asym_vcap = got::<AsymResult>(it.next().expect("asym/vcap cell"));
+        let sym_cfs = got::<SymResult>(it.next().expect("sym/cfs cell"));
+        let sym_vcap = got::<SymResult>(it.next().expect("sym/vcap cell"));
+        Fig11 {
+            asym_cfs,
+            asym_vcap,
+            sym_cfs,
+            sym_vcap,
+        }
+    }
 }

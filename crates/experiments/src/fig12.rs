@@ -15,10 +15,11 @@
 //! no Fio degradation).
 
 use crate::common::{Mode, Scale};
+use crate::runner::{cell, got, Job, Part};
 use guestos::TaskState;
 use hostsim::{HostSpec, Machine, Pinning, ScenarioBuilder, VmSpec};
 use metrics::Table;
-use simcore::time::{MS, SEC};
+use simcore::time::MS;
 use simcore::{SimRng, SimTime};
 use std::cell::RefCell;
 use std::fmt;
@@ -90,11 +91,14 @@ impl fmt::Display for Fig12 {
     }
 }
 
+/// Co-runners of the mixed scenario, in figure order.
+const MIXED_PARTNERS: [&str; 2] = ["nginx", "fio"];
+
 fn smt_host() -> HostSpec {
     HostSpec::new(1, 16, 2) // 16 cores x 2 threads
 }
 
-pub(crate) fn run_underloaded(with_vtop: bool, secs: u64, seed: u64) -> ActiveCores {
+fn run_underloaded(with_vtop: bool, secs: u64, seed: u64) -> ActiveCores {
     let (b, vm) = ScenarioBuilder::new(smt_host(), seed).vm(VmSpec {
         nr_vcpus: 32,
         pinning: Pinning::OneToOne((0..32).collect()),
@@ -147,7 +151,7 @@ pub(crate) fn run_underloaded(with_vtop: bool, secs: u64, seed: u64) -> ActiveCo
     ActiveCores { histogram, mean }
 }
 
-pub(crate) fn run_mixed(partner: &'static str, with_vtop: bool, secs: u64, seed: u64) -> Mixed {
+fn run_mixed(partner: &'static str, with_vtop: bool, secs: u64, seed: u64) -> Mixed {
     let (b, vm) = ScenarioBuilder::new(smt_host(), seed).vm(VmSpec {
         nr_vcpus: 32,
         pinning: Pinning::OneToOne((0..32).collect()),
@@ -172,22 +176,51 @@ pub(crate) fn run_mixed(partner: &'static str, with_vtop: bool, secs: u64, seed:
     }
 }
 
-/// Runs the full figure.
-pub fn run(seed: u64, scale: Scale) -> Fig12 {
-    let secs = scale.secs(8, 40);
-    let _ = SEC;
-    Fig12 {
-        cores_cfs: run_underloaded(false, secs, seed),
-        cores_vtop: run_underloaded(true, secs, seed),
-        mixed: vec![
-            (
-                run_mixed("nginx", false, secs, seed),
-                run_mixed("nginx", true, secs, seed),
-            ),
-            (
-                run_mixed("fio", false, secs, seed),
-                run_mixed("fio", true, secs, seed),
-            ),
-        ],
+/// The suite job: the under-loaded pair, then CFS and vtop per mixed
+/// partner.
+pub(crate) fn job() -> Job {
+    let mut cells = vec![
+        cell("cores/cfs", |seed, scale: Scale| {
+            run_underloaded(false, scale.secs(8, 40), seed)
+        }),
+        cell("cores/vtop", |seed, scale: Scale| {
+            run_underloaded(true, scale.secs(8, 40), seed)
+        }),
+    ];
+    for partner in MIXED_PARTNERS {
+        for &vtop in &[false, true] {
+            cells.push(cell(
+                format!("mixed/{partner}/vtop={vtop}"),
+                move |seed, scale: Scale| run_mixed(partner, vtop, scale.secs(8, 40), seed),
+            ));
+        }
+    }
+    Job {
+        name: "fig12",
+        desc: "SMT-aware scheduling with vtop on pinned sibling pairs",
+        cells,
+        reduce: Box::new(|parts, _| Fig12::from_parts(parts).to_string()),
+    }
+}
+
+impl Fig12 {
+    /// Assembles the figure from its job's cell parts, in cell order.
+    pub fn from_parts(parts: Vec<Part>) -> Fig12 {
+        let mut it = parts.into_iter();
+        let cores_cfs = got::<ActiveCores>(it.next().expect("cores/cfs cell"));
+        let cores_vtop = got::<ActiveCores>(it.next().expect("cores/vtop cell"));
+        let mixed = MIXED_PARTNERS
+            .iter()
+            .map(|_| {
+                let cfs = got::<Mixed>(it.next().expect("mixed cfs cell"));
+                let vtop = got::<Mixed>(it.next().expect("mixed vtop cell"));
+                (cfs, vtop)
+            })
+            .collect();
+        Fig12 {
+            cores_cfs,
+            cores_vtop,
+            mixed,
+        }
     }
 }

@@ -7,6 +7,7 @@
 //! and lifting throughput (+26% on average).
 
 use crate::common::{Mode, Scale};
+use crate::runner::{cell, got, Job, Part};
 use hostsim::{HostSpec, Pinning, ScenarioBuilder, VmSpec};
 use metrics::Table;
 use simcore::{SimRng, SimTime};
@@ -100,7 +101,7 @@ fn instance(
     }
 }
 
-pub(crate) fn run_cell(name: &'static str, with_vtop: bool, secs: u64, seed: u64) -> LlcCell {
+fn run_cell(name: &'static str, with_vtop: bool, secs: u64, seed: u64) -> LlcCell {
     // Two sockets x 16 cores, SMT off: vCPU i on thread i.
     let host = HostSpec::new(2, 16, 1);
     let (b, vm) = ScenarioBuilder::new(host, seed).vm(VmSpec {
@@ -130,18 +131,37 @@ pub(crate) fn run_cell(name: &'static str, with_vtop: bool, secs: u64, seed: u64
     }
 }
 
-/// Runs the full figure.
-pub fn run(seed: u64, scale: Scale) -> Fig13 {
-    let secs = scale.secs(8, 40);
-    let rows = BENCHES
-        .iter()
-        .map(|&name| {
-            (
-                name,
-                run_cell(name, false, secs, seed),
-                run_cell(name, true, secs, seed),
-            )
-        })
-        .collect();
-    Fig13 { rows }
+/// The suite job: CFS then vtop per benchmark.
+pub(crate) fn job() -> Job {
+    let mut cells = Vec::new();
+    for &name in &BENCHES {
+        for &vtop in &[false, true] {
+            cells.push(cell(
+                format!("{name}/vtop={vtop}"),
+                move |seed, scale: Scale| run_cell(name, vtop, scale.secs(8, 40), seed),
+            ));
+        }
+    }
+    Job {
+        name: "fig13",
+        desc: "LLC-aware co-location with vtop across two sockets",
+        cells,
+        reduce: Box::new(|parts, _| Fig13::from_parts(parts).to_string()),
+    }
+}
+
+impl Fig13 {
+    /// Assembles the figure from its job's cell parts, in cell order.
+    pub fn from_parts(parts: Vec<Part>) -> Fig13 {
+        let mut it = parts.into_iter().map(got::<LlcCell>);
+        let rows = BENCHES
+            .iter()
+            .map(|&name| {
+                let cfs = it.next().expect("cfs cell");
+                let vtop = it.next().expect("vtop cell");
+                (name, cfs, vtop)
+            })
+            .collect();
+        Fig13 { rows }
+    }
 }

@@ -11,6 +11,7 @@
 //! "bvs without the state check" ablation.
 
 use crate::common::{Mode, Scale};
+use crate::runner::{cell, got, Job, Part};
 use hostsim::{HostSpec, Machine, ScenarioBuilder, VmSpec};
 use metrics::Table;
 use simcore::time::MS;
@@ -139,31 +140,54 @@ pub fn run_cell(
     handle
 }
 
-/// Runs the full figure.
-pub fn run(seed: u64, scale: Scale) -> Fig14 {
-    let secs = scale.secs(15, 60);
+/// The suite job: per (best-effort, benchmark), a probers-only then a
+/// bvs cell.
+pub(crate) fn job() -> Job {
     let mut cells = Vec::new();
     for &be in &[false, true] {
         for bench in BENCHES {
             for &bvs in &[false, true] {
-                let cfg = if bvs {
-                    VschedConfig {
-                        ivh: false,
-                        rwc: false,
-                        ..VschedConfig::full()
-                    }
-                } else {
-                    VschedConfig::probers_only()
-                };
-                let handle = run_cell(bench, be, cfg, secs, seed);
-                cells.push(Cell {
-                    bench,
-                    best_effort: be,
-                    bvs,
-                    p95_ns: handle.p95_ns().unwrap_or(0),
-                });
+                cells.push(cell(
+                    format!("{bench}/be={be}/bvs={bvs}"),
+                    move |seed, scale: Scale| {
+                        let cfg = if bvs {
+                            crate::table3::bvs_cfg()
+                        } else {
+                            VschedConfig::probers_only()
+                        };
+                        run_cell(bench, be, cfg, scale.secs(15, 60), seed)
+                            .p95_ns()
+                            .unwrap_or(0)
+                    },
+                ));
             }
         }
     }
-    Fig14 { cells }
+    Job {
+        name: "fig14",
+        desc: "p95 latency reduction with boosted vCPU scheduling (bvs)",
+        cells,
+        reduce: Box::new(|parts, _| Fig14::from_parts(parts).to_string()),
+    }
+}
+
+impl Fig14 {
+    /// Assembles the figure from its job's cell parts, in cell order.
+    pub fn from_parts(parts: Vec<Part>) -> Fig14 {
+        let mut it = parts.into_iter().map(got::<u64>);
+        let mut cells = Vec::new();
+        for &best_effort in &[false, true] {
+            for bench in BENCHES {
+                for &bvs in &[false, true] {
+                    cells.push(Cell {
+                        bench,
+                        best_effort,
+                        bvs,
+                        p95_ns: it.next().expect("one part per cell"),
+                    });
+                }
+            }
+        }
+        Fig14 { cells }
+    }
 }

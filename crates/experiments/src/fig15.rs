@@ -11,6 +11,7 @@
 //! pre-waking ivh vs the direct (activity-unaware) migration ablation.
 
 use crate::common::{Mode, Scale};
+use crate::runner::{cell, got, Job, Part};
 use hostsim::{HostSpec, Machine, ScenarioBuilder, VmSpec};
 use metrics::Table;
 use simcore::{SimRng, SimTime};
@@ -101,26 +102,9 @@ pub fn build_machine(seed: u64) -> (Machine, usize) {
     (m, vm)
 }
 
-/// Runs one cell; returns the completion rate.
-pub fn run_cell(bench: &str, threads: usize, with_ivh: bool, secs: u64, seed: u64) -> f64 {
-    run_cell_traced(bench, threads, with_ivh, secs, seed, None)
-}
-
-/// Runs one cell with the invariant checker attached; returns the
-/// completion rate and the checker's verdict.
-pub fn run_cell_checked(
-    bench: &str,
-    threads: usize,
-    with_ivh: bool,
-    secs: u64,
-    seed: u64,
-) -> (f64, trace::CheckReport) {
-    let shared = crate::common::checked_collector();
-    let rate = run_cell_traced(bench, threads, with_ivh, secs, seed, Some(&shared));
-    (rate, crate::common::check_report(&shared))
-}
-
-fn run_cell_traced(
+/// Runs one cell, optionally with a trace collector attached; returns
+/// the completion rate.
+pub fn run_cell(
     bench: &str,
     threads: usize,
     with_ivh: bool,
@@ -150,23 +134,48 @@ fn run_cell_traced(
     handle.rate(dur)
 }
 
-/// Runs the full figure.
-pub fn run(seed: u64, scale: Scale) -> Fig15 {
-    let secs = scale.secs(8, 30);
-    let rows = BENCHES
-        .iter()
-        .map(|&bench| {
-            let cells = THREADS
-                .iter()
-                .map(|&t| {
-                    (
-                        run_cell(bench, t, false, secs, seed),
-                        run_cell(bench, t, true, secs, seed),
-                    )
-                })
-                .collect();
-            (bench, cells)
-        })
-        .collect();
-    Fig15 { rows }
+/// The suite job: per (benchmark, thread count), a cell without then
+/// with ivh.
+pub(crate) fn job() -> Job {
+    let mut cells = Vec::new();
+    for &bench in &BENCHES {
+        for &t in &THREADS {
+            for &ivh in &[false, true] {
+                cells.push(cell(
+                    format!("{bench}/t={t}/ivh={ivh}"),
+                    move |seed, scale: Scale| {
+                        run_cell(bench, t, ivh, scale.secs(8, 30), seed, None)
+                    },
+                ));
+            }
+        }
+    }
+    Job {
+        name: "fig15",
+        desc: "throughput gain from idle vCPU harvesting (ivh)",
+        cells,
+        reduce: Box::new(|parts, _| Fig15::from_parts(parts).to_string()),
+    }
+}
+
+impl Fig15 {
+    /// Assembles the figure from its job's cell parts, in cell order.
+    pub fn from_parts(parts: Vec<Part>) -> Fig15 {
+        let mut it = parts.into_iter().map(got::<f64>);
+        let rows = BENCHES
+            .iter()
+            .map(|&bench| {
+                let cells = THREADS
+                    .iter()
+                    .map(|_| {
+                        let without = it.next().expect("cell without ivh");
+                        let with = it.next().expect("cell with ivh");
+                        (without, with)
+                    })
+                    .collect();
+                (bench, cells)
+            })
+            .collect();
+        Fig15 { rows }
+    }
 }

@@ -9,6 +9,7 @@
 //! seconds.
 
 use crate::common::{Mode, Scale};
+use crate::runner::{cell, got, Job, Part};
 use hostsim::{HostSpec, ScenarioBuilder, ScriptAction, VmSpec};
 use metrics::Table;
 use simcore::time::SEC;
@@ -60,7 +61,7 @@ impl fmt::Display for Fig16 {
     }
 }
 
-pub(crate) fn run_mode(mode: Mode, phase_secs: u64, seed: u64) -> Vec<f64> {
+fn run_mode(mode: Mode, phase_secs: u64, seed: u64) -> Vec<f64> {
     let (b, vm) = ScenarioBuilder::new(HostSpec::flat(16), seed).vm(VmSpec::pinned(16, 0));
     let mut m = b.build();
     let p = phase_secs;
@@ -135,13 +136,32 @@ pub(crate) fn run_mode(mode: Mode, phase_secs: u64, seed: u64) -> Vec<f64> {
     out
 }
 
-/// Runs the full figure.
-pub fn run(seed: u64, scale: Scale) -> Fig16 {
-    let phase_secs = scale.secs(10, 30);
-    let _ = SEC;
-    Fig16 {
-        cfs_series: run_mode(Mode::Cfs, phase_secs, seed),
-        vsched_series: run_mode(Mode::Vsched, phase_secs, seed),
-        phase_secs,
+/// The suite job: one cell per scheduler.
+pub(crate) fn job() -> Job {
+    let cells = vec![
+        cell("cfs", |seed, scale: Scale| {
+            run_mode(Mode::Cfs, scale.secs(10, 30), seed)
+        }),
+        cell("vsched", |seed, scale: Scale| {
+            run_mode(Mode::Vsched, scale.secs(10, 30), seed)
+        }),
+    ];
+    Job {
+        name: "fig16",
+        desc: "adaptability of vSched as the host reconfigures vCPUs",
+        cells,
+        reduce: Box::new(|parts, scale| Fig16::from_parts(parts, scale).to_string()),
+    }
+}
+
+impl Fig16 {
+    /// Assembles the figure from its job's cell parts, in cell order.
+    pub fn from_parts(parts: Vec<Part>, scale: Scale) -> Fig16 {
+        let mut it = parts.into_iter().map(got::<Vec<f64>>);
+        Fig16 {
+            cfs_series: it.next().expect("cfs cell"),
+            vsched_series: it.next().expect("vsched cell"),
+            phase_secs: scale.secs(10, 30),
+        }
     }
 }

@@ -9,6 +9,7 @@
 //! vSched imposes on the neighbours.
 
 use crate::common::{Mode, Scale};
+use crate::runner::{cell, got, Job, Part};
 use hostsim::{HostSpec, Machine, ScenarioBuilder, VmSpec};
 use metrics::Table;
 use simcore::time::SEC;
@@ -69,7 +70,7 @@ struct Neighbour {
     phase: usize,
 }
 
-pub(crate) fn run_mode(mode: Mode, phase_secs: u64, seed: u64) -> ModeOutcome {
+fn run_mode(mode: Mode, phase_secs: u64, seed: u64) -> ModeOutcome {
     let threads: Vec<usize> = (0..16).collect();
     let (mut b, nginx_vm) =
         ScenarioBuilder::new(HostSpec::flat(16), seed).vm(VmSpec::floating(16, threads.clone()));
@@ -150,11 +151,31 @@ pub(crate) fn run_mode(mode: Mode, phase_secs: u64, seed: u64) -> ModeOutcome {
     }
 }
 
-/// Runs the full figure.
-pub fn run(seed: u64, scale: Scale) -> Fig17 {
-    let phase_secs = scale.secs(10, 80);
-    Fig17 {
-        cfs: run_mode(Mode::Cfs, phase_secs, seed),
-        vsched: run_mode(Mode::Vsched, phase_secs, seed),
+/// The suite job: one cell per scheduler.
+pub(crate) fn job() -> Job {
+    let cells = vec![
+        cell("cfs", |seed, scale: Scale| {
+            run_mode(Mode::Cfs, scale.secs(10, 80), seed)
+        }),
+        cell("vsched", |seed, scale: Scale| {
+            run_mode(Mode::Vsched, scale.secs(10, 80), seed)
+        }),
+    ];
+    Job {
+        name: "fig17",
+        desc: "vSched in a multi-tenant host with floating sibling vCPUs",
+        cells,
+        reduce: Box::new(|parts, _| Fig17::from_parts(parts).to_string()),
+    }
+}
+
+impl Fig17 {
+    /// Assembles the figure from its job's cell parts, in cell order.
+    pub fn from_parts(parts: Vec<Part>) -> Fig17 {
+        let mut it = parts.into_iter().map(got::<ModeOutcome>);
+        Fig17 {
+            cfs: it.next().expect("cfs cell"),
+            vsched: it.next().expect("vsched cell"),
+        }
     }
 }

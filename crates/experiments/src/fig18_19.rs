@@ -8,6 +8,7 @@
 
 use crate::common::{Mode, Scale};
 use crate::profiles::{hpvm, rcvm, Profile};
+use crate::runner::{cell, got, Job, Part};
 use metrics::Table;
 use simcore::{SimRng, SimTime};
 use std::fmt;
@@ -153,35 +154,49 @@ pub fn run_cell(kind: ProfileKind, bench: &str, mode: Mode, secs: u64, seed: u64
     }
 }
 
-/// Runs the full figure for one profile, optionally restricted to a subset
-/// of benchmarks (used by quick tests).
-pub fn run_subset(kind: ProfileKind, benches: &[&'static str], seed: u64, scale: Scale) -> Overall {
-    let secs = scale.secs(6, 25);
-    let rows = benches
-        .iter()
-        .map(|&bench| {
-            let cfs = run_cell(kind, bench, Mode::Cfs, secs, seed);
-            let ecfs = run_cell(kind, bench, Mode::EnhancedCfs, secs, seed);
-            let vs = run_cell(kind, bench, Mode::Vsched, secs, seed);
-            Row {
-                bench,
-                latency: is_latency_bench(bench),
-                values: (cfs, ecfs, vs),
-            }
-        })
-        .collect();
-    Overall {
-        profile: kind,
-        rows,
-    }
-}
-
-/// Runs the full 31-workload figure.
-pub fn run(kind: ProfileKind, seed: u64, scale: Scale) -> Overall {
-    let benches: Vec<&'static str> = THROUGHPUT_BENCHES
+/// Every suite workload, in figure order.
+fn overall_benches() -> Vec<&'static str> {
+    THROUGHPUT_BENCHES
         .iter()
         .chain(LATENCY_BENCHES.iter())
         .copied()
-        .collect();
-    run_subset(kind, &benches, seed, scale)
+        .collect()
+}
+
+/// The suite job for one profile: per workload, a CFS, an enhanced-CFS
+/// and a vSched cell.
+pub(crate) fn job(name: &'static str, desc: &'static str, kind: ProfileKind) -> Job {
+    let mut cells = Vec::new();
+    for bench in overall_benches() {
+        for mode in [Mode::Cfs, Mode::EnhancedCfs, Mode::Vsched] {
+            cells.push(cell(
+                format!("{bench}/{}", mode.label()),
+                move |seed, scale: Scale| run_cell(kind, bench, mode, scale.secs(6, 25), seed),
+            ));
+        }
+    }
+    Job {
+        name,
+        desc,
+        cells,
+        reduce: Box::new(move |parts, _| Overall::from_parts(kind, parts).to_string()),
+    }
+}
+
+impl Overall {
+    /// Assembles one profile's figure from its job's cell parts, in cell
+    /// order.
+    pub fn from_parts(profile: ProfileKind, parts: Vec<Part>) -> Overall {
+        let mut it = parts.into_iter().map(got::<f64>);
+        let mut next = || it.next().expect("one part per cell");
+        let rows = overall_benches()
+            .into_iter()
+            .map(|bench| Row {
+                bench,
+                latency: is_latency_bench(bench),
+                values: (next(), next(), next()),
+            })
+            .collect();
+        Overall { profile, rows }
+    }
 }

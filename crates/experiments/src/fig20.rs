@@ -9,6 +9,7 @@
 use crate::common::{Mode, Scale};
 use crate::fig18_19::ProfileKind;
 use crate::profiles::{hpvm, rcvm};
+use crate::runner::{cell, got, Job, Part};
 use metrics::Table;
 use simcore::{SimRng, SimTime};
 use std::fmt;
@@ -57,7 +58,7 @@ impl fmt::Display for Fig20 {
     }
 }
 
-pub(crate) fn run_cell(kind: ProfileKind, bench: &str, mode: Mode, secs: u64, seed: u64) -> Cost {
+fn run_cell(kind: ProfileKind, bench: &str, mode: Mode, secs: u64, seed: u64) -> Cost {
     let mut p = match kind {
         ProfileKind::Rcvm => rcvm(seed),
         ProfileKind::Hpvm => hpvm(seed),
@@ -75,16 +76,42 @@ pub(crate) fn run_cell(kind: ProfileKind, bench: &str, mode: Mode, secs: u64, se
     }
 }
 
-/// Runs the full figure.
-pub fn run(seed: u64, scale: Scale) -> Fig20 {
-    let secs = scale.secs(6, 25);
-    let mut rows = Vec::new();
-    for kind in [ProfileKind::Hpvm, ProfileKind::Rcvm] {
+/// Profiles in figure order.
+const PROFILES: [ProfileKind; 2] = [ProfileKind::Hpvm, ProfileKind::Rcvm];
+
+/// The suite job: per (profile, benchmark), a CFS then a vSched cell.
+pub(crate) fn job() -> Job {
+    let mut cells = Vec::new();
+    for kind in PROFILES {
         for &bench in &BENCHES {
-            let cfs = run_cell(kind, bench, Mode::Cfs, secs, seed);
-            let vs = run_cell(kind, bench, Mode::Vsched, secs, seed);
-            rows.push((kind, bench, cfs, vs));
+            for mode in [Mode::Cfs, Mode::Vsched] {
+                cells.push(cell(
+                    format!("{kind:?}/{bench}/{}", mode.label()),
+                    move |seed, scale: Scale| run_cell(kind, bench, mode, scale.secs(6, 25), seed),
+                ));
+            }
         }
     }
-    Fig20 { rows }
+    Job {
+        name: "fig20",
+        desc: "cost of vSched: total cycles and cycles per second",
+        cells,
+        reduce: Box::new(|parts, _| Fig20::from_parts(parts).to_string()),
+    }
+}
+
+impl Fig20 {
+    /// Assembles the figure from its job's cell parts, in cell order.
+    pub fn from_parts(parts: Vec<Part>) -> Fig20 {
+        let mut it = parts.into_iter().map(got::<Cost>);
+        let mut rows = Vec::new();
+        for kind in PROFILES {
+            for &bench in &BENCHES {
+                let cfs = it.next().expect("cfs cell");
+                let vs = it.next().expect("vsched cell");
+                rows.push((kind, bench, cfs, vs));
+            }
+        }
+        Fig20 { rows }
+    }
 }

@@ -5,6 +5,7 @@
 //! can only cost. The paper measures a 0.7% average degradation.
 
 use crate::common::{Mode, Scale};
+use crate::runner::{cell, got, Job, Part};
 use hostsim::{HostSpec, ScenarioBuilder, VmSpec};
 use metrics::Table;
 use simcore::{SimRng, SimTime};
@@ -66,7 +67,7 @@ impl fmt::Display for Fig21 {
     }
 }
 
-pub(crate) fn run_cell(bench: &str, mode: Mode, secs: u64, seed: u64) -> f64 {
+fn run_cell(bench: &str, mode: Mode, secs: u64, seed: u64) -> f64 {
     let (b, vm) = ScenarioBuilder::new(HostSpec::flat(16), seed).vm(VmSpec::pinned(16, 0));
     let mut m = b.build();
     let (wl, handle) = build_loaded(bench, 16, 0.15, SimRng::new(seed ^ 0xDD));
@@ -83,16 +84,37 @@ pub(crate) fn run_cell(bench: &str, mode: Mode, secs: u64, seed: u64) -> f64 {
     }
 }
 
-/// Runs the full figure.
-pub fn run(seed: u64, scale: Scale) -> Fig21 {
-    let secs = scale.secs(6, 25);
-    let rows = BENCHES
-        .iter()
-        .map(|&bench| {
-            let cfs = run_cell(bench, Mode::Cfs, secs, seed);
-            let vs = run_cell(bench, Mode::Vsched, secs, seed);
-            (bench, 1.0 - vs / cfs.max(1e-12))
-        })
-        .collect();
-    Fig21 { rows }
+/// The suite job: per benchmark, a CFS then a vSched cell.
+pub(crate) fn job() -> Job {
+    let mut cells = Vec::new();
+    for &bench in &BENCHES {
+        for mode in [Mode::Cfs, Mode::Vsched] {
+            cells.push(cell(
+                format!("{bench}/{}", mode.label()),
+                move |seed, scale: Scale| run_cell(bench, mode, scale.secs(6, 25), seed),
+            ));
+        }
+    }
+    Job {
+        name: "fig21",
+        desc: "vSched overhead on a dedicated host where probing cannot help",
+        cells,
+        reduce: Box::new(|parts, _| Fig21::from_parts(parts).to_string()),
+    }
+}
+
+impl Fig21 {
+    /// Assembles the figure from its job's cell parts, in cell order.
+    pub fn from_parts(parts: Vec<Part>) -> Fig21 {
+        let mut it = parts.into_iter().map(got::<f64>);
+        let rows = BENCHES
+            .iter()
+            .map(|&bench| {
+                let cfs = it.next().expect("cfs cell");
+                let vs = it.next().expect("vsched cell");
+                (bench, 1.0 - vs / cfs.max(1e-12))
+            })
+            .collect();
+        Fig21 { rows }
+    }
 }

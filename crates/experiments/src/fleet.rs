@@ -13,6 +13,7 @@
 //! (overcommit cap respected, every admitted VM placed at most once).
 
 use crate::common::Scale;
+use crate::runner::{cell, got, Job, Part};
 use ::fleet::{policy_by_name, Cluster, FleetSpec, GuestMode, POLICIES};
 use metrics::Table;
 use std::fmt;
@@ -169,16 +170,35 @@ impl fmt::Display for Fleet {
     }
 }
 
-/// Runs the full 3-policy cell grid serially (the legacy entry point; the
-/// suite shards the same grid through the runner, one cell per policy).
-pub fn run(seed: u64, scale: Scale) -> Fleet {
-    let horizon = scale.secs(4, 16);
-    let rows = POLICIES
+/// The suite job: one cell per placement policy. Each replays the
+/// identical churn schedule under CFS guests and under vSched guests (same
+/// cell seed), so the comparison inside a cell is apples-to-apples and the
+/// job still shards across policies.
+pub(crate) fn job() -> Job {
+    let cells = POLICIES
         .iter()
         .map(|&policy| {
-            let (cfs, vs) = run_cell(policy, horizon, seed);
-            (policy, cfs, vs)
+            cell(policy, move |seed, scale: Scale| {
+                run_cell(policy, scale.secs(4, 16), seed)
+            })
         })
         .collect();
-    Fleet { rows }
+    Job {
+        name: "fleet",
+        desc: "CFS vs vSched guests on a churned multi-host cluster, per placement policy",
+        cells,
+        reduce: Box::new(|parts, _| Fleet::from_parts(parts).to_string()),
+    }
+}
+
+impl Fleet {
+    /// Assembles the figure from its job's cell parts, in cell order.
+    pub fn from_parts(parts: Vec<Part>) -> Fleet {
+        let rows = POLICIES
+            .iter()
+            .zip(parts.into_iter().map(got::<(FleetOutcome, FleetOutcome)>))
+            .map(|(&policy, (cfs, vs))| (policy, cfs, vs))
+            .collect();
+        Fleet { rows }
+    }
 }

@@ -1,12 +1,14 @@
 //! Experiment harness: one driver per table and figure of the vSched paper.
 //!
 //! Every module reproduces one piece of the paper's evaluation (§2.3 and
-//! §5): it builds the scenario on the simulated host, runs it under the
-//! relevant scheduler configurations, and returns a typed result whose
-//! `Display` prints the same rows/series the paper reports. The bench
-//! targets in `crates/bench` are thin wrappers over these drivers, and the
-//! integration tests assert the paper's *shape* claims (who wins, by
-//! roughly what factor).
+//! §5), or one beyond-the-paper scenario: it builds the scenario on the
+//! simulated host and declares a [`runner::Job`] — one independent cell
+//! per scheduler configuration and knob — whose typed result, assembled by
+//! the module's `from_parts`, has a `Display` that prints the same
+//! rows/series the paper reports. The `suite` binary runs every job on
+//! the [`runner`]; the integration tests read the same typed results
+//! through [`runner::job_parts`] and assert the paper's *shape* claims
+//! (who wins, by roughly what factor).
 //!
 //! Durations honour the `VSCHED_SCALE` environment variable
 //! (`quick`/`paper`); see [`common::Scale`].

@@ -15,6 +15,7 @@
 
 use crate::common::Scale;
 use crate::fleet::{HOSTS, THREADS_PER_HOST};
+use crate::runner::{cell, got, Job, Part};
 use ::fleet::{
     day_seed, policy_by_name, profile_by_name, spec_for_trace, synthesize, Cluster, GuestMode,
     POLICIES, PROFILES,
@@ -151,16 +152,39 @@ impl fmt::Display for Replay {
     }
 }
 
-/// Runs the full profile × policy grid serially (legacy entry point; the
-/// suite shards the same grid one cell per `(profile, policy)`).
-pub fn run(seed: u64, scale: Scale) -> Replay {
-    let horizon = scale.secs(4, 16);
-    let mut rows = Vec::new();
+/// The suite job: one cell per (generator profile, placement policy).
+/// The day is pinned by the profile's canonical day_seed — not the cell
+/// seed — so every cell in a profile replays the identical generated
+/// trace; within a cell, CFS and vSched guests run it back to back.
+pub(crate) fn job() -> Job {
+    let mut cells = Vec::new();
     for profile in profile_names() {
         for &policy in POLICIES.iter() {
-            let (cfs, vs) = run_cell(policy, profile, horizon, seed);
-            rows.push((profile, policy, cfs, vs));
+            cells.push(cell(
+                format!("{profile}/{policy}"),
+                move |seed, scale: Scale| run_cell(policy, profile, scale.secs(4, 16), seed),
+            ));
         }
     }
-    Replay { rows }
+    Job {
+        name: "fleet-replay",
+        desc: "placement policies x guest modes over one replayed SAP-shaped day per profile",
+        cells,
+        reduce: Box::new(|parts, _| Replay::from_parts(parts).to_string()),
+    }
+}
+
+impl Replay {
+    /// Assembles the figure from its job's cell parts, in cell order.
+    pub fn from_parts(parts: Vec<Part>) -> Replay {
+        let mut it = parts.into_iter().map(got::<(ReplayOutcome, ReplayOutcome)>);
+        let mut rows = Vec::new();
+        for profile in profile_names() {
+            for &policy in POLICIES.iter() {
+                let (cfs, vs) = it.next().expect("one part per cell");
+                rows.push((profile, policy, cfs, vs));
+            }
+        }
+        Replay { rows }
+    }
 }

@@ -1,11 +1,13 @@
 //! Deterministic parallel experiment runner.
 //!
-//! The figure/table drivers in this crate are embarrassingly parallel on
-//! the inside: every figure is a reduction over independent *cells* — one
-//! (benchmark, mode, knob) simulation each — that share no state beyond
-//! the seed. This module shards the whole suite into those cells, runs
+//! Every figure and table in this crate is a reduction over independent
+//! *cells* — one (benchmark, mode, knob) simulation each — that share no
+//! state beyond the seed. Each experiment module declares its cell grid as
+//! a [`Job`] and assembles its typed result in exactly one place, its
+//! `from_parts`. This module shards the whole suite into those cells, runs
 //! them on a `std::thread::scope` worker pool, and merges the parts back
-//! in declaration order.
+//! in declaration order; [`job_parts`] runs one job's cells serially for
+//! callers (tests) that want the typed figure rather than its rendering.
 //!
 //! # Determinism
 //!
@@ -15,18 +17,16 @@
 //! * Every cell's RNG seed is a stable hash of `(figure id, cell label,
 //!   base seed)` — see [`cell_seed`]. Nothing about scheduling feeds the
 //!   seed, so a cell computes the same result no matter when or where it
-//!   runs. (The legacy `figXX::run` entry points instead thread one base
-//!   seed through every cell; the runner's `--jobs 1` path is the serial
-//!   baseline the parallel path must match.)
+//!   runs. The `--jobs 1` path is the serial baseline the parallel path
+//!   must match.
 //! * Each cell builds its own `Machine`; the simulator is single-threaded
 //!   per cell and shares nothing mutable across cells.
 //! * Parts are merged by cell index, not completion order, and each
 //!   figure's reduction is a pure function of its parts.
 
 use crate::checkpoint::{Checkpoint, CkptKey};
-use crate::common::{Mode, Scale};
+use crate::common::Scale;
 use crate::fig18_19::ProfileKind;
-use crate::profiles::{hpvm, rcvm};
 use crate::supervise::{self, CellFailure, FailureReport, SupervisePolicy};
 use crate::{
     adversary, chaos, fig02, fig03, fig04, fig10, fig11, fig12, fig13, fig14, fig15, fig16, fig17,
@@ -39,8 +39,6 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-use vsched::VschedConfig;
-use workloads::{is_latency_bench, LATENCY_BENCHES, THROUGHPUT_BENCHES};
 
 /// One cell's result, typed per figure and merged by the figure's reducer.
 pub type Part = Box<dyn Any + Send>;
@@ -77,7 +75,8 @@ pub struct Job {
     pub desc: &'static str,
     /// The cells, in merge order.
     pub cells: Vec<CellSpec>,
-    reduce: Box<dyn Fn(Vec<Part>, Scale) -> String + Send + Sync>,
+    /// Renders the parts; each figure's is `FigXX::from_parts(..).to_string()`.
+    pub(crate) reduce: Box<dyn Fn(Vec<Part>, Scale) -> String + Send + Sync>,
 }
 
 /// Builds a cell around a typed closure.
@@ -94,7 +93,7 @@ where
 }
 
 /// Downcasts one part back to its cell's concrete type.
-fn got<T: Any>(p: Part) -> T {
+pub(crate) fn got<T: Any>(p: Part) -> T {
     *p.downcast::<T>()
         .expect("cell part carries the cell's type")
 }
@@ -116,780 +115,6 @@ pub fn cell_seed(base: u64, figure: &str, label: &str) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
-}
-
-fn job_fig02() -> Job {
-    let mut cells = Vec::new();
-    for &be in &[false, true] {
-        for bench in fig02::BENCHES {
-            for &l in &fig02::LATENCIES_MS {
-                cells.push(cell(
-                    format!("{bench}/be={be}/lat={l}"),
-                    move |seed, scale| fig02::run_cell(bench, be, l, scale.secs(20, 120), seed),
-                ));
-            }
-        }
-    }
-    Job {
-        name: "fig02",
-        desc: "vCPU latency vs request latency for latency-sensitive workloads",
-        cells,
-        reduce: Box::new(|parts, _| {
-            let cells = parts.into_iter().map(got::<fig02::Cell>).collect();
-            fig02::Fig02 { cells }.to_string()
-        }),
-    }
-}
-
-fn job_fig03() -> Job {
-    let cells = vec![
-        cell("default", |seed, scale: Scale| {
-            fig03::run_mode(false, scale.secs(5, 20), seed, None)
-        }),
-        cell("migrate", |seed, scale: Scale| {
-            fig03::run_mode(true, scale.secs(5, 20), seed, None)
-        }),
-    ];
-    Job {
-        name: "fig03",
-        desc: "the stalled running task, with and without proactive migration",
-        cells,
-        reduce: Box::new(|parts, _| {
-            let mut it = parts.into_iter();
-            let default_mode = got::<fig03::ModeResult>(it.next().unwrap());
-            let migration_mode = got::<fig03::ModeResult>(it.next().unwrap());
-            fig03::Fig03 {
-                default_mode,
-                migration_mode,
-            }
-            .to_string()
-        }),
-    }
-}
-
-fn job_fig04() -> Job {
-    // Per scenario kind, per benchmark: work-conserving then
-    // non-work-conserving throughput, as six f64 parts per benchmark.
-    let mut cells = Vec::new();
-    for bench in fig04::BENCHES {
-        for &exclude in &[false, true] {
-            cells.push(cell(
-                format!("straggler/{bench}/nwc={exclude}"),
-                move |seed, scale| fig04::straggler_cell(bench, exclude, scale.secs(6, 25), seed),
-            ));
-        }
-    }
-    for &prio_inv in &[false, true] {
-        for bench in fig04::BENCHES {
-            for &exclude in &[false, true] {
-                let kind = if prio_inv { "prio-inv" } else { "stacking" };
-                cells.push(cell(
-                    format!("{kind}/{bench}/nwc={exclude}"),
-                    move |seed, scale| {
-                        fig04::stacking_cell(bench, exclude, prio_inv, scale.secs(6, 25), seed)
-                    },
-                ));
-            }
-        }
-    }
-    Job {
-        name: "fig04",
-        desc: "deficient work conservation: stragglers, stacking, priority inversion",
-        cells,
-        reduce: Box::new(|parts, _| {
-            let mut it = parts.into_iter();
-            let mut pairs = |_kind: &str| -> Vec<fig04::Pair> {
-                fig04::BENCHES
-                    .iter()
-                    .map(|&bench| fig04::Pair {
-                        bench,
-                        work_conserving: got::<f64>(it.next().unwrap()),
-                        non_work_conserving: got::<f64>(it.next().unwrap()),
-                    })
-                    .collect()
-            };
-            let straggler = pairs("straggler");
-            let stacking = pairs("stacking");
-            let priority_inversion = pairs("prio-inv");
-            fig04::Fig04 {
-                straggler,
-                stacking,
-                priority_inversion,
-            }
-            .to_string()
-        }),
-    }
-}
-
-fn job_fig10() -> Job {
-    let cells = vec![
-        cell("tracking", |seed, scale: Scale| {
-            fig10::run_capacity_tracking(seed, scale.secs(75, 150))
-        }),
-        cell("matrix", |seed, _scale| fig10::run_matrix(seed)),
-    ];
-    Job {
-        name: "fig10",
-        desc: "accuracy of vcap capacity tracking and the vtop latency matrix",
-        cells,
-        reduce: Box::new(|parts, _| {
-            let mut it = parts.into_iter();
-            let samples = got::<Vec<fig10::CapSample>>(it.next().unwrap());
-            let matrix = got::<Vec<Vec<f64>>>(it.next().unwrap());
-            let err: Vec<f64> = samples
-                .iter()
-                .filter(|s| s.actual > 0.0)
-                .map(|s| (s.ema - s.actual).abs() / s.actual)
-                .collect();
-            let tracking_error = if err.is_empty() {
-                0.0
-            } else {
-                err.iter().sum::<f64>() / err.len() as f64
-            };
-            fig10::Fig10 {
-                samples,
-                matrix,
-                tracking_error,
-            }
-            .to_string()
-        }),
-    }
-}
-
-fn job_fig11() -> Job {
-    let cells = vec![
-        cell("asym/cfs", |seed, scale: Scale| {
-            fig11::run_asym(false, scale.secs(10, 40), seed, None)
-        }),
-        cell("asym/vcap", |seed, scale: Scale| {
-            fig11::run_asym(true, scale.secs(10, 40), seed, None)
-        }),
-        cell("sym/cfs", |seed, scale: Scale| {
-            fig11::run_sym(false, scale.secs(10, 40), seed, None)
-        }),
-        cell("sym/vcap", |seed, scale: Scale| {
-            fig11::run_sym(true, scale.secs(10, 40), seed, None)
-        }),
-    ];
-    Job {
-        name: "fig11",
-        desc: "impact of accurate vCPU capacity (vcap) on asym/sym hosts",
-        cells,
-        reduce: Box::new(|parts, _| {
-            let mut it = parts.into_iter();
-            let asym_cfs = got::<fig11::AsymResult>(it.next().unwrap());
-            let asym_vcap = got::<fig11::AsymResult>(it.next().unwrap());
-            let sym_cfs = got::<fig11::SymResult>(it.next().unwrap());
-            let sym_vcap = got::<fig11::SymResult>(it.next().unwrap());
-            fig11::Fig11 {
-                asym_cfs,
-                asym_vcap,
-                sym_cfs,
-                sym_vcap,
-            }
-            .to_string()
-        }),
-    }
-}
-
-fn job_fig12() -> Job {
-    let mut cells = vec![
-        cell("cores/cfs", |seed, scale: Scale| {
-            fig12::run_underloaded(false, scale.secs(8, 40), seed)
-        }),
-        cell("cores/vtop", |seed, scale: Scale| {
-            fig12::run_underloaded(true, scale.secs(8, 40), seed)
-        }),
-    ];
-    for partner in ["nginx", "fio"] {
-        for &vtop in &[false, true] {
-            cells.push(cell(
-                format!("mixed/{partner}/vtop={vtop}"),
-                move |seed, scale| fig12::run_mixed(partner, vtop, scale.secs(8, 40), seed),
-            ));
-        }
-    }
-    Job {
-        name: "fig12",
-        desc: "SMT-aware scheduling with vtop on pinned sibling pairs",
-        cells,
-        reduce: Box::new(|parts, _| {
-            let mut it = parts.into_iter();
-            let cores_cfs = got::<fig12::ActiveCores>(it.next().unwrap());
-            let cores_vtop = got::<fig12::ActiveCores>(it.next().unwrap());
-            let mut mixed = Vec::new();
-            for _ in 0..2 {
-                let cfs = got::<fig12::Mixed>(it.next().unwrap());
-                let vtop = got::<fig12::Mixed>(it.next().unwrap());
-                mixed.push((cfs, vtop));
-            }
-            fig12::Fig12 {
-                cores_cfs,
-                cores_vtop,
-                mixed,
-            }
-            .to_string()
-        }),
-    }
-}
-
-fn job_fig13() -> Job {
-    let mut cells = Vec::new();
-    for &name in &fig13::BENCHES {
-        for &vtop in &[false, true] {
-            cells.push(cell(format!("{name}/vtop={vtop}"), move |seed, scale| {
-                fig13::run_cell(name, vtop, scale.secs(8, 40), seed)
-            }));
-        }
-    }
-    Job {
-        name: "fig13",
-        desc: "LLC-aware co-location with vtop across two sockets",
-        cells,
-        reduce: Box::new(|parts, _| {
-            let mut it = parts.into_iter();
-            let rows = fig13::BENCHES
-                .iter()
-                .map(|&name| {
-                    let cfs = got::<fig13::LlcCell>(it.next().unwrap());
-                    let vtop = got::<fig13::LlcCell>(it.next().unwrap());
-                    (name, cfs, vtop)
-                })
-                .collect();
-            fig13::Fig13 { rows }.to_string()
-        }),
-    }
-}
-
-fn job_fig14() -> Job {
-    let mut cells = Vec::new();
-    let mut keys = Vec::new();
-    for &be in &[false, true] {
-        for bench in fig14::BENCHES {
-            for &bvs in &[false, true] {
-                keys.push((bench, be, bvs));
-                cells.push(cell(
-                    format!("{bench}/be={be}/bvs={bvs}"),
-                    move |seed, scale| {
-                        let cfg = if bvs {
-                            table3::bvs_cfg()
-                        } else {
-                            VschedConfig::probers_only()
-                        };
-                        fig14::run_cell(bench, be, cfg, scale.secs(15, 60), seed)
-                            .p95_ns()
-                            .unwrap_or(0)
-                    },
-                ));
-            }
-        }
-    }
-    Job {
-        name: "fig14",
-        desc: "p95 latency reduction with boosted vCPU scheduling (bvs)",
-        cells,
-        reduce: Box::new(move |parts, _| {
-            let cells = keys
-                .iter()
-                .zip(parts)
-                .map(|(&(bench, best_effort, bvs), p)| fig14::Cell {
-                    bench,
-                    best_effort,
-                    bvs,
-                    p95_ns: got::<u64>(p),
-                })
-                .collect();
-            fig14::Fig14 { cells }.to_string()
-        }),
-    }
-}
-
-fn job_fig15() -> Job {
-    let mut cells = Vec::new();
-    for &bench in &fig15::BENCHES {
-        for &t in &fig15::THREADS {
-            for &ivh in &[false, true] {
-                cells.push(cell(
-                    format!("{bench}/t={t}/ivh={ivh}"),
-                    move |seed, scale| fig15::run_cell(bench, t, ivh, scale.secs(8, 30), seed),
-                ));
-            }
-        }
-    }
-    Job {
-        name: "fig15",
-        desc: "throughput gain from idle vCPU harvesting (ivh)",
-        cells,
-        reduce: Box::new(|parts, _| {
-            let mut it = parts.into_iter();
-            let rows = fig15::BENCHES
-                .iter()
-                .map(|&bench| {
-                    let cells = fig15::THREADS
-                        .iter()
-                        .map(|_| {
-                            let without = got::<f64>(it.next().unwrap());
-                            let with = got::<f64>(it.next().unwrap());
-                            (without, with)
-                        })
-                        .collect();
-                    (bench, cells)
-                })
-                .collect();
-            fig15::Fig15 { rows }.to_string()
-        }),
-    }
-}
-
-fn job_fig16() -> Job {
-    let cells = vec![
-        cell("cfs", |seed, scale: Scale| {
-            fig16::run_mode(Mode::Cfs, scale.secs(10, 30), seed)
-        }),
-        cell("vsched", |seed, scale: Scale| {
-            fig16::run_mode(Mode::Vsched, scale.secs(10, 30), seed)
-        }),
-    ];
-    Job {
-        name: "fig16",
-        desc: "adaptability of vSched as the host reconfigures vCPUs",
-        cells,
-        reduce: Box::new(|parts, scale| {
-            let mut it = parts.into_iter();
-            let cfs_series = got::<Vec<f64>>(it.next().unwrap());
-            let vsched_series = got::<Vec<f64>>(it.next().unwrap());
-            fig16::Fig16 {
-                cfs_series,
-                vsched_series,
-                phase_secs: scale.secs(10, 30),
-            }
-            .to_string()
-        }),
-    }
-}
-
-fn job_fig17() -> Job {
-    let cells = vec![
-        cell("cfs", |seed, scale: Scale| {
-            fig17::run_mode(Mode::Cfs, scale.secs(10, 80), seed)
-        }),
-        cell("vsched", |seed, scale: Scale| {
-            fig17::run_mode(Mode::Vsched, scale.secs(10, 80), seed)
-        }),
-    ];
-    Job {
-        name: "fig17",
-        desc: "vSched in a multi-tenant host with floating sibling vCPUs",
-        cells,
-        reduce: Box::new(|parts, _| {
-            let mut it = parts.into_iter();
-            let cfs = got::<fig17::ModeOutcome>(it.next().unwrap());
-            let vsched = got::<fig17::ModeOutcome>(it.next().unwrap());
-            fig17::Fig17 { cfs, vsched }.to_string()
-        }),
-    }
-}
-
-/// Every suite workload, in the order `fig18_19::run` uses.
-fn overall_benches() -> Vec<&'static str> {
-    THROUGHPUT_BENCHES
-        .iter()
-        .chain(LATENCY_BENCHES.iter())
-        .copied()
-        .collect()
-}
-
-fn job_overall(name: &'static str, desc: &'static str, kind: ProfileKind) -> Job {
-    let mut cells = Vec::new();
-    for bench in overall_benches() {
-        for mode in [Mode::Cfs, Mode::EnhancedCfs, Mode::Vsched] {
-            cells.push(cell(
-                format!("{bench}/{}", mode.label()),
-                move |seed, scale| fig18_19::run_cell(kind, bench, mode, scale.secs(6, 25), seed),
-            ));
-        }
-    }
-    Job {
-        name,
-        desc,
-        cells,
-        reduce: Box::new(move |parts, _| {
-            let mut it = parts.into_iter();
-            let rows = overall_benches()
-                .into_iter()
-                .map(|bench| {
-                    let cfs = got::<f64>(it.next().unwrap());
-                    let ecfs = got::<f64>(it.next().unwrap());
-                    let vs = got::<f64>(it.next().unwrap());
-                    fig18_19::Row {
-                        bench,
-                        latency: is_latency_bench(bench),
-                        values: (cfs, ecfs, vs),
-                    }
-                })
-                .collect();
-            fig18_19::Overall {
-                profile: kind,
-                rows,
-            }
-            .to_string()
-        }),
-    }
-}
-
-fn job_fig20() -> Job {
-    let mut cells = Vec::new();
-    for kind in [ProfileKind::Hpvm, ProfileKind::Rcvm] {
-        for &bench in &fig20::BENCHES {
-            for mode in [Mode::Cfs, Mode::Vsched] {
-                cells.push(cell(
-                    format!("{kind:?}/{bench}/{}", mode.label()),
-                    move |seed, scale| fig20::run_cell(kind, bench, mode, scale.secs(6, 25), seed),
-                ));
-            }
-        }
-    }
-    Job {
-        name: "fig20",
-        desc: "cost of vSched: total cycles and cycles per second",
-        cells,
-        reduce: Box::new(|parts, _| {
-            let mut it = parts.into_iter();
-            let mut rows = Vec::new();
-            for kind in [ProfileKind::Hpvm, ProfileKind::Rcvm] {
-                for &bench in &fig20::BENCHES {
-                    let cfs = got::<fig20::Cost>(it.next().unwrap());
-                    let vs = got::<fig20::Cost>(it.next().unwrap());
-                    rows.push((kind, bench, cfs, vs));
-                }
-            }
-            fig20::Fig20 { rows }.to_string()
-        }),
-    }
-}
-
-fn job_fig21() -> Job {
-    let mut cells = Vec::new();
-    for &bench in &fig21::BENCHES {
-        for mode in [Mode::Cfs, Mode::Vsched] {
-            cells.push(cell(
-                format!("{bench}/{}", mode.label()),
-                move |seed, scale| fig21::run_cell(bench, mode, scale.secs(6, 25), seed),
-            ));
-        }
-    }
-    Job {
-        name: "fig21",
-        desc: "vSched overhead on a dedicated host where probing cannot help",
-        cells,
-        reduce: Box::new(|parts, _| {
-            let mut it = parts.into_iter();
-            let rows = fig21::BENCHES
-                .iter()
-                .map(|&bench| {
-                    let cfs = got::<f64>(it.next().unwrap());
-                    let vs = got::<f64>(it.next().unwrap());
-                    (bench, 1.0 - vs / cfs.max(1e-12))
-                })
-                .collect();
-            fig21::Fig21 { rows }.to_string()
-        }),
-    }
-}
-
-fn job_table2() -> Job {
-    let cells = vec![
-        cell("rcvm", |seed, scale: Scale| {
-            table2::measure(rcvm(seed), scale.secs(12, 30))
-        }),
-        cell("hpvm", |seed, scale: Scale| {
-            table2::measure(hpvm(seed), scale.secs(12, 30))
-        }),
-    ];
-    Job {
-        name: "table2",
-        desc: "vtop probing time: full probe vs validation pass",
-        cells,
-        reduce: Box::new(|parts, _| {
-            let mut it = parts.into_iter();
-            let (rcvm_full_ns, rcvm_validate_ns) = got::<(u64, u64)>(it.next().unwrap());
-            let (hpvm_full_ns, hpvm_validate_ns) = got::<(u64, u64)>(it.next().unwrap());
-            table2::Table2 {
-                rcvm_full_ns,
-                rcvm_validate_ns,
-                hpvm_full_ns,
-                hpvm_validate_ns,
-            }
-            .to_string()
-        }),
-    }
-}
-
-fn job_table3() -> Job {
-    fn breakdown(be: bool, cfg: VschedConfig, seed: u64, scale: Scale) -> table3::Breakdown {
-        let h = fig14::run_cell("masstree", be, cfg, scale.secs(15, 60), seed);
-        table3::Breakdown::from_handle(&h)
-    }
-    let cells = vec![
-        cell("no-be/no-bvs", |seed, scale: Scale| {
-            breakdown(false, VschedConfig::probers_only(), seed, scale)
-        }),
-        cell("no-be/bvs", |seed, scale: Scale| {
-            breakdown(false, table3::bvs_cfg(), seed, scale)
-        }),
-        cell("be/no-bvs", |seed, scale: Scale| {
-            breakdown(true, VschedConfig::probers_only(), seed, scale)
-        }),
-        cell("be/bvs-no-state-check", |seed, scale: Scale| {
-            breakdown(
-                true,
-                table3::bvs_cfg().without_bvs_state_check(),
-                seed,
-                scale,
-            )
-        }),
-        cell("be/bvs", |seed, scale: Scale| {
-            breakdown(true, table3::bvs_cfg(), seed, scale)
-        }),
-    ];
-    Job {
-        name: "table3",
-        desc: "Masstree p95 latency breakdown under bvs",
-        cells,
-        reduce: Box::new(|parts, _| {
-            let mut it = parts.into_iter();
-            let mut next = || got::<table3::Breakdown>(it.next().unwrap());
-            let no_be = (next(), next());
-            let with_be = (next(), next(), next());
-            table3::Table3 { no_be, with_be }.to_string()
-        }),
-    }
-}
-
-fn job_table4() -> Job {
-    let mut cells = Vec::new();
-    for &t in &table4::THREADS {
-        for &prewake in &[false, true] {
-            cells.push(cell(
-                format!("t={t}/aware={prewake}"),
-                move |seed, scale| table4::run_cell(t, prewake, scale.secs(8, 30), seed),
-            ));
-        }
-    }
-    Job {
-        name: "table4",
-        desc: "canneal throughput: activity-aware vs unaware ivh pre-waking",
-        cells,
-        reduce: Box::new(|parts, _| {
-            type Cell4 = (f64, (u64, u64, u64));
-            let mut it = parts.into_iter();
-            let mut cells = Vec::new();
-            let mut aware_stats = (0, 0, 0);
-            for &t in &table4::THREADS {
-                let (unaware, _) = got::<Cell4>(it.next().unwrap());
-                let (aware, st) = got::<Cell4>(it.next().unwrap());
-                if t == 1 {
-                    aware_stats = st;
-                }
-                cells.push((unaware, aware));
-            }
-            table4::Table4 { cells, aware_stats }.to_string()
-        }),
-    }
-}
-
-fn job_chaos() -> Job {
-    let cells = vec![
-        cell("cfs", |seed, scale: Scale| {
-            chaos::run_mode(chaos::ChaosMode::Cfs, scale.secs(6, 20), seed)
-        }),
-        cell("vsched-resilient", |seed, scale: Scale| {
-            chaos::run_mode(chaos::ChaosMode::VschedResilient, scale.secs(6, 20), seed)
-        }),
-    ];
-    Job {
-        name: "chaos",
-        desc: "graceful degradation under seed-driven fault injection",
-        cells,
-        reduce: Box::new(|parts, _| {
-            let mut it = parts.into_iter();
-            let cfs = got::<chaos::ChaosOutcome>(it.next().unwrap());
-            let vsched = got::<chaos::ChaosOutcome>(it.next().unwrap());
-            chaos::Chaos { cfs, vsched }.to_string()
-        }),
-    }
-}
-
-fn job_adversary() -> Job {
-    // One cell per (host policy, victim guest). Each cell runs its own
-    // dodge and pollute sub-runs, so the matrix shards six ways.
-    let mut cells = Vec::new();
-    for &policy in adversary::POLICIES.iter() {
-        for &guest in adversary::GUESTS.iter() {
-            cells.push(cell(
-                format!("{}/{}", policy.label(), guest.label()),
-                move |seed, scale: Scale| {
-                    adversary::run_cell(policy, guest, scale.secs(8, 30), seed)
-                },
-            ));
-        }
-    }
-    Job {
-        name: "adversary",
-        desc: "scheduler-gaming co-tenants vs domain partitioning and hardened probing",
-        cells,
-        reduce: Box::new(|parts, _| {
-            let mut it = parts.into_iter();
-            let mut rows = Vec::new();
-            for &policy in adversary::POLICIES.iter() {
-                for &guest in adversary::GUESTS.iter() {
-                    rows.push((
-                        policy,
-                        guest,
-                        got::<adversary::AdversaryOutcome>(it.next().unwrap()),
-                    ));
-                }
-            }
-            adversary::AdversaryMatrix { rows }.to_string()
-        }),
-    }
-}
-
-fn job_fleet() -> Job {
-    // One cell per placement policy: each replays the identical churn
-    // schedule under CFS guests and under vSched guests (same cell seed),
-    // so the comparison inside a cell is apples-to-apples and the job
-    // still shards across policies.
-    let cells = ::fleet::POLICIES
-        .iter()
-        .map(|&policy| {
-            cell(policy, move |seed, scale: Scale| {
-                crate::fleet::run_cell(policy, scale.secs(4, 16), seed)
-            })
-        })
-        .collect();
-    Job {
-        name: "fleet",
-        desc: "CFS vs vSched guests on a churned multi-host cluster, per placement policy",
-        cells,
-        reduce: Box::new(|parts, _| {
-            type Pair = (crate::fleet::FleetOutcome, crate::fleet::FleetOutcome);
-            let mut it = parts.into_iter();
-            let rows = ::fleet::POLICIES
-                .iter()
-                .map(|&policy| {
-                    let (cfs, vs) = got::<Pair>(it.next().unwrap());
-                    (policy, cfs, vs)
-                })
-                .collect();
-            crate::fleet::Fleet { rows }.to_string()
-        }),
-    }
-}
-
-fn job_fleet_replay() -> Job {
-    // One cell per (generator profile, placement policy). The day is
-    // pinned by the profile's canonical day_seed — not the cell seed —
-    // so every cell in a profile replays the identical generated trace;
-    // within a cell, CFS and vSched guests run it back to back.
-    let mut cells = Vec::new();
-    for profile in replay::profile_names() {
-        for &policy in ::fleet::POLICIES.iter() {
-            cells.push(cell(
-                format!("{profile}/{policy}"),
-                move |seed, scale: Scale| {
-                    replay::run_cell(policy, profile, scale.secs(4, 16), seed)
-                },
-            ));
-        }
-    }
-    Job {
-        name: "fleet-replay",
-        desc: "placement policies x guest modes over one replayed SAP-shaped day per profile",
-        cells,
-        reduce: Box::new(|parts, _| {
-            type Pair = (replay::ReplayOutcome, replay::ReplayOutcome);
-            let mut it = parts.into_iter();
-            let mut rows = Vec::new();
-            for profile in replay::profile_names() {
-                for &policy in ::fleet::POLICIES.iter() {
-                    let (cfs, vs) = got::<Pair>(it.next().unwrap());
-                    rows.push((profile, policy, cfs, vs));
-                }
-            }
-            replay::Replay { rows }.to_string()
-        }),
-    }
-}
-
-fn job_fleet_chaos() -> Job {
-    // One cell per (policy, guest config). Every cell replays the same
-    // faulted day — trace pinned by the profile's day_seed, failures by
-    // fleet_chaos::chaos_day_seed — so rows differ only in scheduler and
-    // migration mode; the reduce footer reports the handoff-vs-cold
-    // ablation per policy.
-    let mut cells = Vec::new();
-    for &policy in ::fleet::POLICIES.iter() {
-        for &g in fleet_chaos::GUEST_CONFIGS.iter() {
-            cells.push(cell(
-                format!("{policy}/{}", g.label()),
-                move |seed, scale: Scale| fleet_chaos::run_cell(policy, g, scale.secs(4, 16), seed),
-            ));
-        }
-    }
-    Job {
-        name: "fleet-chaos",
-        desc: "host-failure chaos, evacuation, and degraded mode on a replayed faulted day",
-        cells,
-        reduce: Box::new(|parts, scale| {
-            let mut it = parts.into_iter();
-            let mut rows = Vec::new();
-            for &policy in ::fleet::POLICIES.iter() {
-                let outs: Vec<fleet_chaos::FleetChaosOutcome> = fleet_chaos::GUEST_CONFIGS
-                    .iter()
-                    .map(|_| got::<fleet_chaos::FleetChaosOutcome>(it.next().unwrap()))
-                    .collect();
-                rows.push((policy, outs.try_into().expect("three guest configs")));
-            }
-            fleet_chaos::FleetChaos {
-                faults: fleet_chaos::plan_for(scale.secs(4, 16)).events.len(),
-                rows,
-            }
-            .to_string()
-        }),
-    }
-}
-
-fn job_vcache() -> Job {
-    let mut cells = Vec::new();
-    for &name in &vcache::BENCHES {
-        for &mode in &vcache::MODES {
-            cells.push(cell(format!("{name}/{mode}"), move |seed, scale| {
-                vcache::run_cell(name, mode, scale.secs(8, 40), seed)
-            }));
-        }
-    }
-    Job {
-        name: "vcache",
-        desc: "cache-aware bvs vs stock vSched under an LLC-thrashing neighbour",
-        cells,
-        reduce: Box::new(|parts, _| {
-            let mut it = parts.into_iter();
-            let rows = vcache::BENCHES
-                .iter()
-                .map(|&name| {
-                    (
-                        name,
-                        vcache::MODES
-                            .iter()
-                            .map(|_| got::<vcache::VcacheCell>(it.next().unwrap()))
-                            .collect(),
-                    )
-                })
-                .collect();
-            vcache::VcacheFig { rows }.to_string()
-        }),
-    }
 }
 
 /// The supervision canary: a job whose cells fail on purpose. Never in
@@ -926,39 +151,57 @@ fn canary_job() -> Job {
 /// All jobs in suite output order.
 pub fn registry() -> Vec<Job> {
     vec![
-        job_fig02(),
-        job_fig03(),
-        job_fig04(),
-        job_fig10(),
-        job_fig11(),
-        job_fig12(),
-        job_fig13(),
-        job_fig14(),
-        job_fig15(),
-        job_fig16(),
-        job_fig17(),
-        job_overall(
+        fig02::job(),
+        fig03::job(),
+        fig04::job(),
+        fig10::job(),
+        fig11::job(),
+        fig12::job(),
+        fig13::job(),
+        fig14::job(),
+        fig15::job(),
+        fig16::job(),
+        fig17::job(),
+        fig18_19::job(
             "fig18",
             "overall improvement with vSched on the resource-constrained VM",
             ProfileKind::Rcvm,
         ),
-        job_overall(
+        fig18_19::job(
             "fig19",
             "overall improvement with vSched on the high-performance VM",
             ProfileKind::Hpvm,
         ),
-        job_fig20(),
-        job_fig21(),
-        job_table2(),
-        job_table3(),
-        job_table4(),
-        job_chaos(),
-        job_adversary(),
-        job_fleet(),
-        job_fleet_replay(),
-        job_fleet_chaos(),
-        job_vcache(),
+        fig20::job(),
+        fig21::job(),
+        table2::job(),
+        table3::job(),
+        table4::job(),
+        chaos::job(),
+        adversary::job(),
+        crate::fleet::job(),
+        replay::job(),
+        fleet_chaos::job(),
+        vcache::job(),
     ]
+}
+
+/// Runs one registry job's cells serially at their runner seeds — the
+/// `--jobs 1` path, without supervision — and returns the parts in cell
+/// order, ready for the figure's `from_parts`.
+///
+/// # Panics
+///
+/// If `id` names no registry job.
+pub fn job_parts(id: &str, seed: u64, scale: Scale) -> Vec<Part> {
+    let job = registry()
+        .into_iter()
+        .find(|j| j.name == id)
+        .unwrap_or_else(|| panic!("no suite job named {id}"));
+    job.cells
+        .iter()
+        .map(|c| c.execute(cell_seed(seed, job.name, &c.label), scale))
+        .collect()
 }
 
 /// How to run the suite.

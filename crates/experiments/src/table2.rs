@@ -9,6 +9,7 @@
 
 use crate::common::Scale;
 use crate::profiles::{hpvm, rcvm, Profile};
+use crate::runner::{cell, got, Job, Part};
 use metrics::{fmt_ns, Table};
 use simcore::SimTime;
 use std::fmt;
@@ -48,7 +49,7 @@ impl fmt::Display for Table2 {
     }
 }
 
-pub(crate) fn measure(mut p: Profile, secs: u64) -> (u64, u64) {
+fn measure(mut p: Profile, secs: u64) -> (u64, u64) {
     let vm = p.vm;
     // A light background so the system resembles the evaluation setting.
     let (wl, _s) = Stressor::new(2, work_ms(5.0));
@@ -65,15 +66,35 @@ pub(crate) fn measure(mut p: Profile, secs: u64) -> (u64, u64) {
     )
 }
 
-/// Runs the table.
-pub fn run(seed: u64, scale: Scale) -> Table2 {
-    let secs = scale.secs(12, 30);
-    let (rcvm_full_ns, rcvm_validate_ns) = measure(rcvm(seed), secs);
-    let (hpvm_full_ns, hpvm_validate_ns) = measure(hpvm(seed), secs);
-    Table2 {
-        rcvm_full_ns,
-        rcvm_validate_ns,
-        hpvm_full_ns,
-        hpvm_validate_ns,
+/// The suite job: one cell per profile.
+pub(crate) fn job() -> Job {
+    let cells = vec![
+        cell("rcvm", |seed, scale: Scale| {
+            measure(rcvm(seed), scale.secs(12, 30))
+        }),
+        cell("hpvm", |seed, scale: Scale| {
+            measure(hpvm(seed), scale.secs(12, 30))
+        }),
+    ];
+    Job {
+        name: "table2",
+        desc: "vtop probing time: full probe vs validation pass",
+        cells,
+        reduce: Box::new(|parts, _| Table2::from_parts(parts).to_string()),
+    }
+}
+
+impl Table2 {
+    /// Assembles the table from its job's cell parts, in cell order.
+    pub fn from_parts(parts: Vec<Part>) -> Table2 {
+        let mut it = parts.into_iter().map(got::<(u64, u64)>);
+        let (rcvm_full_ns, rcvm_validate_ns) = it.next().expect("rcvm cell");
+        let (hpvm_full_ns, hpvm_validate_ns) = it.next().expect("hpvm cell");
+        Table2 {
+            rcvm_full_ns,
+            rcvm_validate_ns,
+            hpvm_full_ns,
+            hpvm_validate_ns,
+        }
     }
 }

@@ -8,6 +8,7 @@
 
 use crate::common::Scale;
 use crate::fig14::run_cell;
+use crate::runner::{cell, got, Job, Part};
 use metrics::Table;
 use std::fmt;
 use vsched::VschedConfig;
@@ -96,22 +97,45 @@ pub(crate) fn bvs_cfg() -> VschedConfig {
     }
 }
 
-/// Runs the table.
-pub fn run(seed: u64, scale: Scale) -> Table3 {
-    let secs = scale.secs(15, 60);
-    let cell = |be: bool, cfg: VschedConfig| -> Breakdown {
-        let h = run_cell("masstree", be, cfg, secs, seed);
+/// The suite job: masstree without then with best-effort tasks, under
+/// each bvs variant.
+pub(crate) fn job() -> Job {
+    fn breakdown(be: bool, cfg: VschedConfig, seed: u64, scale: Scale) -> Breakdown {
+        let h = run_cell("masstree", be, cfg, scale.secs(15, 60), seed);
         Breakdown::from_handle(&h)
-    };
-    Table3 {
-        no_be: (
-            cell(false, VschedConfig::probers_only()),
-            cell(false, bvs_cfg()),
-        ),
-        with_be: (
-            cell(true, VschedConfig::probers_only()),
-            cell(true, bvs_cfg().without_bvs_state_check()),
-            cell(true, bvs_cfg()),
-        ),
+    }
+    let cells = vec![
+        cell("no-be/no-bvs", |seed, scale: Scale| {
+            breakdown(false, VschedConfig::probers_only(), seed, scale)
+        }),
+        cell("no-be/bvs", |seed, scale: Scale| {
+            breakdown(false, bvs_cfg(), seed, scale)
+        }),
+        cell("be/no-bvs", |seed, scale: Scale| {
+            breakdown(true, VschedConfig::probers_only(), seed, scale)
+        }),
+        cell("be/bvs-no-state-check", |seed, scale: Scale| {
+            breakdown(true, bvs_cfg().without_bvs_state_check(), seed, scale)
+        }),
+        cell("be/bvs", |seed, scale: Scale| {
+            breakdown(true, bvs_cfg(), seed, scale)
+        }),
+    ];
+    Job {
+        name: "table3",
+        desc: "Masstree p95 latency breakdown under bvs",
+        cells,
+        reduce: Box::new(|parts, _| Table3::from_parts(parts).to_string()),
+    }
+}
+
+impl Table3 {
+    /// Assembles the table from its job's cell parts, in cell order.
+    pub fn from_parts(parts: Vec<Part>) -> Table3 {
+        let mut it = parts.into_iter().map(got::<Breakdown>);
+        let mut next = || it.next().expect("one part per cell");
+        let no_be = (next(), next());
+        let with_be = (next(), next(), next());
+        Table3 { no_be, with_be }
     }
 }

@@ -8,6 +8,7 @@
 
 use crate::common::{Mode, Scale};
 use crate::fig15::build_machine;
+use crate::runner::{cell, got, Job, Part};
 use metrics::Table;
 use simcore::{SimRng, SimTime};
 use std::fmt;
@@ -67,12 +68,7 @@ impl fmt::Display for Table4 {
     }
 }
 
-pub(crate) fn run_cell(
-    threads: usize,
-    prewake: bool,
-    secs: u64,
-    seed: u64,
-) -> (f64, (u64, u64, u64)) {
+fn run_cell(threads: usize, prewake: bool, secs: u64, seed: u64) -> (f64, (u64, u64, u64)) {
     let (mut m, vm) = build_machine(seed);
     let (wl, handle) = build("canneal", threads, SimRng::new(seed ^ 0xE2));
     m.set_workload(vm, wl);
@@ -99,19 +95,41 @@ pub(crate) fn run_cell(
     )
 }
 
-/// Runs the table.
-pub fn run(seed: u64, scale: Scale) -> Table4 {
-    let secs = scale.secs(8, 30);
+/// The suite job: per thread count, an activity-unaware then an
+/// activity-aware cell.
+pub(crate) fn job() -> Job {
     let mut cells = Vec::new();
-    let mut aware_stats = (0, 0, 0);
     for &t in &THREADS {
-        let (unaware, _) = run_cell(t, false, secs, seed);
-        let (aware, st) = run_cell(t, true, secs, seed);
-        if t == 1 {
-            // Report harvest statistics where harvesting actually happens.
-            aware_stats = st;
+        for &prewake in &[false, true] {
+            cells.push(cell(
+                format!("t={t}/aware={prewake}"),
+                move |seed, scale: Scale| run_cell(t, prewake, scale.secs(8, 30), seed),
+            ));
         }
-        cells.push((unaware, aware));
     }
-    Table4 { cells, aware_stats }
+    Job {
+        name: "table4",
+        desc: "canneal throughput: activity-aware vs unaware ivh pre-waking",
+        cells,
+        reduce: Box::new(|parts, _| Table4::from_parts(parts).to_string()),
+    }
+}
+
+impl Table4 {
+    /// Assembles the table from its job's cell parts, in cell order.
+    pub fn from_parts(parts: Vec<Part>) -> Table4 {
+        let mut it = parts.into_iter().map(got::<(f64, (u64, u64, u64))>);
+        let mut cells = Vec::new();
+        let mut aware_stats = (0, 0, 0);
+        for &t in &THREADS {
+            let (unaware, _) = it.next().expect("unaware cell");
+            let (aware, st) = it.next().expect("aware cell");
+            if t == 1 {
+                // Report harvest statistics where harvesting actually happens.
+                aware_stats = st;
+            }
+            cells.push((unaware, aware));
+        }
+        Table4 { cells, aware_stats }
+    }
 }

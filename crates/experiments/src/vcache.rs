@@ -19,6 +19,7 @@
 //! the quiet socket completes at the un-evicted miss rate.
 
 use crate::common::{check_report, checked_collector, Mode, Scale};
+use crate::runner::{cell, got, Job, Part};
 use hostsim::{HostSpec, Pinning, ScenarioBuilder, VmSpec};
 use metrics::Table;
 use simcore::{SimRng, SimTime};
@@ -156,7 +157,7 @@ fn instance(
     }
 }
 
-pub(crate) fn run_cell(name: &'static str, mode: &'static str, secs: u64, seed: u64) -> VcacheCell {
+fn run_cell(name: &'static str, mode: &'static str, secs: u64, seed: u64) -> VcacheCell {
     // Two sockets x 16 cores, SMT off. The victim spans both sockets;
     // the thrasher owns half of socket 1 (threads 16..24).
     let host = HostSpec::new(2, 16, 1);
@@ -213,22 +214,40 @@ pub(crate) fn run_cell(name: &'static str, mode: &'static str, secs: u64, seed: 
     }
 }
 
-/// Runs the full figure.
-pub fn run(seed: u64, scale: Scale) -> VcacheFig {
-    let secs = scale.secs(8, 40);
-    let rows = BENCHES
-        .iter()
-        .map(|&name| {
-            (
-                name,
-                MODES
+/// The suite job: one cell per (benchmark, guest mode).
+pub(crate) fn job() -> Job {
+    let mut cells = Vec::new();
+    for &name in &BENCHES {
+        for &mode in &MODES {
+            cells.push(cell(format!("{name}/{mode}"), move |seed, scale: Scale| {
+                run_cell(name, mode, scale.secs(8, 40), seed)
+            }));
+        }
+    }
+    Job {
+        name: "vcache",
+        desc: "cache-aware bvs vs stock vSched under an LLC-thrashing neighbour",
+        cells,
+        reduce: Box::new(|parts, _| VcacheFig::from_parts(parts).to_string()),
+    }
+}
+
+impl VcacheFig {
+    /// Assembles the figure from its job's cell parts, in cell order.
+    pub fn from_parts(parts: Vec<Part>) -> VcacheFig {
+        let mut it = parts.into_iter().map(got::<VcacheCell>);
+        let rows = BENCHES
+            .iter()
+            .map(|&name| {
+                let cells = MODES
                     .iter()
-                    .map(|&mode| run_cell(name, mode, secs, seed))
-                    .collect(),
-            )
-        })
-        .collect();
-    VcacheFig { rows }
+                    .map(|_| it.next().expect("one part per cell"))
+                    .collect();
+                (name, cells)
+            })
+            .collect();
+        VcacheFig { rows }
+    }
 }
 
 #[cfg(test)]

@@ -4,7 +4,15 @@
 //! Per-cell seeds depend only on cell identity and parts merge in cell
 //! order, so worker count and completion order must be unobservable.
 
-use experiments::runner::{run_suite, SuiteOptions};
+use experiments::fig03::Fig03;
+use experiments::fig04::Fig04;
+use experiments::fig10::Fig10;
+use experiments::fig11::Fig11;
+use experiments::fig14::Fig14;
+use experiments::runner::{job_parts, run_suite, Part, SuiteOptions};
+use experiments::table2::Table2;
+use experiments::table3::Table3;
+use experiments::table4::Table4;
 use experiments::Scale;
 
 fn outputs(jobs: usize, filter: &str) -> Vec<(&'static str, String)> {
@@ -71,4 +79,28 @@ fn seed_changes_the_output() {
     })
     .expect("filter matches");
     assert_ne!(a.reports[0].output, b.reports[0].output);
+}
+
+#[test]
+fn typed_figures_render_the_published_output() {
+    // The shape tests read typed figures through `job_parts` +
+    // `from_parts`; those must be exactly the figures the suite prints,
+    // so the tests assert published numbers.
+    type Render = fn(Vec<Part>) -> String;
+    let typed: [(&str, Render); 8] = [
+        ("fig03", |p| Fig03::from_parts(p).to_string()),
+        ("fig04", |p| Fig04::from_parts(p).to_string()),
+        ("fig10", |p| Fig10::from_parts(p).to_string()),
+        ("fig11", |p| Fig11::from_parts(p).to_string()),
+        ("fig14", |p| Fig14::from_parts(p).to_string()),
+        ("table2", |p| Table2::from_parts(p).to_string()),
+        ("table3", |p| Table3::from_parts(p).to_string()),
+        ("table4", |p| Table4::from_parts(p).to_string()),
+    ];
+    let ids: Vec<&str> = typed.iter().map(|(id, _)| *id).collect();
+    let published = outputs(1, &ids.join(","));
+    assert_eq!(published.iter().map(|(id, _)| *id).collect::<Vec<_>>(), ids);
+    for ((id, render), (_, out)) in typed.iter().zip(&published) {
+        assert_eq!(&render(job_parts(id, 42, Scale::Smoke)), out, "{id}");
+    }
 }

@@ -36,6 +36,7 @@ pub mod tunables;
 pub mod vact;
 pub mod vcache;
 pub mod vcap;
+pub mod vet;
 pub mod vtop;
 
 pub use bvs::BvsStats;
@@ -492,7 +493,7 @@ impl SchedHooks for Vsched {
                                     r.observe_suspicion(
                                         plat.now(),
                                         ProbeKind::Vcap,
-                                        self.vcap.suspicion,
+                                        self.vcap.vet.suspicion,
                                     );
                                 }
                             }
@@ -580,7 +581,7 @@ impl SchedHooks for Vsched {
                                 r.observe_suspicion(
                                     plat.now(),
                                     ProbeKind::Vcache,
-                                    self.vcache.suspicion,
+                                    self.vcache.vet.suspicion,
                                 );
                             }
                         }
@@ -601,7 +602,7 @@ impl SchedHooks for Vsched {
                     Some(r) => {
                         r.observe_vtop(now, self.vtop.validations, self.vtop.validation_failures);
                         if self.vtop.hardened {
-                            r.observe_suspicion(now, ProbeKind::Vtop, self.vtop.suspicion);
+                            r.observe_suspicion(now, ProbeKind::Vtop, self.vtop.vet.suspicion);
                         }
                         r.on_watchdog(kern, now)
                     }

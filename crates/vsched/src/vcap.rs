@@ -19,18 +19,14 @@
 
 use crate::error::ProbeError;
 use crate::tunables::Tunables;
+use crate::vet::{BandFloor, Vet};
 use guestos::{CpuMask, Kernel, Platform, Policy, SpawnSpec, TaskId, TaskProgram, VcpuId};
 use metrics::Ema;
 use simcore::SimTime;
-use std::collections::VecDeque;
 
 /// High-priority weight used by heavy-phase probers (nice −20).
 const HEAVY_WEIGHT: u64 = 88761;
 
-/// Accepted samples remembered per vCPU for outlier rejection.
-const HISTORY_CAP: usize = 8;
-/// Outlier tests need at least this much history to be meaningful.
-const HISTORY_MIN: usize = 4;
 /// A window whose steal rate exceeds this multiple of the canary baseline
 /// (plus [`TARGETED_RATE_FLOOR`]) is treated as window-targeted
 /// interference. Honest contention presses on the vCPU around the clock,
@@ -78,8 +74,10 @@ pub struct Vcap {
     /// Hardened probing (adversarial co-tenancy): reject window-targeted
     /// interference and statistical outliers before they reach the EMAs.
     pub hardened: bool,
-    /// Accepted samples per vCPU, newest last (hardened mode only).
-    history: Vec<VecDeque<f64>>,
+    /// Median/MAD vetting of each vCPU's samples plus the suspicion
+    /// score fed to the resilience layer (hardened mode only); the band
+    /// floor is a quarter of the history median.
+    pub vet: Vet,
     /// Baseline steal rate per vCPU, measured by canary micro-probes at
     /// schedule-jittered offsets between windows. An idle guest accrues
     /// no steal while its vCPUs have nothing to run, so the windows alone
@@ -91,12 +89,6 @@ pub struct Vcap {
     canary_opened_at: SimTime,
     /// When the current window opened.
     window_opened_at: SimTime,
-    /// Interference-suspicion score in `[0, 1]`: bumped per rejected
-    /// sample, decayed by clean windows. Fed to the resilience layer so a
-    /// gamed prober erodes confidence instead of publishing poison.
-    pub suspicion: f64,
-    /// Samples rejected by hardening over the run.
-    pub rejected_samples: u64,
     /// Probed core capacity per vCPU (EMA over heavy samples).
     pub core_cap: Vec<f64>,
     /// Published per-vCPU capacity estimates.
@@ -125,14 +117,12 @@ impl Vcap {
             light_count: 0,
             start_steal: vec![0; nr_vcpus],
             hardened: false,
-            history: vec![VecDeque::new(); nr_vcpus],
+            vet: Vet::new(nr_vcpus, BandFloor::Relative(0.25)),
             canary_rate: vec![None; nr_vcpus],
             canary_start_steal: vec![0; nr_vcpus],
             canary_open: false,
             canary_opened_at: SimTime::ZERO,
             window_opened_at: SimTime::ZERO,
-            suspicion: 0.0,
-            rejected_samples: 0,
             core_cap: vec![1024.0; nr_vcpus],
             cap: vec![Ema::from_half_life(tun.vcap_ema_half_life); nr_vcpus],
             median_cap: 1024.0,
@@ -282,8 +272,7 @@ impl Vcap {
                     // published, and must not count toward `sampled` — an
                     // all-rejected window surfaces as `NoSamples` and rides
                     // the existing degraded-mode entry path.
-                    self.rejected_samples += 1;
-                    self.suspicion = (self.suspicion + 0.35).min(1.0);
+                    self.vet.reject();
                     rejected_now = true;
                     kern.trace.emit(
                         plat.now(),
@@ -296,11 +285,7 @@ impl Vcap {
                     );
                     continue;
                 }
-                let h = &mut self.history[v];
-                h.push_back(sample);
-                if h.len() > HISTORY_CAP {
-                    h.pop_front();
-                }
+                self.vet.accept(v, sample);
             }
             let ema = self.cap[v].update(sample);
             if !self.suppress_publish {
@@ -333,10 +318,8 @@ impl Vcap {
                 kern.asym_capacity = max / min.max(1.0) > 1.3;
             }
         }
-        if self.hardened && !rejected_now {
-            // Clean windows decay suspicion; only sustained gaming keeps it
-            // high enough to matter to the resilience layer.
-            self.suspicion *= 0.6;
+        if self.hardened {
+            self.vet.end_window(!rejected_now);
         }
         if sampled == 0 {
             return Err(ProbeError::NoSamples(trace::ProbeKind::Vcap));
@@ -363,16 +346,11 @@ impl Vcap {
             // No canary has run yet: no baseline to compare against.
             None => false,
         };
-        let h = &self.history[v];
-        let med = if h.is_empty() {
-            self.capacity(VcpuId(v))
-        } else {
-            median_of(h.iter().copied())
-        };
-        let outlier = h.len() >= HISTORY_MIN && {
-            let mad = median_of(h.iter().map(|&x| (x - med).abs()));
-            (sample - med).abs() > (4.0 * mad).max(0.25 * med)
-        };
+        let med = self
+            .vet
+            .median(v)
+            .unwrap_or_else(|| self.capacity(VcpuId(v)));
+        let outlier = self.vet.outlier(v, sample).is_some();
         (targeted || outlier).then_some(med)
     }
 
@@ -483,17 +461,5 @@ impl Vcap {
     /// Lifts a ban.
     pub fn unban_vcpu(&mut self, v: usize) {
         self.skip[v] = false;
-    }
-}
-
-/// Median of a small sample set. `total_cmp` keeps a hostile NaN from
-/// poisoning the sort (same reasoning as the capacity aggregates).
-pub(crate) fn median_of(values: impl Iterator<Item = f64>) -> f64 {
-    let mut xs: Vec<f64> = values.collect();
-    xs.sort_by(|a, b| a.total_cmp(b));
-    if xs.is_empty() {
-        0.0
-    } else {
-        xs[(xs.len() - 1) / 2]
     }
 }

@@ -68,9 +68,9 @@ fn hardening_rejects_window_targeted_pollution_and_degrades() {
     m.run_until(SimTime::from_ns(HORIZON_NS));
     let v = vs(&mut m, victim);
     assert!(
-        v.vcap.rejected_samples >= 3,
+        v.vcap.vet.rejected_samples >= 3,
         "polluted windows must be rejected, got {}",
-        v.vcap.rejected_samples
+        v.vcap.vet.rejected_samples
     );
     let episodes = v.resil.as_ref().unwrap().episodes;
     assert!(
@@ -97,7 +97,7 @@ fn hardening_accepts_round_the_clock_contention() {
     m.run_until(SimTime::from_ns(HORIZON_NS));
     let v = vs(&mut m, victim);
     assert_eq!(
-        v.vcap.rejected_samples, 0,
+        v.vcap.vet.rejected_samples, 0,
         "honest contention must never be rejected"
     );
     let cap = v.vcap.capacity(guestos::VcpuId(0));
@@ -127,8 +127,8 @@ fn hardening_accepts_probe_noise_chaos() {
     m.run_until(SimTime::from_ns(HORIZON_NS));
     let v = vs(&mut m, victim);
     assert!(
-        v.vcap.rejected_samples <= 1,
+        v.vcap.vet.rejected_samples <= 1,
         "probe noise is honest signal, got {} rejections",
-        v.vcap.rejected_samples
+        v.vcap.vet.rejected_samples
     );
 }

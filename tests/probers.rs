@@ -1,7 +1,9 @@
 //! Workspace-level prober accuracy tests (Figure 10 claims) plus
 //! cross-stack property tests on the simulator's conservation laws.
 
-use vsched_repro::experiments::{fig10, Scale};
+use vsched_repro::experiments::fig10::Fig10;
+use vsched_repro::experiments::runner::job_parts;
+use vsched_repro::experiments::Scale;
 use vsched_repro::guestos::{GuestOs, Platform, SpawnSpec, TaskAction, TaskId, Workload};
 use vsched_repro::hostsim::{HostSpec, ScenarioBuilder, VmSpec};
 use vsched_repro::simcore::propcheck::forall;
@@ -9,7 +11,7 @@ use vsched_repro::simcore::{SimRng, SimTime};
 
 #[test]
 fn ema_capacity_tracks_the_trend() {
-    let r = fig10::run(42, Scale::Quick);
+    let r = Fig10::from_parts(job_parts("fig10", 42, Scale::Quick));
     // The estimate follows each step within a few sampling periods; over
     // the run the mean error stays moderate (the EMA trades lag for
     // smoothness by design).
@@ -30,7 +32,7 @@ fn ema_capacity_tracks_the_trend() {
 
 #[test]
 fn probed_latency_matrix_shows_figure_10b_bands() {
-    let r = fig10::run(43, Scale::Quick);
+    let r = Fig10::from_parts(job_parts("fig10", 43, Scale::Quick));
     let m = &r.matrix;
     // SMT pair (0,1): single-digit ns.
     assert!(m[0][1] > 0.0 && m[0][1] < 20.0, "smt {}", m[0][1]);

@@ -7,7 +7,10 @@
 //! ivh pull attempt resolves exactly once. A violation here means the
 //! simulator broke a scheduler law, not that a figure's numbers drifted.
 
-use vsched_repro::experiments::{fig03, fig11, fig15, Scale};
+use vsched_repro::experiments::common::{check_report, checked_collector};
+use vsched_repro::experiments::fig03::{self, Fig03};
+use vsched_repro::experiments::runner::{cell_seed, job_parts};
+use vsched_repro::experiments::{fig11, fig15, Scale};
 use vsched_repro::hostsim::{ChaosSpec, FaultPlan, HostSpec, ScenarioBuilder, VmSpec};
 use vsched_repro::simcore::time::{MS, SEC};
 use vsched_repro::simcore::SimTime;
@@ -24,9 +27,24 @@ fn assert_clean(figure: &str, reports: &[CheckReport]) {
     }
 }
 
+/// Figure 3 at quick scale, both modes run at the suite's cell seeds for
+/// `seed`, each traced into its own checked collector.
+fn fig03_checked(seed: u64) -> (Fig03, Vec<CheckReport>) {
+    let secs = Scale::Quick.secs(5, 20);
+    let cols = [checked_collector(), checked_collector()];
+    let mode = |migrate, label, c| {
+        fig03::run_mode(migrate, secs, cell_seed(seed, "fig03", label), Some(c))
+    };
+    let fig = Fig03 {
+        default_mode: mode(false, "default", &cols[0]),
+        migration_mode: mode(true, "migrate", &cols[1]),
+    };
+    (fig, cols.iter().map(check_report).collect())
+}
+
 #[test]
 fn fig03_invariants_hold() {
-    let (fig, reports) = fig03::run_checked(42, Scale::Quick);
+    let (fig, reports) = fig03_checked(42);
     assert_clean("fig03", &reports);
     // The checked run is still the real experiment.
     assert!(fig.improvement() > 1.2, "improvement {}", fig.improvement());
@@ -34,17 +52,25 @@ fn fig03_invariants_hold() {
 
 #[test]
 fn fig11_invariants_hold() {
-    let (_, reports) = fig11::run_checked(42, Scale::Quick);
-    assert_clean("fig11", &reports);
+    let secs = Scale::Quick.secs(10, 40);
+    let seed = |label: &str| cell_seed(42, "fig11", label);
+    let cols: Vec<_> = (0..4).map(|_| checked_collector()).collect();
+    fig11::run_asym(false, secs, seed("asym/cfs"), Some(&cols[0]));
+    fig11::run_asym(true, secs, seed("asym/vcap"), Some(&cols[1]));
+    fig11::run_sym(false, secs, seed("sym/cfs"), Some(&cols[2]));
+    fig11::run_sym(true, secs, seed("sym/vcap"), Some(&cols[3]));
+    assert_clean("fig11", &cols.iter().map(check_report).collect::<Vec<_>>());
 }
 
 #[test]
 fn fig15_cell_invariants_hold() {
     // One ivh-enabled cell exercises the full pull lifecycle (attempt /
     // complete / abandon) under the checker.
-    let (rate, report) = fig15::run_cell_checked("canneal", 4, true, 4, 42);
+    let shared = checked_collector();
+    let seed = cell_seed(42, "fig15", "canneal/t=4/ivh=true");
+    let rate = fig15::run_cell("canneal", 4, true, 4, seed, Some(&shared));
     assert!(rate > 0.0);
-    assert_clean("fig15[canneal,4,ivh]", &[report]);
+    assert_clean("fig15[canneal,4,ivh]", &[check_report(&shared)]);
 }
 
 #[test]
@@ -52,8 +78,8 @@ fn tracing_does_not_perturb_the_simulation() {
     // Bit-identical figure results with the sink off (the default) and
     // with a full collector attached: emitting must never branch the
     // simulation.
-    let plain = fig03::run(7, Scale::Quick);
-    let (checked, _) = fig03::run_checked(7, Scale::Quick);
+    let plain = Fig03::from_parts(job_parts("fig03", 7, Scale::Quick));
+    let (checked, _) = fig03_checked(7);
     assert_eq!(
         plain.default_mode.utilization.to_bits(),
         checked.default_mode.utilization.to_bits()
