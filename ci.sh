@@ -16,6 +16,12 @@ echo "== tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+echo "== perfbench: build and self-checks (a workspace of its own)"
+# The benchmark is outside the workspace above, so a library change that
+# breaks its build or its self-checks would otherwise pass.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --offline --manifest-path perfbench/Cargo.toml
+
 echo "== suite runner: serial vs parallel output equality (smoke scale, fixed seed)"
 # Each job must replay byte-identically across suite worker counts:
 # fig03 (float-heavy reductions), chaos (fault injection and the

@@ -185,6 +185,9 @@ pub struct Cluster {
     /// Reusable [`HostView`] buffer for placement decisions, preallocated
     /// at construction so arrivals never allocate a fresh snapshot.
     views_scratch: Vec<HostView>,
+    /// Per-host probed-capacity sums behind `views_scratch`, indexed by
+    /// host id and likewise preallocated.
+    probed_scratch: Vec<f64>,
     admitted: u64,
     placed: u64,
     rejected: u64,
@@ -253,6 +256,7 @@ impl Cluster {
         }
         let (fleet_sink, fleet_collector) = TraceSink::shared(Collector::default().with_checker());
         let views_scratch = Vec::with_capacity(spec.hosts);
+        let probed_scratch = Vec::with_capacity(spec.hosts);
         Cluster {
             spec,
             mode,
@@ -266,6 +270,7 @@ impl Cluster {
             wl_rng: SimRng::new(seed ^ 0x0F1E_E75E_ED00),
             fleet_threads,
             views_scratch,
+            probed_scratch,
             admitted: 0,
             placed: 0,
             rejected: 0,
@@ -456,29 +461,43 @@ impl Cluster {
     /// frequent to allocate a fresh snapshot per decision). Failed hosts
     /// are excluded entirely — a policy cannot place onto a host it
     /// cannot see, which is what keeps the no-placement-onto-failed-host
-    /// law structural. Views carry their host id, so lookups after a
-    /// decision go through [`Cluster::ensure_fits`], never by index.
+    /// law structural. Views carry their host id and are pushed in
+    /// ascending host order, so lookups after a decision go through
+    /// [`Cluster::ensure_fits`], never by index.
+    ///
+    /// One pass over the live VMs sums each host's residents into
+    /// `probed_scratch`, then one pass over the hosts builds the views:
+    /// O(hosts + live) per decision. Each host's sum starts at 0.0 and
+    /// adds its residents in `live` order, so it is bit-identical to a
+    /// per-host scan of `live` (the unit tests audit every refresh).
     fn refresh_host_views(&mut self) {
         let mode = self.mode;
+        let probed = &mut self.probed_scratch;
+        probed.clear();
+        probed.resize(self.hosts.len(), 0.0);
+        for lv in &self.live {
+            let host = &mut self.hosts[lv.host];
+            if !host.failed {
+                probed[lv.host] += probed_capacity(&mut host.m, lv.vm_idx, lv.vcpus, mode);
+            }
+        }
         let views = &mut self.views_scratch;
         views.clear();
         for (h, host) in self.hosts.iter_mut().enumerate() {
             if host.failed {
                 continue;
             }
-            let mut probed = 0.0;
-            for lv in self.live.iter().filter(|lv| lv.host == h) {
-                probed += probed_capacity(&mut host.m, lv.vm_idx, lv.vcpus, mode);
-            }
             views.push(HostView {
                 host: h,
                 threads: self.spec.threads_per_host,
                 committed: host.committed,
                 cap: self.spec.overcommit_cap,
-                probed_capacity: probed,
+                probed_capacity: probed[h],
                 llc_pressure: host.m.llc_pressure(),
             });
         }
+        #[cfg(test)]
+        tests::audit_views(self);
     }
 
     /// Verifies a placement decision against the destination's cap and
@@ -489,9 +508,9 @@ impl Cluster {
     fn ensure_fits(&self, h: usize, req: &PlacementReq) -> Result<(), String> {
         let view = self
             .views_scratch
-            .iter()
-            .find(|v| v.host == h)
-            .ok_or_else(|| {
+            .binary_search_by_key(&h, |v| v.host)
+            .map(|i| &self.views_scratch[i])
+            .map_err(|_| {
                 format!(
                     "policy placed uid {} on host {h} which is failed or unknown \
                  (views cover {} hosts)",
@@ -979,6 +998,39 @@ fn probed_capacity(m: &mut Machine, vm_idx: usize, vcpus: usize, mode: GuestMode
 mod tests {
     use super::*;
     use crate::placement::policy_by_name;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// `refresh_host_views` calls audited on this test thread.
+        static AUDITED: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Runs after every `refresh_host_views` in this crate's unit tests:
+    /// the views must cover exactly the non-failed hosts, in ascending
+    /// host order, each with the bit-identical probed capacity of a naive
+    /// per-host scan of the live VMs.
+    pub(super) fn audit_views(c: &mut Cluster) {
+        let mut views = c.views_scratch.iter();
+        for h in 0..c.hosts.len() {
+            if c.hosts[h].failed {
+                continue;
+            }
+            let v = views.next().expect("every non-failed host has a view");
+            assert_eq!(v.host, h, "views skip or reorder host {h}");
+            let mut naive = 0.0;
+            for lv in c.live.iter().filter(|lv| lv.host == h) {
+                naive += probed_capacity(&mut c.hosts[h].m, lv.vm_idx, lv.vcpus, c.mode);
+            }
+            assert_eq!(
+                v.probed_capacity.to_bits(),
+                naive.to_bits(),
+                "host {h}: one-pass {} vs per-host scan {naive}",
+                v.probed_capacity
+            );
+        }
+        assert!(views.next().is_none(), "a failed host has a view");
+        AUDITED.with(|n| n.set(n.get() + 1));
+    }
 
     fn small_spec() -> FleetSpec {
         let mut s = FleetSpec::small(2, 2, 1);
@@ -1112,6 +1164,39 @@ mod tests {
         assert_eq!(s.stranded, 0, "every victim migrated or departed");
         assert_eq!(s.admitted, s.placed + s.rejected);
         assert!(s.completed > 0);
+    }
+
+    #[test]
+    fn one_pass_views_match_per_host_scans_through_a_chaos_day() {
+        use crate::chaos::{FleetChaosPlan, FleetChaosSpec, HostOp};
+        let spec = FleetSpec::small(3, 4, 2);
+        let plan = FleetChaosPlan::generate(21, &FleetChaosSpec::for_fleet(3, spec.horizon_ns));
+        for op in [HostOp::Crash, HostOp::Drain] {
+            assert!(
+                plan.fail_events().any(|f| f.op == op),
+                "the plan must {} a host",
+                op.name()
+            );
+        }
+        // Serial stepping, so a failed audit panics instead of leaving
+        // pool workers waiting on a coordinator that has unwound.
+        let mut c = Cluster::with_threads(
+            spec,
+            GuestMode::Vsched,
+            policy_by_name("probe-aware").unwrap(),
+            21,
+            NonZeroUsize::MIN,
+        );
+        c.set_chaos(plan);
+        let before = AUDITED.with(Cell::get);
+        let s = c.run();
+        let audited = AUDITED.with(Cell::get) - before;
+        assert!(s.host_failures > 0, "2s of chaos must strike");
+        assert!(s.migrations > 0, "victims must live-migrate");
+        assert!(
+            audited >= s.admitted - s.shed_admissions + s.migrations,
+            "every placement decision audits its views ({audited} audits)"
+        );
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //! failing figure run points straight at the broken transition.
 
 use crate::event::{EventKind, IvhPhase, PreemptReason, PriorityClass, TraceEvent};
+use crate::table::VcpuTable;
 use simcore::SimTime;
 use std::collections::HashMap;
 use std::fmt;
@@ -292,12 +293,14 @@ enum HostCpu {
 pub struct InvariantChecker {
     /// Max work per nanosecond of active time (1024 = a full-speed core).
     cap_ceiling: f64,
-    running: HashMap<(u16, u32), u16>,
-    curr: HashMap<(u16, u16), u32>,
-    min_vr: HashMap<(u16, u16), u64>,
-    host: HashMap<(u16, u16), HostCpu>,
-    ivh_pending: HashMap<(u16, u16), u32>,
-    throttled: HashMap<(u16, u16), SimTime>,
+    /// Per-event state in dense tables ([`VcpuTable`]): `running` is
+    /// keyed by `(vm, task)`, the rest by `(vm, vcpu)`.
+    running: VcpuTable<u16>,
+    curr: VcpuTable<u32>,
+    min_vr: VcpuTable<u64>,
+    host: VcpuTable<HostCpu>,
+    ivh_pending: VcpuTable<u32>,
+    throttled: VcpuTable<SimTime>,
     degraded: HashMap<u16, SimTime>,
     /// Fleet VMs admitted (by uid) and awaiting placement.
     admitted: HashMap<u32, SimTime>,
@@ -336,12 +339,12 @@ impl InvariantChecker {
     pub fn new() -> Self {
         Self {
             cap_ceiling: 1024.0,
-            running: HashMap::new(),
-            curr: HashMap::new(),
-            min_vr: HashMap::new(),
-            host: HashMap::new(),
-            ivh_pending: HashMap::new(),
-            throttled: HashMap::new(),
+            running: VcpuTable::default(),
+            curr: VcpuTable::default(),
+            min_vr: VcpuTable::default(),
+            host: VcpuTable::default(),
+            ivh_pending: VcpuTable::default(),
+            throttled: VcpuTable::default(),
             degraded: HashMap::new(),
             admitted: HashMap::new(),
             placed: HashMap::new(),
@@ -414,8 +417,8 @@ impl InvariantChecker {
                 min_vruntime,
                 ..
             } => {
-                let key = (ev.vm, vcpu);
-                let floor = self.min_vr.entry(key).or_insert(0);
+                let (vm, v) = (ev.vm, usize::from(vcpu));
+                let floor = self.min_vr.get_or_default(vm, v);
                 if min_vruntime < *floor {
                     let was = *floor;
                     self.flag(
@@ -427,28 +430,28 @@ impl InvariantChecker {
                     *floor = min_vruntime;
                 }
                 if let Some(t) = next {
-                    if let Some(&on) = self.running.get(&(ev.vm, t)) {
+                    if let Some(&on) = self.running.get(vm, t as usize) {
                         self.flag(
                             ViolationKind::DoubleRun,
                             ev,
                             format!("task {t} switched in on vcpu {vcpu} while running on {on}"),
                         );
                     }
-                    if let Some(&busy) = self.curr.get(&key) {
+                    if let Some(&busy) = self.curr.get(vm, v) {
                         self.flag(
                             ViolationKind::SwitchInWhileBusy,
                             ev,
                             format!("vcpu {vcpu} still runs task {busy}"),
                         );
                     }
-                    self.running.insert((ev.vm, t), vcpu);
-                    self.curr.insert(key, t);
+                    self.running.insert(vm, t as usize, vcpu);
+                    self.curr.insert(vm, v, t);
                 }
                 if let Some(t) = prev {
-                    match self.curr.get(&key) {
+                    match self.curr.get(vm, v) {
                         Some(&c) if c == t => {
-                            self.curr.remove(&key);
-                            self.running.remove(&(ev.vm, t));
+                            self.curr.remove(vm, v);
+                            self.running.remove(vm, t as usize);
                         }
                         other => {
                             let have = other.copied();
@@ -462,7 +465,7 @@ impl InvariantChecker {
                 }
             }
             EventKind::TaskMigrate { task, from, to, .. } => {
-                if let Some(&on) = self.running.get(&(ev.vm, task)) {
+                if let Some(&on) = self.running.get(ev.vm, task as usize) {
                     self.flag(
                         ViolationKind::MigrateWhileRunning,
                         ev,
@@ -471,8 +474,8 @@ impl InvariantChecker {
                 }
             }
             EventKind::VcpuResume { vcpu, .. } => {
-                let key = (ev.vm, vcpu);
-                let state = *self.host.get(&key).unwrap_or(&HostCpu::Unknown);
+                let (vm, v) = (ev.vm, usize::from(vcpu));
+                let state = *self.host.get(vm, v).unwrap_or(&HostCpu::Unknown);
                 match state {
                     HostCpu::Running => self.flag(
                         ViolationKind::RunOverlap,
@@ -493,8 +496,8 @@ impl InvariantChecker {
                     }
                     HostCpu::Idle | HostCpu::Unknown => {}
                 }
-                self.host.insert(key, HostCpu::Running);
-                self.throttled.remove(&key);
+                self.host.insert(vm, v, HostCpu::Running);
+                self.throttled.remove(vm, v);
                 if let (Some((idx, active)), Some(&class)) =
                     (self.active_domain, self.vm_class.get(&ev.vm))
                 {
@@ -511,16 +514,16 @@ impl InvariantChecker {
                 }
             }
             EventKind::VcpuPreempt { vcpu, reason } => {
-                let key = (ev.vm, vcpu);
+                let (vm, v) = (ev.vm, usize::from(vcpu));
                 if reason == PreemptReason::Throttle {
-                    if let Some(&since) = self.throttled.get(&key) {
+                    if let Some(&since) = self.throttled.get(vm, v) {
                         self.flag(
                             ViolationKind::ThrottleWithoutRefill,
                             ev,
                             format!("vcpu {vcpu} throttled again (throttled since {since})"),
                         );
                     }
-                    self.throttled.insert(key, ev.at);
+                    self.throttled.insert(vm, v, ev.at);
                 }
                 let next = match reason {
                     PreemptReason::Halt => HostCpu::Idle,
@@ -529,12 +532,14 @@ impl InvariantChecker {
                         steal: 0,
                     },
                 };
-                self.host.insert(key, next);
+                self.host.insert(vm, v, next);
             }
             EventKind::VcpuWake { vcpu } => {
-                self.throttled.remove(&(ev.vm, vcpu));
+                let (vm, v) = (ev.vm, usize::from(vcpu));
+                self.throttled.remove(vm, v);
                 self.host.insert(
-                    (ev.vm, vcpu),
+                    vm,
+                    v,
                     HostCpu::Waiting {
                         since: ev.at,
                         steal: 0,
@@ -542,9 +547,9 @@ impl InvariantChecker {
                 );
             }
             EventKind::VcpuHalt { vcpu } => {
-                let key = (ev.vm, vcpu);
-                self.throttled.remove(&key);
-                if let Some(HostCpu::Waiting { since, steal }) = self.host.get(&key).copied() {
+                let (vm, v) = (ev.vm, usize::from(vcpu));
+                self.throttled.remove(vm, v);
+                if let Some(HostCpu::Waiting { since, steal }) = self.host.get(vm, v).copied() {
                     let wall = ev.at.since(since);
                     if steal != wall {
                         self.flag(
@@ -556,11 +561,10 @@ impl InvariantChecker {
                         );
                     }
                 }
-                self.host.insert(key, HostCpu::Idle);
+                self.host.insert(vm, v, HostCpu::Idle);
             }
             EventKind::StealAccrue { vcpu, delta_ns } => {
-                let key = (ev.vm, vcpu);
-                match self.host.get_mut(&key) {
+                match self.host.get_mut(ev.vm, usize::from(vcpu)) {
                     Some(HostCpu::Waiting { since, steal }) => {
                         *steal += delta_ns;
                         let elapsed = ev.at.since(*since);
@@ -602,10 +606,10 @@ impl InvariantChecker {
                 }
             }
             EventKind::IvhPull { target, phase, .. } => {
-                let key = (ev.vm, target);
+                let (vm, v) = (ev.vm, usize::from(target));
                 match phase {
                     IvhPhase::Attempt => {
-                        if let Some(&t) = self.ivh_pending.get(&key) {
+                        if let Some(&t) = self.ivh_pending.get(vm, v) {
                             self.flag(
                                 ViolationKind::IvhDuplicateAttempt,
                                 ev,
@@ -613,11 +617,11 @@ impl InvariantChecker {
                             );
                         }
                         if let EventKind::IvhPull { task, .. } = ev.kind {
-                            self.ivh_pending.insert(key, task);
+                            self.ivh_pending.insert(vm, v, task);
                         }
                     }
                     IvhPhase::Complete | IvhPhase::Abandon => {
-                        if self.ivh_pending.remove(&key).is_none() {
+                        if self.ivh_pending.remove(vm, v).is_none() {
                             self.flag(
                                 ViolationKind::IvhUnmatchedResolution,
                                 ev,
@@ -688,7 +692,11 @@ impl InvariantChecker {
             },
             EventKind::IvhAbandonedByWatchdog { target, .. } => {
                 // Resolves the outstanding attempt exactly like an Abandon.
-                if self.ivh_pending.remove(&(ev.vm, target)).is_none() {
+                if self
+                    .ivh_pending
+                    .remove(ev.vm, usize::from(target))
+                    .is_none()
+                {
                     self.flag(
                         ViolationKind::IvhUnmatchedResolution,
                         ev,
@@ -1631,6 +1639,64 @@ mod tests {
             c.first().unwrap().kind,
             ViolationKind::IvhUnmatchedResolution
         );
+    }
+
+    #[test]
+    fn end_of_stream_counts_pending_pulls_and_throttled_vcpus() {
+        let on = |at, vm, kind| TraceEvent {
+            at: SimTime(at),
+            vm,
+            kind,
+        };
+        let pull = |at, vm, target, phase| {
+            on(
+                at,
+                vm,
+                EventKind::IvhPull {
+                    task: 1,
+                    src: 0,
+                    target,
+                    phase,
+                },
+            )
+        };
+        let throttle = |at, vm, vcpu| {
+            on(
+                at,
+                vm,
+                EventKind::VcpuPreempt {
+                    vcpu,
+                    reason: PreemptReason::Throttle,
+                },
+            )
+        };
+        let c = check(&[
+            pull(1, 2, 5, IvhPhase::Attempt),
+            pull(2, 0, 1, IvhPhase::Attempt),
+            pull(3, 0, 3, IvhPhase::Attempt),
+            pull(4, 0, 1, IvhPhase::Complete),
+            pull(5, 1, 0, IvhPhase::Attempt),
+            pull(6, 1, 0, IvhPhase::Abandon),
+            pull(7, 1, 0, IvhPhase::Attempt),
+            pull(8, 1, 0, IvhPhase::Complete),
+            throttle(10, 3, 2),
+            throttle(10, 0, 0),
+            throttle(10, 1, 4),
+            on(20, 0, EventKind::VcpuWake { vcpu: 0 }),
+            on(
+                20,
+                1,
+                EventKind::StealAccrue {
+                    vcpu: 4,
+                    delta_ns: 10,
+                },
+            ),
+            on(20, 1, EventKind::VcpuHalt { vcpu: 4 }),
+        ]);
+        let r = c.report();
+        assert!(r.ok(), "{:?}", r.first);
+        assert_eq!(r.pending_ivh, 2, "vm 2 vcpu 5 and vm 0 vcpu 3 still pull");
+        assert_eq!(r.still_throttled, 1, "only vm 3 vcpu 2 was never released");
     }
 
     #[test]

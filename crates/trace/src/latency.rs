@@ -15,18 +15,18 @@
 //! report.
 
 use crate::event::{EventKind, TraceEvent};
+use crate::table::VcpuTable;
 use metrics::Histogram;
 use simcore::SimTime;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Streaming wake→first-run delay accumulator.
 #[derive(Default)]
 pub struct WakeLatency {
     /// Wakeups awaiting their first run, keyed by `(vm, task)`.
-    pending: BTreeMap<(u16, u32), SimTime>,
+    pending: VcpuTable<SimTime>,
     /// Completed delays per `(vm, vcpu)`.
-    per_vcpu: BTreeMap<(u16, u16), Histogram>,
+    per_vcpu: VcpuTable<Histogram>,
 }
 
 impl std::fmt::Debug for WakeLatency {
@@ -43,17 +43,16 @@ impl WakeLatency {
     pub fn observe(&mut self, ev: &TraceEvent) {
         match ev.kind {
             EventKind::TaskWake { task, .. } => {
-                self.pending.insert((ev.vm, task), ev.at);
+                self.pending.insert(ev.vm, task as usize, ev.at);
             }
             EventKind::ContextSwitch {
                 vcpu,
                 next: Some(task),
                 ..
             } => {
-                if let Some(woke) = self.pending.remove(&(ev.vm, task)) {
+                if let Some(woke) = self.pending.remove(ev.vm, task as usize) {
                     self.per_vcpu
-                        .entry((ev.vm, vcpu))
-                        .or_default()
+                        .get_or_default(ev.vm, usize::from(vcpu))
                         .record(ev.at.since(woke));
                 }
             }
@@ -63,12 +62,12 @@ impl WakeLatency {
 
     /// Number of completed wake→run pairs across all vCPUs.
     pub fn pairs(&self) -> u64 {
-        self.per_vcpu.values().map(Histogram::count).sum()
+        self.per_vcpu.iter().map(|(_, _, h)| h.count()).sum()
     }
 
     /// The delay histogram of one vCPU, if it completed any wakeups.
     pub fn vcpu(&self, vm: u16, vcpu: u16) -> Option<&Histogram> {
-        self.per_vcpu.get(&(vm, vcpu))
+        self.per_vcpu.get(vm, usize::from(vcpu))
     }
 
     /// Renders one line per vCPU alongside the schedstat dump: pair count,
@@ -77,7 +76,7 @@ impl WakeLatency {
         let mut out = String::new();
         let _ = writeln!(out, "# wake-to-run runqueue delay (ns)");
         let _ = writeln!(out, "# cpu<vm>/<vcpu> pairs mean p50 p95 p99 max");
-        for (&(vm, vcpu), h) in &self.per_vcpu {
+        for (vm, vcpu, h) in self.per_vcpu.iter() {
             let _ = writeln!(
                 out,
                 "cpu{vm}/{vcpu} {} {:.0} {} {} {} {}",
@@ -174,5 +173,24 @@ mod tests {
         assert!(text.contains("cpu0/0 1"), "{text}");
         let empty = WakeLatency::default().render();
         assert!(empty.contains("no completed wakeups"), "{empty}");
+    }
+
+    #[test]
+    fn render_lists_vcpus_in_ascending_vm_vcpu_order() {
+        let mut w = WakeLatency::default();
+        for (i, (vm, vcpu)) in [(2, 1), (0, 3), (0, 0), (1, 0)].into_iter().enumerate() {
+            let task = i as u32;
+            for e in [wake(10, task, vcpu), switch_in(20, task, vcpu)] {
+                w.observe(&TraceEvent { vm, ..e });
+            }
+        }
+        assert_eq!(w.pairs(), 4);
+        let text = w.render();
+        let cpus: Vec<&str> = text
+            .lines()
+            .filter(|l| l.starts_with("cpu"))
+            .map(|l| l.split_whitespace().next().unwrap())
+            .collect();
+        assert_eq!(cpus, ["cpu0/0", "cpu0/3", "cpu1/0", "cpu2/1"], "{text}");
     }
 }

@@ -27,6 +27,7 @@ pub mod latency;
 pub mod ring;
 pub mod schedstat;
 pub mod sink;
+mod table;
 
 pub use check::{CheckReport, InvariantChecker, Violation, ViolationKind};
 pub use chrome::{chrome_trace, validate_json};

@@ -6,8 +6,8 @@
 //! shape of `/proc/schedstat`.
 
 use crate::event::{EventKind, TraceEvent};
+use crate::table::VcpuTable;
 use simcore::SimTime;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Per-vCPU running totals.
@@ -25,13 +25,13 @@ struct VcpuStat {
 /// The schedstat accumulator: cheap counters, always on in a collector.
 #[derive(Debug, Default)]
 pub struct Schedstat {
-    per_vcpu: BTreeMap<(u16, u16), VcpuStat>,
+    per_vcpu: VcpuTable<VcpuStat>,
     last_event: SimTime,
 }
 
 impl Schedstat {
     fn stat(&mut self, vm: u16, vcpu: u16) -> &mut VcpuStat {
-        self.per_vcpu.entry((vm, vcpu)).or_default()
+        self.per_vcpu.get_or_default(vm, usize::from(vcpu))
     }
 
     /// Folds one event into the totals.
@@ -83,7 +83,7 @@ impl Schedstat {
             out,
             "# cpu<vm>/<vcpu> run_ns steal_ns idle_ns switches wakes migrations_in resched_ipis"
         );
-        for (&(vm, vcpu), s) in &self.per_vcpu {
+        for (vm, vcpu, s) in self.per_vcpu.iter() {
             // A vCPU still on-core at render time: charge the open segment.
             let run = s.run_ns + s.running_since.map(|since| now.since(since)).unwrap_or(0);
             let idle = now.ns().saturating_sub(run + s.steal_ns);
@@ -163,5 +163,27 @@ mod tests {
         s.observe(&ev(3, EventKind::ReschedIpi { from: None, to: 2 }));
         let text = s.render(SimTime(10));
         assert!(text.contains("cpu0/2 0 0 10 1 1 0 1"), "{text}");
+    }
+
+    #[test]
+    fn render_lists_vcpus_in_ascending_vm_vcpu_order() {
+        let mut s = Schedstat::default();
+        for (vm, vcpu) in [(2, 1), (0, 3), (0, 0), (1, 0)] {
+            s.observe(&TraceEvent {
+                at: SimTime(1),
+                vm,
+                kind: EventKind::ReschedIpi {
+                    from: None,
+                    to: vcpu,
+                },
+            });
+        }
+        let text = s.render(SimTime(10));
+        let cpus: Vec<&str> = text
+            .lines()
+            .filter(|l| l.starts_with("cpu"))
+            .map(|l| l.split_whitespace().next().unwrap())
+            .collect();
+        assert_eq!(cpus, ["cpu0/0", "cpu0/3", "cpu1/0", "cpu2/1"], "{text}");
     }
 }
