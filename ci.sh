@@ -58,6 +58,15 @@ grep -q "steal" "$tmpdir/adversary.jobs1.txt"
 grep -q "cache picks" "$tmpdir/vcache.jobs1.txt"
 grep -q "violations" "$tmpdir/vcache.jobs1.txt"
 
+echo "== suite golden: full smoke-scale stdout vs the committed golden file"
+# All 24 jobs' published output, byte for byte, against a file the
+# repository carries rather than against another run of the same build:
+# a change that moves any number in any job fails here. A change meant
+# to move output regenerates the file with this command and says why.
+VSCHED_SCALE=smoke ./target/release/suite --jobs 1 --seed 42 --no-ckpt \
+    > "$tmpdir/suite_smoke.txt" 2>/dev/null
+diff tests/golden/suite_smoke_seed42.txt "$tmpdir/suite_smoke.txt"
+
 echo "== chaos-smoke: one randomized seed"
 # Randomized seed: fault-class invariant sweeps on a fresh schedule each
 # run. The seed is printed so a CI failure replays locally with

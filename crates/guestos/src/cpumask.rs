@@ -49,8 +49,10 @@ impl CpuMask {
     pub fn first_n(n: usize) -> Self {
         assert!(n <= MAX_CPUS, "mask size {n} exceeds {MAX_CPUS}");
         let mut m = Self::empty();
-        for i in 0..n {
-            m.set(i);
+        let (full, rest) = (n / 64, n % 64);
+        m.words[..full].fill(u64::MAX);
+        if rest != 0 {
+            m.words[full] = (1u64 << rest) - 1;
         }
         m
     }
@@ -159,17 +161,46 @@ impl CpuMask {
 
     /// Iterates the set in increasing index order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        let words = self.words;
-        (0..MAX_CPUS).filter(move |&c| words[c / 64] & (1u64 << (c % 64)) != 0)
+        Bits::new(self.words)
     }
 
     /// Iterates the set cyclically starting at `start` (wrapping around),
     /// as Linux's idle-CPU scans do with their rotating cursors.
     pub fn iter_from(&self, start: usize) -> impl Iterator<Item = usize> + '_ {
-        let words = self.words;
-        (0..MAX_CPUS)
-            .map(move |i| (start + i) % MAX_CPUS)
-            .filter(move |&c| words[c / 64] & (1u64 << (c % 64)) != 0)
+        // Bits at or above the cursor, then the wrap: the ones below it.
+        let below = CpuMask::first_n(start % MAX_CPUS);
+        Bits::new(self.minus(&below).words).chain(Bits::new(self.and(&below).words))
+    }
+}
+
+/// Ascending iterator over the set bits of a mask's words: one
+/// `trailing_zeros` per yielded CPU and one step per empty word, instead
+/// of a test per bit position.
+struct Bits {
+    words: [u64; WORDS],
+    word: usize,
+}
+
+impl Bits {
+    fn new(words: [u64; WORDS]) -> Self {
+        Self { words, word: 0 }
+    }
+}
+
+impl Iterator for Bits {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        while self.word < WORDS {
+            let w = &mut self.words[self.word];
+            if *w != 0 {
+                let bit = w.trailing_zeros() as usize;
+                *w &= *w - 1;
+                return Some(self.word * 64 + bit);
+            }
+            self.word += 1;
+        }
+        None
     }
 }
 

@@ -132,3 +132,89 @@ fn minus_and_partition() {
         assert_eq!(to_set(&kept.or(&dropped)), a);
     });
 }
+
+/// The bit-by-bit ascending scan `iter` is specified by: a test per
+/// position in `0..MAX`.
+fn oracle_iter(m: &CpuMask) -> Vec<usize> {
+    (0..MAX).filter(|&c| m.contains(c)).collect()
+}
+
+/// The bit-by-bit cyclic scan `iter_from` is specified by: every
+/// position from `start` round to `start - 1`, modulo `MAX`.
+fn oracle_iter_from(m: &CpuMask, start: usize) -> Vec<usize> {
+    (0..MAX)
+        .map(|i| (start + i) % MAX)
+        .filter(|&c| m.contains(c))
+        .collect()
+}
+
+/// `n` single-bit sets, as `first_n` was specified.
+fn oracle_first_n(n: usize) -> CpuMask {
+    let mut m = CpuMask::empty();
+    for c in 0..n {
+        m.set(c);
+    }
+    m
+}
+
+/// Cursors on and around every word boundary, plus ones past `MAX`.
+const STARTS: [usize; 12] = [0, 1, 63, 64, 65, 127, 128, 191, 192, 255, 256, 300];
+
+/// Masks with a bit on each side of every word boundary.
+fn boundary_masks() -> Vec<CpuMask> {
+    let edges = [0, 63, 64, 127, 128, 255];
+    let mut masks = vec![CpuMask::empty(), CpuMask::first_n(MAX)];
+    masks.extend(edges.iter().map(|&c| CpuMask::single(c)));
+    masks.push(CpuMask::from_iter(edges));
+    masks.push(CpuMask::from_iter([63, 64]));
+    masks.push(CpuMask::from_iter([127, 128, 255]));
+    masks
+}
+
+/// `iter` and every `iter_from(start)` equal the bit-by-bit scans,
+/// order included.
+fn check_iteration(m: &CpuMask, starts: impl IntoIterator<Item = usize>) {
+    assert_eq!(m.iter().collect::<Vec<_>>(), oracle_iter(m), "{m:?}");
+    for start in starts {
+        assert_eq!(
+            m.iter_from(start).collect::<Vec<_>>(),
+            oracle_iter_from(m, start),
+            "{m:?} from {start}"
+        );
+    }
+}
+
+/// Word-at-a-time iteration matches the scan on random sparse and dense
+/// masks, from every boundary cursor and a random one.
+#[test]
+fn iteration_matches_the_bit_by_bit_scan() {
+    forall(0x77, cases(64), |rng| {
+        let sparse = CpuMask::from_iter(cpu_set(rng));
+        let dense = CpuMask::from_iter((0..MAX).filter(|_| rng.index(2) == 0));
+        for m in [sparse, dense] {
+            check_iteration(&m, STARTS.into_iter().chain([rng.index(2 * MAX)]));
+        }
+    });
+}
+
+/// The same on masks whose bits sit at the word edges.
+#[test]
+fn iteration_matches_the_scan_at_word_boundaries() {
+    for m in boundary_masks() {
+        check_iteration(&m, STARTS);
+    }
+}
+
+/// Whole-word `first_n` equals `n` single-bit sets at every word edge.
+#[test]
+fn first_n_matches_the_bit_by_bit_loop() {
+    for n in [0, 1, 63, 64, 65, 127, 128, 255, 256] {
+        assert_eq!(CpuMask::first_n(n), oracle_first_n(n), "n = {n}");
+    }
+}
+
+#[test]
+#[should_panic(expected = "mask size 257 exceeds 256")]
+fn first_n_past_max_panics() {
+    CpuMask::first_n(MAX + 1);
+}

@@ -201,8 +201,9 @@ struct HwThread {
 
 /// One virtual machine: guest kernel + workload + accounting.
 pub struct Vm {
-    /// The guest OS (scheduler + optional vSched hooks).
-    pub guest: GuestOs,
+    /// The guest OS (scheduler + optional vSched hooks). Boxed so that
+    /// [`Machine::with_vm`] lends it out by swapping a pointer.
+    pub guest: Box<GuestOs>,
     /// The hosted workload, if any.
     pub workload: Option<Box<dyn Workload>>,
     /// First global vCPU index of this VM.
@@ -427,11 +428,12 @@ pub struct Machine {
     /// propagates per-VM scoped sinks into every guest kernel.
     pub trace: TraceSink,
     /// Reusable stand-in guest swapped into a VM's slot while its real
-    /// guest is borrowed out by [`Machine::with_vm`]. Building a fresh
-    /// placeholder per call allocates a full `KernelStats` (histogram
-    /// buckets included) on every guest tick/wake/burst — the single
-    /// hottest allocation in event dispatch.
-    placeholder: Option<GuestOs>,
+    /// guest is borrowed out by [`Machine::with_vm`]. Built on the first
+    /// guest call and kept, so each call swaps two pointers and allocates
+    /// nothing (a placeholder holds a full `KernelStats`, histogram
+    /// buckets included); a machine that never calls a guest never
+    /// builds one.
+    placeholder: Option<Box<GuestOs>>,
     /// Events popped and dispatched over the machine's lifetime (the bench
     /// harness's events/sec denominator).
     pub events_dispatched: u64,
@@ -478,7 +480,7 @@ impl Machine {
             trace_activity: false,
             probe_noise: 0.0,
             trace: TraceSink::default(),
-            placeholder: Some(Self::placeholder_guest()),
+            placeholder: None,
             events_dispatched: 0,
             finished: false,
             started: false,
@@ -544,7 +546,7 @@ impl Machine {
         }
         self.classes.push(PriorityClass::Standard);
         self.llc.add_vm();
-        let mut guest = GuestOs::new(guest_cfg, now);
+        let mut guest = Box::new(GuestOs::new(guest_cfg, now));
         guest.kern.trace = self.trace.scoped(vm_idx as u16);
         self.vms.push(Vm {
             guest,
@@ -1429,8 +1431,8 @@ impl Machine {
     // Guest call plumbing
     // ------------------------------------------------------------------
 
-    fn placeholder_guest() -> GuestOs {
-        GuestOs::new(GuestConfig::new(0), SimTime::ZERO)
+    fn placeholder_guest() -> Box<GuestOs> {
+        Box::new(GuestOs::new(GuestConfig::new(0), SimTime::ZERO))
     }
 
     /// Runs `f` with mutable access to a VM's guest and a [`Platform`]
@@ -1440,9 +1442,9 @@ impl Machine {
         vm: usize,
         f: impl FnOnce(&mut GuestOs, &mut dyn Platform) -> R,
     ) -> R {
-        // Reuse the cached placeholder; a nested with_vm (rare — the
-        // re-entrancy rule above forbids guest→guest calls) falls back to
-        // building a throwaway one.
+        // Reuse the cached placeholder. The first call, and a nested
+        // with_vm (rare — the re-entrancy rule above forbids guest→guest
+        // calls), build one.
         let ph = self
             .placeholder
             .take()

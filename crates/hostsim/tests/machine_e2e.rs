@@ -306,3 +306,20 @@ fn sleeping_task_halts_and_wakes_vcpu() {
     // The halted vCPU must not accrue steal on a dedicated core.
     assert_eq!(m.vcpu_steal(m.gv(vm, 0)), 0);
 }
+
+#[test]
+fn with_vm_lends_each_guest_and_returns_it_to_its_own_slot() {
+    let mut m = Machine::new(HostSpec::flat(4), 12);
+    m.add_vm(guestos::GuestConfig::new(1), vec![vec![0]], 1024, None);
+    m.add_vm(
+        guestos::GuestConfig::new(3),
+        vec![vec![1], vec![2], vec![3]],
+        1024,
+        None,
+    );
+    // VM 1 first, so the first call also builds the placeholder guest.
+    assert_eq!(m.with_vm(1, |g, _| g.kern.cfg.nr_vcpus * 10), 30);
+    assert_eq!(m.with_vm(0, |g, _| g.kern.cfg.nr_vcpus * 10), 10);
+    assert_eq!(m.vms[0].guest.kern.cfg.nr_vcpus, 1);
+    assert_eq!(m.vms[1].guest.kern.cfg.nr_vcpus, 3);
+}
