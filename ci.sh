@@ -63,9 +63,19 @@ echo "== suite golden: full smoke-scale stdout vs the committed golden file"
 # repository carries rather than against another run of the same build:
 # a change that moves any number in any job fails here. A change meant
 # to move output regenerates the file with this command and says why.
-VSCHED_SCALE=smoke ./target/release/suite --jobs 1 --seed 42 --no-ckpt \
-    > "$tmpdir/suite_smoke.txt" 2>/dev/null
-diff tests/golden/suite_smoke_seed42.txt "$tmpdir/suite_smoke.txt"
+# The whole suite at four workers must match the same file: every job,
+# not only the ones the per-job loop above covers, replays identically
+# in parallel.
+for jobs in 1 4; do
+    VSCHED_SCALE=smoke ./target/release/suite --jobs "$jobs" --seed 42 --no-ckpt \
+        > "$tmpdir/suite_smoke.jobs$jobs.txt" 2>/dev/null
+    diff tests/golden/suite_smoke_seed42.txt "$tmpdir/suite_smoke.jobs$jobs.txt"
+done
+
+echo "== large-fleet stepping identity (release, ignored tests)"
+# The 256-host and 1000-host churned fleets step identically at 1, 2 and
+# 4 stepping workers; too long for the debug tier-1 run.
+cargo test -q --release -p vsched-fleet --test parallel_step -- --ignored
 
 echo "== chaos-smoke: one randomized seed"
 # Randomized seed: fault-class invariant sweeps on a fresh schedule each

@@ -25,7 +25,7 @@
 //! shrinkable (`suite --shrink-adversary`).
 
 use crate::common::{check_report, checked_collector, Mode, Scale};
-use crate::runner::{cell, got, Job, Part};
+use crate::runner::Grid;
 use hostsim::{DomainSchedule, HostSched, HostSpec, ScenarioBuilder, VmSpec};
 use metrics::Table;
 use simcore::time::{MS, SEC};
@@ -393,36 +393,27 @@ impl fmt::Display for AdversaryMatrix {
     }
 }
 
-/// The suite job: one cell per (host policy, victim guest). Each cell
+/// The suite grid: one cell per (host policy, victim guest). Each cell
 /// runs its own dodge and pollute sub-runs, so the matrix shards six ways.
-pub(crate) fn job() -> Job {
-    let mut cells = Vec::new();
+pub fn grid() -> Grid<(HostPolicy, GuestMode, AdversaryOutcome), AdversaryMatrix> {
+    let mut g = Grid::new(
+        "adversary",
+        "scheduler-gaming co-tenants vs domain partitioning and hardened probing",
+        |rows, _| AdversaryMatrix { rows },
+    );
     for &policy in POLICIES.iter() {
         for &guest in GUESTS.iter() {
-            cells.push(cell(
+            g.cell(
                 format!("{}/{}", policy.label(), guest.label()),
-                move |seed, scale: Scale| run_cell(policy, guest, scale.secs(8, 30), seed),
-            ));
+                move |seed, scale: Scale| {
+                    (
+                        policy,
+                        guest,
+                        run_cell(policy, guest, scale.secs(8, 30), seed),
+                    )
+                },
+            );
         }
     }
-    Job {
-        name: "adversary",
-        desc: "scheduler-gaming co-tenants vs domain partitioning and hardened probing",
-        cells,
-        reduce: Box::new(|parts, _| AdversaryMatrix::from_parts(parts).to_string()),
-    }
-}
-
-impl AdversaryMatrix {
-    /// Assembles the matrix from its job's cell parts, in cell order.
-    pub fn from_parts(parts: Vec<Part>) -> AdversaryMatrix {
-        let mut it = parts.into_iter().map(got::<AdversaryOutcome>);
-        let mut rows = Vec::new();
-        for &policy in POLICIES.iter() {
-            for &guest in GUESTS.iter() {
-                rows.push((policy, guest, it.next().expect("one part per cell")));
-            }
-        }
-        AdversaryMatrix { rows }
-    }
+    g
 }

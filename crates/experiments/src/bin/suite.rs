@@ -46,6 +46,7 @@ use experiments::{checkpoint, Scale};
 use fleet::FleetChaosPlan;
 use hostsim::FaultPlan;
 use std::path::PathBuf;
+use std::str::FromStr;
 use std::time::Duration;
 use workloads::AttackPlan;
 
@@ -62,6 +63,15 @@ fn usage() -> ! {
          at any worker count)"
     );
     std::process::exit(2);
+}
+
+/// Parses `flag`'s value; a malformed one names the flag and the value,
+/// then exits 2 with the usage.
+fn parse_flag<T: FromStr>(flag: &str, value: &str) -> T {
+    value.parse().unwrap_or_else(|_| {
+        eprintln!("{flag}: invalid value \"{value}\"");
+        usage()
+    })
 }
 
 /// The oracle `--shrink*`/`--replay*` consult: the real checker, or the
@@ -157,21 +167,13 @@ fn main() {
             })
         };
         match arg.as_str() {
-            "--jobs" | "-j" => {
-                opts.jobs = value("--jobs").parse().unwrap_or_else(|_| usage());
-            }
+            "--jobs" | "-j" => opts.jobs = parse_flag("--jobs", &value("--jobs")),
             "--filter" | "-f" => opts.filter = Some(value("--filter")),
-            "--scale" | "-s" => {
-                opts.scale = Scale::parse(&value("--scale")).unwrap_or_else(|| usage());
-            }
-            "--seed" => {
-                opts.seed = value("--seed").parse().unwrap_or_else(|_| usage());
-            }
-            "--retries" => {
-                opts.supervise.retries = value("--retries").parse().unwrap_or_else(|_| usage());
-            }
+            "--scale" | "-s" => opts.scale = parse_flag("--scale", &value("--scale")),
+            "--seed" => opts.seed = parse_flag("--seed", &value("--seed")),
+            "--retries" => opts.supervise.retries = parse_flag("--retries", &value("--retries")),
             "--deadline-ms" => {
-                let ms: u64 = value("--deadline-ms").parse().unwrap_or_else(|_| usage());
+                let ms = parse_flag("--deadline-ms", &value("--deadline-ms"));
                 opts.supervise.deadline = Some(Duration::from_millis(ms));
             }
             "--fleet-threads" => match fleet::parse_fleet_threads(&value("--fleet-threads")) {
@@ -202,7 +204,7 @@ fn main() {
 
     if list {
         for j in registry() {
-            println!("{:<8} {:>3} cells  {}", j.name, j.cells.len(), j.desc);
+            println!("{:<8} {:>3} cells  {}", j.name, j.cells, j.desc);
         }
         println!(
             "# fleet/fleet-replay cells shard host stepping across a cluster \
@@ -212,7 +214,7 @@ fn main() {
         return;
     }
     if let Some((flag, arg)) = repro {
-        let seed = || arg.parse().unwrap_or_else(|_| usage());
+        let seed = || parse_flag(&flag, &arg);
         match flag.as_str() {
             "--shrink" => shrink_main::<FaultPlan>(seed(), opts.scale),
             "--shrink-fleet" => shrink_main::<FleetChaosPlan>(seed(), opts.scale),

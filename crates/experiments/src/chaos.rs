@@ -12,7 +12,7 @@
 //! while its traced invariants keep holding?
 
 use crate::common::{check_report, checked_collector, Mode, Scale};
-use crate::runner::{cell, got, Job, Part};
+use crate::runner::{take, Grid};
 use hostsim::{ChaosSpec, FaultPlan, HostSpec, ScenarioBuilder, VmSpec};
 use metrics::Table;
 use simcore::time::{MS, SEC};
@@ -205,31 +205,23 @@ impl fmt::Display for Chaos {
     }
 }
 
-/// The suite job: one cell per scheduler, under the same seeded faults.
-pub(crate) fn job() -> Job {
-    let cells = vec![
-        cell("cfs", |seed, scale: Scale| {
-            run_mode(ChaosMode::Cfs, scale.secs(6, 20), seed)
-        }),
-        cell("vsched-resilient", |seed, scale: Scale| {
-            run_mode(ChaosMode::VschedResilient, scale.secs(6, 20), seed)
-        }),
-    ];
-    Job {
-        name: "chaos",
-        desc: "graceful degradation under seed-driven fault injection",
-        cells,
-        reduce: Box::new(|parts, _| Chaos::from_parts(parts).to_string()),
+/// The suite grid: one cell per scheduler, under the same seeded faults.
+pub fn grid() -> Grid<(ChaosMode, ChaosOutcome), Chaos> {
+    let mut g = Grid::new(
+        "chaos",
+        "graceful degradation under seed-driven fault injection",
+        |mut rows: Vec<(ChaosMode, ChaosOutcome)>, _| Chaos {
+            cfs: take(&mut rows, |r| r.0 == ChaosMode::Cfs).1,
+            vsched: take(&mut rows, |r| r.0 == ChaosMode::VschedResilient).1,
+        },
+    );
+    for (label, mode) in [
+        ("cfs", ChaosMode::Cfs),
+        ("vsched-resilient", ChaosMode::VschedResilient),
+    ] {
+        g.cell(label, move |seed, scale: Scale| {
+            (mode, run_mode(mode, scale.secs(6, 20), seed))
+        });
     }
-}
-
-impl Chaos {
-    /// Assembles the figure from its job's cell parts, in cell order.
-    pub fn from_parts(parts: Vec<Part>) -> Chaos {
-        let mut it = parts.into_iter().map(got::<ChaosOutcome>);
-        Chaos {
-            cfs: it.next().expect("cfs cell"),
-            vsched: it.next().expect("vsched cell"),
-        }
-    }
+    g
 }

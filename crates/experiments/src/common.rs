@@ -97,6 +97,15 @@ impl Scale {
     }
 }
 
+impl std::str::FromStr for Scale {
+    type Err = ();
+
+    /// [`Scale::parse`], for generic flag parsing.
+    fn from_str(s: &str) -> Result<Scale, ()> {
+        Scale::parse(s).ok_or(())
+    }
+}
+
 /// A fresh shared trace collector with the invariant checker enabled and
 /// no ring buffer: checked figure runs want the streaming verdict, not the
 /// raw event log. Use one collector per [`Machine`] — vCPU and task IDs

@@ -9,7 +9,7 @@
 //! paper observes up to a 20× spread.
 
 use crate::common::Scale;
-use crate::runner::{cell, got, Job, Part};
+use crate::runner::Grid;
 use hostsim::{HostSpec, ScenarioBuilder, VmSpec};
 use metrics::Table;
 use simcore::time::MS;
@@ -90,70 +90,43 @@ fn run_cell(bench: &'static str, best_effort: bool, latency_ms: u64, secs: u64, 
     // arrival rate of requests to minimize the delay on the runqueue while
     // waiting for other requests"): requests arrive far apart so each one
     // independently samples the vCPU activity phase.
-    let service = match bench {
-        "img-dnn" => work_ms(2.0),
-        "silo" => work_ms(0.25),
-        "specjbb" => work_ms(0.5),
-        _ => unreachable!(),
-    };
     let interarrival = 30.0 * simcore::time::MS as f64;
-    let _ = service;
-    let (mut wl, stats) = {
-        let (w, h) = build_latency(
-            bench,
-            4,
-            interarrival,
-            best_effort,
-            SimRng::new(seed ^ 0x51),
-        );
-        let stats = match h {
-            workloads::Handle::Latency(s) => s,
-            _ => unreachable!(),
-        };
-        (w, stats)
-    };
-    // Silence unused warning path: the workload moves into the machine.
-    let _ = &mut wl;
+    let (wl, handle) = build_latency(
+        bench,
+        4,
+        interarrival,
+        best_effort,
+        SimRng::new(seed ^ 0x51),
+    );
     m.set_workload(vm, wl);
     let (sw, _ss) = Stressor::new(n, work_ms(10.0));
     m.set_workload(stress_vm, Box::new(sw));
     m.start();
     m.run_until(SimTime::from_secs(secs));
-    let p95_ns = stats.borrow().e2e.p95();
     Cell {
         bench,
         best_effort,
         latency_ms,
-        p95_ns,
+        p95_ns: handle.p95_ns().expect("a latency benchmark"),
     }
 }
 
-/// The suite job: one cell per (best-effort, benchmark, vCPU latency).
-pub(crate) fn job() -> Job {
-    let mut cells = Vec::new();
+/// The suite grid: one cell per (best-effort, benchmark, vCPU latency).
+pub fn grid() -> Grid<Cell, Fig02> {
+    let mut g = Grid::new(
+        "fig02",
+        "vCPU latency vs request latency for latency-sensitive workloads",
+        |cells, _| Fig02 { cells },
+    );
     for &be in &[false, true] {
         for bench in BENCHES {
             for &l in &LATENCIES_MS {
-                cells.push(cell(
+                g.cell(
                     format!("{bench}/be={be}/lat={l}"),
                     move |seed, scale: Scale| run_cell(bench, be, l, scale.secs(20, 120), seed),
-                ));
+                );
             }
         }
     }
-    Job {
-        name: "fig02",
-        desc: "vCPU latency vs request latency for latency-sensitive workloads",
-        cells,
-        reduce: Box::new(|parts, _| Fig02::from_parts(parts).to_string()),
-    }
-}
-
-impl Fig02 {
-    /// Assembles the figure from its job's cell parts, in cell order.
-    pub fn from_parts(parts: Vec<Part>) -> Fig02 {
-        Fig02 {
-            cells: parts.into_iter().map(got::<Cell>).collect(),
-        }
-    }
+    g
 }

@@ -10,7 +10,7 @@
 //! (paper: "the vCPU utilization is doubled").
 
 use crate::common::Scale;
-use crate::runner::{cell, got, Job, Part};
+use crate::runner::{take, Grid};
 use guestos::{
     GuestOs, MigrateKind, Platform, SpawnSpec, TaskAction, TaskId, TaskState, VcpuId, Workload,
 };
@@ -76,6 +76,8 @@ impl Workload for SelfMigrating {
 
 /// Result of one mode.
 pub struct ModeResult {
+    /// Whether the thread migrated itself (migration mode).
+    pub migrate: bool,
     /// Task active-execution fraction of wall time.
     pub utilization: f64,
     /// Running-segment timeline per vCPU (for the ASCII rendering).
@@ -177,36 +179,26 @@ pub fn run_mode(
         .map(|i| m.vcpus[m.gv(vm, i)].trace_segments.clone())
         .collect();
     ModeResult {
+        migrate,
         utilization,
         segments,
     }
 }
 
-/// The suite job: one cell per mode.
-pub(crate) fn job() -> Job {
-    let cells = vec![
-        cell("default", |seed, scale: Scale| {
-            run_mode(false, scale.secs(5, 20), seed, None)
-        }),
-        cell("migrate", |seed, scale: Scale| {
-            run_mode(true, scale.secs(5, 20), seed, None)
-        }),
-    ];
-    Job {
-        name: "fig03",
-        desc: "the stalled running task, with and without proactive migration",
-        cells,
-        reduce: Box::new(|parts, _| Fig03::from_parts(parts).to_string()),
+/// The suite grid: one cell per mode.
+pub fn grid() -> Grid<ModeResult, Fig03> {
+    let mut g = Grid::new(
+        "fig03",
+        "the stalled running task, with and without proactive migration",
+        |mut rows: Vec<ModeResult>, _| Fig03 {
+            default_mode: take(&mut rows, |r| !r.migrate),
+            migration_mode: take(&mut rows, |r| r.migrate),
+        },
+    );
+    for (label, migrate) in [("default", false), ("migrate", true)] {
+        g.cell(label, move |seed, scale: Scale| {
+            run_mode(migrate, scale.secs(5, 20), seed, None)
+        });
     }
-}
-
-impl Fig03 {
-    /// Assembles the figure from its job's cell parts, in cell order.
-    pub fn from_parts(parts: Vec<Part>) -> Fig03 {
-        let mut it = parts.into_iter().map(got::<ModeResult>);
-        Fig03 {
-            default_mode: it.next().expect("default cell"),
-            migration_mode: it.next().expect("migrate cell"),
-        }
-    }
+    g
 }

@@ -14,7 +14,7 @@
 //! motivation experiment that rwc later automates.
 
 use crate::common::Scale;
-use crate::runner::{cell, got, Job, Part};
+use crate::runner::{pair_up, Grid};
 use hostsim::{HostSpec, Pinning, ScenarioBuilder, VmSpec};
 use metrics::Table;
 use simcore::{SimRng, SimTime};
@@ -23,6 +23,19 @@ use workloads::{build, work_ms, MultiWorkload, Stressor};
 
 /// Benchmarks used in the figure.
 pub const BENCHES: [&str; 3] = ["canneal", "dedup", "streamcluster"];
+
+/// One cell: a benchmark's throughput in one scenario under one policy.
+#[derive(Debug, Clone)]
+pub struct Cell {
+    /// Scenario label (`straggler`, `stacking`, `prio-inv`).
+    pub scenario: &'static str,
+    /// Benchmark name.
+    pub bench: &'static str,
+    /// Problematic vCPUs excluded (non-work-conserving)?
+    pub nwc: bool,
+    /// Measured throughput.
+    pub throughput: f64,
+}
 
 /// One (scenario, benchmark) pair of measurements.
 #[derive(Debug, Clone)]
@@ -148,60 +161,52 @@ fn stacking_cell(
     handle.rate(dur)
 }
 
-/// The suite job: per scenario kind, per benchmark, a work-conserving
+/// The suite grid: per scenario kind, per benchmark, a work-conserving
 /// then a non-work-conserving cell.
-pub(crate) fn job() -> Job {
-    let mut cells = Vec::new();
-    for bench in BENCHES {
-        for &exclude in &[false, true] {
-            cells.push(cell(
-                format!("straggler/{bench}/nwc={exclude}"),
-                move |seed, scale: Scale| straggler_cell(bench, exclude, scale.secs(6, 25), seed),
-            ));
-        }
-    }
-    for &prio_inv in &[false, true] {
+pub fn grid() -> Grid<Cell, Fig04> {
+    let mut g = Grid::new(
+        "fig04",
+        "deficient work conservation: stragglers, stacking, priority inversion",
+        |rows: Vec<Cell>, _| {
+            let pairs = |scenario| {
+                let cells = rows.iter().filter(|c| c.scenario == scenario).collect();
+                pair_up(cells, |c| c.nwc, |c| c.bench)
+                    .into_iter()
+                    .map(|(wc, nwc)| Pair {
+                        bench: wc.bench,
+                        work_conserving: wc.throughput,
+                        non_work_conserving: nwc.throughput,
+                    })
+                    .collect()
+            };
+            Fig04 {
+                straggler: pairs("straggler"),
+                stacking: pairs("stacking"),
+                priority_inversion: pairs("prio-inv"),
+            }
+        },
+    );
+    for scenario in ["straggler", "stacking", "prio-inv"] {
         for bench in BENCHES {
-            for &exclude in &[false, true] {
-                let kind = if prio_inv { "prio-inv" } else { "stacking" };
-                cells.push(cell(
-                    format!("{kind}/{bench}/nwc={exclude}"),
+            for &nwc in &[false, true] {
+                g.cell(
+                    format!("{scenario}/{bench}/nwc={nwc}"),
                     move |seed, scale: Scale| {
-                        stacking_cell(bench, exclude, prio_inv, scale.secs(6, 25), seed)
+                        let secs = scale.secs(6, 25);
+                        let throughput = match scenario {
+                            "straggler" => straggler_cell(bench, nwc, secs, seed),
+                            kind => stacking_cell(bench, nwc, kind == "prio-inv", secs, seed),
+                        };
+                        Cell {
+                            scenario,
+                            bench,
+                            nwc,
+                            throughput,
+                        }
                     },
-                ));
+                );
             }
         }
     }
-    Job {
-        name: "fig04",
-        desc: "deficient work conservation: stragglers, stacking, priority inversion",
-        cells,
-        reduce: Box::new(|parts, _| Fig04::from_parts(parts).to_string()),
-    }
-}
-
-impl Fig04 {
-    /// Assembles the figure from its job's cell parts, in cell order.
-    pub fn from_parts(parts: Vec<Part>) -> Fig04 {
-        let mut it = parts.into_iter().map(got::<f64>);
-        let mut pairs = || -> Vec<Pair> {
-            BENCHES
-                .iter()
-                .map(|&bench| Pair {
-                    bench,
-                    work_conserving: it.next().expect("work-conserving cell"),
-                    non_work_conserving: it.next().expect("non-work-conserving cell"),
-                })
-                .collect()
-        };
-        let straggler = pairs();
-        let stacking = pairs();
-        let priority_inversion = pairs();
-        Fig04 {
-            straggler,
-            stacking,
-            priority_inversion,
-        }
-    }
+    g
 }

@@ -10,7 +10,7 @@
 //! stacking).
 
 use crate::common::Scale;
-use crate::runner::{cell, got, Job, Part};
+use crate::runner::Grid;
 use hostsim::{HostSpec, Machine, Pinning, ScenarioBuilder, ScriptAction, VmSpec};
 use metrics::Table;
 use simcore::time::SEC;
@@ -30,6 +30,14 @@ pub struct CapSample {
     pub actual: f64,
     /// vcap's probed EMA capacity.
     pub ema: f64,
+}
+
+/// One cell's result: the figure's two panels come from different runs.
+pub enum Row {
+    /// (a) capacity tracking samples.
+    Tracking(Vec<CapSample>),
+    /// (b) probed latency matrix.
+    Matrix(Vec<Vec<f64>>),
 }
 
 /// Figure 10 result.
@@ -161,42 +169,39 @@ fn run_matrix(seed: u64) -> Vec<Vec<f64>> {
     vs.vtop.latency_matrix.clone()
 }
 
-/// The suite job: the tracking run and the matrix probe.
-pub(crate) fn job() -> Job {
-    let cells = vec![
-        cell("tracking", |seed, scale: Scale| {
-            run_capacity_tracking(seed, scale.secs(75, 150))
-        }),
-        cell("matrix", |seed, _scale| run_matrix(seed)),
-    ];
-    Job {
-        name: "fig10",
-        desc: "accuracy of vcap capacity tracking and the vtop latency matrix",
-        cells,
-        reduce: Box::new(|parts, _| Fig10::from_parts(parts).to_string()),
-    }
-}
-
-impl Fig10 {
-    /// Assembles the figure from its job's cell parts, in cell order.
-    pub fn from_parts(parts: Vec<Part>) -> Fig10 {
-        let mut it = parts.into_iter();
-        let samples = got::<Vec<CapSample>>(it.next().expect("tracking cell"));
-        let matrix = got::<Vec<Vec<f64>>>(it.next().expect("matrix cell"));
-        let err: Vec<f64> = samples
-            .iter()
-            .filter(|s| s.actual > 0.0)
-            .map(|s| (s.ema - s.actual).abs() / s.actual)
-            .collect();
-        let tracking_error = if err.is_empty() {
-            0.0
-        } else {
-            err.iter().sum::<f64>() / err.len() as f64
-        };
-        Fig10 {
-            samples,
-            matrix,
-            tracking_error,
-        }
-    }
+/// The suite grid: the tracking run and the matrix probe.
+pub fn grid() -> Grid<Row, Fig10> {
+    let mut g = Grid::new(
+        "fig10",
+        "accuracy of vcap capacity tracking and the vtop latency matrix",
+        |rows, _| {
+            let (mut samples, mut matrix) = (Vec::new(), Vec::new());
+            for row in rows {
+                match row {
+                    Row::Tracking(s) => samples = s,
+                    Row::Matrix(m) => matrix = m,
+                }
+            }
+            let err: Vec<f64> = samples
+                .iter()
+                .filter(|s| s.actual > 0.0)
+                .map(|s| (s.ema - s.actual).abs() / s.actual)
+                .collect();
+            let tracking_error = if err.is_empty() {
+                0.0
+            } else {
+                err.iter().sum::<f64>() / err.len() as f64
+            };
+            Fig10 {
+                samples,
+                matrix,
+                tracking_error,
+            }
+        },
+    );
+    g.cell("tracking", |seed, scale: Scale| {
+        Row::Tracking(run_capacity_tracking(seed, scale.secs(75, 150)))
+    });
+    g.cell("matrix", |seed, _| Row::Matrix(run_matrix(seed)));
+    g
 }

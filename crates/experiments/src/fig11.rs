@@ -12,7 +12,7 @@
 //! stable estimates remove the motive (paper: 74% fewer migrations).
 
 use crate::common::{Mode, Scale};
-use crate::runner::{cell, got, Job, Part};
+use crate::runner::{take, Grid};
 use hostsim::{HostSpec, ScenarioBuilder, ScriptAction, VmSpec};
 use metrics::Table;
 use simcore::{SimRng, SimTime};
@@ -23,6 +23,8 @@ use workloads::{build, work_ms, Stressor};
 /// One asymmetric-capacity measurement.
 #[derive(Debug, Clone)]
 pub struct AsymResult {
+    /// With vcap?
+    pub vcap: bool,
     /// Fraction of sysbench execution time spent on the high-capacity
     /// vCPUs (12..16).
     pub high_cap_fraction: f64,
@@ -36,10 +38,20 @@ pub struct AsymResult {
 /// One symmetric-capacity measurement.
 #[derive(Debug, Clone)]
 pub struct SymResult {
+    /// With vcap?
+    pub vcap: bool,
     /// Total task migrations over the run.
     pub migrations: u64,
     /// Sysbench events per second.
     pub throughput: f64,
+}
+
+/// One cell's result: one run on the asymmetric or the symmetric host.
+pub enum Row {
+    /// (a) asymmetric capacity.
+    Asym(AsymResult),
+    /// (b) symmetric capacity.
+    Sym(SymResult),
 }
 
 /// Figure 11 result.
@@ -130,6 +142,7 @@ pub fn run_asym(
     let distribution: Vec<f64> = per_vcpu.iter().map(|w| w / total.max(1.0)).collect();
     let high: f64 = distribution[12..].iter().sum();
     AsymResult {
+        vcap: with_vcap,
         high_cap_fraction: high,
         throughput: handle.rate(dur),
         distribution,
@@ -161,49 +174,44 @@ pub fn run_sym(
     let dur = SimTime::from_secs(secs);
     m.run_until(dur);
     SymResult {
+        vcap: with_vcap,
         migrations: m.vms[vm].guest.kern.stats.total_migrations(),
         throughput: handle.rate(dur),
     }
 }
 
-/// The suite job: CFS then vcap, on the asymmetric then the symmetric
+/// The suite grid: CFS then vcap, on the asymmetric then the symmetric
 /// host.
-pub(crate) fn job() -> Job {
-    let cells = vec![
-        cell("asym/cfs", |seed, scale: Scale| {
-            run_asym(false, scale.secs(10, 40), seed, None)
-        }),
-        cell("asym/vcap", |seed, scale: Scale| {
-            run_asym(true, scale.secs(10, 40), seed, None)
-        }),
-        cell("sym/cfs", |seed, scale: Scale| {
-            run_sym(false, scale.secs(10, 40), seed, None)
-        }),
-        cell("sym/vcap", |seed, scale: Scale| {
-            run_sym(true, scale.secs(10, 40), seed, None)
-        }),
-    ];
-    Job {
-        name: "fig11",
-        desc: "impact of accurate vCPU capacity (vcap) on asym/sym hosts",
-        cells,
-        reduce: Box::new(|parts, _| Fig11::from_parts(parts).to_string()),
-    }
-}
-
-impl Fig11 {
-    /// Assembles the figure from its job's cell parts, in cell order.
-    pub fn from_parts(parts: Vec<Part>) -> Fig11 {
-        let mut it = parts.into_iter();
-        let asym_cfs = got::<AsymResult>(it.next().expect("asym/cfs cell"));
-        let asym_vcap = got::<AsymResult>(it.next().expect("asym/vcap cell"));
-        let sym_cfs = got::<SymResult>(it.next().expect("sym/cfs cell"));
-        let sym_vcap = got::<SymResult>(it.next().expect("sym/vcap cell"));
-        Fig11 {
-            asym_cfs,
-            asym_vcap,
-            sym_cfs,
-            sym_vcap,
+pub fn grid() -> Grid<Row, Fig11> {
+    let mut g = Grid::new(
+        "fig11",
+        "impact of accurate vCPU capacity (vcap) on asym/sym hosts",
+        |rows, _| {
+            let (mut asym, mut sym) = (Vec::new(), Vec::new());
+            for row in rows {
+                match row {
+                    Row::Asym(r) => asym.push(r),
+                    Row::Sym(r) => sym.push(r),
+                }
+            }
+            Fig11 {
+                asym_cfs: take(&mut asym, |r| !r.vcap),
+                asym_vcap: take(&mut asym, |r| r.vcap),
+                sym_cfs: take(&mut sym, |r| !r.vcap),
+                sym_vcap: take(&mut sym, |r| r.vcap),
+            }
+        },
+    );
+    for host in ["asym", "sym"] {
+        for (mode, vcap) in [("cfs", false), ("vcap", true)] {
+            g.cell(format!("{host}/{mode}"), move |seed, scale: Scale| {
+                let secs = scale.secs(10, 40);
+                match host {
+                    "asym" => Row::Asym(run_asym(vcap, secs, seed, None)),
+                    _ => Row::Sym(run_sym(vcap, secs, seed, None)),
+                }
+            });
         }
     }
+    g
 }

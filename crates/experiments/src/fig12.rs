@@ -15,7 +15,7 @@
 //! no Fio degradation).
 
 use crate::common::{Mode, Scale};
-use crate::runner::{cell, got, Job, Part};
+use crate::runner::{pair_up, take, Grid};
 use guestos::TaskState;
 use hostsim::{HostSpec, Machine, Pinning, ScenarioBuilder, VmSpec};
 use metrics::Table;
@@ -30,6 +30,8 @@ use workloads::{build, MultiWorkload};
 /// Result of the underloaded-system part.
 #[derive(Debug, Clone)]
 pub struct ActiveCores {
+    /// With vtop?
+    pub vtop: bool,
     /// Histogram over "number of cores executing benchmark work" samples
     /// (index = core count).
     pub histogram: Vec<u64>,
@@ -40,12 +42,22 @@ pub struct ActiveCores {
 /// Result of one mixed-workload pairing.
 #[derive(Debug, Clone)]
 pub struct Mixed {
+    /// With vtop?
+    pub vtop: bool,
     /// Partner benchmark name.
     pub partner: &'static str,
     /// Matmul events/s.
     pub matmul: f64,
     /// Partner completion rate.
     pub partner_rate: f64,
+}
+
+/// One cell's result: an under-loaded or a mixed-workload run.
+pub enum Row {
+    /// (a) active cores.
+    Cores(ActiveCores),
+    /// (b) one mixed pairing.
+    Mixed(Mixed),
 }
 
 /// Figure 12 result.
@@ -148,7 +160,11 @@ fn run_underloaded(with_vtop: bool, secs: u64, seed: u64) -> ActiveCores {
         .map(|(n, c)| n as f64 * *c as f64)
         .sum::<f64>()
         / total.max(1) as f64;
-    ActiveCores { histogram, mean }
+    ActiveCores {
+        vtop: with_vtop,
+        histogram,
+        mean,
+    }
 }
 
 fn run_mixed(partner: &'static str, with_vtop: bool, secs: u64, seed: u64) -> Mixed {
@@ -170,57 +186,48 @@ fn run_mixed(partner: &'static str, with_vtop: bool, secs: u64, seed: u64) -> Mi
     let dur = SimTime::from_secs(secs);
     m.run_until(dur);
     Mixed {
+        vtop: with_vtop,
         partner,
         matmul: mat_h.rate(dur),
         partner_rate: pw_h.rate(dur),
     }
 }
 
-/// The suite job: the under-loaded pair, then CFS and vtop per mixed
+/// The suite grid: the under-loaded pair, then CFS and vtop per mixed
 /// partner.
-pub(crate) fn job() -> Job {
-    let mut cells = vec![
-        cell("cores/cfs", |seed, scale: Scale| {
-            run_underloaded(false, scale.secs(8, 40), seed)
-        }),
-        cell("cores/vtop", |seed, scale: Scale| {
-            run_underloaded(true, scale.secs(8, 40), seed)
-        }),
-    ];
+pub fn grid() -> Grid<Row, Fig12> {
+    let mut g = Grid::new(
+        "fig12",
+        "SMT-aware scheduling with vtop on pinned sibling pairs",
+        |rows, _| {
+            let (mut cores, mut mixed) = (Vec::new(), Vec::new());
+            for row in rows {
+                match row {
+                    Row::Cores(c) => cores.push(c),
+                    Row::Mixed(m) => mixed.push(m),
+                }
+            }
+            Fig12 {
+                cores_cfs: take(&mut cores, |c| !c.vtop),
+                cores_vtop: take(&mut cores, |c| c.vtop),
+                mixed: pair_up(mixed, |m| m.vtop, |m| m.partner),
+            }
+        },
+    );
+    for (label, vtop) in [("cores/cfs", false), ("cores/vtop", true)] {
+        g.cell(label, move |seed, scale: Scale| {
+            Row::Cores(run_underloaded(vtop, scale.secs(8, 40), seed))
+        });
+    }
     for partner in MIXED_PARTNERS {
         for &vtop in &[false, true] {
-            cells.push(cell(
+            g.cell(
                 format!("mixed/{partner}/vtop={vtop}"),
-                move |seed, scale: Scale| run_mixed(partner, vtop, scale.secs(8, 40), seed),
-            ));
+                move |seed, scale: Scale| {
+                    Row::Mixed(run_mixed(partner, vtop, scale.secs(8, 40), seed))
+                },
+            );
         }
     }
-    Job {
-        name: "fig12",
-        desc: "SMT-aware scheduling with vtop on pinned sibling pairs",
-        cells,
-        reduce: Box::new(|parts, _| Fig12::from_parts(parts).to_string()),
-    }
-}
-
-impl Fig12 {
-    /// Assembles the figure from its job's cell parts, in cell order.
-    pub fn from_parts(parts: Vec<Part>) -> Fig12 {
-        let mut it = parts.into_iter();
-        let cores_cfs = got::<ActiveCores>(it.next().expect("cores/cfs cell"));
-        let cores_vtop = got::<ActiveCores>(it.next().expect("cores/vtop cell"));
-        let mixed = MIXED_PARTNERS
-            .iter()
-            .map(|_| {
-                let cfs = got::<Mixed>(it.next().expect("mixed cfs cell"));
-                let vtop = got::<Mixed>(it.next().expect("mixed vtop cell"));
-                (cfs, vtop)
-            })
-            .collect();
-        Fig12 {
-            cores_cfs,
-            cores_vtop,
-            mixed,
-        }
-    }
+    g
 }

@@ -7,7 +7,7 @@
 //! and lifting throughput (+26% on average).
 
 use crate::common::{Mode, Scale};
-use crate::runner::{cell, got, Job, Part};
+use crate::runner::{pair_up, Grid};
 use hostsim::{HostSpec, Pinning, ScenarioBuilder, VmSpec};
 use metrics::Table;
 use simcore::{SimRng, SimTime};
@@ -24,6 +24,10 @@ pub const BENCHES: [&str; 3] = ["dedup", "nginx", "hackbench"];
 /// One configuration's measurements (two instances summed).
 #[derive(Debug, Clone)]
 pub struct LlcCell {
+    /// Benchmark name.
+    pub bench: &'static str,
+    /// With vtop?
+    pub vtop: bool,
     /// Combined completion rate of the two instances.
     pub throughput: f64,
     /// IPC proxy: work done per cycle consumed.
@@ -35,7 +39,7 @@ pub struct LlcCell {
 /// Figure 13 result: per benchmark, (CFS, CFS+vtop).
 pub struct Fig13 {
     /// Rows per benchmark.
-    pub rows: Vec<(&'static str, LlcCell, LlcCell)>,
+    pub rows: Vec<(LlcCell, LlcCell)>,
 }
 
 impl fmt::Display for Fig13 {
@@ -46,9 +50,9 @@ impl fmt::Display for Fig13 {
              normalized to CFS = 100)"
         )?;
         let mut t = Table::new(&["benchmark", "throughput", "IPC", "IPIs"]);
-        for (name, cfs, vtop) in &self.rows {
+        for (cfs, vtop) in &self.rows {
             t.row_owned(vec![
-                name.to_string(),
+                cfs.bench.to_string(),
                 format!("{:.1}", 100.0 * vtop.throughput / cfs.throughput.max(1e-12)),
                 format!("{:.1}", 100.0 * vtop.ipc / cfs.ipc.max(1e-12)),
                 format!("{:.1}", 100.0 * vtop.ipis as f64 / cfs.ipis.max(1) as f64),
@@ -125,43 +129,29 @@ fn run_cell(name: &'static str, with_vtop: bool, secs: u64, seed: u64) -> LlcCel
     let cycles = m.vms[vm].cycles.value().max(1.0);
     let work: f64 = (0..32).map(|i| m.vcpus[m.gv(vm, i)].delivered_work).sum();
     LlcCell {
+        bench: name,
+        vtop: with_vtop,
         throughput,
         ipc: work / cycles,
         ipis: m.vms[vm].guest.kern.stats.cross_llc_ipis.get(),
     }
 }
 
-/// The suite job: CFS then vtop per benchmark.
-pub(crate) fn job() -> Job {
-    let mut cells = Vec::new();
+/// The suite grid: CFS then vtop per benchmark.
+pub fn grid() -> Grid<LlcCell, Fig13> {
+    let mut g = Grid::new(
+        "fig13",
+        "LLC-aware co-location with vtop across two sockets",
+        |rows, _| Fig13 {
+            rows: pair_up(rows, |c: &LlcCell| c.vtop, |c| c.bench),
+        },
+    );
     for &name in &BENCHES {
         for &vtop in &[false, true] {
-            cells.push(cell(
-                format!("{name}/vtop={vtop}"),
-                move |seed, scale: Scale| run_cell(name, vtop, scale.secs(8, 40), seed),
-            ));
+            g.cell(format!("{name}/vtop={vtop}"), move |seed, scale: Scale| {
+                run_cell(name, vtop, scale.secs(8, 40), seed)
+            });
         }
     }
-    Job {
-        name: "fig13",
-        desc: "LLC-aware co-location with vtop across two sockets",
-        cells,
-        reduce: Box::new(|parts, _| Fig13::from_parts(parts).to_string()),
-    }
-}
-
-impl Fig13 {
-    /// Assembles the figure from its job's cell parts, in cell order.
-    pub fn from_parts(parts: Vec<Part>) -> Fig13 {
-        let mut it = parts.into_iter().map(got::<LlcCell>);
-        let rows = BENCHES
-            .iter()
-            .map(|&name| {
-                let cfs = it.next().expect("cfs cell");
-                let vtop = it.next().expect("vtop cell");
-                (name, cfs, vtop)
-            })
-            .collect();
-        Fig13 { rows }
-    }
+    g
 }

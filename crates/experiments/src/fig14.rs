@@ -11,7 +11,7 @@
 //! "bvs without the state check" ablation.
 
 use crate::common::{Mode, Scale};
-use crate::runner::{cell, got, Job, Part};
+use crate::runner::Grid;
 use hostsim::{HostSpec, Machine, ScenarioBuilder, VmSpec};
 use metrics::Table;
 use simcore::time::MS;
@@ -140,54 +140,36 @@ pub fn run_cell(
     handle
 }
 
-/// The suite job: per (best-effort, benchmark), a probers-only then a
+/// The suite grid: per (best-effort, benchmark), a probers-only then a
 /// bvs cell.
-pub(crate) fn job() -> Job {
-    let mut cells = Vec::new();
-    for &be in &[false, true] {
+pub fn grid() -> Grid<Cell, Fig14> {
+    let mut g = Grid::new(
+        "fig14",
+        "p95 latency reduction with boosted vCPU scheduling (bvs)",
+        |cells, _| Fig14 { cells },
+    );
+    for &best_effort in &[false, true] {
         for bench in BENCHES {
             for &bvs in &[false, true] {
-                cells.push(cell(
-                    format!("{bench}/be={be}/bvs={bvs}"),
+                g.cell(
+                    format!("{bench}/be={best_effort}/bvs={bvs}"),
                     move |seed, scale: Scale| {
                         let cfg = if bvs {
                             crate::table3::bvs_cfg()
                         } else {
                             VschedConfig::probers_only()
                         };
-                        run_cell(bench, be, cfg, scale.secs(15, 60), seed)
-                            .p95_ns()
-                            .unwrap_or(0)
+                        let h = run_cell(bench, best_effort, cfg, scale.secs(15, 60), seed);
+                        Cell {
+                            bench,
+                            best_effort,
+                            bvs,
+                            p95_ns: h.p95_ns().unwrap_or(0),
+                        }
                     },
-                ));
+                );
             }
         }
     }
-    Job {
-        name: "fig14",
-        desc: "p95 latency reduction with boosted vCPU scheduling (bvs)",
-        cells,
-        reduce: Box::new(|parts, _| Fig14::from_parts(parts).to_string()),
-    }
-}
-
-impl Fig14 {
-    /// Assembles the figure from its job's cell parts, in cell order.
-    pub fn from_parts(parts: Vec<Part>) -> Fig14 {
-        let mut it = parts.into_iter().map(got::<u64>);
-        let mut cells = Vec::new();
-        for &best_effort in &[false, true] {
-            for bench in BENCHES {
-                for &bvs in &[false, true] {
-                    cells.push(Cell {
-                        bench,
-                        best_effort,
-                        bvs,
-                        p95_ns: it.next().expect("one part per cell"),
-                    });
-                }
-            }
-        }
-        Fig14 { cells }
-    }
+    g
 }

@@ -11,7 +11,7 @@
 //! pre-waking ivh vs the direct (activity-unaware) migration ablation.
 
 use crate::common::{Mode, Scale};
-use crate::runner::{cell, got, Job, Part};
+use crate::runner::Grid;
 use hostsim::{HostSpec, Machine, ScenarioBuilder, VmSpec};
 use metrics::Table;
 use simcore::{SimRng, SimTime};
@@ -37,33 +37,48 @@ pub const BENCHES: [&str; 11] = [
 /// Thread counts swept.
 pub const THREADS: [usize; 5] = [1, 2, 4, 8, 16];
 
-/// Figure 15 result: improvement\[bench]\[thread-idx] as a fraction.
+/// One measured cell.
+#[derive(Debug, Clone)]
+pub struct Cell {
+    /// Benchmark name.
+    pub bench: &'static str,
+    /// Thread count.
+    pub threads: usize,
+    /// With ivh?
+    pub ivh: bool,
+    /// Throughput.
+    pub rate: f64,
+}
+
+/// Figure 15 result.
 pub struct Fig15 {
-    /// Per benchmark: throughput with/without ivh per thread count.
-    pub rows: Vec<(&'static str, Vec<(f64, f64)>)>,
+    /// All cells.
+    pub cells: Vec<Cell>,
 }
 
 impl Fig15 {
-    /// Improvement fraction for one cell.
-    pub fn improvement(&self, bench: &str, threads_idx: usize) -> f64 {
-        self.rows
+    /// Looks up one cell's throughput.
+    pub fn rate(&self, bench: &str, threads: usize, ivh: bool) -> f64 {
+        self.cells
             .iter()
-            .find(|(b, _)| *b == bench)
-            .map(|(_, cells)| {
-                let (without, with) = cells[threads_idx];
-                with / without.max(1e-12) - 1.0
-            })
+            .find(|c| c.bench == bench && c.threads == threads && c.ivh == ivh)
+            .map(|c| c.rate)
             .unwrap_or(0.0)
+    }
+
+    /// Improvement fraction for one benchmark at `THREADS[threads_idx]`.
+    pub fn improvement(&self, bench: &str, threads_idx: usize) -> f64 {
+        let n = THREADS[threads_idx];
+        self.rate(bench, n, true) / self.rate(bench, n, false).max(1e-12) - 1.0
     }
 
     /// Mean improvement across benchmarks at one thread count.
     pub fn mean_improvement(&self, threads_idx: usize) -> f64 {
-        let vals: Vec<f64> = self
-            .rows
+        let vals: Vec<f64> = BENCHES
             .iter()
-            .map(|(b, _)| self.improvement(b, threads_idx))
+            .map(|b| self.improvement(b, threads_idx))
             .collect();
-        vals.iter().sum::<f64>() / vals.len().max(1) as f64
+        vals.iter().sum::<f64>() / vals.len() as f64
     }
 }
 
@@ -74,7 +89,7 @@ impl fmt::Display for Fig15 {
             "Figure 15: throughput improvement with ivh (%) vs thread count"
         )?;
         let mut t = Table::new(&["benchmark", "1", "2", "4", "8", "16"]);
-        for (bench, _) in &self.rows {
+        for bench in BENCHES {
             let cells: Vec<String> = (0..THREADS.len())
                 .map(|i| format!("{:+.0}%", 100.0 * self.improvement(bench, i)))
                 .collect();
@@ -134,48 +149,28 @@ pub fn run_cell(
     handle.rate(dur)
 }
 
-/// The suite job: per (benchmark, thread count), a cell without then
+/// The suite grid: per (benchmark, thread count), a cell without then
 /// with ivh.
-pub(crate) fn job() -> Job {
-    let mut cells = Vec::new();
+pub fn grid() -> Grid<Cell, Fig15> {
+    let mut g = Grid::new(
+        "fig15",
+        "throughput gain from idle vCPU harvesting (ivh)",
+        |cells, _| Fig15 { cells },
+    );
     for &bench in &BENCHES {
-        for &t in &THREADS {
+        for &threads in &THREADS {
             for &ivh in &[false, true] {
-                cells.push(cell(
-                    format!("{bench}/t={t}/ivh={ivh}"),
-                    move |seed, scale: Scale| {
-                        run_cell(bench, t, ivh, scale.secs(8, 30), seed, None)
+                g.cell(
+                    format!("{bench}/t={threads}/ivh={ivh}"),
+                    move |seed, scale: Scale| Cell {
+                        bench,
+                        threads,
+                        ivh,
+                        rate: run_cell(bench, threads, ivh, scale.secs(8, 30), seed, None),
                     },
-                ));
+                );
             }
         }
     }
-    Job {
-        name: "fig15",
-        desc: "throughput gain from idle vCPU harvesting (ivh)",
-        cells,
-        reduce: Box::new(|parts, _| Fig15::from_parts(parts).to_string()),
-    }
-}
-
-impl Fig15 {
-    /// Assembles the figure from its job's cell parts, in cell order.
-    pub fn from_parts(parts: Vec<Part>) -> Fig15 {
-        let mut it = parts.into_iter().map(got::<f64>);
-        let rows = BENCHES
-            .iter()
-            .map(|&bench| {
-                let cells = THREADS
-                    .iter()
-                    .map(|_| {
-                        let without = it.next().expect("cell without ivh");
-                        let with = it.next().expect("cell with ivh");
-                        (without, with)
-                    })
-                    .collect();
-                (bench, cells)
-            })
-            .collect();
-        Fig15 { rows }
-    }
+    g
 }

@@ -9,7 +9,7 @@
 //! seconds.
 
 use crate::common::{Mode, Scale};
-use crate::runner::{cell, got, Job, Part};
+use crate::runner::{take, Grid};
 use hostsim::{HostSpec, ScenarioBuilder, ScriptAction, VmSpec};
 use metrics::Table;
 use simcore::time::SEC;
@@ -136,32 +136,22 @@ fn run_mode(mode: Mode, phase_secs: u64, seed: u64) -> Vec<f64> {
     out
 }
 
-/// The suite job: one cell per scheduler.
-pub(crate) fn job() -> Job {
-    let cells = vec![
-        cell("cfs", |seed, scale: Scale| {
-            run_mode(Mode::Cfs, scale.secs(10, 30), seed)
-        }),
-        cell("vsched", |seed, scale: Scale| {
-            run_mode(Mode::Vsched, scale.secs(10, 30), seed)
-        }),
-    ];
-    Job {
-        name: "fig16",
-        desc: "adaptability of vSched as the host reconfigures vCPUs",
-        cells,
-        reduce: Box::new(|parts, scale| Fig16::from_parts(parts, scale).to_string()),
-    }
-}
-
-impl Fig16 {
-    /// Assembles the figure from its job's cell parts, in cell order.
-    pub fn from_parts(parts: Vec<Part>, scale: Scale) -> Fig16 {
-        let mut it = parts.into_iter().map(got::<Vec<f64>>);
-        Fig16 {
-            cfs_series: it.next().expect("cfs cell"),
-            vsched_series: it.next().expect("vsched cell"),
+/// The suite grid: one cell per scheduler, each returning its live
+/// throughput series.
+pub fn grid() -> Grid<(Mode, Vec<f64>), Fig16> {
+    let mut g = Grid::new(
+        "fig16",
+        "adaptability of vSched as the host reconfigures vCPUs",
+        |mut rows: Vec<(Mode, Vec<f64>)>, scale| Fig16 {
+            cfs_series: take(&mut rows, |(m, _)| *m == Mode::Cfs).1,
+            vsched_series: take(&mut rows, |(m, _)| *m == Mode::Vsched).1,
             phase_secs: scale.secs(10, 30),
-        }
+        },
+    );
+    for (label, mode) in [("cfs", Mode::Cfs), ("vsched", Mode::Vsched)] {
+        g.cell(label, move |seed, scale: Scale| {
+            (mode, run_mode(mode, scale.secs(10, 30), seed))
+        });
     }
+    g
 }

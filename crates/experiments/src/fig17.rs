@@ -9,7 +9,7 @@
 //! vSched imposes on the neighbours.
 
 use crate::common::{Mode, Scale};
-use crate::runner::{cell, got, Job, Part};
+use crate::runner::{take, Grid};
 use hostsim::{HostSpec, Machine, ScenarioBuilder, VmSpec};
 use metrics::Table;
 use simcore::time::SEC;
@@ -151,31 +151,20 @@ fn run_mode(mode: Mode, phase_secs: u64, seed: u64) -> ModeOutcome {
     }
 }
 
-/// The suite job: one cell per scheduler.
-pub(crate) fn job() -> Job {
-    let cells = vec![
-        cell("cfs", |seed, scale: Scale| {
-            run_mode(Mode::Cfs, scale.secs(10, 80), seed)
-        }),
-        cell("vsched", |seed, scale: Scale| {
-            run_mode(Mode::Vsched, scale.secs(10, 80), seed)
-        }),
-    ];
-    Job {
-        name: "fig17",
-        desc: "vSched in a multi-tenant host with floating sibling vCPUs",
-        cells,
-        reduce: Box::new(|parts, _| Fig17::from_parts(parts).to_string()),
+/// The suite grid: one cell per scheduler.
+pub fn grid() -> Grid<(Mode, ModeOutcome), Fig17> {
+    let mut g = Grid::new(
+        "fig17",
+        "vSched in a multi-tenant host with floating sibling vCPUs",
+        |mut rows: Vec<(Mode, ModeOutcome)>, _| Fig17 {
+            cfs: take(&mut rows, |(m, _)| *m == Mode::Cfs).1,
+            vsched: take(&mut rows, |(m, _)| *m == Mode::Vsched).1,
+        },
+    );
+    for (label, mode) in [("cfs", Mode::Cfs), ("vsched", Mode::Vsched)] {
+        g.cell(label, move |seed, scale: Scale| {
+            (mode, run_mode(mode, scale.secs(10, 80), seed))
+        });
     }
-}
-
-impl Fig17 {
-    /// Assembles the figure from its job's cell parts, in cell order.
-    pub fn from_parts(parts: Vec<Part>) -> Fig17 {
-        let mut it = parts.into_iter().map(got::<ModeOutcome>);
-        Fig17 {
-            cfs: it.next().expect("cfs cell"),
-            vsched: it.next().expect("vsched cell"),
-        }
-    }
+    g
 }

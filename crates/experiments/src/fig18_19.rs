@@ -8,7 +8,7 @@
 
 use crate::common::{Mode, Scale};
 use crate::profiles::{hpvm, rcvm, Profile};
-use crate::runner::{cell, got, Job, Part};
+use crate::runner::Grid;
 use metrics::Table;
 use simcore::{SimRng, SimTime};
 use std::fmt;
@@ -23,61 +23,52 @@ pub enum ProfileKind {
     Hpvm,
 }
 
-/// One benchmark's results across the three modes.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Benchmark name.
-    pub bench: &'static str,
-    /// Is this a tail-latency benchmark?
-    pub latency: bool,
-    /// Measured metric per mode (rate for throughput benches, p95 ns for
-    /// latency benches): (CFS, enhanced CFS, vSched).
-    pub values: (f64, f64, f64),
-}
-
-impl Row {
-    /// Normalized performance vs CFS (higher = better for both kinds).
-    pub fn normalized(&self) -> (f64, f64) {
-        let (cfs, ecfs, vs) = self.values;
-        if self.latency {
-            // Lower latency is better: invert.
-            (cfs / ecfs.max(1.0), cfs / vs.max(1.0))
-        } else {
-            (ecfs / cfs.max(1e-12), vs / cfs.max(1e-12))
-        }
-    }
-}
+/// One cell: a benchmark's metric under one mode (rate for throughput
+/// benches, p95 ns for latency benches).
+pub type Cell = (&'static str, Mode, f64);
 
 /// Figure 18/19 result.
 pub struct Overall {
     /// Which profile.
     pub profile: ProfileKind,
-    /// Per-benchmark rows.
-    pub rows: Vec<Row>,
+    /// All cells.
+    pub cells: Vec<Cell>,
 }
 
 impl Overall {
-    /// Geometric-mean speedup of throughput benches under a mode
-    /// (0 = enhanced, 1 = vsched).
-    pub fn mean_throughput_gain(&self, which: usize) -> f64 {
-        geo_mean(self.rows.iter().filter(|r| !r.latency).map(|r| {
-            if which == 0 {
-                r.normalized().0
-            } else {
-                r.normalized().1
-            }
-        }))
+    /// The benchmarks, in figure order.
+    fn benches(&self) -> impl Iterator<Item = &'static str> + '_ {
+        self.cells.iter().filter(|c| c.1 == Mode::Cfs).map(|c| c.0)
     }
 
-    /// Geometric-mean latency reduction factor of latency benches.
-    pub fn mean_latency_factor(&self, which: usize) -> f64 {
-        geo_mean(self.rows.iter().filter(|r| r.latency).map(|r| {
-            if which == 0 {
-                r.normalized().0
-            } else {
-                r.normalized().1
-            }
-        }))
+    fn value(&self, bench: &str, mode: Mode) -> f64 {
+        self.cells
+            .iter()
+            .find(|c| c.0 == bench && c.1 == mode)
+            .map_or(0.0, |c| c.2)
+    }
+
+    /// `mode`'s performance normalized to CFS (higher = better for both
+    /// kinds).
+    pub fn normalized(&self, bench: &str, mode: Mode) -> f64 {
+        let (cfs, v) = (self.value(bench, Mode::Cfs), self.value(bench, mode));
+        if is_latency_bench(bench) {
+            // Lower latency is better: invert.
+            cfs / v.max(1.0)
+        } else {
+            v / cfs.max(1e-12)
+        }
+    }
+
+    /// Geometric mean of `mode`'s normalized performance over the latency
+    /// benches (the reduction factor) or the throughput benches (the
+    /// speedup).
+    pub fn mean(&self, latency: bool, mode: Mode) -> f64 {
+        geo_mean(
+            self.benches()
+                .filter(|b| is_latency_bench(b) == latency)
+                .map(|b| self.normalized(b, mode)),
+        )
     }
 }
 
@@ -100,33 +91,38 @@ impl fmt::Display for Overall {
             "{name}: normalized performance vs CFS = 100 (higher is better)"
         )?;
         let mut t = Table::new(&["benchmark", "kind", "CFS", "Enhanced CFS", "vSched"]);
-        for r in &self.rows {
-            let (e, v) = r.normalized();
+        for bench in self.benches() {
             t.row_owned(vec![
-                r.bench.to_string(),
-                if r.latency { "latency" } else { "throughput" }.into(),
+                bench.to_string(),
+                if is_latency_bench(bench) {
+                    "latency"
+                } else {
+                    "throughput"
+                }
+                .into(),
                 "100.0".into(),
-                format!("{:.1}", 100.0 * e),
-                format!("{:.1}", 100.0 * v),
+                format!("{:.1}", 100.0 * self.normalized(bench, Mode::EnhancedCfs)),
+                format!("{:.1}", 100.0 * self.normalized(bench, Mode::Vsched)),
             ]);
         }
         writeln!(f, "{t}")?;
         writeln!(
             f,
             "throughput gain:  enhanced CFS {:+.0}%, vSched {:+.0}%",
-            100.0 * (self.mean_throughput_gain(0) - 1.0),
-            100.0 * (self.mean_throughput_gain(1) - 1.0),
+            100.0 * (self.mean(false, Mode::EnhancedCfs) - 1.0),
+            100.0 * (self.mean(false, Mode::Vsched) - 1.0),
         )?;
         writeln!(
             f,
             "latency reduction: enhanced CFS {:.2}x, vSched {:.2}x",
-            self.mean_latency_factor(0),
-            self.mean_latency_factor(1),
+            self.mean(true, Mode::EnhancedCfs),
+            self.mean(true, Mode::Vsched),
         )
     }
 }
 
-fn make_profile(kind: ProfileKind, seed: u64) -> Profile {
+/// Builds `kind`'s profile for one cell.
+pub(crate) fn make_profile(kind: ProfileKind, seed: u64) -> Profile {
     match kind {
         ProfileKind::Rcvm => rcvm(seed),
         ProfileKind::Hpvm => hpvm(seed),
@@ -154,49 +150,26 @@ pub fn run_cell(kind: ProfileKind, bench: &str, mode: Mode, secs: u64, seed: u64
     }
 }
 
-/// Every suite workload, in figure order.
-fn overall_benches() -> Vec<&'static str> {
-    THROUGHPUT_BENCHES
-        .iter()
-        .chain(LATENCY_BENCHES.iter())
-        .copied()
-        .collect()
-}
-
-/// The suite job for one profile: per workload, a CFS, an enhanced-CFS
+/// The suite grid for one profile: per workload, a CFS, an enhanced-CFS
 /// and a vSched cell.
-pub(crate) fn job(name: &'static str, desc: &'static str, kind: ProfileKind) -> Job {
-    let mut cells = Vec::new();
-    for bench in overall_benches() {
+pub fn grid(name: &'static str, desc: &'static str, kind: ProfileKind) -> Grid<Cell, Overall> {
+    let mut g = Grid::new(name, desc, move |cells, _| Overall {
+        profile: kind,
+        cells,
+    });
+    for &bench in THROUGHPUT_BENCHES.iter().chain(LATENCY_BENCHES.iter()) {
         for mode in [Mode::Cfs, Mode::EnhancedCfs, Mode::Vsched] {
-            cells.push(cell(
+            g.cell(
                 format!("{bench}/{}", mode.label()),
-                move |seed, scale: Scale| run_cell(kind, bench, mode, scale.secs(6, 25), seed),
-            ));
+                move |seed, scale: Scale| {
+                    (
+                        bench,
+                        mode,
+                        run_cell(kind, bench, mode, scale.secs(6, 25), seed),
+                    )
+                },
+            );
         }
     }
-    Job {
-        name,
-        desc,
-        cells,
-        reduce: Box::new(move |parts, _| Overall::from_parts(kind, parts).to_string()),
-    }
-}
-
-impl Overall {
-    /// Assembles one profile's figure from its job's cell parts, in cell
-    /// order.
-    pub fn from_parts(profile: ProfileKind, parts: Vec<Part>) -> Overall {
-        let mut it = parts.into_iter().map(got::<f64>);
-        let mut next = || it.next().expect("one part per cell");
-        let rows = overall_benches()
-            .into_iter()
-            .map(|bench| Row {
-                bench,
-                latency: is_latency_bench(bench),
-                values: (next(), next(), next()),
-            })
-            .collect();
-        Overall { profile, rows }
-    }
+    g
 }

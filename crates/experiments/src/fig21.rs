@@ -5,7 +5,7 @@
 //! can only cost. The paper measures a 0.7% average degradation.
 
 use crate::common::{Mode, Scale};
-use crate::runner::{cell, got, Job, Part};
+use crate::runner::{pair_up, Grid};
 use hostsim::{HostSpec, ScenarioBuilder, VmSpec};
 use metrics::Table;
 use simcore::{SimRng, SimTime};
@@ -84,37 +84,27 @@ fn run_cell(bench: &str, mode: Mode, secs: u64, seed: u64) -> f64 {
     }
 }
 
-/// The suite job: per benchmark, a CFS then a vSched cell.
-pub(crate) fn job() -> Job {
-    let mut cells = Vec::new();
+/// The suite grid: per benchmark, a CFS then a vSched cell.
+pub fn grid() -> Grid<(&'static str, Mode, f64), Fig21> {
+    let mut g = Grid::new(
+        "fig21",
+        "vSched overhead on a dedicated host where probing cannot help",
+        |cells: Vec<(&'static str, Mode, f64)>, _| Fig21 {
+            rows: pair_up(cells, |c| c.1 == Mode::Vsched, |c| c.0)
+                .into_iter()
+                .map(|((bench, _, cfs), (_, _, vs))| (bench, 1.0 - vs / cfs.max(1e-12)))
+                .collect(),
+        },
+    );
     for &bench in &BENCHES {
         for mode in [Mode::Cfs, Mode::Vsched] {
-            cells.push(cell(
+            g.cell(
                 format!("{bench}/{}", mode.label()),
-                move |seed, scale: Scale| run_cell(bench, mode, scale.secs(6, 25), seed),
-            ));
+                move |seed, scale: Scale| {
+                    (bench, mode, run_cell(bench, mode, scale.secs(6, 25), seed))
+                },
+            );
         }
     }
-    Job {
-        name: "fig21",
-        desc: "vSched overhead on a dedicated host where probing cannot help",
-        cells,
-        reduce: Box::new(|parts, _| Fig21::from_parts(parts).to_string()),
-    }
-}
-
-impl Fig21 {
-    /// Assembles the figure from its job's cell parts, in cell order.
-    pub fn from_parts(parts: Vec<Part>) -> Fig21 {
-        let mut it = parts.into_iter().map(got::<f64>);
-        let rows = BENCHES
-            .iter()
-            .map(|&bench| {
-                let cfs = it.next().expect("cfs cell");
-                let vs = it.next().expect("vsched cell");
-                (bench, 1.0 - vs / cfs.max(1e-12))
-            })
-            .collect();
-        Fig21 { rows }
-    }
+    g
 }

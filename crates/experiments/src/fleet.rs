@@ -13,8 +13,8 @@
 //! (overcommit cap respected, every admitted VM placed at most once).
 
 use crate::common::Scale;
-use crate::runner::{cell, got, Job, Part};
-use ::fleet::{policy_by_name, Cluster, FleetSpec, GuestMode, POLICIES};
+use crate::runner::Grid;
+use ::fleet::{policy_by_name, Cluster, FleetSpec, GuestMode, SloSummary, POLICIES};
 use metrics::Table;
 use std::fmt;
 
@@ -35,86 +35,36 @@ pub fn spec_for(horizon_secs: u64) -> FleetSpec {
     spec
 }
 
-/// One fleet cell's outcome: the SLO summary of a single
-/// `(policy, guest mode)` cluster run, minus the per-tenant detail.
-#[derive(Debug, Clone)]
-pub struct FleetOutcome {
-    /// VMs that entered the placement pipeline.
-    pub admitted: u64,
-    /// VMs a policy successfully sited.
-    pub placed: u64,
-    /// VMs rejected (no host fit under the overcommit cap).
-    pub rejected: u64,
-    /// Requests completed fleet-wide.
-    pub completed: u64,
-    /// Fleet-merged median end-to-end latency (ms).
-    pub p50_ms: f64,
-    /// Fleet-merged tail end-to-end latency (ms).
-    pub p99_ms: f64,
-    /// The single worst tenant's p99 (ms).
-    pub worst_tenant_p99_ms: f64,
-    /// Tenants whose own p99 busted the spec's SLO.
-    pub slo_violations: usize,
-    /// Tenants whose own p99 busted their *tier's* target
-    /// (critical, standard, batch).
-    pub tier_slo_violations: [usize; 3],
-    /// Tenants with at least one completed request.
-    pub measured_tenants: usize,
-    /// Jain's fairness index over per-tenant completion rates.
-    pub fairness: f64,
-    /// Mean host utilization (0..=1).
-    pub mean_util: f64,
-    /// Trace events observed across fleet + per-host collectors.
-    pub trace_events: u64,
-    /// Invariant violations (must be 0).
-    pub violations: u64,
+/// Runs `c` to its horizon: the SLO summary of a single
+/// `(policy, guest mode)` cluster run, minus the per-tenant detail no
+/// figure renders.
+pub(crate) fn summarize(mut c: Cluster) -> SloSummary {
+    let mut s = c.run();
+    s.tenants = Vec::new();
+    s
 }
 
 /// Runs one policy's cell: the *same* `(spec, seed)` churn schedule
 /// replayed twice — once with CFS guests, once with vSched guests — so the
 /// two rows differ only in the guest scheduler (and, for the probe-aware
 /// policy, in the capacity signal it feeds back to placement).
-pub fn run_cell(
-    policy: &'static str,
-    horizon_secs: u64,
-    seed: u64,
-) -> (FleetOutcome, FleetOutcome) {
+pub fn run_cell(policy: &'static str, horizon_secs: u64, seed: u64) -> (SloSummary, SloSummary) {
     let run_mode = |mode| {
-        let mut c = Cluster::new(
+        summarize(Cluster::new(
             spec_for(horizon_secs),
             mode,
             policy_by_name(policy).expect("registered policy"),
             seed,
-        );
-        outcome(c.run())
+        ))
     };
     (run_mode(GuestMode::Cfs), run_mode(GuestMode::Vsched))
-}
-
-fn outcome(s: ::fleet::SloSummary) -> FleetOutcome {
-    FleetOutcome {
-        admitted: s.admitted,
-        placed: s.placed,
-        rejected: s.rejected,
-        completed: s.completed,
-        p50_ms: s.p50_ms,
-        p99_ms: s.p99_ms,
-        worst_tenant_p99_ms: s.worst_tenant_p99_ms,
-        slo_violations: s.slo_violations,
-        tier_slo_violations: s.tier_slo_violations,
-        measured_tenants: s.measured_tenants,
-        fairness: s.fairness,
-        mean_util: s.mean_util,
-        trace_events: s.trace_events,
-        violations: s.violations,
-    }
 }
 
 /// The rendered fleet cell: one `(CFS, vSched)` outcome pair per policy,
 /// in [`POLICIES`] order.
 pub struct Fleet {
     /// `(policy, cfs, vsched)` rows.
-    pub rows: Vec<(&'static str, FleetOutcome, FleetOutcome)>,
+    pub rows: Vec<(&'static str, SloSummary, SloSummary)>,
 }
 
 impl fmt::Display for Fleet {
@@ -170,35 +120,21 @@ impl fmt::Display for Fleet {
     }
 }
 
-/// The suite job: one cell per placement policy. Each replays the
+/// The suite grid: one cell per placement policy. Each replays the
 /// identical churn schedule under CFS guests and under vSched guests (same
 /// cell seed), so the comparison inside a cell is apples-to-apples and the
 /// job still shards across policies.
-pub(crate) fn job() -> Job {
-    let cells = POLICIES
-        .iter()
-        .map(|&policy| {
-            cell(policy, move |seed, scale: Scale| {
-                run_cell(policy, scale.secs(4, 16), seed)
-            })
-        })
-        .collect();
-    Job {
-        name: "fleet",
-        desc: "CFS vs vSched guests on a churned multi-host cluster, per placement policy",
-        cells,
-        reduce: Box::new(|parts, _| Fleet::from_parts(parts).to_string()),
+pub fn grid() -> Grid<(&'static str, SloSummary, SloSummary), Fleet> {
+    let mut g = Grid::new(
+        "fleet",
+        "CFS vs vSched guests on a churned multi-host cluster, per placement policy",
+        |rows, _| Fleet { rows },
+    );
+    for &policy in POLICIES.iter() {
+        g.cell(policy, move |seed, scale: Scale| {
+            let (cfs, vs) = run_cell(policy, scale.secs(4, 16), seed);
+            (policy, cfs, vs)
+        });
     }
-}
-
-impl Fleet {
-    /// Assembles the figure from its job's cell parts, in cell order.
-    pub fn from_parts(parts: Vec<Part>) -> Fleet {
-        let rows = POLICIES
-            .iter()
-            .zip(parts.into_iter().map(got::<(FleetOutcome, FleetOutcome)>))
-            .map(|(&policy, (cfs, vs))| (policy, cfs, vs))
-            .collect();
-        Fleet { rows }
-    }
+    g
 }

@@ -19,11 +19,11 @@
 //! conserved across each migration, every recovery timed).
 
 use crate::common::Scale;
-use crate::fleet::{HOSTS, THREADS_PER_HOST};
-use crate::runner::{cell, got, Job, Part};
+use crate::fleet::{summarize, HOSTS, THREADS_PER_HOST};
+use crate::runner::Grid;
 use ::fleet::{
     day_seed, policy_by_name, profile_by_name, spec_for_trace, synthesize, Cluster, FleetChaosPlan,
-    FleetChaosSpec, GuestMode, MigrationMode, POLICIES,
+    FleetChaosSpec, GuestMode, MigrationMode, SloSummary, POLICIES,
 };
 use metrics::Table;
 use std::fmt;
@@ -100,41 +100,13 @@ pub fn plan_for_seed(seed: u64, horizon_secs: u64) -> FleetChaosPlan {
     FleetChaosPlan::generate(seed, &spec)
 }
 
-/// One chaos cell's outcome.
-#[derive(Debug, Clone)]
-pub struct FleetChaosOutcome {
-    /// VMs a policy successfully sited.
-    pub placed: u64,
-    /// VMs rejected — includes degraded-mode sheds.
-    pub rejected: u64,
-    /// Fleet-merged tail end-to-end latency (ms).
-    pub p99_ms: f64,
-    /// Tenants whose own p99 busted their tier's target, per tier.
-    pub tier_slo_violations: [usize; 3],
-    /// Host crash/drain events the plan injected.
-    pub host_failures: u64,
-    /// VMs live-migrated off a failing host.
-    pub migrations: u64,
-    /// Evacuations that exhausted their retry budget.
-    pub evacuations_failed: u64,
-    /// Admissions shed by fleet degraded mode.
-    pub shed_admissions: u64,
-    /// VMs still on a failed host at the horizon (must be 0).
-    pub stranded: usize,
-    /// Invariant violations (must be 0).
-    pub violations: u64,
-    /// Law name of the first violation, if any — the fleet shrinker's
-    /// comparison key (not rendered in figure output).
-    pub first_law: Option<String>,
-}
-
 /// Runs one `(policy, guests)` cell over the shared faulted day.
 pub fn run_cell(
     policy: &'static str,
     guests: ChaosGuests,
     horizon_secs: u64,
     seed: u64,
-) -> FleetChaosOutcome {
+) -> SloSummary {
     run_plan(
         policy,
         guests,
@@ -153,7 +125,7 @@ pub fn run_plan(
     plan: &FleetChaosPlan,
     horizon_ns: u64,
     seed: u64,
-) -> FleetChaosOutcome {
+) -> SloSummary {
     let p = profile_by_name(DAY_PROFILE).expect("registered profile");
     let trace = synthesize(p, horizon_ns, day_seed(p.name));
     let spec = spec_for_trace(&trace, HOSTS, THREADS_PER_HOST);
@@ -165,31 +137,24 @@ pub fn run_plan(
     );
     c.set_chaos(plan.clone());
     c.set_migration_mode(guests.migration());
-    outcome(c.run())
-}
-
-fn outcome(s: ::fleet::SloSummary) -> FleetChaosOutcome {
-    FleetChaosOutcome {
-        placed: s.placed,
-        rejected: s.rejected,
-        p99_ms: s.p99_ms,
-        tier_slo_violations: s.tier_slo_violations,
-        host_failures: s.host_failures,
-        migrations: s.migrations,
-        evacuations_failed: s.evacuations_failed,
-        shed_admissions: s.shed_admissions,
-        stranded: s.stranded,
-        violations: s.violations,
-        first_law: s.first_law.map(str::to_string),
-    }
+    summarize(c)
 }
 
 /// The rendered fleet-chaos grid: one row per `(policy, guests)`.
 pub struct FleetChaos {
     /// Faults the shared plan injects (cell-independent).
     pub faults: usize,
-    /// `(policy, outcome per GUEST_CONFIGS entry)` rows.
-    pub rows: Vec<(&'static str, [FleetChaosOutcome; 3])>,
+    /// `(policy, guests, outcome)` rows, one per cell.
+    pub rows: Vec<(&'static str, ChaosGuests, SloSummary)>,
+}
+
+impl FleetChaos {
+    fn get(&self, policy: &str, guests: ChaosGuests) -> Option<&SloSummary> {
+        self.rows
+            .iter()
+            .find(|(p, g, _)| *p == policy && *g == guests)
+            .map(|(_, _, o)| o)
+    }
 }
 
 impl fmt::Display for FleetChaos {
@@ -214,33 +179,34 @@ impl fmt::Display for FleetChaos {
             "stranded",
             "violations",
         ]);
-        for (policy, outs) in &self.rows {
-            for (g, o) in GUEST_CONFIGS.iter().zip(outs.iter()) {
-                t.row_owned(vec![
-                    policy.to_string(),
-                    g.label().to_string(),
-                    o.placed.to_string(),
-                    o.rejected.to_string(),
-                    format!("{:.2}", o.p99_ms),
-                    format!(
-                        "{}/{}/{}",
-                        o.tier_slo_violations[0],
-                        o.tier_slo_violations[1],
-                        o.tier_slo_violations[2]
-                    ),
-                    o.host_failures.to_string(),
-                    o.migrations.to_string(),
-                    o.evacuations_failed.to_string(),
-                    o.shed_admissions.to_string(),
-                    o.stranded.to_string(),
-                    o.violations.to_string(),
-                ]);
-            }
+        for (policy, g, o) in &self.rows {
+            t.row_owned(vec![
+                policy.to_string(),
+                g.label().to_string(),
+                o.placed.to_string(),
+                o.rejected.to_string(),
+                format!("{:.2}", o.p99_ms),
+                format!(
+                    "{}/{}/{}",
+                    o.tier_slo_violations[0], o.tier_slo_violations[1], o.tier_slo_violations[2]
+                ),
+                o.host_failures.to_string(),
+                o.migrations.to_string(),
+                o.evacuations_failed.to_string(),
+                o.shed_admissions.to_string(),
+                o.stranded.to_string(),
+                o.violations.to_string(),
+            ]);
         }
         write!(f, "{t}")?;
-        for (policy, outs) in &self.rows {
-            let handoff = &outs[1];
-            let cold = &outs[2];
+        for (policy, _, handoff) in self
+            .rows
+            .iter()
+            .filter(|r| r.1 == ChaosGuests::VschedHandoff)
+        {
+            let Some(cold) = self.get(policy, ChaosGuests::VschedCold) else {
+                continue;
+            };
             write!(
                 f,
                 "\n{policy}: migration p99 handoff {:.2}ms vs cold-reprobe {:.2}ms \
@@ -254,47 +220,35 @@ impl fmt::Display for FleetChaos {
     }
 }
 
-/// The suite job: one cell per (policy, guest config). Every cell replays
-/// the same faulted day — trace pinned by the profile's day_seed, failures
-/// by [`chaos_day_seed`] — so rows differ only in scheduler and migration
-/// mode; the footer reports the handoff-vs-cold ablation per policy.
-pub(crate) fn job() -> Job {
-    let mut cells = Vec::new();
-    for &policy in POLICIES.iter() {
-        for &g in GUEST_CONFIGS.iter() {
-            cells.push(cell(
-                format!("{policy}/{}", g.label()),
-                move |seed, scale: Scale| run_cell(policy, g, scale.secs(4, 16), seed),
-            ));
-        }
-    }
-    Job {
-        name: "fleet-chaos",
-        desc: "host-failure chaos, evacuation, and degraded mode on a replayed faulted day",
-        cells,
-        reduce: Box::new(|parts, scale| FleetChaos::from_parts(parts, scale).to_string()),
-    }
-}
-
-impl FleetChaos {
-    /// Assembles the figure from its job's cell parts, in cell order.
-    pub fn from_parts(parts: Vec<Part>, scale: Scale) -> FleetChaos {
-        let mut it = parts.into_iter().map(got::<FleetChaosOutcome>);
-        let rows = POLICIES
-            .iter()
-            .map(|&policy| {
-                let outs: Vec<FleetChaosOutcome> = GUEST_CONFIGS
-                    .iter()
-                    .map(|_| it.next().expect("one part per cell"))
-                    .collect();
-                (policy, outs.try_into().expect("three guest configs"))
-            })
-            .collect();
-        FleetChaos {
+/// The suite grid: one cell per (policy, guest config). Every cell
+/// replays the same faulted day — trace pinned by the profile's day_seed,
+/// failures by [`chaos_day_seed`] — so rows differ only in scheduler and
+/// migration mode; the footer reports the handoff-vs-cold ablation per
+/// policy.
+pub fn grid() -> Grid<(&'static str, ChaosGuests, SloSummary), FleetChaos> {
+    let mut g = Grid::new(
+        "fleet-chaos",
+        "host-failure chaos, evacuation, and degraded mode on a replayed faulted day",
+        |rows, scale| FleetChaos {
             faults: plan_for(scale.secs(4, 16)).events.len(),
             rows,
+        },
+    );
+    for &policy in POLICIES.iter() {
+        for &guests in GUEST_CONFIGS.iter() {
+            g.cell(
+                format!("{policy}/{}", guests.label()),
+                move |seed, scale: Scale| {
+                    (
+                        policy,
+                        guests,
+                        run_cell(policy, guests, scale.secs(4, 16), seed),
+                    )
+                },
+            );
         }
     }
+    g
 }
 
 #[cfg(test)]
@@ -322,7 +276,7 @@ mod tests {
 
     #[test]
     fn chaos_cells_are_deterministic() {
-        let digest = |o: &FleetChaosOutcome| {
+        let digest = |o: &SloSummary| {
             (
                 o.placed,
                 o.rejected,

@@ -2,16 +2,16 @@
 //!
 //! Every module reproduces one piece of the paper's evaluation (§2.3 and
 //! §5), or one beyond-the-paper scenario: it builds the scenario on the
-//! simulated host and declares a [`runner::Job`] — one independent cell
-//! per scheduler configuration and knob — whose typed result, assembled by
-//! the module's `from_parts`, has a `Display` that prints the same
-//! rows/series the paper reports. The `suite` binary runs every job on
-//! the [`runner`]; the integration tests read the same typed results
-//! through [`runner::job_parts`] and assert the paper's *shape* claims
-//! (who wins, by roughly what factor).
+//! simulated host and declares a [`runner::Grid`] — one independent cell
+//! per scheduler configuration and knob, each returning one row of the
+//! figure — whose reducer builds the typed figure from those rows; the
+//! figure's `Display` prints the same rows/series the paper reports. The
+//! `suite` binary runs every grid on the [`runner`]; the integration tests
+//! read the same typed figures through [`runner::Grid::run`] and assert
+//! the paper's *shape* claims (who wins, by roughly what factor).
 //!
 //! Durations honour the `VSCHED_SCALE` environment variable
-//! (`quick`/`paper`); see [`common::Scale`].
+//! (`smoke`/`quick`/`paper`); see [`common::Scale`].
 
 pub mod adversary;
 pub mod chaos;

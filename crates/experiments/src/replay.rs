@@ -14,11 +14,11 @@
 //! [`ChurnModel::Trace`]: ::fleet::ChurnModel::Trace
 
 use crate::common::Scale;
-use crate::fleet::{HOSTS, THREADS_PER_HOST};
-use crate::runner::{cell, got, Job, Part};
+use crate::fleet::{summarize, HOSTS, THREADS_PER_HOST};
+use crate::runner::Grid;
 use ::fleet::{
     day_seed, policy_by_name, profile_by_name, spec_for_trace, synthesize, Cluster, GuestMode,
-    POLICIES, PROFILES,
+    SloSummary, POLICIES, PROFILES,
 };
 use metrics::Table;
 use std::fmt;
@@ -28,33 +28,6 @@ pub fn profile_names() -> Vec<&'static str> {
     PROFILES.iter().map(|p| p.name).collect()
 }
 
-/// One replayed run's outcome (one policy, one guest mode).
-#[derive(Debug, Clone)]
-pub struct ReplayOutcome {
-    /// VMs a policy successfully sited.
-    pub placed: u64,
-    /// VMs rejected (no host fit under the overcommit cap).
-    pub rejected: u64,
-    /// Requests completed fleet-wide.
-    pub completed: u64,
-    /// Fleet-merged median end-to-end latency (ms).
-    pub p50_ms: f64,
-    /// Fleet-merged tail end-to-end latency (ms).
-    pub p99_ms: f64,
-    /// Merged p99 per priority tier (critical, standard, batch), ms.
-    pub tier_p99_ms: [f64; 3],
-    /// Measured tenants per tier (same order).
-    pub tier_tenants: [usize; 3],
-    /// Tenants whose own p99 busted the spec's SLO.
-    pub slo_violations: usize,
-    /// Tenants with at least one completed request.
-    pub measured_tenants: usize,
-    /// Jain's fairness index over per-tenant completion rates.
-    pub fairness: f64,
-    /// Invariant violations (must be 0).
-    pub violations: u64,
-}
-
 /// Runs one `(profile, policy)` cell: the profile's canonical day,
 /// replayed once with CFS guests and once with vSched guests.
 pub fn run_cell(
@@ -62,43 +35,26 @@ pub fn run_cell(
     profile: &'static str,
     horizon_secs: u64,
     seed: u64,
-) -> (ReplayOutcome, ReplayOutcome) {
+) -> (SloSummary, SloSummary) {
     let p = profile_by_name(profile).expect("registered profile");
     let trace = synthesize(p, horizon_secs * 1_000_000_000, day_seed(p.name));
     let spec = spec_for_trace(&trace, HOSTS, THREADS_PER_HOST);
     let run_mode = |mode| {
-        let mut c = Cluster::new(
+        summarize(Cluster::new(
             spec.clone(),
             mode,
             policy_by_name(policy).expect("registered policy"),
             seed,
-        );
-        outcome(c.run())
+        ))
     };
     (run_mode(GuestMode::Cfs), run_mode(GuestMode::Vsched))
-}
-
-fn outcome(s: ::fleet::SloSummary) -> ReplayOutcome {
-    ReplayOutcome {
-        placed: s.placed,
-        rejected: s.rejected,
-        completed: s.completed,
-        p50_ms: s.p50_ms,
-        p99_ms: s.p99_ms,
-        tier_p99_ms: s.tier_p99_ms,
-        tier_tenants: s.tier_tenants,
-        slo_violations: s.slo_violations,
-        measured_tenants: s.measured_tenants,
-        fairness: s.fairness,
-        violations: s.violations,
-    }
 }
 
 /// The rendered replay cell grid: one `(CFS, vSched)` pair per
 /// `(profile, policy)`, profiles outermost.
 pub struct Replay {
-    /// `(profile, policy, cfs, vsched)` rows.
-    pub rows: Vec<(&'static str, &'static str, ReplayOutcome, ReplayOutcome)>,
+    /// One row per cell.
+    pub rows: Vec<Row>,
 }
 
 impl fmt::Display for Replay {
@@ -152,39 +108,26 @@ impl fmt::Display for Replay {
     }
 }
 
-/// The suite job: one cell per (generator profile, placement policy).
+/// One row: `(profile, policy, cfs, vsched)`.
+pub type Row = (&'static str, &'static str, SloSummary, SloSummary);
+
+/// The suite grid: one cell per (generator profile, placement policy).
 /// The day is pinned by the profile's canonical day_seed — not the cell
 /// seed — so every cell in a profile replays the identical generated
 /// trace; within a cell, CFS and vSched guests run it back to back.
-pub(crate) fn job() -> Job {
-    let mut cells = Vec::new();
+pub fn grid() -> Grid<Row, Replay> {
+    let mut g = Grid::new(
+        "fleet-replay",
+        "placement policies x guest modes over one replayed SAP-shaped day per profile",
+        |rows, _| Replay { rows },
+    );
     for profile in profile_names() {
         for &policy in POLICIES.iter() {
-            cells.push(cell(
-                format!("{profile}/{policy}"),
-                move |seed, scale: Scale| run_cell(policy, profile, scale.secs(4, 16), seed),
-            ));
+            g.cell(format!("{profile}/{policy}"), move |seed, scale: Scale| {
+                let (cfs, vs) = run_cell(policy, profile, scale.secs(4, 16), seed);
+                (profile, policy, cfs, vs)
+            });
         }
     }
-    Job {
-        name: "fleet-replay",
-        desc: "placement policies x guest modes over one replayed SAP-shaped day per profile",
-        cells,
-        reduce: Box::new(|parts, _| Replay::from_parts(parts).to_string()),
-    }
-}
-
-impl Replay {
-    /// Assembles the figure from its job's cell parts, in cell order.
-    pub fn from_parts(parts: Vec<Part>) -> Replay {
-        let mut it = parts.into_iter().map(got::<(ReplayOutcome, ReplayOutcome)>);
-        let mut rows = Vec::new();
-        for profile in profile_names() {
-            for &policy in POLICIES.iter() {
-                let (cfs, vs) = it.next().expect("one part per cell");
-                rows.push((profile, policy, cfs, vs));
-            }
-        }
-        Replay { rows }
-    }
+    g
 }

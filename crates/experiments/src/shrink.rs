@@ -254,6 +254,7 @@ impl ShrinkPlan for FleetChaosPlan {
             seed,
         )
         .first_law
+        .map(str::to_string)
     }
     /// Fails iff the plan still contains at least one crash *and* at least
     /// one drain — so the minimal repro is exactly two host faults.

@@ -1,6 +1,6 @@
 //! Supervised cell execution: panic isolation, deadlines, retries.
 //!
-//! The suite runner shards the paper's evaluation into ~460 independent
+//! The suite runner shards the paper's evaluation into 506 independent
 //! cells. Before this layer, one panicking or runaway cell aborted the
 //! whole run and discarded every finished result. Supervision gives each
 //! cell the failure domain it deserves — exactly one cell:
@@ -27,7 +27,7 @@
 //! merges and renders exactly as in a clean run.
 
 use crate::common::Scale;
-use crate::runner::{CellSpec, Part};
+use crate::runner::CellSpec;
 use simcore::json::Json;
 use std::cell::Cell as StdCell;
 use std::fmt;
@@ -227,16 +227,17 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs one cell under supervision. On success returns the part and the
-/// *successful attempt's* compute seconds (failed attempts don't pollute
-/// the per-job CPU accounting); on exhaustion returns the typed failure.
-pub fn run_cell(
+/// Runs one cell under supervision. On success returns the cell's row and
+/// the *successful attempt's* compute seconds (failed attempts don't
+/// pollute the per-job CPU accounting); on exhaustion returns the typed
+/// failure.
+pub fn run_cell<R>(
     figure: &str,
-    cell: &CellSpec,
+    cell: &CellSpec<R>,
     seed: u64,
     scale: Scale,
     policy: &SupervisePolicy,
-) -> Result<(Part, f64), CellFailure> {
+) -> Result<(R, f64), CellFailure> {
     install_quiet_panic_hook();
     let budget = cell.deadline.or(policy.deadline);
     let mut last_cause = None;
@@ -250,7 +251,7 @@ pub fn run_cell(
         QUIET_PANICS.with(|q| q.set(false));
         let elapsed = t0.elapsed();
         match outcome {
-            Ok(part) => {
+            Ok(row) => {
                 if let Some(b) = budget {
                     if elapsed > b {
                         last_cause = Some(FailureCause::Deadline {
@@ -260,7 +261,7 @@ pub fn run_cell(
                         continue;
                     }
                 }
-                return Ok((part, elapsed.as_secs_f64()));
+                return Ok((row, elapsed.as_secs_f64()));
             }
             Err(payload) => {
                 last_cause = Some(FailureCause::Panic(panic_message(payload)));
@@ -293,8 +294,8 @@ mod tests {
     #[test]
     fn healthy_cell_passes_through() {
         let c = cell("ok", |seed, _| seed * 2);
-        let (part, _) = run_cell("figX", &c, 21, Scale::Smoke, &policy(0, None)).unwrap();
-        assert_eq!(*part.downcast::<u64>().unwrap(), 42);
+        let (row, _) = run_cell("figX", &c, 21, Scale::Smoke, &policy(0, None)).unwrap();
+        assert_eq!(row, 42);
     }
 
     #[test]
@@ -321,9 +322,9 @@ mod tests {
             }
             seed
         });
-        let (part, _) = run_cell("figX", &c, 99, Scale::Smoke, &policy(1, None)).unwrap();
+        let (row, _) = run_cell("figX", &c, 99, Scale::Smoke, &policy(1, None)).unwrap();
         // The retry saw the identical seed: determinism preserved.
-        assert_eq!(*part.downcast::<u64>().unwrap(), 99);
+        assert_eq!(row, 99);
         assert_eq!(CALLS.load(Ordering::SeqCst), 2);
     }
 
@@ -348,11 +349,11 @@ mod tests {
 
     #[test]
     fn per_cell_deadline_overrides_policy() {
-        let c = cell("slow", |_, _: Scale| {
+        let mut c = cell("slow", |_, _: Scale| {
             std::thread::sleep(Duration::from_millis(20));
             0u64
-        })
-        .with_deadline(Duration::from_secs(30));
+        });
+        c.deadline = Some(Duration::from_secs(30));
         // Policy deadline of 1ms would fail it; the cell override wins.
         assert!(run_cell("figX", &c, 1, Scale::Smoke, &policy(0, Some(1))).is_ok());
     }

@@ -9,7 +9,7 @@
 
 use crate::common::Scale;
 use crate::profiles::{hpvm, rcvm, Profile};
-use crate::runner::{cell, got, Job, Part};
+use crate::runner::{take, Grid};
 use metrics::{fmt_ns, Table};
 use simcore::SimTime;
 use std::fmt;
@@ -66,35 +66,28 @@ fn measure(mut p: Profile, secs: u64) -> (u64, u64) {
     )
 }
 
-/// The suite job: one cell per profile.
-pub(crate) fn job() -> Job {
-    let cells = vec![
-        cell("rcvm", |seed, scale: Scale| {
-            measure(rcvm(seed), scale.secs(12, 30))
-        }),
-        cell("hpvm", |seed, scale: Scale| {
-            measure(hpvm(seed), scale.secs(12, 30))
-        }),
-    ];
-    Job {
-        name: "table2",
-        desc: "vtop probing time: full probe vs validation pass",
-        cells,
-        reduce: Box::new(|parts, _| Table2::from_parts(parts).to_string()),
+/// The suite grid: one cell per profile, each returning its
+/// `(profile, full probe ns, validation ns)`.
+pub fn grid() -> Grid<(&'static str, u64, u64), Table2> {
+    let mut g = Grid::new(
+        "table2",
+        "vtop probing time: full probe vs validation pass",
+        |mut rows: Vec<(&'static str, u64, u64)>, _| {
+            let (_, rcvm_full_ns, rcvm_validate_ns) = take(&mut rows, |r| r.0 == "rcvm");
+            let (_, hpvm_full_ns, hpvm_validate_ns) = take(&mut rows, |r| r.0 == "hpvm");
+            Table2 {
+                rcvm_full_ns,
+                rcvm_validate_ns,
+                hpvm_full_ns,
+                hpvm_validate_ns,
+            }
+        },
+    );
+    for (name, profile) in [("rcvm", rcvm as fn(u64) -> Profile), ("hpvm", hpvm)] {
+        g.cell(name, move |seed, scale: Scale| {
+            let (full, validate) = measure(profile(seed), scale.secs(12, 30));
+            (name, full, validate)
+        });
     }
-}
-
-impl Table2 {
-    /// Assembles the table from its job's cell parts, in cell order.
-    pub fn from_parts(parts: Vec<Part>) -> Table2 {
-        let mut it = parts.into_iter().map(got::<(u64, u64)>);
-        let (rcvm_full_ns, rcvm_validate_ns) = it.next().expect("rcvm cell");
-        let (hpvm_full_ns, hpvm_validate_ns) = it.next().expect("hpvm cell");
-        Table2 {
-            rcvm_full_ns,
-            rcvm_validate_ns,
-            hpvm_full_ns,
-            hpvm_validate_ns,
-        }
-    }
+    g
 }

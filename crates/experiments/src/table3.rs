@@ -8,7 +8,7 @@
 
 use crate::common::Scale;
 use crate::fig14::run_cell;
-use crate::runner::{cell, got, Job, Part};
+use crate::runner::{take, Grid};
 use metrics::Table;
 use std::fmt;
 use vsched::VschedConfig;
@@ -97,45 +97,35 @@ pub(crate) fn bvs_cfg() -> VschedConfig {
     }
 }
 
-/// The suite job: masstree without then with best-effort tasks, under
-/// each bvs variant.
-pub(crate) fn job() -> Job {
-    fn breakdown(be: bool, cfg: VschedConfig, seed: u64, scale: Scale) -> Breakdown {
-        let h = run_cell("masstree", be, cfg, scale.secs(15, 60), seed);
-        Breakdown::from_handle(&h)
-    }
-    let cells = vec![
-        cell("no-be/no-bvs", |seed, scale: Scale| {
-            breakdown(false, VschedConfig::probers_only(), seed, scale)
+/// The suite grid: masstree without then with best-effort tasks, under
+/// each bvs variant; every row is keyed by its cell label.
+pub fn grid() -> Grid<(&'static str, Breakdown), Table3> {
+    let mut g = Grid::new(
+        "table3",
+        "Masstree p95 latency breakdown under bvs",
+        |mut rows: Vec<(&'static str, Breakdown)>, _| {
+            let mut b = |label: &str| take(&mut rows, |r| r.0 == label).1;
+            Table3 {
+                no_be: (b("no-be/no-bvs"), b("no-be/bvs")),
+                with_be: (b("be/no-bvs"), b("be/bvs-no-state-check"), b("be/bvs")),
+            }
+        },
+    );
+    let probers_only: fn() -> VschedConfig = VschedConfig::probers_only;
+    let cells = [
+        ("no-be/no-bvs", false, probers_only),
+        ("no-be/bvs", false, bvs_cfg),
+        ("be/no-bvs", true, probers_only),
+        ("be/bvs-no-state-check", true, || {
+            bvs_cfg().without_bvs_state_check()
         }),
-        cell("no-be/bvs", |seed, scale: Scale| {
-            breakdown(false, bvs_cfg(), seed, scale)
-        }),
-        cell("be/no-bvs", |seed, scale: Scale| {
-            breakdown(true, VschedConfig::probers_only(), seed, scale)
-        }),
-        cell("be/bvs-no-state-check", |seed, scale: Scale| {
-            breakdown(true, bvs_cfg().without_bvs_state_check(), seed, scale)
-        }),
-        cell("be/bvs", |seed, scale: Scale| {
-            breakdown(true, bvs_cfg(), seed, scale)
-        }),
+        ("be/bvs", true, bvs_cfg),
     ];
-    Job {
-        name: "table3",
-        desc: "Masstree p95 latency breakdown under bvs",
-        cells,
-        reduce: Box::new(|parts, _| Table3::from_parts(parts).to_string()),
+    for (label, be, cfg) in cells {
+        g.cell(label, move |seed, scale: Scale| {
+            let h = run_cell("masstree", be, cfg(), scale.secs(15, 60), seed);
+            (label, Breakdown::from_handle(&h))
+        });
     }
-}
-
-impl Table3 {
-    /// Assembles the table from its job's cell parts, in cell order.
-    pub fn from_parts(parts: Vec<Part>) -> Table3 {
-        let mut it = parts.into_iter().map(got::<Breakdown>);
-        let mut next = || it.next().expect("one part per cell");
-        let no_be = (next(), next());
-        let with_be = (next(), next(), next());
-        Table3 { no_be, with_be }
-    }
+    g
 }

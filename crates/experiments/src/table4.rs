@@ -8,7 +8,7 @@
 
 use crate::common::{Mode, Scale};
 use crate::fig15::build_machine;
-use crate::runner::{cell, got, Job, Part};
+use crate::runner::{pair_up, Grid};
 use metrics::Table;
 use simcore::{SimRng, SimTime};
 use std::fmt;
@@ -18,11 +18,24 @@ use workloads::build;
 /// Thread counts swept (as in the paper's Table 4).
 pub const THREADS: [usize; 5] = [1, 2, 4, 8, 16];
 
+/// One measured cell.
+#[derive(Debug, Clone, Copy)]
+pub struct Cell {
+    /// Thread count.
+    pub threads: usize,
+    /// Activity-aware (pre-waking) ivh?
+    pub aware: bool,
+    /// Completion rate.
+    pub rate: f64,
+    /// ivh migrations (attempted, completed, abandoned).
+    pub ivh: (u64, u64, u64),
+}
+
 /// Table 4 result: per thread count, (activity-unaware, activity-aware)
-/// completion rates.
+/// cells.
 pub struct Table4 {
-    /// Completion rates.
-    pub cells: Vec<(f64, f64)>,
+    /// Cell pairs in [`THREADS`] order.
+    pub rows: Vec<(Cell, Cell)>,
     /// ivh migration statistics from the aware run (attempted, completed,
     /// abandoned).
     pub aware_stats: (u64, u64, u64),
@@ -31,8 +44,8 @@ pub struct Table4 {
 impl Table4 {
     /// Speedup of activity-aware over unaware at a thread index.
     pub fn speedup(&self, idx: usize) -> f64 {
-        let (unaware, aware) = self.cells[idx];
-        aware / unaware.max(1e-12)
+        let (unaware, aware) = self.rows[idx];
+        aware.rate / unaware.rate.max(1e-12)
     }
 }
 
@@ -44,9 +57,9 @@ impl fmt::Display for Table4 {
         )?;
         let mut t = Table::new(&["#threads", "1", "2", "4", "8", "16"]);
         let row = |which: usize| -> Vec<String> {
-            self.cells
+            self.rows
                 .iter()
-                .map(|c| format!("{:.1}", if which == 0 { c.0 } else { c.1 }))
+                .map(|c| format!("{:.1}", if which == 0 { c.0.rate } else { c.1.rate }))
                 .collect()
         };
         t.row_owned(
@@ -68,7 +81,7 @@ impl fmt::Display for Table4 {
     }
 }
 
-fn run_cell(threads: usize, prewake: bool, secs: u64, seed: u64) -> (f64, (u64, u64, u64)) {
+fn run_cell(threads: usize, prewake: bool, secs: u64, seed: u64) -> Cell {
     let (mut m, vm) = build_machine(seed);
     let (wl, handle) = build("canneal", threads, SimRng::new(seed ^ 0xE2));
     m.set_workload(vm, wl);
@@ -85,51 +98,41 @@ fn run_cell(threads: usize, prewake: bool, secs: u64, seed: u64) -> (f64, (u64, 
     let dur = SimTime::from_secs(secs);
     m.run_until(dur);
     let stats = &m.vms[vm].guest.kern.stats;
-    (
-        handle.rate(dur),
-        (
+    Cell {
+        threads,
+        aware: prewake,
+        rate: handle.rate(dur),
+        ivh: (
             stats.ivh_attempts.get(),
             stats.ivh_completed.get(),
             stats.ivh_abandoned.get(),
         ),
-    )
+    }
 }
 
-/// The suite job: per thread count, an activity-unaware then an
+/// The suite grid: per thread count, an activity-unaware then an
 /// activity-aware cell.
-pub(crate) fn job() -> Job {
-    let mut cells = Vec::new();
+pub fn grid() -> Grid<Cell, Table4> {
+    let mut g = Grid::new(
+        "table4",
+        "canneal throughput: activity-aware vs unaware ivh pre-waking",
+        |cells, _| {
+            let rows = pair_up(cells, |c: &Cell| c.aware, |c| c.threads);
+            // Report harvest statistics where harvesting actually happens.
+            let aware_stats = rows
+                .iter()
+                .find(|(_, aware)| aware.threads == 1)
+                .map_or((0, 0, 0), |(_, aware)| aware.ivh);
+            Table4 { rows, aware_stats }
+        },
+    );
     for &t in &THREADS {
         for &prewake in &[false, true] {
-            cells.push(cell(
+            g.cell(
                 format!("t={t}/aware={prewake}"),
                 move |seed, scale: Scale| run_cell(t, prewake, scale.secs(8, 30), seed),
-            ));
+            );
         }
     }
-    Job {
-        name: "table4",
-        desc: "canneal throughput: activity-aware vs unaware ivh pre-waking",
-        cells,
-        reduce: Box::new(|parts, _| Table4::from_parts(parts).to_string()),
-    }
-}
-
-impl Table4 {
-    /// Assembles the table from its job's cell parts, in cell order.
-    pub fn from_parts(parts: Vec<Part>) -> Table4 {
-        let mut it = parts.into_iter().map(got::<(f64, (u64, u64, u64))>);
-        let mut cells = Vec::new();
-        let mut aware_stats = (0, 0, 0);
-        for &t in &THREADS {
-            let (unaware, _) = it.next().expect("unaware cell");
-            let (aware, st) = it.next().expect("aware cell");
-            if t == 1 {
-                // Report harvest statistics where harvesting actually happens.
-                aware_stats = st;
-            }
-            cells.push((unaware, aware));
-        }
-        Table4 { cells, aware_stats }
-    }
+    g
 }

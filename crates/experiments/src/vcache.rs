@@ -19,7 +19,7 @@
 //! the quiet socket completes at the un-evicted miss rate.
 
 use crate::common::{check_report, checked_collector, Mode, Scale};
-use crate::runner::{cell, got, Job, Part};
+use crate::runner::Grid;
 use hostsim::{HostSpec, Pinning, ScenarioBuilder, VmSpec};
 use metrics::Table;
 use simcore::{SimRng, SimTime};
@@ -45,6 +45,10 @@ const THRASHER_FOOTPRINT: f64 = 96.0 * 1024.0 * 1024.0;
 /// One configuration's measurements.
 #[derive(Debug, Clone)]
 pub struct VcacheCell {
+    /// Benchmark name.
+    pub bench: &'static str,
+    /// Guest mode (one of [`MODES`]).
+    pub mode: &'static str,
     /// Combined completion rate of the two victim instances.
     pub throughput: f64,
     /// IPC proxy: work done per cycle consumed (victim VM).
@@ -60,8 +64,17 @@ pub struct VcacheCell {
 
 /// The rendered figure: per benchmark, one cell per mode.
 pub struct VcacheFig {
-    /// Rows per benchmark, cells in [`MODES`] order.
-    pub rows: Vec<(&'static str, Vec<VcacheCell>)>,
+    /// All cells.
+    pub cells: Vec<VcacheCell>,
+}
+
+impl VcacheFig {
+    fn get(&self, bench: &str, mode: &str) -> &VcacheCell {
+        self.cells
+            .iter()
+            .find(|c| c.bench == bench && c.mode == mode)
+            .expect("every benchmark runs every mode")
+    }
 }
 
 impl fmt::Display for VcacheFig {
@@ -80,11 +93,9 @@ impl fmt::Display for VcacheFig {
             "windows",
             "violations",
         ]);
-        for (name, cells) in &self.rows {
-            let cfs = &cells[0];
-            let vs = &cells[1];
-            let ca = &cells[2];
-            let violations: u64 = cells.iter().map(|c| c.violations).sum();
+        for name in BENCHES {
+            let [cfs, vs, ca] = MODES.map(|mode| self.get(name, mode));
+            let violations = cfs.violations + vs.violations + ca.violations;
             t.row_owned(vec![
                 name.to_string(),
                 format!("{:.1}", 100.0 * vs.throughput / cfs.throughput.max(1e-12)),
@@ -206,6 +217,8 @@ fn run_cell(name: &'static str, mode: &'static str, secs: u64, seed: u64) -> Vca
         None => (0, 0),
     };
     VcacheCell {
+        bench: name,
+        mode,
         throughput,
         ipc: work / cycles,
         cache_picks,
@@ -214,40 +227,21 @@ fn run_cell(name: &'static str, mode: &'static str, secs: u64, seed: u64) -> Vca
     }
 }
 
-/// The suite job: one cell per (benchmark, guest mode).
-pub(crate) fn job() -> Job {
-    let mut cells = Vec::new();
+/// The suite grid: one cell per (benchmark, guest mode).
+pub fn grid() -> Grid<VcacheCell, VcacheFig> {
+    let mut g = Grid::new(
+        "vcache",
+        "cache-aware bvs vs stock vSched under an LLC-thrashing neighbour",
+        |cells, _| VcacheFig { cells },
+    );
     for &name in &BENCHES {
         for &mode in &MODES {
-            cells.push(cell(format!("{name}/{mode}"), move |seed, scale: Scale| {
+            g.cell(format!("{name}/{mode}"), move |seed, scale: Scale| {
                 run_cell(name, mode, scale.secs(8, 40), seed)
-            }));
+            });
         }
     }
-    Job {
-        name: "vcache",
-        desc: "cache-aware bvs vs stock vSched under an LLC-thrashing neighbour",
-        cells,
-        reduce: Box::new(|parts, _| VcacheFig::from_parts(parts).to_string()),
-    }
-}
-
-impl VcacheFig {
-    /// Assembles the figure from its job's cell parts, in cell order.
-    pub fn from_parts(parts: Vec<Part>) -> VcacheFig {
-        let mut it = parts.into_iter().map(got::<VcacheCell>);
-        let rows = BENCHES
-            .iter()
-            .map(|&name| {
-                let cells = MODES
-                    .iter()
-                    .map(|_| it.next().expect("one part per cell"))
-                    .collect();
-                (name, cells)
-            })
-            .collect();
-        VcacheFig { rows }
-    }
+    g
 }
 
 #[cfg(test)]

@@ -1,19 +1,11 @@
 //! Acceptance gate for the parallel runner: for a fixed seed, the merged
 //! per-figure output must be byte-identical between the serial path
 //! (`--jobs 1`) and the parallel path at two different worker counts.
-//! Per-cell seeds depend only on cell identity and parts merge in cell
+//! Per-cell seeds depend only on cell identity and rows merge in cell
 //! order, so worker count and completion order must be unobservable.
 
-use experiments::fig03::Fig03;
-use experiments::fig04::Fig04;
-use experiments::fig10::Fig10;
-use experiments::fig11::Fig11;
-use experiments::fig14::Fig14;
-use experiments::runner::{job_parts, run_suite, Part, SuiteOptions};
-use experiments::table2::Table2;
-use experiments::table3::Table3;
-use experiments::table4::Table4;
-use experiments::Scale;
+use experiments::runner::{run_suite, SuiteOptions};
+use experiments::{fig03, fig04, fig10, fig11, fig14, table2, table3, table4, Scale};
 
 fn outputs(jobs: usize, filter: &str) -> Vec<(&'static str, String)> {
     let res = run_suite(&SuiteOptions {
@@ -83,24 +75,24 @@ fn seed_changes_the_output() {
 
 #[test]
 fn typed_figures_render_the_published_output() {
-    // The shape tests read typed figures through `job_parts` +
-    // `from_parts`; those must be exactly the figures the suite prints,
-    // so the tests assert published numbers.
-    type Render = fn(Vec<Part>) -> String;
-    let typed: [(&str, Render); 8] = [
-        ("fig03", |p| Fig03::from_parts(p).to_string()),
-        ("fig04", |p| Fig04::from_parts(p).to_string()),
-        ("fig10", |p| Fig10::from_parts(p).to_string()),
-        ("fig11", |p| Fig11::from_parts(p).to_string()),
-        ("fig14", |p| Fig14::from_parts(p).to_string()),
-        ("table2", |p| Table2::from_parts(p).to_string()),
-        ("table3", |p| Table3::from_parts(p).to_string()),
-        ("table4", |p| Table4::from_parts(p).to_string()),
+    // The shape tests read typed figures through `Grid::run`; those must
+    // be exactly the figures the suite prints, so the tests assert
+    // published numbers.
+    let s = Scale::Smoke;
+    let typed = [
+        ("fig03", fig03::grid().run(42, s).to_string()),
+        ("fig04", fig04::grid().run(42, s).to_string()),
+        ("fig10", fig10::grid().run(42, s).to_string()),
+        ("fig11", fig11::grid().run(42, s).to_string()),
+        ("fig14", fig14::grid().run(42, s).to_string()),
+        ("table2", table2::grid().run(42, s).to_string()),
+        ("table3", table3::grid().run(42, s).to_string()),
+        ("table4", table4::grid().run(42, s).to_string()),
     ];
     let ids: Vec<&str> = typed.iter().map(|(id, _)| *id).collect();
     let published = outputs(1, &ids.join(","));
     assert_eq!(published.iter().map(|(id, _)| *id).collect::<Vec<_>>(), ids);
-    for ((id, render), (_, out)) in typed.iter().zip(&published) {
-        assert_eq!(&render(job_parts(id, 42, Scale::Smoke)), out, "{id}");
+    for ((id, typed), (_, out)) in typed.iter().zip(&published) {
+        assert_eq!(typed, out, "{id}");
     }
 }

@@ -1,5 +1,6 @@
 //! Acceptance gates for the supervised suite: canary isolation, checkpoint
-//! resume byte-identity, and the zero-match filter error.
+//! resume byte-identity, the zero-match filter error, and the CLI's
+//! bad-value errors.
 
 use experiments::runner::{run_suite, SuiteOptions};
 use experiments::supervise::FailureCause;
@@ -170,7 +171,7 @@ fn suite_list_prints_every_job_with_a_description() {
             "missing description for {}: {line:?}",
             job.name
         );
-        assert!(line.contains(&format!("{} cells", job.cells.len())));
+        assert!(line.contains(&format!("{} cells", job.cells)));
     }
     // The canary is env-gated, never listed.
     assert!(!text.contains("canary"));
@@ -185,4 +186,22 @@ fn filter_matching_nothing_lists_the_valid_ids() {
     assert_eq!(err.filter, "not-a-figure");
     assert!(err.valid.contains(&"fig02") && err.valid.contains(&"chaos"));
     assert!(err.to_string().contains("valid figure ids"));
+}
+
+#[test]
+fn malformed_flag_values_name_the_flag() {
+    for (flag, bad) in [("--jobs", "four"), ("--scale", "huge")] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_suite"))
+            .args([flag, bad])
+            .output()
+            .expect("suite binary runs");
+        assert_eq!(out.status.code(), Some(2), "{flag} {bad} must exit 2");
+        let err = String::from_utf8(out.stderr).expect("utf8 stderr");
+        assert!(
+            err.contains(&format!("{flag}: invalid value \"{bad}\"")),
+            "{flag} {bad}: {err}"
+        );
+        assert!(err.contains("usage: suite"), "{flag} {bad}: {err}");
+        assert!(out.stdout.is_empty(), "{flag} {bad} ran the suite");
+    }
 }

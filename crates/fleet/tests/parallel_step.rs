@@ -144,6 +144,38 @@ fn random_fleets_step_identically_at_1_2_and_n_workers() {
     });
 }
 
+/// The churned fleets the bench harness times at 256 hosts for 2 s and
+/// 1000 hosts for 1 s: 4-thread hosts, arrivals sped up with the fleet
+/// size (floored at 4 ms), vSched guests under the probe-aware policy.
+/// Too long for a debug run; CI runs it in release with `-- --ignored`.
+#[test]
+#[ignore = "large fleets: run in release with -- --ignored"]
+fn large_churned_fleets_step_identically_at_1_2_and_4_workers() {
+    for (hosts, horizon_secs) in [(256, 2), (1000, 1)] {
+        let mut spec = FleetSpec::small(hosts, 4, horizon_secs);
+        spec.arrival_mean_ns = (250 * MS * 16 / hosts as u64).max(4 * MS);
+        let run = |workers| {
+            let mut c = Cluster::with_threads(
+                spec.clone(),
+                GuestMode::Vsched,
+                policy_by_name("probe-aware").expect("registered policy"),
+                1,
+                nz(workers),
+            );
+            let s = c.run();
+            (c.events_dispatched(), digest(&c, &s))
+        };
+        let (events, serial) = run(1);
+        assert!(events > 0, "{hosts} hosts dispatched nothing");
+        for workers in [2, 4] {
+            let (e, d) = run(workers);
+            assert_eq!(events, e, "{hosts} hosts: events at {workers} workers");
+            // Not assert_eq: the digest of a large fleet runs to megabytes.
+            assert!(serial == d, "{hosts} hosts: {workers} workers diverged");
+        }
+    }
+}
+
 #[test]
 fn committed_sap_day_replays_identically_across_worker_counts() {
     let text = std::fs::read_to_string(concat!(

@@ -5,25 +5,12 @@
 //! and the vSched policies — through the suite runner's own cells, so the
 //! asserted numbers are the ones `suite --scale quick --seed 42` publishes.
 
-use vsched_repro::experiments::fig03::Fig03;
-use vsched_repro::experiments::fig04::Fig04;
-use vsched_repro::experiments::fig11::Fig11;
-use vsched_repro::experiments::fig14::Fig14;
-use vsched_repro::experiments::runner::{job_parts, Part};
-use vsched_repro::experiments::table2::Table2;
-use vsched_repro::experiments::table3::Table3;
-use vsched_repro::experiments::table4::Table4;
-use vsched_repro::experiments::Scale;
-
-/// One suite job's parts at the published quick-scale seed.
-fn quick(id: &str) -> Vec<Part> {
-    job_parts(id, 42, Scale::Quick)
-}
+use vsched_repro::experiments::{fig03, fig04, fig11, fig14, table2, table3, table4, Scale};
 
 #[test]
 fn stalled_running_task_doubles_utilization_with_migration() {
     // Figure 3: proactive migration roughly doubles vCPU utilization.
-    let r = Fig03::from_parts(quick("fig03"));
+    let r = fig03::grid().run(42, Scale::Quick);
     assert!(
         (0.45..0.55).contains(&r.default_mode.utilization),
         "default utilization {:.2}",
@@ -39,7 +26,7 @@ fn stalled_running_task_doubles_utilization_with_migration() {
 #[test]
 fn relaxing_work_conservation_beats_straggler_and_priority_inversion() {
     // Figure 4: non-work-conserving placement wins on problematic vCPUs.
-    let r = Fig04::from_parts(quick("fig04"));
+    let r = fig04::grid().run(42, Scale::Quick);
     // Straggler: at least one sync-intensive benchmark improves >30%
     // (paper: up to 43%).
     assert!(
@@ -74,7 +61,7 @@ fn relaxing_work_conservation_beats_straggler_and_priority_inversion() {
 #[test]
 fn vtop_probes_within_a_second_and_validates_faster() {
     // Table 2: sub-second probing; validation faster than full probing.
-    let t = Table2::from_parts(quick("table2"));
+    let t = table2::grid().run(42, Scale::Quick);
     for (label, ns) in [
         ("rcvm-full", t.rcvm_full_ns),
         ("rcvm-validate", t.rcvm_validate_ns),
@@ -97,7 +84,7 @@ fn vtop_probes_within_a_second_and_validates_faster() {
 fn vcap_steers_to_high_capacity_vcpus_and_calms_migrations() {
     // Figure 11: the paper reports 44%→81% high-capacity residency with a
     // 32% throughput gain, and 74% fewer migrations on symmetric hosts.
-    let r = Fig11::from_parts(quick("fig11"));
+    let r = fig11::grid().run(42, Scale::Quick);
     assert!(
         r.asym_vcap.high_cap_fraction > r.asym_cfs.high_cap_fraction + 0.25,
         "high-cap residency: CFS {:.0}% vs vcap {:.0}%",
@@ -121,7 +108,7 @@ fn vcap_steers_to_high_capacity_vcpus_and_calms_migrations() {
 #[test]
 fn bvs_reduces_tail_latency() {
     // Figure 14: bvs cuts p95 (paper: 42% on average).
-    let r = Fig14::from_parts(quick("fig14"));
+    let r = fig14::grid().run(42, Scale::Quick);
     let mean = r.mean_reduction();
     assert!(
         mean > 0.15,
@@ -134,7 +121,7 @@ fn bvs_reduces_tail_latency() {
 fn bvs_state_check_helps_with_best_effort_tasks() {
     // Table 3's ablation: with best-effort tasks, full bvs beats both no
     // bvs and the no-state-check variant on queue time.
-    let t = Table3::from_parts(quick("table3"));
+    let t = table3::grid().run(42, Scale::Quick);
     let (no_bvs, _no_state, bvs) = t.with_be;
     assert!(
         bvs.e2e_ns < no_bvs.e2e_ns,
@@ -147,7 +134,7 @@ fn bvs_state_check_helps_with_best_effort_tasks() {
 #[test]
 fn ivh_prewake_beats_direct_migration_at_low_thread_counts() {
     // Table 4: activity-aware migration wins where harvesting happens.
-    let t = Table4::from_parts(quick("table4"));
+    let t = table4::grid().run(42, Scale::Quick);
     assert!(
         t.speedup(0) > 1.1,
         "1-thread speedup {:.2}x (paper: ~1.17x)",

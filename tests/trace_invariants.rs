@@ -9,8 +9,9 @@
 
 use vsched_repro::experiments::common::{check_report, checked_collector};
 use vsched_repro::experiments::fig03::{self, Fig03};
-use vsched_repro::experiments::runner::{cell_seed, job_parts};
-use vsched_repro::experiments::{fig11, fig15, Scale};
+use vsched_repro::experiments::fig11::{self, Fig11};
+use vsched_repro::experiments::runner::cell_seed;
+use vsched_repro::experiments::{fig15, Scale};
 use vsched_repro::hostsim::{ChaosSpec, FaultPlan, HostSpec, ScenarioBuilder, VmSpec};
 use vsched_repro::simcore::time::{MS, SEC};
 use vsched_repro::simcore::SimTime;
@@ -42,6 +43,34 @@ fn fig03_checked(seed: u64) -> (Fig03, Vec<CheckReport>) {
     (fig, cols.iter().map(check_report).collect())
 }
 
+/// Figure 11 at quick scale, all four cells run at the suite's cell seeds
+/// for `seed`, each traced into its own checked collector.
+fn fig11_checked(seed: u64) -> (Fig11, Vec<CheckReport>) {
+    let secs = Scale::Quick.secs(10, 40);
+    let seed = |label: &str| cell_seed(seed, "fig11", label);
+    let cols: Vec<_> = (0..4).map(|_| checked_collector()).collect();
+    let fig = Fig11 {
+        asym_cfs: fig11::run_asym(false, secs, seed("asym/cfs"), Some(&cols[0])),
+        asym_vcap: fig11::run_asym(true, secs, seed("asym/vcap"), Some(&cols[1])),
+        sym_cfs: fig11::run_sym(false, secs, seed("sym/cfs"), Some(&cols[2])),
+        sym_vcap: fig11::run_sym(true, secs, seed("sym/vcap"), Some(&cols[3])),
+    };
+    (fig, cols.iter().map(check_report).collect())
+}
+
+/// The ivh-enabled Figure 15 cell the checked runs exercise.
+const FIG15_CELL: &str = "canneal/t=4/ivh=true";
+
+/// [`FIG15_CELL`] for `secs` at its suite seed for `seed`, traced into a
+/// checked collector: one ivh run exercises the full pull lifecycle
+/// (attempt / complete / abandon).
+fn fig15_checked(seed: u64, secs: u64) -> (f64, CheckReport) {
+    let shared = checked_collector();
+    let seed = cell_seed(seed, "fig15", FIG15_CELL);
+    let rate = fig15::run_cell("canneal", 4, true, secs, seed, Some(&shared));
+    (rate, check_report(&shared))
+}
+
 #[test]
 fn fig03_invariants_hold() {
     let (fig, reports) = fig03_checked(42);
@@ -52,33 +81,22 @@ fn fig03_invariants_hold() {
 
 #[test]
 fn fig11_invariants_hold() {
-    let secs = Scale::Quick.secs(10, 40);
-    let seed = |label: &str| cell_seed(42, "fig11", label);
-    let cols: Vec<_> = (0..4).map(|_| checked_collector()).collect();
-    fig11::run_asym(false, secs, seed("asym/cfs"), Some(&cols[0]));
-    fig11::run_asym(true, secs, seed("asym/vcap"), Some(&cols[1]));
-    fig11::run_sym(false, secs, seed("sym/cfs"), Some(&cols[2]));
-    fig11::run_sym(true, secs, seed("sym/vcap"), Some(&cols[3]));
-    assert_clean("fig11", &cols.iter().map(check_report).collect::<Vec<_>>());
+    assert_clean("fig11", &fig11_checked(42).1);
 }
 
 #[test]
 fn fig15_cell_invariants_hold() {
-    // One ivh-enabled cell exercises the full pull lifecycle (attempt /
-    // complete / abandon) under the checker.
-    let shared = checked_collector();
-    let seed = cell_seed(42, "fig15", "canneal/t=4/ivh=true");
-    let rate = fig15::run_cell("canneal", 4, true, 4, seed, Some(&shared));
+    let (rate, report) = fig15_checked(42, 4);
     assert!(rate > 0.0);
-    assert_clean("fig15[canneal,4,ivh]", &[check_report(&shared)]);
+    assert_clean("fig15[canneal,4,ivh]", &[report]);
 }
 
 #[test]
 fn tracing_does_not_perturb_the_simulation() {
-    // Bit-identical figure results with the sink off (the default) and
-    // with a full collector attached: emitting must never branch the
-    // simulation.
-    let plain = Fig03::from_parts(job_parts("fig03", 7, Scale::Quick));
+    // Bit-identical figure results from the untraced suite grid (the sink
+    // off, the default) and from the checked runs at the same cell seeds:
+    // emitting must never branch the simulation.
+    let plain = fig03::grid().run(7, Scale::Quick);
     let (checked, _) = fig03_checked(7);
     assert_eq!(
         plain.default_mode.utilization.to_bits(),
@@ -89,6 +107,37 @@ fn tracing_does_not_perturb_the_simulation() {
         checked.migration_mode.utilization.to_bits()
     );
     assert_eq!(plain.default_mode.segments, checked.default_mode.segments);
+
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let plain = fig11::grid().run(7, Scale::Quick);
+    let (checked, _) = fig11_checked(7);
+    for (p, c) in [
+        (&plain.asym_cfs, &checked.asym_cfs),
+        (&plain.asym_vcap, &checked.asym_vcap),
+    ] {
+        assert_eq!(p.high_cap_fraction.to_bits(), c.high_cap_fraction.to_bits());
+        assert_eq!(p.throughput.to_bits(), c.throughput.to_bits());
+        assert_eq!(bits(&p.distribution), bits(&c.distribution));
+    }
+    for (p, c) in [
+        (&plain.sym_cfs, &checked.sym_cfs),
+        (&plain.sym_vcap, &checked.sym_vcap),
+    ] {
+        assert_eq!(p.migrations, c.migrations);
+        assert_eq!(p.throughput.to_bits(), c.throughput.to_bits());
+    }
+
+    // Figure 15's 110-cell grid is too long for a debug test; its checked
+    // cell runs straight from the grid instead, at smoke scale.
+    let grid = fig15::grid();
+    let cell = grid
+        .cells
+        .iter()
+        .find(|c| c.label == FIG15_CELL)
+        .expect("fig15 declares the checked cell");
+    let plain = cell.execute(cell_seed(7, "fig15", FIG15_CELL), Scale::Smoke);
+    let (checked, _) = fig15_checked(7, Scale::Smoke.secs(8, 30));
+    assert_eq!(plain.rate.to_bits(), checked.to_bits());
 }
 
 #[test]
