@@ -72,6 +72,10 @@ for jobs in 1 4; do
     diff tests/golden/suite_smoke_seed42.txt "$tmpdir/suite_smoke.jobs$jobs.txt"
 done
 
+echo "== histogram oracle (release, 8x property cases)"
+# The sparse histogram against its dense oracle, over the widened sweep.
+cargo test -q --release -p vsched-metrics --features property-tests
+
 echo "== large-fleet stepping identity (release, ignored tests)"
 # The 256-host and 1000-host churned fleets step identically at 1, 2 and
 # 4 stepping workers; too long for the debug tier-1 run.
@@ -127,6 +131,10 @@ done
     --policy probe-aware --mode vsched --fleet-threads 4 \
     > "$tmpdir/step_parallel.txt"
 diff "$tmpdir/step_serial.txt" "$tmpdir/step_parallel.txt"
+# 3) Scale smoke: the same day spread over 10 000 hosts must replay and
+#    exit 0, that is, with no law violation.
+./target/release/fleettrace replay examples/sap_day.trace.jsonl \
+    --hosts 10000 --fleet-threads 1 > /dev/null
 
 echo "== fleet-chaos-smoke: seed sweep, shrink round-trip, chaos-day replays"
 # 1) Randomized seed: migration laws on a fresh faulted day each run. The

@@ -453,7 +453,7 @@ impl Machine {
         let llc = LlcModel::new(spec.sockets, spec.llc_bytes);
         Self {
             spec,
-            q: EventQueue::with_capacity(256),
+            q: EventQueue::new(),
             rng: SimRng::new(seed),
             threads: (0..nr)
                 .map(|_| HwThread {

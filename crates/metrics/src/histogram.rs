@@ -14,10 +14,17 @@ const SUB_BITS: u32 = 5;
 /// so 60 groups cover the full `u64` range.
 const GROUPS: usize = 60;
 
+/// The sub-bucket counts of one magnitude group.
+type Chunk = [u64; SUB_BUCKETS];
+
 /// A log-bucketed histogram of `u64` samples (typically nanoseconds).
 ///
-/// Recording is O(1); percentile queries are O(buckets). Values larger than
-/// the representable maximum are clamped into the last bucket.
+/// Buckets are stored sparsely: a magnitude group's [`SUB_BUCKETS`] counters
+/// are allocated when the group receives its first sample, so memory grows
+/// with the number of populated groups (256 bytes each), not with the range
+/// the histogram could cover. An empty histogram allocates nothing.
+///
+/// Recording is O(1); percentile queries are O(populated buckets).
 ///
 /// # Examples
 ///
@@ -34,7 +41,11 @@ const GROUPS: usize = 60;
 /// ```
 #[derive(Clone)]
 pub struct Histogram {
-    buckets: Vec<u64>,
+    /// `index[g]` is one plus the position of group `g`'s chunk in
+    /// `chunks`, or 0 while group `g` is empty.
+    index: [u8; GROUPS],
+    /// One chunk per populated group, in the order groups were populated.
+    chunks: Vec<Chunk>,
     count: u64,
     sum: u128,
     min: u64,
@@ -51,7 +62,8 @@ impl Histogram {
     /// Creates an empty histogram.
     pub fn new() -> Self {
         Self {
-            buckets: vec![0; GROUPS * SUB_BUCKETS],
+            index: [0; GROUPS],
+            chunks: Vec::new(),
             count: 0,
             sum: 0,
             min: u64::MAX,
@@ -59,44 +71,62 @@ impl Histogram {
         }
     }
 
-    fn index_of(value: u64) -> usize {
+    /// Returns the `(group, sub-bucket)` a value falls into.
+    fn bucket_of(value: u64) -> (usize, usize) {
         // Values below SUB_BUCKETS go into group 0 exactly (one value per
         // bucket); larger values keep their top SUB_BITS bits of precision.
         if value < SUB_BUCKETS as u64 {
-            return value as usize;
+            return (0, value as usize);
         }
         let magnitude = 63 - value.leading_zeros(); // >= SUB_BITS
         let group = (magnitude - SUB_BITS + 1) as usize;
         let sub = ((value >> (magnitude - SUB_BITS)) as usize) & (SUB_BUCKETS - 1);
-        let idx = group * SUB_BUCKETS + sub;
-        idx.min(GROUPS * SUB_BUCKETS - 1)
+        (group, sub)
     }
 
-    /// Returns a representative (midpoint) value for a bucket index.
-    fn value_of(index: usize) -> u64 {
-        if index < SUB_BUCKETS {
-            return index as u64;
+    /// Returns a representative (midpoint) value for a bucket.
+    fn value_of(group: usize, sub: usize) -> u64 {
+        if group == 0 {
+            return sub as u64;
         }
-        let group = (index / SUB_BUCKETS) as u32;
-        let sub = (index % SUB_BUCKETS) as u64;
         // Group `g` spans [2^(g + SUB_BITS - 1), 2^(g + SUB_BITS)), i.e.
         // `base` values split across SUB_BUCKETS buckets of width
         // `base / SUB_BUCKETS`.
-        let base: u64 = 1u64 << (group + SUB_BITS - 1);
+        let base: u64 = 1u64 << (group as u32 + SUB_BITS - 1);
         let width = (base >> SUB_BITS).max(1);
         // Saturate: the topmost bucket's midpoint would overflow u64.
-        base.saturating_add(sub.saturating_mul(width))
+        base.saturating_add((sub as u64).saturating_mul(width))
             .saturating_add(width / 2)
+    }
+
+    /// The chunk of `group`, allocated (zeroed) on first use.
+    fn chunk_mut(&mut self, group: usize) -> &mut Chunk {
+        let slot = match self.index[group] {
+            0 => {
+                // Grow one chunk at a time: a histogram populates a handful
+                // of groups, and doubling would leave most of it unused.
+                self.chunks.reserve_exact(1);
+                self.chunks.push([0; SUB_BUCKETS]);
+                self.index[group] = self.chunks.len() as u8;
+                self.chunks.len() - 1
+            }
+            i => i as usize - 1,
+        };
+        &mut self.chunks[slot]
+    }
+
+    /// The populated groups in ascending order, with their chunks.
+    fn groups(&self) -> impl Iterator<Item = (usize, &Chunk)> {
+        self.index
+            .iter()
+            .enumerate()
+            .filter(|&(_, &slot)| slot != 0)
+            .map(|(group, &slot)| (group, &self.chunks[slot as usize - 1]))
     }
 
     /// Records one sample.
     pub fn record(&mut self, value: u64) {
-        let idx = Self::index_of(value);
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.sum += value as u128;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
+        self.record_n(value, 1);
     }
 
     /// Records `n` identical samples.
@@ -104,8 +134,8 @@ impl Histogram {
         if n == 0 {
             return;
         }
-        let idx = Self::index_of(value);
-        self.buckets[idx] += n;
+        let (group, sub) = Self::bucket_of(value);
+        self.chunk_mut(group)[sub] += n;
         self.count += n;
         self.sum += value as u128 * n as u128;
         self.min = self.min.min(value);
@@ -156,11 +186,12 @@ impl Histogram {
         }
         let target = ((p / 100.0) * self.count as f64).ceil().max(1.0) as u64;
         let mut seen = 0u64;
-        for (idx, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= target {
-                let v = Self::value_of(idx);
-                return v.clamp(self.min, self.max);
+        for (group, chunk) in self.groups() {
+            for (sub, &n) in chunk.iter().enumerate() {
+                seen += n;
+                if seen >= target {
+                    return Self::value_of(group, sub).clamp(self.min, self.max);
+                }
             }
         }
         self.max
@@ -184,8 +215,10 @@ impl Histogram {
 
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += *b;
+        for (group, src) in other.groups() {
+            for (a, b) in self.chunk_mut(group).iter_mut().zip(src) {
+                *a += *b;
+            }
         }
         self.count += other.count;
         self.sum += other.sum;
@@ -195,7 +228,8 @@ impl Histogram {
 
     /// Removes all samples.
     pub fn clear(&mut self) {
-        self.buckets.iter_mut().for_each(|b| *b = 0);
+        self.index = [0; GROUPS];
+        self.chunks.clear();
         self.count = 0;
         self.sum = 0;
         self.min = u64::MAX;

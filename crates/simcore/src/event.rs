@@ -71,15 +71,8 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// Creates an empty queue at time zero.
     pub fn new() -> Self {
-        Self::with_capacity(0)
-    }
-
-    /// Creates an empty queue with room for `cap` pending events before the
-    /// backing heap reallocates. Simulations post from the first event on;
-    /// pre-sizing skips the doubling-growth copies on the hot posting path.
-    pub fn with_capacity(cap: usize) -> Self {
         Self {
-            heap: BinaryHeap::with_capacity(cap),
+            heap: BinaryHeap::new(),
             seq: 0,
             now: SimTime::ZERO,
         }
