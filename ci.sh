@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Offline CI gate: formatting, lints, the tier-1 build + test suite, a
-# serial-vs-parallel determinism smoke of the suite runner, and a bench
-# harness regeneration pass. Everything here must pass without network
-# access.
+# Offline CI gate: formatting, lints, the tier-1 build + test suite, the
+# benchmark's build and self-checks, serial-vs-parallel determinism of the
+# suite runner, and the chaos, fleet, adversary, vcache and supervision
+# smokes. Everything here must pass without network access.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -251,7 +251,13 @@ VSCHED_SHRINK_LAW=synthetic ./target/release/suite \
     --replay target/chaos_repro_3735928559.json 2> "$tmpdir/replay_err.txt"
 grep -q "reproduced law 'synthetic-canary'" "$tmpdir/replay_err.txt"
 
-echo "== regenerate BENCH_vsched.json (quick scale)"
-./target/release/vsched-bench
+echo "== suite runner: serial vs parallel output equality (quick scale, whole suite)"
+# Quick-scale cells run longer than the smoke golden's, so a divergence
+# that needs more simulated time to surface shows here.
+for jobs in 1 4; do
+    VSCHED_SCALE=quick ./target/release/suite --jobs "$jobs" --seed 42 --no-ckpt \
+        > "$tmpdir/suite_quick.jobs$jobs.txt" 2>/dev/null
+done
+diff "$tmpdir/suite_quick.jobs1.txt" "$tmpdir/suite_quick.jobs4.txt"
 
 echo "CI OK"

@@ -28,6 +28,7 @@ use crate::common::{check_report, checked_collector, Mode, Scale};
 use crate::runner::Grid;
 use hostsim::{DomainSchedule, HostSched, HostSpec, ScenarioBuilder, VmSpec};
 use metrics::Table;
+use simcore::plan::Plan;
 use simcore::time::{MS, SEC};
 use simcore::{SimRng, SimTime};
 use std::fmt;

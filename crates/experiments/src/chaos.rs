@@ -15,6 +15,7 @@ use crate::common::{check_report, checked_collector, Mode, Scale};
 use crate::runner::{take, Grid};
 use hostsim::{ChaosSpec, FaultPlan, HostSpec, ScenarioBuilder, VmSpec};
 use metrics::Table;
+use simcore::plan::Plan;
 use simcore::time::{MS, SEC};
 use simcore::{SimRng, SimTime};
 use std::fmt;

@@ -31,7 +31,7 @@
 //! outputs across configurations. The code version comes from
 //! `git describe --always --dirty` when available.
 
-use simcore::json::Json;
+use simcore::json::{Field, Json};
 use std::collections::BTreeMap;
 use std::fs;
 use std::io::Write;
@@ -158,48 +158,38 @@ impl Checkpoint {
     }
 
     fn parse_manifest(&mut self, text: &str) -> Result<(), String> {
-        let doc = Json::parse(text).map_err(|e| format!("corrupt manifest: {e}"))?;
-        let s = |k: &str| -> Result<String, String> {
-            doc.get(k)
-                .and_then(|v| v.as_str())
-                .map(str::to_string)
-                .ok_or_else(|| format!("manifest missing {k}"))
+        let corrupt = |e: String| format!("corrupt manifest: {e}");
+        let doc = Json::parse(text).map_err(|e| corrupt(e.to_string()))?;
+        let doc = Field::root(&doc);
+        let read = || -> Result<(CkptKey, BTreeMap<String, JobEntry>), String> {
+            let s = |k| doc.get(k)?.str().map(str::to_string);
+            let key = CkptKey {
+                version: s("version")?,
+                seed: doc.get("seed")?.u64()?,
+                scale: s("scale")?,
+                filter: s("filter")?,
+            };
+            let jobs = doc.get("jobs")?;
+            let Json::Obj(map) = jobs.json() else {
+                return Err("jobs not an object".into());
+            };
+            let mut entries = BTreeMap::new();
+            for name in map.keys() {
+                let e = jobs.get(name)?;
+                let file = e.get("file")?.str()?.to_string();
+                let (bytes, fnv) = (e.get("bytes")?.u64()?, e.get("fnv")?.u64()?);
+                entries.insert(name.clone(), JobEntry { file, bytes, fnv });
+            }
+            Ok((key, entries))
         };
-        let on_disk = CkptKey {
-            version: s("version")?,
-            seed: doc
-                .get("seed")
-                .and_then(|v| v.as_u64())
-                .ok_or("manifest missing seed")?,
-            scale: s("scale")?,
-            filter: s("filter")?,
-        };
+        let (on_disk, jobs) = read().map_err(corrupt)?;
         if on_disk != self.key {
             return Err(format!(
                 "checkpoint key mismatch (have {:?}, want {:?}); starting fresh",
                 on_disk, self.key
             ));
         }
-        let jobs = doc.get("jobs").ok_or("manifest missing jobs")?.clone();
-        let Json::Obj(map) = jobs else {
-            return Err("manifest jobs not an object".into());
-        };
-        for (name, entry) in map {
-            let u = |k: &str| entry.get(k).and_then(|v| v.as_u64());
-            let file = entry
-                .get("file")
-                .and_then(|v| v.as_str())
-                .ok_or("job entry missing file")?
-                .to_string();
-            self.jobs.insert(
-                name,
-                JobEntry {
-                    file,
-                    bytes: u("bytes").ok_or("job entry missing bytes")?,
-                    fnv: u("fnv").ok_or("job entry missing fnv")?,
-                },
-            );
-        }
+        self.jobs = jobs;
         Ok(())
     }
 

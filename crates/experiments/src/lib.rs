@@ -33,7 +33,6 @@ pub mod fig20;
 pub mod fig21;
 pub mod fleet;
 pub mod fleet_chaos;
-pub mod oracle;
 pub mod profiles;
 pub mod replay;
 pub mod runner;

@@ -30,15 +30,15 @@ use crate::adversary::{self, GuestMode, HostPolicy};
 use crate::chaos::{self, ChaosMode};
 use crate::common::Scale;
 use crate::fleet_chaos::{self, ChaosGuests};
-use ::fleet::{FleetChaosPlan, HostFault, HostOp};
-use hostsim::{FaultPlan, InjectedFault};
-use workloads::{AttackAction, AttackKind, AttackPlan};
+use ::fleet::{FleetChaosPlan, HostOp};
+use hostsim::FaultPlan;
+use simcore::plan::Plan;
+use workloads::{AttackKind, AttackPlan};
 
 /// A seeded plan the shrinker can cut down, and the suite can write to
-/// and replay from a repro file.
-pub trait ShrinkPlan: Sized {
-    /// One plan entry.
-    type Event: Clone;
+/// and replay from a repro file ([`Plan`] supplies the entries, subset
+/// surgery and the file codec).
+pub trait ShrinkPlan: Plan {
     /// Repro file stem: `target/<STEM>_repro_<seed>.json`.
     const STEM: &'static str;
     /// Suffix of the `--shrink`/`--replay` flags and their stderr prefix.
@@ -51,14 +51,6 @@ pub trait ShrinkPlan: Sized {
     /// The seed [`Self::from_seed`] was called with, recovered from the
     /// plan (its JSON carries it); the real oracle runs under it.
     fn oracle_seed(&self) -> u64;
-    /// The plan's entries, in injection order.
-    fn events(&self) -> &[Self::Event];
-    /// The same plan with a subset of its entries.
-    fn with_events(&self, events: Vec<Self::Event>) -> Self;
-    /// The repro file encoding.
-    fn to_json(&self) -> String;
-    /// Parses a repro file.
-    fn from_json(text: &str) -> Result<Self, String>;
     /// The real oracle: runs the plan's cell at `seed` and reports which
     /// invariant law (if any) the streaming checker saw broken first.
     fn checker_law(&self, seed: u64) -> Option<String>;
@@ -175,7 +167,6 @@ pub fn replay<P: ShrinkPlan>(
 }
 
 impl ShrinkPlan for FaultPlan {
-    type Event = InjectedFault;
     const STEM: &'static str = "chaos";
     const FLAG: &'static str = "";
     const EVENT: &'static str = "action";
@@ -185,18 +176,6 @@ impl ShrinkPlan for FaultPlan {
     }
     fn oracle_seed(&self) -> u64 {
         self.seed ^ chaos::PLAN_SALT
-    }
-    fn events(&self) -> &[InjectedFault] {
-        &self.events
-    }
-    fn with_events(&self, events: Vec<InjectedFault>) -> Self {
-        FaultPlan::with_events(self, events)
-    }
-    fn to_json(&self) -> String {
-        FaultPlan::to_json(self)
-    }
-    fn from_json(text: &str) -> Result<Self, String> {
-        FaultPlan::from_json(text)
     }
     /// Runs the chaos cell's resilient-vSched configuration.
     fn checker_law(&self, seed: u64) -> Option<String> {
@@ -214,7 +193,6 @@ impl ShrinkPlan for FaultPlan {
 }
 
 impl ShrinkPlan for FleetChaosPlan {
-    type Event = HostFault;
     const STEM: &'static str = "fleet_chaos";
     const FLAG: &'static str = "-fleet";
     const EVENT: &'static str = "host fault";
@@ -224,18 +202,6 @@ impl ShrinkPlan for FleetChaosPlan {
     }
     fn oracle_seed(&self) -> u64 {
         self.seed
-    }
-    fn events(&self) -> &[HostFault] {
-        &self.events
-    }
-    fn with_events(&self, events: Vec<HostFault>) -> Self {
-        FleetChaosPlan::with_events(self, events)
-    }
-    fn to_json(&self) -> String {
-        FleetChaosPlan::to_json(self)
-    }
-    fn from_json(text: &str) -> Result<Self, String> {
-        FleetChaosPlan::from_json(text)
     }
     /// Replays the fleet-chaos cell's canonical day under the plan (vSched
     /// guests, probe-state handoff).
@@ -266,7 +232,6 @@ impl ShrinkPlan for FleetChaosPlan {
 }
 
 impl ShrinkPlan for AttackPlan {
-    type Event = AttackAction;
     const STEM: &'static str = "adversary";
     const FLAG: &'static str = "-adversary";
     const EVENT: &'static str = "attack action";
@@ -276,18 +241,6 @@ impl ShrinkPlan for AttackPlan {
     }
     fn oracle_seed(&self) -> u64 {
         self.seed ^ adversary::PLAN_SALT
-    }
-    fn events(&self) -> &[AttackAction] {
-        &self.events
-    }
-    fn with_events(&self, events: Vec<AttackAction>) -> Self {
-        AttackPlan::with_events(self, events)
-    }
-    fn to_json(&self) -> String {
-        AttackPlan::to_json(self)
-    }
-    fn from_json(text: &str) -> Result<Self, String> {
-        AttackPlan::from_json(text)
     }
     /// Runs the attack through the richest cell — domain-partitioned host,
     /// hardened vSched guest — so the domain ownership/steal laws *and*

@@ -25,7 +25,8 @@
 //! conserved across migration, every resident migrated or departed).
 
 use hostsim::faults::{ChaosSpec, FaultPlan, InjectedFault};
-use simcore::json::Json;
+use simcore::json::{Field, Json};
+use simcore::plan::Plan;
 use simcore::time::MS;
 use simcore::{SimRng, SimTime};
 use std::fmt;
@@ -57,12 +58,7 @@ impl HostOp {
 
     /// Inverse of [`HostOp::name`].
     pub fn from_name(name: &str) -> Option<HostOp> {
-        Some(match name {
-            "Crash" => HostOp::Crash,
-            "Drain" => HostOp::Drain,
-            "Degrade" => HostOp::Degrade,
-            _ => return None,
-        })
+        HOST_OPS.into_iter().find(|o| o.name() == name)
     }
 
     /// The trace-level failure kind, for ops that take the host down.
@@ -215,19 +211,7 @@ impl FleetChaosPlan {
     /// one op never perturbs the schedule of another — the same
     /// independence the per-host chaos plans have.
     pub fn generate(seed: u64, spec: &FleetChaosSpec) -> FleetChaosPlan {
-        let mut events: Vec<HostFault> = Vec::new();
-        for &op in &spec.ops {
-            let mut rng = SimRng::new(seed ^ 0xF1EE_7C05).fork(op_tag(op));
-            Self::plan_op(&mut rng, spec, op, &mut events);
-        }
-        // Stable sort: simultaneous faults keep op order, fixed by
-        // `spec.ops`.
-        events.sort_by_key(|e| e.at);
-        FleetChaosPlan {
-            seed,
-            events,
-            spec: spec.clone(),
-        }
+        Self::from_streams(seed, 0xF1EE_7C05, spec, &spec.ops, op_tag, Self::plan_op)
     }
 
     fn plan_op(rng: &mut SimRng, spec: &FleetChaosSpec, op: HostOp, out: &mut Vec<HostFault>) {
@@ -250,28 +234,6 @@ impl FleetChaosPlan {
             });
             t = t.saturating_add(rng.exp(spec.mean_gap_ns as f64).max(1.0) as u64);
         }
-    }
-
-    /// The spec the plan was generated against.
-    pub fn spec(&self) -> &FleetChaosSpec {
-        &self.spec
-    }
-
-    /// A plan with the same seed and spec but a different fault list.
-    /// The shrinker tests subsets with this; `events` must preserve the
-    /// original relative order (any subsequence does).
-    pub fn with_events(&self, events: Vec<HostFault>) -> FleetChaosPlan {
-        debug_assert!(events.windows(2).all(|w| w[0].at <= w[1].at));
-        FleetChaosPlan {
-            seed: self.seed,
-            events,
-            spec: self.spec.clone(),
-        }
-    }
-
-    /// The plan truncated to its first `k` faults.
-    pub fn prefix(&self, k: usize) -> FleetChaosPlan {
-        self.with_events(self.events[..k.min(self.events.len())].to_vec())
     }
 
     /// The crash/drain faults, in time order — what the cluster's run
@@ -341,124 +303,78 @@ impl FleetChaosPlan {
             }
         }
         events.sort_by_key(|e| e.at);
-        Some(FaultPlan::generate(self.seed, &cspec).with_events(events))
+        Some(FaultPlan::from_parts(self.seed, cspec, events))
+    }
+}
+
+/// The fleet chaos repro format (`suite --shrink-fleet` writes it);
+/// integers round-trip exactly.
+impl Plan for FleetChaosPlan {
+    type Spec = FleetChaosSpec;
+    type Event = HostFault;
+
+    fn parts(&self) -> (u64, &FleetChaosSpec, &[HostFault]) {
+        (self.seed, &self.spec, &self.events)
+    }
+    fn from_parts(seed: u64, spec: FleetChaosSpec, events: Vec<HostFault>) -> Self {
+        FleetChaosPlan { seed, events, spec }
+    }
+    fn at(event: &HostFault) -> SimTime {
+        event.at
     }
 
-    /// Serializes the plan — spec, seed, fault list — as JSON. This is
-    /// the fleet chaos repro format (`suite --shrink` writes it for
-    /// fleet laws); integers round-trip exactly.
-    pub fn to_json(&self) -> String {
-        let spec = &self.spec;
-        let events = self
-            .events
-            .iter()
-            .map(|e| {
-                Json::obj([
-                    ("at_ns", Json::Uint(e.at.ns())),
-                    ("host", Json::Uint(e.host as u64)),
-                    ("op", e.op.name().into()),
-                    ("down_ns", Json::Uint(e.down_ns)),
-                ])
-            })
-            .collect::<Vec<_>>();
+    fn spec_to_json(spec: &FleetChaosSpec) -> Json {
+        let ops = spec.ops.iter().map(|o| o.name().into()).collect();
         Json::obj([
-            ("seed", Json::Uint(self.seed)),
-            (
-                "spec",
-                Json::obj([
-                    ("hosts", Json::Uint(spec.hosts as u64)),
-                    ("start_ns", Json::Uint(spec.start.ns())),
-                    ("horizon_ns", Json::Uint(spec.horizon_ns)),
-                    ("mean_gap_ns", Json::Uint(spec.mean_gap_ns)),
-                    ("min_down_ns", Json::Uint(spec.min_down_ns)),
-                    ("max_down_ns", Json::Uint(spec.max_down_ns)),
-                    (
-                        "ops",
-                        Json::Arr(spec.ops.iter().map(|o| o.name().into()).collect()),
-                    ),
-                ]),
-            ),
-            ("events", Json::Arr(events)),
+            ("hosts", Json::Uint(spec.hosts as u64)),
+            ("start_ns", Json::Uint(spec.start.ns())),
+            ("horizon_ns", Json::Uint(spec.horizon_ns)),
+            ("mean_gap_ns", Json::Uint(spec.mean_gap_ns)),
+            ("min_down_ns", Json::Uint(spec.min_down_ns)),
+            ("max_down_ns", Json::Uint(spec.max_down_ns)),
+            ("ops", Json::Arr(ops)),
         ])
-        .render()
     }
 
-    /// Parses a plan previously written by [`FleetChaosPlan::to_json`].
-    pub fn from_json(text: &str) -> Result<FleetChaosPlan, String> {
-        let doc = Json::parse(text).map_err(|e| e.to_string())?;
-        let need =
-            |v: Option<&Json>, what: &str| v.cloned().ok_or_else(|| format!("missing {what}"));
-        let u = |v: &Json, what: &str| v.as_u64().ok_or_else(|| format!("{what} not a u64"));
-        let op_of = |v: &Json| -> Result<HostOp, String> {
-            let name = v.as_str().ok_or("op not a string")?;
-            HostOp::from_name(name).ok_or_else(|| format!("unknown host op '{name}'"))
-        };
-
-        let sj = need(doc.get("spec"), "spec")?;
-        let spec = FleetChaosSpec {
-            hosts: u(&need(sj.get("hosts"), "spec.hosts")?, "spec.hosts")? as u16,
-            start: SimTime::from_ns(u(&need(sj.get("start_ns"), "spec.start_ns")?, "start_ns")?),
-            horizon_ns: u(
-                &need(sj.get("horizon_ns"), "spec.horizon_ns")?,
-                "horizon_ns",
-            )?,
-            mean_gap_ns: u(
-                &need(sj.get("mean_gap_ns"), "spec.mean_gap_ns")?,
-                "mean_gap_ns",
-            )?,
-            min_down_ns: u(
-                &need(sj.get("min_down_ns"), "spec.min_down_ns")?,
-                "min_down_ns",
-            )?,
-            max_down_ns: u(
-                &need(sj.get("max_down_ns"), "spec.max_down_ns")?,
-                "max_down_ns",
-            )?,
-            ops: need(sj.get("ops"), "spec.ops")?
-                .as_arr()
-                .ok_or("spec.ops not an array")?
-                .iter()
-                .map(op_of)
+    fn spec_from_json(f: &Field) -> Result<FleetChaosSpec, String> {
+        Ok(FleetChaosSpec {
+            hosts: f.get("hosts")?.int()?,
+            start: f.get("start_ns")?.time()?,
+            horizon_ns: f.get("horizon_ns")?.u64()?,
+            mean_gap_ns: f.get("mean_gap_ns")?.u64()?,
+            min_down_ns: f.get("min_down_ns")?.u64()?,
+            max_down_ns: f.get("max_down_ns")?.u64()?,
+            ops: (f.get("ops")?.arr()?.iter())
+                .map(|o| o.name(HostOp::from_name))
                 .collect::<Result<_, _>>()?,
-        };
-        let mut events = Vec::new();
-        for ej in need(doc.get("events"), "events")?
-            .as_arr()
-            .ok_or("events not an array")?
-        {
-            let host = u(&need(ej.get("host"), "event.host")?, "host")? as u16;
-            if host >= spec.hosts {
-                return Err(format!(
-                    "event host {host} out of range (spec.hosts {})",
-                    spec.hosts
-                ));
-            }
-            events.push(HostFault {
-                at: SimTime::from_ns(u(&need(ej.get("at_ns"), "event.at_ns")?, "at_ns")?),
-                host,
-                op: op_of(&need(ej.get("op"), "event.op")?)?,
-                down_ns: u(&need(ej.get("down_ns"), "event.down_ns")?, "down_ns")?,
-            });
-        }
-        if !events.windows(2).all(|w| w[0].at <= w[1].at) {
-            return Err("events not sorted by at_ns".into());
-        }
-        Ok(FleetChaosPlan {
-            seed: u(&need(doc.get("seed"), "seed")?, "seed")?,
-            events,
-            spec,
         })
     }
 
-    /// Stable one-line-per-fault rendering; determinism gates compare
-    /// this byte-for-byte across runs and processes.
-    pub fn describe(&self) -> String {
-        let mut s = String::new();
-        for e in &self.events {
-            s.push_str(&e.to_string());
-            s.push('\n');
+    fn event_to_json(e: &HostFault) -> Json {
+        Json::obj([
+            ("at_ns", Json::Uint(e.at.ns())),
+            ("host", Json::Uint(e.host as u64)),
+            ("op", e.op.name().into()),
+            ("down_ns", Json::Uint(e.down_ns)),
+        ])
+    }
+
+    fn event_from_json(spec: &FleetChaosSpec, f: &Field) -> Result<HostFault, String> {
+        let host = f.get("host")?;
+        let h: u16 = host.int()?;
+        if h >= spec.hosts {
+            let path = host.path();
+            return Err(format!(
+                "{path} {h} out of range (spec.hosts {})",
+                spec.hosts
+            ));
         }
-        s
+        Ok(HostFault {
+            at: f.get("at_ns")?.time()?,
+            host: h,
+            op: f.get("op")?.name(HostOp::from_name)?,
+            down_ns: f.get("down_ns")?.u64()?,
+        })
     }
 }
 

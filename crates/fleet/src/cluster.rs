@@ -3,7 +3,7 @@
 //! A [`Cluster`] owns N `hostsim::Machine`s plus a compiled churn
 //! schedule and replays it deterministically: hosts advance in lockstep
 //! on the shared virtual clock (each `Machine` keeps its own event queue,
-//! stepped to a common barrier via [`hostsim::Machine::step_until`]), and
+//! stepped to a common barrier via [`hostsim::Machine::run_until`]), and
 //! every placement decision is emitted into a fleet-scoped trace
 //! collector whose invariant checker enforces the overcommit cap and
 //! single-placement laws independently of the cluster's own bookkeeping.
@@ -128,7 +128,7 @@ impl HostSim {
             }
             return;
         }
-        self.m.step_until(until);
+        self.m.run_until(until);
         if let Some(now_ns) = sample_now_ns {
             // Δ active-ns across all of the host's vCPUs over
             // `threads × window`.

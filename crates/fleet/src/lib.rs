@@ -7,7 +7,7 @@
 //! This crate layers that on the existing stack:
 //!
 //! * [`cluster`] — a [`Cluster`] owning N [`hostsim::Machine`]s stepped in
-//!   lockstep on the virtual clock ([`hostsim::Machine::step_until`]),
+//!   lockstep on the virtual clock ([`hostsim::Machine::run_until`]),
 //!   sharded across a scoped worker pool with a join barrier at every
 //!   epoch and placement event ([`threads`] resolves the worker count;
 //!   output is byte-identical at any count).

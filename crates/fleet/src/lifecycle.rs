@@ -7,7 +7,7 @@
 //! pure function of `(spec, seed)`.
 
 use crate::trace_format::FleetTrace;
-use simcore::json::Json;
+use simcore::json::{Field, Json};
 use simcore::time::MS;
 use simcore::{SimRng, SimTime};
 use std::collections::BinaryHeap;
@@ -205,22 +205,12 @@ impl FleetSpec {
     /// Parses a spec previously written by [`FleetSpec::to_json`].
     pub fn from_json(text: &str) -> Result<FleetSpec, String> {
         let doc = Json::parse(text).map_err(|e| e.to_string())?;
-        let need =
-            |v: Option<&Json>, what: &str| v.cloned().ok_or_else(|| format!("missing {what}"));
-        let u = |v: &Json, what: &str| v.as_u64().ok_or_else(|| format!("{what} not a u64"));
-        let field =
-            |what: &'static str| -> Result<u64, String> { u(&need(doc.get(what), what)?, what) };
-        let mut size_mix = Vec::new();
-        for entry in need(doc.get("size_mix"), "size_mix")?
-            .as_arr()
-            .ok_or("size_mix not an array")?
-        {
-            let v = u(&need(entry.get("vcpus"), "size_mix.vcpus")?, "vcpus")? as usize;
-            let w = u(&need(entry.get("weight"), "size_mix.weight")?, "weight")?;
-            size_mix.push((v, w));
-        }
+        let f = Field::root(&doc);
+        let size_mix = (f.get("size_mix")?.arr()?.iter())
+            .map(|e| Ok((e.get("vcpus")?.int()?, e.get("weight")?.u64()?)))
+            .collect::<Result<_, String>>()?;
         // Absent churn means the PR 5 spec shape: stochastic generation.
-        let churn = match doc.get("churn") {
+        let churn = match f.opt("churn").map(|c| c.json()) {
             None => ChurnModel::Stochastic,
             Some(Json::Str(s)) if s == "stochastic" => ChurnModel::Stochastic,
             Some(Json::Str(s)) => return Err(format!("churn: unknown model {s:?}")),
@@ -228,26 +218,21 @@ impl FleetSpec {
                 FleetTrace::from_json_value(v).map_err(|e| format!("churn trace: {e}"))?,
             ),
         };
-        let slo_p99_ns = field("slo_p99_ns")?;
+        let slo_p99_ns = f.get("slo_p99_ns")?.u64()?;
         // Absent tier keys mean the PR 5 spec shape: derive them from the
         // fleet-wide SLO so old spec files keep parsing.
         let derived = derived_tier_slo(slo_p99_ns);
-        let tier = |key: &'static str, dflt: u64| -> Result<u64, String> {
-            match doc.get(key) {
-                None => Ok(dflt),
-                Some(v) => u(v, key),
-            }
-        };
+        let tier = |key, dflt| f.opt(key).map_or(Ok(dflt), |v| v.u64());
         let spec = FleetSpec {
-            hosts: field("hosts")? as usize,
-            threads_per_host: field("threads_per_host")? as usize,
-            overcommit_cap: field("overcommit_cap")?,
-            arrival_mean_ns: field("arrival_mean_ns")?,
-            lifetime_mean_ns: field("lifetime_mean_ns")?,
-            lifetime_max_ns: field("lifetime_max_ns")?,
+            hosts: f.get("hosts")?.int()?,
+            threads_per_host: f.get("threads_per_host")?.int()?,
+            overcommit_cap: f.get("overcommit_cap")?.u64()?,
+            arrival_mean_ns: f.get("arrival_mean_ns")?.u64()?,
+            lifetime_mean_ns: f.get("lifetime_mean_ns")?.u64()?,
+            lifetime_max_ns: f.get("lifetime_max_ns")?.u64()?,
             size_mix,
-            max_live_vms: field("max_live_vms")? as usize,
-            horizon_ns: field("horizon_ns")?,
+            max_live_vms: f.get("max_live_vms")?.int()?,
+            horizon_ns: f.get("horizon_ns")?.u64()?,
             slo_p99_ns,
             tier_slo_p99_ns: [
                 tier("slo_crit_p99_ns", derived[0])?,

@@ -16,8 +16,7 @@
 //! function of the trace and `decode(encode(t)) == t` exactly.
 
 use crate::lifecycle::{LifecycleEvent, VmOp};
-use simcore::json::Json;
-use simcore::SimTime;
+use simcore::json::{Field, Json};
 use std::collections::BTreeSet;
 use std::fmt;
 use trace::PriorityClass;
@@ -93,39 +92,45 @@ fn record_json(e: &LifecycleEvent) -> Json {
     }
 }
 
-fn parse_record(doc: &Json, line: usize) -> Result<LifecycleEvent, TraceError> {
-    let u = |key: &str| -> Result<u64, TraceError> {
-        match doc.get(key).and_then(|v| v.as_u64()) {
-            Some(n) => Ok(n),
-            None => err(line, format!("record field {key:?} missing or not a u64")),
-        }
-    };
-    let at = SimTime::from_ns(u("at")?);
-    let op = match doc.get("op").and_then(|v| v.as_str()) {
-        Some("arrive") => {
-            let prio_name = match doc.get("prio").and_then(|v| v.as_str()) {
-                Some(s) => s,
-                None => return err(line, "arrive record missing string field \"prio\""),
-            };
-            let prio = match PriorityClass::from_name(prio_name) {
-                Some(p) => p,
-                None => return err(line, format!("unknown priority class {prio_name:?}")),
-            };
-            VmOp::Arrive {
-                uid: u("uid")? as u32,
-                vcpus: u("vcpus")? as usize,
-                prio,
-            }
-        }
-        Some("depart") => VmOp::Depart {
-            uid: u("uid")? as u32,
+/// Tags a decode error with the line it was found on.
+fn on_line(line: usize) -> impl Fn(String) -> TraceError {
+    move |msg| TraceError { line, msg }
+}
+
+/// Checks the format tag and version, then reads the provenance a header
+/// line and an embedded trace share, into a trace with no events yet.
+fn parse_provenance(f: &Field) -> Result<FleetTrace, String> {
+    match f.get("format")?.str()? {
+        FORMAT_TAG => {}
+        other => return Err(format!("format {other:?} is not {FORMAT_TAG:?}")),
+    }
+    match f.get("version")?.u64()? {
+        FORMAT_VERSION => {}
+        v => return Err(format!("unsupported version {v} (want {FORMAT_VERSION})")),
+    }
+    Ok(FleetTrace {
+        profile: f.get("profile")?.str()?.to_string(),
+        day_seed: f.get("day_seed")?.u64()?,
+        horizon_ns: f.get("horizon_ns")?.u64()?,
+        events: Vec::new(),
+    })
+}
+
+fn parse_record(rec: &Field) -> Result<LifecycleEvent, String> {
+    let at = rec.get("at")?.time()?;
+    let uid = || rec.get("uid")?.int();
+    let op = match rec.get("op")?.str()? {
+        "arrive" => VmOp::Arrive {
+            uid: uid()?,
+            vcpus: rec.get("vcpus")?.int()?,
+            prio: rec.get("prio")?.name(PriorityClass::from_name)?,
         },
-        Some("resize") => VmOp::Resize {
-            uid: u("uid")? as u32,
-            quota_pct: u("quota_pct")? as u8,
+        "depart" => VmOp::Depart { uid: uid()? },
+        "resize" => VmOp::Resize {
+            uid: uid()?,
+            quota_pct: rec.get("quota_pct")?.int()?,
         },
-        Some(other) => return err(line, format!("unknown op {other:?}")),
-        None => return err(line, "record missing string field \"op\""),
+        other => return Err(format!("unknown op {other:?}")),
     };
     Ok(LifecycleEvent { at, op })
 }
@@ -166,33 +171,14 @@ impl FleetTrace {
             line: 1,
             msg: format!("header is not valid JSON: {e}"),
         })?;
-        match header.get("format").and_then(|v| v.as_str()) {
-            Some(FORMAT_TAG) => {}
-            Some(other) => return err(1, format!("format {other:?} is not {FORMAT_TAG:?}")),
-            None => return err(1, "header missing string field \"format\""),
-        }
-        match header.get("version").and_then(|v| v.as_u64()) {
-            Some(FORMAT_VERSION) => {}
-            Some(v) => {
-                return err(
-                    1,
-                    format!("unsupported version {v} (want {FORMAT_VERSION})"),
-                )
-            }
-            None => return err(1, "header missing u64 field \"version\""),
-        }
-        let hu = |key: &str| -> Result<u64, TraceError> {
-            match header.get(key).and_then(|v| v.as_u64()) {
-                Some(n) => Ok(n),
-                None => err(1, format!("header missing u64 field {key:?}")),
-            }
-        };
-        let profile = match header.get("profile").and_then(|v| v.as_str()) {
-            Some(s) => s.to_string(),
-            None => return err(1, "header missing string field \"profile\""),
-        };
-        let declared = hu("records")? as usize;
-        let mut events = Vec::with_capacity(declared);
+        let header = Field::root(&header);
+        let mut trace = parse_provenance(&header).map_err(on_line(1))?;
+        // Records are collected as lines arrive: the declared count is
+        // outside input, checked against the body, never allocated for.
+        let declared = header
+            .get("records")
+            .and_then(|f| f.u64())
+            .map_err(on_line(1))?;
         for (idx, line) in lines {
             let lineno = idx + 1;
             if line.trim().is_empty() {
@@ -202,23 +188,14 @@ impl FleetTrace {
                 line: lineno,
                 msg: format!("record is not valid JSON: {e}"),
             })?;
-            events.push(parse_record(&doc, lineno)?);
+            let record = parse_record(&Field::root(&doc)).map_err(on_line(lineno))?;
+            trace.events.push(record);
         }
-        if events.len() != declared {
-            return err(
-                0,
-                format!(
-                    "header declares {declared} records but body has {}",
-                    events.len()
-                ),
-            );
+        let body = trace.events.len();
+        if body as u64 != declared {
+            let msg = format!("header declares {declared} records but body has {body}");
+            return err(1, msg);
         }
-        let trace = FleetTrace {
-            profile,
-            day_seed: hu("day_seed")?,
-            horizon_ns: hu("horizon_ns")?,
-            events,
-        };
         trace.validate()?;
         Ok(trace)
     }
@@ -303,40 +280,17 @@ impl FleetTrace {
     /// Inverse of [`FleetTrace::to_json_value`]. Errors use record index
     /// (not line) positions since there is no line structure here.
     pub fn from_json_value(doc: &Json) -> Result<FleetTrace, TraceError> {
-        match doc.get("format").and_then(|v| v.as_str()) {
-            Some(FORMAT_TAG) => {}
-            _ => return err(0, format!("embedded trace missing format {FORMAT_TAG:?}")),
-        }
-        match doc.get("version").and_then(|v| v.as_u64()) {
-            Some(FORMAT_VERSION) => {}
-            v => return err(0, format!("embedded trace version {v:?} unsupported")),
-        }
-        let u = |key: &str| -> Result<u64, TraceError> {
-            match doc.get(key).and_then(|v| v.as_u64()) {
-                Some(n) => Ok(n),
-                None => err(0, format!("embedded trace missing u64 field {key:?}")),
-            }
-        };
-        let profile = match doc.get("profile").and_then(|v| v.as_str()) {
-            Some(s) => s.to_string(),
-            None => return err(0, "embedded trace missing string field \"profile\""),
-        };
-        let records = match doc.get("events").and_then(|v| v.as_arr()) {
-            Some(arr) => arr,
-            None => return err(0, "embedded trace missing array field \"events\""),
-        };
-        let mut events = Vec::with_capacity(records.len());
-        for (i, rec) in records.iter().enumerate() {
-            // Reuse the line-oriented parser; report positions as if the
-            // value were encoded (record i on line i + 2).
-            events.push(parse_record(rec, i + 2)?);
-        }
-        let trace = FleetTrace {
-            profile,
-            day_seed: u("day_seed")?,
-            horizon_ns: u("horizon_ns")?,
-            events,
-        };
+        let doc = Field::root(doc);
+        let mut trace = parse_provenance(&doc).map_err(on_line(0))?;
+        // Report record positions as if the value were encoded (record i
+        // on line i + 2).
+        let records = doc
+            .get("events")
+            .and_then(|f| f.arr())
+            .map_err(on_line(0))?;
+        trace.events = (records.iter().enumerate())
+            .map(|(i, rec)| parse_record(rec).map_err(on_line(i + 2)))
+            .collect::<Result<_, _>>()?;
         trace.validate()?;
         Ok(trace)
     }
@@ -345,6 +299,7 @@ impl FleetTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcore::SimTime;
 
     fn sample() -> FleetTrace {
         FleetTrace {

@@ -986,11 +986,6 @@ impl GuestOs {
         self.hooks.take()
     }
 
-    /// Whether hooks are installed.
-    pub fn has_hooks(&self) -> bool {
-        self.hooks.is_some()
-    }
-
     /// Mutable access to the installed hooks (for reading statistics back).
     pub fn hooks_mut(&mut self) -> Option<&mut (dyn SchedHooks + 'static)> {
         match self.hooks.as_mut() {

@@ -19,14 +19,15 @@
 //! host in its nominal configuration once the last reversal fires.
 
 use crate::machine::{Machine, ScriptAction};
-use simcore::json::Json;
+use simcore::json::{Field, Json};
+use simcore::plan::Plan;
 use simcore::time::MS;
 use simcore::{SimRng, SimTime};
 use std::fmt;
 use trace::FaultClass;
 
 /// Which VM / host surface a plan may touch.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChaosSpec {
     /// VM index the vCPU-level faults target.
     pub vm: usize,
@@ -140,43 +141,19 @@ pub struct FaultPlan {
     spec: ChaosSpec,
 }
 
-// PartialEq on ChaosSpec is structural; derive would need it on SimTime
-// (present) — implement manually to keep the field list explicit.
-impl PartialEq for ChaosSpec {
-    fn eq(&self, other: &Self) -> bool {
-        self.vm == other.vm
-            && self.nr_vcpus == other.nr_vcpus
-            && self.threads == other.threads
-            && self.cores == other.cores
-            && self.classes == other.classes
-            && self.start == other.start
-            && self.horizon_ns == other.horizon_ns
-            && self.mean_interval_ns == other.mean_interval_ns
-    }
-}
-
 impl FaultPlan {
     /// Generates the plan. Each enabled class draws from its own forked
     /// RNG stream, so enabling or disabling one class never perturbs the
     /// schedule of another.
     pub fn generate(seed: u64, spec: &ChaosSpec) -> FaultPlan {
-        let mut events: Vec<InjectedFault> = Vec::new();
-        for &class in &spec.classes {
-            // Each class gets a stream derived only from `(seed, class)` —
-            // not from its position in `classes` or the other enabled
-            // classes — so filtering classes never perturbs the streams of
-            // the ones that remain.
-            let mut rng = SimRng::new(seed ^ 0xC4A0_5F00).fork(class_tag(class));
-            Self::plan_class(&mut rng, spec, class, &mut events);
-        }
-        // Stable sort: simultaneous faults keep class-order, which is
-        // fixed by `spec.classes`.
-        events.sort_by_key(|e| e.at);
-        FaultPlan {
+        Self::from_streams(
             seed,
-            events,
-            spec: spec.clone(),
-        }
+            0xC4A0_5F00,
+            spec,
+            &spec.classes,
+            class_tag,
+            Self::plan_class,
+        )
     }
 
     fn plan_class(
@@ -224,30 +201,6 @@ impl FaultPlan {
             });
             t = t.saturating_add(rng.exp(spec.mean_interval_ns as f64).max(1.0) as u64);
         }
-    }
-
-    /// The spec the plan was generated against.
-    pub fn spec(&self) -> &ChaosSpec {
-        &self.spec
-    }
-
-    /// A plan with the same seed and spec but a different action list.
-    /// The shrinker uses this to test subsets; `events` must preserve the
-    /// original relative order (any subsequence does), so the result stays
-    /// sorted and replays deterministically.
-    pub fn with_events(&self, events: Vec<InjectedFault>) -> FaultPlan {
-        debug_assert!(events.windows(2).all(|w| w[0].at <= w[1].at));
-        FaultPlan {
-            seed: self.seed,
-            events,
-            spec: self.spec.clone(),
-        }
-    }
-
-    /// The plan truncated to its first `k` actions (reversals of those
-    /// actions are still scheduled by [`FaultPlan::apply`]).
-    pub fn prefix(&self, k: usize) -> FaultPlan {
-        self.with_events(self.events[..k.min(self.events.len())].to_vec())
     }
 
     /// Schedules every planned fault (and its reversal) onto a machine.
@@ -341,124 +294,75 @@ impl FaultPlan {
             }
         }
     }
+}
 
-    /// Serializes the full plan — spec, seed, and action list — as JSON.
-    /// This is the chaos-repro file format (`suite --shrink` writes it,
-    /// `suite --replay` reads it back); integers round-trip exactly.
-    pub fn to_json(&self) -> String {
-        let spec = &self.spec;
-        let uints = |v: &[usize]| Json::Arr(v.iter().map(|&x| Json::Uint(x as u64)).collect());
-        let events = self
-            .events
-            .iter()
-            .map(|e| {
-                Json::obj([
-                    ("at_ns", Json::Uint(e.at.ns())),
-                    ("class", e.class.name().into()),
-                    ("vcpu", Json::Uint(e.vcpu as u64)),
-                    ("duration_ns", Json::Uint(e.duration_ns)),
-                    ("magnitude", Json::Uint(e.magnitude)),
-                ])
-            })
-            .collect::<Vec<_>>();
-        Json::obj([
-            ("seed", Json::Uint(self.seed)),
-            (
-                "spec",
-                Json::obj([
-                    ("vm", Json::Uint(spec.vm as u64)),
-                    ("nr_vcpus", Json::Uint(spec.nr_vcpus as u64)),
-                    ("threads", uints(&spec.threads)),
-                    ("cores", uints(&spec.cores)),
-                    (
-                        "classes",
-                        Json::Arr(spec.classes.iter().map(|c| c.name().into()).collect()),
-                    ),
-                    ("start_ns", Json::Uint(spec.start.ns())),
-                    ("horizon_ns", Json::Uint(spec.horizon_ns)),
-                    ("mean_interval_ns", Json::Uint(spec.mean_interval_ns)),
-                ]),
-            ),
-            ("events", Json::Arr(events)),
-        ])
-        .render()
+/// The chaos-repro file format (`suite --shrink` writes it, `suite
+/// --replay` reads it back); integers round-trip exactly.
+impl Plan for FaultPlan {
+    type Spec = ChaosSpec;
+    type Event = InjectedFault;
+
+    fn parts(&self) -> (u64, &ChaosSpec, &[InjectedFault]) {
+        (self.seed, &self.spec, &self.events)
+    }
+    fn from_parts(seed: u64, spec: ChaosSpec, events: Vec<InjectedFault>) -> Self {
+        FaultPlan { seed, events, spec }
+    }
+    fn at(event: &InjectedFault) -> SimTime {
+        event.at
     }
 
-    /// Parses a plan previously written by [`FaultPlan::to_json`].
-    pub fn from_json(text: &str) -> Result<FaultPlan, String> {
-        let doc = Json::parse(text).map_err(|e| e.to_string())?;
-        let need =
-            |v: Option<&Json>, what: &str| v.cloned().ok_or_else(|| format!("missing {what}"));
-        let u = |v: &Json, what: &str| v.as_u64().ok_or_else(|| format!("{what} not a u64"));
-        let usizes = |v: &Json, what: &str| -> Result<Vec<usize>, String> {
-            v.as_arr()
-                .ok_or_else(|| format!("{what} not an array"))?
-                .iter()
-                .map(|x| u(x, what).map(|n| n as usize))
-                .collect()
-        };
-        let class_of = |v: &Json| -> Result<FaultClass, String> {
-            let name = v.as_str().ok_or("class not a string")?;
-            FaultClass::from_name(name).ok_or_else(|| format!("unknown fault class '{name}'"))
-        };
+    fn spec_to_json(spec: &ChaosSpec) -> Json {
+        let uints = |v: &[usize]| Json::Arr(v.iter().map(|&x| Json::Uint(x as u64)).collect());
+        let classes = spec.classes.iter().map(|c| c.name().into()).collect();
+        Json::obj([
+            ("vm", Json::Uint(spec.vm as u64)),
+            ("nr_vcpus", Json::Uint(spec.nr_vcpus as u64)),
+            ("threads", uints(&spec.threads)),
+            ("cores", uints(&spec.cores)),
+            ("classes", Json::Arr(classes)),
+            ("start_ns", Json::Uint(spec.start.ns())),
+            ("horizon_ns", Json::Uint(spec.horizon_ns)),
+            ("mean_interval_ns", Json::Uint(spec.mean_interval_ns)),
+        ])
+    }
 
-        let sj = need(doc.get("spec"), "spec")?;
-        let spec = ChaosSpec {
-            vm: u(&need(sj.get("vm"), "spec.vm")?, "spec.vm")? as usize,
-            nr_vcpus: u(&need(sj.get("nr_vcpus"), "spec.nr_vcpus")?, "spec.nr_vcpus")? as usize,
-            threads: usizes(&need(sj.get("threads"), "spec.threads")?, "spec.threads")?,
-            cores: usizes(&need(sj.get("cores"), "spec.cores")?, "spec.cores")?,
-            classes: need(sj.get("classes"), "spec.classes")?
-                .as_arr()
-                .ok_or("spec.classes not an array")?
-                .iter()
-                .map(class_of)
-                .collect::<Result<_, _>>()?,
-            start: SimTime::from_ns(u(&need(sj.get("start_ns"), "spec.start_ns")?, "start_ns")?),
-            horizon_ns: u(
-                &need(sj.get("horizon_ns"), "spec.horizon_ns")?,
-                "horizon_ns",
-            )?,
-            mean_interval_ns: u(
-                &need(sj.get("mean_interval_ns"), "spec.mean_interval_ns")?,
-                "mean_interval_ns",
-            )?,
+    fn spec_from_json(f: &Field) -> Result<ChaosSpec, String> {
+        let usizes = |key| -> Result<Vec<usize>, String> {
+            f.get(key)?.arr()?.iter().map(Field::int).collect()
         };
-        let mut events = Vec::new();
-        for ej in need(doc.get("events"), "events")?
-            .as_arr()
-            .ok_or("events not an array")?
-        {
-            events.push(InjectedFault {
-                at: SimTime::from_ns(u(&need(ej.get("at_ns"), "event.at_ns")?, "at_ns")?),
-                class: class_of(&need(ej.get("class"), "event.class")?)?,
-                vcpu: u(&need(ej.get("vcpu"), "event.vcpu")?, "vcpu")? as usize,
-                duration_ns: u(
-                    &need(ej.get("duration_ns"), "event.duration_ns")?,
-                    "duration_ns",
-                )?,
-                magnitude: u(&need(ej.get("magnitude"), "event.magnitude")?, "magnitude")?,
-            });
-        }
-        if !events.windows(2).all(|w| w[0].at <= w[1].at) {
-            return Err("events not sorted by at_ns".into());
-        }
-        Ok(FaultPlan {
-            seed: u(&need(doc.get("seed"), "seed")?, "seed")?,
-            events,
-            spec,
+        Ok(ChaosSpec {
+            vm: f.get("vm")?.int()?,
+            nr_vcpus: f.get("nr_vcpus")?.int()?,
+            threads: usizes("threads")?,
+            cores: usizes("cores")?,
+            classes: (f.get("classes")?.arr()?.iter())
+                .map(|c| c.name(FaultClass::from_name))
+                .collect::<Result<_, _>>()?,
+            start: f.get("start_ns")?.time()?,
+            horizon_ns: f.get("horizon_ns")?.u64()?,
+            mean_interval_ns: f.get("mean_interval_ns")?.u64()?,
         })
     }
 
-    /// Stable one-line-per-fault rendering; determinism gates compare this
-    /// byte-for-byte across runs and processes.
-    pub fn describe(&self) -> String {
-        let mut s = String::new();
-        for e in &self.events {
-            s.push_str(&e.to_string());
-            s.push('\n');
-        }
-        s
+    fn event_to_json(e: &InjectedFault) -> Json {
+        Json::obj([
+            ("at_ns", Json::Uint(e.at.ns())),
+            ("class", e.class.name().into()),
+            ("vcpu", Json::Uint(e.vcpu as u64)),
+            ("duration_ns", Json::Uint(e.duration_ns)),
+            ("magnitude", Json::Uint(e.magnitude)),
+        ])
+    }
+
+    fn event_from_json(_: &ChaosSpec, f: &Field) -> Result<InjectedFault, String> {
+        Ok(InjectedFault {
+            at: f.get("at_ns")?.time()?,
+            class: f.get("class")?.name(FaultClass::from_name)?,
+            vcpu: f.get("vcpu")?.int()?,
+            duration_ns: f.get("duration_ns")?.u64()?,
+            magnitude: f.get("magnitude")?.u64()?,
+        })
     }
 }
 

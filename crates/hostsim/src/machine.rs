@@ -76,7 +76,6 @@ impl Bandwidth {
 
 /// An in-flight guest-task execution on a vCPU.
 struct RunCtx {
-    task: TaskId,
     target: f64,
     factor: f64,
     cache_penalty: f64,
@@ -627,11 +626,6 @@ impl Machine {
         Ok(())
     }
 
-    /// The host scheduling policy in force.
-    pub fn host_sched(&self) -> &HostSched {
-        &self.sched
-    }
-
     /// Appends a scripted action at an absolute time. Before
     /// [`Machine::start`] the entry joins the start-time sweep; after
     /// start (fleet chaos injecting mid-run degradation) it is posted to
@@ -684,11 +678,6 @@ impl Machine {
     /// Global vCPU index of a guest-local vCPU.
     pub fn gv(&self, vm: usize, vcpu: usize) -> GVcpu {
         self.vms[vm].gvcpu_base + vcpu
-    }
-
-    /// The guest task currently accruing work on a vCPU, if any.
-    pub fn running_task(&self, gv: GVcpu) -> Option<TaskId> {
-        self.vcpus[gv].run.as_ref().map(|r| r.task)
     }
 
     /// Total weight of live host loads pinned to a thread.
@@ -1577,23 +1566,10 @@ impl Machine {
     }
 
     /// Runs the simulation until `until` (inclusive), settling accounting
-    /// at the end.
-    pub fn run_until(&mut self, until: SimTime) {
-        self.q.post(until, Ev::End);
-        self.finished = false;
-        while !self.finished {
-            let Some((_, ev)) = self.q.pop() else { break };
-            self.events_dispatched += 1;
-            self.dispatch(ev);
-        }
-        self.settle_all();
-    }
-
-    /// Lockstep re-entry point for multi-machine stepping: advances this
-    /// machine to `until` exactly like [`Machine::run_until`]. A fleet
-    /// `Cluster` calls this on every host per epoch; machines share no
-    /// state, so stepping them in *any* order — or from different worker
-    /// threads — is deterministic.
+    /// at the end. This is also the lockstep re-entry point for
+    /// multi-machine stepping: a fleet `Cluster` calls it on every host per
+    /// epoch; machines share no state, so stepping them in *any* order —
+    /// or from different worker threads — is deterministic.
     ///
     /// A `Machine` is deliberately **not** `Send`: its trace plumbing and
     /// workload handles are `Rc`-based so the single-host emit path stays
@@ -1604,8 +1580,15 @@ impl Machine {
     /// edge between successive owners. `fleet`'s stepping pool enforces
     /// that by claiming stable host indices under a mutex and joining
     /// every worker before any cross-host state is touched.
-    pub fn step_until(&mut self, until: SimTime) {
-        self.run_until(until);
+    pub fn run_until(&mut self, until: SimTime) {
+        self.q.post(until, Ev::End);
+        self.finished = false;
+        while !self.finished {
+            let Some((_, ev)) = self.q.pop() else { break };
+            self.events_dispatched += 1;
+            self.dispatch(ev);
+        }
+        self.settle_all();
     }
 
     /// Starts the workload of one VM. [`Machine::start`] does this for
@@ -2021,11 +2004,10 @@ impl Platform for Ctx<'_> {
         self.m.halt_vcpu(gv);
     }
 
-    fn run_task(&mut self, v: VcpuId, t: TaskId, remaining: f64, factor: f64, cache_penalty: f64) {
+    fn run_task(&mut self, v: VcpuId, _t: TaskId, remaining: f64, factor: f64, cache_penalty: f64) {
         let gv = self.gv(v);
         let now = self.m.q.now();
         self.m.vcpus[gv].run = Some(RunCtx {
-            task: t,
             target: remaining,
             factor,
             cache_penalty,

@@ -9,6 +9,7 @@
 //! the last possible reversal, and compares the machine against its
 //! nominal configuration field by field.
 
+use simcore::plan::Plan;
 use simcore::time::MS;
 use simcore::{propcheck, SimTime};
 use trace::FaultClass;

@@ -14,7 +14,11 @@
 //! integers, floats, booleans, null. Not supported (rejected on parse):
 //! duplicate-key detection, full surrogate-pair decoding (lone `\uXXXX`
 //! escapes map to the replacement character outside the BMP pair path).
+//!
+//! Decoders read fixed schemas through [`Field`], which carries the dotted
+//! path from the document root so every error names the bad field.
 
+use crate::SimTime;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -116,6 +120,100 @@ impl From<bool> for Json {
 impl From<Vec<Json>> for Json {
     fn from(v: Vec<Json>) -> Json {
         Json::Arr(v)
+    }
+}
+
+/// A value inside a parsed document, with its dotted path from the root
+/// (`spec.threads[2]`). Every read is checked, and every error names the
+/// path: `missing events[3].vcpu`, `spec.hosts 70000 out of range for u16`.
+#[derive(Debug, Clone)]
+pub struct Field<'a> {
+    json: &'a Json,
+    path: String,
+}
+
+impl<'a> Field<'a> {
+    /// The document root; its members' paths are their bare keys.
+    pub fn root(json: &'a Json) -> Field<'a> {
+        Field {
+            json,
+            path: String::new(),
+        }
+    }
+
+    /// The raw value.
+    pub fn json(&self) -> &'a Json {
+        self.json
+    }
+
+    /// The dotted path from the root.
+    pub fn path(&self) -> &str {
+        &self.path
+    }
+
+    fn wrong(&self, want: &str) -> String {
+        format!("{} not {want}", self.path)
+    }
+
+    /// Member `key` of this object, or `None` when absent.
+    pub fn opt(&self, key: &str) -> Option<Field<'a>> {
+        self.get(key).ok()
+    }
+
+    /// Required member `key` of this object.
+    pub fn get(&self, key: &str) -> Result<Field<'a>, String> {
+        let path = match self.path.as_str() {
+            "" => key.to_string(),
+            parent => format!("{parent}.{key}"),
+        };
+        match self.json.get(key) {
+            Some(json) => Ok(Field { json, path }),
+            None => Err(format!("missing {path}")),
+        }
+    }
+
+    /// The value as a `u64`.
+    pub fn u64(&self) -> Result<u64, String> {
+        self.json.as_u64().ok_or_else(|| self.wrong("a u64"))
+    }
+
+    /// The value as a narrower unsigned integer (`usize`, `u32`, `u16`,
+    /// `u8`), rejected rather than truncated when it does not fit.
+    pub fn int<T: TryFrom<u64>>(&self) -> Result<T, String> {
+        let n = self.u64()?;
+        T::try_from(n).map_err(|_| {
+            let ty = std::any::type_name::<T>();
+            format!("{} {n} out of range for {ty}", self.path)
+        })
+    }
+
+    /// The value as simulated time, stored as integer nanoseconds.
+    pub fn time(&self) -> Result<SimTime, String> {
+        self.u64().map(SimTime::from_ns)
+    }
+
+    /// The value as a string.
+    pub fn str(&self) -> Result<&'a str, String> {
+        self.json.as_str().ok_or_else(|| self.wrong("a string"))
+    }
+
+    /// The value as an enum variant, looked up by its stable name.
+    pub fn name<T>(&self, lookup: impl FnOnce(&str) -> Option<T>) -> Result<T, String> {
+        let name = self.str()?;
+        lookup(name).ok_or_else(|| format!("unknown {} {name:?}", self.path))
+    }
+
+    /// The elements of this array, each at `path[i]`.
+    pub fn arr(&self) -> Result<Vec<Field<'a>>, String> {
+        let items = self.json.as_arr().ok_or_else(|| self.wrong("an array"))?;
+        Ok(items
+            .iter()
+            .enumerate()
+            .map(|(i, json)| Field {
+                json,
+                path: format!("{}[{i}]", self.path),
+            })
+            .collect())
     }
 }
 
@@ -467,6 +565,34 @@ mod tests {
         assert_eq!(arr[0], Json::Float(1.5));
         assert_eq!(arr[1], Json::Int(-2));
         assert_eq!(arr[2], Json::Uint(3));
+    }
+
+    #[test]
+    fn field_errors_name_the_full_path() {
+        let doc = r#"{"spec":{"n":70000,"ops":["Crash","Boom"]},"ev":[{"at":1},{}]}"#;
+        let doc = Json::parse(doc).unwrap();
+        let root = Field::root(&doc);
+        let spec = root.get("spec").unwrap();
+        let (n, ops) = (spec.get("n").unwrap(), spec.get("ops").unwrap());
+        assert_eq!(n.int::<u32>(), Ok(70000));
+        assert_eq!(
+            n.int::<u16>().unwrap_err(),
+            "spec.n 70000 out of range for u16"
+        );
+        assert_eq!(n.str().unwrap_err(), "spec.n not a string");
+        assert_eq!(n.arr().unwrap_err(), "spec.n not an array");
+        assert_eq!(ops.u64().unwrap_err(), "spec.ops not a u64");
+        let known = |s: &str| (s == "Crash").then_some(());
+        let ops = ops.arr().unwrap();
+        assert_eq!(ops[0].name(known), Ok(()));
+        assert_eq!(
+            ops[1].name(known).unwrap_err(),
+            r#"unknown spec.ops[1] "Boom""#
+        );
+        let ev = root.get("ev").unwrap().arr().unwrap();
+        assert_eq!(ev[0].get("at").unwrap().time(), Ok(SimTime::from_ns(1)));
+        assert_eq!(ev[1].get("vcpu").unwrap_err(), "missing ev[1].vcpu");
+        assert!(root.opt("seed").is_none());
     }
 
     #[test]

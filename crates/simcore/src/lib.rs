@@ -16,7 +16,10 @@
 //! * [`propcheck`] — a minimal deterministic property-test harness used by
 //!   the workspace's randomized test suites (no external deps).
 //! * [`json`] — a tiny exact-integer JSON reader/writer for on-disk
-//!   artifacts (checkpoint manifests, failure reports, chaos repro plans).
+//!   artifacts (checkpoint manifests, failure reports, chaos repro plans),
+//!   with a path-carrying field reader for decoding them.
+//! * [`plan`] — the seeded `{seed, spec, events}` plan envelope every
+//!   repro-file type shares: subset surgery, rendering, and the codec.
 //!
 //! The engine is single-threaded by design: determinism is a feature, every
 //! experiment is exactly reproducible from its seed.
@@ -24,6 +27,7 @@
 pub mod event;
 pub mod integrator;
 pub mod json;
+pub mod plan;
 pub mod propcheck;
 pub mod rng;
 pub mod time;

@@ -24,6 +24,9 @@ use std::fmt;
 /// How many events of context precede a reported violation.
 const CONTEXT: usize = 8;
 
+/// Max work per nanosecond of active time (1024 = a full-speed core).
+const CAP_CEILING: f64 = 1024.0;
+
 /// What went wrong.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ViolationKind {
@@ -291,8 +294,6 @@ enum HostCpu {
 /// with [`InvariantChecker::report`].
 #[derive(Debug)]
 pub struct InvariantChecker {
-    /// Max work per nanosecond of active time (1024 = a full-speed core).
-    cap_ceiling: f64,
     /// Per-event state in dense tables ([`VcpuTable`]): `running` is
     /// keyed by `(vm, task)`, the rest by `(vm, vcpu)`.
     running: VcpuTable<u16>,
@@ -334,11 +335,9 @@ impl Default for InvariantChecker {
 }
 
 impl InvariantChecker {
-    /// A checker with the default capacity ceiling (full-speed core, 1024
-    /// work units per ns).
+    /// An empty checker.
     pub fn new() -> Self {
         Self {
-            cap_ceiling: 1024.0,
             running: VcpuTable::default(),
             curr: VcpuTable::default(),
             min_vr: VcpuTable::default(),
@@ -359,11 +358,6 @@ impl InvariantChecker {
             violations: 0,
             first: None,
         }
-    }
-
-    /// Raises the work-rate ceiling (hosts with boosted cores).
-    pub fn set_capacity_ceiling(&mut self, per_ns: f64) {
-        self.cap_ceiling = per_ns;
     }
 
     /// Violations detected so far.
@@ -593,7 +587,7 @@ impl InvariantChecker {
                 work,
                 ..
             } => {
-                let ceiling = self.cap_ceiling * active_ns as f64 * (1.0 + 1e-6) + 1e-6;
+                let ceiling = CAP_CEILING * active_ns as f64 * (1.0 + 1e-6) + 1e-6;
                 if work > ceiling {
                     self.flag(
                         ViolationKind::WorkExceedsCapacity,

@@ -28,7 +28,8 @@
 //! the plan stays coarse, the execution is tick-accurate.
 
 use guestos::{CpuMask, GuestOs, Platform, SpawnSpec, TaskAction, TaskId, TaskState, Workload};
-use simcore::json::Json;
+use simcore::json::{Field, Json};
+use simcore::plan::Plan;
 use simcore::time::MS;
 use simcore::{SimRng, SimTime};
 use std::collections::VecDeque;
@@ -83,7 +84,7 @@ impl AttackKind {
 }
 
 /// What the adversary knows and may touch.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttackSpec {
     /// Number of vCPUs the adversary VM has (one attack task per vCPU).
     pub nr_vcpus: usize,
@@ -132,20 +133,6 @@ impl AttackSpec {
     }
 }
 
-impl PartialEq for AttackSpec {
-    fn eq(&self, other: &Self) -> bool {
-        self.nr_vcpus == other.nr_vcpus
-            && self.kinds == other.kinds
-            && self.start == other.start
-            && self.horizon_ns == other.horizon_ns
-            && self.tick_ns == other.tick_ns
-            && self.guard_ns == other.guard_ns
-            && self.probe_first_ns == other.probe_first_ns
-            && self.probe_every_ns == other.probe_every_ns
-            && self.probe_window_ns == other.probe_window_ns
-    }
-}
-
 /// One planned attack action: vCPU `vcpu` is on-CPU (per its kind's
 /// execution rule) during `[at, at + dur_ns)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -189,17 +176,8 @@ impl AttackPlan {
     /// forked RNG stream, so enabling or disabling one archetype never
     /// perturbs the timeline of another.
     pub fn generate(seed: u64, spec: &AttackSpec) -> AttackPlan {
-        let mut events: Vec<AttackAction> = Vec::new();
-        for &kind in &spec.kinds {
-            let mut rng = SimRng::new(seed ^ 0xAD5A_5A17).fork(kind.tag());
-            Self::plan_kind(&mut rng, spec, kind, &mut events);
-        }
-        events.sort_by_key(|e| e.at);
-        AttackPlan {
-            seed,
-            events,
-            spec: spec.clone(),
-        }
+        let tag = |k: AttackKind| k.tag();
+        Self::from_streams(seed, 0xAD5A_5A17, spec, &spec.kinds, tag, Self::plan_kind)
     }
 
     fn plan_kind(
@@ -266,122 +244,70 @@ impl AttackPlan {
             }
         }
     }
+}
 
-    /// The spec the plan was generated against.
-    pub fn spec(&self) -> &AttackSpec {
-        &self.spec
+/// The attack-repro file format (`suite --shrink-adversary` writes it);
+/// integers round-trip exactly.
+impl Plan for AttackPlan {
+    type Spec = AttackSpec;
+    type Event = AttackAction;
+
+    fn parts(&self) -> (u64, &AttackSpec, &[AttackAction]) {
+        (self.seed, &self.spec, &self.events)
+    }
+    fn from_parts(seed: u64, spec: AttackSpec, events: Vec<AttackAction>) -> Self {
+        AttackPlan { seed, events, spec }
+    }
+    fn at(event: &AttackAction) -> SimTime {
+        event.at
     }
 
-    /// A plan with the same seed and spec but a different action list
-    /// (any subsequence — the ddmin shrinker's subset probe).
-    pub fn with_events(&self, events: Vec<AttackAction>) -> AttackPlan {
-        debug_assert!(events.windows(2).all(|w| w[0].at <= w[1].at));
-        AttackPlan {
-            seed: self.seed,
-            events,
-            spec: self.spec.clone(),
-        }
-    }
-
-    /// Stable one-line-per-action rendering; determinism gates compare
-    /// this byte-for-byte across runs and processes.
-    pub fn describe(&self) -> String {
-        let mut s = String::new();
-        for e in &self.events {
-            s.push_str(&e.to_string());
-            s.push('\n');
-        }
-        s
-    }
-
-    /// Serializes the full plan — spec, seed, and action list — as JSON
-    /// (the attack-repro file format; integers round-trip exactly).
-    pub fn to_json(&self) -> String {
-        let spec = &self.spec;
-        let events = self
-            .events
-            .iter()
-            .map(|e| {
-                Json::obj([
-                    ("at_ns", Json::Uint(e.at.ns())),
-                    ("kind", e.kind.name().into()),
-                    ("vcpu", Json::Uint(e.vcpu as u64)),
-                    ("dur_ns", Json::Uint(e.dur_ns)),
-                ])
-            })
-            .collect::<Vec<_>>();
+    fn spec_to_json(spec: &AttackSpec) -> Json {
+        let kinds = spec.kinds.iter().map(|k| k.name().into()).collect();
         Json::obj([
-            ("seed", Json::Uint(self.seed)),
-            (
-                "spec",
-                Json::obj([
-                    ("nr_vcpus", Json::Uint(spec.nr_vcpus as u64)),
-                    (
-                        "kinds",
-                        Json::Arr(spec.kinds.iter().map(|k| k.name().into()).collect()),
-                    ),
-                    ("start_ns", Json::Uint(spec.start.ns())),
-                    ("horizon_ns", Json::Uint(spec.horizon_ns)),
-                    ("tick_ns", Json::Uint(spec.tick_ns)),
-                    ("guard_ns", Json::Uint(spec.guard_ns)),
-                    ("probe_first_ns", Json::Uint(spec.probe_first_ns)),
-                    ("probe_every_ns", Json::Uint(spec.probe_every_ns)),
-                    ("probe_window_ns", Json::Uint(spec.probe_window_ns)),
-                ]),
-            ),
-            ("events", Json::Arr(events)),
+            ("nr_vcpus", Json::Uint(spec.nr_vcpus as u64)),
+            ("kinds", Json::Arr(kinds)),
+            ("start_ns", Json::Uint(spec.start.ns())),
+            ("horizon_ns", Json::Uint(spec.horizon_ns)),
+            ("tick_ns", Json::Uint(spec.tick_ns)),
+            ("guard_ns", Json::Uint(spec.guard_ns)),
+            ("probe_first_ns", Json::Uint(spec.probe_first_ns)),
+            ("probe_every_ns", Json::Uint(spec.probe_every_ns)),
+            ("probe_window_ns", Json::Uint(spec.probe_window_ns)),
         ])
-        .render()
     }
 
-    /// Parses a plan previously written by [`AttackPlan::to_json`].
-    pub fn from_json(text: &str) -> Result<AttackPlan, String> {
-        let doc = Json::parse(text).map_err(|e| e.to_string())?;
-        let need =
-            |v: Option<&Json>, what: &str| v.cloned().ok_or_else(|| format!("missing {what}"));
-        let u = |v: &Json, what: &str| v.as_u64().ok_or_else(|| format!("{what} not a u64"));
-        let kind_of = |v: &Json| -> Result<AttackKind, String> {
-            let name = v.as_str().ok_or("kind not a string")?;
-            AttackKind::from_name(name).ok_or_else(|| format!("unknown attack kind '{name}'"))
-        };
-
-        let sj = need(doc.get("spec"), "spec")?;
-        let su = |key: &str| -> Result<u64, String> { u(&need(sj.get(key), key)?, key) };
-        let spec = AttackSpec {
-            nr_vcpus: su("nr_vcpus")? as usize,
-            kinds: need(sj.get("kinds"), "spec.kinds")?
-                .as_arr()
-                .ok_or("spec.kinds not an array")?
-                .iter()
-                .map(kind_of)
+    fn spec_from_json(f: &Field) -> Result<AttackSpec, String> {
+        Ok(AttackSpec {
+            nr_vcpus: f.get("nr_vcpus")?.int()?,
+            kinds: (f.get("kinds")?.arr()?.iter())
+                .map(|k| k.name(AttackKind::from_name))
                 .collect::<Result<_, _>>()?,
-            start: SimTime::from_ns(su("start_ns")?),
-            horizon_ns: su("horizon_ns")?,
-            tick_ns: su("tick_ns")?,
-            guard_ns: su("guard_ns")?,
-            probe_first_ns: su("probe_first_ns")?,
-            probe_every_ns: su("probe_every_ns")?,
-            probe_window_ns: su("probe_window_ns")?,
-        };
-        let mut events = Vec::new();
-        for ej in need(doc.get("events"), "events")?
-            .as_arr()
-            .ok_or("events not an array")?
-        {
-            events.push(AttackAction {
-                at: SimTime::from_ns(u(&need(ej.get("at_ns"), "event.at_ns")?, "at_ns")?),
-                kind: kind_of(&need(ej.get("kind"), "event.kind")?)?,
-                vcpu: u(&need(ej.get("vcpu"), "event.vcpu")?, "vcpu")? as usize,
-                dur_ns: u(&need(ej.get("dur_ns"), "event.dur_ns")?, "dur_ns")?,
-            });
-        }
-        if !events.windows(2).all(|w| w[0].at <= w[1].at) {
-            return Err("events not sorted by at_ns".into());
-        }
-        Ok(AttackPlan {
-            seed: u(&need(doc.get("seed"), "seed")?, "seed")?,
-            events,
-            spec,
+            start: f.get("start_ns")?.time()?,
+            horizon_ns: f.get("horizon_ns")?.u64()?,
+            tick_ns: f.get("tick_ns")?.u64()?,
+            guard_ns: f.get("guard_ns")?.u64()?,
+            probe_first_ns: f.get("probe_first_ns")?.u64()?,
+            probe_every_ns: f.get("probe_every_ns")?.u64()?,
+            probe_window_ns: f.get("probe_window_ns")?.u64()?,
+        })
+    }
+
+    fn event_to_json(e: &AttackAction) -> Json {
+        Json::obj([
+            ("at_ns", Json::Uint(e.at.ns())),
+            ("kind", e.kind.name().into()),
+            ("vcpu", Json::Uint(e.vcpu as u64)),
+            ("dur_ns", Json::Uint(e.dur_ns)),
+        ])
+    }
+
+    fn event_from_json(_: &AttackSpec, f: &Field) -> Result<AttackAction, String> {
+        Ok(AttackAction {
+            at: f.get("at_ns")?.time()?,
+            kind: f.get("kind")?.name(AttackKind::from_name)?,
+            vcpu: f.get("vcpu")?.int()?,
+            dur_ns: f.get("dur_ns")?.u64()?,
         })
     }
 }

@@ -17,6 +17,7 @@
 //! replays locally.
 
 use vsched_repro::experiments::adversary::{self, GuestMode, HostPolicy};
+use vsched_repro::simcore::plan::Plan;
 use vsched_repro::workloads::{AttackKind, ATTACK_KINDS};
 
 fn sweep_seed() -> u64 {

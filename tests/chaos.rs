@@ -19,6 +19,7 @@
 use vsched_repro::experiments::chaos::{self, ChaosMode};
 use vsched_repro::experiments::common::{check_report, checked_collector};
 use vsched_repro::hostsim::{ChaosSpec, FaultPlan, HostSpec, ScenarioBuilder, VmSpec};
+use vsched_repro::simcore::plan::Plan;
 use vsched_repro::simcore::time::{MS, SEC};
 use vsched_repro::simcore::{SimRng, SimTime};
 use vsched_repro::trace::FaultClass;
