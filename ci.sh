@@ -132,9 +132,14 @@ done
     > "$tmpdir/step_parallel.txt"
 diff "$tmpdir/step_serial.txt" "$tmpdir/step_parallel.txt"
 # 3) Scale smoke: the same day spread over 10 000 hosts must replay and
-#    exit 0, that is, with no law violation.
-./target/release/fleettrace replay examples/sap_day.trace.jsonl \
-    --hosts 10000 --fleet-threads 1 > /dev/null
+#    exit 0, that is, with no law violation, and byte-identically at one
+#    and four stepping workers, so the pool's replay of deferred per-host
+#    barriers is checked at region scale.
+for threads in 1 4; do
+    ./target/release/fleettrace replay examples/sap_day.trace.jsonl \
+        --hosts 10000 --fleet-threads "$threads" > "$tmpdir/scale.step$threads.txt"
+done
+diff "$tmpdir/scale.step1.txt" "$tmpdir/scale.step4.txt"
 
 echo "== fleet-chaos-smoke: seed sweep, shrink round-trip, chaos-day replays"
 # 1) Randomized seed: migration laws on a fresh faulted day each run. The

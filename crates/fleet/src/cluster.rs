@@ -10,10 +10,14 @@
 //!
 //! Hosts share no state *between* barriers, so [`Cluster::run`] shards
 //! the stepping itself across a scoped worker pool ([`crate::pstep`]):
-//! every epoch boundary and every placement event is a join barrier, and
-//! all cross-host decisions (admission, placement, SLO accounting,
-//! fleet-collector events) happen serially on the coordinator between
-//! rounds. Worker count ([`Cluster::with_threads`], default
+//! every epoch boundary, placement, failure and recovery is a full sync
+//! (a join barrier over all hosts), and all cross-host decisions
+//! (admission, placement, SLO accounting, fleet-collector events) happen
+//! serially on the coordinator between rounds. A departure or resize
+//! touches one host, so it steps only that host and defers its instant
+//! for the others, which replay every deferred barrier in order, as the
+//! same `run_until` calls, at the start of the next full sync. Worker
+//! count ([`Cluster::with_threads`], default
 //! [`crate::threads::default_fleet_threads`]) never changes output —
 //! per-host RNG streams are forked at construction, utilization samples
 //! live per host, and checker reports fold in host-id order — which
@@ -53,6 +57,7 @@ use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::num::NonZeroUsize;
+use std::panic::{self, AssertUnwindSafe};
 use std::rc::Rc;
 use trace::{Collector, EventKind, HostFailKind, PriorityClass, SharedCollector, TraceSink};
 use vsched::VschedConfig;
@@ -110,18 +115,43 @@ pub(crate) struct HostSim {
     failed: bool,
     /// When the current outage began (recovery reports the wall delta).
     failed_at_ns: u64,
+    /// How many of the cluster's deferred barriers this host has reached.
+    replayed: usize,
 }
 
 impl HostSim {
-    /// One host's share of a barrier round: step to the barrier and, on
-    /// epoch boundaries, fold the utilization sample in place. Touches
-    /// only this host's state, so rounds can run it from any worker.
+    /// Steps through the deferred barriers this host has not reached yet:
+    /// the same `run_until` calls, in the same order, that a full sync at
+    /// each of them would have made. A failed host stays frozen; failure
+    /// and recovery are full syncs, so it was failed at every one of them.
+    fn catch_up(&mut self, deferred: &[SimTime]) {
+        if !self.failed {
+            for &t in &deferred[self.replayed..] {
+                self.m.run_until(t);
+            }
+        }
+        self.replayed = deferred.len();
+    }
+
+    /// One host's share of a full-sync round: replay the deferred
+    /// barriers, step to the barrier and, on epoch boundaries, fold the
+    /// utilization sample in place. Touches only this host's state (and
+    /// reads the shared `deferred` list), so rounds can run it from any
+    /// worker. The coordinator empties `deferred` after every round.
     ///
     /// A failed host skips the stepping — its machine stays frozen at
     /// the failure barrier until recovery fast-forwards it — but still
     /// contributes a zero utilization sample, keeping every host's
     /// series the same length at any worker count.
-    pub(crate) fn step_round(&mut self, until: SimTime, sample_now_ns: Option<u64>, threads: u64) {
+    pub(crate) fn step_round(
+        &mut self,
+        deferred: &[SimTime],
+        until: SimTime,
+        sample_now_ns: Option<u64>,
+        threads: u64,
+    ) {
+        self.catch_up(deferred);
+        self.replayed = 0;
         if self.failed {
             if sample_now_ns.is_some() {
                 self.util.push(0.0);
@@ -199,6 +229,10 @@ pub struct Cluster {
     pending_evac: Vec<PendingEvac>,
     /// Scheduled host recoveries: `(recover_at_ns, host)` min-heap.
     recoveries: BinaryHeap<Reverse<(u64, usize)>>,
+    /// Departure and resize instants since the last full sync, in order;
+    /// each host's [`HostSim::catch_up`] replays the ones it has not
+    /// reached ([`Cluster::step_host`]).
+    deferred: Vec<SimTime>,
     host_failures: u64,
     migrations: u64,
     evacuations_failed: u64,
@@ -252,6 +286,7 @@ impl Cluster {
                 util: Vec::with_capacity(epochs),
                 failed: false,
                 failed_at_ns: 0,
+                replayed: 0,
             });
         }
         let (fleet_sink, fleet_collector) = TraceSink::shared(Collector::default().with_checker());
@@ -278,6 +313,7 @@ impl Cluster {
             migration_mode: MigrationMode::Handoff,
             pending_evac: Vec::new(),
             recoveries: BinaryHeap::new(),
+            deferred: Vec::new(),
             host_failures: 0,
             migrations: 0,
             evacuations_failed: 0,
@@ -349,9 +385,11 @@ impl Cluster {
             for _ in 0..workers - 1 {
                 s.spawn(|| pool.worker_loop());
             }
-            let out = self.run_with(Some(&pool));
+            // Release the workers even if the coordinator panics, or the
+            // scope join would wait on them forever.
+            let out = panic::catch_unwind(AssertUnwindSafe(|| self.run_with(Some(&pool))));
             pool.shutdown();
-            out
+            out.unwrap_or_else(|p| panic::resume_unwind(p))
         })
     }
 
@@ -388,20 +426,27 @@ impl Cluster {
                 let Some(at) = [rt, ct, lt].iter().flatten().copied().min() else {
                     break;
                 };
-                // Placement/fault barrier: every host reaches the
-                // decision instant before any cross-host state is read
-                // or written.
-                self.step_all(SimTime::from_ns(at), None, pool);
+                let at_t = SimTime::from_ns(at);
                 if rt == Some(at) {
+                    self.step_all(at_t, None, pool);
                     let Reverse((t, h)) = self.recoveries.pop().expect("peeked");
                     self.recover_host(t, h);
                 } else if ct == Some(at) {
+                    self.step_all(at_t, None, pool);
                     let f = chaos_fails[cnext];
                     cnext += 1;
                     self.fail_host(&f);
                 } else {
                     let ev = schedule[next];
                     next += 1;
+                    match ev.op {
+                        // Placement reads every host: a full sync.
+                        VmOp::Arrive { .. } => self.step_all(at_t, None, pool),
+                        VmOp::Depart { uid } | VmOp::Resize { uid, .. } => {
+                            let host = self.live.iter().find(|lv| lv.uid == uid).map(|lv| lv.host);
+                            self.step_host(host, at_t);
+                        }
+                    }
                     self.apply(ev);
                 }
             }
@@ -434,18 +479,43 @@ impl Cluster {
         self.summary()
     }
 
-    /// Advances every host to the same barrier on the virtual clock,
-    /// serially or through the stepping pool.
+    /// Full sync: advances every host, through the deferred barriers, to
+    /// the same barrier on the virtual clock, serially or through the
+    /// stepping pool. Every failure, recovery, placement and epoch
+    /// boundary is one: it reads or writes state across hosts.
     fn step_all(&mut self, until: SimTime, sample_now_ns: Option<u64>, pool: Option<&StepPool>) {
         let threads = self.spec.threads_per_host as u64;
         match pool {
-            Some(p) => p.run_round(&mut self.hosts, until, sample_now_ns, threads),
+            Some(p) => p.run_round(
+                &mut self.hosts,
+                &self.deferred,
+                until,
+                sample_now_ns,
+                threads,
+            ),
             None => {
                 for h in &mut self.hosts {
-                    h.step_round(until, sample_now_ns, threads);
+                    h.step_round(&self.deferred, until, sample_now_ns, threads);
                 }
             }
         }
+        self.deferred.clear();
+        #[cfg(test)]
+        tests::audit_full_sync(self, until);
+    }
+
+    /// Per-host barrier for a departure or resize, which touches only its
+    /// VM's `host` (`None` for a VM that never placed): only that host
+    /// steps to `at` now; the rest replay `at` at the next full sync.
+    fn step_host(&mut self, host: Option<usize>, at: SimTime) {
+        #[cfg(test)]
+        let before = tests::host_clocks(self);
+        self.deferred.push(at);
+        if let Some(h) = host {
+            self.hosts[h].catch_up(&self.deferred);
+        }
+        #[cfg(test)]
+        tests::audit_host_step(self, &before, host);
     }
 
     fn apply(&mut self, ev: LifecycleEvent) {
@@ -939,11 +1009,13 @@ impl Cluster {
         }
     }
 
-    fn summary(&self) -> SloSummary {
+    /// Folds the run's outcome; moves the tenant records out (the run
+    /// is over, and they are the largest thing it still holds).
+    fn summary(&mut self) -> SloSummary {
         let util: Vec<Vec<f64>> = self.hosts.iter().map(|h| h.util.clone()).collect();
         let mut s = slo::summarize(
             &self.spec,
-            self.tenants.clone(),
+            std::mem::take(&mut self.tenants),
             &util,
             self.admitted,
             self.placed,
@@ -1032,6 +1104,50 @@ mod tests {
         AUDITED.with(|n| n.set(n.get() + 1));
     }
 
+    thread_local! {
+        /// Per-host barriers and full syncs audited on this test thread.
+        static HOST_STEPS: Cell<u64> = const { Cell::new(0) };
+        static FULL_SYNCS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Every host's `(clock, events dispatched)`.
+    pub(super) fn host_clocks(c: &Cluster) -> Vec<(SimTime, u64)> {
+        c.hosts
+            .iter()
+            .map(|h| (h.m.q.now(), h.m.events_dispatched))
+            .collect()
+    }
+
+    /// Runs after every per-host barrier in this crate's unit tests: no
+    /// host but `host` moved, and a live `host` reached the barrier.
+    pub(super) fn audit_host_step(c: &Cluster, before: &[(SimTime, u64)], host: Option<usize>) {
+        let at = *c.deferred.last().expect("the barrier was deferred");
+        for (h, (after, before)) in host_clocks(c).iter().zip(before).enumerate() {
+            if Some(h) == host && !c.hosts[h].failed {
+                assert_eq!(after.0, at, "host {h} did not reach its own barrier");
+            } else {
+                assert_eq!(
+                    after, before,
+                    "barrier at {at:?} for {host:?} stepped host {h}"
+                );
+            }
+        }
+        HOST_STEPS.with(|n| n.set(n.get() + 1));
+    }
+
+    /// Runs after every full sync in this crate's unit tests: every live
+    /// host stands at the barrier and no deferred barrier remains.
+    pub(super) fn audit_full_sync(c: &Cluster, until: SimTime) {
+        assert!(c.deferred.is_empty(), "deferred barriers outlived a sync");
+        for (h, host) in c.hosts.iter().enumerate() {
+            assert_eq!(host.replayed, 0, "host {h} kept a replay cursor");
+            if !host.failed {
+                assert_eq!(host.m.q.now(), until, "host {h} missed the sync");
+            }
+        }
+        FULL_SYNCS.with(|n| n.set(n.get() + 1));
+    }
+
     fn small_spec() -> FleetSpec {
         let mut s = FleetSpec::small(2, 2, 1);
         s.max_live_vms = 4;
@@ -1109,6 +1225,49 @@ mod tests {
         let serial = digest(1);
         assert_eq!(serial, digest(2));
         assert_eq!(serial, digest(8), "workers beyond host count are capped");
+    }
+
+    #[test]
+    fn departures_and_resizes_step_only_their_host() {
+        let spec = FleetSpec::small(4, 2, 2);
+        let horizon = SimTime::from_ns(spec.horizon_ns);
+        let run = |workers: usize| {
+            let counts = || (HOST_STEPS.with(Cell::get), FULL_SYNCS.with(Cell::get));
+            let (steps0, syncs0) = counts();
+            let mut c = Cluster::with_threads(
+                spec.clone(),
+                GuestMode::Vsched,
+                policy_by_name("worst-fit").unwrap(),
+                13,
+                NonZeroUsize::new(workers).unwrap(),
+            );
+            assert_eq!(c.effective_workers(), workers);
+            let s = c.run();
+            let (steps, syncs) = counts();
+            let (mut departs, mut resizes) = (0, 0);
+            for e in c.schedule().iter().filter(|e| e.at <= horizon) {
+                match e.op {
+                    VmOp::Arrive { .. } => {}
+                    VmOp::Depart { .. } => departs += 1,
+                    VmOp::Resize { .. } => resizes += 1,
+                }
+            }
+            assert!(departs > 0 && resizes > 0, "churn must depart and resize");
+            assert_eq!(steps - steps0, departs + resizes);
+            assert!(syncs - syncs0 >= s.admitted, "every arrival is a full sync");
+            (
+                s.completed,
+                s.p99_ms.to_bits(),
+                s.trace_events,
+                c.events_dispatched(),
+            )
+        };
+        let serial = run(1);
+        assert_eq!(serial, run(4));
+        // The counts this fleet produced when every departure and resize
+        // stepped all hosts: replaying the deferred barriers must make
+        // exactly the same `run_until` calls on every host.
+        assert_eq!((serial.2, serial.3), (65_618, 56_306));
     }
 
     #[test]

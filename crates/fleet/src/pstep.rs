@@ -2,14 +2,15 @@
 //!
 //! A [`Cluster`](crate::Cluster) advances its hosts to a common barrier
 //! many times per simulated second (every 50 ms epoch plus every
-//! placement event). Spawning threads per barrier would dominate the
-//! work, so [`Cluster::run`](crate::Cluster::run) keeps one pool of
-//! workers alive for the whole run inside a `std::thread::scope` and
-//! drives a *round* through it per barrier: the coordinator publishes the
-//! host slice and barrier time, workers (and the coordinator itself)
-//! claim host indices from a shared cursor under the pool mutex, step
-//! their claims outside the lock, and the round ends only when every
-//! host reached the barrier. Between rounds workers hold no borrow of
+//! placement, failure and recovery). Spawning threads per barrier would
+//! dominate the work, so [`Cluster::run`](crate::Cluster::run) keeps one
+//! pool of workers alive for the whole run inside a `std::thread::scope`
+//! and drives a *round* through it per full sync: the coordinator
+//! publishes the host slice, the deferred per-host barriers and the
+//! barrier time, workers (and the coordinator itself) claim host indices
+//! from a shared cursor under the pool mutex, replay and step their
+//! claims outside the lock, and the round ends only when every host
+//! reached the barrier. Between rounds workers hold no borrow of
 //! any host and block on a condvar, which is what lets the coordinator
 //! run the serial phases (admission, placement, SLO accounting,
 //! fleet-collector emission) with plain `&mut self` access.
@@ -54,11 +55,23 @@ struct HostsPtr(*mut HostSim);
 
 unsafe impl Send for HostsPtr {}
 
+/// The round's deferred barriers, read by every claim.
+///
+/// SAFETY (for the `Send` impl): it points into the coordinator's
+/// `&[SimTime]` borrow, which outlives the round because
+/// [`StepPool::run_round`] does not return until `remaining == 0`, and
+/// nothing writes the list while that borrow lives, so shared reads from
+/// any worker are sound.
+struct DeferredPtr(*const [SimTime]);
+
+unsafe impl Send for DeferredPtr {}
+
 /// One claimed unit of work: host `i` of the published slice, plus the
 /// round parameters it must be stepped with.
 struct Claim {
     ptr: *mut HostSim,
     i: usize,
+    deferred: *const [SimTime],
     until: SimTime,
     sample_now_ns: Option<u64>,
     threads_per_host: u64,
@@ -71,6 +84,8 @@ struct PoolState {
     next: usize,
     /// Hosts claimed but not yet stepped to the barrier this round.
     remaining: usize,
+    /// Per-host barriers each host replays before stepping to `until`.
+    deferred: DeferredPtr,
     until: SimTime,
     /// `Some(now_ns)` on epoch barriers: fold the utilization sample
     /// into the host right after stepping, on the same worker.
@@ -93,6 +108,7 @@ impl PoolState {
         Some(Claim {
             ptr: self.hosts.0,
             i,
+            deferred: self.deferred.0,
             until: self.until,
             sample_now_ns: self.sample_now_ns,
             threads_per_host: self.threads_per_host,
@@ -117,6 +133,7 @@ impl StepPool {
                 len: 0,
                 next: 0,
                 remaining: 0,
+                deferred: DeferredPtr(&[]),
                 until: SimTime(0),
                 sample_now_ns: None,
                 threads_per_host: 1,
@@ -135,8 +152,11 @@ impl StepPool {
         // SAFETY: see `HostsPtr` — `c.i` was claimed exactly once under
         // the pool mutex and the slice outlives the round.
         let host = unsafe { &mut *c.ptr.add(c.i) };
+        // SAFETY: see `DeferredPtr` — the list outlives the round and is
+        // only read during it.
+        let deferred = unsafe { &*c.deferred };
         let ok = panic::catch_unwind(AssertUnwindSafe(|| {
-            host.step_round(c.until, c.sample_now_ns, c.threads_per_host)
+            host.step_round(deferred, c.until, c.sample_now_ns, c.threads_per_host)
         }));
         let mut st = self.state.lock().unwrap();
         st.remaining -= 1;
@@ -167,14 +187,16 @@ impl StepPool {
         }
     }
 
-    /// Runs one barrier round over `hosts`, stepping every host to
-    /// `until` (and folding the epoch utilization sample when
-    /// `sample_now_ns` is set). The coordinator claims work from the same
-    /// cursor as the pool — on small fleets it steps most hosts itself —
-    /// and does not return until every host reached the barrier.
+    /// Runs one barrier round over `hosts`, stepping every host through
+    /// the `deferred` barriers it has not reached to `until` (and folding
+    /// the epoch utilization sample when `sample_now_ns` is set). The
+    /// coordinator claims work from the same cursor as the pool — on
+    /// small fleets it steps most hosts itself — and does not return
+    /// until every host reached the barrier.
     pub(crate) fn run_round(
         &self,
         hosts: &mut [HostSim],
+        deferred: &[SimTime],
         until: SimTime,
         sample_now_ns: Option<u64>,
         threads_per_host: u64,
@@ -189,6 +211,7 @@ impl StepPool {
             st.len = hosts.len();
             st.next = 0;
             st.remaining = hosts.len();
+            st.deferred = DeferredPtr(deferred);
             st.until = until;
             st.sample_now_ns = sample_now_ns;
             st.threads_per_host = threads_per_host;
@@ -212,6 +235,7 @@ impl StepPool {
             st.len = 0;
             st.next = 0;
             st.hosts = HostsPtr(std::ptr::null_mut());
+            st.deferred = DeferredPtr(&[]);
             std::mem::replace(&mut st.panicked, false)
         };
         if panicked {

@@ -1,10 +1,11 @@
 //! Guest scheduler statistics.
 //!
-//! Counters and histograms behind the paper's profiled metrics: task
-//! migrations (Figure 11b), rescheduling/migration IPIs (Figure 13), and
-//! runqueue latency (Table 3's queue-time breakdown).
+//! Counters behind the paper's profiled metrics: task migrations
+//! (Figure 11b) and rescheduling/migration IPIs (Figure 13). Per-wakeup
+//! runqueue latency is measured by the trace layer's
+//! `trace::WakeLatency`.
 
-use metrics::{Counter, Histogram};
+use metrics::Counter;
 
 /// Aggregated scheduler statistics for one guest.
 #[derive(Default)]
@@ -21,8 +22,6 @@ pub struct KernelStats {
     pub cross_llc_ipis: Counter,
     /// Context switches performed.
     pub context_switches: Counter,
-    /// Wakeup-to-first-run runqueue latency (ns).
-    pub queue_latency: Histogram,
     /// ivh migrations attempted (hook-maintained).
     pub ivh_attempts: Counter,
     /// ivh migrations completed (hook-maintained).

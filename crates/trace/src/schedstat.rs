@@ -22,7 +22,8 @@ struct VcpuStat {
     running_since: Option<SimTime>,
 }
 
-/// The schedstat accumulator: cheap counters, always on in a collector.
+/// The schedstat accumulator: cheap counters, built by a collector that
+/// asks for them ([`crate::Collector::with_aggregates`]).
 #[derive(Debug, Default)]
 pub struct Schedstat {
     per_vcpu: VcpuTable<VcpuStat>,

@@ -16,16 +16,18 @@ use simcore::SimTime;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// Aggregation target behind an enabled sink.
+/// Aggregation target behind an enabled sink. Each consumer is opt-in:
+/// a collector builds only the state its reader asked for.
 #[derive(Debug, Default)]
 pub struct Collector {
-    /// Bounded raw event log (for exporters). `None` keeps only aggregates.
+    /// Bounded raw event log (for exporters), from [`Collector::with_ring`].
     pub ring: Option<RingBuffer>,
-    /// Always-on cheap per-vCPU aggregates (schedstat export).
-    pub stats: Schedstat,
-    /// Always-on per-wakeup runqueue-delay breakdown (latency export).
-    pub wake_latency: WakeLatency,
-    /// Optional online conservation-law checker.
+    /// Per-vCPU schedstat totals, from [`Collector::with_aggregates`].
+    pub stats: Option<Schedstat>,
+    /// Per-wakeup runqueue-delay breakdown (latency export), from
+    /// [`Collector::with_aggregates`].
+    pub wake_latency: Option<WakeLatency>,
+    /// Online conservation-law checker, from [`Collector::with_checker`].
     pub checker: Option<InvariantChecker>,
 }
 
@@ -44,10 +46,21 @@ impl Collector {
         self
     }
 
+    /// Adds the schedstat and wake-latency aggregates to this collector.
+    pub fn with_aggregates(mut self) -> Self {
+        self.stats = Some(Schedstat::default());
+        self.wake_latency = Some(WakeLatency::default());
+        self
+    }
+
     /// Routes one event to every attached consumer.
     pub fn record(&mut self, ev: TraceEvent) {
-        self.stats.observe(&ev);
-        self.wake_latency.observe(&ev);
+        if let Some(s) = &mut self.stats {
+            s.observe(&ev);
+        }
+        if let Some(w) = &mut self.wake_latency {
+            w.observe(&ev);
+        }
         if let Some(c) = &mut self.checker {
             c.observe(&ev);
         }

@@ -51,8 +51,12 @@ fn main() {
     println!("  stock CFS : {cfs:8.1} lock sections/s");
 
     // Trace the vSched run: ring buffer for the exporters, checker for the
-    // conservation laws, schedstat aggregates always-on.
-    let (_, shared) = TraceSink::shared(Collector::with_ring(1 << 18).with_checker());
+    // conservation laws, and the schedstat aggregates written below.
+    let (_, shared) = TraceSink::shared(
+        Collector::with_ring(1 << 18)
+            .with_checker()
+            .with_aggregates(),
+    );
     let vsched = run(true, Some(&shared));
     println!("  vSched    : {vsched:8.1} lock sections/s");
     println!(
@@ -82,7 +86,8 @@ fn main() {
         println!("wrote {json_path} — open it at https://ui.perfetto.dev (or chrome://tracing)");
     }
     let stat_path = "target/quickstart_schedstat.txt";
-    if let Err(e) = std::fs::write(stat_path, collector.stats.render(SimTime::from_secs(10))) {
+    let stats = collector.stats.as_ref().expect("aggregates attached");
+    if let Err(e) = std::fs::write(stat_path, stats.render(SimTime::from_secs(10))) {
         eprintln!("could not write {stat_path}: {e}");
     } else {
         println!("wrote {stat_path} — Linux /proc/schedstat-style per-vCPU aggregates");

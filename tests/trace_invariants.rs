@@ -16,7 +16,8 @@ use vsched_repro::hostsim::{ChaosSpec, FaultPlan, HostSpec, ScenarioBuilder, VmS
 use vsched_repro::simcore::time::{MS, SEC};
 use vsched_repro::simcore::SimTime;
 use vsched_repro::trace::{
-    chrome_trace, validate_json, CheckReport, Collector, EventKind, FaultClass, TraceSink,
+    chrome_trace, validate_json, CheckReport, Collector, EventKind, FaultClass, SharedCollector,
+    TraceSink,
 };
 use vsched_repro::vsched::VschedConfig;
 use vsched_repro::workloads;
@@ -147,7 +148,11 @@ fn chrome_export_is_valid_json_with_events() {
     let (b, vm) = ScenarioBuilder::new(HostSpec::flat(4), 42).vm(VmSpec::pinned(4, 0));
     let (b, stress_vm) = b.vm(VmSpec::pinned(4, 0));
     let mut m = b.build();
-    let (_, shared) = TraceSink::shared(Collector::with_ring(1 << 16).with_checker());
+    let (_, shared) = TraceSink::shared(
+        Collector::with_ring(1 << 16)
+            .with_checker()
+            .with_aggregates(),
+    );
     m.attach_trace(&shared);
     let (wl, _h) = workloads::build("sysbench", 2, vsched_repro::simcore::SimRng::new(1));
     m.set_workload(vm, wl);
@@ -166,7 +171,11 @@ fn chrome_export_is_valid_json_with_events() {
     validate_json(&json).expect("exporter emits well-formed JSON");
     assert!(json.contains("\"traceEvents\""));
     // Schedstat aggregates ride along on the same collector.
-    let stats = c.stats.render(SimTime::from_secs(2));
+    let stats = c
+        .stats
+        .as_ref()
+        .expect("aggregates attached")
+        .render(SimTime::from_secs(2));
     assert!(stats.contains("vcpu"), "schedstat render:\n{stats}");
     let report = c.checker.as_ref().expect("checker").report();
     assert!(report.ok(), "invariant violation:\n{report}");
@@ -215,15 +224,13 @@ fn bandwidth_and_pelt_laws_fire_under_quota_churn() {
     );
 }
 
-#[test]
-fn wake_latency_breakdown_pairs_wakeups() {
-    // The latency-breakdown exporter rides on the same collector as
-    // schedstat: a latency-serving workload under contention must produce
-    // completed TaskWake→ContextSwitch pairs with plausible delays.
+/// A latency-serving workload on a 4-vCPU VM contending with a 4-thread
+/// stressor for 2 simulated seconds, traced into `collector`.
+fn contended_silo(collector: Collector) -> SharedCollector {
     let (b, vm) = ScenarioBuilder::new(HostSpec::flat(4), 42).vm(VmSpec::pinned(4, 0));
     let (b, stress_vm) = b.vm(VmSpec::pinned(4, 0));
     let mut m = b.build();
-    let (_, shared) = TraceSink::shared(Collector::default());
+    let (_, shared) = TraceSink::shared(collector);
     m.attach_trace(&shared);
     let (wl, _h) = workloads::build_latency(
         "silo",
@@ -237,9 +244,17 @@ fn wake_latency_breakdown_pairs_wakeups() {
     m.set_workload(stress_vm, Box::new(sw));
     m.start();
     m.run_until(SimTime::from_secs(2));
+    shared
+}
 
+#[test]
+fn wake_latency_breakdown_pairs_wakeups() {
+    // The latency-breakdown exporter rides on the same collector as
+    // schedstat: a latency-serving workload under contention must produce
+    // completed TaskWake→ContextSwitch pairs with plausible delays.
+    let shared = contended_silo(Collector::default().with_aggregates());
     let c = shared.borrow();
-    let wl = &c.wake_latency;
+    let wl = c.wake_latency.as_ref().expect("aggregates attached");
     assert!(wl.pairs() > 100, "only {} wake→run pairs", wl.pairs());
     // Every completed delay fits inside the run window, and at least one
     // wakeup on some vCPU actually waited (contention guarantees queueing).
@@ -254,4 +269,63 @@ fn wake_latency_breakdown_pairs_wakeups() {
     let text = wl.render();
     assert!(text.contains("# cpu<vm>/<vcpu> pairs"), "{text}");
     assert!(text.lines().any(|l| l.starts_with("cpu0/")), "{text}");
+}
+
+/// Schedstat then wake-latency render of [`contended_silo`] at 2 s,
+/// pinned byte for byte: building the aggregates on request must not
+/// change what they render.
+const CONTENDED_SILO_AGGREGATES: &str = "\
+version 1 (vsched-trace)
+timestamp_ns 2000000000
+# cpu<vm>/<vcpu> run_ns steal_ns idle_ns switches wakes migrations_in resched_ipis
+cpu0/0 56130378 510986510 1432883112 222 227 93 0
+cpu0/1 49369724 450960266 1499670010 192 188 70 0
+cpu0/2 67428343 481646299 1450925358 237 236 94 0
+cpu0/3 73131686 631529413 1295338901 298 298 109 0
+cpu1/0 1943869622 56130378 0 1 1 0 0
+cpu1/1 1950630276 49369724 0 1 1 1 0
+cpu1/2 1932571657 67428343 0 1 1 1 0
+cpu1/3 1926868314 73131686 0 1 1 1 0
+# wake-to-run runqueue delay (ns)
+# cpu<vm>/<vcpu> pairs mean p50 p95 p99 max
+cpu0/0 222 1961248 1916928 3768320 3964928 3990437
+cpu0/1 192 2159835 2392064 3833856 3964928 3989604
+cpu0/2 237 1826898 1687552 3702784 3833856 3983747
+cpu0/3 298 1916157 1818624 3702784 3964928 3997574
+cpu1/0 1 0 0 0 0 0
+cpu1/1 1 0 0 0 0 0
+cpu1/2 1 0 0 0 0 0
+cpu1/3 1 0 0 0 0 0
+";
+
+#[test]
+fn aggregates_are_built_only_on_request() {
+    // The checker alone (what fleet hosts and checked suite cells attach)
+    // builds no aggregate state, and leaving it out perturbs nothing.
+    let plain = contended_silo(Collector::default().with_checker());
+    let with = contended_silo(Collector::default().with_checker().with_aggregates());
+    let (plain, with) = (plain.borrow(), with.borrow());
+    assert!(
+        plain.stats.is_none(),
+        "checker-only collector built schedstat"
+    );
+    assert!(
+        plain.wake_latency.is_none(),
+        "checker-only collector built wake-latency histograms"
+    );
+    let report = |c: &Collector| c.checker.as_ref().expect("checker").report();
+    assert_eq!(report(&plain).events, report(&with).events);
+
+    let rendered = format!(
+        "{}{}",
+        with.stats
+            .as_ref()
+            .expect("aggregates attached")
+            .render(SimTime::from_secs(2)),
+        with.wake_latency
+            .as_ref()
+            .expect("aggregates attached")
+            .render()
+    );
+    assert_eq!(rendered, CONTENDED_SILO_AGGREGATES);
 }
