@@ -22,54 +22,38 @@ echo "== perfbench: build and self-checks (a workspace of its own)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 cargo test --offline --manifest-path perfbench/Cargo.toml
 
-echo "== suite runner: serial vs parallel output equality (smoke scale, fixed seed)"
-# Each job must replay byte-identically across suite worker counts:
-# fig03 (float-heavy reductions), chaos (fault injection and the
-# resilience state machine), fleet (churn, placement, SLO merge, trace
-# laws; the filter also substring-matches the other two fleet jobs),
-# fleet-replay (every policy x guest mode over one generated day per
-# profile), fleet-chaos (a pinned SAP day x a pinned failure plan),
-# adversary (attack plans, domain rotation, probe hardening) and vcache
-# (the LLC occupancy model and cache-aware bvs steering).
-tmpdir=$(mktemp -d)
-trap 'rm -rf "$tmpdir"' EXIT
-for id in fig03 chaos fleet fleet-replay fleet-chaos adversary vcache; do
-    for jobs in 1 4; do
-        VSCHED_SCALE=smoke ./target/release/suite --filter "$id" --jobs "$jobs" --seed 42 \
-            --no-ckpt > "$tmpdir/$id.jobs$jobs.txt" 2>/dev/null
-    done
-    diff "$tmpdir/$id.jobs1.txt" "$tmpdir/$id.jobs4.txt"
-done
-# The *cluster-stepping* pool (host shards inside each fleet cell,
-# distinct from the suite's job pool above) must be equally invisible: a
-# forced four-worker stepping pool vs the serial run, byte-identical.
-for id in fleet fleet-chaos; do
-    VSCHED_SCALE=smoke ./target/release/suite --filter "$id" --jobs 1 --seed 42 \
-        --fleet-threads 4 --no-ckpt > "$tmpdir/$id.step4.txt" 2>/dev/null
-    diff "$tmpdir/$id.jobs1.txt" "$tmpdir/$id.step4.txt"
-done
-# Every fleet cell reports its law verdict, and every fleet-chaos cell
-# ends with nothing stranded on a dead host; the adversary matrix reports
-# steal, and every vcache cell its cache picks and law verdict.
-grep -q "violations" "$tmpdir/fleet.jobs1.txt"
-grep -q "violations" "$tmpdir/fleet-replay.jobs1.txt"
-grep -q "stranded" "$tmpdir/fleet-chaos.jobs1.txt"
-grep -q "steal" "$tmpdir/adversary.jobs1.txt"
-grep -q "cache picks" "$tmpdir/vcache.jobs1.txt"
-grep -q "violations" "$tmpdir/vcache.jobs1.txt"
-
 echo "== suite golden: full smoke-scale stdout vs the committed golden file"
 # All 24 jobs' published output, byte for byte, against a file the
 # repository carries rather than against another run of the same build:
 # a change that moves any number in any job fails here. A change meant
 # to move output regenerates the file with this command and says why.
-# The whole suite at four workers must match the same file: every job,
-# not only the ones the per-job loop above covers, replays identically
-# in parallel.
+# The whole suite at four workers must match the same file, so every
+# job replays identically across suite worker counts.
+tmpdir=$(mktemp -d)
+trap 'rm -rf "$tmpdir"' EXIT
 for jobs in 1 4; do
     VSCHED_SCALE=smoke ./target/release/suite --jobs "$jobs" --seed 42 --no-ckpt \
         > "$tmpdir/suite_smoke.jobs$jobs.txt" 2>/dev/null
     diff tests/golden/suite_smoke_seed42.txt "$tmpdir/suite_smoke.jobs$jobs.txt"
+done
+# Every fleet cell reports its law verdict, and every fleet-chaos cell
+# ends with nothing stranded on a dead host; the adversary matrix reports
+# steal, and every vcache cell its cache picks.
+for want in violations stranded steal "cache picks"; do
+    grep -q "$want" "$tmpdir/suite_smoke.jobs1.txt"
+done
+
+echo "== suite runner: fleet stepping pool vs serial stepping (smoke scale, fixed seed)"
+# The *cluster-stepping* pool (host shards inside each fleet cell,
+# distinct from the suite's job pool above) must be equally invisible: a
+# forced four-worker stepping pool vs the serial run, byte-identical.
+# The `fleet` filter also substring-matches fleet-replay and fleet-chaos.
+for id in fleet fleet-chaos; do
+    for threads in 1 4; do
+        VSCHED_SCALE=smoke ./target/release/suite --filter "$id" --jobs 1 --seed 42 \
+            --fleet-threads "$threads" --no-ckpt > "$tmpdir/$id.step$threads.txt" 2>/dev/null
+    done
+    diff "$tmpdir/$id.step1.txt" "$tmpdir/$id.step4.txt"
 done
 
 echo "== histogram oracle (release, 8x property cases)"

@@ -26,7 +26,7 @@
 
 use crate::common::{check_report, checked_collector, Mode, Scale};
 use crate::runner::Grid;
-use hostsim::{DomainSchedule, HostSched, HostSpec, ScenarioBuilder, VmSpec};
+use hostsim::{DomainSchedule, HostSched, HostSpec, Machine, VmSpec};
 use metrics::Table;
 use simcore::plan::Plan;
 use simcore::time::{MS, SEC};
@@ -186,10 +186,9 @@ fn run_scenario(
 ) -> AdversaryOutcome {
     let horizon_ns = plan.spec().horizon_ns;
     let adv_vcpus = plan.spec().nr_vcpus;
-    let (b, victim) =
-        ScenarioBuilder::new(HostSpec::flat(NR_VCPUS), seed).vm(VmSpec::pinned(NR_VCPUS, 0));
-    let (b, adv) = b.vm(VmSpec::pinned(adv_vcpus, 0));
-    let mut m = b.build();
+    let mut m = Machine::new(HostSpec::flat(NR_VCPUS), seed);
+    let victim = m.add_vm(VmSpec::pinned(NR_VCPUS, 0));
+    let adv = m.add_vm(VmSpec::pinned(adv_vcpus, 0));
     m.set_vm_class(victim, PriorityClass::Standard);
     m.set_vm_class(adv, PriorityClass::Batch);
     m.set_host_sched(policy.sched())

@@ -13,7 +13,7 @@
 
 use crate::common::{check_report, checked_collector, Mode, Scale};
 use crate::runner::{take, Grid};
-use hostsim::{ChaosSpec, FaultPlan, HostSpec, ScenarioBuilder, VmSpec};
+use hostsim::{ChaosSpec, FaultPlan, HostSpec, Machine, VmSpec};
 use metrics::Table;
 use simcore::plan::Plan;
 use simcore::time::{MS, SEC};
@@ -94,9 +94,8 @@ pub fn run_mode(mode: ChaosMode, horizon_secs: u64, seed: u64) -> ChaosOutcome {
 /// `suite --replay` drive arbitrary — typically subset — plans through the
 /// very same scenario the seeded cell uses).
 pub fn run_plan(mode: ChaosMode, plan: &FaultPlan, seed: u64) -> ChaosOutcome {
-    let (b, vm) =
-        ScenarioBuilder::new(HostSpec::flat(NR_VCPUS), seed).vm(VmSpec::pinned(NR_VCPUS, 0));
-    let mut m = b.build();
+    let mut m = Machine::new(HostSpec::flat(NR_VCPUS), seed);
+    let vm = m.add_vm(VmSpec::pinned(NR_VCPUS, 0));
     let spec = plan.spec().clone();
     plan.apply(&mut m);
     let shared = checked_collector();

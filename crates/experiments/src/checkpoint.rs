@@ -32,21 +32,11 @@
 //! `git describe --always --dirty` when available.
 
 use simcore::json::{Field, Json};
+use simcore::rng::fnv1a;
 use std::collections::BTreeMap;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-
-/// FNV-1a over the output bytes; guards a checkpointed job file against
-/// truncation or manual edits.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// The run configuration a checkpoint is keyed on.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -198,7 +188,7 @@ impl Checkpoint {
     pub fn load(&self, job: &str) -> Option<String> {
         let entry = self.jobs.get(job)?;
         let bytes = fs::read(self.dir.join(&entry.file)).ok()?;
-        if bytes.len() as u64 != entry.bytes || fnv64(&bytes) != entry.fnv {
+        if bytes.len() as u64 != entry.bytes || fnv1a(bytes.iter().copied()) != entry.fnv {
             return None;
         }
         String::from_utf8(bytes).ok()
@@ -215,7 +205,7 @@ impl Checkpoint {
             JobEntry {
                 file,
                 bytes: output.len() as u64,
-                fnv: fnv64(output.as_bytes()),
+                fnv: fnv1a(output.bytes()),
             },
         );
         self.write_manifest()

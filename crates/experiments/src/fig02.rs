@@ -10,7 +10,7 @@
 
 use crate::common::Scale;
 use crate::runner::Grid;
-use hostsim::{HostSpec, ScenarioBuilder, VmSpec};
+use hostsim::{HostSpec, Machine, VmSpec};
 use metrics::Table;
 use simcore::time::MS;
 use simcore::{SimRng, SimTime};
@@ -83,9 +83,9 @@ fn run_cell(bench: &'static str, best_effort: bool, latency_ms: u64, secs: u64, 
     let n = 16;
     let mut host = HostSpec::flat(n);
     host.quantum_ns = latency_ms * MS;
-    let (b, vm) = ScenarioBuilder::new(host, seed).vm(VmSpec::pinned(n, 0));
-    let (b, stress_vm) = b.vm(VmSpec::pinned(n, 0));
-    let mut m = b.build();
+    let mut m = Machine::new(host, seed);
+    let vm = m.add_vm(VmSpec::pinned(n, 0));
+    let stress_vm = m.add_vm(VmSpec::pinned(n, 0));
     // Very light offered load, as the paper configures it ("we reduced the
     // arrival rate of requests to minimize the delay on the runqueue while
     // waiting for other requests"): requests arrive far apart so each one

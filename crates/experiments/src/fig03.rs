@@ -14,7 +14,7 @@ use crate::runner::{take, Grid};
 use guestos::{
     GuestOs, MigrateKind, Platform, SpawnSpec, TaskAction, TaskId, TaskState, VcpuId, Workload,
 };
-use hostsim::{HostSpec, Machine, ScenarioBuilder, ScriptAction, VmSpec};
+use hostsim::{HostSpec, Machine, ScriptAction, VmSpec};
 use metrics::Table;
 use simcore::time::MS;
 use simcore::SimTime;
@@ -145,8 +145,8 @@ pub fn run_mode(
     seed: u64,
     check: Option<&trace::SharedCollector>,
 ) -> ModeResult {
-    let (b, vm) = ScenarioBuilder::new(HostSpec::flat(4), seed).vm(VmSpec::pinned(4, 0));
-    let mut m: Machine = b.build();
+    let mut m = Machine::new(HostSpec::flat(4), seed);
+    let vm = m.add_vm(VmSpec::pinned(4, 0));
     if let Some(shared) = check {
         m.attach_trace(shared);
     }

@@ -15,7 +15,7 @@
 
 use crate::common::Scale;
 use crate::runner::{pair_up, Grid};
-use hostsim::{HostSpec, Pinning, ScenarioBuilder, VmSpec};
+use hostsim::{HostSpec, Machine, Pinning, VmSpec};
 use metrics::Table;
 use simcore::{SimRng, SimTime};
 use std::fmt;
@@ -101,8 +101,9 @@ impl fmt::Display for Fig04 {
 }
 
 fn straggler_cell(bench: &'static str, exclude: bool, secs: u64, seed: u64) -> f64 {
-    let (b, vm) = ScenarioBuilder::new(HostSpec::flat(16), seed).vm(VmSpec::pinned(16, 0));
-    let mut m = b.host_load(15, 15 * 1024).build();
+    let mut m = Machine::new(HostSpec::flat(16), seed);
+    let vm = m.add_vm(VmSpec::pinned(16, 0));
+    m.add_host_load(15, 15 * 1024);
     if exclude {
         m.vms[vm].guest.kern.cgroup.ban(15);
     }
@@ -121,14 +122,14 @@ fn stacking_cell(
     secs: u64,
     seed: u64,
 ) -> f64 {
-    let (b, vm) = ScenarioBuilder::new(HostSpec::flat(8), seed).vm(VmSpec {
+    let mut m = Machine::new(HostSpec::flat(8), seed);
+    let vm = m.add_vm(VmSpec {
         nr_vcpus: 16,
         pinning: Pinning::stacked_pairs(0, 16),
         weight: 1024,
         bandwidth: None,
         guest_cfg: None,
     });
-    let mut m = b.build();
     let threads = if with_best_effort { 8 } else { 16 };
     let (wl, handle) = build(bench, threads, SimRng::new(seed ^ 0x42));
     if with_best_effort {

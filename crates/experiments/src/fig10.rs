@@ -11,7 +11,7 @@
 
 use crate::common::Scale;
 use crate::runner::Grid;
-use hostsim::{HostSpec, Machine, Pinning, ScenarioBuilder, ScriptAction, VmSpec};
+use hostsim::{HostSpec, Machine, Pinning, ScriptAction, VmSpec};
 use metrics::Table;
 use simcore::time::SEC;
 use simcore::SimTime;
@@ -97,8 +97,8 @@ impl fmt::Display for Fig10 {
 
 /// Runs part (a): step the real capacity of vCPU 0 and sample the EMA.
 fn run_capacity_tracking(seed: u64, secs: u64) -> Vec<CapSample> {
-    let (b, vm) = ScenarioBuilder::new(HostSpec::flat(2), seed).vm(VmSpec::pinned(2, 0));
-    let mut m = b.build();
+    let mut m = Machine::new(HostSpec::flat(2), seed);
+    let vm = m.add_vm(VmSpec::pinned(2, 0));
     // Capacity schedule for vCPU 0 via DVFS steps on core 0 (share styles
     // produce the same observable; frequency exercises the heavy phase).
     let steps: [(u64, f64); 5] = [
@@ -150,14 +150,14 @@ fn run_capacity_tracking(seed: u64, secs: u64) -> Vec<CapSample> {
 /// Runs part (b): probe the 8-vCPU mixed topology.
 fn run_matrix(seed: u64) -> Vec<Vec<f64>> {
     let host = HostSpec::new(2, 2, 2);
-    let (b, vm) = ScenarioBuilder::new(host, seed).vm(VmSpec {
+    let mut m = Machine::new(host, seed);
+    let vm = m.add_vm(VmSpec {
         nr_vcpus: 8,
         pinning: Pinning::OneToOne(vec![0, 1, 2, 3, 4, 5, 6, 6]),
         weight: 1024,
         bandwidth: None,
         guest_cfg: None,
     });
-    let mut m = b.build();
     let (wl, _s) = Stressor::new(0, work_ms(1.0));
     m.set_workload(vm, Box::new(wl));
     m.with_vm(vm, |g, p| {

@@ -13,7 +13,7 @@
 
 use crate::common::{Mode, Scale};
 use crate::runner::{take, Grid};
-use hostsim::{HostSpec, ScenarioBuilder, ScriptAction, VmSpec};
+use hostsim::{HostSpec, Machine, ScriptAction, VmSpec};
 use metrics::Table;
 use simcore::{SimRng, SimTime};
 use std::fmt;
@@ -116,8 +116,8 @@ pub fn run_asym(
     seed: u64,
     check: Option<&trace::SharedCollector>,
 ) -> AsymResult {
-    let (b, vm) = ScenarioBuilder::new(HostSpec::flat(16), seed).vm(VmSpec::pinned(16, 0));
-    let mut m = b.build();
+    let mut m = Machine::new(HostSpec::flat(16), seed);
+    let vm = m.add_vm(VmSpec::pinned(16, 0));
     if let Some(shared) = check {
         m.attach_trace(shared);
     }
@@ -157,9 +157,9 @@ pub fn run_sym(
     seed: u64,
     check: Option<&trace::SharedCollector>,
 ) -> SymResult {
-    let (b, vm) = ScenarioBuilder::new(HostSpec::flat(16), seed).vm(VmSpec::pinned(16, 0));
-    let (b, stress_vm) = b.vm(VmSpec::pinned(16, 0));
-    let mut m = b.build();
+    let mut m = Machine::new(HostSpec::flat(16), seed);
+    let vm = m.add_vm(VmSpec::pinned(16, 0));
+    let stress_vm = m.add_vm(VmSpec::pinned(16, 0));
     if let Some(shared) = check {
         m.attach_trace(shared);
     }

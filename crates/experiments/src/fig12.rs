@@ -17,7 +17,7 @@
 use crate::common::{Mode, Scale};
 use crate::runner::{pair_up, take, Grid};
 use guestos::TaskState;
-use hostsim::{HostSpec, Machine, Pinning, ScenarioBuilder, VmSpec};
+use hostsim::{HostSpec, Machine, Pinning, VmSpec};
 use metrics::Table;
 use simcore::time::MS;
 use simcore::{SimRng, SimTime};
@@ -111,14 +111,14 @@ fn smt_host() -> HostSpec {
 }
 
 fn run_underloaded(with_vtop: bool, secs: u64, seed: u64) -> ActiveCores {
-    let (b, vm) = ScenarioBuilder::new(smt_host(), seed).vm(VmSpec {
+    let mut m = Machine::new(smt_host(), seed);
+    let vm = m.add_vm(VmSpec {
         nr_vcpus: 32,
         pinning: Pinning::OneToOne((0..32).collect()),
         weight: 1024,
         bandwidth: None,
         guest_cfg: None,
     });
-    let mut m = b.build();
     let (wl, _h) = build("sysbench", 16, SimRng::new(seed ^ 0xB1));
     m.set_workload(vm, wl);
     if with_vtop {
@@ -168,14 +168,14 @@ fn run_underloaded(with_vtop: bool, secs: u64, seed: u64) -> ActiveCores {
 }
 
 fn run_mixed(partner: &'static str, with_vtop: bool, secs: u64, seed: u64) -> Mixed {
-    let (b, vm) = ScenarioBuilder::new(smt_host(), seed).vm(VmSpec {
+    let mut m = Machine::new(smt_host(), seed);
+    let vm = m.add_vm(VmSpec {
         nr_vcpus: 32,
         pinning: Pinning::OneToOne((0..32).collect()),
         weight: 1024,
         bandwidth: None,
         guest_cfg: None,
     });
-    let mut m = b.build();
     let (mat, mat_h) = build("matmul", 16, SimRng::new(seed ^ 0xB2));
     let (pw, pw_h) = build(partner, 16, SimRng::new(seed ^ 0xB3));
     m.set_workload(vm, Box::new(MultiWorkload::new(vec![mat, pw])));

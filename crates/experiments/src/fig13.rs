@@ -8,7 +8,7 @@
 
 use crate::common::{Mode, Scale};
 use crate::runner::{pair_up, Grid};
-use hostsim::{HostSpec, Pinning, ScenarioBuilder, VmSpec};
+use hostsim::{HostSpec, Machine, Pinning, VmSpec};
 use metrics::Table;
 use simcore::{SimRng, SimTime};
 use std::fmt;
@@ -108,14 +108,14 @@ fn instance(
 fn run_cell(name: &'static str, with_vtop: bool, secs: u64, seed: u64) -> LlcCell {
     // Two sockets x 16 cores, SMT off: vCPU i on thread i.
     let host = HostSpec::new(2, 16, 1);
-    let (b, vm) = ScenarioBuilder::new(host, seed).vm(VmSpec {
+    let mut m = Machine::new(host, seed);
+    let vm = m.add_vm(VmSpec {
         nr_vcpus: 32,
         pinning: Pinning::OneToOne((0..32).collect()),
         weight: 1024,
         bandwidth: None,
         guest_cfg: None,
     });
-    let mut m = b.build();
     let (a, ha) = instance(name, 8, 50, SimRng::new(seed ^ 0xC1));
     let (bw, hb) = instance(name, 8, 60, SimRng::new(seed ^ 0xC2));
     m.set_workload(vm, Box::new(MultiWorkload::new(vec![a, bw])));

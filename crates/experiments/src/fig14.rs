@@ -12,7 +12,7 @@
 
 use crate::common::{Mode, Scale};
 use crate::runner::Grid;
-use hostsim::{HostSpec, Machine, ScenarioBuilder, VmSpec};
+use hostsim::{HostSpec, Machine, VmSpec};
 use metrics::Table;
 use simcore::time::MS;
 use simcore::{SimRng, SimTime};
@@ -104,9 +104,9 @@ impl fmt::Display for Fig14 {
 /// (competing stressor VM), vCPUs 0–7 with 2x lower latency (4 ms host
 /// quanta vs 8 ms).
 pub fn build_machine(seed: u64) -> (Machine, usize) {
-    let (b, vm) = ScenarioBuilder::new(HostSpec::flat(16), seed).vm(VmSpec::pinned(16, 0));
-    let (b, stress_vm) = b.vm(VmSpec::pinned(16, 0));
-    let mut m = b.build();
+    let mut m = Machine::new(HostSpec::flat(16), seed);
+    let vm = m.add_vm(VmSpec::pinned(16, 0));
+    let stress_vm = m.add_vm(VmSpec::pinned(16, 0));
     let (sw, _s) = Stressor::new(16, work_ms(10.0));
     m.set_workload(stress_vm, Box::new(sw));
     for th in 0..16 {

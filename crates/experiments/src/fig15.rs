@@ -12,7 +12,7 @@
 
 use crate::common::{Mode, Scale};
 use crate::runner::Grid;
-use hostsim::{HostSpec, Machine, ScenarioBuilder, VmSpec};
+use hostsim::{HostSpec, Machine, VmSpec};
 use metrics::Table;
 use simcore::{SimRng, SimTime};
 use std::fmt;
@@ -109,9 +109,9 @@ impl fmt::Display for Fig15 {
 
 /// Builds the overcommitted machine shared by Figure 15 and Table 4.
 pub fn build_machine(seed: u64) -> (Machine, usize) {
-    let (b, vm) = ScenarioBuilder::new(HostSpec::flat(16), seed).vm(VmSpec::pinned(16, 0));
-    let (b, stress_vm) = b.vm(VmSpec::pinned(16, 0));
-    let mut m = b.build();
+    let mut m = Machine::new(HostSpec::flat(16), seed);
+    let vm = m.add_vm(VmSpec::pinned(16, 0));
+    let stress_vm = m.add_vm(VmSpec::pinned(16, 0));
     let (sw, _s) = Stressor::new(16, work_ms(10.0));
     m.set_workload(stress_vm, Box::new(sw));
     (m, vm)

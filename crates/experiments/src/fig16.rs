@@ -10,7 +10,7 @@
 
 use crate::common::{Mode, Scale};
 use crate::runner::{take, Grid};
-use hostsim::{HostSpec, ScenarioBuilder, ScriptAction, VmSpec};
+use hostsim::{HostSpec, Machine, ScriptAction, VmSpec};
 use metrics::Table;
 use simcore::time::SEC;
 use simcore::{SimRng, SimTime};
@@ -62,8 +62,8 @@ impl fmt::Display for Fig16 {
 }
 
 fn run_mode(mode: Mode, phase_secs: u64, seed: u64) -> Vec<f64> {
-    let (b, vm) = ScenarioBuilder::new(HostSpec::flat(16), seed).vm(VmSpec::pinned(16, 0));
-    let mut m = b.build();
+    let mut m = Machine::new(HostSpec::flat(16), seed);
+    let vm = m.add_vm(VmSpec::pinned(16, 0));
     let p = phase_secs;
     // Phase 2 (overcommitted): host loads on every thread = a competing VM.
     for th in 0..16 {

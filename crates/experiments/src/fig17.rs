@@ -10,7 +10,7 @@
 
 use crate::common::{Mode, Scale};
 use crate::runner::{take, Grid};
-use hostsim::{HostSpec, Machine, ScenarioBuilder, VmSpec};
+use hostsim::{HostSpec, Machine, VmSpec};
 use metrics::Table;
 use simcore::time::SEC;
 use simcore::{SimRng, SimTime};
@@ -72,21 +72,16 @@ struct Neighbour {
 
 fn run_mode(mode: Mode, phase_secs: u64, seed: u64) -> ModeOutcome {
     let threads: Vec<usize> = (0..16).collect();
-    let (mut b, nginx_vm) =
-        ScenarioBuilder::new(HostSpec::flat(16), seed).vm(VmSpec::floating(16, threads.clone()));
+    let mut m = Machine::new(HostSpec::flat(16), seed);
+    let nginx_vm = m.add_vm(VmSpec::floating(16, threads.clone()));
     // Two 16-vCPU neighbour VMs for phases 1-2, four 8-vCPU VMs for phase 3.
     let mut vm_ids = Vec::new();
     for _ in 0..2 {
-        let (nb, id) = b.vm(VmSpec::floating(16, threads.clone()));
-        b = nb;
-        vm_ids.push(id);
+        vm_ids.push(m.add_vm(VmSpec::floating(16, threads.clone())));
     }
     for _ in 0..4 {
-        let (nb, id) = b.vm(VmSpec::floating(8, threads.clone()));
-        b = nb;
-        vm_ids.push(id);
+        vm_ids.push(m.add_vm(VmSpec::floating(8, threads.clone())));
     }
-    let mut m: Machine = b.build();
 
     let (wl, nginx_handle) = build("nginx", 16, SimRng::new(seed ^ 0xF2));
     m.set_workload(nginx_vm, wl);

@@ -6,7 +6,7 @@
 
 use crate::common::{Mode, Scale};
 use crate::runner::{pair_up, Grid};
-use hostsim::{HostSpec, ScenarioBuilder, VmSpec};
+use hostsim::{HostSpec, Machine, VmSpec};
 use metrics::Table;
 use simcore::{SimRng, SimTime};
 use std::fmt;
@@ -68,8 +68,8 @@ impl fmt::Display for Fig21 {
 }
 
 fn run_cell(bench: &str, mode: Mode, secs: u64, seed: u64) -> f64 {
-    let (b, vm) = ScenarioBuilder::new(HostSpec::flat(16), seed).vm(VmSpec::pinned(16, 0));
-    let mut m = b.build();
+    let mut m = Machine::new(HostSpec::flat(16), seed);
+    let vm = m.add_vm(VmSpec::pinned(16, 0));
     let (wl, handle) = build_loaded(bench, 16, 0.15, SimRng::new(seed ^ 0xDD));
     m.set_workload(vm, wl);
     mode.install(&mut m, vm);

@@ -76,14 +76,8 @@ impl ChaosGuests {
 }
 
 /// Seed the shared chaos plan is generated from: FNV-1a of a fixed tag,
-/// overridable with `FLEET_CHAOS_SEED` so CI can sweep randomized days
-/// (every cell in one run still shares whatever day the env pins).
+/// so every run of the suite replays the same day.
 pub fn chaos_day_seed() -> u64 {
-    if let Ok(s) = std::env::var("FLEET_CHAOS_SEED") {
-        if let Ok(n) = s.trim().parse::<u64>() {
-            return n;
-        }
-    }
     day_seed("fleet-chaos-day")
 }
 

@@ -17,7 +17,7 @@
 //! at any load, as co-located tenants do on the paper's testbed.
 
 use guestos::GuestConfig;
-use hostsim::{HostSpec, Machine, Pinning, ScenarioBuilder, VmSpec};
+use hostsim::{HostSpec, Machine, Pinning, VmSpec};
 use simcore::time::MS;
 
 /// vCPU capacity/latency types used by both profiles.
@@ -86,14 +86,14 @@ pub fn rcvm(seed: u64) -> Profile {
     let mut pins: Vec<usize> = (0..10).collect();
     pins.push(10);
     pins.push(10);
-    let (b, vm) = ScenarioBuilder::new(host, seed).vm(VmSpec {
+    let mut machine = Machine::new(host, seed);
+    let vm = machine.add_vm(VmSpec {
         nr_vcpus: 12,
         pinning: Pinning::OneToOne(pins),
         weight: 1024,
         bandwidth: None,
         guest_cfg: Some(GuestConfig::new(12)),
     });
-    let mut machine = b.build();
     for (i, ty) in types.iter().enumerate() {
         if let Some((w, q)) = ty.contention() {
             machine.add_host_load(i, w);
@@ -122,14 +122,14 @@ pub fn hpvm(seed: u64) -> Profile {
     let host = HostSpec::new(4, 4, 2);
     let types = hpvm_types();
     let pins: Vec<usize> = (0..32).collect();
-    let (b, vm) = ScenarioBuilder::new(host, seed).vm(VmSpec {
+    let mut machine = Machine::new(host, seed);
+    let vm = machine.add_vm(VmSpec {
         nr_vcpus: 32,
         pinning: Pinning::OneToOne(pins),
         weight: 1024,
         bandwidth: None,
         guest_cfg: Some(GuestConfig::new(32)),
     });
-    let mut machine = b.build();
     for (i, ty) in types.iter().enumerate() {
         if let Some((w, q)) = ty.contention() {
             machine.add_host_load(i, w);

@@ -38,6 +38,7 @@ use crate::{
     adversary, chaos, fig02, fig03, fig04, fig10, fig11, fig12, fig13, fig14, fig15, fig16, fig17,
     fig18_19, fig20, fig21, fleet_chaos, replay, table2, table3, table4, vcache,
 };
+use simcore::rng::{fnv1a, mix64};
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt::Display;
@@ -228,19 +229,8 @@ impl<R: Send + 'static, F: Display + 'static> From<Grid<R, F>> for Job {
 /// base seed through a splitmix64 mix. Depends only on the cell's identity,
 /// never on scheduling, worker count, or completion order.
 pub fn cell_seed(base: u64, figure: &str, label: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in figure
-        .bytes()
-        .chain(std::iter::once(0xff))
-        .chain(label.bytes())
-    {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    let mut z = h ^ base.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    let h = fnv1a(figure.bytes().chain([0xff]).chain(label.bytes()));
+    mix64(h ^ base.wrapping_mul(0x9e37_79b9_7f4a_7c15))
 }
 
 /// The supervision canary: a grid whose cells fail on purpose. Never in

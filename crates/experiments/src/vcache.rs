@@ -20,7 +20,7 @@
 
 use crate::common::{check_report, checked_collector, Mode, Scale};
 use crate::runner::Grid;
-use hostsim::{HostSpec, Pinning, ScenarioBuilder, VmSpec};
+use hostsim::{HostSpec, Machine, Pinning, VmSpec};
 use metrics::Table;
 use simcore::{SimRng, SimTime};
 use std::fmt;
@@ -172,21 +172,21 @@ fn run_cell(name: &'static str, mode: &'static str, secs: u64, seed: u64) -> Vca
     // Two sockets x 16 cores, SMT off. The victim spans both sockets;
     // the thrasher owns half of socket 1 (threads 16..24).
     let host = HostSpec::new(2, 16, 1);
-    let (b, victim) = ScenarioBuilder::new(host, seed).vm(VmSpec {
+    let mut m = Machine::new(host, seed);
+    let victim = m.add_vm(VmSpec {
         nr_vcpus: 32,
         pinning: Pinning::OneToOne((0..32).collect()),
         weight: 1024,
         bandwidth: None,
         guest_cfg: None,
     });
-    let (b, thrasher) = b.vm(VmSpec {
+    let thrasher = m.add_vm(VmSpec {
         nr_vcpus: 8,
         pinning: Pinning::OneToOne((16..24).collect()),
         weight: 1024,
         bandwidth: None,
         guest_cfg: None,
     });
-    let mut m = b.build();
     let shared = checked_collector();
     m.attach_trace(&shared);
     let (a, ha) = instance(name, 8, 50, SimRng::new(seed ^ 0xC1));

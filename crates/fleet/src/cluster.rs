@@ -47,10 +47,9 @@ use crate::placement::{HostView, PlacementPolicy, PlacementReq};
 use crate::pstep::StepPool;
 use crate::slo::{self, SloSummary, TenantStats};
 use crate::threads;
-use guestos::{GuestConfig, VcpuId};
-use hostsim::scenario::ScenarioBuilder;
+use guestos::VcpuId;
 use hostsim::topology::HostSpec;
-use hostsim::Machine;
+use hostsim::{Machine, VmSpec};
 use simcore::time::MS;
 use simcore::{SimRng, SimTime};
 use std::cell::RefCell;
@@ -273,8 +272,7 @@ impl Cluster {
             // here, never shared — each worker only ever advances the
             // streams of hosts it has claimed.
             let host_seed = seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(h as u64 + 1));
-            let mut m =
-                ScenarioBuilder::new(HostSpec::flat(spec.threads_per_host), host_seed).build();
+            let mut m = Machine::new(HostSpec::flat(spec.threads_per_host), host_seed);
             let (_, collector) = TraceSink::shared(Collector::default().with_checker());
             m.attach_trace(&collector);
             m.start();
@@ -643,12 +641,9 @@ impl Cluster {
         };
         self.ensure_fits(h, &req).unwrap_or_else(|e| panic!("{e}"));
         let threads = self.spec.threads_per_host;
-        let vm_idx = self.hosts[h].m.add_vm(
-            GuestConfig::new(vcpus),
-            vec![(0..threads).collect(); vcpus],
-            1024,
-            None,
-        );
+        let vm_idx = self.hosts[h]
+            .m
+            .add_vm(VmSpec::floating(vcpus, (0..threads).collect()));
         let stats = self.install_guest(h, vm_idx, uid, vcpus, None, None);
         self.hosts[h].committed += vcpus as u64;
         self.placed += 1;
@@ -831,12 +826,9 @@ impl Cluster {
         };
         self.ensure_fits(h, &req).unwrap_or_else(|e| panic!("{e}"));
         let threads = self.spec.threads_per_host;
-        let vm_idx = self.hosts[h].m.add_vm(
-            GuestConfig::new(vcpus),
-            vec![(0..threads).collect(); vcpus],
-            1024,
-            None,
-        );
+        let vm_idx = self.hosts[h]
+            .m
+            .add_vm(VmSpec::floating(vcpus, (0..threads).collect()));
         let stats = Rc::clone(&self.live[i].stats);
         self.install_guest(h, vm_idx, uid, vcpus, Some(stats), snapshot);
         self.hosts[from].committed -= vcpus as u64;

@@ -11,6 +11,7 @@
 
 use crate::lifecycle::{LifecycleEvent, VmOp, MIN_LIFETIME_NS};
 use crate::trace_format::FleetTrace;
+use simcore::rng::fnv1a;
 use simcore::time::MS;
 use simcore::{SimRng, SimTime};
 use std::collections::BinaryHeap;
@@ -186,24 +187,11 @@ pub fn profile_by_name(name: &str) -> Option<&'static Profile> {
 /// name. Deliberately independent of suite cell seeds — a replayed day
 /// is *one fixed day*, identical for every policy and guest mode.
 pub fn day_seed(profile_name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in profile_name.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a(profile_name.bytes())
 }
 
 fn draw_tier(rng: &mut SimRng, weights: &[u64; 3]) -> PriorityClass {
-    let total: u64 = weights.iter().sum();
-    let mut pick = rng.range(0, total);
-    for (i, &w) in weights.iter().enumerate() {
-        if pick < w {
-            return PRIORITY_CLASSES[i];
-        }
-        pick -= w;
-    }
-    PriorityClass::Standard
+    PRIORITY_CLASSES[rng.weighted_index(weights.iter().copied())]
 }
 
 /// Synthesizes a trace: a pure function of `(profile, horizon_ns, seed)`.
@@ -223,7 +211,6 @@ pub fn synthesize(profile: &Profile, horizon_ns: u64, seed: u64) -> FleetTrace {
     let mut pri = root.fork(0x9A);
     let mut storm = root.fork(0x57);
 
-    let total_weight: u64 = profile.size_mix.iter().map(|&(_, w)| w).sum();
     // Thinning: draw candidates at the peak rate, accept with
     // lambda(t)/lambda_max where lambda(t) tracks the sinusoid.
     let lambda_max = (1.0 + profile.diurnal_amplitude) / profile.base_arrival_mean_ns as f64;
@@ -247,20 +234,8 @@ pub fn synthesize(profile: &Profile, horizon_ns: u64, seed: u64) -> FleetTrace {
 
         // Size, lifetime, and tier draw per candidate — admitted or not —
         // so knob changes never shift sibling streams.
-        let mut pick = size.range(0, total_weight);
-        let vcpus = profile
-            .size_mix
-            .iter()
-            .find(|&&(_, w)| {
-                if pick < w {
-                    true
-                } else {
-                    pick -= w;
-                    false
-                }
-            })
-            .map(|&(v, _)| v)
-            .expect("weights cover the range");
+        let vcpus =
+            profile.size_mix[size.weighted_index(profile.size_mix.iter().map(|&(_, w)| w))].0;
         let heavy = life.chance(profile.pareto_frac);
         let body = life.lognormal(profile.lognorm_mean_ns as f64, profile.lognorm_sigma);
         let tail = life.pareto(profile.pareto_scale_ns as f64, profile.pareto_alpha);
@@ -374,20 +349,8 @@ pub fn synthesize(profile: &Profile, horizon_ns: u64, seed: u64) -> FleetTrace {
             }
             // Surge tenants are small and short-lived: the crowd wants
             // capacity *now* and leaves soon after the event passes.
-            let mut pick = surge.range(0, total_weight);
-            let vcpus = profile
-                .size_mix
-                .iter()
-                .find(|&&(_, w)| {
-                    if pick < w {
-                        true
-                    } else {
-                        pick -= w;
-                        false
-                    }
-                })
-                .map(|&(v, _)| v)
-                .expect("weights cover the range");
+            let vcpus =
+                profile.size_mix[surge.weighted_index(profile.size_mix.iter().map(|&(_, w)| w))].0;
             let lifetime = (surge.lognormal(profile.lognorm_mean_ns as f64 / 2.0, 0.5) as u64)
                 .clamp(MIN_LIFETIME_NS, profile.lifetime_max_ns);
             let prio = draw_tier(&mut surge, &profile.tier_weights);

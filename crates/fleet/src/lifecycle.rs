@@ -295,15 +295,7 @@ const TIER_WEIGHTS: [(PriorityClass, u64); 3] = [
 ];
 
 fn draw_tier(rng: &mut SimRng) -> PriorityClass {
-    let total: u64 = TIER_WEIGHTS.iter().map(|&(_, w)| w).sum();
-    let mut pick = rng.range(0, total);
-    for &(p, w) in &TIER_WEIGHTS {
-        if pick < w {
-            return p;
-        }
-        pick -= w;
-    }
-    PriorityClass::Standard
+    TIER_WEIGHTS[rng.weighted_index(TIER_WEIGHTS.iter().map(|&(_, w)| w))].0
 }
 
 /// Compiles the churn schedule for `(spec, seed)`: a time-sorted event
@@ -326,7 +318,6 @@ pub fn generate(spec: &FleetSpec, seed: u64) -> Vec<LifecycleEvent> {
     let mut rsz = root.fork(0x25);
     // Appended after the PR 5 forks so their streams are unshifted.
     let mut pri = root.fork(0x9A);
-    let total_weight: u64 = spec.size_mix.iter().map(|&(_, w)| w).sum();
 
     let mut events: Vec<LifecycleEvent> = Vec::new();
     // Min-heap of departure times (negated for BinaryHeap's max order) so
@@ -342,20 +333,7 @@ pub fn generate(spec: &FleetSpec, seed: u64) -> Vec<LifecycleEvent> {
         while matches!(departs.peek(), Some(&std::cmp::Reverse(d)) if d <= t) {
             departs.pop();
         }
-        let mut pick = size.range(0, total_weight);
-        let vcpus = spec
-            .size_mix
-            .iter()
-            .find(|&&(_, w)| {
-                if pick < w {
-                    true
-                } else {
-                    pick -= w;
-                    false
-                }
-            })
-            .map(|&(v, _)| v)
-            .expect("weights cover the range");
+        let vcpus = spec.size_mix[size.weighted_index(spec.size_mix.iter().map(|&(_, w)| w))].0;
         // Lifetime and resize draws happen whether or not the arrival is
         // admitted, so the admission bound never shifts later streams.
         let lifetime = (life.lognormal(spec.lifetime_mean_ns as f64, 0.8) as u64)

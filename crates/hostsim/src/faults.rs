@@ -489,9 +489,7 @@ mod tests {
         let s = spec(4);
         let plan = FaultPlan::generate(3, &s);
         let mut m = Machine::new(HostSpec::flat(4), 3);
-        let cfg = guestos::GuestConfig::new(4);
-        let aff = (0..4).map(|t| vec![t]).collect();
-        m.add_vm(cfg, aff, 1024, None);
+        m.add_vm(crate::VmSpec::pinned(4, 0));
         plan.apply(&mut m);
         m.start();
         m.run_until(SimTime::from_ns(s.start.ns() + s.horizon_ns + 500 * MS));

@@ -17,8 +17,9 @@
 //!   latency model calibrated to the paper's Figure 10b, which `vtop`
 //!   measures through [`guestos::Platform::cacheline_latency_ns`].
 //!
-//! The [`machine::Machine`] owns the event loop; [`scenario`] provides the
-//! declarative builders experiments use.
+//! The [`machine::Machine`] owns the event loop; a [`scenario::VmSpec`]
+//! describes one VM (size, pinning, weight, bandwidth), and
+//! [`Machine::add_vm`] adds it to the machine.
 
 pub mod domain;
 pub mod faults;
@@ -30,5 +31,5 @@ pub mod topology;
 pub use domain::{DomainConfigError, DomainSchedule, DomainSlice};
 pub use faults::{ChaosSpec, FaultPlan, InjectedFault};
 pub use machine::{Ev, GVcpu, HostSched, HostState, Machine, ScriptAction, Vm};
-pub use scenario::{Pinning, ScenarioBuilder, VmSpec};
+pub use scenario::{Pinning, VmSpec};
 pub use topology::{CachelineLatencies, HostSpec};

@@ -22,10 +22,12 @@
 
 use crate::domain::{DomainConfigError, DomainSchedule};
 use crate::llc::LlcModel;
+use crate::scenario::VmSpec;
 use crate::topology::HostSpec;
 use guestos::{
     CommDistance, GuestConfig, GuestOs, Platform, RunDelta, TaskId, TaskState, VcpuId, Workload,
 };
+use simcore::rng::mix64;
 use simcore::{EventQueue, Integrator, SimRng, SimTime};
 use std::collections::VecDeque;
 use trace::{EventKind, FaultClass, PreemptReason, PriorityClass, SharedCollector, TraceSink};
@@ -497,17 +499,15 @@ impl Machine {
         }
     }
 
-    /// Adds a VM with per-vCPU thread affinities (one `Vec<usize>` per
-    /// vCPU), host weights, and optional bandwidth. Returns the VM index.
-    pub fn add_vm(
-        &mut self,
-        guest_cfg: GuestConfig,
-        affinities: Vec<Vec<usize>>,
-        weight: u64,
-        bandwidth: Option<(u64, u64)>,
-    ) -> usize {
-        let nr = guest_cfg.nr_vcpus;
-        assert_eq!(affinities.len(), nr, "one affinity list per vCPU");
+    /// Adds the VM `spec` describes: its vCPUs with their thread
+    /// affinities, host weight and optional bandwidth, and its guest (the
+    /// default [`GuestConfig`] for its size unless the spec overrides it).
+    /// Returns the VM index.
+    pub fn add_vm(&mut self, spec: VmSpec) -> usize {
+        let nr = spec.nr_vcpus;
+        let guest_cfg = spec.guest_cfg.unwrap_or_else(|| GuestConfig::new(nr));
+        assert_eq!(guest_cfg.nr_vcpus, nr, "guest cfg size mismatch");
+        let affinities = spec.pinning.into_affinities(nr);
         let base = self.vcpus.len();
         let vm_idx = self.vms.len();
         let now = self.q.now();
@@ -520,14 +520,14 @@ impl Machine {
                 vm: vm_idx,
                 idx: i,
                 affinity: aff,
-                weight,
+                weight: spec.weight,
                 state: HostState::Halted,
                 state_since: now,
                 steal_ns: 0,
                 active_ns: 0,
                 preemptions: 0,
                 offline: false,
-                bandwidth: bandwidth.map(|(q, p)| Bandwidth {
+                bandwidth: spec.bandwidth.map(|(q, p)| Bandwidth {
                     quota_ns: q,
                     period_ns: p,
                     runtime_ns: 0,
@@ -1871,15 +1871,13 @@ impl Machine {
         if self.probe_noise == 0.0 {
             return 0.0;
         }
-        let mut x = self
-            .q
-            .now()
-            .ns()
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(salt.rotate_left(17));
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^= x >> 31;
+        let x = mix64(
+            self.q
+                .now()
+                .ns()
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .wrapping_add(salt.rotate_left(17)),
+        );
         let unit = (x >> 11) as f64 / (1u64 << 53) as f64;
         self.probe_noise * (2.0 * unit - 1.0)
     }

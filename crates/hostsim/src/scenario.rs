@@ -1,18 +1,15 @@
-//! Scenario construction helpers.
+//! VM descriptions.
 //!
-//! Experiments describe a host, a set of VMs (with pinning, host weights,
-//! and bandwidth control), interfering host loads, and a timeline of
-//! scripted changes; [`ScenarioBuilder`] assembles the [`Machine`].
+//! An experiment is a host plus VMs with pinning, host weights and
+//! bandwidth control (§5.1 of the paper). A [`VmSpec`] describes one VM;
+//! [`Machine::add_vm`](crate::Machine::add_vm) builds it.
 //!
-//! Pinning conventions match the paper's setups: `pinned_one_to_one` puts
+//! Pinning conventions match the paper's setups: `one_to_one` puts
 //! vCPU *i* on thread *base + i* (virsh-style pinning), `stacked_pairs`
 //! doubles vCPUs up on threads, and `floating` lets the host place vCPUs
 //! freely (the multi-tenant experiments of §5.8).
 
-use crate::machine::Machine;
-use crate::topology::HostSpec;
 use guestos::GuestConfig;
-use simcore::SimTime;
 
 /// How a VM's vCPUs map to hardware threads.
 #[derive(Debug, Clone)]
@@ -37,19 +34,19 @@ impl Pinning {
         Pinning::OneToOne((0..n_vcpus).map(|i| base + i / 2).collect())
     }
 
-    fn to_affinities(&self, n: usize) -> Vec<Vec<usize>> {
+    pub(crate) fn into_affinities(self, n: usize) -> Vec<Vec<usize>> {
         match self {
             Pinning::OneToOne(threads) => {
                 assert_eq!(threads.len(), n, "one thread per vCPU");
-                threads.iter().map(|&t| vec![t]).collect()
+                threads.into_iter().map(|t| vec![t]).collect()
             }
             Pinning::Floating(threads) => {
                 assert!(!threads.is_empty());
-                vec![threads.clone(); n]
+                vec![threads; n]
             }
             Pinning::PerVcpu(lists) => {
                 assert_eq!(lists.len(), n);
-                lists.clone()
+                lists
             }
         }
     }
@@ -118,84 +115,49 @@ impl VmSpec {
     }
 }
 
-/// Assembles a [`Machine`] from declarative pieces.
-pub struct ScenarioBuilder {
-    machine: Machine,
-}
-
-impl ScenarioBuilder {
-    /// Starts a scenario on the given host with a deterministic seed.
-    pub fn new(host: HostSpec, seed: u64) -> Self {
-        Self {
-            machine: Machine::new(host, seed),
-        }
-    }
-
-    /// Adds a VM; returns `(self, vm_index)`.
-    pub fn vm(mut self, spec: VmSpec) -> (Self, usize) {
-        let cfg = spec
-            .guest_cfg
-            .clone()
-            .unwrap_or_else(|| GuestConfig::new(spec.nr_vcpus));
-        assert_eq!(cfg.nr_vcpus, spec.nr_vcpus, "guest cfg size mismatch");
-        let aff = spec.pinning.to_affinities(spec.nr_vcpus);
-        let idx = self.machine.add_vm(cfg, aff, spec.weight, spec.bandwidth);
-        (self, idx)
-    }
-
-    /// Adds a host load on a thread immediately.
-    pub fn host_load(mut self, thread: usize, weight: u64) -> Self {
-        self.machine.add_host_load(thread, weight);
-        self
-    }
-
-    /// Schedules a scripted action.
-    pub fn at(mut self, t: SimTime, action: crate::machine::ScriptAction) -> Self {
-        self.machine.at(t, action);
-        self
-    }
-
-    /// Finishes construction.
-    pub fn build(self) -> Machine {
-        self.machine
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::Machine;
+    use crate::topology::HostSpec;
 
     #[test]
     fn one_to_one_pinning_expands() {
         let p = Pinning::one_to_one(4, 3);
-        assert_eq!(p.to_affinities(3), vec![vec![4], vec![5], vec![6]]);
+        assert_eq!(p.into_affinities(3), vec![vec![4], vec![5], vec![6]]);
     }
 
     #[test]
     fn stacked_pairs_double_up() {
         let p = Pinning::stacked_pairs(0, 4);
-        assert_eq!(p.to_affinities(4), vec![vec![0], vec![0], vec![1], vec![1]]);
+        assert_eq!(
+            p.into_affinities(4),
+            vec![vec![0], vec![0], vec![1], vec![1]]
+        );
     }
 
     #[test]
     fn floating_repeats_mask() {
         let p = Pinning::Floating(vec![0, 1]);
-        assert_eq!(p.to_affinities(2), vec![vec![0, 1], vec![0, 1]]);
+        assert_eq!(p.into_affinities(2), vec![vec![0, 1], vec![0, 1]]);
     }
 
     #[test]
     #[should_panic]
     fn one_to_one_size_mismatch_panics() {
-        Pinning::one_to_one(0, 2).to_affinities(3);
+        Pinning::one_to_one(0, 2).into_affinities(3);
     }
 
     #[test]
     fn builder_assembles_machine() {
-        let (b, vm0) = ScenarioBuilder::new(HostSpec::flat(4), 1).vm(VmSpec::pinned(4, 0));
-        let (b, vm1) = b.vm(VmSpec::pinned(4, 0)
-            .bandwidth(5_000_000, 10_000_000)
-            .weight(2048));
-        let m = b.host_load(3, 1024).build();
+        let mut m = Machine::new(HostSpec::flat(4), 1);
+        let vm0 = m.add_vm(VmSpec::pinned(4, 0));
+        let vm1 = m.add_vm(
+            VmSpec::pinned(4, 0)
+                .bandwidth(5_000_000, 10_000_000)
+                .weight(2048),
+        );
+        m.add_host_load(3, 1024);
         assert_eq!(vm0, 0);
         assert_eq!(vm1, 1);
         assert_eq!(m.vms.len(), 2);

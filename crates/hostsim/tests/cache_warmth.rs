@@ -7,7 +7,7 @@
 use guestos::{GuestOs, Platform, SpawnSpec, TaskAction, TaskId, Workload};
 use simcore::time::SEC;
 use simcore::SimTime;
-use vsched_hostsim::{HostSpec, ScenarioBuilder, VmSpec};
+use vsched_hostsim::{HostSpec, Machine, VmSpec};
 
 struct OneSpinner {
     cache_sensitive: bool,
@@ -29,12 +29,11 @@ impl Workload for OneSpinner {
 }
 
 fn run(cache_sensitive: bool, contended: bool) -> f64 {
-    let (b, vm) = ScenarioBuilder::new(HostSpec::flat(1), 3).vm(VmSpec::pinned(1, 0));
-    let mut m = if contended {
-        b.host_load(0, 1024).build()
-    } else {
-        b.build()
-    };
+    let mut m = Machine::new(HostSpec::flat(1), 3);
+    let vm = m.add_vm(VmSpec::pinned(1, 0));
+    if contended {
+        m.add_host_load(0, 1024);
+    }
     m.set_workload(vm, Box::new(OneSpinner { cache_sensitive }));
     m.start();
     m.run_until(SimTime::from_secs(2));

@@ -13,16 +13,14 @@ use simcore::plan::Plan;
 use simcore::time::MS;
 use simcore::{propcheck, SimTime};
 use trace::FaultClass;
-use vsched_hostsim::{ChaosSpec, FaultPlan, HostSpec, Machine};
+use vsched_hostsim::{ChaosSpec, FaultPlan, HostSpec, Machine, VmSpec};
 
 /// Longest transient the planner draws (see `plan_class`).
 const MAX_TRANSIENT_NS: u64 = 400 * MS;
 
 fn build_machine(nr: usize, seed: u64) -> Machine {
     let mut m = Machine::new(HostSpec::flat(nr), seed);
-    let cfg = guestos::GuestConfig::new(nr);
-    let aff = (0..nr).map(|t| vec![t]).collect();
-    m.add_vm(cfg, aff, 1024, None);
+    m.add_vm(VmSpec::pinned(nr, 0));
     m
 }
 

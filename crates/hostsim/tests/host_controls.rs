@@ -4,7 +4,7 @@
 use guestos::{GuestOs, Platform, SpawnSpec, TaskAction, TaskId, Workload};
 use simcore::time::{MS, SEC};
 use simcore::SimTime;
-use vsched_hostsim::{HostSpec, Machine, ScenarioBuilder, ScriptAction, VmSpec};
+use vsched_hostsim::{HostSpec, Machine, ScriptAction, VmSpec};
 
 struct Spin(usize);
 
@@ -29,8 +29,8 @@ fn work(m: &Machine, vm: usize) -> f64 {
 
 #[test]
 fn bandwidth_can_be_changed_and_removed_at_runtime() {
-    let (b, vm) = ScenarioBuilder::new(HostSpec::flat(1), 1).vm(VmSpec::pinned(1, 0));
-    let mut m = b.build();
+    let mut m = Machine::new(HostSpec::flat(1), 1);
+    let vm = m.add_vm(VmSpec::pinned(1, 0));
     m.set_workload(vm, Box::new(Spin(1)));
     // Throttle to 25% after 1 s, release after 2 s.
     m.at(
@@ -62,8 +62,8 @@ fn bandwidth_can_be_changed_and_removed_at_runtime() {
 
 #[test]
 fn repinning_moves_execution() {
-    let (b, vm) = ScenarioBuilder::new(HostSpec::flat(2), 2).vm(VmSpec::pinned(1, 0));
-    let mut m = b.build();
+    let mut m = Machine::new(HostSpec::flat(2), 2);
+    let vm = m.add_vm(VmSpec::pinned(1, 0));
     m.set_workload(vm, Box::new(Spin(1)));
     m.at(
         SimTime::from_secs(1),
@@ -83,8 +83,8 @@ fn repinning_moves_execution() {
 
 #[test]
 fn host_load_add_remove_restores_capacity() {
-    let (b, vm) = ScenarioBuilder::new(HostSpec::flat(1), 3).vm(VmSpec::pinned(1, 0));
-    let mut m = b.build();
+    let mut m = Machine::new(HostSpec::flat(1), 3);
+    let vm = m.add_vm(VmSpec::pinned(1, 0));
     m.set_workload(vm, Box::new(Spin(1)));
     m.at(
         SimTime::from_secs(1),
@@ -108,9 +108,9 @@ fn host_load_add_remove_restores_capacity() {
 #[test]
 fn per_thread_quanta_set_inactive_periods() {
     // Two VMs share a core; quantum 8 ms → preemption gaps ≈ 8 ms.
-    let (b, vm0) = ScenarioBuilder::new(HostSpec::flat(1), 4).vm(VmSpec::pinned(1, 0));
-    let (b, vm1) = b.vm(VmSpec::pinned(1, 0));
-    let mut m = b.build();
+    let mut m = Machine::new(HostSpec::flat(1), 4);
+    let vm0 = m.add_vm(VmSpec::pinned(1, 0));
+    let vm1 = m.add_vm(VmSpec::pinned(1, 0));
     m.set_thread_quantum(0, 8 * MS);
     m.set_workload(vm0, Box::new(Spin(1)));
     m.set_workload(vm1, Box::new(Spin(1)));
@@ -126,8 +126,8 @@ fn per_thread_quanta_set_inactive_periods() {
 fn samplers_fire_on_schedule() {
     use std::cell::RefCell;
     use std::rc::Rc;
-    let (b, vm) = ScenarioBuilder::new(HostSpec::flat(1), 5).vm(VmSpec::pinned(1, 0));
-    let mut m = b.build();
+    let mut m = Machine::new(HostSpec::flat(1), 5);
+    let vm = m.add_vm(VmSpec::pinned(1, 0));
     m.set_workload(vm, Box::new(Spin(1)));
     let count = Rc::new(RefCell::new(0u32));
     let c2 = Rc::clone(&count);
@@ -146,8 +146,8 @@ fn samplers_fire_on_schedule() {
 #[test]
 fn dvfs_script_is_deterministic_and_bounded() {
     let run = || {
-        let (b, vm) = ScenarioBuilder::new(HostSpec::flat(1), 6).vm(VmSpec::pinned(1, 0));
-        let mut m = b.build();
+        let mut m = Machine::new(HostSpec::flat(1), 6);
+        let vm = m.add_vm(VmSpec::pinned(1, 0));
         m.set_workload(vm, Box::new(Spin(1)));
         for (i, f) in [(0u64, 0.25), (1, 1.0), (2, 0.5)] {
             m.at(
@@ -167,14 +167,14 @@ fn dvfs_script_is_deterministic_and_bounded() {
 
 #[test]
 fn stacked_vcpus_share_one_thread() {
-    let (b, vm) = ScenarioBuilder::new(HostSpec::flat(2), 7).vm(VmSpec {
+    let mut m = Machine::new(HostSpec::flat(2), 7);
+    let vm = m.add_vm(VmSpec {
         nr_vcpus: 2,
         pinning: vsched_hostsim::Pinning::stacked_pairs(0, 2),
         weight: 1024,
         bandwidth: None,
         guest_cfg: None,
     });
-    let mut m = b.build();
     m.set_workload(vm, Box::new(Spin(2)));
     m.start();
     m.run_until(SimTime::from_secs(2));

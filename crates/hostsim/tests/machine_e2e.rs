@@ -8,7 +8,7 @@
 use guestos::{GuestOs, Platform, SpawnSpec, TaskAction, TaskId, Workload};
 use simcore::time::{MS, SEC};
 use simcore::SimTime;
-use vsched_hostsim::{HostSpec, Machine, ScenarioBuilder, VmSpec};
+use vsched_hostsim::{HostSpec, Machine, VmSpec};
 
 /// Spawns `n` CPU-bound spinner tasks at start and never finishes.
 struct Spinners {
@@ -71,8 +71,8 @@ fn total_work(m: &Machine, vm: usize) -> f64 {
 
 #[test]
 fn dedicated_vcpu_accrues_full_capacity() {
-    let (b, vm) = ScenarioBuilder::new(HostSpec::flat(1), 1).vm(VmSpec::pinned(1, 0));
-    let mut m = b.build();
+    let mut m = Machine::new(HostSpec::flat(1), 1);
+    let vm = m.add_vm(VmSpec::pinned(1, 0));
     m.set_workload(vm, Box::new(Spinners::new(1)));
     m.start();
     m.run_until(SimTime::from_secs(1));
@@ -89,9 +89,9 @@ fn dedicated_vcpu_accrues_full_capacity() {
 
 #[test]
 fn two_vms_share_a_core_fairly() {
-    let (b, vm0) = ScenarioBuilder::new(HostSpec::flat(1), 2).vm(VmSpec::pinned(1, 0));
-    let (b, vm1) = b.vm(VmSpec::pinned(1, 0));
-    let mut m = b.build();
+    let mut m = Machine::new(HostSpec::flat(1), 2);
+    let vm0 = m.add_vm(VmSpec::pinned(1, 0));
+    let vm1 = m.add_vm(VmSpec::pinned(1, 0));
     m.set_workload(vm0, Box::new(Spinners::new(1)));
     m.set_workload(vm1, Box::new(Spinners::new(1)));
     m.start();
@@ -109,9 +109,8 @@ fn two_vms_share_a_core_fairly() {
 #[test]
 fn bandwidth_control_caps_share() {
     // quota 2 ms / period 10 ms → 20% capacity.
-    let (b, vm) = ScenarioBuilder::new(HostSpec::flat(1), 3)
-        .vm(VmSpec::pinned(1, 0).bandwidth(2 * MS, 10 * MS));
-    let mut m = b.build();
+    let mut m = Machine::new(HostSpec::flat(1), 3);
+    let vm = m.add_vm(VmSpec::pinned(1, 0).bandwidth(2 * MS, 10 * MS));
     m.set_workload(vm, Box::new(Spinners::new(1)));
     m.start();
     m.run_until(SimTime::from_secs(1));
@@ -129,8 +128,9 @@ fn bandwidth_control_caps_share() {
 #[test]
 fn host_load_steals_capacity_by_weight() {
     // Host load with 3x weight → vCPU gets ~25%.
-    let (b, vm) = ScenarioBuilder::new(HostSpec::flat(1), 4).vm(VmSpec::pinned(1, 0));
-    let mut m = b.host_load(0, 3 * 1024).build();
+    let mut m = Machine::new(HostSpec::flat(1), 4);
+    let vm = m.add_vm(VmSpec::pinned(1, 0));
+    m.add_host_load(0, 3 * 1024);
     m.set_workload(vm, Box::new(Spinners::new(1)));
     m.start();
     m.run_until(SimTime::from_secs(2));
@@ -142,8 +142,8 @@ fn host_load_steals_capacity_by_weight() {
 fn smt_contention_reduces_capacity() {
     // Two vCPUs of one VM pinned on the two threads of one core.
     let host = HostSpec::new(1, 1, 2);
-    let (b, vm) = ScenarioBuilder::new(host, 5).vm(VmSpec::pinned(2, 0));
-    let mut m = b.build();
+    let mut m = Machine::new(host, 5);
+    let vm = m.add_vm(VmSpec::pinned(2, 0));
     m.set_workload(vm, Box::new(Spinners::new(2)));
     m.start();
     m.run_until(SimTime::from_secs(1));
@@ -159,8 +159,8 @@ fn smt_contention_reduces_capacity() {
 #[test]
 fn guest_balances_tasks_across_vcpus() {
     // 4 spinners on a 4-vCPU VM must end up one per vCPU.
-    let (b, vm) = ScenarioBuilder::new(HostSpec::flat(4), 6).vm(VmSpec::pinned(4, 0));
-    let mut m = b.build();
+    let mut m = Machine::new(HostSpec::flat(4), 6);
+    let vm = m.add_vm(VmSpec::pinned(4, 0));
     m.set_workload(vm, Box::new(Spinners::new(4)));
     m.start();
     m.run_until(SimTime::from_secs(1));
@@ -179,8 +179,8 @@ fn guest_balances_tasks_across_vcpus() {
 #[test]
 fn finite_bursts_complete_and_chain() {
     // One task, 1 ms bursts; in 100 ms about 100 bursts complete.
-    let (b, vm) = ScenarioBuilder::new(HostSpec::flat(1), 7).vm(VmSpec::pinned(1, 0));
-    let mut m = b.build();
+    let mut m = Machine::new(HostSpec::flat(1), 7);
+    let vm = m.add_vm(VmSpec::pinned(1, 0));
     m.set_workload(vm, Box::new(Spinners::with_burst(1, 1024.0 * MS as f64)));
     m.start();
     m.run_until(SimTime::from_ms(100));
@@ -195,8 +195,8 @@ fn finite_bursts_complete_and_chain() {
 
 #[test]
 fn dvfs_scales_work_rate() {
-    let (b, vm) = ScenarioBuilder::new(HostSpec::flat(1), 8).vm(VmSpec::pinned(1, 0));
-    let mut m = b.build();
+    let mut m = Machine::new(HostSpec::flat(1), 8);
+    let vm = m.add_vm(VmSpec::pinned(1, 0));
     m.set_workload(vm, Box::new(Spinners::new(1)));
     m.at(
         SimTime::from_ms(500),
@@ -218,8 +218,8 @@ fn dvfs_scales_work_rate() {
 
 #[test]
 fn vm_cycles_track_capacity_integral() {
-    let (b, vm) = ScenarioBuilder::new(HostSpec::flat(2), 9).vm(VmSpec::pinned(2, 0));
-    let mut m = b.build();
+    let mut m = Machine::new(HostSpec::flat(2), 9);
+    let vm = m.add_vm(VmSpec::pinned(2, 0));
     m.set_workload(vm, Box::new(Spinners::new(2)));
     m.start();
     m.run_until(SimTime::from_secs(1));
@@ -235,8 +235,8 @@ fn vm_cycles_track_capacity_integral() {
 fn floating_vcpus_find_idle_threads() {
     // 2 floating vCPUs over 2 threads with spinners: both should make
     // full-speed progress (host balancing spreads them).
-    let (b, vm) = ScenarioBuilder::new(HostSpec::flat(2), 10).vm(VmSpec::floating(2, vec![0, 1]));
-    let mut m = b.build();
+    let mut m = Machine::new(HostSpec::flat(2), 10);
+    let vm = m.add_vm(VmSpec::floating(2, vec![0, 1]));
     m.set_workload(vm, Box::new(Spinners::new(2)));
     m.start();
     m.run_until(SimTime::from_secs(1));
@@ -251,9 +251,9 @@ fn floating_vcpus_find_idle_threads() {
 #[test]
 fn deterministic_under_same_seed() {
     let run = |seed: u64| -> f64 {
-        let (b, vm0) = ScenarioBuilder::new(HostSpec::flat(2), seed).vm(VmSpec::pinned(2, 0));
-        let (b, vm1) = b.vm(VmSpec::pinned(2, 0));
-        let mut m = b.build();
+        let mut m = Machine::new(HostSpec::flat(2), seed);
+        let vm0 = m.add_vm(VmSpec::pinned(2, 0));
+        let vm1 = m.add_vm(VmSpec::pinned(2, 0));
         m.set_workload(vm0, Box::new(Spinners::new(3)));
         m.set_workload(vm1, Box::new(Spinners::new(2)));
         m.start();
@@ -295,8 +295,8 @@ impl Workload for SleepCompute {
 
 #[test]
 fn sleeping_task_halts_and_wakes_vcpu() {
-    let (b, vm) = ScenarioBuilder::new(HostSpec::flat(1), 11).vm(VmSpec::pinned(1, 0));
-    let mut m = b.build();
+    let mut m = Machine::new(HostSpec::flat(1), 11);
+    let vm = m.add_vm(VmSpec::pinned(1, 0));
     m.set_workload(vm, Box::new(SleepCompute { cycles: 0 }));
     m.start();
     m.run_until(SimTime::from_ms(100));
@@ -310,13 +310,8 @@ fn sleeping_task_halts_and_wakes_vcpu() {
 #[test]
 fn with_vm_lends_each_guest_and_returns_it_to_its_own_slot() {
     let mut m = Machine::new(HostSpec::flat(4), 12);
-    m.add_vm(guestos::GuestConfig::new(1), vec![vec![0]], 1024, None);
-    m.add_vm(
-        guestos::GuestConfig::new(3),
-        vec![vec![1], vec![2], vec![3]],
-        1024,
-        None,
-    );
+    m.add_vm(VmSpec::pinned(1, 0));
+    m.add_vm(VmSpec::pinned(3, 1));
     // VM 1 first, so the first call also builds the placeholder guest.
     assert_eq!(m.with_vm(1, |g, _| g.kern.cfg.nr_vcpus * 10), 30);
     assert_eq!(m.with_vm(0, |g, _| g.kern.cfg.nr_vcpus * 10), 10);

@@ -553,7 +553,17 @@ mod tests {
 
     #[test]
     fn rejects_garbage() {
-        for bad in ["", "{", "[1,", "\"abc", "{\"a\" 1}", "1 2", "nul"] {
+        for bad in [
+            "",
+            "{",
+            "[1,",
+            "\"abc",
+            "{\"a\" 1}",
+            "1 2",
+            "nul",
+            "{\"a\":1,}",
+            "{} extra",
+        ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
     }

@@ -11,10 +11,24 @@
 /// Guarantees a non-zero, well-mixed state for any seed (including 0).
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
+    mix64(*state)
+}
+
+/// The SplitMix64 output finalizer (shift-xor-multiply by 30/27/31): a
+/// bijective avalanche of one word. Seed derivation and hash-based jitter
+/// use it where an rng draw would advance shared state.
+pub fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// 64-bit FNV-1a over a byte stream: a stable name hash for seeds and
+/// file checksums.
+pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xCBF2_9CE4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+    })
 }
 
 /// A deterministic random source (xoshiro256++ core).
@@ -67,6 +81,29 @@ impl SimRng {
     pub fn index(&mut self, n: usize) -> usize {
         assert!(n > 0, "index over empty set");
         self.bounded(n as u64) as usize
+    }
+
+    /// Index of an entry drawn with probability proportional to its
+    /// weight. Draws `range(0, total)` exactly once, so the stream advances
+    /// the same for any weights; a zero-weight entry is never chosen.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the weights sum to zero.
+    pub fn weighted_index<I>(&mut self, weights: I) -> usize
+    where
+        I: IntoIterator<Item = u64>,
+        I::IntoIter: Clone,
+    {
+        let weights = weights.into_iter();
+        let mut pick = self.range(0, weights.clone().sum());
+        for (i, w) in weights.enumerate() {
+            if pick < w {
+                return i;
+            }
+            pick -= w;
+        }
+        unreachable!("pick is below the weight total")
     }
 
     /// Bernoulli draw with probability `p` (clamped to `[0, 1]`).
@@ -248,6 +285,26 @@ mod tests {
         // exponential with the same mean would make this vanishingly rare).
         let far = samples.iter().filter(|&&x| x > 20.0).count();
         assert!(far > n / 200, "tail too thin: {far}/{n} above 20");
+    }
+
+    #[test]
+    fn hashes_match_reference_vectors() {
+        assert_eq!(splitmix64(&mut 0), 0xE220_A839_7B1D_CDAF);
+        assert_eq!(fnv1a(*b""), 0xCBF2_9CE4_8422_2325);
+        assert_eq!(fnv1a(*b"a"), 0xAF63_DC4C_8601_EC8C);
+    }
+
+    #[test]
+    fn weighted_index_skips_zero_weights_and_draws_once() {
+        let weights = [0u64, 3, 0, 5, 0];
+        let mut r = SimRng::new(14);
+        let mut shadow = SimRng::new(14);
+        for _ in 0..1000 {
+            let i = r.weighted_index(weights);
+            assert!(weights[i] > 0, "zero-weight entry {i} chosen");
+            shadow.range(0, 8);
+            assert_eq!(r.u64(), shadow.u64(), "stream moved off one range draw");
+        }
     }
 
     #[test]

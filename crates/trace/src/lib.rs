@@ -30,7 +30,7 @@ pub mod sink;
 mod table;
 
 pub use check::{CheckReport, InvariantChecker, Violation, ViolationKind};
-pub use chrome::{chrome_trace, validate_json};
+pub use chrome::chrome_trace;
 pub use event::{
     DegradeReason, EventKind, FaultClass, HostFailKind, IvhPhase, MigrateKind, PreemptReason,
     PriorityClass, ProbeKind, SwitchReason, TraceEvent, PRIORITY_CLASSES,

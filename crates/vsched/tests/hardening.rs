@@ -8,7 +8,7 @@
 //! must keep flowing into the estimates unrejected.
 
 use guestos::{GuestOs, Platform, SpawnSpec, TaskAction, TaskId, Workload};
-use hostsim::{ChaosSpec, FaultPlan, HostSpec, ScenarioBuilder, VmSpec};
+use hostsim::{ChaosSpec, FaultPlan, HostSpec, Machine, VmSpec};
 use simcore::time::MS;
 use simcore::SimTime;
 use trace::FaultClass;
@@ -46,9 +46,9 @@ fn hardening_rejects_window_targeted_pollution_and_degrades() {
     // Victim and polluter share both threads; the polluter bursts only
     // around the victim's probe windows (~11% duty cycle), so an
     // unhardened prober would learn a false-low capacity.
-    let (b, victim) = ScenarioBuilder::new(HostSpec::flat(2), 11).vm(VmSpec::pinned(2, 0));
-    let (b, adv) = b.vm(VmSpec::pinned(2, 0));
-    let mut m = b.build();
+    let mut m = Machine::new(HostSpec::flat(2), 11);
+    let victim = m.add_vm(VmSpec::pinned(2, 0));
+    let adv = m.add_vm(VmSpec::pinned(2, 0));
     m.set_workload(victim, Box::new(Spinners(0)));
     let spec = AttackSpec::for_vm(2, HORIZON_NS).only(AttackKind::ProbeBurst);
     m.set_workload(
@@ -84,9 +84,9 @@ fn hardening_accepts_round_the_clock_contention() {
     // An honest always-on neighbour presses equally inside and outside the
     // probe windows: every sample must be accepted and the probed capacity
     // must still converge to the true ~50% share.
-    let (b, victim) = ScenarioBuilder::new(HostSpec::flat(2), 12).vm(VmSpec::pinned(2, 0));
-    let (b, nb) = b.vm(VmSpec::pinned(2, 0));
-    let mut m = b.build();
+    let mut m = Machine::new(HostSpec::flat(2), 12);
+    let victim = m.add_vm(VmSpec::pinned(2, 0));
+    let nb = m.add_vm(VmSpec::pinned(2, 0));
     m.set_workload(victim, Box::new(Spinners(0)));
     let (s, _stats) = Stressor::new(2, work_ms(1.0));
     m.set_workload(nb, Box::new(s.pinned(vec![0, 1])));
@@ -112,9 +112,9 @@ fn hardening_accepts_probe_noise_chaos() {
     // PR 3's ProbeNoise chaos jitters the steal readings themselves —
     // inside and outside the windows alike. The hardening layer must not
     // mistake that honest (if noisy) signal for gaming.
-    let (b, victim) = ScenarioBuilder::new(HostSpec::flat(2), 13).vm(VmSpec::pinned(2, 0));
-    let (b, nb) = b.vm(VmSpec::pinned(2, 0));
-    let mut m = b.build();
+    let mut m = Machine::new(HostSpec::flat(2), 13);
+    let victim = m.add_vm(VmSpec::pinned(2, 0));
+    let nb = m.add_vm(VmSpec::pinned(2, 0));
     m.set_workload(victim, Box::new(Spinners(0)));
     let (s, _stats) = Stressor::new(2, work_ms(1.0));
     m.set_workload(nb, Box::new(s.pinned(vec![0, 1])));

@@ -2,7 +2,7 @@
 //! host must measure capacity, activity, and topology correctly.
 
 use guestos::{GuestOs, Platform, SpawnSpec, TaskAction, TaskId, VcpuId, Workload};
-use hostsim::{HostSpec, Pinning, ScenarioBuilder, VmSpec};
+use hostsim::{HostSpec, Machine, Pinning, VmSpec};
 use simcore::time::MS;
 use simcore::SimTime;
 use vsched::{Vsched, VschedConfig};
@@ -38,9 +38,9 @@ fn vs(m: &mut hostsim::Machine, vm: usize) -> &mut Vsched {
 #[test]
 fn vcap_measures_half_share() {
     // Two VMs share one core; each vCPU gets ~50% → probed capacity ~512.
-    let (b, vm0) = ScenarioBuilder::new(HostSpec::flat(1), 1).vm(VmSpec::pinned(1, 0));
-    let (b, vm1) = b.vm(VmSpec::pinned(1, 0));
-    let mut m = b.build();
+    let mut m = Machine::new(HostSpec::flat(1), 1);
+    let vm0 = m.add_vm(VmSpec::pinned(1, 0));
+    let vm1 = m.add_vm(VmSpec::pinned(1, 0));
     m.set_workload(vm0, Box::new(Spinners(1)));
     m.set_workload(vm1, Box::new(Spinners(1)));
     install(&mut m, vm0, VschedConfig::probers_only());
@@ -56,15 +56,15 @@ fn vcap_measures_half_share() {
 #[test]
 fn vcap_measures_asymmetric_shares() {
     // vCPU 0 uncontended, vCPU 1 shares with a competing VM.
-    let (b, vm0) = ScenarioBuilder::new(HostSpec::flat(2), 2).vm(VmSpec::pinned(2, 0));
-    let (b, vm1) = b.vm(VmSpec {
+    let mut m = Machine::new(HostSpec::flat(2), 2);
+    let vm0 = m.add_vm(VmSpec::pinned(2, 0));
+    let vm1 = m.add_vm(VmSpec {
         nr_vcpus: 1,
         pinning: Pinning::OneToOne(vec![1]),
         weight: 1024,
         bandwidth: None,
         guest_cfg: None,
     });
-    let mut m = b.build();
     m.set_workload(vm0, Box::new(Spinners(2)));
     m.set_workload(vm1, Box::new(Spinners(1)));
     install(&mut m, vm0, VschedConfig::probers_only());
@@ -83,9 +83,8 @@ fn vcap_measures_asymmetric_shares() {
 #[test]
 fn vact_measures_vcpu_latency_under_bandwidth_control() {
     // quota 5 ms / period 10 ms → inactive periods of ~5 ms.
-    let (b, vm) = ScenarioBuilder::new(HostSpec::flat(1), 3)
-        .vm(VmSpec::pinned(1, 0).bandwidth(5 * MS, 10 * MS));
-    let mut m = b.build();
+    let mut m = Machine::new(HostSpec::flat(1), 3);
+    let vm = m.add_vm(VmSpec::pinned(1, 0).bandwidth(5 * MS, 10 * MS));
     m.set_workload(vm, Box::new(Spinners(1)));
     install(&mut m, vm, VschedConfig::probers_only());
     m.start();
@@ -100,8 +99,8 @@ fn vact_measures_vcpu_latency_under_bandwidth_control() {
 
 #[test]
 fn vact_reports_zero_latency_for_dedicated_vcpu() {
-    let (b, vm) = ScenarioBuilder::new(HostSpec::flat(1), 4).vm(VmSpec::pinned(1, 0));
-    let mut m = b.build();
+    let mut m = Machine::new(HostSpec::flat(1), 4);
+    let vm = m.add_vm(VmSpec::pinned(1, 0));
     m.set_workload(vm, Box::new(Spinners(1)));
     install(&mut m, vm, VschedConfig::probers_only());
     m.start();
@@ -115,14 +114,14 @@ fn vtop_discovers_smt_socket_and_stacking() {
     // socket 0; vCPU4,5 an SMT pair on socket 1; vCPU6,7 stacked on one
     // thread of socket 1.
     let host = HostSpec::new(2, 2, 2); // threads 0..3 socket0, 4..7 socket1
-    let (b, vm) = ScenarioBuilder::new(host, 5).vm(VmSpec {
+    let mut m = Machine::new(host, 5);
+    let vm = m.add_vm(VmSpec {
         nr_vcpus: 8,
         pinning: Pinning::OneToOne(vec![0, 1, 2, 3, 4, 5, 6, 6]),
         weight: 1024,
         bandwidth: None,
         guest_cfg: None,
     });
-    let mut m = b.build();
     m.set_workload(vm, Box::new(Spinners(0)));
     install(&mut m, vm, VschedConfig::probers_only());
     m.start();
@@ -149,14 +148,14 @@ fn vtop_discovers_smt_socket_and_stacking() {
 #[test]
 fn vtop_validation_is_faster_than_full_probe() {
     let host = HostSpec::new(2, 2, 2);
-    let (b, vm) = ScenarioBuilder::new(host, 6).vm(VmSpec {
+    let mut m = Machine::new(host, 6);
+    let vm = m.add_vm(VmSpec {
         nr_vcpus: 8,
         pinning: Pinning::OneToOne(vec![0, 1, 2, 3, 4, 5, 6, 6]),
         weight: 1024,
         bandwidth: None,
         guest_cfg: None,
     });
-    let mut m = b.build();
     m.set_workload(vm, Box::new(Spinners(0)));
     install(&mut m, vm, VschedConfig::probers_only());
     m.start();
@@ -175,7 +174,8 @@ fn vtop_validation_is_faster_than_full_probe() {
 #[test]
 fn rwc_bans_extra_stacked_vcpus() {
     let host = HostSpec::flat(3);
-    let (b, vm) = ScenarioBuilder::new(host, 7).vm(VmSpec {
+    let mut m = Machine::new(host, 7);
+    let vm = m.add_vm(VmSpec {
         nr_vcpus: 4,
         // vCPUs 2 and 3 stacked on thread 2.
         pinning: Pinning::OneToOne(vec![0, 1, 2, 2]),
@@ -183,7 +183,6 @@ fn rwc_bans_extra_stacked_vcpus() {
         bandwidth: None,
         guest_cfg: None,
     });
-    let mut m = b.build();
     m.set_workload(vm, Box::new(Spinners(0)));
     install(&mut m, vm, VschedConfig::enhanced_cfs());
     m.start();
@@ -202,8 +201,9 @@ fn rwc_bans_extra_stacked_vcpus() {
 #[test]
 fn rwc_restricts_straggler_vcpu() {
     // One vCPU crushed by a 15x host load → straggler (< 10% of mean).
-    let (b, vm) = ScenarioBuilder::new(HostSpec::flat(4), 8).vm(VmSpec::pinned(4, 0));
-    let mut m = b.host_load(3, 15 * 1024).build();
+    let mut m = Machine::new(HostSpec::flat(4), 8);
+    let vm = m.add_vm(VmSpec::pinned(4, 0));
+    m.add_host_load(3, 15 * 1024);
     m.set_workload(vm, Box::new(Spinners(2)));
     install(&mut m, vm, VschedConfig::enhanced_cfs());
     m.start();
@@ -227,8 +227,8 @@ fn probers_overhead_is_small_on_dedicated_vm() {
     // Same workload with and without probers on a dedicated VM: throughput
     // loss stays within a few percent (paper §5.9, ~0.7%).
     let run = |with_vsched: bool| -> f64 {
-        let (b, vm) = ScenarioBuilder::new(HostSpec::flat(2), 9).vm(VmSpec::pinned(2, 0));
-        let mut m = b.build();
+        let mut m = Machine::new(HostSpec::flat(2), 9);
+        let vm = m.add_vm(VmSpec::pinned(2, 0));
         m.set_workload(vm, Box::new(Spinners(2)));
         if with_vsched {
             install(&mut m, vm, VschedConfig::full());

@@ -11,8 +11,7 @@
 //!   domain trace laws (slice sums, cross-domain execution, steal
 //!   conservation).
 
-use guestos::GuestConfig;
-use hostsim::{DomainSchedule, DomainSlice, HostSched, HostSpec, Machine};
+use hostsim::{DomainSchedule, DomainSlice, HostSched, HostSpec, Machine, VmSpec};
 use simcore::time::MS;
 use simcore::SimTime;
 use trace::{Collector, PriorityClass, TraceSink};
@@ -25,8 +24,8 @@ const HORIZON_NS: u64 = 3_000 * MS;
 /// thread time. Fair share is 0.5. Panics on any trace-law violation.
 fn adversary_share(sched: HostSched) -> f64 {
     let mut m = Machine::new(HostSpec::flat(2), 7);
-    let victim = m.add_vm(GuestConfig::new(2), vec![vec![0], vec![1]], 1024, None);
-    let advm = m.add_vm(GuestConfig::new(2), vec![vec![0], vec![1]], 1024, None);
+    let victim = m.add_vm(VmSpec::pinned(2, 0));
+    let advm = m.add_vm(VmSpec::pinned(2, 0));
     m.set_vm_class(victim, PriorityClass::Standard);
     m.set_vm_class(advm, PriorityClass::Batch);
     let (_, shared) = TraceSink::shared(Collector::default().with_checker());

@@ -1,15 +1,15 @@
 //! Combinator behaviour: task routing, timer namespacing, and delayed
 //! starts on the real machine.
 
-use hostsim::{HostSpec, ScenarioBuilder, VmSpec};
+use hostsim::{HostSpec, Machine, VmSpec};
 use simcore::time::SEC;
 use simcore::{SimRng, SimTime};
 use vsched_workloads::{build, work_ms, DelayedWorkload, MultiWorkload, Stressor};
 
 #[test]
 fn multi_workload_runs_children_independently() {
-    let (b, vm) = ScenarioBuilder::new(HostSpec::flat(4), 1).vm(VmSpec::pinned(4, 0));
-    let mut m = b.build();
+    let mut m = Machine::new(HostSpec::flat(4), 1);
+    let vm = m.add_vm(VmSpec::pinned(4, 0));
     let (a, sa) = Stressor::new(2, work_ms(5.0));
     let (c, sc) = Stressor::new(2, work_ms(5.0));
     m.set_workload(
@@ -30,8 +30,8 @@ fn multi_workload_runs_children_independently() {
 fn multi_workload_routes_timers_by_namespace() {
     // Two latency servers (timer-driven arrivals) in one VM: both must
     // keep receiving their own arrival timers.
-    let (b, vm) = ScenarioBuilder::new(HostSpec::flat(4), 2).vm(VmSpec::pinned(4, 0));
-    let mut m = b.build();
+    let mut m = Machine::new(HostSpec::flat(4), 2);
+    let vm = m.add_vm(VmSpec::pinned(4, 0));
     let (w1, h1) = build("masstree", 2, SimRng::new(3));
     let (w2, h2) = build("silo", 2, SimRng::new(4));
     m.set_workload(vm, Box::new(MultiWorkload::new(vec![w1, w2])));
@@ -43,8 +43,8 @@ fn multi_workload_routes_timers_by_namespace() {
 
 #[test]
 fn delayed_workload_starts_on_schedule() {
-    let (b, vm) = ScenarioBuilder::new(HostSpec::flat(2), 3).vm(VmSpec::pinned(2, 0));
-    let mut m = b.build();
+    let mut m = Machine::new(HostSpec::flat(2), 3);
+    let vm = m.add_vm(VmSpec::pinned(2, 0));
     let (w, s) = Stressor::new(2, work_ms(5.0));
     m.set_workload(vm, Box::new(DelayedWorkload::new(Box::new(w), 2 * SEC)));
     m.start();
@@ -59,8 +59,8 @@ fn delayed_workload_starts_on_schedule() {
 
 #[test]
 fn delayed_inside_multi_combines() {
-    let (b, vm) = ScenarioBuilder::new(HostSpec::flat(2), 4).vm(VmSpec::pinned(2, 0));
-    let mut m = b.build();
+    let mut m = Machine::new(HostSpec::flat(2), 4);
+    let vm = m.add_vm(VmSpec::pinned(2, 0));
     let (early, se) = Stressor::new(1, work_ms(5.0));
     let (late, sl) = Stressor::new(1, work_ms(5.0));
     m.set_workload(

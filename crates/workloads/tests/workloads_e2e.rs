@@ -2,7 +2,7 @@
 //! produces sane statistics, and reacts to contention the way its real
 //! counterpart does.
 
-use hostsim::{HostSpec, Machine, ScenarioBuilder, VmSpec};
+use hostsim::{HostSpec, Machine, VmSpec};
 use simcore::time::{MS, SEC};
 use simcore::{SimRng, SimTime};
 use vsched_workloads::{
@@ -12,8 +12,9 @@ use vsched_workloads::{
 };
 
 fn one_vm(cores: usize, seed: u64) -> (Machine, usize) {
-    let (b, vm) = ScenarioBuilder::new(HostSpec::flat(cores), seed).vm(VmSpec::pinned(cores, 0));
-    (b.build(), vm)
+    let mut m = Machine::new(HostSpec::flat(cores), seed);
+    let vm = m.add_vm(VmSpec::pinned(cores, 0));
+    (m, vm)
 }
 
 #[test]
@@ -151,9 +152,9 @@ fn msg_pairs_delivers_all_messages() {
 #[test]
 fn stressor_throughput_scales_with_capacity() {
     let run = |with_competitor: bool| -> u64 {
-        let (b, vm) = ScenarioBuilder::new(HostSpec::flat(1), 8).vm(VmSpec::pinned(1, 0));
-        let (b, other) = b.vm(VmSpec::pinned(1, 0));
-        let mut m = b.build();
+        let mut m = Machine::new(HostSpec::flat(1), 8);
+        let vm = m.add_vm(VmSpec::pinned(1, 0));
+        let other = m.add_vm(VmSpec::pinned(1, 0));
         let (wl, stats) = Stressor::new(1, work_ms(5.0));
         m.set_workload(vm, Box::new(wl));
         if with_competitor {

@@ -8,7 +8,7 @@
 //! cargo run --release --example latency_server
 //! ```
 
-use hostsim::{HostSpec, ScenarioBuilder, VmSpec};
+use hostsim::{HostSpec, Machine, VmSpec};
 use simcore::time::MS;
 use simcore::{SimRng, SimTime};
 use vsched::VschedConfig;
@@ -17,9 +17,9 @@ use workloads::{work_ms, LatencyServer, LatencyServerCfg, Stressor};
 fn run(with_bvs: bool) -> (f64, f64, f64) {
     // 8 vCPUs at 50% capacity; vCPUs 0-3 have 3 ms inactive periods,
     // vCPUs 4-7 have 9 ms (the "vCPU latency" asymmetry of §5.4).
-    let (b, vm) = ScenarioBuilder::new(HostSpec::flat(8), 42).vm(VmSpec::pinned(8, 0));
-    let (b, stress_vm) = b.vm(VmSpec::pinned(8, 0));
-    let mut m = b.build();
+    let mut m = Machine::new(HostSpec::flat(8), 42);
+    let vm = m.add_vm(VmSpec::pinned(8, 0));
+    let stress_vm = m.add_vm(VmSpec::pinned(8, 0));
     let (sw, _s) = Stressor::new(8, work_ms(10.0));
     m.set_workload(stress_vm, Box::new(sw));
     for th in 0..8 {

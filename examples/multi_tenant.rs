@@ -8,7 +8,7 @@
 //! cargo run --release --example multi_tenant
 //! ```
 
-use hostsim::{HostSpec, ScenarioBuilder, VmSpec};
+use hostsim::{HostSpec, Machine, VmSpec};
 use simcore::time::SEC;
 use simcore::{SimRng, SimTime};
 use vsched::VschedConfig;
@@ -16,11 +16,10 @@ use workloads::{build, work_ms, DelayedWorkload, LatencyServer, LatencyServerCfg
 
 fn run(with_vsched: bool) -> Vec<f64> {
     let threads: Vec<usize> = (0..8).collect();
-    let (b, vm) =
-        ScenarioBuilder::new(HostSpec::flat(8), 42).vm(VmSpec::floating(8, threads.clone()));
-    let (b, n1) = b.vm(VmSpec::floating(8, threads.clone()));
-    let (b, n2) = b.vm(VmSpec::floating(8, threads));
-    let mut m = b.build();
+    let mut m = Machine::new(HostSpec::flat(8), 42);
+    let vm = m.add_vm(VmSpec::floating(8, threads.clone()));
+    let n1 = m.add_vm(VmSpec::floating(8, threads.clone()));
+    let n2 = m.add_vm(VmSpec::floating(8, threads));
 
     // The server: ~0.5 ms requests, offered at ~60% of the host.
     let service = work_ms(0.5);

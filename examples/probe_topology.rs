@@ -8,7 +8,7 @@
 //! cargo run --release --example probe_topology
 //! ```
 
-use hostsim::{HostSpec, Pinning, ScenarioBuilder, VmSpec};
+use hostsim::{HostSpec, Machine, Pinning, VmSpec};
 use simcore::SimTime;
 use vsched::VschedConfig;
 use workloads::{work_ms, Stressor};
@@ -18,14 +18,14 @@ fn main() {
     // socket 0; vCPUs 4,5 an SMT pair on socket 1; vCPUs 6,7 stacked on a
     // single hardware thread of socket 1.
     let host = HostSpec::new(2, 2, 2);
-    let (b, vm) = ScenarioBuilder::new(host, 1).vm(VmSpec {
+    let mut m = Machine::new(host, 1);
+    let vm = m.add_vm(VmSpec {
         nr_vcpus: 8,
         pinning: Pinning::OneToOne(vec![0, 1, 2, 3, 4, 5, 6, 6]),
         weight: 1024,
         bandwidth: None,
         guest_cfg: None,
     });
-    let mut m = b.build();
     let (wl, _s) = Stressor::new(2, work_ms(5.0));
     m.set_workload(vm, Box::new(wl));
     m.with_vm(vm, |g, p| {

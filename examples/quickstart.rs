@@ -7,7 +7,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use hostsim::{HostSpec, ScenarioBuilder, VmSpec};
+use hostsim::{HostSpec, Machine, VmSpec};
 use simcore::{SimRng, SimTime};
 use trace::{chrome_trace, Collector, SharedCollector, TraceSink};
 use vsched::VschedConfig;
@@ -17,9 +17,9 @@ fn run(with_vsched: bool, trace_to: Option<&SharedCollector>) -> f64 {
     // A 16-core host: our 16-vCPU VM shares every core with a competing
     // VM's stressor, so each vCPU gets ~50% and experiences inactive
     // periods — the dynamic vCPU resources the paper targets.
-    let (b, vm) = ScenarioBuilder::new(HostSpec::flat(16), 42).vm(VmSpec::pinned(16, 0));
-    let (b, competitor) = b.vm(VmSpec::pinned(16, 0));
-    let mut machine = b.build();
+    let mut machine = Machine::new(HostSpec::flat(16), 42);
+    let vm = machine.add_vm(VmSpec::pinned(16, 0));
+    let competitor = machine.add_vm(VmSpec::pinned(16, 0));
     if let Some(shared) = trace_to {
         machine.attach_trace(shared);
     }

@@ -18,7 +18,7 @@
 
 use vsched_repro::experiments::chaos::{self, ChaosMode};
 use vsched_repro::experiments::common::{check_report, checked_collector};
-use vsched_repro::hostsim::{ChaosSpec, FaultPlan, HostSpec, ScenarioBuilder, VmSpec};
+use vsched_repro::hostsim::{ChaosSpec, FaultPlan, HostSpec, Machine, VmSpec};
 use vsched_repro::simcore::plan::Plan;
 use vsched_repro::simcore::time::{MS, SEC};
 use vsched_repro::simcore::{SimRng, SimTime};
@@ -48,8 +48,8 @@ fn run_chaos(
     resil: ResilCfg,
 ) -> (vsched_repro::trace::CheckReport, u64, u64) {
     let nr = 4;
-    let (b, vm) = ScenarioBuilder::new(HostSpec::flat(nr), seed).vm(VmSpec::pinned(nr, 0));
-    let mut m = b.build();
+    let mut m = Machine::new(HostSpec::flat(nr), seed);
+    let vm = m.add_vm(VmSpec::pinned(nr, 0));
     let mut spec = ChaosSpec::for_pinned_vm(vm, nr, horizon_ns).mean_interval(mean_interval_ns);
     spec.classes = classes.to_vec();
     let plan = FaultPlan::generate(seed, &spec);

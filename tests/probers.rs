@@ -3,7 +3,7 @@
 
 use vsched_repro::experiments::{fig10, Scale};
 use vsched_repro::guestos::{GuestOs, Platform, SpawnSpec, TaskAction, TaskId, Workload};
-use vsched_repro::hostsim::{HostSpec, ScenarioBuilder, VmSpec};
+use vsched_repro::hostsim::{HostSpec, Machine, VmSpec};
 use vsched_repro::simcore::propcheck::forall;
 use vsched_repro::simcore::{SimRng, SimTime};
 
@@ -67,9 +67,8 @@ fn work_is_conserved() {
         let cores = 1 + rng.index(5);
         let tasks = 1 + rng.index(9);
         let seed = rng.range(0, 1000);
-        let (b, vm) =
-            ScenarioBuilder::new(HostSpec::flat(cores), seed).vm(VmSpec::pinned(cores, 0));
-        let mut m = b.build();
+        let mut m = Machine::new(HostSpec::flat(cores), seed);
+        let vm = m.add_vm(VmSpec::pinned(cores, 0));
         m.set_workload(vm, Box::new(Spinners(tasks)));
         m.start();
         let secs = 1u64;
@@ -96,9 +95,9 @@ fn work_is_conserved() {
 fn steal_plus_active_bounded_by_wall() {
     forall(0x92, 12, |rng| {
         let seed = rng.range(0, 1000);
-        let (b, vm0) = ScenarioBuilder::new(HostSpec::flat(1), seed).vm(VmSpec::pinned(1, 0));
-        let (b, vm1) = b.vm(VmSpec::pinned(1, 0));
-        let mut m = b.build();
+        let mut m = Machine::new(HostSpec::flat(1), seed);
+        let vm0 = m.add_vm(VmSpec::pinned(1, 0));
+        let vm1 = m.add_vm(VmSpec::pinned(1, 0));
         m.set_workload(vm0, Box::new(Spinners(1)));
         m.set_workload(vm1, Box::new(Spinners(1)));
         m.start();
@@ -116,8 +115,8 @@ fn simulation_is_deterministic() {
     forall(0x93, 8, |rng| {
         let seed = rng.range(0, 50);
         let run = |seed: u64| -> f64 {
-            let (b, vm) = ScenarioBuilder::new(HostSpec::flat(3), seed).vm(VmSpec::pinned(3, 0));
-            let mut m = b.build();
+            let mut m = Machine::new(HostSpec::flat(3), seed);
+            let vm = m.add_vm(VmSpec::pinned(3, 0));
             let (wl, handle) = vsched_repro::workloads::build("canneal", 3, SimRng::new(seed));
             m.set_workload(vm, wl);
             m.with_vm(vm, |g, p| {

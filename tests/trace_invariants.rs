@@ -12,12 +12,12 @@ use vsched_repro::experiments::fig03::{self, Fig03};
 use vsched_repro::experiments::fig11::{self, Fig11};
 use vsched_repro::experiments::runner::cell_seed;
 use vsched_repro::experiments::{fig15, Scale};
-use vsched_repro::hostsim::{ChaosSpec, FaultPlan, HostSpec, ScenarioBuilder, VmSpec};
+use vsched_repro::hostsim::{ChaosSpec, FaultPlan, HostSpec, Machine, VmSpec};
+use vsched_repro::simcore::json::Json;
 use vsched_repro::simcore::time::{MS, SEC};
 use vsched_repro::simcore::SimTime;
 use vsched_repro::trace::{
-    chrome_trace, validate_json, CheckReport, Collector, EventKind, FaultClass, SharedCollector,
-    TraceSink,
+    chrome_trace, CheckReport, Collector, EventKind, FaultClass, SharedCollector, TraceSink,
 };
 use vsched_repro::vsched::VschedConfig;
 use vsched_repro::workloads;
@@ -145,9 +145,9 @@ fn tracing_does_not_perturb_the_simulation() {
 fn chrome_export_is_valid_json_with_events() {
     // A small two-VM contention scenario with full vSched, traced into a
     // ring, exported to Chrome trace-event JSON.
-    let (b, vm) = ScenarioBuilder::new(HostSpec::flat(4), 42).vm(VmSpec::pinned(4, 0));
-    let (b, stress_vm) = b.vm(VmSpec::pinned(4, 0));
-    let mut m = b.build();
+    let mut m = Machine::new(HostSpec::flat(4), 42);
+    let vm = m.add_vm(VmSpec::pinned(4, 0));
+    let stress_vm = m.add_vm(VmSpec::pinned(4, 0));
     let (_, shared) = TraceSink::shared(
         Collector::with_ring(1 << 16)
             .with_checker()
@@ -168,7 +168,7 @@ fn chrome_export_is_valid_json_with_events() {
     let ring = c.ring.as_ref().expect("ring attached");
     assert!(!ring.is_empty(), "no events captured");
     let json = chrome_trace(ring);
-    validate_json(&json).expect("exporter emits well-formed JSON");
+    Json::parse(&json).expect("exporter emits well-formed JSON");
     assert!(json.contains("\"traceEvents\""));
     // Schedstat aggregates ride along on the same collector.
     let stats = c
@@ -190,8 +190,8 @@ fn bandwidth_and_pelt_laws_fire_under_quota_churn() {
     // (load must not grow across an idle decay), and each injection is
     // annotated with a `FaultInjected` marker. The test asserts all three
     // actually appear — a law that never sees its events gates nothing.
-    let (b, vm) = ScenarioBuilder::new(HostSpec::flat(4), 5).vm(VmSpec::pinned(4, 0));
-    let mut m = b.build();
+    let mut m = Machine::new(HostSpec::flat(4), 5);
+    let vm = m.add_vm(VmSpec::pinned(4, 0));
     let mut spec = ChaosSpec::for_pinned_vm(vm, 4, 3 * SEC).mean_interval(300 * MS);
     spec.classes = vec![FaultClass::QuotaChurn];
     let plan = FaultPlan::generate(5, &spec);
@@ -227,9 +227,9 @@ fn bandwidth_and_pelt_laws_fire_under_quota_churn() {
 /// A latency-serving workload on a 4-vCPU VM contending with a 4-thread
 /// stressor for 2 simulated seconds, traced into `collector`.
 fn contended_silo(collector: Collector) -> SharedCollector {
-    let (b, vm) = ScenarioBuilder::new(HostSpec::flat(4), 42).vm(VmSpec::pinned(4, 0));
-    let (b, stress_vm) = b.vm(VmSpec::pinned(4, 0));
-    let mut m = b.build();
+    let mut m = Machine::new(HostSpec::flat(4), 42);
+    let vm = m.add_vm(VmSpec::pinned(4, 0));
+    let stress_vm = m.add_vm(VmSpec::pinned(4, 0));
     let (_, shared) = TraceSink::shared(collector);
     m.attach_trace(&shared);
     let (wl, _h) = workloads::build_latency(
