@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Offline CI gate: formatting, lints, the tier-1 build + test suite, the
 # benchmark's build and self-checks, serial-vs-parallel determinism of the
-# suite runner, and the chaos, fleet, adversary, vcache and supervision
-# smokes. Everything here must pass without network access.
+# suite runner, and the chaos, fleet, adversary, vcache, supervision and
+# decoder smokes. Everything here must pass without network access.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -15,6 +15,10 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
+
+echo "== cargo doc (workspace, -D warnings)"
+# Broken or private intra-doc links fail here rather than rot unseen.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline --keep-going
 
 echo "== perfbench: build and self-checks (a workspace of its own)"
 # The benchmark is outside the workspace above, so a library change that
@@ -32,7 +36,7 @@ echo "== suite golden: full smoke-scale stdout vs the committed golden file"
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 for jobs in 1 4; do
-    VSCHED_SCALE=smoke ./target/release/suite --jobs "$jobs" --seed 42 --no-ckpt \
+    VSCHED_SCALE=smoke ./target/release/suite --jobs "$jobs" --seed 42 \
         > "$tmpdir/suite_smoke.jobs$jobs.txt" 2>/dev/null
     diff tests/golden/suite_smoke_seed42.txt "$tmpdir/suite_smoke.jobs$jobs.txt"
 done
@@ -51,7 +55,7 @@ echo "== suite runner: fleet stepping pool vs serial stepping (smoke scale, fixe
 for id in fleet fleet-chaos; do
     for threads in 1 4; do
         VSCHED_SCALE=smoke ./target/release/suite --filter "$id" --jobs 1 --seed 42 \
-            --fleet-threads "$threads" --no-ckpt > "$tmpdir/$id.step$threads.txt" 2>/dev/null
+            --fleet-threads "$threads" > "$tmpdir/$id.step$threads.txt" 2>/dev/null
     done
     diff "$tmpdir/$id.step1.txt" "$tmpdir/$id.step4.txt"
 done
@@ -202,36 +206,17 @@ if ! VCACHE_SEED="$vcache_seed" \
     exit 1
 fi
 
-echo "== supervision-smoke: canary isolation, kill/resume, shrink/replay"
-# 1) Canary: two cells fail on purpose (panic + blown deadline). The suite
-#    must exit 0, name both cells in the stderr failure report and the JSON
-#    report, and leave the healthy jobs' stdout byte-identical to a clean
-#    run.
+echo "== supervision-smoke: canary isolation, shrink/replay"
+# 1) Canary: one cell panics on purpose. The suite must exit 0, name the
+#    cell in the stderr failure report, and leave the healthy jobs' stdout
+#    byte-identical to a clean run.
 VSCHED_SCALE=smoke ./target/release/suite --filter fig03 --jobs 2 --seed 42 \
-    --no-ckpt > "$tmpdir/clean.txt" 2>/dev/null
+    > "$tmpdir/clean.txt" 2>/dev/null
 VSCHED_CANARY=1 VSCHED_SCALE=smoke ./target/release/suite --filter fig03 --jobs 2 \
-    --seed 42 --retries 1 --ckpt-dir "$tmpdir/canary_ckpt" \
-    > "$tmpdir/canary.txt" 2> "$tmpdir/canary_err.txt"
+    --seed 42 > "$tmpdir/canary.txt" 2> "$tmpdir/canary_err.txt"
 diff "$tmpdir/clean.txt" "$tmpdir/canary.txt"
 grep -q "canary/panic" "$tmpdir/canary_err.txt"
-grep -q "canary/deadline" "$tmpdir/canary_err.txt"
-grep -q '"failed_cells":2' "$tmpdir/canary_ckpt/FAILURES.json"
-# 2) Crash-safe resume: kill a checkpointing run mid-flight, resume it, and
-#    require byte-identity with a clean serial run. (If the run finishes
-#    before the kill lands, the resume degenerates to a full replay — the
-#    byte-identity requirement is the same.)
-VSCHED_SCALE=smoke ./target/release/suite --filter fig03,fig11 --jobs 2 --seed 42 \
-    --ckpt-dir "$tmpdir/resume_ckpt" > /dev/null 2>&1 &
-suite_pid=$!
-sleep 0.3
-kill -9 "$suite_pid" 2>/dev/null || true
-wait "$suite_pid" 2>/dev/null || true
-VSCHED_SCALE=smoke ./target/release/suite --filter fig03,fig11 --jobs 1 --seed 42 \
-    --no-ckpt > "$tmpdir/clean2.txt" 2>/dev/null
-VSCHED_SCALE=smoke ./target/release/suite --filter fig03,fig11 --jobs 2 --seed 42 \
-    --ckpt-dir "$tmpdir/resume_ckpt" --resume > "$tmpdir/resumed.txt" 2>/dev/null
-diff "$tmpdir/clean2.txt" "$tmpdir/resumed.txt"
-# 3) Shrink + replay under the synthetic law (the real checker passes on
+# 2) Shrink + replay under the synthetic law (the real checker passes on
 #    healthy code, so CI exercises the ddmin pipeline with the canary law).
 VSCHED_SHRINK_LAW=synthetic ./target/release/suite --shrink 3735928559 \
     2> "$tmpdir/shrink_err.txt"
@@ -240,11 +225,25 @@ VSCHED_SHRINK_LAW=synthetic ./target/release/suite \
     --replay target/chaos_repro_3735928559.json 2> "$tmpdir/replay_err.txt"
 grep -q "reproduced law 'synthetic-canary'" "$tmpdir/replay_err.txt"
 
+echo "== decoder-smoke: one randomized mutation seed"
+# Randomized seed: truncated, bit-flipped, duplicated-member and
+# out-of-range-number documents through every on-disk decoder, which must
+# decode or fail with a message, never panic. The seed is printed so a CI
+# failure replays locally with
+# DECODER_SEED=<seed> cargo test --release -p experiments --test decoder_fields mutated.
+decoder_seed=$(date +%s%N)
+echo "   decoder-smoke randomized seed: $decoder_seed"
+if ! DECODER_SEED="$decoder_seed" \
+    cargo test -q --release -p experiments --test decoder_fields mutated; then
+    echo "decoder-smoke FAILED with DECODER_SEED=$decoder_seed (replay locally with that env var)" >&2
+    exit 1
+fi
+
 echo "== suite runner: serial vs parallel output equality (quick scale, whole suite)"
 # Quick-scale cells run longer than the smoke golden's, so a divergence
 # that needs more simulated time to surface shows here.
 for jobs in 1 4; do
-    VSCHED_SCALE=quick ./target/release/suite --jobs "$jobs" --seed 42 --no-ckpt \
+    VSCHED_SCALE=quick ./target/release/suite --jobs "$jobs" --seed 42 \
         > "$tmpdir/suite_quick.jobs$jobs.txt" 2>/dev/null
 done
 diff "$tmpdir/suite_quick.jobs1.txt" "$tmpdir/suite_quick.jobs4.txt"

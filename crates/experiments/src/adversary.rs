@@ -5,7 +5,7 @@
 //! co-tenant VM driven by a seed-deterministic [`AttackPlan`]. The matrix
 //! crosses two host policies — sampled proportional share (tick-based
 //! charging, the classic gameable accounting) and a seL4-style static
-//! [`DomainSchedule`](hostsim::DomainSchedule) — with three victim guest
+//! [`DomainSchedule`] — with three victim guest
 //! configurations (stock CFS, stock vSched, hardened vSched with
 //! resilience). Each cell answers two questions on the *same* host:
 //!

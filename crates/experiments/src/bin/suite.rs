@@ -1,24 +1,21 @@
-//! Runs the figure/table suite on the supervised deterministic runner.
+//! Runs the figure/table suite on the deterministic runner.
 //!
 //! Figure outputs go to stdout (stable across `--jobs` values for a given
-//! seed); the timing summary, failure report, and operational notes go to
-//! stderr so output equality can be checked with a plain `diff`.
+//! seed); the timing summary and the failure report go to stderr so
+//! output equality can be checked with a plain `diff`. A suite run writes
+//! no file.
 //!
 //! ```text
 //! cargo run --release -p experiments --bin suite -- [--jobs N] [--filter S]
-//!     [--scale smoke|quick|paper] [--seed N] [--retries N] [--deadline-ms N]
-//!     [--fleet-threads N] [--ckpt-dir PATH | --no-ckpt] [--resume] [--list]
+//!     [--scale smoke|quick|paper] [--seed N] [--fleet-threads N] [--list]
 //!     [--shrink SEED | --replay FILE]
 //! ```
 //!
-//! * Cells run under supervision: a panicking or over-deadline cell is
-//!   retried (same seed), and an exhausted cell fails **its job only** —
-//!   the suite still exits 0 and prints the structured failure report to
-//!   stderr (plus `FAILURES.json` next to the checkpoint). Supervision
-//!   isolating a failure is the tool working, not a tool error.
-//! * Finished jobs are checkpointed to `target/suite_ckpt/` (override with
-//!   `--ckpt-dir`, disable with `--no-ckpt`); `--resume` replays them
-//!   byte-for-byte and re-runs only the rest.
+//! * Every cell runs in isolation: a panicking cell (or job reducer)
+//!   fails **its job only** — the suite still exits 0 and prints the
+//!   failure report to stderr. Isolating a failure is the tool working,
+//!   not a tool error. Cells are deterministic, so a failed cell is not
+//!   retried.
 //! * `--shrink SEED` delta-debugs the chaos `FaultPlan` that seed generates
 //!   down to a locally-minimal action subset failing the same checker law,
 //!   written to `target/chaos_repro_<seed>.json`; `--replay FILE` re-runs a
@@ -42,19 +39,16 @@
 
 use experiments::runner::{registry, run_suite, SuiteOptions};
 use experiments::shrink::{self, ShrinkPlan};
-use experiments::{checkpoint, Scale};
+use experiments::Scale;
 use fleet::FleetChaosPlan;
 use hostsim::FaultPlan;
-use std::path::PathBuf;
 use std::str::FromStr;
-use std::time::Duration;
 use workloads::AttackPlan;
 
 fn usage() -> ! {
     eprintln!(
         "usage: suite [--jobs N] [--filter SUBSTR[,SUBSTR...]] \
-         [--scale smoke|quick|paper] [--seed N] [--retries N] [--deadline-ms N] \
-         [--fleet-threads N] [--ckpt-dir PATH | --no-ckpt] [--resume] [--list] \
+         [--scale smoke|quick|paper] [--seed N] [--fleet-threads N] [--list] \
          [--shrink SEED | --replay FILE | --shrink-fleet SEED | --replay-fleet FILE \
          | --shrink-adversary SEED | --replay-adversary FILE]\n\
          \n\
@@ -99,10 +93,10 @@ fn shrink_main<P: ShrinkPlan>(seed: u64, scale: Scale) -> ! {
         eprintln!("# {tag}: {e}");
         std::process::exit(1);
     });
-    let path = PathBuf::from(format!("target/{}_repro_{seed}.json", P::STEM));
+    let path = format!("target/{}_repro_{seed}.json", P::STEM);
     let _ = std::fs::create_dir_all("target");
-    if let Err(e) = checkpoint::atomic_write(&path, out.plan.to_json().as_bytes()) {
-        eprintln!("# {tag}: cannot write {}: {e}", path.display());
+    if let Err(e) = std::fs::write(&path, out.plan.to_json()) {
+        eprintln!("# {tag}: cannot write {path}: {e}");
         std::process::exit(2);
     }
     eprintln!(
@@ -112,7 +106,7 @@ fn shrink_main<P: ShrinkPlan>(seed: u64, scale: Scale) -> ! {
         out.original_events,
         P::EVENT,
         out.oracle_runs,
-        path.display()
+        path
     );
     std::process::exit(0);
 }
@@ -148,14 +142,12 @@ fn replay_main<P: ShrinkPlan>(path: &str) -> ! {
 fn main() {
     let mut opts = SuiteOptions {
         scale: Scale::from_env(),
-        checkpoint: Some(PathBuf::from("target/suite_ckpt")),
         canary: std::env::var("VSCHED_CANARY")
             .map(|v| v == "1")
             .unwrap_or(false),
         ..SuiteOptions::default()
     };
     let mut list = false;
-    let mut no_ckpt = false;
     // A shrink or replay request: (flag, seed or repro path).
     let mut repro: Option<(String, String)> = None;
     let mut args = std::env::args().skip(1);
@@ -171,11 +163,6 @@ fn main() {
             "--filter" | "-f" => opts.filter = Some(value("--filter")),
             "--scale" | "-s" => opts.scale = parse_flag("--scale", &value("--scale")),
             "--seed" => opts.seed = parse_flag("--seed", &value("--seed")),
-            "--retries" => opts.supervise.retries = parse_flag("--retries", &value("--retries")),
-            "--deadline-ms" => {
-                let ms = parse_flag("--deadline-ms", &value("--deadline-ms"));
-                opts.supervise.deadline = Some(Duration::from_millis(ms));
-            }
             "--fleet-threads" => match fleet::parse_fleet_threads(&value("--fleet-threads")) {
                 Ok(n) => opts.fleet_threads = Some(n),
                 Err(e) => {
@@ -183,9 +170,6 @@ fn main() {
                     usage();
                 }
             },
-            "--ckpt-dir" => opts.checkpoint = Some(PathBuf::from(value("--ckpt-dir"))),
-            "--no-ckpt" => no_ckpt = true,
-            "--resume" => opts.resume = true,
             flag @ ("--shrink" | "--replay" | "--shrink-fleet" | "--replay-fleet"
             | "--shrink-adversary" | "--replay-adversary") => {
                 repro = Some((flag.to_string(), value(flag)));
@@ -197,9 +181,6 @@ fn main() {
                 usage();
             }
         }
-    }
-    if no_ckpt {
-        opts.checkpoint = None;
     }
 
     if list {
@@ -241,30 +222,19 @@ fn main() {
 
     let cpu: f64 = res.reports.iter().map(|r| r.cpu_secs).sum();
     eprintln!(
-        "# suite: {} jobs, {} cells ({} executed, {} jobs resumed), scale={}, seed={}, workers={}",
+        "# suite: {} jobs, {} cells, scale={}, seed={}, workers={}",
         res.reports.len(),
         res.reports.iter().map(|r| r.cells).sum::<usize>(),
-        res.executed_cells,
-        res.resumed_jobs,
         opts.scale.label(),
         opts.seed,
         res.workers,
     );
     for r in &res.reports {
-        let status = if !r.ok {
-            " FAILED"
-        } else if r.from_checkpoint {
-            " (resumed)"
-        } else {
-            ""
-        };
+        let status = if r.ok { "" } else { " FAILED" };
         eprintln!(
             "#   {:<8} {:>4} cells {:>8.2}s cpu{status}",
             r.name, r.cells, r.cpu_secs
         );
-    }
-    for note in &res.notes {
-        eprintln!("# note: {note}");
     }
     eprintln!(
         "# wall {:.2}s, cpu {:.2}s, speedup {:.2}x",
@@ -273,21 +243,9 @@ fn main() {
         cpu / res.wall_secs.max(1e-9)
     );
 
+    // Isolated failures are reported and non-fatal by design: exit 0 so
+    // one bad cell doesn't fail a whole CI suite run.
     if !res.failures.is_empty() {
         eprint!("{}", res.failures);
-        let report_path = opts
-            .checkpoint
-            .as_deref()
-            .map(|d| d.join("FAILURES.json"))
-            .unwrap_or_else(|| PathBuf::from("target/suite_failures.json"));
-        if let Some(parent) = report_path.parent() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-        match checkpoint::atomic_write(&report_path, res.failures.to_json().as_bytes()) {
-            Ok(()) => eprintln!("# failure report: {}", report_path.display()),
-            Err(e) => eprintln!("# failure report unwritable ({e})"),
-        }
-        // Supervised failures are isolated, reported, and non-fatal by
-        // design: exit 0 so one bad cell doesn't fail a whole CI suite run.
     }
 }

@@ -1,7 +1,7 @@
 //! Chaos cell: adaptability under seed-driven fault injection.
 //!
 //! A fig16-style adaptability experiment driven by a
-//! [`FaultPlan`](hostsim::FaultPlan) instead of a hand-written phase
+//! [`FaultPlan`] instead of a hand-written phase
 //! script: an 8-vCPU pinned VM serves latency-sensitive requests while the
 //! host misbehaves — stressor bursts, quota churn, re-pinning, vCPU
 //! offline/online, DVFS steps, probe noise — on a replayable schedule.

@@ -15,7 +15,6 @@
 
 pub mod adversary;
 pub mod chaos;
-pub mod checkpoint;
 pub mod common;
 pub mod fig02;
 pub mod fig03;

@@ -30,30 +30,24 @@
 //! * Rows are merged by cell index, not completion order, and each
 //!   figure's reduction is a pure function of its rows.
 
-use crate::checkpoint::{Checkpoint, CkptKey};
 use crate::common::Scale;
 use crate::fig18_19::ProfileKind;
-use crate::supervise::{self, CellFailure, FailureReport, SupervisePolicy};
+use crate::supervise::{self, CellFailure, FailureReport};
 use crate::{
     adversary, chaos, fig02, fig03, fig04, fig10, fig11, fig12, fig13, fig14, fig15, fig16, fig17,
     fig18_19, fig20, fig21, fleet_chaos, replay, table2, table3, table4, vcache,
 };
 use simcore::rng::{fnv1a, mix64};
 use std::any::Any;
-use std::collections::BTreeMap;
 use std::fmt::Display;
-use std::panic::{self, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// One independent unit of work: a single simulation returning one row.
 pub struct CellSpec<R> {
     /// Stable identity within the figure; feeds [`cell_seed`].
     pub label: String,
-    /// Per-cell wall-clock budget; overrides the suite-wide deadline.
-    pub deadline: Option<Duration>,
     run: Box<dyn Fn(u64, Scale) -> R + Send + Sync>,
 }
 
@@ -72,7 +66,6 @@ pub(crate) fn cell<R>(
 ) -> CellSpec<R> {
     CellSpec {
         label: label.into(),
-        deadline: None,
         run: Box::new(f),
     }
 }
@@ -104,14 +97,13 @@ impl<R, F> Grid<R, F> {
         }
     }
 
-    /// Appends a cell; returns it so a caller can set its deadline.
+    /// Appends a cell.
     pub(crate) fn cell(
         &mut self,
         label: impl Into<String>,
         f: impl Fn(u64, Scale) -> R + Send + Sync + 'static,
-    ) -> &mut CellSpec<R> {
+    ) {
         self.cells.push(cell(label, f));
-        self.cells.last_mut().expect("just pushed")
     }
 
     /// Runs every cell serially at its runner seed — the `--jobs 1` path,
@@ -168,13 +160,7 @@ type AnyRow = Box<dyn Any + Send>;
 /// every job in one list.
 trait ErasedGrid: Send + Sync {
     fn label(&self, cell: usize) -> &str;
-    fn run_cell(
-        &self,
-        cell: usize,
-        seed: u64,
-        scale: Scale,
-        policy: &SupervisePolicy,
-    ) -> Result<(AnyRow, f64), CellFailure>;
+    fn run_cell(&self, cell: usize, seed: u64, scale: Scale) -> Result<(AnyRow, f64), CellFailure>;
     fn render(&self, rows: Vec<AnyRow>, scale: Scale) -> String;
 }
 
@@ -183,14 +169,8 @@ impl<R: Send + 'static, F: Display> ErasedGrid for Grid<R, F> {
         &self.cells[cell].label
     }
 
-    fn run_cell(
-        &self,
-        cell: usize,
-        seed: u64,
-        scale: Scale,
-        policy: &SupervisePolicy,
-    ) -> Result<(AnyRow, f64), CellFailure> {
-        supervise::run_cell(self.name, &self.cells[cell], seed, scale, policy)
+    fn run_cell(&self, cell: usize, seed: u64, scale: Scale) -> Result<(AnyRow, f64), CellFailure> {
+        supervise::run_cell(self.name, &self.cells[cell], seed, scale)
             .map(|(row, secs)| (Box::new(row) as AnyRow, secs))
     }
 
@@ -236,8 +216,8 @@ pub fn cell_seed(base: u64, figure: &str, label: &str) -> u64 {
 /// The supervision canary: a grid whose cells fail on purpose. Never in
 /// [`registry`] — `run_suite` appends it only when
 /// [`SuiteOptions::canary`] is set (the `VSCHED_CANARY` env gate in the
-/// binary), so CI can assert that a panicking cell and an over-deadline
-/// cell are isolated, reported, and leave every real job's bytes alone.
+/// binary), so CI can assert that a panicking cell is isolated, reported,
+/// and leaves every real job's bytes alone.
 fn canary_grid() -> Grid<u64, String> {
     // The reducer is unreachable in practice: the panic cell always fails
     // the job before reduction. Kept total so a future "healthy canary"
@@ -249,11 +229,6 @@ fn canary_grid() -> Grid<u64, String> {
     );
     g.cell("healthy", |seed, _| seed);
     g.cell("panic", |_, _| -> u64 { panic!("canary: injected panic") });
-    g.cell("deadline", |_, _| {
-        std::thread::sleep(Duration::from_millis(120));
-        0
-    })
-    .deadline = Some(Duration::from_millis(10));
     g
 }
 
@@ -309,18 +284,12 @@ pub struct SuiteOptions {
     pub scale: Scale,
     /// Base seed mixed into every cell seed.
     pub seed: u64,
-    /// Retry/deadline policy for supervised cells.
-    pub supervise: SupervisePolicy,
-    /// Checkpoint directory (`None` = no checkpointing).
-    pub checkpoint: Option<PathBuf>,
-    /// Replay finished jobs from the checkpoint instead of re-running.
-    pub resume: bool,
     /// Append the always-failing canary job (CI supervision smoke).
     pub canary: bool,
     /// Host-stepping workers for the fleet cells' clusters
     /// (`--fleet-threads`); `None` keeps the fleet crate's process
     /// default (available parallelism). Worker count never changes cell
-    /// output — only wall clock — so it stays out of the checkpoint key.
+    /// output — only wall clock.
     pub fleet_threads: Option<std::num::NonZeroUsize>,
 }
 
@@ -331,23 +300,8 @@ impl Default for SuiteOptions {
             filter: None,
             scale: Scale::Quick,
             seed: 42,
-            supervise: SupervisePolicy::default(),
-            checkpoint: None,
-            resume: false,
             canary: false,
             fleet_threads: None,
-        }
-    }
-}
-
-impl SuiteOptions {
-    /// The checkpoint key this run writes/reads.
-    fn ckpt_key(&self) -> CkptKey {
-        CkptKey {
-            version: CkptKey::current_version(),
-            seed: self.seed,
-            scale: self.scale.label().to_string(),
-            filter: self.filter.clone().unwrap_or_default(),
         }
     }
 }
@@ -387,8 +341,6 @@ pub struct JobReport {
     pub cpu_secs: f64,
     /// Whether every cell merged and the figure rendered.
     pub ok: bool,
-    /// Whether the output was replayed from a checkpoint.
-    pub from_checkpoint: bool,
 }
 
 /// The whole suite's outcome.
@@ -400,15 +352,9 @@ pub struct SuiteResult {
     pub workers: usize,
     /// End-to-end wall-clock seconds.
     pub wall_secs: f64,
-    /// Cells that exhausted their retries, in (job, cell) order.
+    /// Cells and reducers that panicked, in (job, cell) order; a job's
+    /// reducer sorts after its cells.
     pub failures: FailureReport,
-    /// Cells actually executed this run (replayed jobs contribute none).
-    pub executed_cells: usize,
-    /// Jobs replayed byte-for-byte from the checkpoint.
-    pub resumed_jobs: usize,
-    /// Operational notes (checkpoint discards, I/O degradations); never
-    /// part of figure output.
-    pub notes: Vec<String>,
 }
 
 /// Resolves `--jobs 0` to the machine's parallelism.
@@ -471,10 +417,10 @@ struct Item {
 
 /// Per-job completion state shared by the worker pool.
 struct JobState {
-    /// Cells not yet finished (success or exhausted failure). The worker
-    /// that decrements this to zero owns the job's reduction.
+    /// Cells not yet finished (success or failure). The worker that
+    /// decrements this to zero owns the job's reduction.
     remaining: AtomicUsize,
-    /// Set when any cell exhausts its retries: the job skips reduction.
+    /// Set when any cell panics: the job skips reduction.
     failed: AtomicBool,
     /// One slot per cell, filled in any order, drained in cell order.
     slots: Vec<Mutex<Option<(AnyRow, f64)>>>,
@@ -485,50 +431,12 @@ struct JobState {
 fn run_jobs(jobs: Vec<Job>, opts: &SuiteOptions) -> SuiteResult {
     let t0 = Instant::now();
     let workers = resolve_workers(opts.jobs);
-    let mut notes: Vec<String> = Vec::new();
 
-    // Checkpoint plumbing: open (or resume) the directory up front, and
-    // collect the jobs we can replay without executing. I/O trouble
-    // degrades to an un-checkpointed run with a note, never a crash.
-    let mut replay: BTreeMap<usize, String> = BTreeMap::new();
-    let ckpt: Option<Mutex<Checkpoint>> = match &opts.checkpoint {
-        None => None,
-        Some(dir) => {
-            let key = opts.ckpt_key();
-            let opened = if opts.resume {
-                Checkpoint::resume(dir, key).map(|(ck, note)| {
-                    notes.extend(note);
-                    for (ji, job) in jobs.iter().enumerate() {
-                        if let Some(out) = ck.load(job.name) {
-                            replay.insert(ji, out);
-                        }
-                    }
-                    ck
-                })
-            } else {
-                Checkpoint::create(dir, key)
-            };
-            match opened {
-                Ok(ck) => Some(Mutex::new(ck)),
-                Err(e) => {
-                    notes.push(format!(
-                        "checkpoint dir {} unusable ({e}); running without checkpoints",
-                        dir.display()
-                    ));
-                    None
-                }
-            }
-        }
-    };
-    let resumed_jobs = replay.len();
-
-    // Flatten into a work list, skipping replayed jobs; seeds are
-    // precomputed from cell identity so nothing downstream depends on
-    // which worker runs what.
+    // Flatten into a work list; seeds are precomputed from cell identity
+    // so nothing downstream depends on which worker runs what.
     let items: Vec<Item> = jobs
         .iter()
         .enumerate()
-        .filter(|(ji, _)| !replay.contains_key(ji))
         .flat_map(|(ji, j)| {
             (0..j.cells).map(move |ci| Item {
                 job: ji,
@@ -548,7 +456,6 @@ fn run_jobs(jobs: Vec<Job>, opts: &SuiteOptions) -> SuiteResult {
         })
         .collect();
     let failures: Mutex<Vec<(usize, usize, CellFailure)>> = Mutex::new(Vec::new());
-    let late_notes: Mutex<Vec<String>> = Mutex::new(Vec::new());
     let cursor = AtomicUsize::new(0);
     let n_threads = workers.min(items.len()).max(1);
     std::thread::scope(|s| {
@@ -561,19 +468,14 @@ fn run_jobs(jobs: Vec<Job>, opts: &SuiteOptions) -> SuiteResult {
                 let it = &items[i];
                 let job = &jobs[it.job];
                 let st = &states[it.job];
-                match job
-                    .grid
-                    .run_cell(it.cell, it.seed, opts.scale, &opts.supervise)
-                {
+                match job.grid.run_cell(it.cell, it.seed, opts.scale) {
                     Ok(filled) => *st.slots[it.cell].lock().unwrap() = Some(filled),
                     Err(cf) => {
                         st.failed.store(true, Ordering::Release);
                         failures.lock().unwrap().push((it.job, it.cell, cf));
                     }
                 }
-                // The worker finishing a job's last cell merges it at once:
-                // the reduced output reaches the checkpoint while the rest
-                // of the suite is still running.
+                // The worker finishing a job's last cell merges it at once.
                 if st.remaining.fetch_sub(1, Ordering::AcqRel) == 1
                     && !st.failed.load(Ordering::Acquire)
                 {
@@ -589,27 +491,18 @@ fn run_jobs(jobs: Vec<Job>, opts: &SuiteOptions) -> SuiteResult {
                         cpu += secs;
                     }
                     // A reducer panic (a missing row, arithmetic) fails its
-                    // job, not the suite.
-                    match panic::catch_unwind(AssertUnwindSafe(|| {
-                        job.grid.render(rows, opts.scale)
-                    })) {
-                        Ok(out) => {
-                            if let Some(ck) = &ckpt {
-                                if let Err(e) = ck.lock().unwrap().record(job.name, &out) {
-                                    late_notes
-                                        .lock()
-                                        .unwrap()
-                                        .push(format!("checkpointing {} failed: {e}", job.name));
-                                }
-                            }
-                            *st.output.lock().unwrap() = Some((out, cpu));
-                        }
-                        Err(_) => {
+                    // job, not the suite, and is reported like a cell's.
+                    match supervise::isolate(|| job.grid.render(rows, opts.scale)) {
+                        Ok(out) => *st.output.lock().unwrap() = Some((out, cpu)),
+                        Err(message) => {
                             st.failed.store(true, Ordering::Release);
-                            late_notes
-                                .lock()
-                                .unwrap()
-                                .push(format!("{}: reducer panicked; job failed", job.name));
+                            let cf = CellFailure {
+                                figure: job.name.to_string(),
+                                label: "reduce".to_string(),
+                                seed: opts.seed,
+                                message,
+                            };
+                            failures.lock().unwrap().push((it.job, job.cells, cf));
                         }
                     }
                 }
@@ -617,51 +510,35 @@ fn run_jobs(jobs: Vec<Job>, opts: &SuiteOptions) -> SuiteResult {
         }
     });
 
-    let executed_cells = items.len();
-    notes.extend(late_notes.into_inner().unwrap());
     let mut failed = failures.into_inner().unwrap();
     failed.sort_by_key(|&(ji, ci, _)| (ji, ci));
 
-    let mut reports = Vec::new();
-    for ((ji, job), st) in jobs.iter().enumerate().zip(states) {
-        let cells = job.cells;
-        let report = if let Some(output) = replay.remove(&ji) {
-            JobReport {
+    let reports = jobs
+        .iter()
+        .zip(states)
+        .map(|(job, st)| match st.output.into_inner().unwrap() {
+            Some((output, cpu_secs)) => JobReport {
                 name: job.name,
-                cells,
-                output,
-                cpu_secs: 0.0,
-                ok: true,
-                from_checkpoint: true,
-            }
-        } else if let Some((output, cpu_secs)) = st.output.into_inner().unwrap() {
-            JobReport {
-                name: job.name,
-                cells,
+                cells: job.cells,
                 output,
                 cpu_secs,
                 ok: true,
-                from_checkpoint: false,
-            }
-        } else {
+            },
             // Failed job: surviving cells still count toward CPU time.
-            let cpu_secs = st
-                .slots
-                .iter()
-                .filter_map(|s| s.lock().unwrap().take())
-                .map(|(_, secs)| secs)
-                .sum();
-            JobReport {
+            None => JobReport {
                 name: job.name,
-                cells,
+                cells: job.cells,
                 output: String::new(),
-                cpu_secs,
+                cpu_secs: st
+                    .slots
+                    .iter()
+                    .filter_map(|s| s.lock().unwrap().take())
+                    .map(|(_, secs)| secs)
+                    .sum(),
                 ok: false,
-                from_checkpoint: false,
-            }
-        };
-        reports.push(report);
-    }
+            },
+        })
+        .collect();
     SuiteResult {
         reports,
         workers: n_threads,
@@ -669,9 +546,6 @@ fn run_jobs(jobs: Vec<Job>, opts: &SuiteOptions) -> SuiteResult {
         failures: FailureReport {
             failures: failed.into_iter().map(|(_, _, cf)| cf).collect(),
         },
-        executed_cells,
-        resumed_jobs,
-        notes,
     }
 }
 
@@ -747,9 +621,40 @@ mod tests {
     #[test]
     fn canary_never_sits_in_the_registry() {
         assert!(registry().iter().all(|j| j.name != "canary"));
-        let c = canary_grid();
-        assert_eq!(c.cells.len(), 3);
-        assert!(c.cells[2].deadline.is_some(), "deadline cell has a budget");
+        assert_eq!(canary_grid().cells.len(), 2);
+    }
+
+    #[test]
+    fn reducer_panic_fails_its_job_only_and_is_reported() {
+        let mut boom = Grid::new("boom", "reducer panics", |_: Vec<u64>, _| -> String {
+            panic!("reducer: injected panic")
+        });
+        boom.cell("a", |seed, _| seed);
+        boom.cell("b", |seed, _| seed);
+        let mut fine = Grid::new("fine", "healthy", |rows: Vec<u64>, _| {
+            rows.len().to_string()
+        });
+        fine.cell("a", |seed, _| seed);
+        fine.cell("b", |seed, _| seed);
+        let opts = SuiteOptions {
+            jobs: 2,
+            seed: 7,
+            ..SuiteOptions::default()
+        };
+        let res = run_jobs(vec![boom.into(), fine.into()], &opts);
+
+        let [cf] = &res.failures.failures[..] else {
+            panic!("want one failure, got {:?}", res.failures);
+        };
+        assert_eq!((cf.figure.as_str(), cf.label.as_str()), ("boom", "reduce"));
+        assert_eq!(cf.seed, 7);
+        assert!(cf.message.contains("reducer: injected panic"), "{cf}");
+        assert!(res.failures.to_string().contains("FAILED boom/reduce"));
+
+        let (boom, fine) = (&res.reports[0], &res.reports[1]);
+        assert!(!boom.ok && boom.output.is_empty());
+        assert!(fine.ok);
+        assert_eq!(fine.output, "2");
     }
 
     #[test]

@@ -1,18 +1,21 @@
-//! Missing-field sweep over every on-disk decoder.
+//! Missing-field sweep and mutation propcheck over every on-disk decoder.
 //!
 //! One valid document per decoder — the three repro-plan types, a fleet
-//! spec, a fleet trace (JSON-lines and embedded) and a checkpoint
-//! manifest. Each required member is removed in turn, and the decoder
-//! must fail with an error that names the member's full dotted path
-//! (`missing events[0].vcpu`), so a hand-edited file is fixable from the
-//! message alone.
+//! spec and a fleet trace (JSON-lines and embedded). Each required member
+//! is removed in turn, and the decoder must fail with an error that names
+//! the member's full dotted path (`missing events[0].vcpu`), so a
+//! hand-edited file is fixable from the message alone. The same documents,
+//! truncated, bit-flipped, with a member duplicated or a number pushed out
+//! of range, must decode or fail with a message, never panic.
 
-use experiments::checkpoint::{Checkpoint, CkptKey};
 use fleet::{FleetChaosPlan, FleetChaosSpec, FleetSpec, FleetTrace};
 use hostsim::{ChaosSpec, FaultPlan};
 use simcore::json::Json;
 use simcore::plan::Plan;
+use simcore::propcheck;
 use simcore::time::MS;
+use simcore::SimRng;
+use std::panic;
 use workloads::{AttackPlan, AttackSpec};
 
 /// Every object member of `doc` as `(path suffix, doc without it)`, the
@@ -142,27 +145,154 @@ fn embedded_fleet_trace_names_every_missing_field() {
     assert_eq!(swept, 11);
 }
 
+/// The spans of every number token outside strings in `text`.
+fn number_spans(text: &str) -> Vec<(usize, usize)> {
+    let b = text.as_bytes();
+    let (mut spans, mut in_str, mut i) = (Vec::new(), false, 0);
+    while i < b.len() {
+        match b[i] {
+            b'\\' if in_str => i += 1,
+            b'"' => in_str = !in_str,
+            b'-' | b'0'..=b'9' if !in_str => {
+                let start = i;
+                while i + 1 < b.len()
+                    && matches!(b[i + 1], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+                {
+                    i += 1;
+                }
+                spans.push((start, i + 1));
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    spans
+}
+
+/// `doc` rendered with member `member` (mod its size) of the `target`-th
+/// object, in pre-order, written twice.
+fn with_duplicate(doc: &Json, target: usize, member: usize) -> String {
+    fn render(doc: &Json, seen: &mut usize, target: usize, member: usize) -> String {
+        match doc {
+            Json::Obj(m) => {
+                let dup = (*seen == target).then(|| member % m.len().max(1));
+                *seen += 1;
+                let mut members = Vec::new();
+                for (i, (k, v)) in m.iter().enumerate() {
+                    let kv = format!(
+                        "{}:{}",
+                        Json::Str(k.clone()).render(),
+                        render(v, seen, target, member)
+                    );
+                    if dup == Some(i) {
+                        members.push(kv.clone());
+                    }
+                    members.push(kv);
+                }
+                format!("{{{}}}", members.join(","))
+            }
+            Json::Arr(items) => {
+                let items: Vec<String> = items
+                    .iter()
+                    .map(|v| render(v, seen, target, member))
+                    .collect();
+                format!("[{}]", items.join(","))
+            }
+            leaf => leaf.render(),
+        }
+    }
+    render(doc, &mut 0, target, member)
+}
+
+/// How many objects `doc` holds, itself included.
+fn objects(doc: &Json) -> usize {
+    match doc {
+        Json::Obj(m) => 1 + m.values().map(objects).sum::<usize>(),
+        Json::Arr(items) => items.iter().map(objects).sum(),
+        _ => 0,
+    }
+}
+
+/// One random mutation of `doc` (JSON-lines documents mutate one line):
+/// truncation, a bit flip, a duplicated member, or a number replaced by an
+/// out-of-range one.
+fn mutate(doc: &str, kind: usize, rng: &mut SimRng) -> String {
+    match kind {
+        0 => doc[..rng.index(doc.len())].to_string(),
+        1 => {
+            let mut bytes = doc.as_bytes().to_vec();
+            let i = rng.index(bytes.len());
+            bytes[i] ^= 1 << rng.index(8);
+            String::from_utf8_lossy(&bytes).into_owned()
+        }
+        2 => {
+            let mut lines: Vec<String> = doc.lines().map(str::to_string).collect();
+            let i = rng.index(lines.len());
+            let line = Json::parse(&lines[i]).unwrap();
+            lines[i] = with_duplicate(&line, rng.index(objects(&line)), rng.index(64));
+            lines.join("\n") + if doc.ends_with('\n') { "\n" } else { "" }
+        }
+        _ => {
+            let spans = number_spans(doc);
+            let (a, b) = spans[rng.index(spans.len())];
+            let wide = ["-1", "1e30", "18446744073709551616"][rng.index(3)];
+            format!("{}{wide}{}", &doc[..a], &doc[b..])
+        }
+    }
+}
+
+/// Every decoder, each reducing its result to `Ok(())` or its message.
+type Decoder = (&'static str, fn(&str) -> Result<(), String>);
+
+const DECODERS: [Decoder; 6] = [
+    ("FaultPlan", |t| FaultPlan::from_json(t).map(drop)),
+    ("FleetChaosPlan", |t| FleetChaosPlan::from_json(t).map(drop)),
+    ("AttackPlan", |t| AttackPlan::from_json(t).map(drop)),
+    ("FleetSpec", |t| FleetSpec::from_json(t).map(drop)),
+    ("FleetTrace::decode", |t| {
+        FleetTrace::decode(t).map(drop).map_err(|e| e.msg)
+    }),
+    ("FleetTrace::from_json_value", |t| {
+        let doc = Json::parse(t).map_err(|e| e.to_string())?;
+        FleetTrace::from_json_value(&doc)
+            .map(drop)
+            .map_err(|e| e.msg)
+    }),
+];
+
+/// Mutated documents never panic a decoder: each decodes or fails with a
+/// message. `DECODER_SEED` reseeds the sweep, so a CI failure replays
+/// with `DECODER_SEED=<seed> cargo test -p experiments --test
+/// decoder_fields mutated`.
 #[test]
-fn checkpoint_manifest_names_every_missing_field() {
-    let dir = std::env::temp_dir().join(format!("vsched_manifest_sweep_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let key = CkptKey {
-        version: "test-v1".into(),
-        seed: 42,
-        scale: "smoke".into(),
-        filter: "fig03".into(),
-    };
-    let mut ck = Checkpoint::create(&dir, key.clone()).unwrap();
-    ck.record("fig03", "fig03 output\n").unwrap();
-    let manifest = dir.join("MANIFEST.json");
-    let doc = std::fs::read_to_string(&manifest).unwrap();
-    // Jobs are a set keyed by name: a dropped entry re-executes.
-    let swept = sweep("MANIFEST.json", &doc, &["jobs.fig03"], |t| {
-        std::fs::write(&manifest, t).unwrap();
-        let (_, note) = Checkpoint::resume(&dir, key.clone()).unwrap();
-        note.map_or(Ok(()), Err)
+fn mutated_documents_decode_or_fail_with_a_message() {
+    let seed = std::env::var("DECODER_SEED")
+        .ok()
+        .and_then(|s| s.parse::<u64>().ok())
+        .unwrap_or(0xDEC0DE);
+    let docs = [
+        FaultPlan::generate(5, &ChaosSpec::for_pinned_vm(0, 4, 3_000 * MS)).to_json(),
+        FleetChaosPlan::generate(5, &FleetChaosSpec::for_fleet(4, 3_000 * MS)).to_json(),
+        AttackPlan::generate(5, &AttackSpec::for_vm(2, 2_000 * MS)).to_json(),
+        FleetSpec::small(4, 2, 1).to_json(),
+        TRACE.to_string(),
+        FleetTrace::decode(TRACE).unwrap().to_json_value().render(),
+    ];
+    propcheck::forall(seed, 64, |rng| {
+        for doc in &docs {
+            for kind in 0..4 {
+                let mutated = mutate(doc, kind, rng);
+                for (name, decode) in DECODERS {
+                    let outcome = panic::catch_unwind(|| decode(&mutated));
+                    match outcome {
+                        Ok(Err(e)) => assert!(!e.is_empty(), "{name}: empty error on {mutated}"),
+                        Ok(Ok(())) => {}
+                        Err(_) => panic!(
+                            "{name} panicked on mutation {kind} (DECODER_SEED={seed}): {mutated}"
+                        ),
+                    }
+                }
+            }
+        }
     });
-    // The four key members, `jobs`, and the job's three.
-    assert_eq!(swept, 8);
-    let _ = std::fs::remove_dir_all(&dir);
 }

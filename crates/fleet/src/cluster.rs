@@ -9,7 +9,7 @@
 //! single-placement laws independently of the cluster's own bookkeeping.
 //!
 //! Hosts share no state *between* barriers, so [`Cluster::run`] shards
-//! the stepping itself across a scoped worker pool ([`crate::pstep`]):
+//! the stepping itself across a scoped worker pool (`pstep`):
 //! every epoch boundary, placement, failure and recovery is a full sync
 //! (a join barrier over all hosts), and all cross-host decisions
 //! (admission, placement, SLO accounting, fleet-collector events) happen

@@ -62,7 +62,7 @@ pub struct SloSummary {
     pub p99_ms: f64,
     /// The single worst tenant's p99, ms.
     pub worst_tenant_p99_ms: f64,
-    /// Merged p99 per priority tier in [`PRIORITY_CLASSES`] order
+    /// Merged p99 per priority tier in [`PRIORITY_CLASSES`](trace::PRIORITY_CLASSES) order
     /// (critical, standard, batch); 0.0 for an unpopulated tier.
     pub tier_p99_ms: [f64; 3],
     /// Measured tenants per priority tier (same order).
@@ -70,7 +70,7 @@ pub struct SloSummary {
     /// Tenants whose own p99 exceeded `spec.slo_p99_ns`.
     pub slo_violations: usize,
     /// Tenants whose own p99 exceeded their *tier's* target
-    /// (`spec.tier_slo_p99_ns`), in [`PRIORITY_CLASSES`] order.
+    /// (`spec.tier_slo_p99_ns`), in [`PRIORITY_CLASSES`](trace::PRIORITY_CLASSES) order.
     pub tier_slo_violations: [usize; 3],
     /// Tenants with at least one completed request (the SLO denominator).
     pub measured_tenants: usize,

@@ -9,7 +9,7 @@
 //! exactly, across processes and thread counts.
 //!
 //! Each concrete fault is applied through the existing
-//! [`ScriptAction`](crate::ScriptAction) machinery and paired with an
+//! [`ScriptAction`] machinery and paired with an
 //! [`ScriptAction::AnnotateFault`] marker, so traces (and the streaming
 //! invariant checker) see fault boundaries as first-class events.
 //!

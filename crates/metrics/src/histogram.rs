@@ -19,7 +19,7 @@ type Chunk = [u64; SUB_BUCKETS];
 
 /// A log-bucketed histogram of `u64` samples (typically nanoseconds).
 ///
-/// Buckets are stored sparsely: a magnitude group's [`SUB_BUCKETS`] counters
+/// Buckets are stored sparsely: a magnitude group's 32 counters
 /// are allocated when the group receives its first sample, so memory grows
 /// with the number of populated groups (256 bytes each), not with the range
 /// the histogram could cover. An empty histogram allocates nothing.

@@ -1,9 +1,9 @@
 //! Minimal JSON reading and writing for offline artifacts.
 //!
 //! The workspace runs without network access and without external crates,
-//! but the experiment harness needs durable structured artifacts: suite
-//! checkpoint manifests, failure reports, and shrunk chaos-repro plans all
-//! live on disk as JSON so they are inspectable with standard tools. This
+//! but the experiment harness needs durable structured artifacts: shrunk
+//! repro plans, fleet specs and fleet traces all live on disk as JSON so
+//! they are inspectable with standard tools. This
 //! module is a deliberately small value type plus parser/writer pair —
 //! just enough JSON for those fixed schemas, with one property the usual
 //! float-only implementations lack: **unsigned integers round-trip
@@ -41,7 +41,7 @@ pub enum Json {
     Arr(Vec<Json>),
     /// An object. `BTreeMap` keeps rendering deterministic: the writer
     /// emits keys in sorted order, so equal values serialize to equal
-    /// bytes — checkpoint manifests are diffable.
+    /// bytes — repro files are diffable.
     Obj(BTreeMap<String, Json>),
 }
 

@@ -16,7 +16,7 @@
 //! * [`propcheck`] — a minimal deterministic property-test harness used by
 //!   the workspace's randomized test suites (no external deps).
 //! * [`json`] — a tiny exact-integer JSON reader/writer for on-disk
-//!   artifacts (checkpoint manifests, failure reports, chaos repro plans),
+//!   artifacts (repro plans, fleet specs and traces),
 //!   with a path-carrying field reader for decoding them.
 //! * [`plan`] — the seeded `{seed, spec, events}` plan envelope every
 //!   repro-file type shares: subset surgery, rendering, and the codec.

@@ -171,7 +171,7 @@ pub struct Violation {
     pub event: TraceEvent,
     /// Human-readable specifics (expected vs observed).
     pub detail: String,
-    /// Up to [`CONTEXT`] events preceding `event`, oldest first.
+    /// Up to 8 events preceding `event`, oldest first.
     pub context: Vec<TraceEvent>,
 }
 

@@ -4,7 +4,7 @@
 //! shows that a guest which understands the hypervisor's accounting can
 //! steal cycles from proportional-share schedulers. This module models
 //! three such adversaries as seed-deterministic, replayable *attack
-//! plans* — the same shape as `hostsim`'s chaos [`FaultPlan`]s, so the
+//! plans* — the same shape as `hostsim`'s chaos `FaultPlan`s, so the
 //! PR 4 ddmin shrinker reduces an attack to a 1-minimal repro unchanged:
 //!
 //! * **tick-dodger** ([`AttackKind::DodgeRun`]) — computes between the

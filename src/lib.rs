@@ -12,3 +12,13 @@ pub use simcore;
 pub use trace;
 pub use vsched;
 pub use workloads;
+
+/// The README's code blocks, compiled as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
+
+/// DESIGN.md's code blocks, compiled as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../DESIGN.md")]
+pub struct DesignDoctests;
