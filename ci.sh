@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Offline CI gate: formatting, lints, the tier-1 build + test suite, the
 # benchmark's build and self-checks, serial-vs-parallel determinism of the
-# suite runner, and the chaos, fleet, adversary, vcache, supervision and
-# decoder smokes. Everything here must pass without network access.
+# suite runner, the registry-wide trace gate, and the chaos, fleet,
+# adversary, vcache, supervision and decoder smokes. Everything here must pass without network access.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -68,6 +68,12 @@ echo "== large-fleet stepping identity (release, ignored tests)"
 # The 256-host and 1000-host churned fleets step identically at 1, 2 and
 # 4 stepping workers; too long for the debug tier-1 run.
 cargo test -q --release -p vsched-fleet --test parallel_step -- --ignored
+
+echo "== registry trace gate: every cell traced vs untraced (release, ignored test)"
+# Every cell of all 24 jobs runs untraced and then under a traced cell
+# context: rows must be identical, every checked collector law-clean with
+# events, and every machine a cell builds must come from its context.
+cargo test -q --release --test trace_invariants -- --ignored
 
 echo "== chaos-smoke: one randomized seed"
 # Randomized seed: fault-class invariant sweeps on a fresh schedule each
@@ -228,7 +234,8 @@ grep -q "reproduced law 'synthetic-canary'" "$tmpdir/replay_err.txt"
 echo "== decoder-smoke: one randomized mutation seed"
 # Randomized seed: truncated, bit-flipped, duplicated-member and
 # out-of-range-number documents through every on-disk decoder, which must
-# decode or fail with a message, never panic. The seed is printed so a CI
+# decode or fail with a message naming a path, a byte offset or a line,
+# never panic. The seed is printed so a CI
 # failure replays locally with
 # DECODER_SEED=<seed> cargo test --release -p experiments --test decoder_fields mutated.
 decoder_seed=$(date +%s%N)

@@ -24,9 +24,9 @@
 //! replayable from an explicit plan (`suite --replay-adversary`) and
 //! shrinkable (`suite --shrink-adversary`).
 
-use crate::common::{check_report, checked_collector, Mode, Scale};
-use crate::runner::Grid;
-use hostsim::{DomainSchedule, HostSched, HostSpec, Machine, VmSpec};
+use crate::common::{check_report, Mode};
+use crate::runner::{CellCtx, Grid};
+use hostsim::{DomainSchedule, HostSched, HostSpec, VmSpec};
 use metrics::Table;
 use simcore::plan::Plan;
 use simcore::time::{MS, SEC};
@@ -178,23 +178,21 @@ pub fn plan_for(kind: Option<AttackKind>, horizon_secs: u64, seed: u64) -> Attac
 /// One scenario: victim + adversary on the shared host, one policy, one
 /// guest config, one explicit attack plan.
 fn run_scenario(
+    ctx: &CellCtx,
     policy: HostPolicy,
     guest: GuestMode,
     plan: &AttackPlan,
     victim_kind: VictimKind,
-    seed: u64,
 ) -> AdversaryOutcome {
     let horizon_ns = plan.spec().horizon_ns;
     let adv_vcpus = plan.spec().nr_vcpus;
-    let mut m = Machine::new(HostSpec::flat(NR_VCPUS), seed);
+    let (mut m, shared) = ctx.checked_machine(HostSpec::flat(NR_VCPUS));
     let victim = m.add_vm(VmSpec::pinned(NR_VCPUS, 0));
     let adv = m.add_vm(VmSpec::pinned(adv_vcpus, 0));
     m.set_vm_class(victim, PriorityClass::Standard);
     m.set_vm_class(adv, PriorityClass::Batch);
     m.set_host_sched(policy.sched())
         .expect("adversary cell host schedule is valid");
-    let shared = checked_collector();
-    m.attach_trace(&shared);
     let stats = match victim_kind {
         VictimKind::Saturated => {
             let (s, _stats) = Stressor::new(NR_VCPUS, work_ms(1.0));
@@ -208,7 +206,7 @@ fn run_scenario(
             let service = work_ms(0.5);
             let interarrival = service / 1024.0 / NR_VCPUS as f64 / 0.35;
             let cfg = LatencyServerCfg::new(NR_VCPUS, service, interarrival);
-            let (wl, stats) = LatencyServer::new(cfg, SimRng::new(seed ^ 0xF1));
+            let (wl, stats) = LatencyServer::new(cfg, SimRng::new(ctx.seed ^ 0xF1));
             m.set_workload(victim, Box::new(wl));
             Some(stats)
         }
@@ -263,25 +261,25 @@ fn run_scenario(
 /// Dodge sub-run: tick-dodging adversary against a saturated victim; the
 /// outcome's `steal_frac` is the headline number.
 pub fn run_dodge(
+    ctx: &CellCtx,
     policy: HostPolicy,
     guest: GuestMode,
     horizon_secs: u64,
-    seed: u64,
 ) -> AdversaryOutcome {
-    let plan = plan_for(Some(AttackKind::DodgeRun), horizon_secs, seed);
-    run_scenario(policy, guest, &plan, VictimKind::Saturated, seed)
+    let plan = plan_for(Some(AttackKind::DodgeRun), horizon_secs, ctx.seed);
+    run_scenario(ctx, policy, guest, &plan, VictimKind::Saturated)
 }
 
 /// Pollute sub-run: probe-window-targeted bursts against a serving
 /// victim; the outcome's `p99_ms` is the headline number.
 pub fn run_pollute(
+    ctx: &CellCtx,
     policy: HostPolicy,
     guest: GuestMode,
     horizon_secs: u64,
-    seed: u64,
 ) -> AdversaryOutcome {
-    let plan = plan_for(Some(AttackKind::ProbeBurst), horizon_secs, seed);
-    run_scenario(policy, guest, &plan, VictimKind::Serving, seed)
+    let plan = plan_for(Some(AttackKind::ProbeBurst), horizon_secs, ctx.seed);
+    run_scenario(ctx, policy, guest, &plan, VictimKind::Serving)
 }
 
 /// Runs one full cell under an explicit combined plan (the shrinker and
@@ -289,24 +287,24 @@ pub fn run_pollute(
 /// through the very same scenario the seeded cells use). The serving
 /// victim keeps every probing and scheduling path live.
 pub fn run_attack(
+    ctx: &CellCtx,
     policy: HostPolicy,
     guest: GuestMode,
     plan: &AttackPlan,
-    seed: u64,
 ) -> AdversaryOutcome {
-    run_scenario(policy, guest, plan, VictimKind::Serving, seed)
+    run_scenario(ctx, policy, guest, plan, VictimKind::Serving)
 }
 
 /// Runs one matrix cell: dodge sub-run for steal, pollute sub-run for
 /// service quality, merged into one outcome.
 pub fn run_cell(
+    ctx: &CellCtx,
     policy: HostPolicy,
     guest: GuestMode,
     horizon_secs: u64,
-    seed: u64,
 ) -> AdversaryOutcome {
-    let dodge = run_dodge(policy, guest, horizon_secs, seed);
-    let pollute = run_pollute(policy, guest, horizon_secs, seed);
+    let dodge = run_dodge(ctx, policy, guest, horizon_secs);
+    let pollute = run_pollute(ctx, policy, guest, horizon_secs);
     AdversaryOutcome {
         steal_frac: dodge.steal_frac,
         p99_ms: pollute.p99_ms,
@@ -405,12 +403,9 @@ pub fn grid() -> Grid<(HostPolicy, GuestMode, AdversaryOutcome), AdversaryMatrix
         for &guest in GUESTS.iter() {
             g.cell(
                 format!("{}/{}", policy.label(), guest.label()),
-                move |seed, scale: Scale| {
-                    (
-                        policy,
-                        guest,
-                        run_cell(policy, guest, scale.secs(8, 30), seed),
-                    )
+                move |ctx| {
+                    let horizon_secs = ctx.scale.secs(8, 30);
+                    (policy, guest, run_cell(ctx, policy, guest, horizon_secs))
                 },
             );
         }

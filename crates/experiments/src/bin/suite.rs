@@ -33,9 +33,9 @@
 //! * `--list` prints every registered job id with its cell count and a
 //!   one-line description, then exits.
 //! * `--fleet-threads N` bounds the host-stepping worker pool inside the
-//!   fleet/fleet-replay cells' clusters (default: available parallelism;
-//!   `0` is rejected with a named-field error). Worker count never
-//!   changes suite output — only wall clock.
+//!   fleet, fleet-replay and fleet-chaos cells' clusters (default:
+//!   available parallelism; `0` is rejected with a named-field error).
+//!   Worker count never changes suite output — only wall clock.
 
 use experiments::runner::{registry, run_suite, SuiteOptions};
 use experiments::shrink::{self, ShrinkPlan};
@@ -52,8 +52,8 @@ fn usage() -> ! {
          [--shrink SEED | --replay FILE | --shrink-fleet SEED | --replay-fleet FILE \
          | --shrink-adversary SEED | --replay-adversary FILE]\n\
          \n\
-         --fleet-threads N   host-stepping workers for fleet/fleet-replay \
-         cells (default: available parallelism; output is byte-identical \
+         --fleet-threads N   host-stepping workers for the fleet, \
+         fleet-replay and fleet-chaos cells (default: available parallelism; output is byte-identical \
          at any worker count)"
     );
     std::process::exit(2);
@@ -188,9 +188,9 @@ fn main() {
             println!("{:<8} {:>3} cells  {}", j.name, j.cells, j.desc);
         }
         println!(
-            "# fleet/fleet-replay cells shard host stepping across a cluster \
-             pool; override with --fleet-threads N (default: available \
-             parallelism, byte-identical output at any worker count)"
+            "# fleet, fleet-replay and fleet-chaos cells shard host stepping \
+             across a cluster pool; override with --fleet-threads N (default: \
+             available parallelism, byte-identical output at any worker count)"
         );
         return;
     }

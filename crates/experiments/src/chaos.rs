@@ -11,9 +11,9 @@
 //! tail latency no worse than vanilla CFS on the very same faulted host —
 //! while its traced invariants keep holding?
 
-use crate::common::{check_report, checked_collector, Mode, Scale};
-use crate::runner::{take, Grid};
-use hostsim::{ChaosSpec, FaultPlan, HostSpec, Machine, VmSpec};
+use crate::common::{check_report, Mode};
+use crate::runner::{take, CellCtx, Grid};
+use hostsim::{ChaosSpec, FaultPlan, HostSpec, VmSpec};
 use metrics::Table;
 use simcore::plan::Plan;
 use simcore::time::{MS, SEC};
@@ -85,28 +85,26 @@ pub fn plan_for(horizon_secs: u64, seed: u64) -> (ChaosSpec, FaultPlan) {
 }
 
 /// Runs one chaos cell: same host, same faults, one scheduler.
-pub fn run_mode(mode: ChaosMode, horizon_secs: u64, seed: u64) -> ChaosOutcome {
-    let (_, plan) = plan_for(horizon_secs, seed);
-    run_plan(mode, &plan, seed)
+pub fn run_mode(ctx: &CellCtx, mode: ChaosMode, horizon_secs: u64) -> ChaosOutcome {
+    let (_, plan) = plan_for(horizon_secs, ctx.seed);
+    run_plan(ctx, mode, &plan)
 }
 
 /// Runs one chaos cell under an explicit fault plan (the shrinker and
 /// `suite --replay` drive arbitrary — typically subset — plans through the
 /// very same scenario the seeded cell uses).
-pub fn run_plan(mode: ChaosMode, plan: &FaultPlan, seed: u64) -> ChaosOutcome {
-    let mut m = Machine::new(HostSpec::flat(NR_VCPUS), seed);
+pub fn run_plan(ctx: &CellCtx, mode: ChaosMode, plan: &FaultPlan) -> ChaosOutcome {
+    let (mut m, shared) = ctx.checked_machine(HostSpec::flat(NR_VCPUS));
     let vm = m.add_vm(VmSpec::pinned(NR_VCPUS, 0));
     let spec = plan.spec().clone();
     plan.apply(&mut m);
-    let shared = checked_collector();
-    m.attach_trace(&shared);
     // Offered load ≈ 50% of nominal capacity: fault transients push the
     // faulted vCPUs past saturation, so scheduling quality shows in the
     // tail.
     let service = work_ms(0.5);
     let interarrival = service / 1024.0 / NR_VCPUS as f64 / 0.5;
     let cfg = LatencyServerCfg::new(NR_VCPUS, service, interarrival);
-    let (wl, stats) = LatencyServer::new(cfg, SimRng::new(seed ^ 0xF1));
+    let (wl, stats) = LatencyServer::new(cfg, SimRng::new(ctx.seed ^ 0xF1));
     m.set_workload(vm, Box::new(wl));
     match mode {
         ChaosMode::Cfs => {}
@@ -219,8 +217,8 @@ pub fn grid() -> Grid<(ChaosMode, ChaosOutcome), Chaos> {
         ("cfs", ChaosMode::Cfs),
         ("vsched-resilient", ChaosMode::VschedResilient),
     ] {
-        g.cell(label, move |seed, scale: Scale| {
-            (mode, run_mode(mode, scale.secs(6, 20), seed))
+        g.cell(label, move |ctx| {
+            (mode, run_mode(ctx, mode, ctx.scale.secs(6, 20)))
         });
     }
     g

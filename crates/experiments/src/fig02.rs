@@ -8,9 +8,8 @@
 //! of each benchmark is reported normalized to the 16 ms setting — the
 //! paper observes up to a 20× spread.
 
-use crate::common::Scale;
-use crate::runner::Grid;
-use hostsim::{HostSpec, Machine, VmSpec};
+use crate::runner::{CellCtx, Grid};
+use hostsim::{HostSpec, VmSpec};
 use metrics::Table;
 use simcore::time::MS;
 use simcore::{SimRng, SimTime};
@@ -79,11 +78,11 @@ impl fmt::Display for Fig02 {
 
 /// Runs one cell: a 16-vCPU VM against a stressor VM with the host quantum
 /// set to the target vCPU latency.
-fn run_cell(bench: &'static str, best_effort: bool, latency_ms: u64, secs: u64, seed: u64) -> Cell {
+fn run_cell(ctx: &CellCtx, bench: &'static str, best_effort: bool, latency_ms: u64) -> Cell {
     let n = 16;
     let mut host = HostSpec::flat(n);
     host.quantum_ns = latency_ms * MS;
-    let mut m = Machine::new(host, seed);
+    let mut m = ctx.machine(host);
     let vm = m.add_vm(VmSpec::pinned(n, 0));
     let stress_vm = m.add_vm(VmSpec::pinned(n, 0));
     // Very light offered load, as the paper configures it ("we reduced the
@@ -96,13 +95,13 @@ fn run_cell(bench: &'static str, best_effort: bool, latency_ms: u64, secs: u64, 
         4,
         interarrival,
         best_effort,
-        SimRng::new(seed ^ 0x51),
+        SimRng::new(ctx.seed ^ 0x51),
     );
     m.set_workload(vm, wl);
     let (sw, _ss) = Stressor::new(n, work_ms(10.0));
     m.set_workload(stress_vm, Box::new(sw));
     m.start();
-    m.run_until(SimTime::from_secs(secs));
+    m.run_until(SimTime::from_secs(ctx.scale.secs(20, 120)));
     Cell {
         bench,
         best_effort,
@@ -121,10 +120,9 @@ pub fn grid() -> Grid<Cell, Fig02> {
     for &be in &[false, true] {
         for bench in BENCHES {
             for &l in &LATENCIES_MS {
-                g.cell(
-                    format!("{bench}/be={be}/lat={l}"),
-                    move |seed, scale: Scale| run_cell(bench, be, l, scale.secs(20, 120), seed),
-                );
+                g.cell(format!("{bench}/be={be}/lat={l}"), move |ctx| {
+                    run_cell(ctx, bench, be, l)
+                });
             }
         }
     }

@@ -9,12 +9,11 @@
 //! 4 ms to the next host-active vCPU, and utilization roughly doubles
 //! (paper: "the vCPU utilization is doubled").
 
-use crate::common::Scale;
-use crate::runner::{take, Grid};
+use crate::runner::{take, CellCtx, Grid};
 use guestos::{
     GuestOs, MigrateKind, Platform, SpawnSpec, TaskAction, TaskId, TaskState, VcpuId, Workload,
 };
-use hostsim::{HostSpec, Machine, ScriptAction, VmSpec};
+use hostsim::{HostSpec, ScriptAction, VmSpec};
 use metrics::Table;
 use simcore::time::MS;
 use simcore::SimTime;
@@ -75,6 +74,7 @@ impl Workload for SelfMigrating {
 }
 
 /// Result of one mode.
+#[derive(Debug)]
 pub struct ModeResult {
     /// Whether the thread migrated itself (migration mode).
     pub migrate: bool,
@@ -138,18 +138,11 @@ impl fmt::Display for Fig03 {
     }
 }
 
-/// Runs one mode, optionally with a trace collector attached.
-pub fn run_mode(
-    migrate: bool,
-    secs: u64,
-    seed: u64,
-    check: Option<&trace::SharedCollector>,
-) -> ModeResult {
-    let mut m = Machine::new(HostSpec::flat(4), seed);
+/// Runs one mode.
+pub fn run_mode(ctx: &CellCtx, migrate: bool) -> ModeResult {
+    let secs = ctx.scale.secs(5, 20);
+    let mut m = ctx.machine(HostSpec::flat(4));
     let vm = m.add_vm(VmSpec::pinned(4, 0));
-    if let Some(shared) = check {
-        m.attach_trace(shared);
-    }
     m.trace_activity = true;
     // Staggered 5 ms on / 5 ms off phases: bandwidth installed at offsets.
     for v in 0..4 {
@@ -196,9 +189,7 @@ pub fn grid() -> Grid<ModeResult, Fig03> {
         },
     );
     for (label, migrate) in [("default", false), ("migrate", true)] {
-        g.cell(label, move |seed, scale: Scale| {
-            run_mode(migrate, scale.secs(5, 20), seed, None)
-        });
+        g.cell(label, move |ctx| run_mode(ctx, migrate));
     }
     g
 }

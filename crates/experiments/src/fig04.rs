@@ -13,9 +13,8 @@
 //! Work conservation is relaxed here by hand (cgroup bans) — this is the
 //! motivation experiment that rwc later automates.
 
-use crate::common::Scale;
-use crate::runner::{pair_up, Grid};
-use hostsim::{HostSpec, Machine, Pinning, VmSpec};
+use crate::runner::{pair_up, CellCtx, Grid};
+use hostsim::{HostSpec, Pinning, VmSpec};
 use metrics::Table;
 use simcore::{SimRng, SimTime};
 use std::fmt;
@@ -100,14 +99,14 @@ impl fmt::Display for Fig04 {
     }
 }
 
-fn straggler_cell(bench: &'static str, exclude: bool, secs: u64, seed: u64) -> f64 {
-    let mut m = Machine::new(HostSpec::flat(16), seed);
+fn straggler_cell(ctx: &CellCtx, bench: &'static str, exclude: bool, secs: u64) -> f64 {
+    let mut m = ctx.machine(HostSpec::flat(16));
     let vm = m.add_vm(VmSpec::pinned(16, 0));
     m.add_host_load(15, 15 * 1024);
     if exclude {
         m.vms[vm].guest.kern.cgroup.ban(15);
     }
-    let (wl, handle) = build(bench, 16, SimRng::new(seed ^ 0x41));
+    let (wl, handle) = build(bench, 16, SimRng::new(ctx.seed ^ 0x41));
     m.set_workload(vm, wl);
     m.start();
     let dur = SimTime::from_secs(secs);
@@ -116,13 +115,13 @@ fn straggler_cell(bench: &'static str, exclude: bool, secs: u64, seed: u64) -> f
 }
 
 fn stacking_cell(
+    ctx: &CellCtx,
     bench: &'static str,
     exclude: bool,
     with_best_effort: bool,
     secs: u64,
-    seed: u64,
 ) -> f64 {
-    let mut m = Machine::new(HostSpec::flat(8), seed);
+    let mut m = ctx.machine(HostSpec::flat(8));
     let vm = m.add_vm(VmSpec {
         nr_vcpus: 16,
         pinning: Pinning::stacked_pairs(0, 16),
@@ -131,7 +130,7 @@ fn stacking_cell(
         guest_cfg: None,
     });
     let threads = if with_best_effort { 8 } else { 16 };
-    let (wl, handle) = build(bench, threads, SimRng::new(seed ^ 0x42));
+    let (wl, handle) = build(bench, threads, SimRng::new(ctx.seed ^ 0x42));
     if with_best_effort {
         // Best-effort load pinned on the odd vCPU of each stack pair; the
         // host cannot see that it is low priority (priority inversion).
@@ -190,22 +189,19 @@ pub fn grid() -> Grid<Cell, Fig04> {
     for scenario in ["straggler", "stacking", "prio-inv"] {
         for bench in BENCHES {
             for &nwc in &[false, true] {
-                g.cell(
-                    format!("{scenario}/{bench}/nwc={nwc}"),
-                    move |seed, scale: Scale| {
-                        let secs = scale.secs(6, 25);
-                        let throughput = match scenario {
-                            "straggler" => straggler_cell(bench, nwc, secs, seed),
-                            kind => stacking_cell(bench, nwc, kind == "prio-inv", secs, seed),
-                        };
-                        Cell {
-                            scenario,
-                            bench,
-                            nwc,
-                            throughput,
-                        }
-                    },
-                );
+                g.cell(format!("{scenario}/{bench}/nwc={nwc}"), move |ctx| {
+                    let secs = ctx.scale.secs(6, 25);
+                    let throughput = match scenario {
+                        "straggler" => straggler_cell(ctx, bench, nwc, secs),
+                        kind => stacking_cell(ctx, bench, nwc, kind == "prio-inv", secs),
+                    };
+                    Cell {
+                        scenario,
+                        bench,
+                        nwc,
+                        throughput,
+                    }
+                });
             }
         }
     }

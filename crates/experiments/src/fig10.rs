@@ -9,8 +9,7 @@
 //! bands (≈6 ns SMT, ≈48 ns intra-socket, ≈113 ns cross-socket, ∞ for
 //! stacking).
 
-use crate::common::Scale;
-use crate::runner::Grid;
+use crate::runner::{CellCtx, Grid};
 use hostsim::{HostSpec, Machine, Pinning, ScriptAction, VmSpec};
 use metrics::Table;
 use simcore::time::SEC;
@@ -33,6 +32,7 @@ pub struct CapSample {
 }
 
 /// One cell's result: the figure's two panels come from different runs.
+#[derive(Debug)]
 pub enum Row {
     /// (a) capacity tracking samples.
     Tracking(Vec<CapSample>),
@@ -96,8 +96,9 @@ impl fmt::Display for Fig10 {
 }
 
 /// Runs part (a): step the real capacity of vCPU 0 and sample the EMA.
-fn run_capacity_tracking(seed: u64, secs: u64) -> Vec<CapSample> {
-    let mut m = Machine::new(HostSpec::flat(2), seed);
+fn run_capacity_tracking(ctx: &CellCtx) -> Vec<CapSample> {
+    let secs = ctx.scale.secs(75, 150);
+    let mut m = ctx.machine(HostSpec::flat(2));
     let vm = m.add_vm(VmSpec::pinned(2, 0));
     // Capacity schedule for vCPU 0 via DVFS steps on core 0 (share styles
     // produce the same observable; frequency exercises the heavy phase).
@@ -148,9 +149,8 @@ fn run_capacity_tracking(seed: u64, secs: u64) -> Vec<CapSample> {
 }
 
 /// Runs part (b): probe the 8-vCPU mixed topology.
-fn run_matrix(seed: u64) -> Vec<Vec<f64>> {
-    let host = HostSpec::new(2, 2, 2);
-    let mut m = Machine::new(host, seed);
+fn run_matrix(ctx: &CellCtx) -> Vec<Vec<f64>> {
+    let mut m = ctx.machine(HostSpec::new(2, 2, 2));
     let vm = m.add_vm(VmSpec {
         nr_vcpus: 8,
         pinning: Pinning::OneToOne(vec![0, 1, 2, 3, 4, 5, 6, 6]),
@@ -199,9 +199,7 @@ pub fn grid() -> Grid<Row, Fig10> {
             }
         },
     );
-    g.cell("tracking", |seed, scale: Scale| {
-        Row::Tracking(run_capacity_tracking(seed, scale.secs(75, 150)))
-    });
-    g.cell("matrix", |seed, _| Row::Matrix(run_matrix(seed)));
+    g.cell("tracking", |ctx| Row::Tracking(run_capacity_tracking(ctx)));
+    g.cell("matrix", |ctx| Row::Matrix(run_matrix(ctx)));
     g
 }

@@ -11,9 +11,9 @@
 //! merely *appear* stronger (steal is unobservable while idle); vcap's
 //! stable estimates remove the motive (paper: 74% fewer migrations).
 
-use crate::common::{Mode, Scale};
-use crate::runner::{take, Grid};
-use hostsim::{HostSpec, Machine, ScriptAction, VmSpec};
+use crate::common::Mode;
+use crate::runner::{take, CellCtx, Grid};
+use hostsim::{HostSpec, ScriptAction, VmSpec};
 use metrics::Table;
 use simcore::{SimRng, SimTime};
 use std::fmt;
@@ -47,6 +47,7 @@ pub struct SymResult {
 }
 
 /// One cell's result: one run on the asymmetric or the symmetric host.
+#[derive(Debug)]
 pub enum Row {
     /// (a) asymmetric capacity.
     Asym(AsymResult),
@@ -108,30 +109,21 @@ impl fmt::Display for Fig11 {
     }
 }
 
-/// Runs the asymmetric-host cell, optionally with a trace collector
-/// attached.
-pub fn run_asym(
-    with_vcap: bool,
-    secs: u64,
-    seed: u64,
-    check: Option<&trace::SharedCollector>,
-) -> AsymResult {
-    let mut m = Machine::new(HostSpec::flat(16), seed);
+/// Runs the asymmetric-host cell.
+pub fn run_asym(ctx: &CellCtx, with_vcap: bool) -> AsymResult {
+    let mut m = ctx.machine(HostSpec::flat(16));
     let vm = m.add_vm(VmSpec::pinned(16, 0));
-    if let Some(shared) = check {
-        m.attach_trace(shared);
-    }
     // First 12 cores at half frequency: last 4 vCPUs have 2x capacity.
     for core in 0..12 {
         m.at(SimTime::ZERO, ScriptAction::SetFreq { core, factor: 0.5 });
     }
-    let (wl, handle) = build("sysbench", 4, SimRng::new(seed ^ 0xA1));
+    let (wl, handle) = build("sysbench", 4, SimRng::new(ctx.seed ^ 0xA1));
     m.set_workload(vm, wl);
     if with_vcap {
         Mode::install_custom(&mut m, vm, VschedConfig::probers_only());
     }
     m.start();
-    let dur = SimTime::from_secs(secs);
+    let dur = SimTime::from_secs(ctx.scale.secs(10, 40));
     m.run_until(dur);
     // Execution distribution from per-vCPU delivered work (subtract prober
     // noise by ignoring sub-1% shares).
@@ -149,21 +141,12 @@ pub fn run_asym(
     }
 }
 
-/// Runs the symmetric-host cell, optionally with a trace collector
-/// attached.
-pub fn run_sym(
-    with_vcap: bool,
-    secs: u64,
-    seed: u64,
-    check: Option<&trace::SharedCollector>,
-) -> SymResult {
-    let mut m = Machine::new(HostSpec::flat(16), seed);
+/// Runs the symmetric-host cell.
+pub fn run_sym(ctx: &CellCtx, with_vcap: bool) -> SymResult {
+    let mut m = ctx.machine(HostSpec::flat(16));
     let vm = m.add_vm(VmSpec::pinned(16, 0));
     let stress_vm = m.add_vm(VmSpec::pinned(16, 0));
-    if let Some(shared) = check {
-        m.attach_trace(shared);
-    }
-    let (wl, handle) = build("sysbench", 4, SimRng::new(seed ^ 0xA2));
+    let (wl, handle) = build("sysbench", 4, SimRng::new(ctx.seed ^ 0xA2));
     m.set_workload(vm, wl);
     let (sw, _s) = Stressor::new(16, work_ms(10.0));
     m.set_workload(stress_vm, Box::new(sw));
@@ -171,7 +154,7 @@ pub fn run_sym(
         Mode::install_custom(&mut m, vm, VschedConfig::probers_only());
     }
     m.start();
-    let dur = SimTime::from_secs(secs);
+    let dur = SimTime::from_secs(ctx.scale.secs(10, 40));
     m.run_until(dur);
     SymResult {
         vcap: with_vcap,
@@ -204,12 +187,9 @@ pub fn grid() -> Grid<Row, Fig11> {
     );
     for host in ["asym", "sym"] {
         for (mode, vcap) in [("cfs", false), ("vcap", true)] {
-            g.cell(format!("{host}/{mode}"), move |seed, scale: Scale| {
-                let secs = scale.secs(10, 40);
-                match host {
-                    "asym" => Row::Asym(run_asym(vcap, secs, seed, None)),
-                    _ => Row::Sym(run_sym(vcap, secs, seed, None)),
-                }
+            g.cell(format!("{host}/{mode}"), move |ctx| match host {
+                "asym" => Row::Asym(run_asym(ctx, vcap)),
+                _ => Row::Sym(run_sym(ctx, vcap)),
             });
         }
     }

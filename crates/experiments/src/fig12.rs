@@ -14,8 +14,8 @@
 //! resolves the resource conflicts (paper: up to +18% Matmul, +5% Nginx,
 //! no Fio degradation).
 
-use crate::common::{Mode, Scale};
-use crate::runner::{pair_up, take, Grid};
+use crate::common::Mode;
+use crate::runner::{pair_up, take, CellCtx, Grid};
 use guestos::TaskState;
 use hostsim::{HostSpec, Machine, Pinning, VmSpec};
 use metrics::Table;
@@ -53,6 +53,7 @@ pub struct Mixed {
 }
 
 /// One cell's result: an under-loaded or a mixed-workload run.
+#[derive(Debug)]
 pub enum Row {
     /// (a) active cores.
     Cores(ActiveCores),
@@ -110,8 +111,8 @@ fn smt_host() -> HostSpec {
     HostSpec::new(1, 16, 2) // 16 cores x 2 threads
 }
 
-fn run_underloaded(with_vtop: bool, secs: u64, seed: u64) -> ActiveCores {
-    let mut m = Machine::new(smt_host(), seed);
+fn run_underloaded(ctx: &CellCtx, with_vtop: bool) -> ActiveCores {
+    let mut m = ctx.machine(smt_host());
     let vm = m.add_vm(VmSpec {
         nr_vcpus: 32,
         pinning: Pinning::OneToOne((0..32).collect()),
@@ -119,7 +120,7 @@ fn run_underloaded(with_vtop: bool, secs: u64, seed: u64) -> ActiveCores {
         bandwidth: None,
         guest_cfg: None,
     });
-    let (wl, _h) = build("sysbench", 16, SimRng::new(seed ^ 0xB1));
+    let (wl, _h) = build("sysbench", 16, SimRng::new(ctx.seed ^ 0xB1));
     m.set_workload(vm, wl);
     if with_vtop {
         Mode::install_custom(&mut m, vm, VschedConfig::probers_only());
@@ -151,7 +152,7 @@ fn run_underloaded(with_vtop: bool, secs: u64, seed: u64) -> ActiveCores {
     // Skip vtop's initial probing transient before sampling matters; the
     // histogram covers the whole run, which is dominated by steady state.
     m.start();
-    m.run_until(SimTime::from_secs(secs));
+    m.run_until(SimTime::from_secs(ctx.scale.secs(8, 40)));
     let histogram = hist.borrow().clone();
     let total: u64 = histogram.iter().sum();
     let mean = histogram
@@ -167,8 +168,8 @@ fn run_underloaded(with_vtop: bool, secs: u64, seed: u64) -> ActiveCores {
     }
 }
 
-fn run_mixed(partner: &'static str, with_vtop: bool, secs: u64, seed: u64) -> Mixed {
-    let mut m = Machine::new(smt_host(), seed);
+fn run_mixed(ctx: &CellCtx, partner: &'static str, with_vtop: bool) -> Mixed {
+    let mut m = ctx.machine(smt_host());
     let vm = m.add_vm(VmSpec {
         nr_vcpus: 32,
         pinning: Pinning::OneToOne((0..32).collect()),
@@ -176,14 +177,14 @@ fn run_mixed(partner: &'static str, with_vtop: bool, secs: u64, seed: u64) -> Mi
         bandwidth: None,
         guest_cfg: None,
     });
-    let (mat, mat_h) = build("matmul", 16, SimRng::new(seed ^ 0xB2));
-    let (pw, pw_h) = build(partner, 16, SimRng::new(seed ^ 0xB3));
+    let (mat, mat_h) = build("matmul", 16, SimRng::new(ctx.seed ^ 0xB2));
+    let (pw, pw_h) = build(partner, 16, SimRng::new(ctx.seed ^ 0xB3));
     m.set_workload(vm, Box::new(MultiWorkload::new(vec![mat, pw])));
     if with_vtop {
         Mode::install_custom(&mut m, vm, VschedConfig::probers_only());
     }
     m.start();
-    let dur = SimTime::from_secs(secs);
+    let dur = SimTime::from_secs(ctx.scale.secs(8, 40));
     m.run_until(dur);
     Mixed {
         vtop: with_vtop,
@@ -215,18 +216,13 @@ pub fn grid() -> Grid<Row, Fig12> {
         },
     );
     for (label, vtop) in [("cores/cfs", false), ("cores/vtop", true)] {
-        g.cell(label, move |seed, scale: Scale| {
-            Row::Cores(run_underloaded(vtop, scale.secs(8, 40), seed))
-        });
+        g.cell(label, move |ctx| Row::Cores(run_underloaded(ctx, vtop)));
     }
     for partner in MIXED_PARTNERS {
         for &vtop in &[false, true] {
-            g.cell(
-                format!("mixed/{partner}/vtop={vtop}"),
-                move |seed, scale: Scale| {
-                    Row::Mixed(run_mixed(partner, vtop, scale.secs(8, 40), seed))
-                },
-            );
+            g.cell(format!("mixed/{partner}/vtop={vtop}"), move |ctx| {
+                Row::Mixed(run_mixed(ctx, partner, vtop))
+            });
         }
     }
     g

@@ -6,9 +6,9 @@
 //! domain, cutting cross-socket IPIs (paper: −99%), raising IPC (+14.5%),
 //! and lifting throughput (+26% on average).
 
-use crate::common::{Mode, Scale};
-use crate::runner::{pair_up, Grid};
-use hostsim::{HostSpec, Machine, Pinning, VmSpec};
+use crate::common::Mode;
+use crate::runner::{pair_up, CellCtx, Grid};
+use hostsim::{HostSpec, Pinning, VmSpec};
 use metrics::Table;
 use simcore::{SimRng, SimTime};
 use std::fmt;
@@ -105,10 +105,9 @@ fn instance(
     }
 }
 
-fn run_cell(name: &'static str, with_vtop: bool, secs: u64, seed: u64) -> LlcCell {
+fn run_cell(ctx: &CellCtx, name: &'static str, with_vtop: bool) -> LlcCell {
     // Two sockets x 16 cores, SMT off: vCPU i on thread i.
-    let host = HostSpec::new(2, 16, 1);
-    let mut m = Machine::new(host, seed);
+    let mut m = ctx.machine(HostSpec::new(2, 16, 1));
     let vm = m.add_vm(VmSpec {
         nr_vcpus: 32,
         pinning: Pinning::OneToOne((0..32).collect()),
@@ -116,14 +115,14 @@ fn run_cell(name: &'static str, with_vtop: bool, secs: u64, seed: u64) -> LlcCel
         bandwidth: None,
         guest_cfg: None,
     });
-    let (a, ha) = instance(name, 8, 50, SimRng::new(seed ^ 0xC1));
-    let (bw, hb) = instance(name, 8, 60, SimRng::new(seed ^ 0xC2));
+    let (a, ha) = instance(name, 8, 50, SimRng::new(ctx.seed ^ 0xC1));
+    let (bw, hb) = instance(name, 8, 60, SimRng::new(ctx.seed ^ 0xC2));
     m.set_workload(vm, Box::new(MultiWorkload::new(vec![a, bw])));
     if with_vtop {
         Mode::install_custom(&mut m, vm, VschedConfig::probers_only());
     }
     m.start();
-    let dur = SimTime::from_secs(secs);
+    let dur = SimTime::from_secs(ctx.scale.secs(8, 40));
     m.run_until(dur);
     let throughput = ha.rate(dur) + hb.rate(dur);
     let cycles = m.vms[vm].cycles.value().max(1.0);
@@ -148,8 +147,8 @@ pub fn grid() -> Grid<LlcCell, Fig13> {
     );
     for &name in &BENCHES {
         for &vtop in &[false, true] {
-            g.cell(format!("{name}/vtop={vtop}"), move |seed, scale: Scale| {
-                run_cell(name, vtop, scale.secs(8, 40), seed)
+            g.cell(format!("{name}/vtop={vtop}"), move |ctx| {
+                run_cell(ctx, name, vtop)
             });
         }
     }

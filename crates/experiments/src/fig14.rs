@@ -10,9 +10,9 @@
 //! Masstree's latency into queue/service components, including the
 //! "bvs without the state check" ablation.
 
-use crate::common::{Mode, Scale};
-use crate::runner::Grid;
-use hostsim::{HostSpec, Machine, VmSpec};
+use crate::common::Mode;
+use crate::runner::{CellCtx, Grid};
+use hostsim::{HostSpec, VmSpec};
 use metrics::Table;
 use simcore::time::MS;
 use simcore::{SimRng, SimTime};
@@ -100,11 +100,17 @@ impl fmt::Display for Fig14 {
     }
 }
 
-/// Builds the Figure 14 machine: 16 vCPUs at symmetric 50% capacity
-/// (competing stressor VM), vCPUs 0–7 with 2x lower latency (4 ms host
-/// quanta vs 8 ms).
-pub fn build_machine(seed: u64) -> (Machine, usize) {
-    let mut m = Machine::new(HostSpec::flat(16), seed);
+/// Runs one cell on the Figure 14 machine — 16 vCPUs at symmetric 50%
+/// capacity (competing stressor VM), vCPUs 0–7 with 2x lower latency
+/// (4 ms host quanta vs 8 ms) — and returns the latency handle for
+/// Table 3 reuse.
+pub fn run_cell(
+    ctx: &CellCtx,
+    bench: &'static str,
+    best_effort: bool,
+    cfg: VschedConfig,
+) -> Handle {
+    let mut m = ctx.machine(HostSpec::flat(16));
     let vm = m.add_vm(VmSpec::pinned(16, 0));
     let stress_vm = m.add_vm(VmSpec::pinned(16, 0));
     let (sw, _s) = Stressor::new(16, work_ms(10.0));
@@ -112,18 +118,6 @@ pub fn build_machine(seed: u64) -> (Machine, usize) {
     for th in 0..16 {
         m.set_thread_quantum(th, if th < 8 { 4 * MS } else { 8 * MS });
     }
-    (m, vm)
-}
-
-/// Runs one cell; returns the latency handle for Table 3 reuse.
-pub fn run_cell(
-    bench: &'static str,
-    best_effort: bool,
-    cfg: VschedConfig,
-    secs: u64,
-    seed: u64,
-) -> Handle {
-    let (mut m, vm) = build_machine(seed);
     // Low offered load: the tail is dominated by wakeup placement.
     let interarrival = 8.0 * MS as f64;
     let (wl, handle) = build_latency(
@@ -131,12 +125,12 @@ pub fn run_cell(
         4,
         interarrival,
         best_effort,
-        SimRng::new(seed ^ 0xD1),
+        SimRng::new(ctx.seed ^ 0xD1),
     );
     m.set_workload(vm, wl);
     Mode::install_custom(&mut m, vm, cfg);
     m.start();
-    m.run_until(SimTime::from_secs(secs));
+    m.run_until(SimTime::from_secs(ctx.scale.secs(15, 60)));
     handle
 }
 
@@ -151,23 +145,20 @@ pub fn grid() -> Grid<Cell, Fig14> {
     for &best_effort in &[false, true] {
         for bench in BENCHES {
             for &bvs in &[false, true] {
-                g.cell(
-                    format!("{bench}/be={best_effort}/bvs={bvs}"),
-                    move |seed, scale: Scale| {
-                        let cfg = if bvs {
-                            crate::table3::bvs_cfg()
-                        } else {
-                            VschedConfig::probers_only()
-                        };
-                        let h = run_cell(bench, best_effort, cfg, scale.secs(15, 60), seed);
-                        Cell {
-                            bench,
-                            best_effort,
-                            bvs,
-                            p95_ns: h.p95_ns().unwrap_or(0),
-                        }
-                    },
-                );
+                g.cell(format!("{bench}/be={best_effort}/bvs={bvs}"), move |ctx| {
+                    let cfg = if bvs {
+                        crate::table3::bvs_cfg()
+                    } else {
+                        VschedConfig::probers_only()
+                    };
+                    let h = run_cell(ctx, bench, best_effort, cfg);
+                    Cell {
+                        bench,
+                        best_effort,
+                        bvs,
+                        p95_ns: h.p95_ns().unwrap_or(0),
+                    }
+                });
             }
         }
     }

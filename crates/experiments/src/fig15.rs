@@ -10,8 +10,8 @@
 //! Table 4 isolates the value of activity awareness: canneal run times with
 //! pre-waking ivh vs the direct (activity-unaware) migration ablation.
 
-use crate::common::{Mode, Scale};
-use crate::runner::Grid;
+use crate::common::Mode;
+use crate::runner::{CellCtx, Grid};
 use hostsim::{HostSpec, Machine, VmSpec};
 use metrics::Table;
 use simcore::{SimRng, SimTime};
@@ -108,8 +108,8 @@ impl fmt::Display for Fig15 {
 }
 
 /// Builds the overcommitted machine shared by Figure 15 and Table 4.
-pub fn build_machine(seed: u64) -> (Machine, usize) {
-    let mut m = Machine::new(HostSpec::flat(16), seed);
+pub fn build_machine(ctx: &CellCtx) -> (Machine, usize) {
+    let mut m = ctx.machine(HostSpec::flat(16));
     let vm = m.add_vm(VmSpec::pinned(16, 0));
     let stress_vm = m.add_vm(VmSpec::pinned(16, 0));
     let (sw, _s) = Stressor::new(16, work_ms(10.0));
@@ -117,21 +117,10 @@ pub fn build_machine(seed: u64) -> (Machine, usize) {
     (m, vm)
 }
 
-/// Runs one cell, optionally with a trace collector attached; returns
-/// the completion rate.
-pub fn run_cell(
-    bench: &str,
-    threads: usize,
-    with_ivh: bool,
-    secs: u64,
-    seed: u64,
-    check: Option<&trace::SharedCollector>,
-) -> f64 {
-    let (mut m, vm) = build_machine(seed);
-    if let Some(shared) = check {
-        m.attach_trace(shared);
-    }
-    let (wl, handle) = build(bench, threads, SimRng::new(seed ^ 0xE1));
+/// Runs one cell; returns the completion rate.
+pub fn run_cell(ctx: &CellCtx, bench: &str, threads: usize, with_ivh: bool) -> f64 {
+    let (mut m, vm) = build_machine(ctx);
+    let (wl, handle) = build(bench, threads, SimRng::new(ctx.seed ^ 0xE1));
     m.set_workload(vm, wl);
     let cfg = if with_ivh {
         VschedConfig {
@@ -144,7 +133,7 @@ pub fn run_cell(
     };
     Mode::install_custom(&mut m, vm, cfg);
     m.start();
-    let dur = SimTime::from_secs(secs);
+    let dur = SimTime::from_secs(ctx.scale.secs(8, 30));
     m.run_until(dur);
     handle.rate(dur)
 }
@@ -160,15 +149,12 @@ pub fn grid() -> Grid<Cell, Fig15> {
     for &bench in &BENCHES {
         for &threads in &THREADS {
             for &ivh in &[false, true] {
-                g.cell(
-                    format!("{bench}/t={threads}/ivh={ivh}"),
-                    move |seed, scale: Scale| Cell {
-                        bench,
-                        threads,
-                        ivh,
-                        rate: run_cell(bench, threads, ivh, scale.secs(8, 30), seed, None),
-                    },
-                );
+                g.cell(format!("{bench}/t={threads}/ivh={ivh}"), move |ctx| Cell {
+                    bench,
+                    threads,
+                    ivh,
+                    rate: run_cell(ctx, bench, threads, ivh),
+                });
             }
         }
     }

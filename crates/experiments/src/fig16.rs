@@ -8,9 +8,9 @@
 //! stock CFS is compared with vSched, which re-probes and adapts within
 //! seconds.
 
-use crate::common::{Mode, Scale};
-use crate::runner::{take, Grid};
-use hostsim::{HostSpec, Machine, ScriptAction, VmSpec};
+use crate::common::Mode;
+use crate::runner::{take, CellCtx, Grid};
+use hostsim::{HostSpec, ScriptAction, VmSpec};
 use metrics::Table;
 use simcore::time::SEC;
 use simcore::{SimRng, SimTime};
@@ -61,10 +61,10 @@ impl fmt::Display for Fig16 {
     }
 }
 
-fn run_mode(mode: Mode, phase_secs: u64, seed: u64) -> Vec<f64> {
-    let mut m = Machine::new(HostSpec::flat(16), seed);
+fn run_mode(ctx: &CellCtx, mode: Mode) -> Vec<f64> {
+    let mut m = ctx.machine(HostSpec::flat(16));
     let vm = m.add_vm(VmSpec::pinned(16, 0));
-    let p = phase_secs;
+    let p = ctx.scale.secs(10, 30);
     // Phase 2 (overcommitted): host loads on every thread = a competing VM.
     for th in 0..16 {
         m.at(
@@ -122,7 +122,7 @@ fn run_mode(mode: Mode, phase_secs: u64, seed: u64) -> Vec<f64> {
     let service = work_ms(0.5);
     let interarrival = service / 1024.0 / 16.0 / 0.6;
     let cfg = LatencyServerCfg::new(16, service, interarrival).with_series(SEC);
-    let (wl, stats) = LatencyServer::new(cfg, SimRng::new(seed ^ 0xF1));
+    let (wl, stats) = LatencyServer::new(cfg, SimRng::new(ctx.seed ^ 0xF1));
     m.set_workload(vm, Box::new(wl));
     mode.install(&mut m, vm);
     m.start();
@@ -149,9 +149,7 @@ pub fn grid() -> Grid<(Mode, Vec<f64>), Fig16> {
         },
     );
     for (label, mode) in [("cfs", Mode::Cfs), ("vsched", Mode::Vsched)] {
-        g.cell(label, move |seed, scale: Scale| {
-            (mode, run_mode(mode, scale.secs(10, 30), seed))
-        });
+        g.cell(label, move |ctx| (mode, run_mode(ctx, mode)));
     }
     g
 }

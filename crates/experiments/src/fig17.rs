@@ -8,8 +8,8 @@
 //! throughput under CFS vs vSched per phase, and measure the slowdown
 //! vSched imposes on the neighbours.
 
-use crate::common::{Mode, Scale};
-use crate::runner::{take, Grid};
+use crate::common::Mode;
+use crate::runner::{take, CellCtx, Grid};
 use hostsim::{HostSpec, Machine, VmSpec};
 use metrics::Table;
 use simcore::time::SEC;
@@ -21,6 +21,7 @@ use workloads::{build, DelayedWorkload, Handle};
 pub const PHASES: [&str; 3] = ["intermittent", "consistent", "transient"];
 
 /// One mode's outcome.
+#[derive(Debug)]
 pub struct ModeOutcome {
     /// Nginx requests/s per phase.
     pub nginx: [f64; 3],
@@ -70,9 +71,10 @@ struct Neighbour {
     phase: usize,
 }
 
-fn run_mode(mode: Mode, phase_secs: u64, seed: u64) -> ModeOutcome {
+fn run_mode(ctx: &CellCtx, mode: Mode) -> ModeOutcome {
+    let (phase_secs, seed) = (ctx.scale.secs(10, 80), ctx.seed);
     let threads: Vec<usize> = (0..16).collect();
-    let mut m = Machine::new(HostSpec::flat(16), seed);
+    let mut m = ctx.machine(HostSpec::flat(16));
     let nginx_vm = m.add_vm(VmSpec::floating(16, threads.clone()));
     // Two 16-vCPU neighbour VMs for phases 1-2, four 8-vCPU VMs for phase 3.
     let mut vm_ids = Vec::new();
@@ -157,9 +159,7 @@ pub fn grid() -> Grid<(Mode, ModeOutcome), Fig17> {
         },
     );
     for (label, mode) in [("cfs", Mode::Cfs), ("vsched", Mode::Vsched)] {
-        g.cell(label, move |seed, scale: Scale| {
-            (mode, run_mode(mode, scale.secs(10, 80), seed))
-        });
+        g.cell(label, move |ctx| (mode, run_mode(ctx, mode)));
     }
     g
 }

@@ -6,9 +6,9 @@
 //! latency-sensitive ones report p95 tail latency. Everything is
 //! normalized to CFS, as in the paper's bar charts.
 
-use crate::common::{Mode, Scale};
-use crate::profiles::{hpvm, rcvm, Profile};
-use crate::runner::Grid;
+use crate::common::Mode;
+use crate::profiles::{hpvm_with, rcvm_with, Profile};
+use crate::runner::{CellCtx, Grid};
 use metrics::Table;
 use simcore::{SimRng, SimTime};
 use std::fmt;
@@ -121,27 +121,28 @@ impl fmt::Display for Overall {
     }
 }
 
-/// Builds `kind`'s profile for one cell.
-pub(crate) fn make_profile(kind: ProfileKind, seed: u64) -> Profile {
+/// Builds `kind`'s profile on a machine from `ctx`.
+pub(crate) fn make_profile(kind: ProfileKind, ctx: &CellCtx) -> Profile {
+    let machine = |host| ctx.machine(host);
     match kind {
-        ProfileKind::Rcvm => rcvm(seed),
-        ProfileKind::Hpvm => hpvm(seed),
+        ProfileKind::Rcvm => rcvm_with(machine),
+        ProfileKind::Hpvm => hpvm_with(machine),
     }
 }
 
 /// Runs one (benchmark, mode) cell on a profile.
-pub fn run_cell(kind: ProfileKind, bench: &str, mode: Mode, secs: u64, seed: u64) -> f64 {
-    let mut p = make_profile(kind, seed);
+pub fn run_cell(ctx: &CellCtx, kind: ProfileKind, bench: &str, mode: Mode) -> f64 {
+    let mut p = make_profile(kind, ctx);
     let nr = p.machine.vms[p.vm].nr_vcpus;
     // Offered load sits just below the constrained profiles' effective
     // capacity (~30% of nominal): high enough that misplaced work tips
     // stock CFS toward saturation, which is precisely the regime the
     // paper's rcvm results live in.
-    let (wl, handle) = build_loaded(bench, nr, 0.28, SimRng::new(seed ^ 0xAB));
+    let (wl, handle) = build_loaded(bench, nr, 0.28, SimRng::new(ctx.seed ^ 0xAB));
     p.machine.set_workload(p.vm, wl);
     mode.install(&mut p.machine, p.vm);
     p.machine.start();
-    let dur = SimTime::from_secs(secs);
+    let dur = SimTime::from_secs(ctx.scale.secs(6, 25));
     p.machine.run_until(dur);
     if is_latency_bench(bench) {
         handle.p95_ns().unwrap_or(0) as f64
@@ -159,16 +160,9 @@ pub fn grid(name: &'static str, desc: &'static str, kind: ProfileKind) -> Grid<C
     });
     for &bench in THROUGHPUT_BENCHES.iter().chain(LATENCY_BENCHES.iter()) {
         for mode in [Mode::Cfs, Mode::EnhancedCfs, Mode::Vsched] {
-            g.cell(
-                format!("{bench}/{}", mode.label()),
-                move |seed, scale: Scale| {
-                    (
-                        bench,
-                        mode,
-                        run_cell(kind, bench, mode, scale.secs(6, 25), seed),
-                    )
-                },
-            );
+            g.cell(format!("{bench}/{}", mode.label()), move |ctx| {
+                (bench, mode, run_cell(ctx, kind, bench, mode))
+            });
         }
     }
     g

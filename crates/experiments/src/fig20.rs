@@ -6,9 +6,9 @@
 //! more cycles for ~38% more CPS, and latency workloads pay more cycles
 //! (probing keeps vCPUs busy) while remaining light in absolute terms.
 
-use crate::common::{Mode, Scale};
+use crate::common::Mode;
 use crate::fig18_19::{make_profile, ProfileKind};
-use crate::runner::{pair_up, Grid};
+use crate::runner::{pair_up, CellCtx, Grid};
 use metrics::Table;
 use simcore::{SimRng, SimTime};
 use std::fmt;
@@ -63,10 +63,11 @@ impl fmt::Display for Fig20 {
     }
 }
 
-fn run_cell(kind: ProfileKind, bench: &'static str, mode: Mode, secs: u64, seed: u64) -> Cost {
-    let mut p = make_profile(kind, seed);
+fn run_cell(ctx: &CellCtx, kind: ProfileKind, bench: &'static str, mode: Mode) -> Cost {
+    let secs = ctx.scale.secs(6, 25);
+    let mut p = make_profile(kind, ctx);
     let nr = p.machine.vms[p.vm].nr_vcpus;
-    let (wl, h) = build_loaded(bench, nr, 0.15, SimRng::new(seed ^ 0xCC));
+    let (wl, h) = build_loaded(bench, nr, 0.15, SimRng::new(ctx.seed ^ 0xCC));
     p.machine.set_workload(p.vm, wl);
     mode.install(&mut p.machine, p.vm);
     p.machine.start();
@@ -100,10 +101,9 @@ pub fn grid() -> Grid<Cost, Fig20> {
     for kind in PROFILES {
         for &bench in &BENCHES {
             for mode in [Mode::Cfs, Mode::Vsched] {
-                g.cell(
-                    format!("{kind:?}/{bench}/{}", mode.label()),
-                    move |seed, scale: Scale| run_cell(kind, bench, mode, scale.secs(6, 25), seed),
-                );
+                g.cell(format!("{kind:?}/{bench}/{}", mode.label()), move |ctx| {
+                    run_cell(ctx, kind, bench, mode)
+                });
             }
         }
     }

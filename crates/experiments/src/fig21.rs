@@ -4,9 +4,9 @@
 //! symmetric, UMA — the default abstraction is already correct, so vSched
 //! can only cost. The paper measures a 0.7% average degradation.
 
-use crate::common::{Mode, Scale};
-use crate::runner::{pair_up, Grid};
-use hostsim::{HostSpec, Machine, VmSpec};
+use crate::common::Mode;
+use crate::runner::{pair_up, CellCtx, Grid};
+use hostsim::{HostSpec, VmSpec};
 use metrics::Table;
 use simcore::{SimRng, SimTime};
 use std::fmt;
@@ -67,14 +67,14 @@ impl fmt::Display for Fig21 {
     }
 }
 
-fn run_cell(bench: &str, mode: Mode, secs: u64, seed: u64) -> f64 {
-    let mut m = Machine::new(HostSpec::flat(16), seed);
+fn run_cell(ctx: &CellCtx, bench: &str, mode: Mode) -> f64 {
+    let mut m = ctx.machine(HostSpec::flat(16));
     let vm = m.add_vm(VmSpec::pinned(16, 0));
-    let (wl, handle) = build_loaded(bench, 16, 0.15, SimRng::new(seed ^ 0xDD));
+    let (wl, handle) = build_loaded(bench, 16, 0.15, SimRng::new(ctx.seed ^ 0xDD));
     m.set_workload(vm, wl);
     mode.install(&mut m, vm);
     m.start();
-    let dur = SimTime::from_secs(secs);
+    let dur = SimTime::from_secs(ctx.scale.secs(6, 25));
     m.run_until(dur);
     if is_latency_bench(bench) {
         // Lower is better: return inverse so "higher = better" throughout.
@@ -98,12 +98,9 @@ pub fn grid() -> Grid<(&'static str, Mode, f64), Fig21> {
     );
     for &bench in &BENCHES {
         for mode in [Mode::Cfs, Mode::Vsched] {
-            g.cell(
-                format!("{bench}/{}", mode.label()),
-                move |seed, scale: Scale| {
-                    (bench, mode, run_cell(bench, mode, scale.secs(6, 25), seed))
-                },
-            );
+            g.cell(format!("{bench}/{}", mode.label()), move |ctx| {
+                (bench, mode, run_cell(ctx, bench, mode))
+            });
         }
     }
     g

@@ -12,9 +12,8 @@
 //! utilization) plus the trace checker's verdict on the placement laws
 //! (overcommit cap respected, every admitted VM placed at most once).
 
-use crate::common::Scale;
-use crate::runner::Grid;
-use ::fleet::{policy_by_name, Cluster, FleetSpec, GuestMode, SloSummary, POLICIES};
+use crate::runner::{CellCtx, Grid};
+use ::fleet::{Cluster, FleetSpec, GuestMode, SloSummary, POLICIES};
 use metrics::Table;
 use std::fmt;
 
@@ -48,15 +47,8 @@ pub(crate) fn summarize(mut c: Cluster) -> SloSummary {
 /// replayed twice — once with CFS guests, once with vSched guests — so the
 /// two rows differ only in the guest scheduler (and, for the probe-aware
 /// policy, in the capacity signal it feeds back to placement).
-pub fn run_cell(policy: &'static str, horizon_secs: u64, seed: u64) -> (SloSummary, SloSummary) {
-    let run_mode = |mode| {
-        summarize(Cluster::new(
-            spec_for(horizon_secs),
-            mode,
-            policy_by_name(policy).expect("registered policy"),
-            seed,
-        ))
-    };
+pub fn run_cell(ctx: &CellCtx, policy: &'static str) -> (SloSummary, SloSummary) {
+    let run_mode = |mode| summarize(ctx.cluster(spec_for(ctx.scale.secs(4, 16)), mode, policy));
     (run_mode(GuestMode::Cfs), run_mode(GuestMode::Vsched))
 }
 
@@ -131,8 +123,8 @@ pub fn grid() -> Grid<(&'static str, SloSummary, SloSummary), Fleet> {
         |rows, _| Fleet { rows },
     );
     for &policy in POLICIES.iter() {
-        g.cell(policy, move |seed, scale: Scale| {
-            let (cfs, vs) = run_cell(policy, scale.secs(4, 16), seed);
+        g.cell(policy, move |ctx| {
+            let (cfs, vs) = run_cell(ctx, policy);
             (policy, cfs, vs)
         });
     }

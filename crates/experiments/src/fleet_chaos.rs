@@ -18,12 +18,11 @@
 //! the migration laws (no placement onto a failed host, occupancy
 //! conserved across each migration, every recovery timed).
 
-use crate::common::Scale;
 use crate::fleet::{summarize, HOSTS, THREADS_PER_HOST};
-use crate::runner::Grid;
+use crate::runner::{CellCtx, Grid};
 use ::fleet::{
-    day_seed, policy_by_name, profile_by_name, spec_for_trace, synthesize, Cluster, FleetChaosPlan,
-    FleetChaosSpec, GuestMode, MigrationMode, SloSummary, POLICIES,
+    day_seed, profile_by_name, spec_for_trace, synthesize, FleetChaosPlan, FleetChaosSpec,
+    GuestMode, MigrationMode, SloSummary, POLICIES,
 };
 use metrics::Table;
 use std::fmt;
@@ -96,39 +95,29 @@ pub fn plan_for_seed(seed: u64, horizon_secs: u64) -> FleetChaosPlan {
 
 /// Runs one `(policy, guests)` cell over the shared faulted day.
 pub fn run_cell(
+    ctx: &CellCtx,
     policy: &'static str,
     guests: ChaosGuests,
     horizon_secs: u64,
-    seed: u64,
 ) -> SloSummary {
-    run_plan(
-        policy,
-        guests,
-        &plan_for(horizon_secs),
-        horizon_secs * 1_000_000_000,
-        seed,
-    )
+    let plan = plan_for(horizon_secs);
+    run_plan(ctx, policy, guests, &plan, horizon_secs * 1_000_000_000)
 }
 
 /// Runs one cell under an explicit chaos plan (the fleet shrinker and
 /// `fleettrace replay --chaos-seed` shape drive arbitrary — typically
 /// subset — plans through the very same cluster the seeded cell uses).
 pub fn run_plan(
+    ctx: &CellCtx,
     policy: &'static str,
     guests: ChaosGuests,
     plan: &FleetChaosPlan,
     horizon_ns: u64,
-    seed: u64,
 ) -> SloSummary {
     let p = profile_by_name(DAY_PROFILE).expect("registered profile");
     let trace = synthesize(p, horizon_ns, day_seed(p.name));
     let spec = spec_for_trace(&trace, HOSTS, THREADS_PER_HOST);
-    let mut c = Cluster::new(
-        spec,
-        guests.mode(),
-        policy_by_name(policy).expect("registered policy"),
-        seed,
-    );
+    let mut c = ctx.cluster(spec, guests.mode(), policy);
     c.set_chaos(plan.clone());
     c.set_migration_mode(guests.migration());
     summarize(c)
@@ -230,16 +219,10 @@ pub fn grid() -> Grid<(&'static str, ChaosGuests, SloSummary), FleetChaos> {
     );
     for &policy in POLICIES.iter() {
         for &guests in GUEST_CONFIGS.iter() {
-            g.cell(
-                format!("{policy}/{}", guests.label()),
-                move |seed, scale: Scale| {
-                    (
-                        policy,
-                        guests,
-                        run_cell(policy, guests, scale.secs(4, 16), seed),
-                    )
-                },
-            );
+            g.cell(format!("{policy}/{}", guests.label()), move |ctx| {
+                let horizon_secs = ctx.scale.secs(4, 16);
+                (policy, guests, run_cell(ctx, policy, guests, horizon_secs))
+            });
         }
     }
     g
@@ -248,11 +231,17 @@ pub fn grid() -> Grid<(&'static str, ChaosGuests, SloSummary), FleetChaos> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::Scale;
+
+    /// [`run_cell`] at a 4 s horizon, seeded with `seed`.
+    fn run(policy: &'static str, guests: ChaosGuests, seed: u64) -> SloSummary {
+        run_cell(&CellCtx::new(seed, Scale::Quick), policy, guests, 4)
+    }
 
     #[test]
     fn every_guest_config_survives_the_faulted_day_law_clean() {
         for &g in &GUEST_CONFIGS {
-            let o = run_cell("worst-fit", g, 4, 11);
+            let o = run("worst-fit", g, 11);
             assert!(o.host_failures > 0, "{}: plan never fired", g.label());
             assert_eq!(o.violations, 0, "{}: law broken", g.label());
             assert_eq!(o.stranded, 0, "{}: stranded VMs", g.label());
@@ -263,8 +252,8 @@ mod tests {
     fn all_cells_share_one_faulted_day() {
         // The failure schedule is pinned by chaos_day_seed, not the cell
         // seed: different policies and seeds see the same injections.
-        let a = run_cell("first-fit", ChaosGuests::Cfs, 4, 1);
-        let b = run_cell("worst-fit", ChaosGuests::VschedHandoff, 4, 2);
+        let a = run("first-fit", ChaosGuests::Cfs, 1);
+        let b = run("worst-fit", ChaosGuests::VschedHandoff, 2);
         assert_eq!(a.host_failures, b.host_failures);
     }
 
@@ -280,8 +269,8 @@ mod tests {
                 o.shed_admissions,
             )
         };
-        let a = run_cell("probe-aware", ChaosGuests::VschedHandoff, 4, 7);
-        let b = run_cell("probe-aware", ChaosGuests::VschedHandoff, 4, 7);
+        let a = run("probe-aware", ChaosGuests::VschedHandoff, 7);
+        let b = run("probe-aware", ChaosGuests::VschedHandoff, 7);
         assert_eq!(digest(&a), digest(&b));
     }
 }

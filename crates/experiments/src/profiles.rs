@@ -79,14 +79,18 @@ pub fn rcvm_types() -> Vec<VcpuType> {
 
 /// Builds the rcvm: 12 vCPUs on one socket's SMT pairs plus a stacked pair.
 pub fn rcvm(seed: u64) -> Profile {
+    rcvm_with(|host| Machine::new(host, seed))
+}
+
+/// [`rcvm`] on the machine `machine` builds for the profile's host.
+pub fn rcvm_with(machine: impl FnOnce(HostSpec) -> Machine) -> Profile {
     // Host: 1 socket × 8 cores × SMT2 = 16 threads; vCPUs 0..9 on threads
     // 0..9 (5 SMT pairs), vCPUs 10, 11 stacked on thread 10.
-    let host = HostSpec::new(1, 8, 2);
     let types = rcvm_types();
     let mut pins: Vec<usize> = (0..10).collect();
     pins.push(10);
     pins.push(10);
-    let mut machine = Machine::new(host, seed);
+    let mut machine = machine(HostSpec::new(1, 8, 2));
     let vm = machine.add_vm(VmSpec {
         nr_vcpus: 12,
         pinning: Pinning::OneToOne(pins),
@@ -117,12 +121,16 @@ pub fn hpvm_types() -> Vec<VcpuType> {
 
 /// Builds the hpvm: 32 vCPUs across 4 sockets (4 SMT pairs each).
 pub fn hpvm(seed: u64) -> Profile {
+    hpvm_with(|host| Machine::new(host, seed))
+}
+
+/// [`hpvm`] on the machine `machine` builds for the profile's host.
+pub fn hpvm_with(machine: impl FnOnce(HostSpec) -> Machine) -> Profile {
     // Host: 4 sockets × 4 cores × SMT2 = 32 threads; group g occupies
     // threads g*8 .. g*8+8.
-    let host = HostSpec::new(4, 4, 2);
     let types = hpvm_types();
     let pins: Vec<usize> = (0..32).collect();
-    let mut machine = Machine::new(host, seed);
+    let mut machine = machine(HostSpec::new(4, 4, 2));
     let vm = machine.add_vm(VmSpec {
         nr_vcpus: 32,
         pinning: Pinning::OneToOne(pins),

@@ -13,12 +13,11 @@
 //!
 //! [`ChurnModel::Trace`]: ::fleet::ChurnModel::Trace
 
-use crate::common::Scale;
 use crate::fleet::{summarize, HOSTS, THREADS_PER_HOST};
-use crate::runner::Grid;
+use crate::runner::{CellCtx, Grid};
 use ::fleet::{
-    day_seed, policy_by_name, profile_by_name, spec_for_trace, synthesize, Cluster, GuestMode,
-    SloSummary, POLICIES, PROFILES,
+    day_seed, profile_by_name, spec_for_trace, synthesize, GuestMode, SloSummary, POLICIES,
+    PROFILES,
 };
 use metrics::Table;
 use std::fmt;
@@ -31,22 +30,15 @@ pub fn profile_names() -> Vec<&'static str> {
 /// Runs one `(profile, policy)` cell: the profile's canonical day,
 /// replayed once with CFS guests and once with vSched guests.
 pub fn run_cell(
+    ctx: &CellCtx,
     policy: &'static str,
     profile: &'static str,
-    horizon_secs: u64,
-    seed: u64,
 ) -> (SloSummary, SloSummary) {
     let p = profile_by_name(profile).expect("registered profile");
-    let trace = synthesize(p, horizon_secs * 1_000_000_000, day_seed(p.name));
+    let horizon_ns = ctx.scale.secs(4, 16) * 1_000_000_000;
+    let trace = synthesize(p, horizon_ns, day_seed(p.name));
     let spec = spec_for_trace(&trace, HOSTS, THREADS_PER_HOST);
-    let run_mode = |mode| {
-        summarize(Cluster::new(
-            spec.clone(),
-            mode,
-            policy_by_name(policy).expect("registered policy"),
-            seed,
-        ))
-    };
+    let run_mode = |mode| summarize(ctx.cluster(spec.clone(), mode, policy));
     (run_mode(GuestMode::Cfs), run_mode(GuestMode::Vsched))
 }
 
@@ -123,8 +115,8 @@ pub fn grid() -> Grid<Row, Replay> {
     );
     for profile in profile_names() {
         for &policy in POLICIES.iter() {
-            g.cell(format!("{profile}/{policy}"), move |seed, scale: Scale| {
-                let (cfs, vs) = run_cell(policy, profile, scale.secs(4, 16), seed);
+            g.cell(format!("{profile}/{policy}"), move |ctx| {
+                let (cfs, vs) = run_cell(ctx, policy, profile);
                 (profile, policy, cfs, vs)
             });
         }

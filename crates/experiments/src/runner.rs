@@ -11,6 +11,16 @@
 //! declaration order. [`Grid::run`] runs one grid's cells serially for
 //! callers (tests) that want the typed figure rather than its rendering.
 //!
+//! # The cell context
+//!
+//! A cell is a `Fn(&CellCtx) -> R`. The [`CellCtx`] carries what the run
+//! hands a cell — seed, scale, the stepping-worker count for its clusters
+//! — and builds every machine (`ctx.machine(host)`) and cluster
+//! (`ctx.cluster(spec, mode, policy)`) the cell runs. The suite's contexts are
+//! untraced, so nothing is attached. A [traced](CellCtx::traced) context
+//! gives each machine its own checked collector, which lets one test
+//! trace and law-check every job of the [`registry`] through this path.
+//!
 //! The pool holds jobs of different row types side by side, so [`Job`]
 //! erases a grid's row type; rows cross the pool as `Box<dyn Any>` and are
 //! downcast back in exactly one place, the grid's own reduction here.
@@ -25,48 +35,131 @@
 //!   seed, so a cell computes the same result no matter when or where it
 //!   runs. The `--jobs 1` path is the serial baseline the parallel path
 //!   must match.
-//! * Each cell builds its own `Machine`; the simulator is single-threaded
+//! * Each cell builds its own machines; the simulator is single-threaded
 //!   per cell and shares nothing mutable across cells.
 //! * Rows are merged by cell index, not completion order, and each
 //!   figure's reduction is a pure function of its rows.
 
-use crate::common::Scale;
+use crate::common::{check_report, checked_collector, Scale};
 use crate::fig18_19::ProfileKind;
 use crate::supervise::{self, CellFailure, FailureReport};
 use crate::{
     adversary, chaos, fig02, fig03, fig04, fig10, fig11, fig12, fig13, fig14, fig15, fig16, fig17,
     fig18_19, fig20, fig21, fleet_chaos, replay, table2, table3, table4, vcache,
 };
+use ::fleet::{policy_by_name, Cluster, FleetSpec, GuestMode};
+use hostsim::{HostSpec, Machine};
 use simcore::rng::{fnv1a, mix64};
 use std::any::Any;
-use std::fmt::Display;
+use std::cell::{Cell, RefCell};
+use std::fmt::{Debug, Display};
+use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
+use trace::{CheckReport, SharedCollector};
+
+/// What the run hands one cell, and how the cell builds what it simulates.
+pub struct CellCtx {
+    /// The cell's seed ([`cell_seed`] of its identity); every machine and
+    /// cluster the cell builds is seeded with it.
+    pub seed: u64,
+    /// Experiment scale.
+    pub scale: Scale,
+    /// Host-stepping workers for the cell's clusters; `None` sizes the
+    /// pool by available parallelism. Never changes a row.
+    pub fleet_threads: Option<NonZeroUsize>,
+    /// `Some` when traced: every collector handed out, in order.
+    trace: Option<RefCell<Vec<SharedCollector>>>,
+    /// Machines built through this context, cluster hosts included.
+    machines: Cell<u64>,
+}
+
+impl CellCtx {
+    /// An untraced context: machines get no collector, and clusters size
+    /// their stepping pools by available parallelism.
+    pub fn new(seed: u64, scale: Scale) -> CellCtx {
+        CellCtx {
+            seed,
+            scale,
+            fleet_threads: None,
+            trace: None,
+            machines: Cell::new(0),
+        }
+    }
+
+    /// A traced context: every machine gets its own fresh checked
+    /// collector; [`CellCtx::reports`] reads their verdicts.
+    pub fn traced(seed: u64, scale: Scale) -> CellCtx {
+        CellCtx {
+            trace: Some(RefCell::new(Vec::new())),
+            ..CellCtx::new(seed, scale)
+        }
+    }
+
+    /// A machine on `host`, seeded with the cell seed, checked when the
+    /// context is traced.
+    pub(crate) fn machine(&self, host: HostSpec) -> Machine {
+        if self.trace.is_some() {
+            return self.checked_machine(host).0;
+        }
+        self.machines.set(self.machines.get() + 1);
+        Machine::new(host, self.seed)
+    }
+
+    /// A machine with a checked collector attached whether or not the
+    /// context is traced, for cells whose rows carry the checker's verdict.
+    /// A traced context records that same collector, so the checker is
+    /// never attached twice.
+    pub(crate) fn checked_machine(&self, host: HostSpec) -> (Machine, SharedCollector) {
+        self.machines.set(self.machines.get() + 1);
+        let mut m = Machine::new(host, self.seed);
+        let shared = checked_collector();
+        m.attach_trace(&shared);
+        if let Some(trace) = &self.trace {
+            trace.borrow_mut().push(SharedCollector::clone(&shared));
+        }
+        (m, shared)
+    }
+
+    /// A cluster under the registered placement `policy`, seeded with the
+    /// cell seed and stepped by [`CellCtx::fleet_threads`] workers. Its
+    /// hosts carry their own checkers, whose verdict the cluster reports.
+    pub(crate) fn cluster(&self, spec: FleetSpec, mode: GuestMode, policy: &str) -> Cluster {
+        self.machines.set(self.machines.get() + spec.hosts as u64);
+        let policy = policy_by_name(policy).expect("registered policy");
+        match self.fleet_threads {
+            Some(n) => Cluster::with_threads(spec, mode, policy, self.seed, n),
+            None => Cluster::new(spec, mode, policy, self.seed),
+        }
+    }
+
+    /// How many machines the context has built, cluster hosts included.
+    pub fn machines_built(&self) -> u64 {
+        self.machines.get()
+    }
+
+    /// The verdict of every collector a traced context handed out, in
+    /// order; empty when untraced.
+    pub fn reports(&self) -> Vec<CheckReport> {
+        self.trace
+            .as_ref()
+            .map_or_else(Vec::new, |t| t.borrow().iter().map(check_report).collect())
+    }
+}
 
 /// One independent unit of work: a single simulation returning one row.
 pub struct CellSpec<R> {
     /// Stable identity within the figure; feeds [`cell_seed`].
     pub label: String,
-    run: Box<dyn Fn(u64, Scale) -> R + Send + Sync>,
+    run: Box<dyn Fn(&CellCtx) -> R + Send + Sync>,
 }
 
 impl<R> CellSpec<R> {
     /// Runs the cell's closure unsupervised (the supervisor wraps this in
     /// `catch_unwind` and timing).
-    pub fn execute(&self, seed: u64, scale: Scale) -> R {
-        (self.run)(seed, scale)
-    }
-}
-
-/// Builds a cell around a closure.
-pub(crate) fn cell<R>(
-    label: impl Into<String>,
-    f: impl Fn(u64, Scale) -> R + Send + Sync + 'static,
-) -> CellSpec<R> {
-    CellSpec {
-        label: label.into(),
-        run: Box::new(f),
+    pub fn execute(&self, ctx: &CellCtx) -> R {
+        (self.run)(ctx)
     }
 }
 
@@ -101,9 +194,12 @@ impl<R, F> Grid<R, F> {
     pub(crate) fn cell(
         &mut self,
         label: impl Into<String>,
-        f: impl Fn(u64, Scale) -> R + Send + Sync + 'static,
+        f: impl Fn(&CellCtx) -> R + Send + Sync + 'static,
     ) {
-        self.cells.push(cell(label, f));
+        self.cells.push(CellSpec {
+            label: label.into(),
+            run: Box::new(f),
+        });
     }
 
     /// Runs every cell serially at its runner seed — the `--jobs 1` path,
@@ -113,7 +209,7 @@ impl<R, F> Grid<R, F> {
         let rows = self
             .cells
             .iter()
-            .map(|c| c.execute(cell_seed(seed, self.name, &c.label), scale))
+            .map(|c| c.execute(&CellCtx::new(cell_seed(seed, self.name, &c.label), scale)))
             .collect();
         (self.reduce)(rows, scale)
     }
@@ -160,18 +256,23 @@ type AnyRow = Box<dyn Any + Send>;
 /// every job in one list.
 trait ErasedGrid: Send + Sync {
     fn label(&self, cell: usize) -> &str;
-    fn run_cell(&self, cell: usize, seed: u64, scale: Scale) -> Result<(AnyRow, f64), CellFailure>;
+    fn run_cell(&self, cell: usize, ctx: &CellCtx) -> Result<(AnyRow, f64), CellFailure>;
+    fn debug_row(&self, cell: usize, ctx: &CellCtx) -> String;
     fn render(&self, rows: Vec<AnyRow>, scale: Scale) -> String;
 }
 
-impl<R: Send + 'static, F: Display> ErasedGrid for Grid<R, F> {
+impl<R: Debug + Send + 'static, F: Display> ErasedGrid for Grid<R, F> {
     fn label(&self, cell: usize) -> &str {
         &self.cells[cell].label
     }
 
-    fn run_cell(&self, cell: usize, seed: u64, scale: Scale) -> Result<(AnyRow, f64), CellFailure> {
-        supervise::run_cell(self.name, &self.cells[cell], seed, scale)
+    fn run_cell(&self, cell: usize, ctx: &CellCtx) -> Result<(AnyRow, f64), CellFailure> {
+        supervise::run_cell(self.name, &self.cells[cell], ctx)
             .map(|(row, secs)| (Box::new(row) as AnyRow, secs))
+    }
+
+    fn debug_row(&self, cell: usize, ctx: &CellCtx) -> String {
+        format!("{:?}", self.cells[cell].execute(ctx))
     }
 
     fn render(&self, rows: Vec<AnyRow>, scale: Scale) -> String {
@@ -194,7 +295,21 @@ pub struct Job {
     grid: Box<dyn ErasedGrid>,
 }
 
-impl<R: Send + 'static, F: Display + 'static> From<Grid<R, F>> for Job {
+impl Job {
+    /// Label of cell `cell`; see [`CellSpec::label`].
+    pub fn label(&self, cell: usize) -> &str {
+        self.grid.label(cell)
+    }
+
+    /// Runs cell `cell` unsupervised in `ctx` and renders its row with
+    /// `{:?}`, which prints floats exactly: two runs' rows compare bit for
+    /// bit as strings.
+    pub fn debug_row(&self, cell: usize, ctx: &CellCtx) -> String {
+        self.grid.debug_row(cell, ctx)
+    }
+}
+
+impl<R: Debug + Send + 'static, F: Display + 'static> From<Grid<R, F>> for Job {
     fn from(grid: Grid<R, F>) -> Job {
         Job {
             name: grid.name,
@@ -227,8 +342,8 @@ fn canary_grid() -> Grid<u64, String> {
         "always-failing supervision canary (VSCHED_CANARY=1 only)",
         |rows: Vec<u64>, _| format!("canary merged (sum {})", rows.iter().sum::<u64>()),
     );
-    g.cell("healthy", |seed, _| seed);
-    g.cell("panic", |_, _| -> u64 { panic!("canary: injected panic") });
+    g.cell("healthy", |ctx| ctx.seed);
+    g.cell("panic", |_| -> u64 { panic!("canary: injected panic") });
     g
 }
 
@@ -287,10 +402,11 @@ pub struct SuiteOptions {
     /// Append the always-failing canary job (CI supervision smoke).
     pub canary: bool,
     /// Host-stepping workers for the fleet cells' clusters
-    /// (`--fleet-threads`); `None` keeps the fleet crate's process
-    /// default (available parallelism). Worker count never changes cell
-    /// output — only wall clock.
-    pub fleet_threads: Option<std::num::NonZeroUsize>,
+    /// (`--fleet-threads`), handed to every cell as
+    /// [`CellCtx::fleet_threads`]; `None` sizes each pool by available
+    /// parallelism. Worker count never changes cell output — only wall
+    /// clock.
+    pub fleet_threads: Option<NonZeroUsize>,
 }
 
 impl Default for SuiteOptions {
@@ -384,11 +500,6 @@ fn filter_matches(name: &str, filter: Option<&str>) -> bool {
 /// supervision. A filter that selects nothing is an error (listing the
 /// valid ids) rather than a silently empty run.
 pub fn run_suite(opts: &SuiteOptions) -> Result<SuiteResult, FilterError> {
-    if let Some(n) = opts.fleet_threads {
-        // Cells reach their clusters through `Cluster::new`, which reads
-        // the fleet crate's process-wide default.
-        ::fleet::set_default_fleet_threads(Some(n));
-    }
     let all = registry();
     let valid: Vec<&'static str> = all.iter().map(|j| j.name).collect();
     let mut jobs: Vec<Job> = all
@@ -468,7 +579,11 @@ fn run_jobs(jobs: Vec<Job>, opts: &SuiteOptions) -> SuiteResult {
                 let it = &items[i];
                 let job = &jobs[it.job];
                 let st = &states[it.job];
-                match job.grid.run_cell(it.cell, it.seed, opts.scale) {
+                let ctx = CellCtx {
+                    fleet_threads: opts.fleet_threads,
+                    ..CellCtx::new(it.seed, opts.scale)
+                };
+                match job.grid.run_cell(it.cell, &ctx) {
                     Ok(filled) => *st.slots[it.cell].lock().unwrap() = Some(filled),
                     Err(cf) => {
                         st.failed.store(true, Ordering::Release);
@@ -629,13 +744,13 @@ mod tests {
         let mut boom = Grid::new("boom", "reducer panics", |_: Vec<u64>, _| -> String {
             panic!("reducer: injected panic")
         });
-        boom.cell("a", |seed, _| seed);
-        boom.cell("b", |seed, _| seed);
+        boom.cell("a", |ctx| ctx.seed);
+        boom.cell("b", |ctx| ctx.seed);
         let mut fine = Grid::new("fine", "healthy", |rows: Vec<u64>, _| {
             rows.len().to_string()
         });
-        fine.cell("a", |seed, _| seed);
-        fine.cell("b", |seed, _| seed);
+        fine.cell("a", |ctx| ctx.seed);
+        fine.cell("b", |ctx| ctx.seed);
         let opts = SuiteOptions {
             jobs: 2,
             seed: 7,
@@ -657,10 +772,58 @@ mod tests {
         assert_eq!(fine.output, "2");
     }
 
+    /// Runs a 2-vCPU VM under a stressor for 50 ms on a machine from `ctx`.
+    fn run_stressed(ctx: &CellCtx) {
+        let mut m = ctx.machine(HostSpec::flat(2));
+        let vm = m.add_vm(hostsim::VmSpec::pinned(2, 0));
+        let (w, _) = workloads::Stressor::new(2, workloads::work_ms(1.0));
+        m.set_workload(vm, Box::new(w));
+        m.start();
+        m.run_until(simcore::SimTime::from_ns(50 * simcore::time::MS));
+    }
+
+    #[test]
+    fn untraced_context_leaves_the_sink_off() {
+        let ctx = CellCtx::new(1, Scale::Smoke);
+        let m = ctx.machine(HostSpec::flat(2));
+        assert!(matches!(m.trace, trace::TraceSink::Off));
+        assert_eq!(ctx.machines_built(), 1);
+        assert!(ctx.reports().is_empty());
+    }
+
+    #[test]
+    fn traced_cell_gets_one_clean_collector_per_machine() {
+        let ctx = CellCtx::traced(1, Scale::Smoke);
+        run_stressed(&ctx);
+        let first = ctx.reports();
+        run_stressed(&ctx);
+        let both = ctx.reports();
+        assert_eq!((first.len(), both.len()), (1, 2));
+        // The second machine fed its own collector, not the first one's.
+        assert_eq!(both[0].events, first[0].events);
+        for r in &both {
+            assert!(r.events > 0 && r.ok(), "{r}");
+        }
+        assert_eq!(ctx.machines_built(), 2);
+    }
+
+    #[test]
+    fn fleet_threads_never_change_a_fleet_row() {
+        let job: Job = crate::fleet::grid().into();
+        let row = |n| {
+            let ctx = CellCtx {
+                fleet_threads: NonZeroUsize::new(n),
+                ..CellCtx::new(3, Scale::Smoke)
+            };
+            job.debug_row(0, &ctx)
+        };
+        assert_eq!(row(1), row(4));
+    }
+
     #[test]
     fn labels_are_unique_within_a_job() {
         for j in registry() {
-            let mut labels: Vec<&str> = (0..j.cells).map(|i| j.grid.label(i)).collect();
+            let mut labels: Vec<&str> = (0..j.cells).map(|i| j.label(i)).collect();
             labels.sort_unstable();
             let before = labels.len();
             labels.dedup();

@@ -30,6 +30,7 @@ use crate::adversary::{self, GuestMode, HostPolicy};
 use crate::chaos::{self, ChaosMode};
 use crate::common::Scale;
 use crate::fleet_chaos::{self, ChaosGuests};
+use crate::runner::CellCtx;
 use ::fleet::{FleetChaosPlan, HostOp};
 use hostsim::FaultPlan;
 use simcore::plan::Plan;
@@ -155,6 +156,12 @@ pub fn shrink<P: ShrinkPlan>(
     })
 }
 
+/// The untraced context a plan's checker run builds from its seed: the
+/// plan carries its own horizon, so the scale goes unread.
+fn plan_ctx(seed: u64) -> CellCtx {
+    CellCtx::new(seed, Scale::Quick)
+}
+
 /// Parses a repro file and runs `law` on it under the seed its shrink
 /// used. Returns the plan and the law it fails, if any.
 pub fn replay<P: ShrinkPlan>(
@@ -179,7 +186,7 @@ impl ShrinkPlan for FaultPlan {
     }
     /// Runs the chaos cell's resilient-vSched configuration.
     fn checker_law(&self, seed: u64) -> Option<String> {
-        chaos::run_plan(ChaosMode::VschedResilient, self, seed).first_law
+        chaos::run_plan(&plan_ctx(seed), ChaosMode::VschedResilient, self).first_law
     }
     /// Fails iff the plan still contains at least two `QuotaChurn`
     /// actions and at least one `StressorBurst` — so the minimal repro is
@@ -213,11 +220,11 @@ impl ShrinkPlan for FleetChaosPlan {
             .saturating_add(self.spec().horizon_ns)
             .max(1);
         fleet_chaos::run_plan(
+            &plan_ctx(seed),
             "probe-aware",
             ChaosGuests::VschedHandoff,
             self,
             horizon_ns,
-            seed,
         )
         .first_law
         .map(str::to_string)
@@ -246,7 +253,8 @@ impl ShrinkPlan for AttackPlan {
     /// hardened vSched guest — so the domain ownership/steal laws *and*
     /// the probe-rejection path are all live.
     fn checker_law(&self, seed: u64) -> Option<String> {
-        adversary::run_attack(HostPolicy::Domain, GuestMode::VschedHardened, self, seed).first_law
+        let ctx = plan_ctx(seed);
+        adversary::run_attack(&ctx, HostPolicy::Domain, GuestMode::VschedHardened, self).first_law
     }
     /// Fails iff the plan still contains at least two `ProbeBurst` actions
     /// and at least one `DodgeRun` — so the minimal repro is exactly three

@@ -14,8 +14,7 @@
 //! panic again. Its job is marked failed, and every other job merges and
 //! renders exactly as in a clean run.
 
-use crate::common::Scale;
-use crate::runner::CellSpec;
+use crate::runner::{CellCtx, CellSpec};
 use std::cell::Cell as StdCell;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
@@ -121,16 +120,15 @@ pub(crate) fn isolate<T>(f: impl FnOnce() -> T) -> Result<T, String> {
 pub fn run_cell<R>(
     figure: &str,
     cell: &CellSpec<R>,
-    seed: u64,
-    scale: Scale,
+    ctx: &CellCtx,
 ) -> Result<(R, f64), CellFailure> {
     let t0 = Instant::now();
-    isolate(|| cell.execute(seed, scale))
+    isolate(|| cell.execute(ctx))
         .map(|row| (row, t0.elapsed().as_secs_f64()))
         .map_err(|message| CellFailure {
             figure: figure.to_string(),
             label: cell.label.clone(),
-            seed,
+            seed: ctx.seed,
             message,
         })
 }
@@ -138,19 +136,27 @@ pub fn run_cell<R>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::cell;
+    use crate::common::Scale;
+    use crate::runner::Grid;
+
+    /// A one-cell grid around `f`, labelled `label`.
+    fn grid(label: &str, f: fn(&CellCtx) -> u64) -> Grid<u64, ()> {
+        let mut g = Grid::new("figX", "one cell", |_, _| ());
+        g.cell(label, f);
+        g
+    }
 
     #[test]
     fn healthy_cell_passes_through() {
-        let c = cell("ok", |seed, _| seed * 2);
-        let (row, _) = run_cell("figX", &c, 21, Scale::Smoke).unwrap();
+        let g = grid("ok", |ctx| ctx.seed * 2);
+        let (row, _) = run_cell("figX", &g.cells[0], &CellCtx::new(21, Scale::Smoke)).unwrap();
         assert_eq!(row, 42);
     }
 
     #[test]
     fn panicking_cell_is_contained_and_typed() {
-        let c = cell("boom", |_, _: Scale| -> u64 { panic!("injected failure") });
-        let err = run_cell("figX", &c, 7, Scale::Smoke).unwrap_err();
+        let g = grid("boom", |_| panic!("injected failure"));
+        let err = run_cell("figX", &g.cells[0], &CellCtx::new(7, Scale::Smoke)).unwrap_err();
         assert_eq!(err.figure, "figX");
         assert_eq!(err.label, "boom");
         assert_eq!(err.seed, 7);

@@ -7,8 +7,8 @@
 //! on rcvm than on the larger hpvm because confirming stacking requires
 //! waiting out the transfer timeout.
 
-use crate::common::Scale;
-use crate::profiles::{hpvm, rcvm, Profile};
+use crate::fig18_19::{make_profile, ProfileKind};
+use crate::profiles::Profile;
 use crate::runner::{take, Grid};
 use metrics::{fmt_ns, Table};
 use simcore::SimTime;
@@ -83,9 +83,9 @@ pub fn grid() -> Grid<(&'static str, u64, u64), Table2> {
             }
         },
     );
-    for (name, profile) in [("rcvm", rcvm as fn(u64) -> Profile), ("hpvm", hpvm)] {
-        g.cell(name, move |seed, scale: Scale| {
-            let (full, validate) = measure(profile(seed), scale.secs(12, 30));
+    for (name, kind) in [("rcvm", ProfileKind::Rcvm), ("hpvm", ProfileKind::Hpvm)] {
+        g.cell(name, move |ctx| {
+            let (full, validate) = measure(make_profile(kind, ctx), ctx.scale.secs(12, 30));
             (name, full, validate)
         });
     }

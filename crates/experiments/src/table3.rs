@@ -6,7 +6,6 @@
 //! recently-active sched_idle vCPUs matters when best-effort tasks are
 //! present.
 
-use crate::common::Scale;
 use crate::fig14::run_cell;
 use crate::runner::{take, Grid};
 use metrics::Table;
@@ -122,8 +121,8 @@ pub fn grid() -> Grid<(&'static str, Breakdown), Table3> {
         ("be/bvs", true, bvs_cfg),
     ];
     for (label, be, cfg) in cells {
-        g.cell(label, move |seed, scale: Scale| {
-            let h = run_cell("masstree", be, cfg(), scale.secs(15, 60), seed);
+        g.cell(label, move |ctx| {
+            let h = run_cell(ctx, "masstree", be, cfg());
             (label, Breakdown::from_handle(&h))
         });
     }

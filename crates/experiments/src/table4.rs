@@ -6,9 +6,9 @@
 //! harvest. We report completion rates (inverse execution time) for the
 //! same sweep of thread counts.
 
-use crate::common::{Mode, Scale};
+use crate::common::Mode;
 use crate::fig15::build_machine;
-use crate::runner::{pair_up, Grid};
+use crate::runner::{pair_up, CellCtx, Grid};
 use metrics::Table;
 use simcore::{SimRng, SimTime};
 use std::fmt;
@@ -81,9 +81,9 @@ impl fmt::Display for Table4 {
     }
 }
 
-fn run_cell(threads: usize, prewake: bool, secs: u64, seed: u64) -> Cell {
-    let (mut m, vm) = build_machine(seed);
-    let (wl, handle) = build("canneal", threads, SimRng::new(seed ^ 0xE2));
+fn run_cell(ctx: &CellCtx, threads: usize, prewake: bool) -> Cell {
+    let (mut m, vm) = build_machine(ctx);
+    let (wl, handle) = build("canneal", threads, SimRng::new(ctx.seed ^ 0xE2));
     m.set_workload(vm, wl);
     let mut cfg = VschedConfig {
         bvs: false,
@@ -95,7 +95,7 @@ fn run_cell(threads: usize, prewake: bool, secs: u64, seed: u64) -> Cell {
     }
     Mode::install_custom(&mut m, vm, cfg);
     m.start();
-    let dur = SimTime::from_secs(secs);
+    let dur = SimTime::from_secs(ctx.scale.secs(8, 30));
     m.run_until(dur);
     let stats = &m.vms[vm].guest.kern.stats;
     Cell {
@@ -128,10 +128,9 @@ pub fn grid() -> Grid<Cell, Table4> {
     );
     for &t in &THREADS {
         for &prewake in &[false, true] {
-            g.cell(
-                format!("t={t}/aware={prewake}"),
-                move |seed, scale: Scale| run_cell(t, prewake, scale.secs(8, 30), seed),
-            );
+            g.cell(format!("t={t}/aware={prewake}"), move |ctx| {
+                run_cell(ctx, t, prewake)
+            });
         }
     }
     g

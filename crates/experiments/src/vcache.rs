@@ -18,9 +18,9 @@
 //! cache abstraction moves *throughput*, not just IPC, because work on
 //! the quiet socket completes at the un-evicted miss rate.
 
-use crate::common::{check_report, checked_collector, Mode, Scale};
-use crate::runner::Grid;
-use hostsim::{HostSpec, Machine, Pinning, VmSpec};
+use crate::common::{check_report, Mode};
+use crate::runner::{CellCtx, Grid};
+use hostsim::{HostSpec, Pinning, VmSpec};
 use metrics::Table;
 use simcore::{SimRng, SimTime};
 use std::fmt;
@@ -168,11 +168,10 @@ fn instance(
     }
 }
 
-fn run_cell(name: &'static str, mode: &'static str, secs: u64, seed: u64) -> VcacheCell {
+fn run_cell(ctx: &CellCtx, name: &'static str, mode: &'static str, secs: u64) -> VcacheCell {
     // Two sockets x 16 cores, SMT off. The victim spans both sockets;
     // the thrasher owns half of socket 1 (threads 16..24).
-    let host = HostSpec::new(2, 16, 1);
-    let mut m = Machine::new(host, seed);
+    let (mut m, shared) = ctx.checked_machine(HostSpec::new(2, 16, 1));
     let victim = m.add_vm(VmSpec {
         nr_vcpus: 32,
         pinning: Pinning::OneToOne((0..32).collect()),
@@ -187,10 +186,8 @@ fn run_cell(name: &'static str, mode: &'static str, secs: u64, seed: u64) -> Vca
         bandwidth: None,
         guest_cfg: None,
     });
-    let shared = checked_collector();
-    m.attach_trace(&shared);
-    let (a, ha) = instance(name, 8, 50, SimRng::new(seed ^ 0xC1));
-    let (bw, hb) = instance(name, 8, 60, SimRng::new(seed ^ 0xC2));
+    let (a, ha) = instance(name, 8, 50, SimRng::new(ctx.seed ^ 0xC1));
+    let (bw, hb) = instance(name, 8, 60, SimRng::new(ctx.seed ^ 0xC2));
     m.set_workload(victim, Box::new(MultiWorkload::new(vec![a, bw])));
     // The thrasher streams: steady CPU-bound events on every pinned vCPU.
     let (stress, _hs) = Stressor::new(8, work_ms(0.5));
@@ -236,8 +233,8 @@ pub fn grid() -> Grid<VcacheCell, VcacheFig> {
     );
     for &name in &BENCHES {
         for &mode in &MODES {
-            g.cell(format!("{name}/{mode}"), move |seed, scale: Scale| {
-                run_cell(name, mode, scale.secs(8, 40), seed)
+            g.cell(format!("{name}/{mode}"), move |ctx| {
+                run_cell(ctx, name, mode, ctx.scale.secs(8, 40))
             });
         }
     }
@@ -247,6 +244,7 @@ pub fn grid() -> Grid<VcacheCell, VcacheFig> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::Scale;
 
     /// The figure's acceptance criterion, in miniature: with the prober on,
     /// cache-aware bvs must actually steer placements (picks > 0), close
@@ -254,8 +252,9 @@ mod tests {
     /// must not *lose* throughput against stock vSched.
     #[test]
     fn cache_aware_steers_and_stays_lawful() {
-        let vs = run_cell("dedup", "vsched", 4, 42);
-        let ca = run_cell("dedup", "vsched-cache-aware", 4, 42);
+        let ctx = CellCtx::new(42, Scale::Quick);
+        let vs = run_cell(&ctx, "dedup", "vsched", 4);
+        let ca = run_cell(&ctx, "dedup", "vsched-cache-aware", 4);
         assert!(ca.cache_picks > 0, "cache-aware bvs never steered a pick");
         assert!(ca.windows > 0, "vcache prober closed no windows");
         assert_eq!(ca.violations, 0, "checker flagged the cache-aware run");

@@ -4,14 +4,25 @@
 //! tail under a window-targeted polluter.
 
 use experiments::adversary::{run_dodge, run_pollute, GuestMode, HostPolicy};
+use experiments::runner::CellCtx;
+use experiments::Scale;
 
 const HORIZON_SECS: u64 = 8;
-const SEED: u64 = 42;
+
+/// The untraced context every gate here runs in.
+fn ctx() -> CellCtx {
+    CellCtx::new(42, Scale::Quick)
+}
 
 #[test]
 fn dodger_steals_under_sampled_proportional_but_not_under_domains() {
-    let prop = run_dodge(HostPolicy::Proportional, GuestMode::Cfs, HORIZON_SECS, SEED);
-    let domain = run_dodge(HostPolicy::Domain, GuestMode::Cfs, HORIZON_SECS, SEED);
+    let prop = run_dodge(
+        &ctx(),
+        HostPolicy::Proportional,
+        GuestMode::Cfs,
+        HORIZON_SECS,
+    );
+    let domain = run_dodge(&ctx(), HostPolicy::Domain, GuestMode::Cfs, HORIZON_SECS);
     assert_eq!(prop.violations, 0, "prop dodge run must be law-clean");
     assert_eq!(domain.violations, 0, "domain dodge run must be law-clean");
     assert!(
@@ -29,16 +40,16 @@ fn dodger_steals_under_sampled_proportional_but_not_under_domains() {
 #[test]
 fn hardened_probing_beats_stock_vsched_under_a_probe_polluter() {
     let stock = run_pollute(
+        &ctx(),
         HostPolicy::Proportional,
         GuestMode::Vsched,
         HORIZON_SECS,
-        SEED,
     );
     let hard = run_pollute(
+        &ctx(),
         HostPolicy::Proportional,
         GuestMode::VschedHardened,
         HORIZON_SECS,
-        SEED,
     );
     assert_eq!(stock.violations, 0, "stock pollute run must be law-clean");
     assert_eq!(hard.violations, 0, "hardened pollute run must be law-clean");

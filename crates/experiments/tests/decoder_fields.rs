@@ -6,7 +6,8 @@
 //! the member's full dotted path (`missing events[0].vcpu`), so a
 //! hand-edited file is fixable from the message alone. The same documents,
 //! truncated, bit-flipped, with a member duplicated or a number pushed out
-//! of range, must decode or fail with a message, never panic.
+//! of range, must decode or fail with a message naming a path, a byte
+//! offset or a line, never panic.
 
 use fleet::{FleetChaosPlan, FleetChaosSpec, FleetSpec, FleetTrace};
 use hostsim::{ChaosSpec, FaultPlan};
@@ -15,6 +16,7 @@ use simcore::plan::Plan;
 use simcore::propcheck;
 use simcore::time::MS;
 use simcore::SimRng;
+use std::collections::BTreeSet;
 use std::panic;
 use workloads::{AttackPlan, AttackSpec};
 
@@ -241,7 +243,40 @@ fn mutate(doc: &str, kind: usize, rng: &mut SimRng) -> String {
     }
 }
 
-/// Every decoder, each reducing its result to `Ok(())` or its message.
+/// Every member key of `doc` (each line of a JSON-lines document), at any
+/// depth.
+fn member_keys(doc: &str) -> BTreeSet<String> {
+    fn walk(doc: &Json, out: &mut BTreeSet<String>) {
+        match doc {
+            Json::Obj(m) => {
+                for (key, value) in m {
+                    out.insert(key.clone());
+                    walk(value, out);
+                }
+            }
+            Json::Arr(items) => items.iter().for_each(|v| walk(v, out)),
+            _ => {}
+        }
+    }
+    let mut out = BTreeSet::new();
+    for line in doc.lines() {
+        walk(&Json::parse(line).unwrap(), &mut out);
+    }
+    out
+}
+
+/// Whether a decode error says where the document went wrong: a line, a
+/// byte offset, or a member path (any of the document's `keys` as a whole
+/// word, as in `missing spec.hosts` or `unknown events[3].op "rerize"`).
+fn names_a_place(e: &str, keys: &BTreeSet<String>) -> bool {
+    e.contains("line ")
+        || e.contains(" byte ")
+        || e.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+            .any(|word| keys.contains(word))
+}
+
+/// Every decoder, each reducing its result to `Ok(())` or its message
+/// (for a trace, with the line it names).
 type Decoder = (&'static str, fn(&str) -> Result<(), String>);
 
 const DECODERS: [Decoder; 6] = [
@@ -250,18 +285,18 @@ const DECODERS: [Decoder; 6] = [
     ("AttackPlan", |t| AttackPlan::from_json(t).map(drop)),
     ("FleetSpec", |t| FleetSpec::from_json(t).map(drop)),
     ("FleetTrace::decode", |t| {
-        FleetTrace::decode(t).map(drop).map_err(|e| e.msg)
+        FleetTrace::decode(t).map(drop).map_err(|e| e.to_string())
     }),
     ("FleetTrace::from_json_value", |t| {
         let doc = Json::parse(t).map_err(|e| e.to_string())?;
         FleetTrace::from_json_value(&doc)
             .map(drop)
-            .map_err(|e| e.msg)
+            .map_err(|e| e.to_string())
     }),
 ];
 
 /// Mutated documents never panic a decoder: each decodes or fails with a
-/// message. `DECODER_SEED` reseeds the sweep, so a CI failure replays
+/// message that names where it failed. `DECODER_SEED` reseeds the sweep, so a CI failure replays
 /// with `DECODER_SEED=<seed> cargo test -p experiments --test
 /// decoder_fields mutated`.
 #[test]
@@ -278,6 +313,9 @@ fn mutated_documents_decode_or_fail_with_a_message() {
         TRACE.to_string(),
         FleetTrace::decode(TRACE).unwrap().to_json_value().render(),
     ];
+    // Every decoder reads every mutated document, so a path may name a
+    // member of any of them.
+    let keys: BTreeSet<String> = docs.iter().flat_map(|d| member_keys(d)).collect();
     propcheck::forall(seed, 64, |rng| {
         for doc in &docs {
             for kind in 0..4 {
@@ -285,7 +323,10 @@ fn mutated_documents_decode_or_fail_with_a_message() {
                 for (name, decode) in DECODERS {
                     let outcome = panic::catch_unwind(|| decode(&mutated));
                     match outcome {
-                        Ok(Err(e)) => assert!(!e.is_empty(), "{name}: empty error on {mutated}"),
+                        Ok(Err(e)) => assert!(
+                            names_a_place(&e, &keys),
+                            "{name}: error {e:?} names no path, byte or line on {mutated}"
+                        ),
                         Ok(Ok(())) => {}
                         Err(_) => panic!(
                             "{name} panicked on mutation {kind} (DECODER_SEED={seed}): {mutated}"

@@ -239,7 +239,7 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Builds the cluster with the process-default stepping worker count
+    /// Builds the cluster with the default stepping worker count
     /// ([`threads::default_fleet_threads`]); see [`Cluster::with_threads`].
     pub fn new(
         spec: FleetSpec,

@@ -213,7 +213,7 @@ impl FleetSpec {
         let churn = match f.opt("churn").map(|c| c.json()) {
             None => ChurnModel::Stochastic,
             Some(Json::Str(s)) if s == "stochastic" => ChurnModel::Stochastic,
-            Some(Json::Str(s)) => return Err(format!("churn: unknown model {s:?}")),
+            Some(Json::Str(s)) => return Err(format!("unknown churn {s:?}")),
             Some(v) => ChurnModel::Trace(
                 FleetTrace::from_json_value(v).map_err(|e| format!("churn trace: {e}"))?,
             ),
@@ -500,5 +500,12 @@ mod tests {
             m.insert("size_mix".into(), Json::Arr(Vec::new()));
         }
         assert!(FleetSpec::from_json(&doc.render()).is_err());
+        // An unknown churn model is named by its path.
+        let mut doc = Json::parse(&spec().to_json()).unwrap();
+        if let Json::Obj(m) = &mut doc {
+            m.insert("churn".into(), Json::Str("bursty".into()));
+        }
+        let e = FleetSpec::from_json(&doc.render()).unwrap_err();
+        assert_eq!(e, "unknown churn \"bursty\"");
     }
 }

@@ -14,7 +14,7 @@ use trace::PriorityClass;
 
 /// Per-tenant accounting, snapshotted when the VM departs (or when the
 /// run's horizon is reached for still-live VMs).
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct TenantStats {
     /// Fleet-wide VM id.
     pub uid: u32,
@@ -44,7 +44,7 @@ impl TenantStats {
 }
 
 /// Fleet-wide outcome of one cluster run.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct SloSummary {
     /// VMs that entered the placement pipeline.
     pub admitted: u64,

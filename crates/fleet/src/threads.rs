@@ -2,35 +2,18 @@
 //!
 //! [`Cluster::run`](crate::Cluster::run) shards host stepping across a
 //! scoped worker pool; how many workers it uses is resolved here. The
-//! default is the machine's `available_parallelism`, overridable either
-//! process-wide (the `suite` binary's `--fleet-threads` flag lands in
-//! [`set_default_fleet_threads`]) or per-cluster
-//! ([`Cluster::with_threads`](crate::Cluster::with_threads)). Worker
-//! count only ever changes wall clock, never output — the byte-identity
-//! gates in `tests/parallel_step.rs` and `ci.sh` enforce exactly that —
-//! so a process-wide knob cannot compromise determinism.
+//! default is the machine's `available_parallelism`; a caller picks its
+//! own count per cluster with
+//! [`Cluster::with_threads`](crate::Cluster::with_threads). Worker count
+//! only ever changes wall clock, never output — the byte-identity gates in
+//! `tests/parallel_step.rs` and `ci.sh` enforce exactly that.
 
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Process-wide default worker count; 0 means auto-size from
-/// `available_parallelism`.
-static DEFAULT_FLEET_THREADS: AtomicUsize = AtomicUsize::new(0);
-
-/// Overrides (`Some(n)`) or restores (`None`) the process-wide default
-/// worker count that [`Cluster::new`](crate::Cluster::new) picks up.
-pub fn set_default_fleet_threads(n: Option<NonZeroUsize>) {
-    DEFAULT_FLEET_THREADS.store(n.map_or(0, NonZeroUsize::get), Ordering::Relaxed);
-}
-
-/// The worker count a cluster built without an explicit override uses:
-/// the process-wide setting if one is in effect, otherwise
+/// The worker count a cluster built without an explicit count uses:
 /// `available_parallelism` (1 when that is unknowable).
 pub fn default_fleet_threads() -> NonZeroUsize {
-    match NonZeroUsize::new(DEFAULT_FLEET_THREADS.load(Ordering::Relaxed)) {
-        Some(n) => n,
-        None => std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN),
-    }
+    std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN)
 }
 
 /// Parses a `--fleet-threads` value. Errors name the field and the value
@@ -61,16 +44,5 @@ mod tests {
             parse_fleet_threads("lots").unwrap_err(),
             "fleet_threads must be a positive integer (got \"lots\")"
         );
-    }
-
-    #[test]
-    fn default_is_overridable_and_restorable() {
-        // Relaxed global state: restore whatever we found so parallel test
-        // binaries in this process see no residue.
-        let auto = default_fleet_threads();
-        set_default_fleet_threads(Some(NonZeroUsize::new(7).unwrap()));
-        assert_eq!(default_fleet_threads().get(), 7);
-        set_default_fleet_threads(None);
-        assert_eq!(default_fleet_threads(), auto);
     }
 }

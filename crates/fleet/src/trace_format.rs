@@ -119,7 +119,8 @@ fn parse_provenance(f: &Field) -> Result<FleetTrace, String> {
 fn parse_record(rec: &Field) -> Result<LifecycleEvent, String> {
     let at = rec.get("at")?.time()?;
     let uid = || rec.get("uid")?.int();
-    let op = match rec.get("op")?.str()? {
+    let op_field = rec.get("op")?;
+    let op = match op_field.str()? {
         "arrive" => VmOp::Arrive {
             uid: uid()?,
             vcpus: rec.get("vcpus")?.int()?,
@@ -130,7 +131,7 @@ fn parse_record(rec: &Field) -> Result<LifecycleEvent, String> {
             uid: uid()?,
             quota_pct: rec.get("quota_pct")?.int()?,
         },
-        other => return Err(format!("unknown op {other:?}")),
+        other => return Err(format!("unknown {} {other:?}", op_field.path())),
     };
     Ok(LifecycleEvent { at, op })
 }
@@ -165,7 +166,7 @@ impl FleetTrace {
         let mut lines = text.lines().enumerate();
         let (_, header_line) = match lines.next() {
             Some(pair) => pair,
-            None => return err(0, "empty trace: missing header line"),
+            None => return err(1, "empty trace: missing header line"),
         };
         let header = Json::parse(header_line).map_err(|e| TraceError {
             line: 1,
@@ -355,7 +356,18 @@ mod tests {
         let corrupted = text.replace("\"depart\"", "\"explode\"");
         let e = FleetTrace::decode(&corrupted).unwrap_err();
         assert_eq!(e.line, 4);
-        assert!(e.msg.contains("unknown op"), "{e}");
+        assert!(e.msg.contains("unknown op \"explode\""), "{e}");
+        // Embedded, the same record names its path in the document.
+        let doc = Json::parse(
+            &t.to_json_value()
+                .render()
+                .replace("\"depart\"", "\"explode\""),
+        );
+        let e = FleetTrace::from_json_value(&doc.unwrap()).unwrap_err();
+        assert!(e.msg.contains("unknown events[2].op \"explode\""), "{e}");
+
+        // An empty document has no header on line 1.
+        assert_eq!(FleetTrace::decode("").unwrap_err().line, 1);
 
         // Drop the last record: header count no longer matches.
         let mut lines: Vec<&str> = text.lines().collect();

@@ -452,7 +452,8 @@ mod tests {
                 events.reverse();
             }
         }
-        assert!(FaultPlan::from_json(&doc.render()).is_err());
+        let e = FaultPlan::from_json(&doc.render()).unwrap_err();
+        assert_eq!(e, "events[1].at_ns goes backwards");
     }
 
     #[test]

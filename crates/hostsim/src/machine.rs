@@ -445,9 +445,22 @@ pub struct Machine {
     started: bool,
 }
 
+thread_local! {
+    /// Machines built on this thread; see [`Machine::built_on_this_thread`].
+    static BUILT: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 impl Machine {
+    /// How many machines [`Machine::new`] has built on the calling thread.
+    /// A harness that hands machines out compares it with its own count to
+    /// catch a machine built behind its back.
+    pub fn built_on_this_thread() -> u64 {
+        BUILT.with(|n| n.get())
+    }
+
     /// Creates an empty machine; add VMs with [`Machine::add_vm`].
     pub fn new(spec: HostSpec, seed: u64) -> Self {
+        BUILT.with(|n| n.set(n.get() + 1));
         let nr = spec.nr_threads();
         let cores = spec.nr_cores();
         let quantum = spec.quantum_ns;

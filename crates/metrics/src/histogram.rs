@@ -39,7 +39,7 @@ type Chunk = [u64; SUB_BUCKETS];
 /// let p50 = h.percentile(50.0);
 /// assert!((450..=550).contains(&p50), "p50 was {p50}");
 /// ```
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     /// `index[g]` is one plus the position of group `g`'s chunk in
     /// `chunks`, or 0 while group `g` is empty.

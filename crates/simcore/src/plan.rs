@@ -103,7 +103,8 @@ pub trait Plan: Sized {
     }
 
     /// Parses a repro file written by [`Plan::to_json`]. Errors name the
-    /// bad field's path; unsorted entries are rejected.
+    /// bad field's path; unsorted entries are rejected at the first entry
+    /// out of order.
     fn from_json(text: &str) -> Result<Self, String> {
         let doc = Json::parse(text).map_err(|e| e.to_string())?;
         let root = Field::root(&doc);
@@ -111,8 +112,10 @@ pub trait Plan: Sized {
         let events: Vec<_> = (root.get("events")?.arr()?.iter())
             .map(|e| Self::event_from_json(&spec, e))
             .collect::<Result<_, _>>()?;
-        if !sorted::<Self>(&events) {
-            return Err("events not sorted by at_ns".into());
+        if let Some(i) =
+            (1..events.len()).find(|&i| Self::at(&events[i]) < Self::at(&events[i - 1]))
+        {
+            return Err(format!("events[{i}].at_ns goes backwards"));
         }
         Ok(Self::from_parts(root.get("seed")?.u64()?, spec, events))
     }

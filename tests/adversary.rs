@@ -17,6 +17,8 @@
 //! replays locally.
 
 use vsched_repro::experiments::adversary::{self, GuestMode, HostPolicy};
+use vsched_repro::experiments::runner::CellCtx;
+use vsched_repro::experiments::Scale;
 use vsched_repro::simcore::plan::Plan;
 use vsched_repro::workloads::{AttackKind, ATTACK_KINDS};
 
@@ -34,10 +36,11 @@ fn every_attack_kind_keeps_invariants() {
     // One archetype at a time, under both host policies: a violation here
     // pins the breakage to a single attack mechanism and host scheduler.
     let seed = sweep_seed();
+    let ctx = CellCtx::new(seed, Scale::Quick);
     for kind in ATTACK_KINDS {
         let plan = adversary::plan_for(Some(kind), SWEEP_HORIZON_SECS, seed);
         for policy in [HostPolicy::Proportional, HostPolicy::Domain] {
-            let out = adversary::run_attack(policy, GuestMode::VschedHardened, &plan, seed);
+            let out = adversary::run_attack(&ctx, policy, GuestMode::VschedHardened, &plan);
             assert!(out.trace_events > 0, "{kind:?}/{policy:?}: no trace events");
             assert_eq!(
                 out.violations, 0,
@@ -54,7 +57,8 @@ fn combined_attack_keeps_invariants() {
     // domain-partitioned host — the cell the shrinker's oracle replays.
     let seed = sweep_seed();
     let plan = adversary::plan_for(None, SWEEP_HORIZON_SECS, seed);
-    let out = adversary::run_attack(HostPolicy::Domain, GuestMode::VschedHardened, &plan, seed);
+    let ctx = CellCtx::new(seed, Scale::Quick);
+    let out = adversary::run_attack(&ctx, HostPolicy::Domain, GuestMode::VschedHardened, &plan);
     assert!(out.trace_events > 0);
     assert_eq!(
         out.violations, 0,
@@ -67,8 +71,9 @@ fn combined_attack_keeps_invariants() {
 fn fixed_seed_replays_byte_identically() {
     // The full outcome of an adversary cell — attack schedule and every
     // reported number — must be a pure function of the seed.
-    let a = adversary::run_cell(HostPolicy::Proportional, GuestMode::VschedHardened, 4, 99);
-    let b = adversary::run_cell(HostPolicy::Proportional, GuestMode::VschedHardened, 4, 99);
+    let ctx = CellCtx::new(99, Scale::Quick);
+    let a = adversary::run_cell(&ctx, HostPolicy::Proportional, GuestMode::VschedHardened, 4);
+    let b = adversary::run_cell(&ctx, HostPolicy::Proportional, GuestMode::VschedHardened, 4);
     assert_eq!(format!("{a:?}"), format!("{b:?}"));
     let plan_a = adversary::plan_for(Some(AttackKind::DodgeRun), 4, 99);
     let plan_b = adversary::plan_for(Some(AttackKind::DodgeRun), 4, 99);

@@ -18,6 +18,8 @@
 
 use vsched_repro::experiments::chaos::{self, ChaosMode};
 use vsched_repro::experiments::common::{check_report, checked_collector};
+use vsched_repro::experiments::runner::CellCtx;
+use vsched_repro::experiments::Scale;
 use vsched_repro::hostsim::{ChaosSpec, FaultPlan, HostSpec, Machine, VmSpec};
 use vsched_repro::simcore::plan::Plan;
 use vsched_repro::simcore::time::{MS, SEC};
@@ -167,8 +169,9 @@ fn degraded_p99_stays_close_to_vanilla_cfs() {
     // CFS. Fixed seeds: this is a property of the degraded configuration
     // (bvs/ivh off, heavy probes suppressed), not of lucky noise.
     for seed in [42u64, 7, 1234] {
-        let cfs = chaos::run_mode(ChaosMode::Cfs, 5, seed);
-        let deg = chaos::run_mode(ChaosMode::VschedForcedDegraded, 5, seed);
+        let ctx = CellCtx::new(seed, Scale::Quick);
+        let cfs = chaos::run_mode(&ctx, ChaosMode::Cfs, 5);
+        let deg = chaos::run_mode(&ctx, ChaosMode::VschedForcedDegraded, 5);
         assert_eq!(cfs.violations, 0, "CFS run violated an invariant");
         assert_eq!(deg.violations, 0, "degraded run violated an invariant");
         assert!(
@@ -184,8 +187,9 @@ fn degraded_p99_stays_close_to_vanilla_cfs() {
 fn fixed_seed_replays_byte_identically() {
     // The full outcome of a chaos run — plan rendering and every reported
     // number — must be a pure function of the seed.
-    let a = chaos::run_mode(ChaosMode::VschedResilient, 4, 99);
-    let b = chaos::run_mode(ChaosMode::VschedResilient, 4, 99);
+    let ctx = CellCtx::new(99, Scale::Quick);
+    let a = chaos::run_mode(&ctx, ChaosMode::VschedResilient, 4);
+    let b = chaos::run_mode(&ctx, ChaosMode::VschedResilient, 4);
     assert_eq!(format!("{a:?}"), format!("{b:?}"));
     let (_, plan_a) = chaos::plan_for(4, 99);
     let (_, plan_b) = chaos::plan_for(4, 99);
