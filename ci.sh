@@ -64,6 +64,12 @@ echo "== histogram oracle (release, 8x property cases)"
 # The sparse histogram against its dense oracle, over the widened sweep.
 cargo test -q --release -p vsched-metrics --features property-tests
 
+echo "== guest-kernel invariants (release, 8x property cases)"
+# The guest kernel's structural invariants after every random step, the
+# busy-vCPU mask the balancer scans among them, and the early-exit
+# communication factor against a full scan, over the widened sweep.
+cargo test -q --release -p vsched-guestos --features property-tests
+
 echo "== large-fleet stepping identity (release, ignored tests)"
 # The 256-host and 1000-host churned fleets step identically at 1, 2 and
 # 4 stepping workers; too long for the debug tier-1 run.

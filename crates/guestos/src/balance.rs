@@ -10,6 +10,7 @@
 //! steering work to high-capacity vCPUs only when capacity is probed
 //! correctly).
 
+use crate::cpumask::CpuMask;
 use crate::kernel::{Kernel, MigrateKind, VcpuId};
 use crate::platform::Platform;
 use crate::task::{TaskId, TaskState};
@@ -27,6 +28,40 @@ const MISFIT_CAP_ADVANTAGE: f64 = 1.15;
 /// Load of a vCPU's queue per unit of perceived capacity.
 fn load_ratio(kern: &Kernel, v: VcpuId, now: simcore::SimTime) -> f64 {
     kern.rq_weight(v) as f64 / kern.capacity_of(v, now).max(1.0)
+}
+
+/// The load ratios one balance pass has computed, so the nested spans of
+/// a pass (SMT within LLC within the machine) read each vCPU's ratio at
+/// most once. A pass ends at its first migration, and nothing before that
+/// changes a ratio, so an entry never goes stale. The values live in the
+/// kernel's `ratio_scratch`, which the first pass sizes and later passes
+/// reuse.
+struct Ratios {
+    known: CpuMask,
+    value: Vec<f64>,
+}
+
+impl Ratios {
+    fn begin(kern: &mut Kernel) -> Self {
+        let mut value = std::mem::take(&mut kern.ratio_scratch);
+        value.resize(kern.cfg.nr_vcpus, 0.0);
+        Self {
+            known: CpuMask::empty(),
+            value,
+        }
+    }
+
+    fn end(self, kern: &mut Kernel) {
+        kern.ratio_scratch = self.value;
+    }
+
+    fn get(&mut self, kern: &Kernel, v: VcpuId, now: simcore::SimTime) -> f64 {
+        if !self.known.contains(v.0) {
+            self.value[v.0] = load_ratio(kern, v, now);
+            self.known.set(v.0);
+        }
+        self.value[v.0]
+    }
 }
 
 /// Finds the first waiting task on `src` that may run on `dst`, skipping
@@ -63,20 +98,21 @@ fn try_pull(
     kern: &mut Kernel,
     plat: &mut dyn Platform,
     dst: VcpuId,
-    span: &crate::cpumask::CpuMask,
+    span: &CpuMask,
+    ratios: &mut Ratios,
 ) -> PullResult {
     let now = plat.now();
-    let dst_ratio = load_ratio(kern, dst, now);
+    let dst_ratio = ratios.get(kern, dst, now);
 
-    // The busiest vCPU by load ratio — considering the running task too,
-    // since active balance may target it.
+    // The busiest non-idle vCPU by load ratio — considering the running
+    // task too, since active balance may target it.
     let mut busiest: Option<(VcpuId, f64)> = None;
-    for c in span.iter() {
+    for c in span.and(kern.busy()).iter() {
         let v = VcpuId(c);
-        if v == dst || (kern.vcpus[v.0].rq.is_empty() && kern.vcpus[v.0].curr.is_none()) {
+        if v == dst {
             continue;
         }
-        let r = load_ratio(kern, v, now);
+        let r = ratios.get(kern, v, now);
         if busiest.map(|(_, b)| r > b).unwrap_or(true) {
             busiest = Some((v, r));
         }
@@ -169,8 +205,8 @@ fn try_misfit(kern: &mut Kernel, plat: &mut dyn Platform, dst: VcpuId) -> bool {
     }
     let now = plat.now();
     let dst_cap = kern.capacity_of(dst, now);
-    let nr = kern.cfg.nr_vcpus;
-    for c in 0..nr {
+    let busy = *kern.busy();
+    for c in busy.iter() {
         let src = VcpuId(c);
         if src == dst {
             continue;
@@ -199,37 +235,39 @@ fn try_misfit(kern: &mut Kernel, plat: &mut dyn Platform, dst: VcpuId) -> bool {
 /// migrate one of them here — actively if necessary. Returns true on a
 /// migration.
 fn try_smt_spread(kern: &mut Kernel, plat: &mut dyn Platform, dst: VcpuId) -> bool {
-    if !kern.domains.has_smt || !kern.vcpu_is_idle(dst) {
+    if !kern.domains.has_smt() || !kern.vcpu_is_idle(dst) {
         return false;
     }
     let Some(dst_group) = kern.domains.smt_group(dst).copied() else {
         return false;
     };
-    if !dst_group.iter().all(|s| kern.vcpu_is_idle(VcpuId(s))) {
+    if dst_group.intersects(kern.busy()) {
         return false;
     }
     let now = plat.now();
-    for c in 0..kern.cfg.nr_vcpus {
-        let src = VcpuId(c);
-        if dst_group.contains(c) {
-            continue;
-        }
-        let Some(group) = kern.domains.smt_group(src).copied() else {
-            continue;
-        };
-        // Both hardware threads of src's core busy with normal tasks?
-        let busy_siblings = group
+    // Sources: busy vCPUs off dst's core whose core runs normal tasks on
+    // at least two of its hardware threads. A vCPU's core is the first
+    // SMT group holding it, as `smt_group` finds it.
+    let mut doubled = CpuMask::empty();
+    let mut placed = CpuMask::empty();
+    for group in kern.domains.smt_groups() {
+        let running_normal = group
+            .and(kern.busy())
             .iter()
             .filter(|&s| {
                 kern.vcpus[s]
                     .curr
-                    .map(|t| !kern.task(t).policy.is_idle())
-                    .unwrap_or(false)
+                    .is_some_and(|t| !kern.task(t).policy.is_idle())
             })
             .count();
-        if busy_siblings < 2 {
-            continue;
+        if running_normal >= 2 {
+            doubled = doubled.or(&group.minus(&placed));
         }
+        placed = placed.or(group);
+    }
+    let sources = doubled.and(kern.busy()).minus(&dst_group);
+    for c in sources.iter() {
+        let src = VcpuId(c);
         // Prefer a queued task; otherwise actively migrate the running one.
         if let Some(t) = movable_task(kern, src, dst, now) {
             kern.migrate_runnable(plat, t, dst, MigrateKind::Balance);
@@ -247,49 +285,50 @@ fn try_smt_spread(kern: &mut Kernel, plat: &mut dyn Platform, dst: VcpuId) -> bo
     false
 }
 
+/// One pull pass into `v` up its domain hierarchy, lowest level first,
+/// ending at the first migration. With `active`, a level whose busiest
+/// queue had nothing movable may escalate to active balance (periodic
+/// balancing does; new-idle balancing does not). Returns true on a
+/// migration.
+fn pull_pass(kern: &mut Kernel, plat: &mut dyn Platform, v: VcpuId, active: bool) -> bool {
+    let mut ratios = Ratios::begin(kern);
+    let mut moved = false;
+    for level in 0..kern.domains.levels().len() {
+        let Some(span) = kern.domains.levels()[level].group_of(v).copied() else {
+            continue;
+        };
+        if span.count() <= 1 {
+            continue;
+        }
+        moved = match try_pull(kern, plat, v, &span, &mut ratios) {
+            PullResult::Pulled => true,
+            PullResult::Balanced => false,
+            PullResult::NothingMovable(src) => active && maybe_active_balance(kern, plat, v, src),
+        };
+        if moved {
+            break;
+        }
+    }
+    ratios.end(kern);
+    moved
+}
+
 /// Periodic balance, run from the tick of vCPU `v` every
 /// `balance_interval_ticks` ticks. Also performs a round of *nohz idle
 /// balancing*: halted vCPUs cannot balance for themselves, so a busy vCPU
 /// runs the pass on behalf of one idle vCPU (Linux's nohz balancer kick).
 pub fn periodic_balance(kern: &mut Kernel, plat: &mut dyn Platform, v: VcpuId) {
-    let spans: Vec<crate::cpumask::CpuMask> = kern
-        .domains
-        .levels()
-        .iter()
-        .filter_map(|l| l.group_of(v).copied())
-        .collect();
-    let mut done = false;
-    for span in &spans {
-        if span.count() <= 1 {
-            continue;
-        }
-        match try_pull(kern, plat, v, span) {
-            PullResult::Pulled => {
-                done = true;
-                break;
-            }
-            PullResult::Balanced => {}
-            PullResult::NothingMovable(src) => {
-                if maybe_active_balance(kern, plat, v, src) {
-                    done = true;
-                    break;
-                }
-            }
-        }
-    }
-    if !done {
+    if !pull_pass(kern, plat, v, true) {
         try_misfit(kern, plat, v);
     }
     // nohz idle balance on behalf of one idle vCPU, rotating with the tick.
     let nr = kern.cfg.nr_vcpus;
     let start = (kern.vcpus[v.0].tick_count as usize).wrapping_mul(3) % nr.max(1);
-    for off in 0..nr {
-        let cand = VcpuId((start + off) % nr);
-        if cand != v && kern.vcpu_is_idle(cand) {
-            if try_smt_spread(kern, plat, cand) || try_misfit(kern, plat, cand) {
-                return;
-            }
-            break;
+    let idle = CpuMask::first_n(nr).minus(kern.busy());
+    let cand = idle.iter_from(start).find(|&c| c != v.0);
+    if let Some(cand) = cand.map(VcpuId) {
+        if !try_smt_spread(kern, plat, cand) {
+            try_misfit(kern, plat, cand);
         }
     }
 }
@@ -298,22 +337,7 @@ pub fn periodic_balance(kern: &mut Kernel, plat: &mut dyn Platform, v: VcpuId) {
 /// from anywhere allowed (work conservation) or performs a misfit pull.
 /// Returns true if work arrived.
 pub fn newidle_balance(kern: &mut Kernel, plat: &mut dyn Platform, v: VcpuId) -> bool {
-    let spans: Vec<crate::cpumask::CpuMask> = kern
-        .domains
-        .levels()
-        .iter()
-        .filter_map(|l| l.group_of(v).copied())
-        .collect();
-    for span in &spans {
-        if span.count() <= 1 {
-            continue;
-        }
-        match try_pull(kern, plat, v, span) {
-            PullResult::Pulled => return true,
-            PullResult::Balanced | PullResult::NothingMovable(_) => {}
-        }
-    }
-    try_smt_spread(kern, plat, v) || try_misfit(kern, plat, v)
+    pull_pass(kern, plat, v, false) || try_smt_spread(kern, plat, v) || try_misfit(kern, plat, v)
 }
 
 #[cfg(test)]
@@ -437,6 +461,32 @@ mod tests {
         load_vcpu(&mut k, &mut p, 0, 1);
         // util 512 < 0.8*1000 → no misfit; also no queue → no pull.
         assert!(!newidle_balance(&mut k, &mut p, VcpuId(1)));
+    }
+
+    #[test]
+    fn smt_spread_moves_work_off_a_doubled_core() {
+        use crate::domains::PerceivedTopology;
+        use crate::task::Policy;
+        let (mut k, mut p) = setup(6);
+        let pairs = [vec![0, 1], vec![2, 3], vec![4, 5]];
+        k.install_topology(&PerceivedTopology::from_groups(6, &[], &pairs, &[]));
+        // Core {0,1} runs a normal and a SCHED_IDLE task; core {2,3} runs
+        // a normal task on each thread, so only core {2,3} is doubled.
+        load_vcpu(&mut k, &mut p, 0, 1);
+        let bg = k.spawn(SimTime::ZERO, SpawnSpec::normal(6).policy(Policy::Idle));
+        k.wake_to(&mut p, bg, VcpuId(1), None);
+        k.schedule(&mut p, VcpuId(1));
+        let a = load_vcpu(&mut k, &mut p, 2, 1)[0];
+        load_vcpu(&mut k, &mut p, 3, 1);
+        // Nothing is queued, so no pull happens; vCPU 4's idle core takes
+        // the lowest-numbered running task of the doubled core.
+        assert!(newidle_balance(&mut k, &mut p, VcpuId(4)));
+        assert_eq!(k.task(a).state, TaskState::Runnable(VcpuId(4)));
+        assert_eq!(k.stats.active_migrations.get(), 1);
+        // Now no core runs two normal tasks: vCPU 5 shares vCPU 4's busy
+        // core, and no other idle core is left to spread to.
+        assert!(!newidle_balance(&mut k, &mut p, VcpuId(5)));
+        assert_eq!(k.stats.active_migrations.get(), 1);
     }
 
     #[test]

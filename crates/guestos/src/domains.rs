@@ -112,8 +112,10 @@ impl DomainLevel {
 #[derive(Debug, Clone)]
 pub struct DomainTree {
     levels: Vec<DomainLevel>,
-    /// Whether an SMT level exists (enables SMT-aware idle-core search).
-    pub has_smt: bool,
+    /// Position of the SMT level in `levels`, if there is one.
+    smt: Option<usize>,
+    /// Position of the LLC level in `levels`, if there is one.
+    llc: Option<usize>,
 }
 
 impl DomainTree {
@@ -124,7 +126,8 @@ impl DomainTree {
                 name: "MC",
                 groups: vec![CpuMask::first_n(nr_vcpus)],
             }],
-            has_smt: false,
+            smt: None,
+            llc: None,
         }
     }
 
@@ -180,7 +183,9 @@ impl DomainTree {
             groups: vec![CpuMask::first_n(topo.nr_vcpus)],
         });
 
-        Self { levels, has_smt }
+        let smt = has_smt.then_some(0);
+        let llc = multi_socket.then_some(usize::from(has_smt));
+        Self { levels, smt, llc }
     }
 
     /// Levels lowest-first.
@@ -188,25 +193,30 @@ impl DomainTree {
         &self.levels
     }
 
+    /// Whether an SMT level exists (enables SMT-aware idle-core search).
+    pub fn has_smt(&self) -> bool {
+        self.smt.is_some()
+    }
+
+    /// The SMT level's sibling groups; empty when there is no SMT level.
+    pub(crate) fn smt_groups(&self) -> &[CpuMask] {
+        match self.smt {
+            Some(i) => &self.levels[i].groups,
+            None => &[],
+        }
+    }
+
     /// The SMT sibling group of `v`, if an SMT level exists.
     pub fn smt_group(&self, v: VcpuId) -> Option<&CpuMask> {
-        if !self.has_smt {
-            return None;
-        }
-        self.levels
-            .iter()
-            .find(|l| l.name == "SMT")
-            .and_then(|l| l.group_of(v))
+        self.smt.and_then(|i| self.levels[i].group_of(v))
     }
 
     /// The LLC (socket) group of `v` — falls back to the machine level when
     /// no LLC level exists, which reproduces Linux treating the whole VM as
     /// one cache domain under the flat abstraction.
     pub fn llc_group(&self, v: VcpuId) -> &CpuMask {
-        self.levels
-            .iter()
-            .find(|l| l.name == "LLC")
-            .and_then(|l| l.group_of(v))
+        self.llc
+            .and_then(|i| self.levels[i].group_of(v))
             .unwrap_or_else(|| {
                 self.levels
                     .last()
@@ -224,7 +234,7 @@ mod tests {
     fn flat_topology_is_one_level() {
         let t = DomainTree::flat(8);
         assert_eq!(t.levels().len(), 1);
-        assert!(!t.has_smt);
+        assert!(!t.has_smt());
         assert_eq!(t.llc_group(VcpuId(3)).count(), 8);
         assert!(t.smt_group(VcpuId(3)).is_none());
     }
@@ -239,7 +249,7 @@ mod tests {
             &[vec![0, 1, 2, 3], vec![4, 5, 6, 7]],
         );
         let t = DomainTree::rebuild(&topo);
-        assert!(t.has_smt);
+        assert!(t.has_smt());
         assert_eq!(t.levels().len(), 3);
         assert_eq!(t.smt_group(VcpuId(2)).unwrap().count(), 2);
         assert!(t.smt_group(VcpuId(2)).unwrap().contains(3));
@@ -276,7 +286,7 @@ mod tests {
     #[test]
     fn rebuild_from_flat_matches_flat_tree() {
         let t = DomainTree::rebuild(&PerceivedTopology::flat(6));
-        assert!(!t.has_smt);
+        assert!(!t.has_smt());
         assert_eq!(t.levels().len(), 1);
     }
 }

@@ -185,6 +185,15 @@ pub struct Kernel {
     /// only runs when set; a stock x86 VM never sets it — vcap's kernel
     /// module does when probing reveals real asymmetry.
     pub asym_capacity: bool,
+    /// The vCPUs with a current task or a waiting one (every `v` with
+    /// `!vcpu_is_idle(v)`), so balancer scans skip idle vCPUs without
+    /// visiting them. Kept in step at the only places `curr` or a
+    /// runqueue changes: enqueue, dequeue, `set_curr` and the two
+    /// `put_curr`s.
+    busy: CpuMask,
+    /// Per-vCPU load ratios of the balance pass in progress; empty until
+    /// the first pass sizes it (see `balance::Ratios`).
+    pub(crate) ratio_scratch: Vec<f64>,
 }
 
 impl Kernel {
@@ -201,6 +210,8 @@ impl Kernel {
             trace: TraceSink::default(),
             comm_groups: Vec::new(),
             asym_capacity: false,
+            busy: CpuMask::empty(),
+            ratio_scratch: Vec::new(),
         }
     }
 
@@ -256,6 +267,21 @@ impl Kernel {
     pub fn vcpu_is_idle(&self, v: VcpuId) -> bool {
         let d = &self.vcpus[v.0];
         d.curr.is_none() && d.rq.is_empty()
+    }
+
+    /// The vCPUs that are not guest-idle: a current task or a non-empty
+    /// runqueue.
+    pub fn busy(&self) -> &CpuMask {
+        &self.busy
+    }
+
+    /// Re-reads `v`'s busy bit after its `curr` or runqueue changed.
+    fn sync_busy(&mut self, v: VcpuId) {
+        if self.vcpu_is_idle(v) {
+            self.busy.clear(v.0);
+        } else {
+            self.busy.set(v.0);
+        }
     }
 
     /// The vCPUs a task may be placed on under current cgroup rules.
@@ -394,6 +420,7 @@ impl Kernel {
         let d = &mut self.vcpus[v.0];
         d.rq.enqueue(t, vrt, w, is_idle, load);
         d.rq.idle_since = None;
+        self.busy.set(v.0);
     }
 
     /// Removes a waiting task from its runqueue. Returns false if the task
@@ -410,7 +437,9 @@ impl Kernel {
             task.policy.is_idle(),
             task.pelt.load(),
         );
-        self.vcpus[v.0].rq.dequeue(t, vrt, w, is_idle, load)
+        let removed = self.vcpus[v.0].rq.dequeue(t, vrt, w, is_idle, load);
+        self.sync_busy(v);
+        removed
     }
 
     /// Charges a run delta to a task: vruntime, PELT, work, statistics.
@@ -457,6 +486,7 @@ impl Kernel {
         task.run_started = now;
         task.last_vcpu = v;
         self.vcpus[v.0].curr = Some(t);
+        self.busy.set(v.0);
         self.stats.context_switches.inc();
         self.trace.emit(
             now,
@@ -487,6 +517,7 @@ impl Kernel {
         reason: PutReason,
     ) -> Option<TaskId> {
         let t = self.vcpus[v.0].curr.take()?;
+        self.sync_busy(v);
         let delta = plat.stop_task(v);
         let now = plat.now();
         self.charge(now, t, delta);
@@ -732,6 +763,7 @@ impl Kernel {
     /// settled by `on_burst_complete`).
     fn put_curr_settled(&mut self, now: SimTime, v: VcpuId, reason: PutReason) -> Option<TaskId> {
         let t = self.vcpus[v.0].curr.take()?;
+        self.sync_busy(v);
         let vrt = self.task(t).vruntime;
         self.vcpus[v.0].rq.update_min_vruntime(Some(vrt));
         self.trace.emit(
@@ -892,8 +924,9 @@ impl Kernel {
     // ------------------------------------------------------------------
 
     /// Work-rate multiplier for `t` when running on `v`, from the physical
-    /// distance to the other *running* members of its communication group.
-    pub fn comm_factor(&self, plat: &mut dyn Platform, t: TaskId, v: VcpuId) -> f64 {
+    /// distance to the other *running* members of its communication group:
+    /// the smallest factor among them, or 1.0 when none runs.
+    pub fn comm_factor(&self, plat: &dyn Platform, t: TaskId, v: VcpuId) -> f64 {
         let group = match self.task(t).comm_group {
             Some(g) => g,
             None => return 1.0,
@@ -902,8 +935,18 @@ impl Kernel {
             Some((_, m)) => m,
             None => return 1.0,
         };
+        // No member can push the minimum below the smallest factor, so the
+        // scan stops once it gets there (`comm_distance` is a pure read).
+        let floor = self
+            .cfg
+            .cross_socket_comm_factor
+            .min(self.cfg.same_llc_comm_factor)
+            .min(1.0);
         let mut worst = 1.0f64;
         for &other_id in members {
+            if worst <= floor {
+                break;
+            }
             if other_id == t {
                 continue;
             }

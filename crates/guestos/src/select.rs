@@ -110,8 +110,11 @@ pub fn select_cpu_fair(
             if !idle_like(kern, v) {
                 continue;
             }
-            let key = (kern.domains.has_smt && is_idle_core(kern, v), fits(v));
             let cap = kern.capacity_of(v, now);
+            let key = (
+                kern.domains.has_smt() && is_idle_core(kern, v),
+                util <= FITS_MARGIN * cap,
+            );
             let replace = match &best {
                 None => true,
                 Some((_, k0, c0)) => {

@@ -8,15 +8,20 @@
 //!   queue contents;
 //! * `min_vruntime` never decreases;
 //! * a vCPU with waiting tasks and no current is never silently abandoned
-//!   (the wake path kicked it).
+//!   (the wake path kicked it);
+//! * the kernel's busy mask names exactly the vCPUs that are not idle.
+//!
+//! A second property holds the communication-locality factor, which stops
+//! scanning a group once no member can lower it, to a full scan of every
+//! running group member.
 //!
 //! Driven by simcore's in-tree `propcheck` harness (deterministic, offline).
 
 use simcore::propcheck::{forall, vec_of};
 use simcore::{SimRng, SimTime};
 use vsched_guestos::{
-    CommDistance, GuestConfig, Kernel, MigrateKind, Platform, Policy, RunDelta, SpawnSpec, TaskId,
-    TaskState, VcpuId,
+    CommDistance, CpuMask, GuestConfig, Kernel, MigrateKind, PerceivedTopology, Platform, Policy,
+    RunDelta, SpawnSpec, TaskId, TaskState, VcpuId,
 };
 
 /// An always-active platform that advances a synthetic clock and lets tasks
@@ -24,6 +29,9 @@ use vsched_guestos::{
 struct FakePlat {
     now: SimTime,
     running: Vec<Option<(TaskId, SimTime)>>,
+    /// `comm_distance(a, b)` at `a * nr + b`; empty means every pair is
+    /// `SameLlc`.
+    distance: Vec<CommDistance>,
 }
 
 impl FakePlat {
@@ -31,6 +39,7 @@ impl FakePlat {
         Self {
             now: SimTime::ZERO,
             running: vec![None; nr],
+            distance: Vec::new(),
         }
     }
 }
@@ -79,8 +88,12 @@ impl Platform for FakePlat {
     }
     fn update_factor(&mut self, _v: VcpuId, _f: f64) {}
     fn send_ipi(&mut self, _to: VcpuId) {}
-    fn comm_distance(&self, _a: VcpuId, _b: VcpuId) -> CommDistance {
-        CommDistance::SameLlc
+    fn comm_distance(&self, a: VcpuId, b: VcpuId) -> CommDistance {
+        let nr = self.running.len();
+        self.distance
+            .get(a.0 * nr + b.0)
+            .copied()
+            .unwrap_or(CommDistance::SameLlc)
     }
     fn cacheline_latency_ns(&mut self, _a: VcpuId, _b: VcpuId) -> Option<f64> {
         None
@@ -193,6 +206,9 @@ fn check_invariants(kern: &Kernel, min_floor: &mut [u64]) {
         assert!(m >= min_floor[v], "vcpu {v} min_vruntime went backwards");
         min_floor[v] = m;
     }
+    // 4. The busy mask is exactly the set of non-idle vCPUs.
+    let busy = CpuMask::from_iter((0..nr).filter(|&v| !kern.vcpu_is_idle(VcpuId(v))));
+    assert_eq!(*kern.busy(), busy, "busy mask out of step");
 }
 
 #[test]
@@ -206,6 +222,12 @@ fn kernel_invariants_hold() {
         let ops = vec_of(rng, 1, 120, gen_op);
         let nr = 4;
         let mut kern = Kernel::new(GuestConfig::new(nr), SimTime::ZERO);
+        // Half the cases balance over two SMT cores in two sockets, so the
+        // SMT-spread and per-level pull paths run as well as the flat one.
+        if rng.chance(0.5) {
+            let pairs = [vec![0, 1], vec![2, 3]];
+            kern.install_topology(&PerceivedTopology::from_groups(nr, &[], &pairs, &pairs));
+        }
         let mut plat = FakePlat::new(nr);
         let mut ids: Vec<TaskId> = Vec::new();
         let mut min_floor = vec![0u64; nr];
@@ -257,6 +279,88 @@ fn kernel_invariants_hold() {
                 Op::Advance { ns } => plat.now = plat.now.after(ns),
             }
             check_invariants(&kern, &mut min_floor);
+        }
+    });
+}
+
+/// The factor by its definition: the smallest factor over every other
+/// running member of `t`'s group, 1.0 when there is none.
+fn full_scan_comm_factor(kern: &Kernel, plat: &FakePlat, t: TaskId, v: VcpuId) -> f64 {
+    let Some(group) = kern.task(t).comm_group else {
+        return 1.0;
+    };
+    let mut worst = 1.0f64;
+    for other in &kern.tasks {
+        if other.id == t || other.comm_group != Some(group) {
+            continue;
+        }
+        if let TaskState::Running(ov) = other.state {
+            let f = match plat.comm_distance(v, ov) {
+                CommDistance::CrossSocket => kern.cfg.cross_socket_comm_factor,
+                CommDistance::SameLlc => kern.cfg.same_llc_comm_factor,
+                _ => 1.0,
+            };
+            worst = worst.min(f);
+        }
+    }
+    worst
+}
+
+#[test]
+fn comm_factor_matches_a_full_scan() {
+    let cases = if cfg!(feature = "property-tests") {
+        512
+    } else {
+        64
+    };
+    const DISTANCES: [CommDistance; 4] = [
+        CommDistance::Stacked,
+        CommDistance::SmtSibling,
+        CommDistance::SameLlc,
+        CommDistance::CrossSocket,
+    ];
+    forall(0xC0AA, cases, |rng| {
+        let nr = 1 + rng.index(8);
+        let mut cfg = GuestConfig::new(nr);
+        // Factors on both sides of 1.0, so the scan's floor is sometimes
+        // 1.0 itself and sometimes either configured factor.
+        cfg.cross_socket_comm_factor = 0.5 + rng.f64() * 0.7;
+        cfg.same_llc_comm_factor = 0.5 + rng.f64() * 0.7;
+        let mut kern = Kernel::new(cfg, SimTime::ZERO);
+        let mut plat = FakePlat::new(nr);
+        plat.distance = (0..nr * nr)
+            .map(|_| DISTANCES[rng.index(DISTANCES.len())])
+            .collect();
+
+        // Up to 24 tasks in three groups or none; most wake somewhere.
+        let ntasks = rng.index(25);
+        let mut ids = Vec::new();
+        for _ in 0..ntasks {
+            let mut spec = SpawnSpec::normal(nr);
+            let g = rng.index(4);
+            if g < 3 {
+                spec = spec.comm_group(g as u32);
+            }
+            let t = kern.spawn(plat.now, spec);
+            kern.task_mut(t).remaining = 1e15;
+            if rng.chance(0.8) {
+                kern.wake_to(&mut plat, t, VcpuId(rng.index(nr)), None);
+            }
+            ids.push(t);
+        }
+        for v in 0..nr {
+            if kern.vcpus[v].curr.is_none() && !kern.vcpus[v].rq.is_empty() {
+                kern.schedule(&mut plat, VcpuId(v));
+            }
+        }
+
+        for &t in &ids {
+            for v in 0..nr {
+                let v = VcpuId(v);
+                let got = kern.comm_factor(&plat, t, v);
+                let want = full_scan_comm_factor(&kern, &plat, t, v);
+                assert_eq!(got.to_bits(), want.to_bits(), "task {t:?} on {v:?}");
+            }
         }
     });
 }
