@@ -36,7 +36,7 @@ echo "== suite golden: full smoke-scale stdout vs the committed golden file"
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 for jobs in 1 4; do
-    VSCHED_SCALE=smoke ./target/release/suite --jobs "$jobs" --seed 42 \
+    ./target/release/suite --scale smoke --jobs "$jobs" --seed 42 \
         > "$tmpdir/suite_smoke.jobs$jobs.txt" 2>/dev/null
     diff tests/golden/suite_smoke_seed42.txt "$tmpdir/suite_smoke.jobs$jobs.txt"
 done
@@ -54,7 +54,7 @@ echo "== suite runner: fleet stepping pool vs serial stepping (smoke scale, fixe
 # The `fleet` filter also substring-matches fleet-replay and fleet-chaos.
 for id in fleet fleet-chaos; do
     for threads in 1 4; do
-        VSCHED_SCALE=smoke ./target/release/suite --filter "$id" --jobs 1 --seed 42 \
+        ./target/release/suite --scale smoke --filter "$id" --jobs 1 --seed 42 \
             --fleet-threads "$threads" > "$tmpdir/$id.step$threads.txt" 2>/dev/null
     done
     diff "$tmpdir/$id.step1.txt" "$tmpdir/$id.step4.txt"
@@ -222,9 +222,9 @@ echo "== supervision-smoke: canary isolation, shrink/replay"
 # 1) Canary: one cell panics on purpose. The suite must exit 0, name the
 #    cell in the stderr failure report, and leave the healthy jobs' stdout
 #    byte-identical to a clean run.
-VSCHED_SCALE=smoke ./target/release/suite --filter fig03 --jobs 2 --seed 42 \
+./target/release/suite --scale smoke --filter fig03 --jobs 2 --seed 42 \
     > "$tmpdir/clean.txt" 2>/dev/null
-VSCHED_CANARY=1 VSCHED_SCALE=smoke ./target/release/suite --filter fig03 --jobs 2 \
+VSCHED_CANARY=1 ./target/release/suite --scale smoke --filter fig03 --jobs 2 \
     --seed 42 > "$tmpdir/canary.txt" 2> "$tmpdir/canary_err.txt"
 diff "$tmpdir/clean.txt" "$tmpdir/canary.txt"
 grep -q "canary/panic" "$tmpdir/canary_err.txt"
@@ -256,7 +256,7 @@ echo "== suite runner: serial vs parallel output equality (quick scale, whole su
 # Quick-scale cells run longer than the smoke golden's, so a divergence
 # that needs more simulated time to surface shows here.
 for jobs in 1 4; do
-    VSCHED_SCALE=quick ./target/release/suite --jobs "$jobs" --seed 42 \
+    ./target/release/suite --scale quick --jobs "$jobs" --seed 42 \
         > "$tmpdir/suite_quick.jobs$jobs.txt" 2>/dev/null
 done
 diff "$tmpdir/suite_quick.jobs1.txt" "$tmpdir/suite_quick.jobs4.txt"

@@ -11,6 +11,7 @@
 //!     [--shrink SEED | --replay FILE]
 //! ```
 //!
+//! * `--scale` picks the experiment scale (default quick).
 //! * Every cell runs in isolation: a panicking cell (or job reducer)
 //!   fails **its job only** — the suite still exits 0 and prints the
 //!   failure report to stderr. Isolating a failure is the tool working,
@@ -141,7 +142,6 @@ fn replay_main<P: ShrinkPlan>(path: &str) -> ! {
 
 fn main() {
     let mut opts = SuiteOptions {
-        scale: Scale::from_env(),
         canary: std::env::var("VSCHED_CANARY")
             .map(|v| v == "1")
             .unwrap_or(false),

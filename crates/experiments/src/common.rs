@@ -58,26 +58,6 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads `VSCHED_SCALE=paper|quick|smoke` from the environment,
-    /// defaulting to quick.
-    pub fn from_env() -> Scale {
-        match std::env::var("VSCHED_SCALE").as_deref() {
-            Ok("paper") | Ok("full") => Scale::Paper,
-            Ok("smoke") => Scale::Smoke,
-            _ => Scale::Quick,
-        }
-    }
-
-    /// Parses a scale name (the suite binary's `--scale` flag).
-    pub fn parse(s: &str) -> Option<Scale> {
-        match s {
-            "smoke" => Some(Scale::Smoke),
-            "quick" => Some(Scale::Quick),
-            "paper" | "full" => Some(Scale::Paper),
-            _ => None,
-        }
-    }
-
     /// Display label.
     pub fn label(&self) -> &'static str {
         match self {
@@ -100,9 +80,14 @@ impl Scale {
 impl std::str::FromStr for Scale {
     type Err = ();
 
-    /// [`Scale::parse`], for generic flag parsing.
+    /// Parses a scale name (the suite binary's `--scale` flag).
     fn from_str(s: &str) -> Result<Scale, ()> {
-        Scale::parse(s).ok_or(())
+        match s {
+            "smoke" => Ok(Scale::Smoke),
+            "quick" => Ok(Scale::Quick),
+            "paper" | "full" => Ok(Scale::Paper),
+            _ => Err(()),
+        }
     }
 }
 

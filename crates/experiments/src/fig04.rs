@@ -127,7 +127,6 @@ fn stacking_cell(
         pinning: Pinning::stacked_pairs(0, 16),
         weight: 1024,
         bandwidth: None,
-        guest_cfg: None,
     });
     let threads = if with_best_effort { 8 } else { 16 };
     let (wl, handle) = build(bench, threads, SimRng::new(ctx.seed ^ 0x42));

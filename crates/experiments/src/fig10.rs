@@ -156,7 +156,6 @@ fn run_matrix(ctx: &CellCtx) -> Vec<Vec<f64>> {
         pinning: Pinning::OneToOne(vec![0, 1, 2, 3, 4, 5, 6, 6]),
         weight: 1024,
         bandwidth: None,
-        guest_cfg: None,
     });
     let (wl, _s) = Stressor::new(0, work_ms(1.0));
     m.set_workload(vm, Box::new(wl));

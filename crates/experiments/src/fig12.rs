@@ -118,7 +118,6 @@ fn run_underloaded(ctx: &CellCtx, with_vtop: bool) -> ActiveCores {
         pinning: Pinning::OneToOne((0..32).collect()),
         weight: 1024,
         bandwidth: None,
-        guest_cfg: None,
     });
     let (wl, _h) = build("sysbench", 16, SimRng::new(ctx.seed ^ 0xB1));
     m.set_workload(vm, wl);
@@ -175,7 +174,6 @@ fn run_mixed(ctx: &CellCtx, partner: &'static str, with_vtop: bool) -> Mixed {
         pinning: Pinning::OneToOne((0..32).collect()),
         weight: 1024,
         bandwidth: None,
-        guest_cfg: None,
     });
     let (mat, mat_h) = build("matmul", 16, SimRng::new(ctx.seed ^ 0xB2));
     let (pw, pw_h) = build(partner, 16, SimRng::new(ctx.seed ^ 0xB3));

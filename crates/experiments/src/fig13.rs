@@ -113,7 +113,6 @@ fn run_cell(ctx: &CellCtx, name: &'static str, with_vtop: bool) -> LlcCell {
         pinning: Pinning::OneToOne((0..32).collect()),
         weight: 1024,
         bandwidth: None,
-        guest_cfg: None,
     });
     let (a, ha) = instance(name, 8, 50, SimRng::new(ctx.seed ^ 0xC1));
     let (bw, hb) = instance(name, 8, 60, SimRng::new(ctx.seed ^ 0xC2));

@@ -10,8 +10,8 @@
 //! read the same typed figures through [`runner::Grid::run`] and assert
 //! the paper's *shape* claims (who wins, by roughly what factor).
 //!
-//! Durations honour the `VSCHED_SCALE` environment variable
-//! (`smoke`/`quick`/`paper`); see [`common::Scale`].
+//! Durations follow the suite's `--scale smoke|quick|paper` flag (quick by
+//! default); see [`common::Scale`].
 
 pub mod adversary;
 pub mod chaos;

@@ -16,7 +16,6 @@
 //! granularity sysctls play). Steady contention keeps vCPU latency present
 //! at any load, as co-located tenants do on the paper's testbed.
 
-use guestos::GuestConfig;
 use hostsim::{HostSpec, Machine, Pinning, VmSpec};
 use simcore::time::MS;
 
@@ -96,7 +95,6 @@ pub fn rcvm_with(machine: impl FnOnce(HostSpec) -> Machine) -> Profile {
         pinning: Pinning::OneToOne(pins),
         weight: 1024,
         bandwidth: None,
-        guest_cfg: Some(GuestConfig::new(12)),
     });
     for (i, ty) in types.iter().enumerate() {
         if let Some((w, q)) = ty.contention() {
@@ -136,7 +134,6 @@ pub fn hpvm_with(machine: impl FnOnce(HostSpec) -> Machine) -> Profile {
         pinning: Pinning::OneToOne(pins),
         weight: 1024,
         bandwidth: None,
-        guest_cfg: Some(GuestConfig::new(32)),
     });
     for (i, ty) in types.iter().enumerate() {
         if let Some((w, q)) = ty.contention() {

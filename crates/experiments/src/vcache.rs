@@ -177,14 +177,12 @@ fn run_cell(ctx: &CellCtx, name: &'static str, mode: &'static str, secs: u64) ->
         pinning: Pinning::OneToOne((0..32).collect()),
         weight: 1024,
         bandwidth: None,
-        guest_cfg: None,
     });
     let thrasher = m.add_vm(VmSpec {
         nr_vcpus: 8,
         pinning: Pinning::OneToOne((16..24).collect()),
         weight: 1024,
         bandwidth: None,
-        guest_cfg: None,
     });
     let (a, ha) = instance(name, 8, 50, SimRng::new(ctx.seed ^ 0xC1));
     let (bw, hb) = instance(name, 8, 60, SimRng::new(ctx.seed ^ 0xC2));

@@ -1,7 +1,7 @@
 //! Missing-field sweep and mutation propcheck over every on-disk decoder.
 //!
-//! One valid document per decoder — the three repro-plan types, a fleet
-//! spec and a fleet trace (JSON-lines and embedded). Each required member
+//! One valid document per decoder — the three repro-plan types and a
+//! JSON-lines fleet trace. Each required member
 //! is removed in turn, and the decoder must fail with an error that names
 //! the member's full dotted path (`missing events[0].vcpu`), so a
 //! hand-edited file is fixable from the message alone. The same documents,
@@ -9,7 +9,7 @@
 //! of range, must decode or fail with a message naming a path, a byte
 //! offset or a line, never panic.
 
-use fleet::{FleetChaosPlan, FleetChaosSpec, FleetSpec, FleetTrace};
+use fleet::{FleetChaosPlan, FleetChaosSpec, FleetTrace};
 use hostsim::{ChaosSpec, FaultPlan};
 use simcore::json::Json;
 use simcore::plan::Plan;
@@ -50,21 +50,13 @@ fn removals(doc: &Json) -> Vec<(String, Json)> {
     out
 }
 
-/// Removes each member of `doc` except the `optional` ones and requires
-/// `decode` to name it. Returns how many members were swept.
-fn sweep(
-    what: &str,
-    doc: &str,
-    optional: &[&str],
-    decode: impl Fn(&str) -> Result<(), String>,
-) -> usize {
+/// Removes each member of `doc` and requires `decode` to name it. Returns
+/// how many members were swept.
+fn sweep(what: &str, doc: &str, decode: impl Fn(&str) -> Result<(), String>) -> usize {
     decode(doc).unwrap_or_else(|e| panic!("{what}: the valid document fails: {e}"));
     let mut swept = 0;
     for (suffix, broken) in removals(&Json::parse(doc).unwrap()) {
         let path = &suffix[1..];
-        if optional.contains(&path) {
-            continue;
-        }
         let want = format!("missing {path}");
         match decode(&broken.render()) {
             Ok(()) => panic!("{what}: decoded without {path}"),
@@ -77,7 +69,7 @@ fn sweep(
 
 fn sweep_plan<P: Plan>(what: &str, plan: &P) {
     assert!(!plan.events().is_empty(), "{what}: want a non-empty plan");
-    let swept = sweep(what, &plan.to_json(), &[], |t| P::from_json(t).map(drop));
+    let swept = sweep(what, &plan.to_json(), |t| P::from_json(t).map(drop));
     assert!(swept > 8, "{what}: only {swept} members swept");
 }
 
@@ -89,21 +81,6 @@ fn repro_plans_name_every_missing_field() {
     sweep_plan("FleetChaosPlan", &FleetChaosPlan::generate(5, &spec));
     let spec = AttackSpec::for_vm(2, 2_000 * MS);
     sweep_plan("AttackPlan", &AttackPlan::generate(5, &spec));
-}
-
-#[test]
-fn fleet_spec_names_every_missing_field() {
-    // Absent churn and tier targets mean an older spec shape, not an error.
-    let optional = [
-        "churn",
-        "slo_crit_p99_ns",
-        "slo_std_p99_ns",
-        "slo_batch_p99_ns",
-    ];
-    let doc = FleetSpec::small(4, 2, 1).to_json();
-    let decode = |t: &str| FleetSpec::from_json(t).map(drop);
-    let swept = sweep("FleetSpec", &doc, &optional, decode);
-    assert_eq!(swept, 12);
 }
 
 /// A trace with one record of each op.
@@ -129,22 +106,10 @@ fn fleet_trace_lines_name_every_missing_field_and_its_line() {
                 Err(e) => Err(format!("wrong line: {e}")),
             }
         };
-        swept += sweep(&format!("trace line {}", i + 1), line, &[], decode);
+        swept += sweep(&format!("trace line {}", i + 1), line, decode);
     }
     // Header: six members; records: five, four and three.
     assert_eq!(swept, 18);
-}
-
-#[test]
-fn embedded_fleet_trace_names_every_missing_field() {
-    let doc = FleetTrace::decode(TRACE).unwrap().to_json_value().render();
-    let swept = sweep("embedded trace", &doc, &[], |t| {
-        FleetTrace::from_json_value(&Json::parse(t).unwrap())
-            .map(drop)
-            .map_err(|e| e.msg)
-    });
-    // Five header members, `events`, and the first record's five.
-    assert_eq!(swept, 11);
 }
 
 /// The spans of every number token outside strings in `text`.
@@ -279,19 +244,12 @@ fn names_a_place(e: &str, keys: &BTreeSet<String>) -> bool {
 /// (for a trace, with the line it names).
 type Decoder = (&'static str, fn(&str) -> Result<(), String>);
 
-const DECODERS: [Decoder; 6] = [
+const DECODERS: [Decoder; 4] = [
     ("FaultPlan", |t| FaultPlan::from_json(t).map(drop)),
     ("FleetChaosPlan", |t| FleetChaosPlan::from_json(t).map(drop)),
     ("AttackPlan", |t| AttackPlan::from_json(t).map(drop)),
-    ("FleetSpec", |t| FleetSpec::from_json(t).map(drop)),
     ("FleetTrace::decode", |t| {
         FleetTrace::decode(t).map(drop).map_err(|e| e.to_string())
-    }),
-    ("FleetTrace::from_json_value", |t| {
-        let doc = Json::parse(t).map_err(|e| e.to_string())?;
-        FleetTrace::from_json_value(&doc)
-            .map(drop)
-            .map_err(|e| e.to_string())
     }),
 ];
 
@@ -309,9 +267,7 @@ fn mutated_documents_decode_or_fail_with_a_message() {
         FaultPlan::generate(5, &ChaosSpec::for_pinned_vm(0, 4, 3_000 * MS)).to_json(),
         FleetChaosPlan::generate(5, &FleetChaosSpec::for_fleet(4, 3_000 * MS)).to_json(),
         AttackPlan::generate(5, &AttackSpec::for_vm(2, 2_000 * MS)).to_json(),
-        FleetSpec::small(4, 2, 1).to_json(),
         TRACE.to_string(),
-        FleetTrace::decode(TRACE).unwrap().to_json_value().render(),
     ];
     // Every decoder reads every mutated document, so a path may name a
     // member of any of them.

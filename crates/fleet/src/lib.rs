@@ -13,8 +13,7 @@
 //!   output is byte-identical at any count).
 //! * [`lifecycle`] — a seed-driven open-loop arrival/departure/resize
 //!   process (Poisson-style interarrivals, bounded lognormal lifetimes,
-//!   heavy-tailed size mix) plus a [`FleetSpec`] config that round-trips
-//!   through `simcore::json`.
+//!   heavy-tailed size mix) plus its [`FleetSpec`] config.
 //! * [`placement`] — pluggable policies behind [`PlacementPolicy`]:
 //!   first-fit, worst-fit (load-balanced on nominal counts), and a
 //!   probe-aware policy packing by *probed* vcap capacity. Every decision

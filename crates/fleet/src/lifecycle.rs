@@ -7,7 +7,6 @@
 //! pure function of `(spec, seed)`.
 
 use crate::trace_format::FleetTrace;
-use simcore::json::{Field, Json};
 use simcore::time::MS;
 use simcore::{SimRng, SimTime};
 use std::collections::BinaryHeap;
@@ -27,8 +26,7 @@ pub enum ChurnModel {
     Trace(FleetTrace),
 }
 
-/// Fleet configuration. Round-trips through [`FleetSpec::to_json`] /
-/// [`FleetSpec::from_json`] (exact-u64, like `FaultPlan`).
+/// Fleet configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FleetSpec {
     /// Number of hosts in the cluster.
@@ -60,16 +58,6 @@ pub struct FleetSpec {
     pub churn: ChurnModel,
 }
 
-/// Derived per-tier targets when a spec predates them: critical at half
-/// the fleet-wide SLO, standard at it, batch at four times it.
-fn derived_tier_slo(slo_p99_ns: u64) -> [u64; 3] {
-    [
-        (slo_p99_ns / 2).max(1),
-        slo_p99_ns,
-        slo_p99_ns.saturating_mul(4),
-    ]
-}
-
 impl FleetSpec {
     /// A small overcommitted cluster sized for suite cells and tests:
     /// `hosts` flat `threads`-thread machines with a 1.5× vCPU overcommit
@@ -86,14 +74,14 @@ impl FleetSpec {
             max_live_vms: hosts * threads,
             horizon_ns: horizon_secs * 1_000 * MS,
             slo_p99_ns: 20 * MS,
-            tier_slo_p99_ns: derived_tier_slo(20 * MS),
+            tier_slo_p99_ns: [10 * MS, 20 * MS, 80 * MS],
             churn: ChurnModel::Stochastic,
         }
     }
 
     /// Structural sanity: every field a schedule generator divides by or
     /// indexes with must be usable. Errors name the offending field and
-    /// the value it carried, so a bad spec file is fixable from the
+    /// the value it carried, so a bad spec is fixable from the
     /// message alone.
     pub fn validate(&self) -> Result<(), String> {
         if self.hosts == 0 {
@@ -163,86 +151,6 @@ impl FleetSpec {
             t.validate().map_err(|e| format!("churn trace: {e}"))?;
         }
         Ok(())
-    }
-
-    /// Renders the spec as deterministic JSON (sorted keys, exact u64).
-    pub fn to_json(&self) -> String {
-        Json::obj([
-            ("hosts", Json::Uint(self.hosts as u64)),
-            ("threads_per_host", Json::Uint(self.threads_per_host as u64)),
-            ("overcommit_cap", Json::Uint(self.overcommit_cap)),
-            ("arrival_mean_ns", Json::Uint(self.arrival_mean_ns)),
-            ("lifetime_mean_ns", Json::Uint(self.lifetime_mean_ns)),
-            ("lifetime_max_ns", Json::Uint(self.lifetime_max_ns)),
-            (
-                "size_mix",
-                Json::Arr(
-                    self.size_mix
-                        .iter()
-                        .map(|&(v, w)| {
-                            Json::obj([("vcpus", Json::Uint(v as u64)), ("weight", Json::Uint(w))])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("max_live_vms", Json::Uint(self.max_live_vms as u64)),
-            ("horizon_ns", Json::Uint(self.horizon_ns)),
-            ("slo_p99_ns", Json::Uint(self.slo_p99_ns)),
-            ("slo_crit_p99_ns", Json::Uint(self.tier_slo_p99_ns[0])),
-            ("slo_std_p99_ns", Json::Uint(self.tier_slo_p99_ns[1])),
-            ("slo_batch_p99_ns", Json::Uint(self.tier_slo_p99_ns[2])),
-            (
-                "churn",
-                match &self.churn {
-                    ChurnModel::Stochastic => Json::Str("stochastic".into()),
-                    ChurnModel::Trace(t) => t.to_json_value(),
-                },
-            ),
-        ])
-        .render()
-    }
-
-    /// Parses a spec previously written by [`FleetSpec::to_json`].
-    pub fn from_json(text: &str) -> Result<FleetSpec, String> {
-        let doc = Json::parse(text).map_err(|e| e.to_string())?;
-        let f = Field::root(&doc);
-        let size_mix = (f.get("size_mix")?.arr()?.iter())
-            .map(|e| Ok((e.get("vcpus")?.int()?, e.get("weight")?.u64()?)))
-            .collect::<Result<_, String>>()?;
-        // Absent churn means the PR 5 spec shape: stochastic generation.
-        let churn = match f.opt("churn").map(|c| c.json()) {
-            None => ChurnModel::Stochastic,
-            Some(Json::Str(s)) if s == "stochastic" => ChurnModel::Stochastic,
-            Some(Json::Str(s)) => return Err(format!("unknown churn {s:?}")),
-            Some(v) => ChurnModel::Trace(
-                FleetTrace::from_json_value(v).map_err(|e| format!("churn trace: {e}"))?,
-            ),
-        };
-        let slo_p99_ns = f.get("slo_p99_ns")?.u64()?;
-        // Absent tier keys mean the PR 5 spec shape: derive them from the
-        // fleet-wide SLO so old spec files keep parsing.
-        let derived = derived_tier_slo(slo_p99_ns);
-        let tier = |key, dflt| f.opt(key).map_or(Ok(dflt), |v| v.u64());
-        let spec = FleetSpec {
-            hosts: f.get("hosts")?.int()?,
-            threads_per_host: f.get("threads_per_host")?.int()?,
-            overcommit_cap: f.get("overcommit_cap")?.u64()?,
-            arrival_mean_ns: f.get("arrival_mean_ns")?.u64()?,
-            lifetime_mean_ns: f.get("lifetime_mean_ns")?.u64()?,
-            lifetime_max_ns: f.get("lifetime_max_ns")?.u64()?,
-            size_mix,
-            max_live_vms: f.get("max_live_vms")?.int()?,
-            horizon_ns: f.get("horizon_ns")?.u64()?,
-            slo_p99_ns,
-            tier_slo_p99_ns: [
-                tier("slo_crit_p99_ns", derived[0])?,
-                tier("slo_std_p99_ns", derived[1])?,
-                tier("slo_batch_p99_ns", derived[2])?,
-            ],
-            churn,
-        };
-        spec.validate()?;
-        Ok(spec)
     }
 }
 
@@ -468,44 +376,8 @@ mod tests {
             "slo_std_p99_ns 90000000 exceeds slo_batch_p99_ns 80000000: \
              batch tenants must run the loosest SLO"
         );
-        // A spec rendered before the tier keys existed still parses, with
-        // targets derived from the fleet-wide SLO.
-        let mut doc = Json::parse(&spec().to_json()).unwrap();
-        if let Json::Obj(m) = &mut doc {
-            m.remove("slo_crit_p99_ns");
-            m.remove("slo_std_p99_ns");
-            m.remove("slo_batch_p99_ns");
-        }
-        let back = FleetSpec::from_json(&doc.render()).unwrap();
-        assert_eq!(back.tier_slo_p99_ns, [10 * MS, 20 * MS, 80 * MS]);
-    }
-
-    #[test]
-    fn json_round_trip_is_exact() {
-        let s = spec();
-        let back = FleetSpec::from_json(&s.to_json()).expect("parses back");
-        assert_eq!(s, back);
-        assert_eq!(s.to_json(), back.to_json());
-    }
-
-    #[test]
-    fn from_json_rejects_malformed_specs() {
-        assert!(FleetSpec::from_json("{}").is_err());
-        assert!(FleetSpec::from_json("not json").is_err());
-        // Structural validation: an empty size mix parses but is invalid.
-        let mut s = spec();
-        s.size_mix.clear();
-        let mut doc = Json::parse(&spec().to_json()).unwrap();
-        if let Json::Obj(m) = &mut doc {
-            m.insert("size_mix".into(), Json::Arr(Vec::new()));
-        }
-        assert!(FleetSpec::from_json(&doc.render()).is_err());
-        // An unknown churn model is named by its path.
-        let mut doc = Json::parse(&spec().to_json()).unwrap();
-        if let Json::Obj(m) = &mut doc {
-            m.insert("churn".into(), Json::Str("bursty".into()));
-        }
-        let e = FleetSpec::from_json(&doc.render()).unwrap_err();
-        assert_eq!(e, "unknown churn \"bursty\"");
+        // The default targets: critical at half the fleet-wide SLO,
+        // batch at four times it.
+        assert_eq!(spec().tier_slo_p99_ns, [10 * MS, 20 * MS, 80 * MS]);
     }
 }

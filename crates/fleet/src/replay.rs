@@ -61,16 +61,6 @@ mod tests {
     }
 
     #[test]
-    fn replay_spec_round_trips_through_json_with_embedded_trace() {
-        let p = profile_by_name("sap-resize-storm").unwrap();
-        let trace = synthesize(p, 1_000 * MS, day_seed(p.name));
-        let spec = spec_for_trace(&trace, 2, 2);
-        let back = FleetSpec::from_json(&spec.to_json()).expect("parses back");
-        assert_eq!(spec, back);
-        assert_eq!(spec.to_json(), back.to_json());
-    }
-
-    #[test]
     fn cluster_replays_a_trace_end_to_end_without_violations() {
         let p = profile_by_name("sap-diurnal").unwrap();
         let trace = synthesize(p, 1_000 * MS, day_seed(p.name));

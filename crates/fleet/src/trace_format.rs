@@ -97,9 +97,11 @@ fn on_line(line: usize) -> impl Fn(String) -> TraceError {
     move |msg| TraceError { line, msg }
 }
 
-/// Checks the format tag and version, then reads the provenance a header
-/// line and an embedded trace share, into a trace with no events yet.
-fn parse_provenance(f: &Field) -> Result<FleetTrace, String> {
+/// Parses the header line: checks the format tag and version, then reads
+/// the provenance into a trace with no events yet, and the declared record
+/// count. The count is outside input, checked against the body, never
+/// allocated for.
+fn parse_header(f: &Field) -> Result<(FleetTrace, u64), String> {
     match f.get("format")?.str()? {
         FORMAT_TAG => {}
         other => return Err(format!("format {other:?} is not {FORMAT_TAG:?}")),
@@ -108,12 +110,13 @@ fn parse_provenance(f: &Field) -> Result<FleetTrace, String> {
         FORMAT_VERSION => {}
         v => return Err(format!("unsupported version {v} (want {FORMAT_VERSION})")),
     }
-    Ok(FleetTrace {
+    let trace = FleetTrace {
         profile: f.get("profile")?.str()?.to_string(),
         day_seed: f.get("day_seed")?.u64()?,
         horizon_ns: f.get("horizon_ns")?.u64()?,
         events: Vec::new(),
-    })
+    };
+    Ok((trace, f.get("records")?.u64()?))
 }
 
 fn parse_record(rec: &Field) -> Result<LifecycleEvent, String> {
@@ -172,14 +175,8 @@ impl FleetTrace {
             line: 1,
             msg: format!("header is not valid JSON: {e}"),
         })?;
-        let header = Field::root(&header);
-        let mut trace = parse_provenance(&header).map_err(on_line(1))?;
-        // Records are collected as lines arrive: the declared count is
-        // outside input, checked against the body, never allocated for.
-        let declared = header
-            .get("records")
-            .and_then(|f| f.u64())
-            .map_err(on_line(1))?;
+        let (mut trace, declared) = parse_header(&Field::root(&header)).map_err(on_line(1))?;
+        // Records are collected as lines arrive.
         for (idx, line) in lines {
             let lineno = idx + 1;
             if line.trim().is_empty() {
@@ -261,40 +258,6 @@ impl FleetTrace {
         }
         Ok(())
     }
-
-    /// The trace as a single JSON value, for embedding inside a
-    /// [`crate::FleetSpec`]'s `churn` field.
-    pub fn to_json_value(&self) -> Json {
-        Json::obj([
-            ("day_seed", Json::Uint(self.day_seed)),
-            ("format", Json::Str(FORMAT_TAG.into())),
-            (
-                "events",
-                Json::Arr(self.events.iter().map(record_json).collect()),
-            ),
-            ("horizon_ns", Json::Uint(self.horizon_ns)),
-            ("profile", Json::Str(self.profile.clone())),
-            ("version", Json::Uint(FORMAT_VERSION)),
-        ])
-    }
-
-    /// Inverse of [`FleetTrace::to_json_value`]. Errors use record index
-    /// (not line) positions since there is no line structure here.
-    pub fn from_json_value(doc: &Json) -> Result<FleetTrace, TraceError> {
-        let doc = Field::root(doc);
-        let mut trace = parse_provenance(&doc).map_err(on_line(0))?;
-        // Report record positions as if the value were encoded (record i
-        // on line i + 2).
-        let records = doc
-            .get("events")
-            .and_then(|f| f.arr())
-            .map_err(on_line(0))?;
-        trace.events = (records.iter().enumerate())
-            .map(|(i, rec)| parse_record(rec).map_err(on_line(i + 2)))
-            .collect::<Result<_, _>>()?;
-        trace.validate()?;
-        Ok(trace)
-    }
 }
 
 #[cfg(test)]
@@ -341,13 +304,6 @@ mod tests {
     }
 
     #[test]
-    fn json_value_embedding_round_trips() {
-        let t = sample();
-        let back = FleetTrace::from_json_value(&t.to_json_value()).expect("embeds");
-        assert_eq!(t, back);
-    }
-
-    #[test]
     fn decode_errors_carry_line_numbers() {
         let t = sample();
         let text = t.encode();
@@ -357,14 +313,6 @@ mod tests {
         let e = FleetTrace::decode(&corrupted).unwrap_err();
         assert_eq!(e.line, 4);
         assert!(e.msg.contains("unknown op \"explode\""), "{e}");
-        // Embedded, the same record names its path in the document.
-        let doc = Json::parse(
-            &t.to_json_value()
-                .render()
-                .replace("\"depart\"", "\"explode\""),
-        );
-        let e = FleetTrace::from_json_value(&doc.unwrap()).unwrap_err();
-        assert!(e.msg.contains("unknown events[2].op \"explode\""), "{e}");
 
         // An empty document has no header on line 1.
         assert_eq!(FleetTrace::decode("").unwrap_err().line, 1);

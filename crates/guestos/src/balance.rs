@@ -11,16 +11,14 @@
 //! correctly).
 
 use crate::cpumask::CpuMask;
-use crate::kernel::{Kernel, MigrateKind, VcpuId};
+use crate::kernel::{Kernel, MigrateKind, VcpuId, MIGRATION_COST_NS};
 use crate::platform::Platform;
+use crate::select::FITS_MARGIN;
 use crate::task::{TaskId, TaskState};
 
 /// Imbalance factor: the busiest queue must be this much more loaded than
 /// the destination before a pull happens (Linux's `imbalance_pct` = 125).
 const IMBALANCE_PCT: f64 = 1.25;
-
-/// Capacity-fit margin for misfit detection (`fits_capacity`).
-const FITS_MARGIN: f64 = 0.8;
 
 /// Capacity advantage required of the destination in a misfit migration.
 const MISFIT_CAP_ADVANTAGE: f64 = 1.15;
@@ -73,7 +71,7 @@ fn movable_task(kern: &Kernel, src: VcpuId, dst: VcpuId, now: simcore::SimTime) 
         let task = kern.task(t);
         if matches!(task.state, TaskState::Runnable(_))
             && kern.placement_mask(t).contains(dst.0)
-            && now.since(task.enqueued_at) >= kern.cfg.migration_cost_ns
+            && now.since(task.enqueued_at) >= MIGRATION_COST_NS
         {
             return Some(t);
         }
@@ -221,7 +219,7 @@ fn try_misfit(kern: &mut Kernel, plat: &mut dyn Platform, dst: VcpuId) -> bool {
         let worth_it = dst_cap > MISFIT_CAP_ADVANTAGE * src_cap
             && kern.placement_mask(curr).contains(dst.0)
             // Cache-hot gate: leave freshly (re)started tasks alone.
-            && now.since(kern.task(curr).run_started) >= kern.cfg.migration_cost_ns;
+            && now.since(kern.task(curr).run_started) >= MIGRATION_COST_NS;
         if misfit && worth_it {
             kern.migrate_running(plat, src, dst, MigrateKind::Active);
             return true;

@@ -49,24 +49,27 @@ pub const BUILTIN_SPIN_WORK: f64 = 1.0e16;
 /// core — an L2-scale refill).
 pub const CACHE_REFILL_WORK: f64 = 1024.0 * 50_000.0;
 
-/// Guest scheduler tunables (Linux defaults scaled for a 1 ms tick).
+// Guest scheduler constants (Linux defaults scaled for a 1 ms tick).
+
+/// Scheduler tick period (ns).
+pub const TICK_NS: u64 = 1_000_000;
+/// Minimum time a task runs before tick preemption (ns).
+const MIN_GRANULARITY_NS: u64 = 1_500_000;
+/// Wakeup preemption granularity: vruntime advantage required (ns).
+const WAKEUP_GRANULARITY_NS: u64 = 1_000_000;
+/// Targeted scheduling latency; sleeper placement credit is half (ns).
+const SCHED_LATENCY_NS: u64 = 6_000_000;
+/// Run periodic load balancing every this many ticks.
+const BALANCE_INTERVAL_TICKS: u64 = 4;
+/// Cache-hot window: a task enqueued more recently than this is not
+/// migrated by the balancer (Linux's `sched_migration_cost`).
+pub(crate) const MIGRATION_COST_NS: u64 = 500_000;
+
+/// Per-VM guest scheduler configuration.
 #[derive(Debug, Clone)]
 pub struct GuestConfig {
     /// Number of vCPUs.
     pub nr_vcpus: usize,
-    /// Scheduler tick period (ns).
-    pub tick_ns: u64,
-    /// Minimum time a task runs before tick preemption (ns).
-    pub min_granularity_ns: u64,
-    /// Wakeup preemption granularity: vruntime advantage required (ns).
-    pub wakeup_granularity_ns: u64,
-    /// Targeted scheduling latency; sleeper placement credit is half (ns).
-    pub sched_latency_ns: u64,
-    /// Run periodic load balancing every this many ticks.
-    pub balance_interval_ticks: u64,
-    /// Cache-hot window: a task enqueued more recently than this is not
-    /// migrated by the balancer (Linux's `sched_migration_cost`).
-    pub migration_cost_ns: u64,
     /// Work-rate multiplier for communicating tasks placed cross-socket.
     pub cross_socket_comm_factor: f64,
     /// Work-rate multiplier for communicating tasks in one LLC.
@@ -78,12 +81,6 @@ impl GuestConfig {
     pub fn new(nr_vcpus: usize) -> Self {
         Self {
             nr_vcpus,
-            tick_ns: 1_000_000,
-            min_granularity_ns: 1_500_000,
-            wakeup_granularity_ns: 1_000_000,
-            sched_latency_ns: 6_000_000,
-            balance_interval_ticks: 4,
-            migration_cost_ns: 500_000,
             cross_socket_comm_factor: 0.78,
             same_llc_comm_factor: 0.97,
         }
@@ -162,7 +159,7 @@ impl PutReason {
 
 /// The guest scheduler state and CFS mechanics.
 pub struct Kernel {
-    /// Tunables.
+    /// Per-VM configuration.
     pub cfg: GuestConfig,
     /// Per-vCPU state, indexed by [`VcpuId`].
     pub vcpus: Vec<VcpuData>,
@@ -344,7 +341,7 @@ impl Kernel {
     pub fn enqueue_task(&mut self, plat: &mut dyn Platform, t: TaskId, v: VcpuId, wakeup: bool) {
         let now = plat.now();
         let min_vruntime = self.vcpus[v.0].rq.min_vruntime;
-        let latency_half = self.cfg.sched_latency_ns / 2;
+        let latency_half = SCHED_LATENCY_NS / 2;
         let slept_on = self.task(t).last_vcpu;
         let slept_min = self.vcpus[slept_on.0].rq.min_vruntime;
         if wakeup {
@@ -419,7 +416,6 @@ impl Kernel {
         };
         let d = &mut self.vcpus[v.0];
         d.rq.enqueue(t, vrt, w, is_idle, load);
-        d.rq.idle_since = None;
         self.busy.set(v.0);
     }
 
@@ -560,14 +556,7 @@ impl Kernel {
                 debug_assert!(removed);
                 self.set_curr(plat, v, next);
             }
-            None => {
-                let now = plat.now();
-                let d = &mut self.vcpus[v.0];
-                if d.rq.idle_since.is_none() {
-                    d.rq.idle_since = Some(now);
-                }
-                plat.vcpu_idle(v);
-            }
+            None => plat.vcpu_idle(v),
         }
     }
 
@@ -648,7 +637,7 @@ impl Kernel {
         if wt.policy.is_idle() && !ct.policy.is_idle() {
             return false;
         }
-        ct.vruntime > wt.vruntime.saturating_add(self.cfg.wakeup_granularity_ns)
+        ct.vruntime > wt.vruntime.saturating_add(WAKEUP_GRANULARITY_NS)
     }
 
     // ------------------------------------------------------------------
@@ -694,8 +683,8 @@ impl Kernel {
                 let vrt_next = self.task(next).vruntime;
                 let vrt_curr = self.task(curr).vruntime;
                 let preempt = (curr_idle && next_normal)
-                    || (ran >= self.cfg.min_granularity_ns
-                        && vrt_curr > vrt_next.saturating_add(self.cfg.wakeup_granularity_ns));
+                    || (ran >= MIN_GRANULARITY_NS
+                        && vrt_curr > vrt_next.saturating_add(WAKEUP_GRANULARITY_NS));
                 if preempt {
                     self.resched(plat, v);
                 }
@@ -704,7 +693,7 @@ impl Kernel {
 
         if self.vcpus[v.0]
             .tick_count
-            .is_multiple_of(self.cfg.balance_interval_ticks)
+            .is_multiple_of(BALANCE_INTERVAL_TICKS)
         {
             balance::periodic_balance(self, plat, v);
         }
@@ -889,15 +878,6 @@ impl Kernel {
             }
             TaskState::Sleeping => self.task_mut(t).state = TaskState::Blocked,
             TaskState::Blocked | TaskState::Dead => {}
-        }
-    }
-
-    /// How long vCPU `v` has had nothing to run, or `None` while busy.
-    pub fn idle_duration(&self, v: VcpuId, now: SimTime) -> Option<u64> {
-        if self.vcpu_is_idle(v) {
-            self.vcpus[v.0].rq.idle_since.map(|t| now.since(t))
-        } else {
-            None
         }
     }
 
@@ -1279,7 +1259,7 @@ mod tests {
         k.vcpus[1].rq.min_vruntime = 500_000_000;
         k.migrate_runnable(&mut p, b, VcpuId(1), MigrateKind::Balance);
         assert!(matches!(k.task(b).state, TaskState::Runnable(VcpuId(1))));
-        assert!(k.task(b).vruntime >= 500_000_000 - k.cfg.sched_latency_ns);
+        assert!(k.task(b).vruntime >= 500_000_000 - SCHED_LATENCY_NS);
         assert_eq!(k.task(b).migrations, 1);
     }
 

@@ -17,8 +17,9 @@ use crate::task::TaskId;
 use simcore::SimTime;
 
 /// Capacity fitness margin: a CPU "fits" a task when the task's util is at
-/// most 80% of the CPU's capacity (Linux's `fits_capacity`).
-const FITS_MARGIN: f64 = 0.8;
+/// most 80% of the CPU's capacity (Linux's `fits_capacity`). Wakeup
+/// placement and misfit detection both use it.
+pub(crate) const FITS_MARGIN: f64 = 0.8;
 
 /// Whether vCPU `v` counts as idle for wake placement: truly idle, or
 /// running only `SCHED_IDLE` tasks (Linux's `sched_idle_cpu()` — a CPU

@@ -32,4 +32,4 @@ pub use domain::{DomainConfigError, DomainSchedule, DomainSlice};
 pub use faults::{ChaosSpec, FaultPlan, InjectedFault};
 pub use machine::{Ev, GVcpu, HostSched, HostState, Machine, ScriptAction, Vm};
 pub use scenario::{Pinning, VmSpec};
-pub use topology::{CachelineLatencies, HostSpec};
+pub use topology::HostSpec;

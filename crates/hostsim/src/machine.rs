@@ -23,7 +23,10 @@
 use crate::domain::{DomainConfigError, DomainSchedule};
 use crate::llc::LlcModel;
 use crate::scenario::VmSpec;
-use crate::topology::HostSpec;
+use crate::topology::{
+    HostSpec, CACHELINE_CROSS_NS, CACHELINE_LLC_NS, CACHELINE_NOISE, LLC_BYTES, SMT_CONTENTION,
+};
+use guestos::kernel::TICK_NS;
 use guestos::{
     CommDistance, GuestConfig, GuestOs, Platform, RunDelta, TaskId, TaskState, VcpuId, Workload,
 };
@@ -464,7 +467,7 @@ impl Machine {
         let nr = spec.nr_threads();
         let cores = spec.nr_cores();
         let quantum = spec.quantum_ns;
-        let llc = LlcModel::new(spec.sockets, spec.llc_bytes);
+        let llc = LlcModel::new(spec.sockets, LLC_BYTES);
         Self {
             spec,
             q: EventQueue::new(),
@@ -514,12 +517,10 @@ impl Machine {
 
     /// Adds the VM `spec` describes: its vCPUs with their thread
     /// affinities, host weight and optional bandwidth, and its guest (the
-    /// default [`GuestConfig`] for its size unless the spec overrides it).
+    /// default [`GuestConfig`] for its size).
     /// Returns the VM index.
     pub fn add_vm(&mut self, spec: VmSpec) -> usize {
         let nr = spec.nr_vcpus;
-        let guest_cfg = spec.guest_cfg.unwrap_or_else(|| GuestConfig::new(nr));
-        assert_eq!(guest_cfg.nr_vcpus, nr, "guest cfg size mismatch");
         let affinities = spec.pinning.into_affinities(nr);
         let base = self.vcpus.len();
         let vm_idx = self.vms.len();
@@ -558,7 +559,7 @@ impl Machine {
         }
         self.classes.push(PriorityClass::Standard);
         self.llc.add_vm();
-        let mut guest = Box::new(GuestOs::new(guest_cfg, now));
+        let mut guest = Box::new(GuestOs::new(GuestConfig::new(nr), now));
         guest.kern.trace = self.trace.scoped(vm_idx as u16);
         self.vms.push(Vm {
             guest,
@@ -738,11 +739,7 @@ impl Machine {
         let core = self.spec.core_of(th);
         let sib = self.spec.sibling_of(th);
         let sib_busy = sib != th && self.threads[sib].current.is_some();
-        let smt_factor = if sib_busy {
-            self.spec.smt_contention
-        } else {
-            1.0
-        };
+        let smt_factor = if sib_busy { SMT_CONTENTION } else { 1.0 };
         1024.0 * self.core_freq[core] * smt_factor
     }
 
@@ -1136,19 +1133,14 @@ impl Machine {
             // Start guest ticks.
             self.vcpus[gv].tick_gen += 1;
             let tgen = self.vcpus[gv].tick_gen;
-            let tick = self.vm_tick_ns(self.vcpus[gv].vm);
             self.q
-                .post(now.after(tick), Ev::GuestTick { gv, gen: tgen });
+                .post(now.after(TICK_NS), Ev::GuestTick { gv, gen: tgen });
             self.refresh_thread_and_sibling(th);
             self.notify_vcpu_start(gv);
         } else {
             self.refresh_thread_and_sibling(th);
         }
         self.q.post(now.after(slice), Ev::QuantumExpire { th, gen });
-    }
-
-    fn vm_tick_ns(&self, vm: usize) -> u64 {
-        self.vms[vm].guest.kern.cfg.tick_ns
     }
 
     /// Handles quantum expiry: bandwidth throttling, then rotation.
@@ -1698,8 +1690,7 @@ impl Machine {
         // The tick may have halted the vCPU (guest went idle).
         if self.vcpus[gv].tick_gen == gen && matches!(self.vcpus[gv].state, HostState::Running(_)) {
             let now = self.q.now();
-            let tick = self.vm_tick_ns(vm);
-            self.q.post(now.after(tick), Ev::GuestTick { gv, gen });
+            self.q.post(now.after(TICK_NS), Ev::GuestTick { gv, gen });
         }
     }
 
@@ -2110,7 +2101,7 @@ impl Platform for Ctx<'_> {
             return None; // stacked vCPUs never overlap
         }
         let base = self.m.spec.cacheline_ns(ta, tb);
-        let noise = self.m.spec.cacheline.noise;
+        let noise = CACHELINE_NOISE;
         let jitter = 1.0 + noise * (2.0 * self.m.rng.f64() - 1.0);
         // Chaos probe noise stacks on the spec's measurement noise.
         let chaos = 1.0 + self.m.probe_jitter((ga as u64) << 16 | gb as u64);
@@ -2130,10 +2121,10 @@ impl Platform for Ctx<'_> {
         // toward a cross-socket/DRAM-ish line fill, linearly in the
         // fraction of the socket held by *other* VMs.
         let pressure = self.m.llc.contention(self.vm, s);
-        let hit = self.m.spec.cacheline.llc_ns;
-        let miss = self.m.spec.cacheline.cross_ns;
+        let hit = CACHELINE_LLC_NS;
+        let miss = CACHELINE_CROSS_NS;
         let base = hit + (miss - hit) * pressure;
-        let noise = self.m.spec.cacheline.noise;
+        let noise = CACHELINE_NOISE;
         let jitter = 1.0 + noise * (2.0 * self.m.rng.f64() - 1.0);
         // Chaos probe noise stacks, keyed apart from vtop's pair probes.
         let chaos = 1.0 + self.m.probe_jitter(0xCAC4E_u64 ^ ((gv as u64) << 20));

@@ -9,8 +9,6 @@
 //! doubles vCPUs up on threads, and `floating` lets the host place vCPUs
 //! freely (the multi-tenant experiments of §5.8).
 
-use guestos::GuestConfig;
-
 /// How a VM's vCPUs map to hardware threads.
 #[derive(Debug, Clone)]
 pub enum Pinning {
@@ -63,8 +61,6 @@ pub struct VmSpec {
     pub weight: u64,
     /// Uniform CFS-bandwidth `(quota_ns, period_ns)`, if any.
     pub bandwidth: Option<(u64, u64)>,
-    /// Guest scheduler configuration (defaults from `nr_vcpus`).
-    pub guest_cfg: Option<GuestConfig>,
 }
 
 impl VmSpec {
@@ -75,7 +71,6 @@ impl VmSpec {
             pinning: Pinning::one_to_one(base, n),
             weight: 1024,
             bandwidth: None,
-            guest_cfg: None,
         }
     }
 
@@ -86,7 +81,6 @@ impl VmSpec {
             pinning: Pinning::Floating(threads),
             weight: 1024,
             bandwidth: None,
-            guest_cfg: None,
         }
     }
 
@@ -105,12 +99,6 @@ impl VmSpec {
     /// Sets the host weight of every vCPU.
     pub fn weight(mut self, w: u64) -> Self {
         self.weight = w;
-        self
-    }
-
-    /// Overrides the guest scheduler configuration.
-    pub fn guest_cfg(mut self, cfg: GuestConfig) -> Self {
-        self.guest_cfg = Some(cfg);
         self
     }
 }

@@ -10,29 +10,23 @@
 
 use guestos::CommDistance;
 
-/// Cache-line transfer latencies (ns) by sharing level.
-#[derive(Debug, Clone, Copy)]
-pub struct CachelineLatencies {
-    /// Between SMT siblings (shared L1/L2).
-    pub smt_ns: f64,
-    /// Between cores of one socket (shared LLC).
-    pub llc_ns: f64,
-    /// Across sockets (inter-socket bus).
-    pub cross_ns: f64,
-    /// Multiplicative noise amplitude (e.g. 0.08 = ±8%).
-    pub noise: f64,
-}
+// Cache-line transfer latencies (ns) by sharing level.
 
-impl Default for CachelineLatencies {
-    fn default() -> Self {
-        Self {
-            smt_ns: 6.0,
-            llc_ns: 48.0,
-            cross_ns: 113.0,
-            noise: 0.08,
-        }
-    }
-}
+/// Cache-line transfer latency between SMT siblings (shared L1/L2), ns.
+pub(crate) const CACHELINE_SMT_NS: f64 = 6.0;
+/// Cache-line transfer latency between cores of one socket (shared LLC),
+/// ns.
+pub(crate) const CACHELINE_LLC_NS: f64 = 48.0;
+/// Cache-line transfer latency across sockets (inter-socket bus), ns.
+pub(crate) const CACHELINE_CROSS_NS: f64 = 113.0;
+/// Multiplicative noise amplitude of a cache-line transfer (0.08 = ±8%).
+pub(crate) const CACHELINE_NOISE: f64 = 0.08;
+
+/// Capacity factor applied to a thread while its SMT sibling is busy.
+pub(crate) const SMT_CONTENTION: f64 = 0.62;
+/// Last-level cache capacity per socket, in bytes (Xeon Gold 6138:
+/// 27.5 MB of L3). Bounds the occupancy model in [`crate::llc`].
+pub(crate) const LLC_BYTES: f64 = 27.5 * 1024.0 * 1024.0;
 
 /// Static description of the physical machine.
 #[derive(Debug, Clone)]
@@ -45,17 +39,10 @@ pub struct HostSpec {
     pub smt: usize,
     /// Host scheduler base quantum (ns) for a weight-1024 entity.
     pub quantum_ns: u64,
-    /// Capacity factor applied to a thread while its SMT sibling is busy.
-    pub smt_contention: f64,
-    /// Cache-line latency model.
-    pub cacheline: CachelineLatencies,
-    /// Last-level cache capacity per socket, in bytes (Xeon Gold 6138:
-    /// 27.5 MB of L3). Bounds the occupancy model in [`crate::llc`].
-    pub llc_bytes: f64,
 }
 
 impl HostSpec {
-    /// A host with the given shape and default tunables.
+    /// A host with the given shape and the default quantum.
     pub fn new(sockets: usize, cores_per_socket: usize, smt: usize) -> Self {
         assert!(sockets > 0 && cores_per_socket > 0, "degenerate host");
         assert!((1..=2).contains(&smt), "smt must be 1 or 2");
@@ -64,9 +51,6 @@ impl HostSpec {
             cores_per_socket,
             smt,
             quantum_ns: 4_000_000,
-            smt_contention: 0.62,
-            cacheline: CachelineLatencies::default(),
-            llc_bytes: 27.5 * 1024.0 * 1024.0,
         }
     }
 
@@ -134,9 +118,9 @@ impl HostSpec {
     /// (Same-thread "transfers" never happen: stacked vCPUs do not overlap.)
     pub fn cacheline_ns(&self, a: usize, b: usize) -> f64 {
         match self.distance(a, b) {
-            CommDistance::Stacked | CommDistance::SmtSibling => self.cacheline.smt_ns,
-            CommDistance::SameLlc => self.cacheline.llc_ns,
-            CommDistance::CrossSocket => self.cacheline.cross_ns,
+            CommDistance::Stacked | CommDistance::SmtSibling => CACHELINE_SMT_NS,
+            CommDistance::SameLlc => CACHELINE_LLC_NS,
+            CommDistance::CrossSocket => CACHELINE_CROSS_NS,
         }
     }
 }

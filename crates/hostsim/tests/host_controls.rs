@@ -173,7 +173,6 @@ fn stacked_vcpus_share_one_thread() {
         pinning: vsched_hostsim::Pinning::stacked_pairs(0, 2),
         weight: 1024,
         bandwidth: None,
-        guest_cfg: None,
     });
     m.set_workload(vm, Box::new(Spin(2)));
     m.start();

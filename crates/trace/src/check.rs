@@ -112,8 +112,8 @@ pub enum ViolationKind {
 }
 
 /// How far above the best published LLC-domain pressure a cache-aware
-/// pick may land and still count as justified. Must match the bvs
-/// preference margin (`Tunables::vcache_pick_margin`).
+/// pick may land and still count as justified. Cache-aware bvs picks
+/// with this same margin.
 pub const CACHE_PICK_MARGIN: f64 = 0.15;
 
 impl ViolationKind {

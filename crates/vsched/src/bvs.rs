@@ -6,8 +6,9 @@
 //!
 //! 1. Prefer vCPUs with at least median capacity (avoid runqueue
 //!    saturation).
-//! 2. Empty runqueue → require low vCPU latency *and* prolonged idleness
-//!    (a long-idle low-latency vCPU wakes quickly).
+//! 2. Empty runqueue → require low vCPU latency. The paper also asks for
+//!    prolonged idleness (a long-idle low-latency vCPU wakes quickly);
+//!    this implementation accepts any idle duration.
 //! 3. Runqueue holding only `SCHED_IDLE` tasks → consult the vCPU state:
 //!    a *recently active* vCPU is ideal (the task starts immediately and
 //!    finishes within the remaining active period — the "blue path");
@@ -24,7 +25,7 @@
 //! When the vcache prober is running and holds a fresh pressure estimate,
 //! bvs switches from first-fit to a two-phase pick: collect every vCPU
 //! that passes the Figure 8 qualification, then among the qualifiers whose
-//! LLC domain's pressure is within [`Tunables::vcache_pick_margin`] of the
+//! LLC domain's pressure is within [`CACHE_PICK_MARGIN`] of the
 //! best published pressure, take the one with the most vcap headroom. A
 //! small latency-sensitive task lands on a socket whose cache is *not*
 //! being thrashed — its working set stays resident, so it actually runs at
@@ -32,11 +33,12 @@
 //! (prober cold, estimates stale) the pick degrades to the stock first-fit
 //! byte-for-byte.
 
-use crate::tunables::Tunables;
+use crate::tunables::BVS_SMALL_TASK_UTIL;
 use crate::vact::{ActState, Vact};
 use crate::vcache::Vcache;
 use crate::vcap::Vcap;
 use guestos::{Kernel, Platform, TaskId, VcpuId};
+use trace::check::CACHE_PICK_MARGIN;
 use trace::EventKind;
 
 /// Statistics bvs keeps about its own decisions.
@@ -64,11 +66,9 @@ enum Qualified {
 
 /// The Figure 8 per-vCPU qualification: `Some` when the vCPU is an
 /// acceptable home for a small latency-sensitive task right now.
-#[allow(clippy::too_many_arguments)]
 fn qualify(
     kern: &Kernel,
     vact: &Vact,
-    tun: &Tunables,
     now: simcore::SimTime,
     vid: VcpuId,
     median_cap: f64,
@@ -83,12 +83,8 @@ fn qualify(
     let lat = vact.latency_ns(vid);
     let d = &kern.vcpus[vid.0];
     if d.curr.is_none() && d.rq.is_empty() {
-        // Empty runqueue: low latency and prolonged idleness.
-        let idle_ns = kern.idle_duration(vid, now).unwrap_or(0);
-        if lat <= median_lat && idle_ns >= tun.bvs_min_idle_ns {
-            return Some(Qualified::Plain);
-        }
-        return None;
+        // Empty runqueue: low latency (any idle duration qualifies).
+        return (lat <= median_lat).then_some(Qualified::Plain);
     }
     // Occupied only by best-effort tasks?
     let curr_is_idle_policy = d
@@ -132,23 +128,19 @@ pub fn select(
     vact: &Vact,
     vcap: &Vcap,
     vcache: Option<&Vcache>,
-    tun: &Tunables,
     stats: &mut BvsStats,
     t: TaskId,
     state_check: bool,
 ) -> Option<VcpuId> {
     let task = kern.task(t);
-    if !task.latency_sensitive || task.pelt.util() > tun.bvs_small_task_util {
+    if !task.latency_sensitive || task.pelt.util() > BVS_SMALL_TASK_UTIL {
         return None;
     }
     let now = plat.now();
     let allowed = kern.placement_mask(t);
     let median_cap = vcap.median_cap;
     let median_lat = vact.median_latency_ns.max(1);
-    let cache = vcache.and_then(|vc| {
-        vc.best_pressure(now, tun.vcache_staleness_ns)
-            .map(|best| (vc, best))
-    });
+    let cache = vcache.and_then(|vc| vc.best_pressure(now).map(|best| (vc, best)));
 
     // First-fit starting from the task's previous vCPU: quick, and wakes
     // of distinct tasks spread instead of piling onto vCPU 0.
@@ -159,16 +151,7 @@ pub fn select(
         // first-fit, returning the first qualifier.
         for v in allowed.iter_from(start) {
             let vid = VcpuId(v);
-            if let Some(q) = qualify(
-                kern,
-                vact,
-                tun,
-                now,
-                vid,
-                median_cap,
-                median_lat,
-                state_check,
-            ) {
+            if let Some(q) = qualify(kern, vact, now, vid, median_cap, median_lat, state_check) {
                 stats.placed += 1;
                 if q == Qualified::BluePath {
                     stats.blue_path += 1;
@@ -185,16 +168,7 @@ pub fn select(
     let mut candidates: Vec<(VcpuId, Qualified)> = Vec::new();
     for v in allowed.iter_from(start) {
         let vid = VcpuId(v);
-        if let Some(q) = qualify(
-            kern,
-            vact,
-            tun,
-            now,
-            vid,
-            median_cap,
-            median_lat,
-            state_check,
-        ) {
+        if let Some(q) = qualify(kern, vact, now, vid, median_cap, median_lat, state_check) {
             candidates.push((vid, q));
         }
     }
@@ -204,10 +178,10 @@ pub fn select(
     }
     let mut pick: Option<(VcpuId, Qualified, f64, f64)> = None;
     for &(vid, q) in &candidates {
-        let Some(p) = vc.pressure_of(vid, now, tun.vcache_staleness_ns) else {
+        let Some(p) = vc.pressure_of(vid, now) else {
             continue;
         };
-        if p > best + tun.vcache_pick_margin {
+        if p > best + CACHE_PICK_MARGIN {
             continue;
         }
         let headroom = kern.capacity_of(vid, now);

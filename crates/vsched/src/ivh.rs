@@ -19,8 +19,12 @@
 //! task already stalled), the migration is abandoned — there is no benefit.
 //! The activity-unaware ablation (Table 4) migrates directly instead.
 
-use crate::tunables::Tunables;
+use crate::tunables::{
+    IVH_COOLDOWN_NS, IVH_MIGRATION_THRESHOLD_NS, IVH_MIN_UTIL, IVH_PULL_TIMEOUT_NS,
+    VACT_STEAL_JUMP_NS,
+};
 use crate::vact::{ActState, Vact};
+use guestos::kernel::TICK_NS;
 use guestos::{Kernel, MigrateKind, Platform, TaskId, VcpuId};
 use simcore::SimTime;
 use trace::{EventKind, IvhPhase};
@@ -63,10 +67,10 @@ impl Ivh {
         }
     }
 
-    fn in_cooldown(&self, t: TaskId, now: SimTime, cooldown: u64) -> bool {
+    fn in_cooldown(&self, t: TaskId, now: SimTime) -> bool {
         self.last_migration
             .iter()
-            .any(|&(id, at)| id == t && now.since(at) < cooldown)
+            .any(|&(id, at)| id == t && now.since(at) < IVH_COOLDOWN_NS)
     }
 
     fn note_migration(&mut self, t: TaskId, now: SimTime) {
@@ -79,14 +83,7 @@ impl Ivh {
 
     /// Scheduler-tick hook on vCPU `v`: detect a stalling candidate and
     /// initiate harvesting.
-    pub fn on_tick(
-        &mut self,
-        kern: &mut Kernel,
-        plat: &mut dyn Platform,
-        vact: &Vact,
-        tun: &Tunables,
-        v: VcpuId,
-    ) {
+    pub fn on_tick(&mut self, kern: &mut Kernel, plat: &mut dyn Platform, vact: &Vact, v: VcpuId) {
         let now = plat.now();
         let Some(curr) = kern.vcpus[v.0].curr else {
             return;
@@ -95,8 +92,8 @@ impl Ivh {
         // on a vCPU that actually has inactive periods.
         let task = kern.task(curr);
         if task.policy.is_idle()
-            || task.pelt.util() < tun.ivh_min_util
-            || now.since(task.run_started) < tun.ivh_migration_threshold_ns
+            || task.pelt.util() < IVH_MIN_UTIL
+            || now.since(task.run_started) < IVH_MIGRATION_THRESHOLD_NS
             || vact.latency_ns(v) == 0
         {
             return;
@@ -109,16 +106,16 @@ impl Ivh {
         }
         match vact.state(v, now, true) {
             ActState::Active { for_ns } => {
-                if for_ns + 2 * kern.cfg.tick_ns < avg_active {
+                if for_ns + 2 * TICK_NS < avg_active {
                     return; // plenty of active time left
                 }
             }
             _ => return,
         }
-        if self.in_cooldown(curr, now, tun.ivh_cooldown_ns) {
+        if self.in_cooldown(curr, now) {
             return;
         }
-        let Some(target) = self.find_target(kern, plat, vact, tun, curr, v) else {
+        let Some(target) = self.find_target(kern, plat, vact, curr, v) else {
             return;
         };
         kern.stats.ivh_attempts.inc();
@@ -193,14 +190,13 @@ impl Ivh {
         kern: &mut Kernel,
         plat: &mut dyn Platform,
         vact: &Vact,
-        tun: &Tunables,
         v: VcpuId,
     ) {
         let Some(p) = self.pending[v.0].take() else {
             return;
         };
         let now = plat.now();
-        if now.since(p.initiated) > tun.ivh_pull_timeout_ns {
+        if now.since(p.initiated) > IVH_PULL_TIMEOUT_NS {
             kern.trace
                 .emit(now, pull_event(p.task, p.src, v, IvhPhase::Abandon));
             return; // stale request
@@ -258,7 +254,6 @@ impl Ivh {
         kern: &Kernel,
         plat: &mut dyn Platform,
         vact: &Vact,
-        tun: &Tunables,
         t: TaskId,
         src: VcpuId,
     ) -> Option<VcpuId> {
@@ -289,7 +284,7 @@ impl Ivh {
             // Acceptable: long-inactive, low-latency (likely active soon),
             // or simply idle (pre-wake it).
             let lat = vact.latency_ns(v);
-            if fallback.is_none() && lat <= vact.median_latency_ns.max(tun.vact_steal_jump_ns) {
+            if fallback.is_none() && lat <= vact.median_latency_ns.max(VACT_STEAL_JUMP_NS) {
                 fallback = Some(v);
             }
         }

@@ -44,7 +44,6 @@ pub use error::ProbeError;
 pub use ivh::Ivh;
 pub use resilience::{ResilAction, ResilCfg, Resilience};
 pub use rwc::Rwc;
-pub use tunables::Tunables;
 pub use vact::{ActState, Vact};
 pub use vcache::Vcache;
 pub use vcap::Vcap;
@@ -52,8 +51,13 @@ pub use vtop::{PairClass, Vtop};
 
 use guestos::platform::HOOK_TIMER_BASE;
 use guestos::{GuestOs, Kernel, Platform, SchedHooks, TaskId, VcpuId};
+use resilience::{PULL_TIMEOUT_NS, WATCHDOG_PERIOD_NS};
 use simcore::SimTime;
 use trace::ProbeKind;
+use tunables::{
+    VCACHE_PERIOD_NS, VCACHE_SAMPLE_GAP_NS, VCAP_LIGHT_EVERY_NS, VCAP_SAMPLING_PERIOD_NS,
+    VTOP_PERIOD_NS,
+};
 
 /// Timer token: open a vcap sampling window (periodic).
 pub const TOKEN_VCAP_OPEN: u64 = HOOK_TIMER_BASE + 1;
@@ -110,8 +114,6 @@ pub struct VschedConfig {
     /// dimension, and every pre-vcache configuration must stay
     /// byte-identical.
     pub vcache: bool,
-    /// Tunables (Table 1 defaults).
-    pub tunables: Tunables,
 }
 
 impl VschedConfig {
@@ -129,7 +131,6 @@ impl VschedConfig {
             resilience: None,
             hardened_probes: false,
             vcache: false,
-            tunables: Tunables::paper(),
         }
     }
 
@@ -213,10 +214,10 @@ pub struct Vsched {
 }
 
 impl Vsched {
-    fn new(nr_vcpus: usize, tick_ns: u64, cfg: VschedConfig, now: SimTime) -> Self {
-        let mut vcap = Vcap::new(nr_vcpus, &cfg.tunables);
+    fn new(nr_vcpus: usize, cfg: VschedConfig, now: SimTime) -> Self {
+        let mut vcap = Vcap::new(nr_vcpus);
         vcap.hardened = cfg.hardened_probes;
-        let mut vtop = Vtop::new(nr_vcpus, cfg.tunables.clone());
+        let mut vtop = Vtop::new(nr_vcpus);
         vtop.hardened = cfg.hardened_probes;
         let mut resil = cfg.resilience.clone().map(|rc| Resilience::new(rc, now));
         if let Some(r) = resil.as_mut() {
@@ -224,9 +225,9 @@ impl Vsched {
         }
         Self {
             vcap,
-            vact: Vact::new(nr_vcpus, tick_ns, &cfg.tunables, now),
+            vact: Vact::new(nr_vcpus, now),
             vtop,
-            vcache: Vcache::new(nr_vcpus, &cfg.tunables),
+            vcache: Vcache::new(nr_vcpus),
             ivh: Ivh::new(nr_vcpus, cfg.ivh_prewake),
             rwc: Rwc::new(nr_vcpus),
             bvs_stats: BvsStats::default(),
@@ -343,10 +344,7 @@ impl Vsched {
                     self.vcap.suppress_heavy = self.degraded();
                     self.vcap.open_window(kern, plat);
                     plat.set_timer(TOKEN_VCAP_DEMOTE, now.after(15_000_000));
-                    plat.set_timer(
-                        TOKEN_VCAP_CLOSE,
-                        now.after(self.cfg.tunables.vcap_sampling_period_ns),
-                    );
+                    plat.set_timer(TOKEN_VCAP_CLOSE, now.after(VCAP_SAMPLING_PERIOD_NS));
                 }
             }
             ProbeKind::Vtop => {
@@ -362,10 +360,7 @@ impl Vsched {
             ProbeKind::Vcache => {
                 if self.cfg.vcache && !self.vcache.window_open() {
                     self.vcache.open_window();
-                    plat.set_timer(
-                        TOKEN_VCACHE_SAMPLE,
-                        now.after(self.cfg.tunables.vcache_sample_gap_ns),
-                    );
+                    plat.set_timer(TOKEN_VCACHE_SAMPLE, now.after(VCACHE_SAMPLE_GAP_NS));
                 }
             }
         }
@@ -395,7 +390,6 @@ impl SchedHooks for Vsched {
             &self.vact,
             &self.vcap,
             self.cfg.vcache.then_some(&self.vcache),
-            &self.cfg.tunables,
             &mut self.bvs_stats,
             task,
             self.cfg.bvs_state_check,
@@ -416,15 +410,13 @@ impl SchedHooks for Vsched {
             self.vact.on_tick(v, plat.now(), steal);
         }
         if self.cfg.ivh && !self.degraded() {
-            self.ivh
-                .on_tick(kern, plat, &self.vact, &self.cfg.tunables, v);
+            self.ivh.on_tick(kern, plat, &self.vact, v);
         }
     }
 
     fn on_vcpu_start(&mut self, kern: &mut Kernel, plat: &mut dyn Platform, v: VcpuId) {
         if self.cfg.ivh {
-            self.ivh
-                .on_vcpu_start(kern, plat, &self.vact, &self.cfg.tunables, v);
+            self.ivh.on_vcpu_start(kern, plat, &self.vact, v);
         }
         if self.cfg.vtop && self.vtop.probing() {
             match self.vtop.update_sessions(kern, plat) {
@@ -455,14 +447,8 @@ impl SchedHooks for Vsched {
                 // Heavy probers yield their priority once the measurement
                 // has enough runtime (15 ms).
                 plat.set_timer(TOKEN_VCAP_DEMOTE, now.after(15_000_000));
-                plat.set_timer(
-                    TOKEN_VCAP_CLOSE,
-                    now.after(self.cfg.tunables.vcap_sampling_period_ns),
-                );
-                plat.set_timer(
-                    TOKEN_VCAP_OPEN,
-                    now.after(self.cfg.tunables.vcap_light_every_ns),
-                );
+                plat.set_timer(TOKEN_VCAP_CLOSE, now.after(VCAP_SAMPLING_PERIOD_NS));
+                plat.set_timer(TOKEN_VCAP_OPEN, now.after(VCAP_LIGHT_EVERY_NS));
                 if self.cfg.vcap && self.vcap.hardened {
                     // The hardening baseline: one canary micro-probe per
                     // inter-window gap, at a jittered offset the adversary
@@ -510,8 +496,7 @@ impl SchedHooks for Vsched {
                 // Degraded: the capacity estimates feeding straggler
                 // detection are untrusted, so rwc relaxation stays capped.
                 if self.cfg.rwc && self.cfg.vcap && !self.degraded() {
-                    self.rwc
-                        .update_stragglers(kern, plat, &self.vcap, &self.cfg.tunables);
+                    self.rwc.update_stragglers(kern, plat, &self.vcap);
                 }
             }
             TOKEN_VTOP_PERIOD => {
@@ -532,10 +517,7 @@ impl SchedHooks for Vsched {
                     }
                 }
                 let now = plat.now();
-                plat.set_timer(
-                    TOKEN_VTOP_PERIOD,
-                    now.after(self.cfg.tunables.vtop_period_ns),
-                );
+                plat.set_timer(TOKEN_VTOP_PERIOD, now.after(VTOP_PERIOD_NS));
             }
             TOKEN_VTOP_CHECK => {
                 self.vtop_check_armed = false;
@@ -557,22 +539,13 @@ impl SchedHooks for Vsched {
                 let now = plat.now();
                 if self.cfg.vcache && !self.vcache.window_open() {
                     self.vcache.open_window();
-                    plat.set_timer(
-                        TOKEN_VCACHE_SAMPLE,
-                        now.after(self.cfg.tunables.vcache_sample_gap_ns),
-                    );
+                    plat.set_timer(TOKEN_VCACHE_SAMPLE, now.after(VCACHE_SAMPLE_GAP_NS));
                 }
-                plat.set_timer(
-                    TOKEN_VCACHE_PERIOD,
-                    now.after(self.cfg.tunables.vcache_period_ns),
-                );
+                plat.set_timer(TOKEN_VCACHE_PERIOD, now.after(VCACHE_PERIOD_NS));
             }
             TOKEN_VCACHE_SAMPLE if self.cfg.vcache && self.vcache.window_open() => {
                 if self.vcache.sample_step(kern, plat) {
-                    plat.set_timer(
-                        TOKEN_VCACHE_SAMPLE,
-                        plat.now().after(self.cfg.tunables.vcache_sample_gap_ns),
-                    );
+                    plat.set_timer(TOKEN_VCACHE_SAMPLE, plat.now().after(VCACHE_SAMPLE_GAP_NS));
                 } else {
                     match self.vcache.close_window(kern, plat) {
                         Ok(()) => {
@@ -591,12 +564,12 @@ impl SchedHooks for Vsched {
             }
             TOKEN_RESIL_WATCHDOG => {
                 let now = plat.now();
-                let Some(timeout) = self.resil.as_ref().map(|r| r.cfg.pull_timeout_ns) else {
+                if self.resil.is_none() {
                     return;
-                };
+                }
                 // A pre-woken target that never started (offlined, crushed,
                 // or re-pinned away) would hold its pull slot forever.
-                let stale = self.ivh.take_stale_pulls(now, timeout);
+                let stale = self.ivh.take_stale_pulls(now, PULL_TIMEOUT_NS);
                 self.abandon_pulls(kern, now, stale);
                 let action = match self.resil.as_mut() {
                     Some(r) => {
@@ -617,8 +590,8 @@ impl SchedHooks for Vsched {
                     }
                     ResilAction::None => {}
                 }
-                if let Some(r) = &self.resil {
-                    plat.set_timer(TOKEN_RESIL_WATCHDOG, now.after(r.cfg.watchdog_period_ns));
+                if self.resil.is_some() {
+                    plat.set_timer(TOKEN_RESIL_WATCHDOG, now.after(WATCHDOG_PERIOD_NS));
                 }
             }
             _ => {}
@@ -631,16 +604,15 @@ impl SchedHooks for Vsched {
 /// programs loading at boot).
 pub fn install(guest: &mut GuestOs, plat: &mut dyn Platform, cfg: VschedConfig) {
     let nr = guest.kern.cfg.nr_vcpus;
-    let tick = guest.kern.cfg.tick_ns;
     let now = plat.now();
-    let vs = Vsched::new(nr, tick, cfg, now);
-    if let Some(r) = &vs.resil {
+    let vs = Vsched::new(nr, cfg, now);
+    if vs.resil.is_some() {
         // The watchdog's first tick lands before the first probe window so
         // a low entry threshold (or an already-poisoned config) degrades
         // the VM before any heavy prober gets to run.
         plat.set_timer(
             TOKEN_RESIL_WATCHDOG,
-            now.after(r.cfg.watchdog_period_ns.min(5_000_000)),
+            now.after(WATCHDOG_PERIOD_NS.min(5_000_000)),
         );
     }
     if vs.cfg.vcap || vs.cfg.vact {

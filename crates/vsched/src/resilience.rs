@@ -21,12 +21,11 @@
 //!   the abstraction is trustworthy again.
 //! * **Bounded re-probe with backoff** — while degraded, the layer forces
 //!   early re-probes (extra vcap windows, vtop validation) at
-//!   exponentially backed-off intervals, at most
-//!   [`ResilCfg::max_retries`] times per episode, each announced with a
-//!   `ProbeRetry` trace event.
+//!   exponentially backed-off intervals, at most `MAX_RETRIES` (5) times
+//!   per episode, each announced with a `ProbeRetry` trace event.
 //!
 //! Everything is driven from the watchdog timer vSched arms every
-//! [`ResilCfg::watchdog_period_ns`]; the trace events (`DegradedEnter`,
+//! `WATCHDOG_PERIOD_NS` (10 ms); the trace events (`DegradedEnter`,
 //! `DegradedExit`, `ProbeRetry`, `IvhAbandonedByWatchdog`) are validated
 //! by the streaming invariant checker (strict enter/exit alternation,
 //! truthful `after_ns`, watchdog abandons only with an outstanding pull).
@@ -39,6 +38,18 @@ use simcore::time::MS;
 use simcore::SimTime;
 use trace::{DegradeReason, EventKind, ProbeKind};
 
+/// Watchdog period: staleness decay, stuck-pull scan, retry pacing.
+pub(crate) const WATCHDOG_PERIOD_NS: u64 = 10 * MS;
+/// First re-probe delay after entering degraded mode; doubles per retry.
+pub(crate) const RETRY_BASE_NS: u64 = 250 * MS;
+/// Re-probes per degraded episode.
+pub(crate) const MAX_RETRIES: u32 = 5;
+/// Pending ivh pulls older than this are abandoned by the watchdog.
+pub(crate) const PULL_TIMEOUT_NS: u64 = 40 * MS;
+/// Surprise scale: a relative estimate swing of this size drives one
+/// window's confidence contribution to zero.
+const SURPRISE_FULL_SCALE: f64 = 0.5;
+
 /// Resilience-layer knobs.
 #[derive(Debug, Clone)]
 pub struct ResilCfg {
@@ -46,20 +57,8 @@ pub struct ResilCfg {
     pub enter_confidence: f64,
     /// Leave degraded mode once every confidence exceeds this (hysteresis).
     pub exit_confidence: f64,
-    /// Watchdog period: staleness decay, stuck-pull scan, retry pacing.
-    pub watchdog_period_ns: u64,
     /// A prober quiet for longer than this decays toward distrust.
     pub staleness_ns: u64,
-    /// First re-probe delay after entering degraded mode; doubles per
-    /// retry.
-    pub retry_base_ns: u64,
-    /// Re-probes per degraded episode.
-    pub max_retries: u32,
-    /// Pending ivh pulls older than this are abandoned by the watchdog.
-    pub pull_timeout_ns: u64,
-    /// Surprise scale: a relative estimate swing of this size drives one
-    /// window's confidence contribution to zero.
-    pub surprise_full_scale: f64,
 }
 
 impl Default for ResilCfg {
@@ -67,12 +66,7 @@ impl Default for ResilCfg {
         Self {
             enter_confidence: 0.55,
             exit_confidence: 0.75,
-            watchdog_period_ns: 10 * MS,
             staleness_ns: 3_000 * MS,
-            retry_base_ns: 250 * MS,
-            max_retries: 5,
-            pull_timeout_ns: 40 * MS,
-            surprise_full_scale: 0.5,
         }
     }
 }
@@ -186,9 +180,9 @@ impl Resilience {
 
     /// Blends one window's agreement score into a prober's confidence.
     /// `surprise` is the relative swing of the fresh aggregate against the
-    /// previous one; `surprise_full_scale` maps it onto `[0, 1]` distrust.
+    /// previous one; [`SURPRISE_FULL_SCALE`] maps it onto `[0, 1]` distrust.
     fn absorb(&mut self, p: ProbeKind, now: SimTime, surprise: f64) {
-        let scaled = (surprise / self.cfg.surprise_full_scale).clamp(0.0, 1.0);
+        let scaled = (surprise / SURPRISE_FULL_SCALE).clamp(0.0, 1.0);
         let i = idx(p);
         self.conf[i] = 0.5 * self.conf[i] + 0.5 * (1.0 - scaled);
         self.last_seen[i] = now;
@@ -213,7 +207,7 @@ impl Resilience {
     /// confidence through [`Resilience::observe_vcap`].
     pub fn observe_suspicion(&mut self, now: SimTime, p: ProbeKind, suspicion: f64) {
         if suspicion > 0.0 {
-            self.absorb(p, now, suspicion * self.cfg.surprise_full_scale);
+            self.absorb(p, now, suspicion * SURPRISE_FULL_SCALE);
         }
     }
 
@@ -295,8 +289,7 @@ impl Resilience {
                     // Quiet probers drift toward distrust, slowly:
                     // confidence halves roughly every staleness interval
                     // of silence.
-                    let per_tick =
-                        self.cfg.watchdog_period_ns as f64 / self.cfg.staleness_ns as f64;
+                    let per_tick = WATCHDOG_PERIOD_NS as f64 / self.cfg.staleness_ns as f64;
                     self.conf[i] *= 0.5f64.powf(per_tick);
                 }
             }
@@ -322,7 +315,7 @@ impl Resilience {
                     self.episodes += 1;
                     return ResilAction::ExitedDegraded;
                 }
-                if self.retry_attempt < self.cfg.max_retries && now >= self.next_retry {
+                if self.retry_attempt < MAX_RETRIES && now >= self.next_retry {
                     self.retry_attempt += 1;
                     self.retry_probe = worst_probe;
                     kern.trace.emit(
@@ -332,7 +325,7 @@ impl Resilience {
                             attempt: self.retry_attempt,
                         },
                     );
-                    let backoff = self.cfg.retry_base_ns << self.retry_attempt.min(16);
+                    let backoff = RETRY_BASE_NS << self.retry_attempt.min(16);
                     self.next_retry = now.after(backoff);
                     return ResilAction::Reprobe(worst_probe);
                 }
@@ -361,7 +354,7 @@ impl Resilience {
         kern.trace.emit(now, EventKind::DegradedEnter { reason });
         self.degraded_since = Some(now);
         self.retry_attempt = 0;
-        self.next_retry = now.after(self.cfg.retry_base_ns);
+        self.next_retry = now.after(RETRY_BASE_NS);
     }
 }
 
@@ -403,7 +396,7 @@ mod tests {
         assert_eq!(r.degrade_on_error(&mut k, t(110), err), ResilAction::None);
         // Steady agreeing windows rebuild confidence past the exit bar.
         let mut now = 200;
-        let vcap = Vcap::new(2, &crate::tunables::Tunables::paper());
+        let vcap = Vcap::new(2);
         let mut exited = false;
         for _ in 0..16 {
             r.observe_vcap(t(now), &vcap);
@@ -421,7 +414,7 @@ mod tests {
     fn surprise_erodes_confidence_until_entry() {
         let mut r = Resilience::new(ResilCfg::default(), t(0));
         let mut k = kern();
-        let mut vcap = Vcap::new(2, &crate::tunables::Tunables::paper());
+        let mut vcap = Vcap::new(2);
         let mut entered = false;
         for i in 0..12u64 {
             // Mean capacity oscillates wildly window over window.
@@ -437,10 +430,7 @@ mod tests {
 
     #[test]
     fn retries_are_bounded_and_backed_off() {
-        let cfg = ResilCfg::default();
-        let base = cfg.retry_base_ns;
-        let max = cfg.max_retries;
-        let mut r = Resilience::new(cfg, t(0));
+        let mut r = Resilience::new(ResilCfg::default(), t(0));
         let mut k = kern();
         r.degrade_on_error(&mut k, t(0), ProbeError::NoSamples(ProbeKind::Vcap));
         let mut retries = Vec::new();
@@ -451,11 +441,11 @@ mod tests {
                 retries.push((now, p));
             }
         }
-        assert_eq!(retries.len(), max as usize, "bounded retries");
+        assert_eq!(retries.len(), MAX_RETRIES as usize, "bounded retries");
         // Gaps grow: each ≥ the previous (exponential backoff, quantized
         // by the watchdog period).
         for w in retries.windows(2) {
-            assert!(w[1].0.since(w[0].0) >= base, "backoff too fast");
+            assert!(w[1].0.since(w[0].0) >= RETRY_BASE_NS, "backoff too fast");
         }
     }
 
@@ -470,7 +460,7 @@ mod tests {
         // probers fresh and walk far past staleness.
         let mut r = Resilience::new(cfg.clone(), t(0));
         let mut k = kern();
-        let vcap = Vcap::new(2, &crate::tunables::Tunables::paper());
+        let vcap = Vcap::new(2);
         let mut now = SimTime::from_ms(10);
         for _ in 0..200 {
             r.observe_vcap(now, &vcap);
@@ -503,7 +493,7 @@ mod tests {
         let mut r = Resilience::new(ResilCfg::default(), t(0));
         r.set_vcache_enabled(true);
         let mut k = kern();
-        let mut vc = crate::vcache::Vcache::new(2, &crate::tunables::Tunables::paper());
+        let mut vc = crate::vcache::Vcache::new(2);
         let mut entered = false;
         for i in 0..12u64 {
             vc.pressure[0] = Some(if i % 2 == 0 { 0.95 } else { 0.05 });

@@ -13,9 +13,13 @@
 //!   period*, exposed as the new abstraction the paper calls **vCPU
 //!   latency**. Average active periods are derived the same way.
 
-use crate::tunables::Tunables;
+use crate::tunables::{VACT_STALE_TICKS, VACT_STEAL_JUMP_NS};
+use guestos::kernel::TICK_NS;
 use guestos::{Kernel, VcpuId};
 use simcore::SimTime;
+
+/// Heartbeat gap beyond which a vCPU's heartbeat is stale.
+const STALE_NS: u64 = VACT_STALE_TICKS * TICK_NS;
 
 /// Activity estimate for one vCPU, as bvs consumes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,16 +66,13 @@ struct VcpuAct {
 /// The activity prober.
 pub struct Vact {
     per_vcpu: Vec<VcpuAct>,
-    tick_ns: u64,
-    stale_ticks: u64,
-    steal_jump_ns: u64,
     /// Median of published vCPU latencies.
     pub median_latency_ns: u64,
 }
 
 impl Vact {
     /// Creates the prober for `nr_vcpus` vCPUs.
-    pub fn new(nr_vcpus: usize, tick_ns: u64, tun: &Tunables, now: SimTime) -> Self {
+    pub fn new(nr_vcpus: usize, now: SimTime) -> Self {
         Self {
             per_vcpu: vec![
                 VcpuAct {
@@ -88,9 +89,6 @@ impl Vact {
                 };
                 nr_vcpus
             ],
-            tick_ns,
-            stale_ticks: tun.vact_stale_ticks,
-            steal_jump_ns: tun.vact_steal_jump_ns,
             median_latency_ns: 0,
         }
     }
@@ -100,12 +98,12 @@ impl Vact {
         let a = &mut self.per_vcpu[v.0];
         let gap = now.since(a.last_heartbeat);
         let steal_delta = steal_ns.saturating_sub(a.last_steal);
-        if steal_delta >= self.steal_jump_ns {
+        if steal_delta >= VACT_STEAL_JUMP_NS {
             // The vCPU was preempted and has just been rescheduled.
             a.window_preemptions += 1;
             a.window_steal += steal_delta;
             a.active_since = now;
-        } else if gap > self.stale_ticks * self.tick_ns {
+        } else if gap > STALE_NS {
             // Heartbeat resumed after guest-idle: a fresh active stretch,
             // but not a preemption.
             a.active_since = now;
@@ -123,7 +121,7 @@ impl Vact {
     pub fn state(&self, v: VcpuId, now: SimTime, has_work: bool) -> ActState {
         let a = &self.per_vcpu[v.0];
         let gap = now.since(a.last_heartbeat);
-        if gap > self.stale_ticks * self.tick_ns {
+        if gap > STALE_NS {
             if has_work {
                 ActState::Inactive { for_ns: gap }
             } else {
@@ -186,9 +184,8 @@ mod tests {
     use simcore::time::MS;
 
     fn mk(n: usize) -> (Vact, Kernel) {
-        let tun = Tunables::paper();
         (
-            Vact::new(n, MS, &tun, SimTime::ZERO),
+            Vact::new(n, SimTime::ZERO),
             Kernel::new(GuestConfig::new(n), SimTime::ZERO),
         )
     }

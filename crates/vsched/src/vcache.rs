@@ -15,11 +15,11 @@
 //!
 //! Domains come from `vtop`'s probed socket masks (one domain until the
 //! first topology lands). Every window the prober takes
-//! [`Tunables::vcache_samples`] samples per domain — probing whichever
+//! [`VCACHE_SAMPLES`] samples per domain — probing whichever
 //! domain member is currently on-core, rotating the starting member so a
 //! stacked vCPU cannot starve its domain — aggregates them by median, and
 //! publishes the estimate with a freshness timestamp consumers check
-//! against [`Tunables::vcache_staleness_ns`].
+//! against [`VCACHE_STALENESS_NS`].
 //!
 //! The prober is **born hardened** (PR 9's vcap discipline): window
 //! aggregates are vetted against a median/MAD band over accepted history,
@@ -28,7 +28,7 @@
 //! [`ProbeError`]s — never panics.
 
 use crate::error::ProbeError;
-use crate::tunables::Tunables;
+use crate::tunables::{VCACHE_HIT_NS, VCACHE_MISS_NS, VCACHE_SAMPLES, VCACHE_STALENESS_NS};
 use crate::vet::{median_of, BandFloor, Vet};
 use guestos::{CpuMask, Kernel, PerceivedTopology, Platform, VcpuId};
 use simcore::SimTime;
@@ -37,6 +37,11 @@ use trace::{EventKind, ProbeKind};
 /// Absolute floor of the median/MAD rejection band: pressure is already
 /// normalized to `[0, 1]`, so swings under this are always believable.
 const BAND_FLOOR: BandFloor = BandFloor::Absolute(0.2);
+
+/// Normalizes a measured mean-access latency into `[0, 1]` pressure.
+fn pressure_from_latency(lat: f64) -> f64 {
+    ((lat - VCACHE_HIT_NS) / (VCACHE_MISS_NS - VCACHE_HIT_NS)).clamp(0.0, 1.0)
+}
 
 /// The LLC thrash prober.
 pub struct Vcache {
@@ -61,14 +66,11 @@ pub struct Vcache {
     pub vet: Vet,
     /// Windows closed over the run.
     pub windows: u64,
-    hit_ns: f64,
-    miss_ns: f64,
-    samples_per_window: u32,
 }
 
 impl Vcache {
     /// Creates the prober with a single LLC domain (pre-topology).
-    pub fn new(nr_vcpus: usize, tun: &Tunables) -> Self {
+    pub fn new(nr_vcpus: usize) -> Self {
         Self {
             nr_vcpus,
             hardened: true,
@@ -82,9 +84,6 @@ impl Vcache {
             rr: 0,
             vet: Vet::new(1, BAND_FLOOR),
             windows: 0,
-            hit_ns: tun.vcache_hit_ns,
-            miss_ns: tun.vcache_miss_ns,
-            samples_per_window: tun.vcache_samples.max(1),
         }
     }
 
@@ -150,7 +149,7 @@ impl Vcache {
             for k in 0..members.len() {
                 let v = members[(self.rr + k) % members.len()];
                 if let Some(lat) = plat.llc_probe_ns(VcpuId(v)) {
-                    let pressure = self.pressure_from_latency(lat);
+                    let pressure = pressure_from_latency(lat);
                     self.samples[d].push(pressure);
                     kern.trace.emit(
                         now,
@@ -167,13 +166,7 @@ impl Vcache {
         }
         self.rr = self.rr.wrapping_add(1);
         self.samples_taken += 1;
-        self.samples_taken < self.samples_per_window
-    }
-
-    /// Normalizes a measured mean-access latency into `[0, 1]` pressure.
-    fn pressure_from_latency(&self, lat: f64) -> f64 {
-        let span = (self.miss_ns - self.hit_ns).max(1.0);
-        ((lat - self.hit_ns) / span).clamp(0.0, 1.0)
+        self.samples_taken < VCACHE_SAMPLES
     }
 
     /// Closes the window: aggregates each domain's samples by median,
@@ -233,18 +226,18 @@ impl Vcache {
     }
 
     /// A vCPU's domain pressure, if published and fresh at `now`.
-    pub fn pressure_of(&self, v: VcpuId, now: SimTime, staleness_ns: u64) -> Option<f64> {
+    pub fn pressure_of(&self, v: VcpuId, now: SimTime) -> Option<f64> {
         let d = self.domain_of[v.0];
         let p = self.pressure[d]?;
-        (now.since(self.last_update[d]) <= staleness_ns).then_some(p)
+        (now.since(self.last_update[d]) <= VCACHE_STALENESS_NS).then_some(p)
     }
 
     /// The lowest fresh published pressure over all domains, if any.
-    pub fn best_pressure(&self, now: SimTime, staleness_ns: u64) -> Option<f64> {
+    pub fn best_pressure(&self, now: SimTime) -> Option<f64> {
         let mut best: Option<f64> = None;
         for d in 0..self.nr_domains {
             let Some(p) = self.pressure[d] else { continue };
-            if now.since(self.last_update[d]) > staleness_ns {
+            if now.since(self.last_update[d]) > VCACHE_STALENESS_NS {
                 continue;
             }
             best = Some(match best {
@@ -272,24 +265,19 @@ mod tests {
     use super::*;
     use guestos::domains::PerceivedTopology;
 
-    fn tun() -> Tunables {
-        Tunables::paper()
-    }
-
     #[test]
     fn pressure_normalization_clamps() {
-        let vc = Vcache::new(4, &tun());
-        assert_eq!(vc.pressure_from_latency(48.0), 0.0);
-        assert_eq!(vc.pressure_from_latency(113.0), 1.0);
-        assert_eq!(vc.pressure_from_latency(10.0), 0.0);
-        assert_eq!(vc.pressure_from_latency(500.0), 1.0);
-        let mid = vc.pressure_from_latency(80.5);
+        assert_eq!(pressure_from_latency(48.0), 0.0);
+        assert_eq!(pressure_from_latency(113.0), 1.0);
+        assert_eq!(pressure_from_latency(10.0), 0.0);
+        assert_eq!(pressure_from_latency(500.0), 1.0);
+        let mid = pressure_from_latency(80.5);
         assert!((mid - 0.5).abs() < 1e-9);
     }
 
     #[test]
     fn domains_follow_socket_masks() {
-        let mut vc = Vcache::new(4, &tun());
+        let mut vc = Vcache::new(4);
         assert_eq!(vc.nr_domains, 1);
         let topo = PerceivedTopology::from_groups(4, &[], &[], &[vec![0, 1], vec![2, 3]]);
         vc.set_domains(&topo);
@@ -300,20 +288,20 @@ mod tests {
 
     #[test]
     fn staleness_gates_consumers() {
-        let mut vc = Vcache::new(2, &tun());
+        let mut vc = Vcache::new(2);
         vc.pressure[0] = Some(0.4);
         vc.last_update[0] = SimTime::ZERO.after(1_000_000);
         let fresh = SimTime::ZERO.after(2_000_000);
         let stale = SimTime::ZERO.after(5_000_000_000);
-        assert_eq!(vc.pressure_of(VcpuId(0), fresh, 2_000_000_000), Some(0.4));
-        assert_eq!(vc.pressure_of(VcpuId(0), stale, 2_000_000_000), None);
-        assert_eq!(vc.best_pressure(fresh, 2_000_000_000), Some(0.4));
-        assert_eq!(vc.best_pressure(stale, 2_000_000_000), None);
+        assert_eq!(vc.pressure_of(VcpuId(0), fresh), Some(0.4));
+        assert_eq!(vc.pressure_of(VcpuId(0), stale), None);
+        assert_eq!(vc.best_pressure(fresh), Some(0.4));
+        assert_eq!(vc.best_pressure(stale), None);
     }
 
     #[test]
     fn vetting_rejects_outlier_aggregates() {
-        let mut vc = Vcache::new(1, &tun());
+        let mut vc = Vcache::new(1);
         for _ in 0..6 {
             vc.vet.accept(0, 0.1);
         }

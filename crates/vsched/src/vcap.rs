@@ -18,7 +18,7 @@
 //! "kernel module updating per-vCPU data" of paper §4.
 
 use crate::error::ProbeError;
-use crate::tunables::Tunables;
+use crate::tunables::{VCAP_EMA_HALF_LIFE, VCAP_HEAVY_EVERY, VCAP_SAMPLING_PERIOD_NS};
 use crate::vet::{BandFloor, Vet};
 use guestos::{CpuMask, Kernel, Platform, Policy, SpawnSpec, TaskId, TaskProgram, VcpuId};
 use metrics::Ema;
@@ -44,8 +44,6 @@ pub const CANARY_NS: u64 = 5_000_000;
 /// The capacity prober.
 pub struct Vcap {
     nr_vcpus: usize,
-    period_ns: u64,
-    heavy_every: u32,
     probers: Vec<Option<TaskId>>,
     heavy_probers: Vec<Option<TaskId>>,
     /// vCPUs vcap must not touch (rwc-banned stacked vCPUs).
@@ -101,11 +99,9 @@ pub struct Vcap {
 
 impl Vcap {
     /// Creates the prober.
-    pub fn new(nr_vcpus: usize, tun: &Tunables) -> Self {
+    pub fn new(nr_vcpus: usize) -> Self {
         Self {
             nr_vcpus,
-            period_ns: tun.vcap_sampling_period_ns,
-            heavy_every: tun.vcap_heavy_every,
             probers: vec![None; nr_vcpus],
             heavy_probers: vec![None; nr_vcpus],
             skip: vec![false; nr_vcpus],
@@ -124,7 +120,7 @@ impl Vcap {
             canary_opened_at: SimTime::ZERO,
             window_opened_at: SimTime::ZERO,
             core_cap: vec![1024.0; nr_vcpus],
-            cap: vec![Ema::from_half_life(tun.vcap_ema_half_life); nr_vcpus],
+            cap: vec![Ema::from_half_life(VCAP_EMA_HALF_LIFE); nr_vcpus],
             median_cap: 1024.0,
             mean_cap: 1024.0,
         }
@@ -168,7 +164,7 @@ impl Vcap {
         self.window_open = true;
         self.window_opened_at = plat.now();
         self.window_heavy =
-            !self.suppress_heavy && self.light_count.is_multiple_of(self.heavy_every);
+            !self.suppress_heavy && self.light_count.is_multiple_of(VCAP_HEAVY_EVERY);
         self.window_rr = self
             .suppress_publish
             .then_some(self.light_count as usize % self.nr_vcpus);
@@ -250,7 +246,7 @@ impl Vcap {
             kern.block_task(plat, t);
             let steal_now = plat.steal_ns(VcpuId(v));
             let steal_delta = steal_now.saturating_sub(self.start_steal[v]);
-            let share = 1.0 - (steal_delta as f64 / self.period_ns as f64).clamp(0.0, 1.0);
+            let share = 1.0 - (steal_delta as f64 / VCAP_SAMPLING_PERIOD_NS as f64).clamp(0.0, 1.0);
             if self.window_heavy {
                 if let Some(h) = self.heavy_probers[v].take() {
                     kern.kill_task(plat, h); // no-op if already retired
@@ -340,7 +336,7 @@ impl Vcap {
     ///   (median/MAD) band around the accepted history. Catches pollution
     ///   that slips past the rate test once enough clean history exists.
     fn sample_rejected(&self, v: usize, sample: f64, steal_delta: u64) -> Option<f64> {
-        let inside_rate = steal_delta as f64 / self.period_ns as f64;
+        let inside_rate = steal_delta as f64 / VCAP_SAMPLING_PERIOD_NS as f64;
         let targeted = match self.canary_rate[v] {
             Some(baseline) => inside_rate > TARGETED_RATE_RATIO * baseline + TARGETED_RATE_FLOOR,
             // No canary has run yet: no baseline to compare against.

@@ -21,7 +21,10 @@
 //!    validation detects a mismatch.
 
 use crate::error::ProbeError;
-use crate::tunables::Tunables;
+use crate::tunables::{
+    VTOP_MAX_EXTENSIONS, VTOP_SMT_THRESHOLD_NS, VTOP_SOCKET_THRESHOLD_NS, VTOP_SPIN_ATTEMPT_NS,
+    VTOP_TARGET_TRANSFERS, VTOP_TIMEOUT_ATTEMPTS,
+};
 use crate::vet::{BandFloor, Vet};
 use guestos::{
     CpuMask, Kernel, PerceivedTopology, Platform, Policy, SpawnSpec, TaskId, TaskProgram, VcpuId,
@@ -63,13 +66,7 @@ struct Session {
 
 impl Session {
     /// Settles accrual and installs rates from current activity.
-    fn update(
-        &mut self,
-        now: SimTime,
-        overlap_latency: Option<f64>,
-        any_active: bool,
-        tun: &Tunables,
-    ) {
+    fn update(&mut self, now: SimTime, overlap_latency: Option<f64>, any_active: bool) {
         let dt = now.since(self.last) as f64;
         self.transfers += self.rate_transfers * dt;
         self.attempts += self.rate_attempts * dt;
@@ -83,7 +80,7 @@ impl Session {
             None => {
                 self.rate_transfers = 0.0;
                 self.rate_attempts = if any_active {
-                    1.0 / tun.vtop_spin_attempt_ns
+                    1.0 / VTOP_SPIN_ATTEMPT_NS
                 } else {
                     0.0
                 };
@@ -92,17 +89,17 @@ impl Session {
     }
 
     /// Checks for completion, applying the timeout-extension policy.
-    fn check_done(&mut self, tun: &Tunables) {
+    fn check_done(&mut self) {
         if self.outcome.is_some() {
             return;
         }
-        if self.transfers >= tun.vtop_target_transfers {
+        if self.transfers >= VTOP_TARGET_TRANSFERS {
             self.latency = self.min_latency;
-            self.outcome = Some(classify(self.min_latency, tun));
+            self.outcome = Some(classify(self.min_latency));
             return;
         }
         if self.attempts >= self.budget {
-            if self.extensions < tun.vtop_max_extensions {
+            if self.extensions < VTOP_MAX_EXTENSIONS {
                 // Extend the timeout to avoid misidentifying a non-stacked
                 // pair whose active periods rarely overlap (§3.1).
                 self.extensions += 1;
@@ -116,16 +113,16 @@ impl Session {
                 // At least one real transfer was observed: classify by the
                 // lowest latency seen rather than giving up.
                 self.latency = self.min_latency;
-                self.outcome = Some(classify(self.min_latency, tun));
+                self.outcome = Some(classify(self.min_latency));
             }
         }
     }
 }
 
-fn classify(latency_ns: f64, tun: &Tunables) -> PairClass {
-    if latency_ns < tun.vtop_smt_threshold_ns {
+fn classify(latency_ns: f64) -> PairClass {
+    if latency_ns < VTOP_SMT_THRESHOLD_NS {
         PairClass::Smt
-    } else if latency_ns < tun.vtop_socket_threshold_ns {
+    } else if latency_ns < VTOP_SOCKET_THRESHOLD_NS {
         PairClass::SameSocket
     } else {
         PairClass::CrossSocket
@@ -178,7 +175,6 @@ enum ValStage {
 
 /// The topology prober.
 pub struct Vtop {
-    tun: Tunables,
     nr_vcpus: usize,
     phase: Phase,
     sessions: Vec<Session>,
@@ -220,9 +216,8 @@ fn class_slot(c: PairClass) -> Option<usize> {
 
 impl Vtop {
     /// Creates the prober.
-    pub fn new(nr_vcpus: usize, tun: Tunables) -> Self {
+    pub fn new(nr_vcpus: usize) -> Self {
         Self {
-            tun,
             nr_vcpus,
             phase: Phase::Idle,
             sessions: Vec::new(),
@@ -276,7 +271,7 @@ impl Vtop {
             prober_b,
             transfers: 0.0,
             attempts: 0.0,
-            budget: self.tun.vtop_timeout_attempts,
+            budget: VTOP_TIMEOUT_ATTEMPTS,
             extensions: 0,
             min_latency: f64::INFINITY,
             rate_transfers: 0.0,
@@ -311,8 +306,8 @@ impl Vtop {
         for s in self.sessions.iter_mut() {
             let lat = plat.cacheline_latency_ns(VcpuId(s.a), VcpuId(s.b));
             let any = plat.vcpu_active(VcpuId(s.a)) || plat.vcpu_active(VcpuId(s.b));
-            s.update(now, lat, any, &self.tun);
-            s.check_done(&self.tun);
+            s.update(now, lat, any);
+            s.check_done();
         }
         if let Err(e) = self.advance(kern, plat) {
             self.abort(kern, plat);

@@ -63,7 +63,6 @@ fn vcap_measures_asymmetric_shares() {
         pinning: Pinning::OneToOne(vec![1]),
         weight: 1024,
         bandwidth: None,
-        guest_cfg: None,
     });
     m.set_workload(vm0, Box::new(Spinners(2)));
     m.set_workload(vm1, Box::new(Spinners(1)));
@@ -120,7 +119,6 @@ fn vtop_discovers_smt_socket_and_stacking() {
         pinning: Pinning::OneToOne(vec![0, 1, 2, 3, 4, 5, 6, 6]),
         weight: 1024,
         bandwidth: None,
-        guest_cfg: None,
     });
     m.set_workload(vm, Box::new(Spinners(0)));
     install(&mut m, vm, VschedConfig::probers_only());
@@ -154,7 +152,6 @@ fn vtop_validation_is_faster_than_full_probe() {
         pinning: Pinning::OneToOne(vec![0, 1, 2, 3, 4, 5, 6, 6]),
         weight: 1024,
         bandwidth: None,
-        guest_cfg: None,
     });
     m.set_workload(vm, Box::new(Spinners(0)));
     install(&mut m, vm, VschedConfig::probers_only());
@@ -181,7 +178,6 @@ fn rwc_bans_extra_stacked_vcpus() {
         pinning: Pinning::OneToOne(vec![0, 1, 2, 2]),
         weight: 1024,
         bandwidth: None,
-        guest_cfg: None,
     });
     m.set_workload(vm, Box::new(Spinners(0)));
     install(&mut m, vm, VschedConfig::enhanced_cfs());

@@ -24,7 +24,6 @@ fn main() {
         pinning: Pinning::OneToOne(vec![0, 1, 2, 3, 4, 5, 6, 6]),
         weight: 1024,
         bandwidth: None,
-        guest_cfg: None,
     });
     let (wl, _s) = Stressor::new(2, work_ms(5.0));
     m.set_workload(vm, Box::new(wl));
