@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Offline CI gate: formatting, lints, the tier-1 build + test suite, the
 # benchmark's build and self-checks, serial-vs-parallel determinism of the
-# suite runner, the registry-wide trace gate, and the chaos, fleet,
-# adversary, vcache, supervision and decoder smokes. Everything here must pass without network access.
+# suite runner, the registry-wide trace gate, one seed for the randomized
+# property sweeps, and the replay, shrink and supervision smokes.
+# Everything here must pass without network access.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -81,16 +82,28 @@ echo "== registry trace gate: every cell traced vs untraced (release, ignored te
 # events, and every machine a cell builds must come from its context.
 cargo test -q --release --test trace_invariants -- --ignored
 
-echo "== chaos-smoke: one randomized seed"
-# Randomized seed: fault-class invariant sweeps on a fresh schedule each
-# run. The seed is printed so a CI failure replays locally with
-# CHAOS_SEED=<seed> cargo test --release --test chaos.
-chaos_seed=$(date +%s)
-echo "   chaos-smoke randomized seed: $chaos_seed"
-if ! CHAOS_SEED="$chaos_seed" cargo test -q --release --test chaos invariants; then
-    echo "chaos-smoke FAILED with CHAOS_SEED=$chaos_seed (replay locally with that env var)" >&2
-    exit 1
-fi
+echo "== randomized sweeps: one drawn seed for five property sweeps"
+# Randomized seed: the chaos fault classes, the fleet migration laws, the
+# attack archetypes, the LLC occupancy model and the decoder mutations
+# each run on a fresh schedule. Every sweep reads the one SWEEP_SEED; it
+# is printed once, and a failure names it with the command that failed,
+# so the failure replays locally with SWEEP_SEED=<seed> <command>.
+sweep_seed=$(date +%s%N)
+echo "   randomized seed: $sweep_seed"
+sweeps=(
+    "cargo test -q --release --test chaos invariants"
+    "cargo test -q --release -p vsched-fleet --test fleet_chaos"
+    "cargo test -q --release --test adversary invariants"
+    "cargo test -q --release -p vsched-hostsim --test llc_propcheck"
+    "cargo test -q --release -p experiments --test decoder_fields mutated"
+)
+for sweep in "${sweeps[@]}"; do
+    # Unquoted on purpose: each entry splits into one command line.
+    if ! SWEEP_SEED="$sweep_seed" $sweep; then
+        echo "sweep FAILED: SWEEP_SEED=$sweep_seed $sweep" >&2
+        exit 1
+    fi
+done
 
 echo "== replay-smoke: fleettrace gen/validate + replayed-day byte-identity"
 # 1) Generate a small trace with the CLI and validate it; a corrupted copy
@@ -141,28 +154,8 @@ for threads in 1 4; do
 done
 diff "$tmpdir/scale.step1.txt" "$tmpdir/scale.step4.txt"
 
-echo "== fleet-chaos-smoke: seed sweep, shrink round-trip, chaos-day replays"
-# 1) Randomized seed: migration laws on a fresh faulted day each run. The
-#    seed is printed so a CI failure replays locally with
-#    FLEET_CHAOS_SEED=<seed> cargo test --release -p vsched-fleet --test fleet_chaos.
-fleet_chaos_seed=$(date +%s%N)
-echo "   fleet-chaos-smoke randomized seed: $fleet_chaos_seed"
-if ! FLEET_CHAOS_SEED="$fleet_chaos_seed" \
-    cargo test -q --release -p vsched-fleet --test fleet_chaos; then
-    echo "fleet-chaos-smoke FAILED with FLEET_CHAOS_SEED=$fleet_chaos_seed (replay locally with that env var)" >&2
-    exit 1
-fi
-# 2) Shrink + replay the fault plan under the synthetic law (healthy code
-#    passes the real checker, so CI exercises the fleet ddmin pipeline
-#    with the canary law), mirroring the single-host shrink gate below.
-VSCHED_SHRINK_LAW=synthetic ./target/release/suite --shrink-fleet 3735928559 \
-    2> "$tmpdir/fshrink_err.txt"
-grep -q "repro written" "$tmpdir/fshrink_err.txt"
-VSCHED_SHRINK_LAW=synthetic ./target/release/suite \
-    --replay-fleet target/fleet_chaos_repro_3735928559.json \
-    2> "$tmpdir/freplay_err.txt"
-grep -q "reproduced law 'fleet-synthetic-canary'" "$tmpdir/freplay_err.txt"
-# 3) The committed maintenance-drain day replays law-clean under a chaos
+echo "== fleet-chaos-smoke: chaos-day replays"
+# 1) The committed maintenance-drain day replays law-clean under a chaos
 #    overlay, byte-identically at 1 vs 4 stepping workers.
 ./target/release/fleettrace replay examples/sap_drain.trace.jsonl \
     --policy probe-aware --mode vsched --chaos-seed 99 --migration handoff \
@@ -172,7 +165,7 @@ grep -q "reproduced law 'fleet-synthetic-canary'" "$tmpdir/freplay_err.txt"
     --fleet-threads 4 > "$tmpdir/drain_step4.txt"
 diff "$tmpdir/drain_serial.txt" "$tmpdir/drain_step4.txt"
 grep -q "chaos seed" "$tmpdir/drain_serial.txt"
-# 4) So does the committed resize-storm chaos day (the chaos-mode example
+# 2) So does the committed resize-storm chaos day (the chaos-mode example
 #    trace captured via the fleettrace codec).
 ./target/release/fleettrace replay examples/sap_storm_chaos.trace.jsonl \
     --policy probe-aware --mode vsched --chaos-seed 7 --migration handoff \
@@ -183,74 +176,33 @@ grep -q "chaos seed" "$tmpdir/drain_serial.txt"
 diff "$tmpdir/storm_serial.txt" "$tmpdir/storm_step4.txt"
 grep -q "chaos seed" "$tmpdir/storm_serial.txt"
 
-echo "== adversary-smoke: seed sweep, shrink round-trip"
-# 1) Randomized seed: attack-archetype invariant sweeps on a fresh plan
-#    each run. The seed is printed so a CI failure replays locally with
-#    ADVERSARY_SEED=<seed> cargo test --release --test adversary.
-adversary_seed=$(date +%s%N)
-echo "   adversary-smoke randomized seed: $adversary_seed"
-if ! ADVERSARY_SEED="$adversary_seed" \
-    cargo test -q --release --test adversary invariants; then
-    echo "adversary-smoke FAILED with ADVERSARY_SEED=$adversary_seed (replay locally with that env var)" >&2
-    exit 1
-fi
-# 2) Shrink + replay the attack plan under the synthetic law (healthy
-#    code passes the real checker, so CI exercises the attack-plan ddmin
-#    pipeline with the canary law), mirroring the chaos and fleet gates.
-VSCHED_SHRINK_LAW=synthetic ./target/release/suite --shrink-adversary 3735928559 \
-    2> "$tmpdir/ashrink_err.txt"
-grep -q "repro written" "$tmpdir/ashrink_err.txt"
-VSCHED_SHRINK_LAW=synthetic ./target/release/suite \
-    --replay-adversary target/adversary_repro_3735928559.json \
-    2> "$tmpdir/areplay_err.txt"
-grep -q "reproduced law 'adversary-synthetic-canary'" "$tmpdir/areplay_err.txt"
+echo "== shrink-smoke: every repro plan shrinks and replays"
+# Healthy code passes the real checker, so each shrink runs under the
+# synthetic canary law: the single-host fault plan, the fleet host-failure
+# plan and the attack plan each go through ddmin to a repro file, which
+# must replay the same law. Rows are (flag suffix, repro stem, law).
+for row in ":chaos:synthetic-canary" \
+    "-fleet:fleet_chaos:fleet-synthetic-canary" \
+    "-adversary:adversary:adversary-synthetic-canary"; do
+    IFS=: read -r suffix stem law <<< "$row"
+    VSCHED_SHRINK_LAW=synthetic ./target/release/suite "--shrink$suffix" 3735928559 \
+        2> "$tmpdir/shrink_err.txt"
+    grep -q "repro written" "$tmpdir/shrink_err.txt"
+    VSCHED_SHRINK_LAW=synthetic ./target/release/suite \
+        "--replay$suffix" "target/${stem}_repro_3735928559.json" 2> "$tmpdir/replay_err.txt"
+    grep -q "reproduced law '$law'" "$tmpdir/replay_err.txt"
+done
 
-echo "== vcache-smoke: randomized occupancy sweep"
-# Randomized seed: LLC occupancy-model invariants (capacity, byte
-#    conservation, decay monotonicity) on a fresh schedule each run. The
-#    seed is printed so a CI failure replays locally with
-#    VCACHE_SEED=<seed> cargo test --release -p vsched-hostsim --test llc_propcheck.
-vcache_seed=$(date +%s%N)
-echo "   vcache-smoke randomized seed: $vcache_seed"
-if ! VCACHE_SEED="$vcache_seed" \
-    cargo test -q --release -p vsched-hostsim --test llc_propcheck; then
-    echo "vcache-smoke FAILED with VCACHE_SEED=$vcache_seed (replay locally with that env var)" >&2
-    exit 1
-fi
-
-echo "== supervision-smoke: canary isolation, shrink/replay"
-# 1) Canary: one cell panics on purpose. The suite must exit 0, name the
-#    cell in the stderr failure report, and leave the healthy jobs' stdout
-#    byte-identical to a clean run.
+echo "== supervision-smoke: canary isolation"
+# Canary: one cell panics on purpose. The suite must exit 0, name the
+# cell in the stderr failure report, and leave the healthy jobs' stdout
+# byte-identical to a clean run.
 ./target/release/suite --scale smoke --filter fig03 --jobs 2 --seed 42 \
     > "$tmpdir/clean.txt" 2>/dev/null
 VSCHED_CANARY=1 ./target/release/suite --scale smoke --filter fig03 --jobs 2 \
     --seed 42 > "$tmpdir/canary.txt" 2> "$tmpdir/canary_err.txt"
 diff "$tmpdir/clean.txt" "$tmpdir/canary.txt"
 grep -q "canary/panic" "$tmpdir/canary_err.txt"
-# 2) Shrink + replay under the synthetic law (the real checker passes on
-#    healthy code, so CI exercises the ddmin pipeline with the canary law).
-VSCHED_SHRINK_LAW=synthetic ./target/release/suite --shrink 3735928559 \
-    2> "$tmpdir/shrink_err.txt"
-grep -q "repro written" "$tmpdir/shrink_err.txt"
-VSCHED_SHRINK_LAW=synthetic ./target/release/suite \
-    --replay target/chaos_repro_3735928559.json 2> "$tmpdir/replay_err.txt"
-grep -q "reproduced law 'synthetic-canary'" "$tmpdir/replay_err.txt"
-
-echo "== decoder-smoke: one randomized mutation seed"
-# Randomized seed: truncated, bit-flipped, duplicated-member and
-# out-of-range-number documents through every on-disk decoder, which must
-# decode or fail with a message naming a path, a byte offset or a line,
-# never panic. The seed is printed so a CI
-# failure replays locally with
-# DECODER_SEED=<seed> cargo test --release -p experiments --test decoder_fields mutated.
-decoder_seed=$(date +%s%N)
-echo "   decoder-smoke randomized seed: $decoder_seed"
-if ! DECODER_SEED="$decoder_seed" \
-    cargo test -q --release -p experiments --test decoder_fields mutated; then
-    echo "decoder-smoke FAILED with DECODER_SEED=$decoder_seed (replay locally with that env var)" >&2
-    exit 1
-fi
 
 echo "== suite runner: serial vs parallel output equality (quick scale, whole suite)"
 # Quick-scale cells run longer than the smoke golden's, so a divergence

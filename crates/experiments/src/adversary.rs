@@ -412,3 +412,24 @@ pub fn grid() -> Grid<(HostPolicy, GuestMode, AdversaryOutcome), AdversaryMatrix
     }
     g
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vsched::tunables::{VCAP_FIRST_WINDOW_NS, VCAP_LIGHT_EVERY_NS, VCAP_SAMPLING_PERIOD_NS};
+    use workloads::adversary::{PROBE_EVERY_NS, PROBE_FIRST_NS, PROBE_WINDOW_NS, TICK_NS};
+
+    /// The oracle attacker times its bursts from vSched's published probe
+    /// schedule and dodges the tick of the host it shares: its constants
+    /// are copies, so a change on either side must fail here.
+    #[test]
+    fn attack_timing_matches_its_victim() {
+        assert_eq!(PROBE_FIRST_NS, VCAP_FIRST_WINDOW_NS);
+        assert_eq!(PROBE_EVERY_NS, VCAP_LIGHT_EVERY_NS);
+        assert_eq!(PROBE_WINDOW_NS, VCAP_SAMPLING_PERIOD_NS);
+        assert!(matches!(
+            HostPolicy::Proportional.sched(),
+            HostSched::CreditSampled { tick_ns } if tick_ns == TICK_NS
+        ));
+    }
+}

@@ -96,7 +96,7 @@ fn instance(
             (Box::new(wl), Handle::Latency(s))
         }
         "hackbench" => {
-            let mut cfg = MsgPairsCfg::new((threads / 4).max(1), 2, 2, u64::MAX / 4);
+            let mut cfg = MsgPairsCfg::new((threads / 4).max(1), u64::MAX / 4);
             cfg.comm_group_base = group;
             let (wl, s) = MsgPairs::new(cfg, rng);
             (Box::new(wl), Handle::Throughput(s))

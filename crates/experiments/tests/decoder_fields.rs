@@ -254,15 +254,12 @@ const DECODERS: [Decoder; 4] = [
 ];
 
 /// Mutated documents never panic a decoder: each decodes or fails with a
-/// message that names where it failed. `DECODER_SEED` reseeds the sweep, so a CI failure replays
-/// with `DECODER_SEED=<seed> cargo test -p experiments --test
-/// decoder_fields mutated`.
+/// message that names where it failed. `SWEEP_SEED` reseeds the sweep,
+/// so a CI failure replays with `SWEEP_SEED=<seed> cargo test -p
+/// experiments --test decoder_fields mutated`.
 #[test]
 fn mutated_documents_decode_or_fail_with_a_message() {
-    let seed = std::env::var("DECODER_SEED")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-        .unwrap_or(0xDEC0DE);
+    let seed = propcheck::sweep_seed(0xDEC0DE);
     let docs = [
         FaultPlan::generate(5, &ChaosSpec::for_pinned_vm(0, 4, 3_000 * MS)).to_json(),
         FleetChaosPlan::generate(5, &FleetChaosSpec::for_fleet(4, 3_000 * MS)).to_json(),
@@ -285,7 +282,7 @@ fn mutated_documents_decode_or_fail_with_a_message() {
                         ),
                         Ok(Ok(())) => {}
                         Err(_) => panic!(
-                            "{name} panicked on mutation {kind} (DECODER_SEED={seed}): {mutated}"
+                            "{name} panicked on mutation {kind} (SWEEP_SEED={seed}): {mutated}"
                         ),
                     }
                 }

@@ -211,9 +211,6 @@ fn cmd_replay(args: &mut Vec<String>) -> Result<ExitCode, String> {
         Some(name) => MigrationMode::from_name(name)
             .ok_or_else(|| format!("--migration must be handoff or cold-reprobe (got {name:?})"))?,
     };
-    if hosts == 0 || threads == 0 {
-        return Err("--hosts and --threads must be positive".into());
-    }
     if let Some(extra) = args.first() {
         return Err(format!("unexpected argument {extra:?}"));
     }
@@ -227,14 +224,20 @@ fn cmd_replay(args: &mut Vec<String>) -> Result<ExitCode, String> {
     let policy =
         policy_by_name(&policy_name).ok_or_else(|| format!("unknown policy {policy_name:?}"))?;
     let spec = spec_for_trace(&trace, hosts, threads);
+    spec.validate()?;
+    let chaos = match chaos_seed {
+        None => None,
+        Some(cs) => {
+            let hosts = u16::try_from(hosts)
+                .map_err(|_| format!("hosts {hosts} out of range for a chaos plan (u16)"))?;
+            let cspec = FleetChaosSpec::for_fleet(hosts, trace.horizon_ns);
+            Some(FleetChaosPlan::generate(cs, &cspec))
+        }
+    };
     let mut cluster = match fleet_threads {
         Some(n) => Cluster::with_threads(spec, mode, policy, seed, n),
         None => Cluster::new(spec, mode, policy, seed),
     };
-    let chaos = chaos_seed.map(|cs| {
-        let cspec = FleetChaosSpec::for_fleet(hosts as u16, trace.horizon_ns);
-        FleetChaosPlan::generate(cs, &cspec)
-    });
     if let Some(plan) = &chaos {
         cluster.set_chaos(plan.clone());
         cluster.set_migration_mode(migration);

@@ -559,7 +559,7 @@ impl Cluster {
                 host: h,
                 threads: self.spec.threads_per_host,
                 committed: host.committed,
-                cap: self.spec.overcommit_cap,
+                cap: self.spec.overcommit_cap(),
                 probed_capacity: probed[h],
                 llc_pressure: host.m.llc_pressure(),
             });
@@ -654,7 +654,7 @@ impl Cluster {
                 host: h as u16,
                 vcpus: vcpus as u16,
                 occupied: self.hosts[h].committed,
-                cap: self.spec.overcommit_cap,
+                cap: self.spec.overcommit_cap(),
             },
         );
         self.live.push(LiveVm {
@@ -842,7 +842,7 @@ impl Cluster {
                 vcpus: vcpus as u16,
                 from_occupied: self.hosts[from].committed,
                 to_occupied: self.hosts[h].committed,
-                cap: self.spec.overcommit_cap,
+                cap: self.spec.overcommit_cap(),
             },
         );
         self.live[i].host = h;
@@ -1006,7 +1006,6 @@ impl Cluster {
     fn summary(&mut self) -> SloSummary {
         let util: Vec<Vec<f64>> = self.hosts.iter().map(|h| h.util.clone()).collect();
         let mut s = slo::summarize(
-            &self.spec,
             std::mem::take(&mut self.tenants),
             &util,
             self.admitted,
@@ -1140,16 +1139,10 @@ mod tests {
         FULL_SYNCS.with(|n| n.set(n.get() + 1));
     }
 
-    fn small_spec() -> FleetSpec {
-        let mut s = FleetSpec::small(2, 2, 1);
-        s.max_live_vms = 4;
-        s
-    }
-
     #[test]
     fn cluster_runs_clean_and_accounts_every_admission() {
         let mut c = Cluster::new(
-            small_spec(),
+            FleetSpec::small(2, 2, 1),
             GuestMode::Vsched,
             policy_by_name("first-fit").unwrap(),
             11,
@@ -1166,7 +1159,7 @@ mod tests {
     fn identical_seeds_replay_identically() {
         let run = |seed| {
             let mut c = Cluster::new(
-                small_spec(),
+                FleetSpec::small(2, 2, 1),
                 GuestMode::Cfs,
                 policy_by_name("worst-fit").unwrap(),
                 seed,
@@ -1191,7 +1184,7 @@ mod tests {
     fn pool_stepping_matches_serial_byte_for_byte() {
         let digest = |workers: usize| {
             let mut c = Cluster::with_threads(
-                small_spec(),
+                FleetSpec::small(2, 2, 1),
                 GuestMode::Vsched,
                 policy_by_name("probe-aware").unwrap(),
                 9,
@@ -1265,7 +1258,7 @@ mod tests {
     #[test]
     fn effective_workers_cap_at_host_count() {
         let c = Cluster::with_threads(
-            small_spec(),
+            FleetSpec::small(2, 2, 1),
             GuestMode::Cfs,
             policy_by_name("first-fit").unwrap(),
             1,
@@ -1277,7 +1270,7 @@ mod tests {
     #[test]
     fn placement_overflow_error_names_every_field() {
         let mut c = Cluster::new(
-            small_spec(),
+            FleetSpec::small(2, 2, 1),
             GuestMode::Cfs,
             policy_by_name("first-fit").unwrap(),
             1,
@@ -1352,10 +1345,9 @@ mod tests {
 
     #[test]
     fn tiny_cap_forces_clean_rejections() {
-        let mut spec = small_spec();
-        spec.overcommit_cap = 1;
+        // One thread per host: a cap of one vCPU.
         let mut c = Cluster::new(
-            spec,
+            FleetSpec::small(2, 1, 1),
             GuestMode::Cfs,
             policy_by_name("probe-aware").unwrap(),
             3,

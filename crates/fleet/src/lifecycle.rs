@@ -26,6 +26,22 @@ pub enum ChurnModel {
     Trace(FleetTrace),
 }
 
+/// Mean VM lifetime (lognormal, right-skewed).
+pub const LIFETIME_MEAN_NS: u64 = 1_500 * MS;
+/// Hard upper bound on a VM's lifetime.
+pub const LIFETIME_MAX_NS: u64 = 5_000 * MS;
+/// Heavy-tailed VM size mix: `(vcpus, weight)` pairs.
+pub const SIZE_MIX: [(usize, u64); 3] = [(1, 5), (2, 3), (4, 2)];
+/// Per-tenant p99 end-to-end latency SLO (violation accounting).
+pub const SLO_P99_NS: u64 = 20 * MS;
+/// Per-tier p99 targets in `PRIORITY_CLASSES` order (critical,
+/// standard, batch). Critical runs tighter than the fleet-wide SLO,
+/// batch looser.
+pub const TIER_SLO_P99_NS: [u64; 3] = [10 * MS, 20 * MS, 80 * MS];
+/// Most hosts a spec may name: trace events and chaos plans carry host
+/// ids as `u16`, so a larger fleet would give two hosts one id.
+pub const MAX_HOSTS: usize = 1 << 16;
+
 /// Fleet configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FleetSpec {
@@ -33,27 +49,10 @@ pub struct FleetSpec {
     pub hosts: usize,
     /// Hardware threads per host (flat topology, no SMT).
     pub threads_per_host: usize,
-    /// Max committed (placed) vCPUs per host — the overcommit cap the
-    /// trace checker enforces on every placement.
-    pub overcommit_cap: u64,
     /// Mean VM interarrival time (Poisson-style exponential draws).
     pub arrival_mean_ns: u64,
-    /// Mean VM lifetime (lognormal, right-skewed).
-    pub lifetime_mean_ns: u64,
-    /// Hard upper bound on a VM's lifetime.
-    pub lifetime_max_ns: u64,
-    /// Heavy-tailed VM size mix: `(vcpus, weight)` pairs.
-    pub size_mix: Vec<(usize, u64)>,
-    /// Admission bound: arrivals are skipped while this many VMs live.
-    pub max_live_vms: usize,
     /// Simulated duration of the churn process.
     pub horizon_ns: u64,
-    /// Per-tenant p99 end-to-end latency SLO (violation accounting).
-    pub slo_p99_ns: u64,
-    /// Per-tier p99 targets in `PRIORITY_CLASSES` order (critical,
-    /// standard, batch). Critical runs tighter than the fleet-wide SLO,
-    /// batch looser; [`FleetSpec::validate`] enforces the ordering.
-    pub tier_slo_p99_ns: [u64; 3],
     /// Churn source: stochastic generation or trace replay.
     pub churn: ChurnModel,
 }
@@ -66,17 +65,22 @@ impl FleetSpec {
         FleetSpec {
             hosts,
             threads_per_host: threads,
-            overcommit_cap: (threads as u64 * 3) / 2,
             arrival_mean_ns: 250 * MS,
-            lifetime_mean_ns: 1_500 * MS,
-            lifetime_max_ns: 5_000 * MS,
-            size_mix: vec![(1, 5), (2, 3), (4, 2)],
-            max_live_vms: hosts * threads,
             horizon_ns: horizon_secs * 1_000 * MS,
-            slo_p99_ns: 20 * MS,
-            tier_slo_p99_ns: [10 * MS, 20 * MS, 80 * MS],
             churn: ChurnModel::Stochastic,
         }
+    }
+
+    /// Max committed (placed) vCPUs per host — the overcommit cap the
+    /// trace checker enforces on every placement: 1.5× the host's threads.
+    pub fn overcommit_cap(&self) -> u64 {
+        (self.threads_per_host as u64 * 3) / 2
+    }
+
+    /// Admission bound: arrivals are skipped while this many VMs live
+    /// (one per hardware thread of the fleet).
+    pub fn max_live_vms(&self) -> usize {
+        self.hosts * self.threads_per_host
     }
 
     /// Structural sanity: every field a schedule generator divides by or
@@ -87,59 +91,20 @@ impl FleetSpec {
         if self.hosts == 0 {
             return Err("hosts must be positive (got 0)".into());
         }
+        if self.hosts > MAX_HOSTS {
+            return Err(format!(
+                "hosts must be at most {MAX_HOSTS} (got {}): host ids are 16-bit",
+                self.hosts
+            ));
+        }
         if self.threads_per_host == 0 {
             return Err("threads_per_host must be positive (got 0)".into());
-        }
-        if self.overcommit_cap == 0 {
-            return Err("overcommit_cap must be positive (got 0)".into());
         }
         if self.arrival_mean_ns == 0 {
             return Err("arrival_mean_ns must be positive (got 0)".into());
         }
-        if self.lifetime_mean_ns == 0 {
-            return Err("lifetime_mean_ns must be positive (got 0)".into());
-        }
         if self.horizon_ns == 0 {
             return Err("horizon_ns must be positive (got 0)".into());
-        }
-        let [crit, std, batch] = self.tier_slo_p99_ns;
-        if crit == 0 {
-            return Err("slo_crit_p99_ns must be positive (got 0)".into());
-        }
-        if crit > std {
-            return Err(format!(
-                "slo_crit_p99_ns {crit} exceeds slo_std_p99_ns {std}: \
-                 critical tenants must run a tighter SLO than standard"
-            ));
-        }
-        if std > batch {
-            return Err(format!(
-                "slo_std_p99_ns {std} exceeds slo_batch_p99_ns {batch}: \
-                 batch tenants must run the loosest SLO"
-            ));
-        }
-        if self.size_mix.is_empty() {
-            return Err("size_mix must not be empty".into());
-        }
-        for (i, &(v, w)) in self.size_mix.iter().enumerate() {
-            if v == 0 || w == 0 {
-                return Err(format!(
-                    "size_mix[{i}] must have positive vcpus and weight (got vcpus {v}, weight {w})"
-                ));
-            }
-        }
-        let smallest = self
-            .size_mix
-            .iter()
-            .map(|&(v, _)| v as u64)
-            .min()
-            .expect("size_mix checked non-empty");
-        if smallest > self.overcommit_cap {
-            return Err(format!(
-                "overcommit_cap {} is below the smallest size_mix vcpus {smallest}: \
-                 every arrival would be rejected",
-                self.overcommit_cap
-            ));
         }
         if let ChurnModel::Trace(t) = &self.churn {
             if t.horizon_ns != self.horizon_ns {
@@ -208,9 +173,9 @@ fn draw_tier(rng: &mut SimRng) -> PriorityClass {
 
 /// Compiles the churn schedule for `(spec, seed)`: a time-sorted event
 /// list that is a pure function of its inputs. Arrivals that would push
-/// the live population past `max_live_vms` are skipped (the bound on
-/// open-loop growth); departures and resizes past the horizon are
-/// dropped — those VMs simply live to the end of the run.
+/// the live population past [`FleetSpec::max_live_vms`] are skipped (the
+/// bound on open-loop growth); departures and resizes past the horizon
+/// are dropped — those VMs simply live to the end of the run.
 ///
 /// With [`ChurnModel::Trace`] the schedule is the trace's event list
 /// verbatim: the seed does not reach it at all.
@@ -231,6 +196,7 @@ pub fn generate(spec: &FleetSpec, seed: u64) -> Vec<LifecycleEvent> {
     // Min-heap of departure times (negated for BinaryHeap's max order) so
     // the generator can bound the live population deterministically.
     let mut departs: BinaryHeap<std::cmp::Reverse<u64>> = BinaryHeap::new();
+    let max_live = spec.max_live_vms();
     let mut t = 0u64;
     let mut uid = 0u32;
     loop {
@@ -241,16 +207,16 @@ pub fn generate(spec: &FleetSpec, seed: u64) -> Vec<LifecycleEvent> {
         while matches!(departs.peek(), Some(&std::cmp::Reverse(d)) if d <= t) {
             departs.pop();
         }
-        let vcpus = spec.size_mix[size.weighted_index(spec.size_mix.iter().map(|&(_, w)| w))].0;
+        let vcpus = SIZE_MIX[size.weighted_index(SIZE_MIX.iter().map(|&(_, w)| w))].0;
         // Lifetime and resize draws happen whether or not the arrival is
         // admitted, so the admission bound never shifts later streams.
-        let lifetime = (life.lognormal(spec.lifetime_mean_ns as f64, 0.8) as u64)
-            .clamp(MIN_LIFETIME_NS, spec.lifetime_max_ns);
+        let lifetime = (life.lognormal(LIFETIME_MEAN_NS as f64, 0.8) as u64)
+            .clamp(MIN_LIFETIME_NS, LIFETIME_MAX_NS);
         let resize_at = t + (lifetime as f64 * (0.25 + 0.5 * rsz.f64())) as u64;
         let resize_pct = if rsz.chance(0.5) { 50 } else { 75 };
         let wants_resize = rsz.chance(0.35);
         let prio = draw_tier(&mut pri);
-        if departs.len() >= spec.max_live_vms {
+        if departs.len() >= max_live {
             continue;
         }
         events.push(LifecycleEvent {
@@ -344,40 +310,43 @@ mod tests {
 
     #[test]
     fn validation_errors_name_the_field_and_value() {
-        let mut zero_life = spec();
-        zero_life.lifetime_mean_ns = 0;
+        let mut zero_rate = spec();
+        zero_rate.arrival_mean_ns = 0;
         assert_eq!(
-            zero_life.validate().unwrap_err(),
-            "lifetime_mean_ns must be positive (got 0)"
+            zero_rate.validate().unwrap_err(),
+            "arrival_mean_ns must be positive (got 0)"
         );
 
-        let mut tiny_cap = spec();
-        tiny_cap.size_mix = vec![(4, 1), (8, 1)];
-        tiny_cap.overcommit_cap = 2;
         assert_eq!(
-            tiny_cap.validate().unwrap_err(),
-            "overcommit_cap 2 is below the smallest size_mix vcpus 4: \
-             every arrival would be rejected"
+            FleetSpec::small(70_000, 1, 1).validate().unwrap_err(),
+            "hosts must be at most 65536 (got 70000): host ids are 16-bit"
         );
+        FleetSpec::small(MAX_HOSTS, 1, 1)
+            .validate()
+            .expect("every host id fits in u16");
     }
 
     #[test]
-    fn tier_slo_targets_validate_and_default() {
-        let mut s = spec();
-        s.tier_slo_p99_ns = [30 * MS, 20 * MS, 80 * MS];
-        assert_eq!(
-            s.validate().unwrap_err(),
-            "slo_crit_p99_ns 30000000 exceeds slo_std_p99_ns 20000000: \
-             critical tenants must run a tighter SLO than standard"
+    #[allow(clippy::assertions_on_constants)]
+    fn folded_constants_are_valid() {
+        let [crit, std, batch] = TIER_SLO_P99_NS;
+        assert!(0 < crit && crit <= std && std <= batch, "tiers ordered");
+        assert!(
+            crit <= SLO_P99_NS && SLO_P99_NS <= batch,
+            "fleet SLO between"
         );
-        s.tier_slo_p99_ns = [5 * MS, 90 * MS, 80 * MS];
-        assert_eq!(
-            s.validate().unwrap_err(),
-            "slo_std_p99_ns 90000000 exceeds slo_batch_p99_ns 80000000: \
-             batch tenants must run the loosest SLO"
-        );
-        // The default targets: critical at half the fleet-wide SLO,
-        // batch at four times it.
-        assert_eq!(spec().tier_slo_p99_ns, [10 * MS, 20 * MS, 80 * MS]);
+        assert!(LIFETIME_MEAN_NS > 0 && LIFETIME_MEAN_NS <= LIFETIME_MAX_NS);
+        assert!(!SIZE_MIX.is_empty());
+        assert!(SIZE_MIX.iter().all(|&(v, w)| v > 0 && w > 0));
+        let smallest = SIZE_MIX.iter().map(|&(v, _)| v as u64).min().unwrap();
+        // The cap grows with the thread count, so one thread is the
+        // tightest host; the sweep guards against a rounding change.
+        for threads in 1..=64 {
+            let cap = FleetSpec::small(1, threads, 1).overcommit_cap();
+            assert!(
+                smallest <= cap,
+                "{threads}-thread hosts would reject every arrival"
+            );
+        }
     }
 }

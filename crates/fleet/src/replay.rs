@@ -7,34 +7,18 @@
 //! events untouched, so the run seed reaches workload phases and host
 //! streams but never the schedule.
 
-use crate::lifecycle::{ChurnModel, FleetSpec, VmOp};
+use crate::lifecycle::{ChurnModel, FleetSpec};
 use crate::trace_format::FleetTrace;
 
 /// Builds a spec that replays `trace` on a `hosts × threads` cluster.
 ///
-/// Cluster shape (hosts, threads, overcommit cap) stays a caller choice —
-/// the trace records *demand*, not the fleet it lands on. Rate-style
-/// fields (`arrival_mean_ns`, …) keep their [`FleetSpec::small`] values;
-/// they are dead knobs under trace churn but keep the spec's JSON shape
-/// uniform. `max_live_vms` is lifted to the trace's own peak so the
-/// admission bound never second-guesses a schedule that already chose
-/// its population.
+/// Cluster shape stays a caller choice — the trace records *demand*, not
+/// the fleet it lands on. The spec takes the trace's horizon; its
+/// arrival rate and admission bound are never read, because the trace
+/// already fixed the schedule.
 pub fn spec_for_trace(trace: &FleetTrace, hosts: usize, threads: usize) -> FleetSpec {
     let mut spec = FleetSpec::small(hosts, threads, 1);
     spec.horizon_ns = trace.horizon_ns;
-    let mut live = 0usize;
-    let mut peak = 0usize;
-    for e in &trace.events {
-        match e.op {
-            VmOp::Arrive { .. } => {
-                live += 1;
-                peak = peak.max(live);
-            }
-            VmOp::Depart { .. } => live = live.saturating_sub(1),
-            VmOp::Resize { .. } => {}
-        }
-    }
-    spec.max_live_vms = peak.max(1);
     spec.churn = ChurnModel::Trace(trace.clone());
     spec
 }

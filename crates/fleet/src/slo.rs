@@ -7,7 +7,7 @@
 //! fairness index over per-tenant throughput, and host-utilization
 //! aggregates from the cluster's sampled timeseries.
 
-use crate::lifecycle::FleetSpec;
+use crate::lifecycle::{SLO_P99_NS, TIER_SLO_P99_NS};
 use metrics::Histogram;
 use simcore::time::MS;
 use trace::PriorityClass;
@@ -67,10 +67,10 @@ pub struct SloSummary {
     pub tier_p99_ms: [f64; 3],
     /// Measured tenants per priority tier (same order).
     pub tier_tenants: [usize; 3],
-    /// Tenants whose own p99 exceeded `spec.slo_p99_ns`.
+    /// Tenants whose own p99 exceeded [`SLO_P99_NS`].
     pub slo_violations: usize,
     /// Tenants whose own p99 exceeded their *tier's* target
-    /// (`spec.tier_slo_p99_ns`), in [`PRIORITY_CLASSES`](trace::PRIORITY_CLASSES) order.
+    /// ([`TIER_SLO_P99_NS`]), in [`PRIORITY_CLASSES`](trace::PRIORITY_CLASSES) order.
     pub tier_slo_violations: [usize; 3],
     /// Tenants with at least one completed request (the SLO denominator).
     pub measured_tenants: usize,
@@ -110,7 +110,6 @@ pub struct SloSummary {
 /// fleet summary. `host_util` is one sampled-utilization series per host
 /// (each sample 0..=1).
 pub fn summarize(
-    spec: &FleetSpec,
     tenants: Vec<TenantStats>,
     host_util: &[Vec<f64>],
     admitted: u64,
@@ -136,10 +135,10 @@ pub fn summarize(
             tier_tenants[t.prio.index()] += 1;
             let p99 = t.e2e.p99();
             worst_p99 = worst_p99.max(p99);
-            if p99 > spec.slo_p99_ns {
+            if p99 > SLO_P99_NS {
                 slo_violations += 1;
             }
-            if p99 > spec.tier_slo_p99_ns[t.prio.index()] {
+            if p99 > TIER_SLO_P99_NS[t.prio.index()] {
                 tier_slo_violations[t.prio.index()] += 1;
             }
         }
@@ -234,17 +233,9 @@ mod tests {
 
     #[test]
     fn summary_merges_tenants_and_counts_violations() {
-        let spec = FleetSpec::small(2, 2, 1); // slo_p99_ns = 20ms
         let fast = tenant(0, &[MS, 2 * MS, 3 * MS], 1_000 * MS);
         let slow = tenant(1, &[40 * MS, 50 * MS], 1_000 * MS);
-        let s = summarize(
-            &spec,
-            vec![fast, slow],
-            &[vec![0.5, 0.7], vec![0.9]],
-            3,
-            2,
-            1,
-        );
+        let s = summarize(vec![fast, slow], &[vec![0.5, 0.7], vec![0.9]], 3, 2, 1);
         assert_eq!(s.completed, 5);
         assert_eq!(s.slo_violations, 1, "only the slow tenant busts 20ms");
         assert_eq!(s.measured_tenants, 2);
@@ -257,11 +248,11 @@ mod tests {
 
     #[test]
     fn tier_targets_count_violations_per_class() {
-        let spec = FleetSpec::small(2, 2, 1); // tiers: 10ms / 20ms / 80ms
+        // Tiers: 10ms / 20ms / 80ms.
         let crit = tenant(0, &[15 * MS], 1_000 * MS); // busts 10ms
         let std_ = tenant(1, &[15 * MS], 1_000 * MS); // within 20ms
         let batch = tenant(2, &[60 * MS], 1_000 * MS); // within 80ms
-        let s = summarize(&spec, vec![crit, std_, batch], &[], 3, 3, 0);
+        let s = summarize(vec![crit, std_, batch], &[], 3, 3, 0);
         assert_eq!(s.tier_slo_violations, [1, 0, 0]);
         assert_eq!(
             s.slo_violations, 1,
@@ -271,11 +262,10 @@ mod tests {
 
     #[test]
     fn per_tier_p99_slices_by_priority_class() {
-        let spec = FleetSpec::small(2, 2, 1);
         // uid % 3 picks the tier: 0 → critical, 1 → standard, 2 → batch.
         let crit = tenant(0, &[MS, 2 * MS], 1_000 * MS);
         let std_ = tenant(1, &[30 * MS], 1_000 * MS);
-        let s = summarize(&spec, vec![crit, std_], &[], 2, 2, 0);
+        let s = summarize(vec![crit, std_], &[], 2, 2, 0);
         assert_eq!(s.tier_tenants, [1, 1, 0]);
         assert!(s.tier_p99_ms[0] < s.tier_p99_ms[1], "{:?}", s.tier_p99_ms);
         assert_eq!(s.tier_p99_ms[2], 0.0, "empty tier reports 0");
@@ -283,18 +273,17 @@ mod tests {
 
     #[test]
     fn fairness_is_one_when_rates_match_and_low_when_skewed() {
-        let spec = FleetSpec::small(1, 2, 1);
         let even = vec![
             tenant(0, &[MS; 10], 1_000 * MS),
             tenant(1, &[MS; 10], 1_000 * MS),
         ];
-        let s = summarize(&spec, even, &[], 2, 2, 0);
+        let s = summarize(even, &[], 2, 2, 0);
         assert!((s.fairness - 1.0).abs() < 1e-9);
 
         let mut hog = tenant(0, &[MS; 100], 1_000 * MS);
         hog.completed = 100;
         let starved = tenant(1, &[MS], 1_000 * MS);
-        let s = summarize(&spec, vec![hog, starved], &[], 2, 2, 0);
+        let s = summarize(vec![hog, starved], &[], 2, 2, 0);
         assert!(
             s.fairness < 0.6,
             "skewed rates must show up: {}",
@@ -304,8 +293,7 @@ mod tests {
 
     #[test]
     fn empty_fleet_is_well_defined() {
-        let spec = FleetSpec::small(1, 1, 1);
-        let s = summarize(&spec, Vec::new(), &[], 0, 0, 0);
+        let s = summarize(Vec::new(), &[], 0, 0, 0);
         assert_eq!(s.completed, 0);
         assert_eq!(s.slo_violations, 0);
         assert!((s.fairness - 1.0).abs() < 1e-9);

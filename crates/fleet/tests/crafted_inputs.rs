@@ -5,7 +5,8 @@
 //! field must be an error, never a silent truncation (`300 as u8` = 44
 //! would replay a resize nobody wrote). Traces are checked through the
 //! library and through the `fleettrace` binary: exit 1 with the line and
-//! field named, never a panic (exit 101) or an abort (no exit code).
+//! field named, never a panic (exit 101) or an abort (no exit code). A
+//! fleet too wide for its host ids is a usage error (exit 2).
 
 use simcore::plan::Plan;
 use std::process::Command;
@@ -54,6 +55,25 @@ fn fleettrace_exits_one_without_a_panic_on_crafted_traces() {
         }
     }
     let _ = std::fs::remove_file(&path);
+}
+
+/// A fleet wider than a 16-bit host id is a usage error (exit 2) naming
+/// `hosts`, caught before any host is built.
+#[test]
+fn fleettrace_replay_rejects_more_hosts_than_ids() {
+    let path = std::env::temp_dir().join(format!("vsched_wide_{}.jsonl", std::process::id()));
+    std::fs::write(&path, trace("2", "0", "50")).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_fleettrace"))
+        .args(["replay", path.to_str().unwrap(), "--hosts", "70000"])
+        .output()
+        .unwrap();
+    let _ = std::fs::remove_file(&path);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("hosts must be at most 65536 (got 70000)"),
+        "{stderr}"
+    );
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! *any* seed-generated chaos plan overlaid on *any* random churned
 //! cluster, the trace checker must stay law-clean, no VM may end the day
 //! stranded on a dead host, and the admission ledger must still balance.
-//! One test is re-seedable from the `FLEET_CHAOS_SEED` environment
+//! One test is re-seedable from the `SWEEP_SEED` environment
 //! variable so a CI sweep failure prints the exact seed to replay (and
 //! `suite --shrink-fleet SEED` can then 1-minimize the plan).
 
@@ -27,9 +27,7 @@ fn cases(base: usize) -> usize {
 fn random_spec(rng: &mut simcore::SimRng) -> FleetSpec {
     let mut spec = FleetSpec::small(2 + rng.index(4), 1 + rng.index(4), 1);
     spec.horizon_ns = 800 * MS + rng.range(0, 1_200 * MS);
-    spec.arrival_mean_ns = 1 + rng.range(0, 120 * MS);
-    spec.lifetime_mean_ns = 1 + rng.range(0, 600 * MS);
-    spec.max_live_vms = 1 + rng.index(16);
+    spec.arrival_mean_ns = 1 + rng.range(0, 600 * MS);
     spec
 }
 
@@ -112,7 +110,6 @@ fn random_chaos_plans_never_strand_vms_or_break_placement_laws() {
 fn fired_failures_are_accounted_as_migrations_or_failed_evacuations() {
     let mut spec = FleetSpec::small(4, 2, 2);
     spec.arrival_mean_ns = 40 * MS;
-    spec.lifetime_mean_ns = 900 * MS;
     let s = run_chaos(&spec, "worst-fit", MigrationMode::Handoff, 7, 0xBAD5EED);
     assert!(
         s.host_failures > 0,
@@ -125,16 +122,13 @@ fn fired_failures_are_accounted_as_migrations_or_failed_evacuations() {
     assert_chaos_laws(&s, "worst-fit handoff seed 7 chaos 0xBAD5EED");
 }
 
-/// CI sweep hook: `FLEET_CHAOS_SEED` reseeds the whole day (plan *and*
+/// CI sweep hook: `SWEEP_SEED` reseeds the whole day (plan *and*
 /// workload) so nightly runs explore fresh faulted days; the seed is in
 /// every assertion message, so a red run is immediately reproducible with
-/// `FLEET_CHAOS_SEED=<seed> cargo test -p vsched-fleet --test fleet_chaos`.
+/// `SWEEP_SEED=<seed> cargo test -p vsched-fleet --test fleet_chaos`.
 #[test]
 fn env_seeded_chaos_day_is_law_clean() {
-    let chaos_seed = std::env::var("FLEET_CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-        .unwrap_or(0xD15EA5E);
+    let chaos_seed = propcheck::sweep_seed(0xD15EA5E);
     let mut spec = FleetSpec::small(4, 4, 2);
     spec.arrival_mean_ns = 60 * MS;
     for migration in [MigrationMode::Handoff, MigrationMode::ColdReprobe] {
@@ -142,7 +136,7 @@ fn env_seeded_chaos_day_is_law_clean() {
         assert_chaos_laws(
             &s,
             &format!(
-                "FLEET_CHAOS_SEED={chaos_seed} migration {} (replay with this env var)",
+                "SWEEP_SEED={chaos_seed} migration {} (replay with this env var)",
                 migration.name()
             ),
         );

@@ -4,7 +4,7 @@
 
 use simcore::propcheck;
 use simcore::time::MS;
-use vsched_fleet::{policy_by_name, ChurnModel, Cluster, FleetSpec, GuestMode, VmOp, POLICIES};
+use vsched_fleet::{policy_by_name, Cluster, FleetSpec, GuestMode, VmOp, POLICIES};
 
 /// Property case budget; `--features property-tests` widens the sweep.
 fn cases(base: usize) -> usize {
@@ -16,34 +16,10 @@ fn cases(base: usize) -> usize {
 }
 
 fn random_spec(rng: &mut simcore::SimRng) -> FleetSpec {
-    let mut mix = Vec::new();
-    for _ in 0..1 + rng.index(4) {
-        mix.push((1 + rng.index(8), 1 + rng.range(0, 9)));
-    }
-    // Valid specs keep the smallest size under the cap (anything else is
-    // rejected by FleetSpec::validate as an always-rejecting fleet).
-    let smallest = mix.iter().map(|&(v, _)| v as u64).min().unwrap();
-    let slo_p99_ns = 1 + rng.range(0, 100 * MS);
-    // Tier targets must order critical ≤ standard ≤ batch to validate.
-    let tier_slo_p99_ns = [
-        (slo_p99_ns / 2).max(1),
-        slo_p99_ns,
-        slo_p99_ns + rng.range(0, 100 * MS),
-    ];
-    FleetSpec {
-        hosts: 1 + rng.index(8),
-        threads_per_host: 1 + rng.index(8),
-        overcommit_cap: smallest + rng.range(0, 16),
-        arrival_mean_ns: 1 + rng.range(0, 500 * MS),
-        lifetime_mean_ns: 1 + rng.range(0, 3_000 * MS),
-        lifetime_max_ns: 1 + rng.range(0, 10_000 * MS),
-        size_mix: mix,
-        max_live_vms: 1 + rng.index(32),
-        horizon_ns: 1 + rng.range(0, 30_000 * MS),
-        slo_p99_ns,
-        tier_slo_p99_ns,
-        churn: ChurnModel::Stochastic,
-    }
+    let mut spec = FleetSpec::small(1 + rng.index(8), 1 + rng.index(8), 1);
+    spec.arrival_mean_ns = 1 + rng.range(0, 500 * MS);
+    spec.horizon_ns = 1 + rng.range(0, 30_000 * MS);
+    spec
 }
 
 #[test]
@@ -68,8 +44,7 @@ fn lifecycle_schedules_are_pure_functions_of_spec_and_seed() {
 fn every_policy_and_mode_runs_clean_under_churn() {
     for policy in POLICIES {
         for mode in [GuestMode::Cfs, GuestMode::Vsched] {
-            let mut spec = FleetSpec::small(3, 2, 2);
-            spec.max_live_vms = 8;
+            let spec = FleetSpec::small(3, 2, 2);
             let mut c = Cluster::new(spec, mode, policy_by_name(policy).unwrap(), 17);
             let s = c.run();
             assert!(
@@ -97,14 +72,14 @@ fn every_policy_and_mode_runs_clean_under_churn() {
     }
 }
 
-/// The overcommit cap binds: with a cap of one vCPU per host, multi-vCPU
-/// VMs in the mix can never be placed, yet the run stays violation-free
-/// because rejection (not over-placement) is the required response.
+/// The overcommit cap binds: with one thread per host the cap is one
+/// vCPU, so multi-vCPU VMs in the mix can never be placed, yet the run
+/// stays violation-free because rejection (not over-placement) is the
+/// required response.
 #[test]
 fn saturated_cluster_rejects_instead_of_overcommitting() {
-    let mut spec = FleetSpec::small(2, 2, 2);
-    spec.overcommit_cap = 1;
-    spec.max_live_vms = 16;
+    let spec = FleetSpec::small(2, 1, 2);
+    assert_eq!(spec.overcommit_cap(), 1);
     let mut c = Cluster::new(
         spec,
         GuestMode::Cfs,

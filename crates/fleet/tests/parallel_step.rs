@@ -113,9 +113,7 @@ fn run_digest(
 fn random_spec(rng: &mut simcore::SimRng) -> FleetSpec {
     let mut spec = FleetSpec::small(1 + rng.index(6), 1 + rng.index(4), 1);
     spec.horizon_ns = 200 * MS + rng.range(0, 1_000 * MS);
-    spec.arrival_mean_ns = 1 + rng.range(0, 120 * MS);
-    spec.lifetime_mean_ns = 1 + rng.range(0, 600 * MS);
-    spec.max_live_vms = 1 + rng.index(16);
+    spec.arrival_mean_ns = 1 + rng.range(0, 600 * MS);
     spec
 }
 

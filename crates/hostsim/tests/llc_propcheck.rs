@@ -6,9 +6,9 @@
 //! ledger conserved — `occupied == inserted - evicted - decayed` within
 //! float tolerance — and (3) only ever *lose* occupancy on a socket
 //! while a VM is fully descheduled there. One test re-seeds from the
-//! `VCACHE_SEED` environment variable so a CI sweep failure prints the
+//! `SWEEP_SEED` environment variable so a CI sweep failure prints the
 //! exact seed to replay:
-//! `VCACHE_SEED=<seed> cargo test -p vsched-hostsim --test llc_propcheck`.
+//! `SWEEP_SEED=<seed> cargo test -p vsched-hostsim --test llc_propcheck`.
 
 use simcore::propcheck;
 use simcore::{SimRng, SimTime};
@@ -179,19 +179,16 @@ fn occupancy_decays_monotonically_while_descheduled() {
     });
 }
 
-/// CI sweep hook: `VCACHE_SEED` reseeds one long schedule so a sweep
+/// CI sweep hook: `SWEEP_SEED` reseeds one long schedule so a sweep
 /// failure is replayable with
-/// `VCACHE_SEED=<seed> cargo test -p vsched-hostsim --test llc_propcheck`.
+/// `SWEEP_SEED=<seed> cargo test -p vsched-hostsim --test llc_propcheck`.
 #[test]
 fn env_seeded_schedule_is_invariant_clean() {
-    let seed = std::env::var("VCACHE_SEED")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-        .unwrap_or(0x11C2);
+    let seed = propcheck::sweep_seed(0x11C2);
     let mut rng = SimRng::new(seed);
     run_schedule(
         &mut rng,
         200,
-        &format!("VCACHE_SEED={seed} (replay with this env var)"),
+        &format!("SWEEP_SEED={seed} (replay with this env var)"),
     );
 }

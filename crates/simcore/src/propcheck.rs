@@ -33,6 +33,17 @@ pub fn forall(seed: u64, cases: usize, mut body: impl FnMut(&mut SimRng)) {
     }
 }
 
+/// The seed of a randomized sweep: `SWEEP_SEED` from the environment when
+/// it parses as a `u64`, else `default`. Every sweep reads the same
+/// variable, so one drawn seed reruns them all and a failure that prints
+/// `SWEEP_SEED=<seed>` replays with that assignment.
+pub fn sweep_seed(default: u64) -> u64 {
+    std::env::var("SWEEP_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(default)
+}
+
 /// Generates a vector whose length is uniform in `[min_len, max_len)` with
 /// elements drawn by `gen`.
 pub fn vec_of<T>(

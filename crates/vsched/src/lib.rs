@@ -55,8 +55,8 @@ use resilience::{PULL_TIMEOUT_NS, WATCHDOG_PERIOD_NS};
 use simcore::SimTime;
 use trace::ProbeKind;
 use tunables::{
-    VCACHE_PERIOD_NS, VCACHE_SAMPLE_GAP_NS, VCAP_LIGHT_EVERY_NS, VCAP_SAMPLING_PERIOD_NS,
-    VTOP_PERIOD_NS,
+    VCACHE_PERIOD_NS, VCACHE_SAMPLE_GAP_NS, VCAP_FIRST_WINDOW_NS, VCAP_LIGHT_EVERY_NS,
+    VCAP_SAMPLING_PERIOD_NS, VTOP_PERIOD_NS,
 };
 
 /// Timer token: open a vcap sampling window (periodic).
@@ -616,7 +616,7 @@ pub fn install(guest: &mut GuestOs, plat: &mut dyn Platform, cfg: VschedConfig) 
         );
     }
     if vs.cfg.vcap || vs.cfg.vact {
-        plat.set_timer(TOKEN_VCAP_OPEN, now.after(10_000_000));
+        plat.set_timer(TOKEN_VCAP_OPEN, now.after(VCAP_FIRST_WINDOW_NS));
     }
     if vs.cfg.vtop {
         plat.set_timer(TOKEN_VTOP_PERIOD, now.after(50_000_000));

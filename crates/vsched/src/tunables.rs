@@ -29,6 +29,9 @@ pub const IVH_MIGRATION_THRESHOLD_NS: u64 = 2 * MS;
 
 // ------ Constants from prose / implementation thresholds ------
 
+/// Delay from install to the first vcap/vact probe window.
+pub const VCAP_FIRST_WINDOW_NS: u64 = 10 * MS;
+
 /// Steal-time jump below this is filtered as noise (vact, §3.1: "small
 /// jumps are filtered out").
 pub const VACT_STEAL_JUMP_NS: u64 = 300 * US;

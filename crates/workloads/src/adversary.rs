@@ -83,46 +83,40 @@ impl AttackKind {
     }
 }
 
-/// What the adversary knows and may touch.
+/// The host's sampled accounting tick the dodger games (the repo's
+/// default host tick).
+pub const TICK_NS: u64 = MS;
+/// How long before/after each tick instant the dodger stays off-CPU
+/// (under half a tick, so every tick leaves an on-CPU gap).
+pub const GUARD_NS: u64 = 50_000;
+/// When the victim's first probe window opens (vSched arms its first
+/// vcap window 10 ms after install).
+pub const PROBE_FIRST_NS: u64 = 10 * MS;
+/// Probe window cadence (vSched's light-probe period).
+pub const PROBE_EVERY_NS: u64 = 1_000 * MS;
+/// Probe window width (vSched's sampling period).
+pub const PROBE_WINDOW_NS: u64 = 100 * MS;
+
+/// What the adversary knows and may touch. Attacks are planned in
+/// `[0, horizon_ns)` against the host tick and probe schedule above.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AttackSpec {
     /// Number of vCPUs the adversary VM has (one attack task per vCPU).
     pub nr_vcpus: usize,
     /// Enabled archetypes.
     pub kinds: Vec<AttackKind>,
-    /// Attacks are planned in `[start, start + horizon)`.
-    pub start: SimTime,
     /// Planning horizon in nanoseconds.
     pub horizon_ns: u64,
-    /// The host's sampled accounting tick the dodger games.
-    pub tick_ns: u64,
-    /// How long before/after each tick instant the dodger stays off-CPU.
-    pub guard_ns: u64,
-    /// When the victim's first probe window opens (vSched arms its first
-    /// vcap window 10 ms after install).
-    pub probe_first_ns: u64,
-    /// Probe window cadence (vSched's light-probe period).
-    pub probe_every_ns: u64,
-    /// Probe window width (vSched's sampling period).
-    pub probe_window_ns: u64,
 }
 
 impl AttackSpec {
     /// A spec for an adversary VM with `nr_vcpus` vCPUs and every
-    /// archetype enabled, tuned to the repo's default host tick (1 ms)
-    /// and vSched probe schedule (first window at 10 ms, every 1 s,
-    /// 100 ms wide).
+    /// archetype enabled.
     pub fn for_vm(nr_vcpus: usize, horizon_ns: u64) -> Self {
         Self {
             nr_vcpus,
             kinds: ATTACK_KINDS.to_vec(),
-            start: SimTime::ZERO,
             horizon_ns,
-            tick_ns: MS,
-            guard_ns: 50_000,
-            probe_first_ns: 10 * MS,
-            probe_every_ns: 1_000 * MS,
-            probe_window_ns: 100 * MS,
         }
     }
 
@@ -186,13 +180,13 @@ impl AttackPlan {
         kind: AttackKind,
         out: &mut Vec<AttackAction>,
     ) {
-        let end = spec.start.ns().saturating_add(spec.horizon_ns);
+        let end = spec.horizon_ns;
         match kind {
             AttackKind::DodgeRun => {
                 // Long, mostly-back-to-back compute runs; the executor
                 // carves the per-tick dodging out of each run.
                 for vcpu in 0..spec.nr_vcpus {
-                    let mut t = spec.start.ns().saturating_add(rng.range(0, 4 * MS));
+                    let mut t = rng.range(0, 4 * MS);
                     while t < end {
                         let dur = (100 * MS + rng.range(0, 200 * MS)).min(end - t);
                         out.push(AttackAction {
@@ -209,19 +203,19 @@ impl AttackPlan {
                 // The oracle attacker: one burst per computable probe
                 // window, opened slightly early so the interference is
                 // already flowing when the window's steal snapshot lands.
-                let mut open = spec.start.ns().saturating_add(spec.probe_first_ns);
+                let mut open = PROBE_FIRST_NS;
                 while open < end {
                     for vcpu in 0..spec.nr_vcpus {
                         let lead = MS + rng.range(0, 500_000);
                         let at = open.saturating_sub(lead);
                         out.push(AttackAction {
                             at: SimTime::from_ns(at),
-                            dur_ns: spec.probe_window_ns + lead + MS,
+                            dur_ns: PROBE_WINDOW_NS + lead + MS,
                             vcpu,
                             kind,
                         });
                     }
-                    open = open.saturating_add(spec.probe_every_ns);
+                    open = open.saturating_add(PROBE_EVERY_NS);
                 }
             }
             AttackKind::ThrashPhase => {
@@ -229,7 +223,7 @@ impl AttackPlan {
                 // sized near PELT's averaging horizon so the load signal
                 // never converges.
                 for vcpu in 0..spec.nr_vcpus {
-                    let mut t = spec.start.ns().saturating_add(rng.range(0, 20 * MS));
+                    let mut t = rng.range(0, 20 * MS);
                     while t < end {
                         let on = (50 * MS + rng.range(0, 100 * MS)).min(end - t);
                         out.push(AttackAction {
@@ -267,13 +261,7 @@ impl Plan for AttackPlan {
         Json::obj([
             ("nr_vcpus", Json::Uint(spec.nr_vcpus as u64)),
             ("kinds", Json::Arr(kinds)),
-            ("start_ns", Json::Uint(spec.start.ns())),
             ("horizon_ns", Json::Uint(spec.horizon_ns)),
-            ("tick_ns", Json::Uint(spec.tick_ns)),
-            ("guard_ns", Json::Uint(spec.guard_ns)),
-            ("probe_first_ns", Json::Uint(spec.probe_first_ns)),
-            ("probe_every_ns", Json::Uint(spec.probe_every_ns)),
-            ("probe_window_ns", Json::Uint(spec.probe_window_ns)),
         ])
     }
 
@@ -283,13 +271,7 @@ impl Plan for AttackPlan {
             kinds: (f.get("kinds")?.arr()?.iter())
                 .map(|k| k.name(AttackKind::from_name))
                 .collect::<Result<_, _>>()?,
-            start: f.get("start_ns")?.time()?,
             horizon_ns: f.get("horizon_ns")?.u64()?,
-            tick_ns: f.get("tick_ns")?.u64()?,
-            guard_ns: f.get("guard_ns")?.u64()?,
-            probe_first_ns: f.get("probe_first_ns")?.u64()?,
-            probe_every_ns: f.get("probe_every_ns")?.u64()?,
-            probe_window_ns: f.get("probe_window_ns")?.u64()?,
         })
     }
 
@@ -344,12 +326,10 @@ impl Adversary {
                 AttackKind::DodgeRun => {
                     // Off-CPU inside [tick - guard, tick + guard] around
                     // every accounting tick; on-CPU in the gaps between.
-                    let tick = spec.tick_ns.max(1);
-                    let guard = spec.guard_ns.min(tick / 2);
-                    let mut k = a / tick;
+                    let mut k = a / TICK_NS;
                     loop {
-                        let lo = (k * tick + guard).max(a);
-                        let hi = ((k + 1) * tick).saturating_sub(guard).min(b);
+                        let lo = (k * TICK_NS + GUARD_NS).max(a);
+                        let hi = ((k + 1) * TICK_NS).saturating_sub(GUARD_NS).min(b);
                         if lo >= b {
                             break;
                         }
@@ -503,14 +483,11 @@ mod tests {
 
     #[test]
     fn dodge_runs_expand_to_tick_avoiding_micro_intervals() {
-        let mut spec = AttackSpec::for_vm(1, 100 * MS).only(AttackKind::DodgeRun);
-        spec.tick_ns = MS;
-        spec.guard_ns = 50_000;
+        let spec = AttackSpec::for_vm(1, 100 * MS).only(AttackKind::DodgeRun);
         let plan = AttackPlan::generate(3, &spec);
         assert!(!plan.events.is_empty());
         let adv = Adversary::new(&plan);
-        let tick = spec.tick_ns;
-        let guard = spec.guard_ns;
+        let (tick, guard) = (TICK_NS, GUARD_NS);
         let mut checked = 0;
         for &(a, b) in &adv.intervals[0] {
             assert!(a < b);

@@ -24,6 +24,9 @@ use std::rc::Rc;
 /// Timer token for request arrivals.
 const ARRIVAL: u64 = 1;
 
+/// Service-time spread (lognormal sigma).
+const SIGMA: f64 = 0.3;
+
 /// Configuration of a latency-server workload.
 #[derive(Debug, Clone)]
 pub struct LatencyServerCfg {
@@ -31,8 +34,6 @@ pub struct LatencyServerCfg {
     pub workers: usize,
     /// Mean service work per request (capacity-ns).
     pub service_work: f64,
-    /// Service-time spread (lognormal sigma).
-    pub sigma: f64,
     /// Mean request inter-arrival time (ns).
     pub interarrival_ns: f64,
     /// Spawn one `SCHED_IDLE` best-effort spinner per vCPU (the paper's
@@ -58,7 +59,6 @@ impl LatencyServerCfg {
         Self {
             workers,
             service_work,
-            sigma: 0.3,
             interarrival_ns,
             best_effort: false,
             comm_group: None,
@@ -166,9 +166,7 @@ impl LatencyServer {
     }
 
     fn draw_service(&mut self) -> f64 {
-        self.rng
-            .lognormal(self.cfg.service_work, self.cfg.sigma)
-            .max(1.0)
+        self.rng.lognormal(self.cfg.service_work, SIGMA).max(1.0)
     }
 
     fn schedule_arrival(&mut self, plat: &mut dyn Platform) {

@@ -11,36 +11,34 @@ use simcore::SimRng;
 use std::cell::RefCell;
 use std::rc::Rc;
 
+/// Senders per group.
+const SENDERS: usize = 2;
+/// Receivers per group.
+const RECEIVERS: usize = 2;
+/// Work per send (capacity-ns): 20 µs.
+const SEND_WORK: f64 = 1024.0 * 20_000.0;
+/// Work per receive (capacity-ns): 20 µs.
+const RECV_WORK: f64 = 1024.0 * 20_000.0;
+
 /// Hackbench-style configuration.
 #[derive(Debug, Clone)]
 pub struct MsgPairsCfg {
     /// Number of groups; each group has its own senders/receivers and its
     /// own communication-group tag.
     pub groups: usize,
-    /// Senders per group.
-    pub senders: usize,
-    /// Receivers per group.
-    pub receivers: usize,
     /// Messages each sender sends in total.
     pub messages_per_sender: u64,
-    /// Work per send (capacity-ns).
-    pub send_work: f64,
-    /// Work per receive (capacity-ns).
-    pub recv_work: f64,
     /// Base communication-group id (groups use base, base+1, …).
     pub comm_group_base: u32,
 }
 
 impl MsgPairsCfg {
-    /// Standard hackbench shape.
-    pub fn new(groups: usize, senders: usize, receivers: usize, messages: u64) -> Self {
+    /// Standard hackbench shape: `groups` groups of two senders and two
+    /// receivers, each sender sending `messages`.
+    pub fn new(groups: usize, messages: u64) -> Self {
         Self {
             groups,
-            senders,
-            receivers,
             messages_per_sender: messages,
-            send_work: 1024.0 * 20_000.0, // 20 µs per send
-            recv_work: 1024.0 * 20_000.0,
             comm_group_base: 100,
         }
     }
@@ -79,7 +77,7 @@ impl MsgPairs {
     /// Creates the workload and its statistics handle.
     pub fn new(cfg: MsgPairsCfg, rng: SimRng) -> (Self, Rc<RefCell<ThroughputStats>>) {
         let stats = ThroughputStats::handle();
-        let live = vec![cfg.senders; cfg.groups];
+        let live = vec![SENDERS; cfg.groups];
         (
             Self {
                 cfg,
@@ -117,7 +115,7 @@ impl Workload for MsgPairs {
         let nr = guest.kern.cfg.nr_vcpus;
         for group in 0..self.cfg.groups {
             let tag = self.cfg.comm_group_base + group as u32;
-            for _ in 0..self.cfg.senders {
+            for _ in 0..SENDERS {
                 let t = guest.spawn(plat, SpawnSpec::normal(nr).comm_group(tag));
                 self.tasks.push(t);
                 self.roles.push(Role::Sender { group, sent: 0 });
@@ -126,7 +124,7 @@ impl Workload for MsgPairs {
                 self.send_blocked.push(false);
                 guest.wake_task(plat, t, None);
             }
-            for _ in 0..self.cfg.receivers {
+            for _ in 0..RECEIVERS {
                 let t = guest.spawn(plat, SpawnSpec::normal(nr).comm_group(tag));
                 self.tasks.push(t);
                 self.roles.push(Role::Receiver { group });
@@ -184,9 +182,7 @@ impl Workload for MsgPairs {
                     group,
                     sent: sent + 1,
                 };
-                TaskAction::Compute {
-                    work: self.cfg.send_work,
-                }
+                TaskAction::Compute { work: SEND_WORK }
             }
             Role::Receiver { group } => {
                 if let Some(sender) = self.inbox[i].pop_front() {
@@ -205,18 +201,15 @@ impl Workload for MsgPairs {
                     }
                     let mut s = self.stats.borrow_mut();
                     s.completed += 1;
-                    s.work_done += self.cfg.recv_work;
-                    let total = self.cfg.groups as u64
-                        * self.cfg.senders as u64
-                        * self.cfg.messages_per_sender;
+                    s.work_done += RECV_WORK;
+                    let total =
+                        self.cfg.groups as u64 * SENDERS as u64 * self.cfg.messages_per_sender;
                     if s.completed >= total {
                         s.finished_at = Some(plat.now());
                         drop(s);
                         self.finished = true;
                     }
-                    return TaskAction::Compute {
-                        work: self.cfg.recv_work,
-                    };
+                    return TaskAction::Compute { work: RECV_WORK };
                 }
                 if self.live_senders[group] == 0 {
                     TaskAction::Exit

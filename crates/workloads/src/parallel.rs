@@ -21,6 +21,10 @@ use std::rc::Rc;
 /// Work burned per spin-wait quantum (capacity-ns): 50 µs of spinning.
 const SPIN_QUANTUM: f64 = 1024.0 * 50_000.0;
 
+/// Compute-burst spread as a fraction of the mean, for barrier bursts
+/// and for the lock workload's outside work.
+const SIGMA_FRAC: f64 = 0.15;
+
 /// Configuration of a barrier-parallel workload.
 #[derive(Debug, Clone)]
 pub struct BarrierCfg {
@@ -28,16 +32,12 @@ pub struct BarrierCfg {
     pub threads: usize,
     /// Mean compute work per burst (capacity-ns).
     pub burst_work: f64,
-    /// Burst spread as a fraction of the mean.
-    pub sigma_frac: f64,
     /// Rounds to execute; `None` = run forever.
     pub rounds: Option<u64>,
     /// Busy-wait at the barrier instead of blocking.
     pub spin_wait: bool,
     /// Communication group tag for the threads.
     pub comm_group: Option<u32>,
-    /// Mark threads cache-sensitive.
-    pub cache_sensitive: bool,
 }
 
 impl BarrierCfg {
@@ -46,11 +46,9 @@ impl BarrierCfg {
         Self {
             threads,
             burst_work,
-            sigma_frac: 0.15,
             rounds: None,
             spin_wait: false,
             comm_group: None,
-            cache_sensitive: false,
         }
     }
 
@@ -118,11 +116,9 @@ impl BarrierParallel {
     }
 
     fn burst(&mut self) -> TaskAction {
-        let w = self.rng.normal_at(
-            self.cfg.burst_work,
-            self.cfg.sigma_frac * self.cfg.burst_work,
-            1.0,
-        );
+        let w = self
+            .rng
+            .normal_at(self.cfg.burst_work, SIGMA_FRAC * self.cfg.burst_work, 1.0);
         self.stats.borrow_mut().work_done += w;
         TaskAction::Compute { work: w }
     }
@@ -135,9 +131,6 @@ impl Workload for BarrierParallel {
             let mut spec = SpawnSpec::normal(nr);
             if let Some(g) = self.cfg.comm_group {
                 spec = spec.comm_group(g);
-            }
-            if self.cfg.cache_sensitive {
-                spec = spec.cache_sensitive();
             }
             let t = guest.spawn(plat, spec);
             self.tasks.push(t);
@@ -249,12 +242,8 @@ pub struct LockCfg {
     pub critical_work: f64,
     /// Total critical sections to execute; `None` = forever.
     pub iterations: Option<u64>,
-    /// Spin on the lock instead of blocking (user-level spinlocks).
-    pub spin: bool,
     /// Communication group.
     pub comm_group: Option<u32>,
-    /// Cache sensitivity.
-    pub cache_sensitive: bool,
 }
 
 impl LockCfg {
@@ -265,21 +254,13 @@ impl LockCfg {
             outside_work,
             critical_work,
             iterations: None,
-            spin: false,
             comm_group: None,
-            cache_sensitive: false,
         }
     }
 
     /// Limits total iterations.
     pub fn iterations(mut self, n: u64) -> Self {
         self.iterations = Some(n);
-        self
-    }
-
-    /// Spin-lock variant.
-    pub fn spinning(mut self) -> Self {
-        self.spin = true;
         self
     }
 
@@ -294,7 +275,6 @@ impl LockCfg {
 enum LockPhase {
     Outside,
     WaitingLock,
-    SpinningLock,
     Critical,
 }
 
@@ -334,9 +314,11 @@ impl LockParallel {
     }
 
     fn outside(&mut self) -> TaskAction {
-        let w = self
-            .rng
-            .normal_at(self.cfg.outside_work, 0.15 * self.cfg.outside_work, 1.0);
+        let w = self.rng.normal_at(
+            self.cfg.outside_work,
+            SIGMA_FRAC * self.cfg.outside_work,
+            1.0,
+        );
         self.stats.borrow_mut().work_done += w;
         TaskAction::Compute { work: w }
     }
@@ -356,9 +338,6 @@ impl Workload for LockParallel {
             let mut spec = SpawnSpec::normal(nr);
             if let Some(g) = self.cfg.comm_group {
                 spec = spec.comm_group(g);
-            }
-            if self.cfg.cache_sensitive {
-                spec = spec.cache_sensitive();
             }
             let t = guest.spawn(plat, spec);
             self.tasks.push(t);
@@ -386,22 +365,10 @@ impl Workload for LockParallel {
                     self.holder = Some(i);
                     self.phase[i] = LockPhase::Critical;
                     self.critical()
-                } else if self.cfg.spin {
-                    self.phase[i] = LockPhase::SpinningLock;
-                    TaskAction::Compute { work: SPIN_QUANTUM }
                 } else {
                     self.phase[i] = LockPhase::WaitingLock;
                     self.waiters.push_back(i);
                     TaskAction::Block
-                }
-            }
-            LockPhase::SpinningLock => {
-                if self.holder.is_none() {
-                    self.holder = Some(i);
-                    self.phase[i] = LockPhase::Critical;
-                    self.critical()
-                } else {
-                    TaskAction::Compute { work: SPIN_QUANTUM }
                 }
             }
             LockPhase::WaitingLock => {

@@ -230,10 +230,7 @@ pub fn build_loaded(
         "water_spatial" => boxed(BarrierParallel::new(BarrierCfg::new(t, work_ms(2.5)), rng)),
         // Others
         "pbzip2" => boxed(mk_queue(t, huge, work_ms(6.0), rng)),
-        "hackbench" => boxed(MsgPairs::new(
-            MsgPairsCfg::new((t / 4).max(1), 2, 2, 2000),
-            rng,
-        )),
+        "hackbench" => boxed(MsgPairs::new(MsgPairsCfg::new((t / 4).max(1), 2000), rng)),
         "fio" => boxed(ThinkIo::new(t, work_ms(0.2), 2_000_000, rng)),
         "sysbench" => {
             let (w, s) = Stressor::new(t, work_ms(10.0));

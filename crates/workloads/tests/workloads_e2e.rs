@@ -81,9 +81,8 @@ fn barrier_parallel_completes_rounds() {
 fn spinning_barrier_burns_more_cycles_than_blocking() {
     let run = |spin: bool| -> f64 {
         let (mut m, vm) = one_vm(4, 4);
+        // The bursts' spread makes stragglers, so threads wait at barriers.
         let mut cfg = BarrierCfg::new(4, work_ms(1.0)).rounds(200);
-        // Unequal bursts → stragglers → waiting time at barriers.
-        cfg.sigma_frac = 0.5;
         if spin {
             cfg = cfg.spinning();
         }
@@ -139,7 +138,7 @@ fn pipeline_pushes_items_through_stages() {
 #[test]
 fn msg_pairs_delivers_all_messages() {
     let (mut m, vm) = one_vm(4, 7);
-    let (wl, stats) = MsgPairs::new(MsgPairsCfg::new(2, 2, 2, 200), SimRng::new(13));
+    let (wl, stats) = MsgPairs::new(MsgPairsCfg::new(2, 200), SimRng::new(13));
     m.set_workload(vm, Box::new(wl));
     m.start();
     m.run_until(SimTime::from_secs(20));

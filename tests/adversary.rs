@@ -12,7 +12,7 @@
 //!   against the hardened guest;
 //! * a fixed seed replays byte-identically.
 //!
-//! `ADVERSARY_SEED` (used by `ci.sh adversary-smoke`) points the sweep at
+//! `SWEEP_SEED` (drawn by `ci.sh`'s randomized sweeps) points the sweep at
 //! an arbitrary seed; the failure message prints the seed so a CI hit
 //! replays locally.
 
@@ -20,14 +20,8 @@ use vsched_repro::experiments::adversary::{self, GuestMode, HostPolicy};
 use vsched_repro::experiments::runner::CellCtx;
 use vsched_repro::experiments::Scale;
 use vsched_repro::simcore::plan::Plan;
+use vsched_repro::simcore::propcheck;
 use vsched_repro::workloads::{AttackKind, ATTACK_KINDS};
-
-fn sweep_seed() -> u64 {
-    std::env::var("ADVERSARY_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42u64)
-}
 
 const SWEEP_HORIZON_SECS: u64 = 4;
 
@@ -35,7 +29,7 @@ const SWEEP_HORIZON_SECS: u64 = 4;
 fn every_attack_kind_keeps_invariants() {
     // One archetype at a time, under both host policies: a violation here
     // pins the breakage to a single attack mechanism and host scheduler.
-    let seed = sweep_seed();
+    let seed = propcheck::sweep_seed(42);
     let ctx = CellCtx::new(seed, Scale::Quick);
     for kind in ATTACK_KINDS {
         let plan = adversary::plan_for(Some(kind), SWEEP_HORIZON_SECS, seed);
@@ -44,7 +38,7 @@ fn every_attack_kind_keeps_invariants() {
             assert!(out.trace_events > 0, "{kind:?}/{policy:?}: no trace events");
             assert_eq!(
                 out.violations, 0,
-                "{kind:?} under {policy:?} violated {:?} (ADVERSARY_SEED={seed})",
+                "{kind:?} under {policy:?} violated {:?} (SWEEP_SEED={seed})",
                 out.first_law
             );
         }
@@ -55,14 +49,14 @@ fn every_attack_kind_keeps_invariants() {
 fn combined_attack_keeps_invariants() {
     // All archetypes interleaved against the hardened guest on the
     // domain-partitioned host — the cell the shrinker's oracle replays.
-    let seed = sweep_seed();
+    let seed = propcheck::sweep_seed(42);
     let plan = adversary::plan_for(None, SWEEP_HORIZON_SECS, seed);
     let ctx = CellCtx::new(seed, Scale::Quick);
     let out = adversary::run_attack(&ctx, HostPolicy::Domain, GuestMode::VschedHardened, &plan);
     assert!(out.trace_events > 0);
     assert_eq!(
         out.violations, 0,
-        "combined attack violated {:?} (ADVERSARY_SEED={seed})",
+        "combined attack violated {:?} (SWEEP_SEED={seed})",
         out.first_law
     );
 }

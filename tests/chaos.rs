@@ -12,9 +12,9 @@
 //! * a fixed seed replays byte-identically, and plans are structurally
 //!   sound across a randomized seed sweep.
 //!
-//! `CHAOS_SEED` (used by `ci.sh chaos-smoke`) points the invariant sweep
-//! at an arbitrary seed; the failure message prints the seed so a CI hit
-//! replays locally.
+//! `SWEEP_SEED` (drawn by `ci.sh`'s randomized sweeps) points the
+//! invariant sweep at an arbitrary seed; the failure message prints the
+//! seed so a CI hit replays locally.
 
 use vsched_repro::experiments::chaos::{self, ChaosMode};
 use vsched_repro::experiments::common::{check_report, checked_collector};
@@ -22,6 +22,7 @@ use vsched_repro::experiments::runner::CellCtx;
 use vsched_repro::experiments::Scale;
 use vsched_repro::hostsim::{ChaosSpec, FaultPlan, HostSpec, Machine, VmSpec};
 use vsched_repro::simcore::plan::Plan;
+use vsched_repro::simcore::propcheck;
 use vsched_repro::simcore::time::{MS, SEC};
 use vsched_repro::simcore::{SimRng, SimTime};
 use vsched_repro::trace::FaultClass;
@@ -82,31 +83,25 @@ fn run_chaos(
 fn every_fault_class_keeps_invariants() {
     // One class at a time: a violation here pins the breakage to a single
     // fault mechanism. The run itself completing is the no-panic gate.
-    let seed = std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42u64);
+    let seed = propcheck::sweep_seed(42);
     for class in CLASSES {
         let (report, _, _) = run_chaos(seed, &[class], 400 * MS, 2 * SEC, 3, ResilCfg::default());
         assert!(report.events > 0, "{class:?}: no trace events");
         assert!(
             report.ok(),
-            "{class:?} violated an invariant (CHAOS_SEED={seed}):\n{report}"
+            "{class:?} violated an invariant (SWEEP_SEED={seed}):\n{report}"
         );
     }
 }
 
 #[test]
 fn all_fault_classes_together_keep_invariants() {
-    let seed = std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42u64);
+    let seed = propcheck::sweep_seed(42);
     let (report, _, _) = run_chaos(seed, &CLASSES, 250 * MS, 3 * SEC, 4, ResilCfg::default());
     assert!(report.events > 0);
     assert!(
         report.ok(),
-        "combined chaos violated an invariant (CHAOS_SEED={seed}):\n{report}"
+        "combined chaos violated an invariant (SWEEP_SEED={seed}):\n{report}"
     );
 }
 
