@@ -66,9 +66,11 @@ echo "== histogram oracle (release, 8x property cases)"
 cargo test -q --release -p vsched-metrics --features property-tests
 
 echo "== guest-kernel invariants (release, 8x property cases)"
-# The guest kernel's structural invariants after every random step, the
-# busy-vCPU mask the balancer scans among them, and the early-exit
-# communication factor against a full scan, over the widened sweep.
+# The guest kernel's structural invariants after every random step, with
+# its kept per-vCPU state among them (the busy, normal-running and
+# idle-like masks and every fresh load ratio against their definitions),
+# and the early-exit communication factor against a full scan, over the
+# widened sweep.
 cargo test -q --release -p vsched-guestos --features property-tests
 
 echo "== large-fleet stepping identity (release, ignored tests)"
@@ -81,6 +83,13 @@ echo "== registry trace gate: every cell traced vs untraced (release, ignored te
 # context: rows must be identical, every checked collector law-clean with
 # events, and every machine a cell builds must come from its context.
 cargo test -q --release --test trace_invariants -- --ignored
+
+echo "== registry trace gate under the guest-kernel shadow (release, ignored test)"
+# The same gate with the guest kernel's full-scan shadow compiled in:
+# every read of a kept load ratio, busy / normal-running / idle-like mask
+# bit, per-level busiest vCPU or communication factor is recomputed by a
+# scan and asserted equal, across all 506 cells.
+cargo test -q --release --test trace_invariants --features guestos/shadow -- --ignored
 
 echo "== randomized sweeps: one drawn seed for five property sweeps"
 # Randomized seed: the chaos fault classes, the fleet migration laws, the

@@ -10,6 +10,7 @@
 //! stacking).
 
 use crate::runner::{CellCtx, Grid};
+use guestos::VcpuId;
 use hostsim::{HostSpec, Machine, Pinning, ScriptAction, VmSpec};
 use metrics::Table;
 use simcore::time::SEC;
@@ -134,7 +135,11 @@ fn run_capacity_tracking(ctx: &CellCtx) -> Vec<CapSample> {
                 .find(|(t, _)| now.ns() >= *t)
                 .map(|(_, c)| *c)
                 .unwrap_or(1024.0);
-            let ema = m.vms[0].guest.kern.vcpus[0].cap_override.unwrap_or(1024.0);
+            let ema = m.vms[0]
+                .guest
+                .kern
+                .cap_override(VcpuId(0))
+                .unwrap_or(1024.0);
             samples_ref.borrow_mut().push(CapSample {
                 t_secs: now.as_secs_f64(),
                 actual,

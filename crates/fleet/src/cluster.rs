@@ -1251,8 +1251,11 @@ mod tests {
         assert_eq!(serial, run(4));
         // The counts this fleet produced when every departure and resize
         // stepped all hosts: replaying the deferred barriers must make
-        // exactly the same `run_until` calls on every host.
-        assert_eq!((serial.2, serial.3), (65_618, 56_306));
+        // exactly the same `run_until` calls on every host. (The event
+        // count was 56 306 while a host without SMT refreshed a thread as
+        // its own sibling: 61 duplicate burst completions, each dispatched
+        // as a stale event.)
+        assert_eq!((serial.2, serial.3), (65_618, 56_245));
     }
 
     #[test]

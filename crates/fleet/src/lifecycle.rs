@@ -41,6 +41,9 @@ pub const TIER_SLO_P99_NS: [u64; 3] = [10 * MS, 20 * MS, 80 * MS];
 /// Most hosts a spec may name: trace events and chaos plans carry host
 /// ids as `u16`, so a larger fleet would give two hosts one id.
 pub const MAX_HOSTS: usize = 1 << 16;
+/// Most hardware threads a host may have: host trace events carry the
+/// thread as a `u16`, so a wider host would give two threads one id.
+pub const MAX_THREADS_PER_HOST: usize = 1 << 16;
 
 /// Fleet configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,6 +102,13 @@ impl FleetSpec {
         }
         if self.threads_per_host == 0 {
             return Err("threads_per_host must be positive (got 0)".into());
+        }
+        if self.threads_per_host > MAX_THREADS_PER_HOST {
+            return Err(format!(
+                "threads_per_host must be at most {MAX_THREADS_PER_HOST} (got {}): \
+                 thread ids are 16-bit",
+                self.threads_per_host
+            ));
         }
         if self.arrival_mean_ns == 0 {
             return Err("arrival_mean_ns must be positive (got 0)".into());
@@ -324,6 +334,15 @@ mod tests {
         FleetSpec::small(MAX_HOSTS, 1, 1)
             .validate()
             .expect("every host id fits in u16");
+
+        // Validation only: a host this wide is never built here.
+        assert_eq!(
+            FleetSpec::small(1, 70_000, 1).validate().unwrap_err(),
+            "threads_per_host must be at most 65536 (got 70000): thread ids are 16-bit"
+        );
+        FleetSpec::small(1, MAX_THREADS_PER_HOST, 1)
+            .validate()
+            .expect("every thread id fits in u16");
     }
 
     #[test]

@@ -57,21 +57,40 @@ fn fleettrace_exits_one_without_a_panic_on_crafted_traces() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// Replays the uncrafted trace with `flag 70000`; returns the exit code
+/// and stderr.
+fn replay_with_70000(flag: &str) -> (Option<i32>, String) {
+    let path = std::env::temp_dir().join(format!("vsched_wide{flag}_{}.jsonl", std::process::id()));
+    std::fs::write(&path, trace("2", "0", "50")).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_fleettrace"))
+        .args(["replay", path.to_str().unwrap(), flag, "70000"])
+        .output()
+        .unwrap();
+    let _ = std::fs::remove_file(&path);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    (out.status.code(), stderr)
+}
+
 /// A fleet wider than a 16-bit host id is a usage error (exit 2) naming
 /// `hosts`, caught before any host is built.
 #[test]
 fn fleettrace_replay_rejects_more_hosts_than_ids() {
-    let path = std::env::temp_dir().join(format!("vsched_wide_{}.jsonl", std::process::id()));
-    std::fs::write(&path, trace("2", "0", "50")).unwrap();
-    let out = Command::new(env!("CARGO_BIN_EXE_fleettrace"))
-        .args(["replay", path.to_str().unwrap(), "--hosts", "70000"])
-        .output()
-        .unwrap();
-    let _ = std::fs::remove_file(&path);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    let (code, stderr) = replay_with_70000("--hosts");
+    assert_eq!(code, Some(2), "{stderr}");
     assert!(
         stderr.contains("hosts must be at most 65536 (got 70000)"),
+        "{stderr}"
+    );
+}
+
+/// So is a host wider than a 16-bit thread id, naming `threads_per_host`;
+/// validation runs before the host is built, so no such host exists.
+#[test]
+fn fleettrace_replay_rejects_more_threads_than_ids() {
+    let (code, stderr) = replay_with_70000("--threads");
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(
+        stderr.contains("threads_per_host must be at most 65536 (got 70000)"),
         "{stderr}"
     );
 }

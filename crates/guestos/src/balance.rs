@@ -23,45 +23,6 @@ const IMBALANCE_PCT: f64 = 1.25;
 /// Capacity advantage required of the destination in a misfit migration.
 const MISFIT_CAP_ADVANTAGE: f64 = 1.15;
 
-/// Load of a vCPU's queue per unit of perceived capacity.
-fn load_ratio(kern: &Kernel, v: VcpuId, now: simcore::SimTime) -> f64 {
-    kern.rq_weight(v) as f64 / kern.capacity_of(v, now).max(1.0)
-}
-
-/// The load ratios one balance pass has computed, so the nested spans of
-/// a pass (SMT within LLC within the machine) read each vCPU's ratio at
-/// most once. A pass ends at its first migration, and nothing before that
-/// changes a ratio, so an entry never goes stale. The values live in the
-/// kernel's `ratio_scratch`, which the first pass sizes and later passes
-/// reuse.
-struct Ratios {
-    known: CpuMask,
-    value: Vec<f64>,
-}
-
-impl Ratios {
-    fn begin(kern: &mut Kernel) -> Self {
-        let mut value = std::mem::take(&mut kern.ratio_scratch);
-        value.resize(kern.cfg.nr_vcpus, 0.0);
-        Self {
-            known: CpuMask::empty(),
-            value,
-        }
-    }
-
-    fn end(self, kern: &mut Kernel) {
-        kern.ratio_scratch = self.value;
-    }
-
-    fn get(&mut self, kern: &Kernel, v: VcpuId, now: simcore::SimTime) -> f64 {
-        if !self.known.contains(v.0) {
-            self.value[v.0] = load_ratio(kern, v, now);
-            self.known.set(v.0);
-        }
-        self.value[v.0]
-    }
-}
-
 /// Finds the first waiting task on `src` that may run on `dst`, skipping
 /// cache-hot tasks (enqueued within `migration_cost_ns`, Linux's
 /// `can_migrate_task` heat check — this also prevents a freshly migrated
@@ -91,33 +52,41 @@ enum PullResult {
     NothingMovable(VcpuId),
 }
 
-/// Attempts one pull into `dst` from the busiest other vCPU in `span`.
+/// The busiest non-idle vCPU other than `dst` among `best` and the vCPUs
+/// of `cands`, by load ratio, the lowest-numbered first among equal ratios
+/// — considering the running task too, since active balance may target
+/// it.
+fn busiest_of(
+    kern: &mut Kernel,
+    cands: &CpuMask,
+    dst: VcpuId,
+    now: simcore::SimTime,
+    mut best: Option<(VcpuId, f64)>,
+) -> Option<(VcpuId, f64)> {
+    for c in cands.and(kern.busy()).iter() {
+        if c == dst.0 {
+            continue;
+        }
+        let r = kern.load_ratio(VcpuId(c), now);
+        if best.is_none_or(|(b, br)| r > br || (r == br && c < b.0)) {
+            best = Some((VcpuId(c), r));
+        }
+    }
+    best
+}
+
+/// Attempts one pull into `dst` from `busiest`, the busiest other vCPU of
+/// the level's span.
 fn try_pull(
     kern: &mut Kernel,
     plat: &mut dyn Platform,
     dst: VcpuId,
-    span: &CpuMask,
-    ratios: &mut Ratios,
+    busiest: Option<(VcpuId, f64)>,
 ) -> PullResult {
     let now = plat.now();
-    let dst_ratio = ratios.get(kern, dst, now);
-
-    // The busiest non-idle vCPU by load ratio — considering the running
-    // task too, since active balance may target it.
-    let mut busiest: Option<(VcpuId, f64)> = None;
-    for c in span.and(kern.busy()).iter() {
-        let v = VcpuId(c);
-        if v == dst {
-            continue;
-        }
-        let r = ratios.get(kern, v, now);
-        if busiest.map(|(_, b)| r > b).unwrap_or(true) {
-            busiest = Some((v, r));
-        }
-    }
-    let (src, src_ratio) = match busiest {
-        Some(b) => b,
-        None => return PullResult::Balanced,
+    let dst_ratio = kern.load_ratio(dst, now);
+    let Some((src, src_ratio)) = busiest else {
+        return PullResult::Balanced;
     };
 
     let dst_idle = kern.vcpu_is_idle(dst);
@@ -213,14 +182,18 @@ fn try_misfit(kern: &mut Kernel, plat: &mut dyn Platform, dst: VcpuId) -> bool {
             Some(t) => t,
             None => continue,
         };
+        // The capacity test first: it needs no task lookup, and most
+        // vCPUs are not materially weaker than `dst`.
         let src_cap = kern.capacity_of(src, now);
-        let util = kern.task(curr).pelt.util();
-        let misfit = util > FITS_MARGIN * src_cap;
-        let worth_it = dst_cap > MISFIT_CAP_ADVANTAGE * src_cap
-            && kern.placement_mask(curr).contains(dst.0)
-            // Cache-hot gate: leave freshly (re)started tasks alone.
-            && now.since(kern.task(curr).run_started) >= MIGRATION_COST_NS;
-        if misfit && worth_it {
+        let stronger = dst_cap > MISFIT_CAP_ADVANTAGE * src_cap;
+        if !stronger {
+            continue;
+        }
+        let task = kern.task(curr);
+        let misfit = task.pelt.util() > FITS_MARGIN * src_cap;
+        // Cache-hot gate: leave freshly (re)started tasks alone.
+        let cold = now.since(task.run_started) >= MIGRATION_COST_NS;
+        if misfit && cold && kern.placement_mask(curr).contains(dst.0) {
             kern.migrate_running(plat, src, dst, MigrateKind::Active);
             return true;
         }
@@ -249,16 +222,7 @@ fn try_smt_spread(kern: &mut Kernel, plat: &mut dyn Platform, dst: VcpuId) -> bo
     let mut doubled = CpuMask::empty();
     let mut placed = CpuMask::empty();
     for group in kern.domains.smt_groups() {
-        let running_normal = group
-            .and(kern.busy())
-            .iter()
-            .filter(|&s| {
-                kern.vcpus[s]
-                    .curr
-                    .is_some_and(|t| !kern.task(t).policy.is_idle())
-            })
-            .count();
-        if running_normal >= 2 {
+        if group.and(kern.normal_running()).count() >= 2 {
             doubled = doubled.or(&group.minus(&placed));
         }
         placed = placed.or(group);
@@ -288,9 +252,14 @@ fn try_smt_spread(kern: &mut Kernel, plat: &mut dyn Platform, dst: VcpuId) -> bo
 /// queue had nothing movable may escalate to active balance (periodic
 /// balancing does; new-idle balancing does not). Returns true on a
 /// migration.
+///
+/// Spans nest (SMT within LLC within the machine), and nothing changes a
+/// load ratio before the pass's first migration, so a level's busiest
+/// vCPU is the level below's, challenged only by the vCPUs the level adds.
 fn pull_pass(kern: &mut Kernel, plat: &mut dyn Platform, v: VcpuId, active: bool) -> bool {
-    let mut ratios = Ratios::begin(kern);
-    let mut moved = false;
+    let now = plat.now();
+    let mut scanned = CpuMask::empty();
+    let mut busiest = None;
     for level in 0..kern.domains.levels().len() {
         let Some(span) = kern.domains.levels()[level].group_of(v).copied() else {
             continue;
@@ -298,17 +267,29 @@ fn pull_pass(kern: &mut Kernel, plat: &mut dyn Platform, v: VcpuId, active: bool
         if span.count() <= 1 {
             continue;
         }
-        moved = match try_pull(kern, plat, v, &span, &mut ratios) {
+        if !scanned.subset_of(&span) {
+            // Not nested under the level below: scan the span whole.
+            (scanned, busiest) = (CpuMask::empty(), None);
+        }
+        busiest = busiest_of(kern, &span.minus(&scanned), v, now, busiest);
+        scanned = span;
+        #[cfg(feature = "shadow")]
+        assert_eq!(
+            busiest,
+            busiest_of(kern, &span, v, now, None),
+            "shadow: busiest vCPU of level {level} for vCPU {}",
+            v.0
+        );
+        let moved = match try_pull(kern, plat, v, busiest) {
             PullResult::Pulled => true,
             PullResult::Balanced => false,
             PullResult::NothingMovable(src) => active && maybe_active_balance(kern, plat, v, src),
         };
         if moved {
-            break;
+            return true;
         }
     }
-    ratios.end(kern);
-    moved
+    false
 }
 
 /// Periodic balance, run from the tick of vCPU `v` every
@@ -438,8 +419,8 @@ mod tests {
     fn misfit_moves_running_task_to_big_idle_vcpu() {
         let (mut k, mut p) = setup(2);
         k.asym_capacity = true; // probed asymmetry enables misfit balancing
-        k.vcpus[0].cap_override = Some(300.0);
-        k.vcpus[1].cap_override = Some(1024.0);
+        k.set_cap_override(VcpuId(0), Some(300.0));
+        k.set_cap_override(VcpuId(1), Some(1024.0));
         let ids = load_vcpu(&mut k, &mut p, 0, 1);
         p.now = SimTime::from_ms(1); // past the cache-hot gate
                                      // PELT starts at 512 > 0.8 * 300 → misfit.
@@ -454,8 +435,8 @@ mod tests {
     #[test]
     fn misfit_needs_capacity_advantage() {
         let (mut k, mut p) = setup(2);
-        k.vcpus[0].cap_override = Some(1000.0);
-        k.vcpus[1].cap_override = Some(1024.0);
+        k.set_cap_override(VcpuId(0), Some(1000.0));
+        k.set_cap_override(VcpuId(1), Some(1024.0));
         load_vcpu(&mut k, &mut p, 0, 1);
         // util 512 < 0.8*1000 → no misfit; also no queue → no pull.
         assert!(!newidle_balance(&mut k, &mut p, VcpuId(1)));

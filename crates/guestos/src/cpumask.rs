@@ -91,6 +91,15 @@ impl CpuMask {
         }
     }
 
+    /// Adds `cpu` to the set when `on`, removes it otherwise.
+    pub fn assign(&mut self, cpu: usize, on: bool) {
+        if on {
+            self.set(cpu);
+        } else {
+            self.clear(cpu);
+        }
+    }
+
     /// Whether `cpu` is in the set.
     pub fn contains(&self, cpu: usize) -> bool {
         cpu < MAX_CPUS && self.words[cpu / 64] & (1u64 << (cpu % 64)) != 0

@@ -100,8 +100,9 @@ pub struct VcpuData {
     /// When the observation was last refreshed.
     observed_at: SimTime,
     /// Probed capacity installed by vcap's kernel module, overriding the
-    /// baseline observation.
-    pub cap_override: Option<f64>,
+    /// baseline observation. Written only through
+    /// [`Kernel::set_cap_override`], so the kept load ratio sees it.
+    cap_override: Option<f64>,
     /// Consecutive balance attempts that found imbalance but nothing to
     /// pull (Linux's `nr_balance_failed`, which eventually triggers active
     /// balance of a running task).
@@ -184,13 +185,26 @@ pub struct Kernel {
     pub asym_capacity: bool,
     /// The vCPUs with a current task or a waiting one (every `v` with
     /// `!vcpu_is_idle(v)`), so balancer scans skip idle vCPUs without
-    /// visiting them. Kept in step at the only places `curr` or a
-    /// runqueue changes: enqueue, dequeue, `set_curr` and the two
-    /// `put_curr`s.
+    /// visiting them. This and the two masks below are re-derived by
+    /// `sync_vcpu` at the only places `curr` or a runqueue changes:
+    /// enqueue, dequeue, `set_curr` and the two `put_curr`s.
     busy: CpuMask,
-    /// Per-vCPU load ratios of the balance pass in progress; empty until
-    /// the first pass sizes it (see `balance::Ratios`).
-    pub(crate) ratio_scratch: Vec<f64>,
+    /// The vCPUs whose current task has a normal (non-`SCHED_IDLE`)
+    /// policy.
+    normal_running: CpuMask,
+    /// The vCPUs that count as idle for wake placement: no current task or
+    /// a `SCHED_IDLE` one, and no normal task waiting (Linux's
+    /// `sched_idle_cpu()`).
+    idle_like: CpuMask,
+    /// Each vCPU's load ratio (queue weight per unit of perceived
+    /// capacity), kept across balance passes; valid where `ratio_fresh`
+    /// has the vCPU's bit. Empty until the first balance read sizes it.
+    ratio: Vec<f64>,
+    /// The vCPUs whose `ratio` entry is current. A bit is cleared wherever
+    /// an input of the ratio changes: `sync_vcpu` (queue weight, current
+    /// task, busy bit), the tick's steal observation and
+    /// [`Self::set_cap_override`].
+    ratio_fresh: CpuMask,
 }
 
 impl Kernel {
@@ -208,7 +222,10 @@ impl Kernel {
             comm_groups: Vec::new(),
             asym_capacity: false,
             busy: CpuMask::empty(),
-            ratio_scratch: Vec::new(),
+            normal_running: CpuMask::empty(),
+            idle_like: CpuMask::first_n(nr),
+            ratio: Vec::new(),
+            ratio_fresh: CpuMask::empty(),
         }
     }
 
@@ -269,15 +286,64 @@ impl Kernel {
     /// The vCPUs that are not guest-idle: a current task or a non-empty
     /// runqueue.
     pub fn busy(&self) -> &CpuMask {
+        #[cfg(feature = "shadow")]
+        self.shadow_check_masks();
         &self.busy
     }
 
-    /// Re-reads `v`'s busy bit after its `curr` or runqueue changed.
-    fn sync_busy(&mut self, v: VcpuId) {
-        if self.vcpu_is_idle(v) {
-            self.busy.clear(v.0);
-        } else {
-            self.busy.set(v.0);
+    /// The vCPUs whose current task has a normal (non-`SCHED_IDLE`) policy.
+    pub fn normal_running(&self) -> &CpuMask {
+        #[cfg(feature = "shadow")]
+        self.shadow_check_masks();
+        &self.normal_running
+    }
+
+    /// The vCPUs that count as idle for wake placement: truly idle, or
+    /// running only `SCHED_IDLE` work with no normal task waiting (Linux's
+    /// `sched_idle_cpu()`).
+    pub fn idle_like(&self) -> &CpuMask {
+        #[cfg(feature = "shadow")]
+        self.shadow_check_masks();
+        &self.idle_like
+    }
+
+    /// `v`'s busy, normal-running and idle-like bits, by their definitions.
+    fn derive_bits(&self, v: VcpuId) -> (bool, bool, bool) {
+        let d = &self.vcpus[v.0];
+        let normal_curr = d.curr.is_some_and(|t| !self.task(t).policy.is_idle());
+        (
+            !self.vcpu_is_idle(v),
+            normal_curr,
+            !normal_curr && d.rq.nr_normal == 0,
+        )
+    }
+
+    /// Re-derives `v`'s mask bits after its `curr` or runqueue changed,
+    /// and marks its load ratio stale.
+    fn sync_vcpu(&mut self, v: VcpuId) {
+        let (busy, normal, idle_like) = self.derive_bits(v);
+        self.busy.assign(v.0, busy);
+        self.normal_running.assign(v.0, normal);
+        self.idle_like.assign(v.0, idle_like);
+        self.ratio_fresh.clear(v.0);
+    }
+
+    /// Asserts every kept mask bit against its definition.
+    #[cfg(feature = "shadow")]
+    fn shadow_check_masks(&self) {
+        for v in 0..self.cfg.nr_vcpus {
+            let (busy, normal, idle_like) = self.derive_bits(VcpuId(v));
+            assert_eq!(self.busy.contains(v), busy, "shadow: busy bit of vCPU {v}");
+            assert_eq!(
+                self.normal_running.contains(v),
+                normal,
+                "shadow: normal-running bit of vCPU {v}"
+            );
+            assert_eq!(
+                self.idle_like.contains(v),
+                idle_like,
+                "shadow: idle-like bit of vCPU {v}"
+            );
         }
     }
 
@@ -327,6 +393,60 @@ impl Kernel {
         let d = &self.vcpus[v.0];
         let curr_w = d.curr.map(|t| self.task(t).weight()).unwrap_or(0);
         d.rq.weight_sum + curr_w
+    }
+
+    /// The probed capacity vcap installed for `v`, if any.
+    pub fn cap_override(&self, v: VcpuId) -> Option<f64> {
+        self.vcpus[v.0].cap_override
+    }
+
+    /// Installs (or, with `None`, withdraws) a probed capacity for `v`,
+    /// which [`Self::capacity_of`] then reports in place of the baseline
+    /// observation.
+    pub fn set_cap_override(&mut self, v: VcpuId, cap: Option<f64>) {
+        self.vcpus[v.0].cap_override = cap;
+        self.ratio_fresh.clear(v.0);
+    }
+
+    /// Load of `v`'s queue per unit of perceived capacity, as the balancer
+    /// compares vCPUs. Kept across passes until an input changes. An idle
+    /// vCPU's queue weight is 0, so its ratio is exactly 0.0 and needs no
+    /// capacity read.
+    #[inline]
+    pub(crate) fn load_ratio(&mut self, v: VcpuId, now: SimTime) -> f64 {
+        if !self.ratio_fresh.contains(v.0) {
+            self.refresh_ratio(v, now);
+        }
+        #[cfg(feature = "shadow")]
+        {
+            let full = self.rq_weight(v) as f64 / self.capacity_of(v, now).max(1.0);
+            assert_eq!(
+                self.ratio[v.0].to_bits(),
+                full.to_bits(),
+                "shadow: load ratio of vCPU {}",
+                v.0
+            );
+        }
+        self.ratio[v.0]
+    }
+
+    /// Recomputes `v`'s kept load ratio, sizing the vector on first use.
+    fn refresh_ratio(&mut self, v: VcpuId, now: SimTime) {
+        if self.ratio.len() < self.cfg.nr_vcpus {
+            self.ratio.resize(self.cfg.nr_vcpus, 0.0);
+        }
+        self.ratio[v.0] = if self.busy.contains(v.0) {
+            self.rq_weight(v) as f64 / self.capacity_of(v, now).max(1.0)
+        } else {
+            0.0
+        };
+        self.ratio_fresh.set(v.0);
+    }
+
+    /// The kept load ratio of `v` while it is fresh, so a checker can hold
+    /// the cache to its definition.
+    pub fn fresh_ratio(&self, v: VcpuId) -> Option<f64> {
+        self.ratio_fresh.contains(v.0).then(|| self.ratio[v.0])
     }
 
     // ------------------------------------------------------------------
@@ -414,9 +534,8 @@ impl Kernel {
                 task.pelt.load(),
             )
         };
-        let d = &mut self.vcpus[v.0];
-        d.rq.enqueue(t, vrt, w, is_idle, load);
-        self.busy.set(v.0);
+        self.vcpus[v.0].rq.enqueue(t, vrt, w, is_idle, load);
+        self.sync_vcpu(v);
     }
 
     /// Removes a waiting task from its runqueue. Returns false if the task
@@ -434,7 +553,7 @@ impl Kernel {
             task.pelt.load(),
         );
         let removed = self.vcpus[v.0].rq.dequeue(t, vrt, w, is_idle, load);
-        self.sync_busy(v);
+        self.sync_vcpu(v);
         removed
     }
 
@@ -482,7 +601,7 @@ impl Kernel {
         task.run_started = now;
         task.last_vcpu = v;
         self.vcpus[v.0].curr = Some(t);
-        self.busy.set(v.0);
+        self.sync_vcpu(v);
         self.stats.context_switches.inc();
         self.trace.emit(
             now,
@@ -513,7 +632,7 @@ impl Kernel {
         reason: PutReason,
     ) -> Option<TaskId> {
         let t = self.vcpus[v.0].curr.take()?;
-        self.sync_busy(v);
+        self.sync_vcpu(v);
         let delta = plat.stop_task(v);
         let now = plat.now();
         self.charge(now, t, delta);
@@ -664,6 +783,7 @@ impl Kernel {
                 let decay = 0.5f64.powf(wall as f64 / 16.0e6);
                 d.observed_cap = (d.observed_cap * decay + inst * (1.0 - decay)).max(64.0);
                 d.observed_at = now;
+                self.ratio_fresh.clear(v.0);
             }
             d.last_tick_steal = steal;
             d.last_tick_at = now;
@@ -752,7 +872,7 @@ impl Kernel {
     /// settled by `on_burst_complete`).
     fn put_curr_settled(&mut self, now: SimTime, v: VcpuId, reason: PutReason) -> Option<TaskId> {
         let t = self.vcpus[v.0].curr.take()?;
-        self.sync_busy(v);
+        self.sync_vcpu(v);
         let vrt = self.task(t).vruntime;
         self.vcpus[v.0].rq.update_min_vruntime(Some(vrt));
         self.trace.emit(
@@ -922,23 +1042,32 @@ impl Kernel {
             .cross_socket_comm_factor
             .min(self.cfg.same_llc_comm_factor)
             .min(1.0);
+        // A member that is `t` itself or not running contributes 1.0,
+        // which never lowers the minimum.
+        let factor = |other_id: TaskId| match self.task(other_id).state {
+            TaskState::Running(ov) if other_id != t => match plat.comm_distance(v, ov) {
+                CommDistance::CrossSocket => self.cfg.cross_socket_comm_factor,
+                CommDistance::SameLlc => self.cfg.same_llc_comm_factor,
+                _ => 1.0,
+            },
+            _ => 1.0,
+        };
         let mut worst = 1.0f64;
         for &other_id in members {
             if worst <= floor {
                 break;
             }
-            if other_id == t {
-                continue;
-            }
-            let other = self.task(other_id);
-            if let TaskState::Running(ov) = other.state {
-                let f = match plat.comm_distance(v, ov) {
-                    CommDistance::CrossSocket => self.cfg.cross_socket_comm_factor,
-                    CommDistance::SameLlc => self.cfg.same_llc_comm_factor,
-                    _ => 1.0,
-                };
-                worst = worst.min(f);
-            }
+            worst = worst.min(factor(other_id));
+        }
+        #[cfg(feature = "shadow")]
+        {
+            let full = members.iter().fold(1.0f64, |w, &o| w.min(factor(o)));
+            assert_eq!(
+                worst.to_bits(),
+                full.to_bits(),
+                "shadow: comm factor of task {}",
+                t.0
+            );
         }
         worst
     }
@@ -1342,7 +1471,7 @@ mod tests {
     #[test]
     fn cap_override_is_authoritative() {
         let (mut k, _p) = setup(1);
-        k.vcpus[0].cap_override = Some(333.0);
+        k.set_cap_override(VcpuId(0), Some(333.0));
         assert_eq!(k.capacity_of(VcpuId(0), SimTime::from_secs(10)), 333.0);
     }
 

@@ -24,14 +24,9 @@ pub(crate) const FITS_MARGIN: f64 = 0.8;
 /// Whether vCPU `v` counts as idle for wake placement: truly idle, or
 /// running only `SCHED_IDLE` tasks (Linux's `sched_idle_cpu()` — a CPU
 /// occupied purely by best-effort work is as good as idle for a normal
-/// task, which preempts immediately).
-pub(crate) fn idle_like(kern: &Kernel, v: VcpuId) -> bool {
-    let d = &kern.vcpus[v.0];
-    let curr_ok = match d.curr {
-        None => true,
-        Some(t) => kern.task(t).policy.is_idle(),
-    };
-    curr_ok && d.rq.nr_normal == 0
+/// task, which preempts immediately). A bit of the kernel's kept mask.
+fn idle_like(kern: &Kernel, v: VcpuId) -> bool {
+    kern.idle_like().contains(v.0)
 }
 
 /// Whether vCPU `v` is idle and, when an SMT level exists, its whole core is
@@ -41,7 +36,7 @@ fn is_idle_core(kern: &Kernel, v: VcpuId) -> bool {
         return false;
     }
     match kern.domains.smt_group(v) {
-        Some(group) => group.iter().all(|s| idle_like(kern, VcpuId(s))),
+        Some(group) => group.subset_of(kern.idle_like()),
         None => true,
     }
 }
@@ -106,11 +101,8 @@ pub fn select_cpu_fair(
         // breaks ties instead (Linux's `select_idle_capacity`), so wake
         // placement and misfit balancing pull in the same direction.
         let mut best: Option<(VcpuId, (bool, bool), f64)> = None;
-        for c in mask.iter_from(scan_start) {
+        for c in mask.and(kern.idle_like()).iter_from(scan_start) {
             let v = VcpuId(c);
-            if !idle_like(kern, v) {
-                continue;
-            }
             let cap = kern.capacity_of(v, now);
             let key = (
                 kern.domains.has_smt() && is_idle_core(kern, v),
@@ -282,8 +274,8 @@ mod tests {
         let mut k = kern_with(2);
         let mut p = NullPlat;
         // vCPU 0 has tiny probed capacity; vCPU 1 is strong.
-        k.vcpus[0].cap_override = Some(100.0);
-        k.vcpus[1].cap_override = Some(1024.0);
+        k.set_cap_override(VcpuId(0), Some(100.0));
+        k.set_cap_override(VcpuId(1), Some(1024.0));
         let t = k.spawn(SimTime::ZERO, SpawnSpec::normal(2));
         k.task_mut(t).last_vcpu = VcpuId(0);
         // The task's PELT starts at 512 (new_full) > 0.8*100, so prev does

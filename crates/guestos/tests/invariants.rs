@@ -9,7 +9,17 @@
 //! * `min_vruntime` never decreases;
 //! * a vCPU with waiting tasks and no current is never silently abandoned
 //!   (the wake path kicked it);
-//! * the kernel's busy mask names exactly the vCPUs that are not idle.
+//! * the kernel's busy mask names exactly the vCPUs that are not idle;
+//! * its normal-running mask names exactly the vCPUs running a normal
+//!   task, and its idle-like mask exactly those running nothing or a
+//!   `SCHED_IDLE` task with no normal task waiting;
+//! * every load ratio it keeps as fresh equals the vCPU's queue weight
+//!   over its perceived capacity, recomputed from scratch.
+//!
+//! The steps include stolen time (so the tick moves the perceived
+//! capacity), vcap-style capacity overrides and burst completions that
+//! sleep, block or exit the current task, so every place a kept value
+//! goes stale is exercised.
 //!
 //! A second property holds the communication-locality factor, which stops
 //! scanning a group once no member can lower it, to a full scan of every
@@ -29,6 +39,8 @@ use vsched_guestos::{
 struct FakePlat {
     now: SimTime,
     running: Vec<Option<(TaskId, SimTime)>>,
+    /// Per-vCPU steal counters.
+    steal: Vec<u64>,
     /// `comm_distance(a, b)` at `a * nr + b`; empty means every pair is
     /// `SameLlc`.
     distance: Vec<CommDistance>,
@@ -39,6 +51,7 @@ impl FakePlat {
         Self {
             now: SimTime::ZERO,
             running: vec![None; nr],
+            steal: vec![0; nr],
             distance: Vec::new(),
         }
     }
@@ -48,8 +61,8 @@ impl Platform for FakePlat {
     fn now(&self) -> SimTime {
         self.now
     }
-    fn steal_ns(&self, _v: VcpuId) -> u64 {
-        0
+    fn steal_ns(&self, v: VcpuId) -> u64 {
+        self.steal[v.0]
     }
     fn vcpu_active(&self, _v: VcpuId) -> bool {
         true
@@ -114,41 +127,58 @@ enum Op {
     Ban { vcpu: usize },
     Allow { vcpu: usize },
     Advance { ns: u64 },
+    Steal { vcpu: usize, ns: u64 },
+    CapOverride { vcpu: usize, cap: Option<f64> },
+    BurstEnd { vcpu: usize, how: usize },
 }
 
+/// Wakes and ticks are drawn more often than the rest, so vCPUs are busy
+/// and their kept load ratios are fresh when a tick moves a capacity.
 fn gen_op(rng: &mut SimRng) -> Op {
-    match rng.index(10) {
+    match rng.index(16) {
         0 => Op::Spawn {
             idle_policy: rng.chance(0.5),
         },
-        1 => Op::Wake {
+        1 | 2 => Op::Wake {
             task: rng.index(24),
             vcpu: rng.index(4),
         },
-        2 => Op::Tick { vcpu: rng.index(4) },
-        3 => Op::Block {
+        3..=5 => Op::Tick { vcpu: rng.index(4) },
+        6 => Op::Block {
             task: rng.index(24),
         },
-        4 => Op::MigrateRunnable {
+        7 => Op::MigrateRunnable {
             task: rng.index(24),
             to: rng.index(4),
         },
-        5 => Op::MigrateRunning {
+        8 => Op::MigrateRunning {
             from: rng.index(4),
             to: rng.index(4),
         },
-        6 => Op::Kill {
+        9 => Op::Kill {
             task: rng.index(24),
         },
-        7 => Op::Ban { vcpu: rng.index(4) },
-        8 => Op::Allow { vcpu: rng.index(4) },
+        10 => Op::Ban { vcpu: rng.index(4) },
+        11 => Op::Allow { vcpu: rng.index(4) },
+        12 => Op::Steal {
+            vcpu: rng.index(4),
+            ns: rng.range(1, 2_000_000),
+        },
+        13 => Op::CapOverride {
+            vcpu: rng.index(4),
+            cap: rng.chance(0.3).then(|| rng.range(64, 1024) as f64),
+        },
+        14 => Op::BurstEnd {
+            vcpu: rng.index(4),
+            how: rng.index(3),
+        },
         _ => Op::Advance {
             ns: rng.range(1, 5_000_000),
         },
     }
 }
 
-fn check_invariants(kern: &Kernel, min_floor: &mut [u64]) {
+fn check_invariants(kern: &Kernel, now: SimTime, min_floor: &mut [u64]) {
     let nr = kern.cfg.nr_vcpus;
     // 1. Placement uniqueness.
     let mut seen = vec![0u32; kern.tasks.len()];
@@ -209,6 +239,27 @@ fn check_invariants(kern: &Kernel, min_floor: &mut [u64]) {
     // 4. The busy mask is exactly the set of non-idle vCPUs.
     let busy = CpuMask::from_iter((0..nr).filter(|&v| !kern.vcpu_is_idle(VcpuId(v))));
     assert_eq!(*kern.busy(), busy, "busy mask out of step");
+    // 5. The normal-running and idle-like masks, by their definitions.
+    let normal = |t: TaskId| !kern.task(t).policy.is_idle();
+    let normal_running =
+        CpuMask::from_iter((0..nr).filter(|&v| kern.vcpus[v].curr.is_some_and(normal)));
+    assert_eq!(
+        *kern.normal_running(),
+        normal_running,
+        "normal-running mask out of step"
+    );
+    let idle_like = CpuMask::from_iter((0..nr).filter(|&v| {
+        let d = &kern.vcpus[v];
+        !d.curr.is_some_and(normal) && !d.rq.iter().any(|(_, t)| normal(t))
+    }));
+    assert_eq!(*kern.idle_like(), idle_like, "idle-like mask out of step");
+    // 6. Every fresh kept load ratio, against a recomputation.
+    for v in (0..nr).map(VcpuId) {
+        if let Some(kept) = kern.fresh_ratio(v) {
+            let want = kern.rq_weight(v) as f64 / kern.capacity_of(v, now).max(1.0);
+            assert_eq!(kept.to_bits(), want.to_bits(), "stale load ratio of {v:?}");
+        }
+    }
 }
 
 #[test]
@@ -231,6 +282,16 @@ fn kernel_invariants_hold() {
         let mut plat = FakePlat::new(nr);
         let mut ids: Vec<TaskId> = Vec::new();
         let mut min_floor = vec![0u64; nr];
+        // Most cases start with a few tasks spawned and woken, so the first
+        // steps find running vCPUs to tick, balance and steal from.
+        let preload = (0..rng.index(8)).flat_map(|task| {
+            let spawn = Op::Spawn {
+                idle_policy: rng.chance(0.25),
+            };
+            let vcpu = rng.index(nr);
+            [spawn, Op::Wake { task, vcpu }]
+        });
+        let ops: Vec<Op> = preload.chain(ops).collect();
 
         for op in ops {
             match op {
@@ -277,8 +338,20 @@ fn kernel_invariants_hold() {
                 Op::Ban { vcpu } => kern.cgroup.ban(vcpu),
                 Op::Allow { vcpu } => kern.cgroup.allow(vcpu),
                 Op::Advance { ns } => plat.now = plat.now.after(ns),
+                Op::Steal { vcpu, ns } => plat.steal[vcpu] += ns,
+                Op::CapOverride { vcpu, cap } => kern.set_cap_override(VcpuId(vcpu), cap),
+                Op::BurstEnd { vcpu, how } => {
+                    let v = VcpuId(vcpu);
+                    if kern.on_burst_complete(&mut plat, v).is_some() {
+                        match how {
+                            0 => kern.curr_sleeps(&mut plat, v),
+                            1 => kern.curr_blocks(&mut plat, v),
+                            _ => kern.curr_exits(&mut plat, v),
+                        };
+                    }
+                }
             }
-            check_invariants(&kern, &mut min_floor);
+            check_invariants(&kern, plat.now, &mut min_floor);
         }
     });
 }

@@ -960,9 +960,13 @@ impl Machine {
     }
 
     /// Refresh both the thread's current vCPU and its sibling's (SMT
-    /// contention changed).
+    /// contention changed). Without SMT a thread is its own sibling, and a
+    /// second refresh would only post a duplicate `BurstDone` that
+    /// tombstones the first.
     fn refresh_thread_and_sibling(&mut self, th: usize) {
-        for t in [th, self.spec.sibling_of(th)] {
+        let sibling = self.spec.sibling_of(th);
+        let n = if sibling == th { 1 } else { 2 };
+        for &t in &[th, sibling][..n] {
             if let Some(Entity::Vcpu(gv)) = self.threads[t].current {
                 self.refresh_vcpu_rate(gv);
             }

@@ -285,7 +285,7 @@ impl Vcap {
             }
             let ema = self.cap[v].update(sample);
             if !self.suppress_publish {
-                kern.vcpus[v].cap_override = Some(ema.max(1.0));
+                kern.set_cap_override(VcpuId(v), Some(ema.max(1.0)));
             }
             sampled += 1;
             kern.trace.emit(
@@ -440,8 +440,8 @@ impl Vcap {
     /// entry): with the overrides gone, CFS falls back to its own
     /// steal-observation heuristic instead of acting on untrusted numbers.
     pub fn unpublish(&mut self, kern: &mut Kernel) {
-        for d in kern.vcpus.iter_mut() {
-            d.cap_override = None;
+        for v in 0..kern.vcpus.len() {
+            kern.set_cap_override(VcpuId(v), None);
         }
         kern.asym_capacity = false;
     }

@@ -261,10 +261,10 @@ fn bvs_capacity_gate_skips_weak_vcpus() {
         teach_latency(&mut vact, &kern, v, MS);
     }
     // vCPUs 0,1 weak (below 0.9x median), 2,3 strong.
-    kern.vcpus[0].cap_override = Some(100.0);
-    kern.vcpus[1].cap_override = Some(100.0);
-    kern.vcpus[2].cap_override = Some(1000.0);
-    kern.vcpus[3].cap_override = Some(1000.0);
+    kern.set_cap_override(VcpuId(0), Some(100.0));
+    kern.set_cap_override(VcpuId(1), Some(100.0));
+    kern.set_cap_override(VcpuId(2), Some(1000.0));
+    kern.set_cap_override(VcpuId(3), Some(1000.0));
     vcap.median_cap = 1000.0;
     let t = kern.spawn(SimTime::ZERO, SpawnSpec::normal(4).latency_sensitive());
     kern.task_mut(t)

@@ -70,6 +70,8 @@ pub struct MsgPairs {
     send_blocked: Vec<bool>,
     /// Live senders per group.
     live_senders: Vec<usize>,
+    /// Receiver indices per group, in index order (built by `start`).
+    receivers: Vec<Vec<usize>>,
     finished: bool,
 }
 
@@ -89,6 +91,7 @@ impl MsgPairs {
                 inflight: Vec::new(),
                 send_blocked: Vec::new(),
                 live_senders: live,
+                receivers: Vec::new(),
                 finished: false,
             },
             stats,
@@ -97,16 +100,6 @@ impl MsgPairs {
 
     fn index(&self, t: TaskId) -> usize {
         self.tasks.iter().position(|&x| x == t).expect("own task")
-    }
-
-    /// Receiver indices of a group.
-    fn receivers_of(&self, group: usize) -> Vec<usize> {
-        self.roles
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| matches!(r, Role::Receiver { group: g } if *g == group))
-            .map(|(i, _)| i)
-            .collect()
     }
 }
 
@@ -124,8 +117,10 @@ impl Workload for MsgPairs {
                 self.send_blocked.push(false);
                 guest.wake_task(plat, t, None);
             }
+            self.receivers.push(Vec::with_capacity(RECEIVERS));
             for _ in 0..RECEIVERS {
                 let t = guest.spawn(plat, SpawnSpec::normal(nr).comm_group(tag));
+                self.receivers[group].push(self.tasks.len());
                 self.tasks.push(t);
                 self.roles.push(Role::Receiver { group });
                 self.inbox.push(std::collections::VecDeque::new());
@@ -150,7 +145,7 @@ impl Workload for MsgPairs {
                 if sent > 0 && !self.send_blocked[i] {
                     // The previous send burst completed: deliver the message
                     // to a random receiver of the group.
-                    let receivers = self.receivers_of(group);
+                    let receivers = &self.receivers[group];
                     let r = receivers[self.rng.index(receivers.len())];
                     self.inbox[r].push_back(i);
                     self.inflight[i] += 1;
@@ -170,7 +165,7 @@ impl Workload for MsgPairs {
                     self.live_senders[group] -= 1;
                     if self.live_senders[group] == 0 {
                         // Wake blocked receivers so they can drain and exit.
-                        for r in self.receivers_of(group) {
+                        for &r in &self.receivers[group] {
                             if matches!(guest.kern.task(self.tasks[r]).state, TaskState::Blocked) {
                                 guest.wake_task(plat, self.tasks[r], None);
                             }
