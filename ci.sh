@@ -65,13 +65,14 @@ echo "== histogram oracle (release, 8x property cases)"
 # The sparse histogram against its dense oracle, over the widened sweep.
 cargo test -q --release -p vsched-metrics --features property-tests
 
-echo "== guest-kernel invariants (release, 8x property cases)"
+echo "== guest-kernel invariants (release, 8x property cases, full-scan shadow)"
 # The guest kernel's structural invariants after every random step, with
 # its kept per-vCPU state among them (the busy, normal-running and
 # idle-like masks and every fresh load ratio against their definitions),
 # and the early-exit communication factor against a full scan, over the
-# widened sweep.
-cargo test -q --release -p vsched-guestos --features property-tests
+# widened sweep. The shadow feature also checks every read of a kept mask,
+# ratio or busiest vCPU inside those random steps against a scan.
+cargo test -q --release -p vsched-guestos --features property-tests,shadow
 
 echo "== large-fleet stepping identity (release, ignored tests)"
 # The 256-host and 1000-host churned fleets step identically at 1, 2 and

@@ -73,7 +73,7 @@ impl HostPolicy {
     /// The host scheduler this policy selects.
     pub fn sched(&self) -> HostSched {
         match self {
-            HostPolicy::Proportional => HostSched::CreditSampled { tick_ns: MS },
+            HostPolicy::Proportional => HostSched::CreditSampled,
             HostPolicy::Domain => HostSched::Domain(DomainSchedule::even_pair(
                 PriorityClass::Standard,
                 PriorityClass::Batch,
@@ -416,6 +416,7 @@ pub fn grid() -> Grid<(HostPolicy, GuestMode, AdversaryOutcome), AdversaryMatrix
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hostsim::machine::CREDIT_TICK_NS;
     use vsched::tunables::{VCAP_FIRST_WINDOW_NS, VCAP_LIGHT_EVERY_NS, VCAP_SAMPLING_PERIOD_NS};
     use workloads::adversary::{PROBE_EVERY_NS, PROBE_FIRST_NS, PROBE_WINDOW_NS, TICK_NS};
 
@@ -429,7 +430,8 @@ mod tests {
         assert_eq!(PROBE_WINDOW_NS, VCAP_SAMPLING_PERIOD_NS);
         assert!(matches!(
             HostPolicy::Proportional.sched(),
-            HostSched::CreditSampled { tick_ns } if tick_ns == TICK_NS
+            HostSched::CreditSampled
         ));
+        assert_eq!(TICK_NS, CREDIT_TICK_NS);
     }
 }

@@ -122,7 +122,6 @@ pub fn run_plan(ctx: &CellCtx, mode: ChaosMode, plan: &FaultPlan) -> ChaosOutcom
                 // exits.
                 enter_confidence: 1.5,
                 exit_confidence: 2.0,
-                ..ResilCfg::default()
             }),
         ),
     }

@@ -125,6 +125,22 @@ fn malformed_flag_values_name_the_flag() {
         assert!(err.contains("usage: suite"), "{flag} {bad}: {err}");
         assert!(out.stdout.is_empty(), "{flag} {bad} ran the suite");
     }
+    // A stepping pool past the bound is refused before any job runs.
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_suite"))
+        .args(["--fleet-threads", "257"])
+        .output()
+        .expect("suite binary runs");
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "--fleet-threads 257 must exit 2"
+    );
+    let err = String::from_utf8(out.stderr).expect("utf8 stderr");
+    assert!(
+        err.contains("--fleet-threads: fleet_threads must be at most 256 (got 257)"),
+        "{err}"
+    );
+    assert!(out.stdout.is_empty(), "--fleet-threads 257 ran the suite");
     // The retired checkpoint and retry flags are unknown, not ignored.
     for args in [&["--no-ckpt"][..], &["--resume"], &["--retries", "1"]] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_suite"))

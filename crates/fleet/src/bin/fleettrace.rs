@@ -125,11 +125,17 @@ fn cmd_gen(args: &mut Vec<String>) -> Result<ExitCode, String> {
     if horizon_secs == 0 {
         return Err("--horizon-secs must be positive".into());
     }
+    let horizon_ns = horizon_secs.checked_mul(1_000_000_000).ok_or_else(|| {
+        format!(
+            "--horizon-secs must be at most {} (got {horizon_secs})",
+            u64::MAX / 1_000_000_000
+        )
+    })?;
     let out = take_flag(args, "--out")?;
     if let Some(extra) = args.first() {
         return Err(format!("unexpected argument {extra:?}"));
     }
-    let trace = synthesize(profile, horizon_secs * 1_000_000_000, seed);
+    let trace = synthesize(profile, horizon_ns, seed);
     let text = trace.encode();
     match out {
         None => print!("{text}"),

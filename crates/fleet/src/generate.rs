@@ -9,13 +9,20 @@
 //! bytes on every run and under every `--jobs` setting — so a replayed
 //! day is pinned by its trace alone.
 
-use crate::lifecycle::{LifecycleEvent, VmOp, MIN_LIFETIME_NS};
+use crate::lifecycle::{LifecycleEvent, VmOp, LIFETIME_MAX_NS, MIN_LIFETIME_NS};
 use crate::trace_format::FleetTrace;
 use simcore::rng::fnv1a;
 use simcore::time::MS;
 use simcore::{SimRng, SimTime};
 use std::collections::BinaryHeap;
 use trace::{PriorityClass, PRIORITY_CLASSES};
+
+/// Period of one simulated "day" of every profile (compressed so quick
+/// runs see a full diurnal cycle).
+pub const DAY_NS: u64 = 4_000 * MS;
+/// Admission bound on a profile's live population. Surge tenants bypass
+/// it (see [`Profile::surge_at_ns`]).
+pub const MAX_LIVE_VMS: usize = 16;
 
 /// A named workload shape. All fields are fixed constants — profiles are
 /// code, not config — so a profile name plus a seed fully pins a trace.
@@ -27,11 +34,8 @@ pub struct Profile {
     pub desc: &'static str,
     /// Mean interarrival at baseline intensity (the sinusoid midline).
     pub base_arrival_mean_ns: u64,
-    /// Relative swing of the diurnal sinusoid, 0.0..1.0.
+    /// Relative swing of the diurnal sinusoid over [`DAY_NS`], 0.0..1.0.
     pub diurnal_amplitude: f64,
-    /// Period of one simulated "day" (compressed so quick runs see a
-    /// full cycle).
-    pub day_ns: u64,
     /// Fraction of lifetimes drawn from the Pareto tail (rest lognormal).
     pub pareto_frac: f64,
     /// Pareto shape; lower is heavier-tailed.
@@ -40,10 +44,9 @@ pub struct Profile {
     pub pareto_scale_ns: u64,
     /// Lognormal body mean lifetime.
     pub lognorm_mean_ns: u64,
-    /// Lognormal sigma (log-space spread).
+    /// Lognormal sigma (log-space spread). Every lifetime is capped at
+    /// [`LIFETIME_MAX_NS`], as in stochastic churn.
     pub lognorm_sigma: f64,
-    /// Hard lifetime cap.
-    pub lifetime_max_ns: u64,
     /// Priority-tier weights in [`PRIORITY_CLASSES`] order
     /// (critical, standard, batch).
     pub tier_weights: [u64; 3],
@@ -55,8 +58,6 @@ pub struct Profile {
     pub storm_len_ns: u64,
     /// Per-live-VM probability a storm caps it.
     pub storm_hit: f64,
-    /// Admission bound on the live population.
-    pub max_live_vms: usize,
     /// Start of the maintenance-drain window (0 with `drain_len_ns == 0`
     /// means no drain). Arrivals are frozen inside the window, everything
     /// live at its start is evicted (staggered through the first half),
@@ -85,19 +86,16 @@ pub const PROFILES: [Profile; 4] = [
         desc: "strong day/night arrival swing, heavy Pareto lifetime tail, rare storms",
         base_arrival_mean_ns: 120 * MS,
         diurnal_amplitude: 0.8,
-        day_ns: 4_000 * MS,
         pareto_frac: 0.30,
         pareto_alpha: 1.5,
         pareto_scale_ns: 400 * MS,
         lognorm_mean_ns: 1_200 * MS,
         lognorm_sigma: 0.8,
-        lifetime_max_ns: 5_000 * MS,
         tier_weights: [2, 5, 3],
         size_mix: &[(1, 5), (2, 3), (4, 2)],
         storm_gap_mean_ns: 2_000 * MS,
         storm_len_ns: 200 * MS,
         storm_hit: 0.25,
-        max_live_vms: 16,
         drain_at_ns: 0,
         drain_len_ns: 0,
         surge_at_ns: 0,
@@ -109,19 +107,16 @@ pub const PROFILES: [Profile; 4] = [
         desc: "flat arrivals, lognormal-dominated lifetimes, frequent bursty resize storms",
         base_arrival_mean_ns: 150 * MS,
         diurnal_amplitude: 0.25,
-        day_ns: 4_000 * MS,
         pareto_frac: 0.10,
         pareto_alpha: 2.0,
         pareto_scale_ns: 500 * MS,
         lognorm_mean_ns: 1_500 * MS,
         lognorm_sigma: 0.6,
-        lifetime_max_ns: 5_000 * MS,
         tier_weights: [3, 4, 3],
         size_mix: &[(1, 4), (2, 4), (4, 2)],
         storm_gap_mean_ns: 800 * MS,
         storm_len_ns: 300 * MS,
         storm_hit: 0.7,
-        max_live_vms: 16,
         drain_at_ns: 0,
         drain_len_ns: 0,
         surge_at_ns: 0,
@@ -133,19 +128,16 @@ pub const PROFILES: [Profile; 4] = [
         desc: "mid-day maintenance freeze: mass departures, then staggered re-arrivals",
         base_arrival_mean_ns: 130 * MS,
         diurnal_amplitude: 0.3,
-        day_ns: 4_000 * MS,
         pareto_frac: 0.15,
         pareto_alpha: 1.8,
         pareto_scale_ns: 500 * MS,
         lognorm_mean_ns: 1_600 * MS,
         lognorm_sigma: 0.6,
-        lifetime_max_ns: 5_000 * MS,
         tier_weights: [2, 5, 3],
         size_mix: &[(1, 4), (2, 4), (4, 2)],
         storm_gap_mean_ns: 1_200 * MS,
         storm_len_ns: 250 * MS,
         storm_hit: 0.4,
-        max_live_vms: 16,
         drain_at_ns: 1_500 * MS,
         drain_len_ns: 600 * MS,
         surge_at_ns: 0,
@@ -157,19 +149,16 @@ pub const PROFILES: [Profile; 4] = [
         desc: "mid-day step-function surge: a burst of extra short-lived tenants on top of calm baseline arrivals",
         base_arrival_mean_ns: 200 * MS,
         diurnal_amplitude: 0.2,
-        day_ns: 4_000 * MS,
         pareto_frac: 0.15,
         pareto_alpha: 1.8,
         pareto_scale_ns: 400 * MS,
         lognorm_mean_ns: 1_000 * MS,
         lognorm_sigma: 0.6,
-        lifetime_max_ns: 5_000 * MS,
         tier_weights: [2, 5, 3],
         size_mix: &[(1, 5), (2, 3), (4, 2)],
         storm_gap_mean_ns: 1_500 * MS,
         storm_len_ns: 250 * MS,
         storm_hit: 0.3,
-        max_live_vms: 16,
         drain_at_ns: 0,
         drain_len_ns: 0,
         surge_at_ns: 1_600 * MS,
@@ -194,6 +183,30 @@ fn draw_tier(rng: &mut SimRng, weights: &[u64; 3]) -> PriorityClass {
     PRIORITY_CLASSES[rng.weighted_index(weights.iter().copied())]
 }
 
+/// The diurnal arrival stream before admission, by thinning: candidate
+/// instants drawn at the peak rate up to `horizon_ns`, each paired with
+/// whether the sinusoid's intensity at that instant accepts it. Two draws
+/// from `arr` per candidate.
+fn arrival_candidates(
+    profile: &Profile,
+    horizon_ns: u64,
+    mut arr: SimRng,
+) -> impl Iterator<Item = (u64, bool)> + '_ {
+    let lambda_max = (1.0 + profile.diurnal_amplitude) / profile.base_arrival_mean_ns as f64;
+    let peak_mean_ns = 1.0 / lambda_max;
+    let mut t = 0u64;
+    std::iter::from_fn(move || {
+        t = t.saturating_add(arr.exp(peak_mean_ns).max(1.0) as u64);
+        if t >= horizon_ns {
+            return None;
+        }
+        let phase = (t % DAY_NS) as f64 / DAY_NS as f64;
+        let lambda_t = (1.0 + profile.diurnal_amplitude * (phase * std::f64::consts::TAU).sin())
+            / profile.base_arrival_mean_ns as f64;
+        Some((t, arr.chance(lambda_t / lambda_max)))
+    })
+}
+
 /// Synthesizes a trace: a pure function of `(profile, horizon_ns, seed)`.
 ///
 /// Stream discipline mirrors `lifecycle::generate`: every distribution
@@ -205,33 +218,18 @@ fn draw_tier(rng: &mut SimRng, weights: &[u64; 3]) -> PriorityClass {
 pub fn synthesize(profile: &Profile, horizon_ns: u64, seed: u64) -> FleetTrace {
     assert!(horizon_ns > 0, "horizon must be positive");
     let mut root = SimRng::new(seed ^ 0x5A9_DA11);
-    let mut arr = root.fork(0xA1);
+    let arr = root.fork(0xA1);
     let mut size = root.fork(0x51);
     let mut life = root.fork(0x1F);
     let mut pri = root.fork(0x9A);
     let mut storm = root.fork(0x57);
 
-    // Thinning: draw candidates at the peak rate, accept with
-    // lambda(t)/lambda_max where lambda(t) tracks the sinusoid.
-    let lambda_max = (1.0 + profile.diurnal_amplitude) / profile.base_arrival_mean_ns as f64;
-    let peak_mean_ns = 1.0 / lambda_max;
-
     let mut events: Vec<LifecycleEvent> = Vec::new();
     // (uid, arrive_at, depart_at) for the storm pass.
     let mut intervals: Vec<(u32, u64, u64)> = Vec::new();
     let mut departs: BinaryHeap<std::cmp::Reverse<u64>> = BinaryHeap::new();
-    let mut t = 0u64;
     let mut uid = 0u32;
-    loop {
-        t = t.saturating_add(arr.exp(peak_mean_ns).max(1.0) as u64);
-        if t >= horizon_ns {
-            break;
-        }
-        let phase = (t % profile.day_ns) as f64 / profile.day_ns as f64;
-        let lambda_t = (1.0 + profile.diurnal_amplitude * (phase * std::f64::consts::TAU).sin())
-            / profile.base_arrival_mean_ns as f64;
-        let accept = arr.chance(lambda_t / lambda_max);
-
+    for (t, accept) in arrival_candidates(profile, horizon_ns, arr) {
         // Size, lifetime, and tier draw per candidate — admitted or not —
         // so knob changes never shift sibling streams.
         let vcpus =
@@ -239,8 +237,8 @@ pub fn synthesize(profile: &Profile, horizon_ns: u64, seed: u64) -> FleetTrace {
         let heavy = life.chance(profile.pareto_frac);
         let body = life.lognormal(profile.lognorm_mean_ns as f64, profile.lognorm_sigma);
         let tail = life.pareto(profile.pareto_scale_ns as f64, profile.pareto_alpha);
-        let lifetime = (if heavy { tail } else { body } as u64)
-            .clamp(MIN_LIFETIME_NS, profile.lifetime_max_ns);
+        let lifetime =
+            (if heavy { tail } else { body } as u64).clamp(MIN_LIFETIME_NS, LIFETIME_MAX_NS);
         let prio = draw_tier(&mut pri, &profile.tier_weights);
 
         // A maintenance window freezes admission: candidates still burn
@@ -254,7 +252,7 @@ pub fn synthesize(profile: &Profile, horizon_ns: u64, seed: u64) -> FleetTrace {
         while matches!(departs.peek(), Some(&std::cmp::Reverse(d)) if d <= t) {
             departs.pop();
         }
-        if departs.len() >= profile.max_live_vms {
+        if departs.len() >= MAX_LIVE_VMS {
             continue;
         }
         events.push(LifecycleEvent {
@@ -352,7 +350,7 @@ pub fn synthesize(profile: &Profile, horizon_ns: u64, seed: u64) -> FleetTrace {
             let vcpus =
                 profile.size_mix[surge.weighted_index(profile.size_mix.iter().map(|&(_, w)| w))].0;
             let lifetime = (surge.lognormal(profile.lognorm_mean_ns as f64 / 2.0, 0.5) as u64)
-                .clamp(MIN_LIFETIME_NS, profile.lifetime_max_ns);
+                .clamp(MIN_LIFETIME_NS, LIFETIME_MAX_NS);
             let prio = draw_tier(&mut surge, &profile.tier_weights);
             events.push(LifecycleEvent {
                 at: SimTime::from_ns(at),
@@ -466,16 +464,13 @@ mod tests {
     #[test]
     fn diurnal_profile_modulates_arrival_intensity() {
         let p = profile_by_name("sap-diurnal").unwrap();
-        // Long horizon, no admission pressure: compare arrivals landing in
-        // the rising half-day vs the falling half-day of the sinusoid.
-        let mut relaxed = *p;
-        relaxed.max_live_vms = 100_000;
-        let t = synthesize(&relaxed, 40_000 * MS, 3);
+        // Long horizon, arrivals before admission (the live-population
+        // bound would flatten the peak): compare arrivals landing in the
+        // rising half-day vs the falling half-day of the sinusoid.
         let (mut up, mut down) = (0u64, 0u64);
-        for e in &t.events {
-            if let VmOp::Arrive { .. } = e.op {
-                let phase = (e.at.ns() % relaxed.day_ns) as f64 / relaxed.day_ns as f64;
-                if phase < 0.5 {
+        for (at, accept) in arrival_candidates(p, 40_000 * MS, SimRng::new(3)) {
+            if accept {
+                if (at % DAY_NS) < DAY_NS / 2 {
                     up += 1;
                 } else {
                     down += 1;

@@ -6,7 +6,8 @@
 //! would replay a resize nobody wrote). Traces are checked through the
 //! library and through the `fleettrace` binary: exit 1 with the line and
 //! field named, never a panic (exit 101) or an abort (no exit code). A
-//! fleet too wide for its host ids is a usage error (exit 2).
+//! fleet too wide for its host ids, a stepping pool past its bound and a
+//! horizon too long for a u64 of nanoseconds are usage errors (exit 2).
 
 use simcore::plan::Plan;
 use std::process::Command;
@@ -93,6 +94,36 @@ fn fleettrace_replay_rejects_more_threads_than_ids() {
         stderr.contains("threads_per_host must be at most 65536 (got 70000)"),
         "{stderr}"
     );
+}
+
+/// A stepping pool past `MAX_FLEET_THREADS` is a usage error naming
+/// `fleet_threads`, refused while parsing, before any thread starts.
+#[test]
+fn fleettrace_replay_rejects_an_oversized_stepping_pool() {
+    let (code, stderr) = replay_with_70000("--fleet-threads");
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(
+        stderr.contains("fleet_threads must be at most 256 (got 70000)"),
+        "{stderr}"
+    );
+}
+
+/// A horizon whose nanoseconds overflow a u64 is a usage error naming
+/// `--horizon-secs`, refused before any synthesis.
+#[test]
+fn fleettrace_gen_rejects_an_overflowing_horizon() {
+    let out = Command::new(env!("CARGO_BIN_EXE_fleettrace"))
+        .args(["gen", "--profile", "sap-diurnal", "--horizon-secs"])
+        .arg(u64::MAX.to_string())
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("--horizon-secs must be at most 18446744073 (got 18446744073709551615)"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "gen synthesized a trace");
 }
 
 #[test]

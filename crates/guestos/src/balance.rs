@@ -301,7 +301,7 @@ pub fn periodic_balance(kern: &mut Kernel, plat: &mut dyn Platform, v: VcpuId) {
         try_misfit(kern, plat, v);
     }
     // nohz idle balance on behalf of one idle vCPU, rotating with the tick.
-    let nr = kern.cfg.nr_vcpus;
+    let nr = kern.nr_vcpus();
     let start = (kern.vcpus[v.0].tick_count as usize).wrapping_mul(3) % nr.max(1);
     let idle = CpuMask::first_n(nr).minus(kern.busy());
     let cand = idle.iter_from(start).find(|&c| c != v.0);
@@ -322,56 +322,19 @@ pub fn newidle_balance(kern: &mut Kernel, plat: &mut dyn Platform, v: VcpuId) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::GuestConfig;
-    use crate::platform::{CommDistance, RunDelta};
+    use crate::kernel::tests::TestPlat;
     use crate::task::SpawnSpec;
     use simcore::SimTime;
 
-    struct NullPlat {
-        now: SimTime,
-    }
-    impl Platform for NullPlat {
-        fn now(&self) -> SimTime {
-            self.now
-        }
-        fn steal_ns(&self, _v: VcpuId) -> u64 {
-            0
-        }
-        fn vcpu_active(&self, _v: VcpuId) -> bool {
-            true
-        }
-        fn kick(&mut self, _v: VcpuId) {}
-        fn vcpu_idle(&mut self, _v: VcpuId) {}
-        fn run_task(&mut self, _v: VcpuId, _t: TaskId, _r: f64, _f: f64, _p: f64) {}
-        fn stop_task(&mut self, _v: VcpuId) -> RunDelta {
-            RunDelta::default()
-        }
-        fn poll_task(&mut self, _v: VcpuId) -> RunDelta {
-            RunDelta::default()
-        }
-        fn update_factor(&mut self, _v: VcpuId, _f: f64) {}
-        fn send_ipi(&mut self, _to: VcpuId) {}
-        fn comm_distance(&self, _a: VcpuId, _b: VcpuId) -> CommDistance {
-            CommDistance::SameLlc
-        }
-        fn cacheline_latency_ns(&mut self, _a: VcpuId, _b: VcpuId) -> Option<f64> {
-            None
-        }
-        fn set_timer(&mut self, _token: u64, _at: SimTime) {}
-    }
-
-    fn setup(nr: usize) -> (Kernel, NullPlat) {
-        (
-            Kernel::new(GuestConfig::new(nr), SimTime::ZERO),
-            NullPlat { now: SimTime::ZERO },
-        )
+    fn setup(nr: usize) -> (Kernel, TestPlat) {
+        (Kernel::new(nr, SimTime::ZERO), TestPlat::new(nr))
     }
 
     /// Wakes `n` infinite tasks onto vCPU `v`; the first becomes current.
-    fn load_vcpu(k: &mut Kernel, p: &mut NullPlat, v: usize, n: usize) -> Vec<TaskId> {
+    fn load_vcpu(k: &mut Kernel, p: &mut TestPlat, v: usize, n: usize) -> Vec<TaskId> {
         let mut ids = Vec::new();
         for _ in 0..n {
-            let t = k.spawn(SimTime::ZERO, SpawnSpec::normal(k.cfg.nr_vcpus));
+            let t = k.spawn(SimTime::ZERO, SpawnSpec::normal(k.nr_vcpus()));
             k.wake_to(p, t, VcpuId(v), None);
             k.task_mut(t).remaining = 1e12;
             ids.push(t);
@@ -486,7 +449,7 @@ mod tests {
             SimTime::ZERO,
             SpawnSpec::normal(2).affinity(crate::cpumask::CpuMask::single(0)),
         );
-        let mut p2 = NullPlat { now: SimTime::ZERO };
+        let mut p2 = TestPlat::new(2);
         k.wake_to(&mut p2, t, VcpuId(0), None);
         let t2 = k.spawn(
             SimTime::ZERO,

@@ -65,27 +65,14 @@ const BALANCE_INTERVAL_TICKS: u64 = 4;
 /// migrated by the balancer (Linux's `sched_migration_cost`).
 pub(crate) const MIGRATION_COST_NS: u64 = 500_000;
 
-/// Per-VM guest scheduler configuration.
-#[derive(Debug, Clone)]
-pub struct GuestConfig {
-    /// Number of vCPUs.
-    pub nr_vcpus: usize,
-    /// Work-rate multiplier for communicating tasks placed cross-socket.
-    pub cross_socket_comm_factor: f64,
-    /// Work-rate multiplier for communicating tasks in one LLC.
-    pub same_llc_comm_factor: f64,
-}
-
-impl GuestConfig {
-    /// Default configuration for a VM with `nr_vcpus` vCPUs.
-    pub fn new(nr_vcpus: usize) -> Self {
-        Self {
-            nr_vcpus,
-            cross_socket_comm_factor: 0.78,
-            same_llc_comm_factor: 0.97,
-        }
-    }
-}
+/// Work-rate multiplier for communicating tasks placed cross-socket.
+pub const CROSS_SOCKET_COMM_FACTOR: f64 = 0.78;
+/// Work-rate multiplier for communicating tasks in one LLC.
+pub const SAME_LLC_COMM_FACTOR: f64 = 0.97;
+// `comm_factor` stops its scan at the cross-socket factor, so it must be
+// the smallest factor any distance yields.
+const _: () =
+    assert!(CROSS_SOCKET_COMM_FACTOR <= SAME_LLC_COMM_FACTOR && SAME_LLC_COMM_FACTOR <= 1.0);
 
 /// Per-vCPU scheduler state.
 pub struct VcpuData {
@@ -160,8 +147,6 @@ impl PutReason {
 
 /// The guest scheduler state and CFS mechanics.
 pub struct Kernel {
-    /// Per-VM configuration.
-    pub cfg: GuestConfig,
     /// Per-vCPU state, indexed by [`VcpuId`].
     pub vcpus: Vec<VcpuData>,
     /// Task arena; slots of dead tasks are retired, not reused.
@@ -208,11 +193,10 @@ pub struct Kernel {
 }
 
 impl Kernel {
-    /// Creates a guest kernel with the default flat/UMA domain tree.
-    pub fn new(cfg: GuestConfig, now: SimTime) -> Self {
-        let nr = cfg.nr_vcpus;
+    /// Creates a guest kernel of `nr` vCPUs with the default flat/UMA
+    /// domain tree.
+    pub fn new(nr: usize, now: SimTime) -> Self {
         Self {
-            cfg,
             vcpus: (0..nr).map(|_| VcpuData::new(now)).collect(),
             tasks: Vec::new(),
             domains: DomainTree::flat(nr),
@@ -227,6 +211,11 @@ impl Kernel {
             ratio: Vec::new(),
             ratio_fresh: CpuMask::empty(),
         }
+    }
+
+    /// Number of vCPUs.
+    pub fn nr_vcpus(&self) -> usize {
+        self.vcpus.len()
     }
 
     /// Immutable task accessor.
@@ -331,7 +320,7 @@ impl Kernel {
     /// Asserts every kept mask bit against its definition.
     #[cfg(feature = "shadow")]
     fn shadow_check_masks(&self) {
-        for v in 0..self.cfg.nr_vcpus {
+        for v in 0..self.nr_vcpus() {
             let (busy, normal, idle_like) = self.derive_bits(VcpuId(v));
             assert_eq!(self.busy.contains(v), busy, "shadow: busy bit of vCPU {v}");
             assert_eq!(
@@ -351,7 +340,7 @@ impl Kernel {
     pub fn placement_mask(&self, t: TaskId) -> CpuMask {
         let task = self.task(t);
         let allowed = if task.bypass_cgroup {
-            CpuMask::first_n(self.cfg.nr_vcpus)
+            CpuMask::first_n(self.nr_vcpus())
         } else {
             self.cgroup.allowed_for(&task.policy)
         };
@@ -432,8 +421,8 @@ impl Kernel {
 
     /// Recomputes `v`'s kept load ratio, sizing the vector on first use.
     fn refresh_ratio(&mut self, v: VcpuId, now: SimTime) {
-        if self.ratio.len() < self.cfg.nr_vcpus {
-            self.ratio.resize(self.cfg.nr_vcpus, 0.0);
+        if self.ratio.len() < self.nr_vcpus() {
+            self.ratio.resize(self.nr_vcpus(), 0.0);
         }
         self.ratio[v.0] = if self.busy.contains(v.0) {
             self.rq_weight(v) as f64 / self.capacity_of(v, now).max(1.0)
@@ -1035,26 +1024,22 @@ impl Kernel {
             Some((_, m)) => m,
             None => return 1.0,
         };
-        // No member can push the minimum below the smallest factor, so the
-        // scan stops once it gets there (`comm_distance` is a pure read).
-        let floor = self
-            .cfg
-            .cross_socket_comm_factor
-            .min(self.cfg.same_llc_comm_factor)
-            .min(1.0);
+        // No member can push the minimum below the cross-socket factor,
+        // the smallest there is, so the scan stops once it gets there
+        // (`comm_distance` is a pure read).
         // A member that is `t` itself or not running contributes 1.0,
         // which never lowers the minimum.
         let factor = |other_id: TaskId| match self.task(other_id).state {
             TaskState::Running(ov) if other_id != t => match plat.comm_distance(v, ov) {
-                CommDistance::CrossSocket => self.cfg.cross_socket_comm_factor,
-                CommDistance::SameLlc => self.cfg.same_llc_comm_factor,
+                CommDistance::CrossSocket => CROSS_SOCKET_COMM_FACTOR,
+                CommDistance::SameLlc => SAME_LLC_COMM_FACTOR,
                 _ => 1.0,
             },
             _ => 1.0,
         };
         let mut worst = 1.0f64;
         for &other_id in members {
-            if worst <= floor {
+            if worst <= CROSS_SOCKET_COMM_FACTOR {
                 break;
             }
             worst = worst.min(factor(other_id));
@@ -1110,10 +1095,11 @@ pub struct GuestOs {
 }
 
 impl GuestOs {
-    /// Creates a guest with no hooks installed (stock CFS).
-    pub fn new(cfg: GuestConfig, now: SimTime) -> Self {
+    /// Creates a guest of `nr_vcpus` vCPUs with no hooks installed (stock
+    /// CFS).
+    pub fn new(nr_vcpus: usize, now: SimTime) -> Self {
         Self {
-            kern: Kernel::new(cfg, now),
+            kern: Kernel::new(nr_vcpus, now),
             hooks: None,
         }
     }
@@ -1198,22 +1184,22 @@ impl GuestOs {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::task::{Policy, TaskProgram};
 
-    /// A minimal single-"core" platform for kernel unit tests: every vCPU is
-    /// always active at capacity 1024, and run/stop deltas are synthesized
-    /// from wall time.
-    struct TestPlat {
-        now: SimTime,
+    /// A minimal single-"core" platform for the crate's unit tests: every
+    /// vCPU is always active at capacity 1024, and run/stop deltas are
+    /// synthesized from wall time (all zero while the clock stands still).
+    pub(crate) struct TestPlat {
+        pub(crate) now: SimTime,
         running: Vec<Option<(TaskId, SimTime)>>,
         kicks: Vec<VcpuId>,
         idles: Vec<VcpuId>,
     }
 
     impl TestPlat {
-        fn new(nr: usize) -> Self {
+        pub(crate) fn new(nr: usize) -> Self {
             Self {
                 now: SimTime::ZERO,
                 running: vec![None; nr],
@@ -1285,10 +1271,7 @@ mod tests {
     }
 
     fn setup(nr: usize) -> (Kernel, TestPlat) {
-        (
-            Kernel::new(GuestConfig::new(nr), SimTime::ZERO),
-            TestPlat::new(nr),
-        )
+        (Kernel::new(nr, SimTime::ZERO), TestPlat::new(nr))
     }
 
     fn spawn_normal(k: &mut Kernel, nr: usize) -> TaskId {

@@ -43,7 +43,7 @@ pub use cgroup::CpuAllow;
 pub use cpumask::CpuMask;
 pub use domains::{DomainTree, PerceivedTopology};
 pub use hooks::SchedHooks;
-pub use kernel::{GuestConfig, GuestOs, Kernel, MigrateKind, VcpuId};
+pub use kernel::{GuestOs, Kernel, MigrateKind, VcpuId};
 pub use pelt::Pelt;
 pub use platform::{CommDistance, Platform, RunDelta};
 pub use stats::KernelStats;

@@ -92,7 +92,7 @@ pub fn select_cpu_fair(
     let llc = home_llc.and(&allowed);
     // Scans start at a task-dependent rotating offset, like Linux's
     // per-CPU cursors: ties spread instead of piling onto vCPU 0.
-    let scan_start = (t.0 as usize).wrapping_mul(7) % kern.cfg.nr_vcpus.max(1);
+    let scan_start = (t.0 as usize).wrapping_mul(7) % kern.nr_vcpus().max(1);
     let search = |mask: &crate::cpumask::CpuMask| -> Option<VcpuId> {
         // Rank candidates by (whole core idle, capacity fit); ties keep the
         // first hit in scan order, like Linux's first-fit idle scans — a
@@ -167,48 +167,16 @@ pub fn select_cpu_fair(
 mod tests {
     use super::*;
     use crate::domains::PerceivedTopology;
-    use crate::kernel::GuestConfig;
-    use crate::platform::{CommDistance, RunDelta};
+    use crate::kernel::tests::TestPlat;
     use crate::task::SpawnSpec;
 
-    struct NullPlat;
-    impl Platform for NullPlat {
-        fn now(&self) -> SimTime {
-            SimTime::ZERO
-        }
-        fn steal_ns(&self, _v: VcpuId) -> u64 {
-            0
-        }
-        fn vcpu_active(&self, _v: VcpuId) -> bool {
-            true
-        }
-        fn kick(&mut self, _v: VcpuId) {}
-        fn vcpu_idle(&mut self, _v: VcpuId) {}
-        fn run_task(&mut self, _v: VcpuId, _t: TaskId, _r: f64, _f: f64, _p: f64) {}
-        fn stop_task(&mut self, _v: VcpuId) -> RunDelta {
-            RunDelta::default()
-        }
-        fn poll_task(&mut self, _v: VcpuId) -> RunDelta {
-            RunDelta::default()
-        }
-        fn update_factor(&mut self, _v: VcpuId, _f: f64) {}
-        fn send_ipi(&mut self, _to: VcpuId) {}
-        fn comm_distance(&self, _a: VcpuId, _b: VcpuId) -> CommDistance {
-            CommDistance::SameLlc
-        }
-        fn cacheline_latency_ns(&mut self, _a: VcpuId, _b: VcpuId) -> Option<f64> {
-            None
-        }
-        fn set_timer(&mut self, _token: u64, _at: SimTime) {}
-    }
-
     fn kern_with(nr: usize) -> Kernel {
-        Kernel::new(GuestConfig::new(nr), SimTime::ZERO)
+        Kernel::new(nr, SimTime::ZERO)
     }
 
     fn occupy(k: &mut Kernel, v: usize) {
-        let mut p = NullPlat;
-        let t = k.spawn(SimTime::ZERO, SpawnSpec::normal(k.cfg.nr_vcpus));
+        let mut p = TestPlat::new(k.nr_vcpus());
+        let t = k.spawn(SimTime::ZERO, SpawnSpec::normal(k.nr_vcpus()));
         k.wake_to(&mut p, t, VcpuId(v), None);
         if k.vcpus[v].curr.is_none() {
             k.schedule(&mut p, VcpuId(v));
@@ -219,7 +187,7 @@ mod tests {
     #[test]
     fn prefers_previous_cpu_when_idle() {
         let mut k = kern_with(4);
-        let mut p = NullPlat;
+        let mut p = TestPlat::new(k.nr_vcpus());
         let t = k.spawn(SimTime::ZERO, SpawnSpec::normal(4));
         k.task_mut(t).last_vcpu = VcpuId(2);
         assert_eq!(
@@ -231,7 +199,7 @@ mod tests {
     #[test]
     fn avoids_busy_previous_cpu() {
         let mut k = kern_with(4);
-        let mut p = NullPlat;
+        let mut p = TestPlat::new(k.nr_vcpus());
         occupy(&mut k, 2);
         let t = k.spawn(SimTime::ZERO, SpawnSpec::normal(4));
         k.task_mut(t).last_vcpu = VcpuId(2);
@@ -248,7 +216,6 @@ mod tests {
         let mut k = kern_with(4);
         let topo = PerceivedTopology::from_groups(4, &[], &[vec![0, 1], vec![2, 3]], &[]);
         k.install_topology(&topo);
-        let _p = NullPlat;
         occupy(&mut k, 0);
         let t = k.spawn(SimTime::ZERO, SpawnSpec::normal(4));
         k.task_mut(t).last_vcpu = VcpuId(1);
@@ -272,7 +239,7 @@ mod tests {
     #[test]
     fn capacity_fit_steers_away_from_weak_vcpus() {
         let mut k = kern_with(2);
-        let mut p = NullPlat;
+        let mut p = TestPlat::new(k.nr_vcpus());
         // vCPU 0 has tiny probed capacity; vCPU 1 is strong.
         k.set_cap_override(VcpuId(0), Some(100.0));
         k.set_cap_override(VcpuId(1), Some(1024.0));
@@ -289,7 +256,7 @@ mod tests {
     #[test]
     fn all_busy_falls_back_to_least_loaded() {
         let mut k = kern_with(2);
-        let mut p = NullPlat;
+        let mut p = TestPlat::new(k.nr_vcpus());
         occupy(&mut k, 0);
         occupy(&mut k, 0); // two tasks on vCPU 0
         occupy(&mut k, 1);
@@ -304,7 +271,7 @@ mod tests {
     #[test]
     fn cgroup_bans_exclude_candidates() {
         let mut k = kern_with(2);
-        let mut p = NullPlat;
+        let mut p = TestPlat::new(k.nr_vcpus());
         k.cgroup.ban(1);
         let t = k.spawn(SimTime::ZERO, SpawnSpec::normal(2));
         k.task_mut(t).last_vcpu = VcpuId(1);

@@ -29,9 +29,10 @@
 
 use simcore::propcheck::{forall, vec_of};
 use simcore::{SimRng, SimTime};
+use vsched_guestos::kernel::{CROSS_SOCKET_COMM_FACTOR, SAME_LLC_COMM_FACTOR};
 use vsched_guestos::{
-    CommDistance, CpuMask, GuestConfig, Kernel, MigrateKind, PerceivedTopology, Platform, Policy,
-    RunDelta, SpawnSpec, TaskId, TaskState, VcpuId,
+    CommDistance, CpuMask, Kernel, MigrateKind, PerceivedTopology, Platform, Policy, RunDelta,
+    SpawnSpec, TaskId, TaskState, VcpuId,
 };
 
 /// An always-active platform that advances a synthetic clock and lets tasks
@@ -179,7 +180,7 @@ fn gen_op(rng: &mut SimRng) -> Op {
 }
 
 fn check_invariants(kern: &Kernel, now: SimTime, min_floor: &mut [u64]) {
-    let nr = kern.cfg.nr_vcpus;
+    let nr = kern.nr_vcpus();
     // 1. Placement uniqueness.
     let mut seen = vec![0u32; kern.tasks.len()];
     for v in 0..nr {
@@ -272,7 +273,7 @@ fn kernel_invariants_hold() {
     forall(0x81, cases, |rng| {
         let ops = vec_of(rng, 1, 120, gen_op);
         let nr = 4;
-        let mut kern = Kernel::new(GuestConfig::new(nr), SimTime::ZERO);
+        let mut kern = Kernel::new(nr, SimTime::ZERO);
         // Half the cases balance over two SMT cores in two sockets, so the
         // SMT-spread and per-level pull paths run as well as the flat one.
         if rng.chance(0.5) {
@@ -369,8 +370,8 @@ fn full_scan_comm_factor(kern: &Kernel, plat: &FakePlat, t: TaskId, v: VcpuId) -
         }
         if let TaskState::Running(ov) = other.state {
             let f = match plat.comm_distance(v, ov) {
-                CommDistance::CrossSocket => kern.cfg.cross_socket_comm_factor,
-                CommDistance::SameLlc => kern.cfg.same_llc_comm_factor,
+                CommDistance::CrossSocket => CROSS_SOCKET_COMM_FACTOR,
+                CommDistance::SameLlc => SAME_LLC_COMM_FACTOR,
                 _ => 1.0,
             };
             worst = worst.min(f);
@@ -394,12 +395,7 @@ fn comm_factor_matches_a_full_scan() {
     ];
     forall(0xC0AA, cases, |rng| {
         let nr = 1 + rng.index(8);
-        let mut cfg = GuestConfig::new(nr);
-        // Factors on both sides of 1.0, so the scan's floor is sometimes
-        // 1.0 itself and sometimes either configured factor.
-        cfg.cross_socket_comm_factor = 0.5 + rng.f64() * 0.7;
-        cfg.same_llc_comm_factor = 0.5 + rng.f64() * 0.7;
-        let mut kern = Kernel::new(cfg, SimTime::ZERO);
+        let mut kern = Kernel::new(nr, SimTime::ZERO);
         let mut plat = FakePlat::new(nr);
         plat.distance = (0..nr * nr)
             .map(|_| DISTANCES[rng.index(DISTANCES.len())])

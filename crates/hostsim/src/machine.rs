@@ -27,10 +27,9 @@ use crate::topology::{
     HostSpec, CACHELINE_CROSS_NS, CACHELINE_LLC_NS, CACHELINE_NOISE, LLC_BYTES, SMT_CONTENTION,
 };
 use guestos::kernel::TICK_NS;
-use guestos::{
-    CommDistance, GuestConfig, GuestOs, Platform, RunDelta, TaskId, TaskState, VcpuId, Workload,
-};
+use guestos::{CommDistance, GuestOs, Platform, RunDelta, TaskId, TaskState, VcpuId, Workload};
 use simcore::rng::mix64;
+use simcore::time::MS;
 use simcore::{EventQueue, Integrator, SimRng, SimTime};
 use std::collections::VecDeque;
 use trace::{EventKind, FaultClass, PreemptReason, PriorityClass, SharedCollector, TraceSink};
@@ -161,14 +160,15 @@ pub enum HostSched {
     /// tick to whichever entity is running at that instant, decays ×3/4
     /// per tick, and the runqueue picks the least-charged entity, with
     /// wake preemption when a waiter's charge undercuts the current's.
-    CreditSampled {
-        /// Accounting tick period.
-        tick_ns: u64,
-    },
+    /// The accounting tick is [`CREDIT_TICK_NS`].
+    CreditSampled,
     /// Static per-tenant-class time slices rotated round-robin; only the
     /// active slice's class may execute.
     Domain(DomainSchedule),
 }
+
+/// Accounting tick period of [`HostSched::CreditSampled`] (1 ms).
+pub const CREDIT_TICK_NS: u64 = MS;
 
 /// Margin by which a queued entity's charge must undercut the current's
 /// before a credit-sampled wake preempts (hysteresis against thrash).
@@ -516,8 +516,8 @@ impl Machine {
     }
 
     /// Adds the VM `spec` describes: its vCPUs with their thread
-    /// affinities, host weight and optional bandwidth, and its guest (the
-    /// default [`GuestConfig`] for its size).
+    /// affinities, host weight and optional bandwidth, and its stock-CFS
+    /// guest of the same size.
     /// Returns the VM index.
     pub fn add_vm(&mut self, spec: VmSpec) -> usize {
         let nr = spec.nr_vcpus;
@@ -559,7 +559,7 @@ impl Machine {
         }
         self.classes.push(PriorityClass::Standard);
         self.llc.add_vm();
-        let mut guest = Box::new(GuestOs::new(GuestConfig::new(nr), now));
+        let mut guest = Box::new(GuestOs::new(nr, now));
         guest.kern.trace = self.trace.scoped(vm_idx as u16);
         self.vms.push(Vm {
             guest,
@@ -1014,7 +1014,7 @@ impl Machine {
                     Some(0)
                 }
             }
-            HostSched::CreditSampled { .. } => {
+            HostSched::CreditSampled => {
                 let mut best: Option<(usize, u64)> = None;
                 for (pos, &e) in q.iter().enumerate() {
                     let c = self.entity_charge(e);
@@ -1224,13 +1224,13 @@ impl Machine {
     /// every charge decays ×3/4, and each thread re-checks whether a
     /// less-charged waiter should take over.
     fn charge_tick(&mut self) {
-        let HostSched::CreditSampled { tick_ns } = self.sched else {
+        if !matches!(self.sched, HostSched::CreditSampled) {
             return;
-        };
+        }
         for th in 0..self.threads.len() {
             match self.threads[th].current {
-                Some(Entity::Vcpu(gv)) => self.charge[gv] += tick_ns,
-                Some(Entity::Load(id)) => self.load_charge[id] += tick_ns,
+                Some(Entity::Vcpu(gv)) => self.charge[gv] += CREDIT_TICK_NS,
+                Some(Entity::Load(id)) => self.load_charge[id] += CREDIT_TICK_NS,
                 None => {}
             }
         }
@@ -1244,13 +1244,13 @@ impl Machine {
             self.credit_resort(th);
         }
         let now = self.q.now();
-        self.q.post(now.after(tick_ns), Ev::ChargeTick);
+        self.q.post(now.after(CREDIT_TICK_NS), Ev::ChargeTick);
     }
 
     /// Preempts a thread's current entity if a queued one undercuts its
     /// charge by more than the hysteresis margin (credit-sampled only).
     fn credit_resort(&mut self, th: usize) {
-        if !matches!(self.sched, HostSched::CreditSampled { .. }) {
+        if !matches!(self.sched, HostSched::CreditSampled) {
             return;
         }
         let Some(cur) = self.threads[th].current else {
@@ -1371,7 +1371,7 @@ impl Machine {
         let now = self.q.now();
         if self.threads[best].current.is_none() {
             self.q.post(now, Ev::ThreadResched { th: best });
-        } else if matches!(self.sched, HostSched::CreditSampled { .. }) {
+        } else if matches!(self.sched, HostSched::CreditSampled) {
             // A freshly woken low-charge entity may deserve the CPU now;
             // decided via a zero-delay event because the preemption's
             // guest callbacks must not run from guest context.
@@ -1430,7 +1430,7 @@ impl Machine {
     // ------------------------------------------------------------------
 
     fn placeholder_guest() -> Box<GuestOs> {
-        Box::new(GuestOs::new(GuestConfig::new(0), SimTime::ZERO))
+        Box::new(GuestOs::new(0, SimTime::ZERO))
     }
 
     /// Runs `f` with mutable access to a VM's guest and a [`Platform`]
@@ -1493,8 +1493,8 @@ impl Machine {
         let now = self.q.now();
         match self.sched.clone() {
             HostSched::Proportional => {}
-            HostSched::CreditSampled { tick_ns } => {
-                self.q.post(now.after(tick_ns), Ev::ChargeTick);
+            HostSched::CreditSampled => {
+                self.q.post(now.after(CREDIT_TICK_NS), Ev::ChargeTick);
             }
             HostSched::Domain(ds) => {
                 for vm in 0..self.vms.len() {

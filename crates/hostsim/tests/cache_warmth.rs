@@ -15,7 +15,7 @@ struct OneSpinner {
 
 impl Workload for OneSpinner {
     fn start(&mut self, guest: &mut GuestOs, plat: &mut dyn Platform) {
-        let mut spec = SpawnSpec::normal(guest.kern.cfg.nr_vcpus);
+        let mut spec = SpawnSpec::normal(guest.kern.nr_vcpus());
         if self.cache_sensitive {
             spec = spec.cache_sensitive();
         }

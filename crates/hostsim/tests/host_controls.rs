@@ -11,7 +11,7 @@ struct Spin(usize);
 impl Workload for Spin {
     fn start(&mut self, guest: &mut GuestOs, plat: &mut dyn Platform) {
         for _ in 0..self.0 {
-            let t = guest.spawn(plat, SpawnSpec::normal(guest.kern.cfg.nr_vcpus));
+            let t = guest.spawn(plat, SpawnSpec::normal(guest.kern.nr_vcpus()));
             guest.wake_task(plat, t, None);
         }
     }

@@ -41,7 +41,7 @@ impl Spinners {
 
 impl Workload for Spinners {
     fn start(&mut self, guest: &mut GuestOs, plat: &mut dyn Platform) {
-        let nr = guest.kern.cfg.nr_vcpus;
+        let nr = guest.kern.nr_vcpus();
         for _ in 0..self.n {
             let t = guest.spawn(plat, SpawnSpec::normal(nr));
             self.tasks.push(t);
@@ -271,7 +271,7 @@ struct SleepCompute {
 
 impl Workload for SleepCompute {
     fn start(&mut self, guest: &mut GuestOs, plat: &mut dyn Platform) {
-        let t = guest.spawn(plat, SpawnSpec::normal(guest.kern.cfg.nr_vcpus));
+        let t = guest.spawn(plat, SpawnSpec::normal(guest.kern.nr_vcpus()));
         guest.wake_task(plat, t, None);
     }
 
@@ -313,8 +313,8 @@ fn with_vm_lends_each_guest_and_returns_it_to_its_own_slot() {
     m.add_vm(VmSpec::pinned(1, 0));
     m.add_vm(VmSpec::pinned(3, 1));
     // VM 1 first, so the first call also builds the placeholder guest.
-    assert_eq!(m.with_vm(1, |g, _| g.kern.cfg.nr_vcpus * 10), 30);
-    assert_eq!(m.with_vm(0, |g, _| g.kern.cfg.nr_vcpus * 10), 10);
-    assert_eq!(m.vms[0].guest.kern.cfg.nr_vcpus, 1);
-    assert_eq!(m.vms[1].guest.kern.cfg.nr_vcpus, 3);
+    assert_eq!(m.with_vm(1, |g, _| g.kern.nr_vcpus() * 10), 30);
+    assert_eq!(m.with_vm(0, |g, _| g.kern.nr_vcpus() * 10), 10);
+    assert_eq!(m.vms[0].guest.kern.nr_vcpus(), 1);
+    assert_eq!(m.vms[1].guest.kern.nr_vcpus(), 3);
 }

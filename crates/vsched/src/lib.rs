@@ -26,6 +26,13 @@
 //! [`VschedConfig::enhanced_cfs`] reproduces the paper's "enhanced CFS"
 //! configuration (vProbers + rwc, no new policies); [`VschedConfig::full`]
 //! is complete vSched.
+//!
+//! A configuration switches only what the paper's experiments vary: the
+//! techniques, their ablations, resilience, hardened probing and the
+//! vcache prober. The three vProbers have no switch; [`install`] always
+//! arms them. Values with one setting in use are constants, in
+//! [`tunables`] or beside the code that reads them (the resilience
+//! layer's staleness interval is `resilience::STALENESS_NS`).
 
 pub mod bvs;
 pub mod error;
@@ -81,15 +88,11 @@ pub const TOKEN_VCACHE_PERIOD: u64 = HOOK_TIMER_BASE + 9;
 /// Timer token: take the next vcache sample (or close the window).
 pub const TOKEN_VCACHE_SAMPLE: u64 = HOOK_TIMER_BASE + 10;
 
-/// Which vSched pieces are enabled.
+/// Which vSched pieces are enabled. The three vProbers (vcap, vact,
+/// vtop) have no switch: every configuration the paper evaluates runs
+/// them.
 #[derive(Debug, Clone)]
 pub struct VschedConfig {
-    /// Capacity prober.
-    pub vcap: bool,
-    /// Activity prober.
-    pub vact: bool,
-    /// Topology prober.
-    pub vtop: bool,
     /// Biased vCPU selection.
     pub bvs: bool,
     /// Intra-VM harvesting.
@@ -120,9 +123,6 @@ impl VschedConfig {
     /// Full vSched: all probers and all three techniques.
     pub fn full() -> Self {
         Self {
-            vcap: true,
-            vact: true,
-            vtop: true,
             bvs: true,
             ivh: true,
             rwc: true,
@@ -340,7 +340,7 @@ impl Vsched {
         let now = plat.now();
         match probe {
             ProbeKind::Vcap | ProbeKind::VcapCore | ProbeKind::Vact => {
-                if self.cfg.vcap && !self.vcap.window_open() {
+                if !self.vcap.window_open() {
                     self.vcap.suppress_heavy = self.degraded();
                     self.vcap.open_window(kern, plat);
                     plat.set_timer(TOKEN_VCAP_DEMOTE, now.after(15_000_000));
@@ -348,7 +348,7 @@ impl Vsched {
                 }
             }
             ProbeKind::Vtop => {
-                if self.cfg.vtop && !self.vtop.probing() {
+                if !self.vtop.probing() {
                     self.vtop.start_validation(kern, plat);
                     if self.vtop.probing() {
                         self.arm_vtop_check(plat);
@@ -405,10 +405,8 @@ impl SchedHooks for Vsched {
     }
 
     fn on_tick(&mut self, kern: &mut Kernel, plat: &mut dyn Platform, v: VcpuId) {
-        if self.cfg.vact {
-            let steal = plat.steal_ns(v);
-            self.vact.on_tick(v, plat.now(), steal);
-        }
+        let steal = plat.steal_ns(v);
+        self.vact.on_tick(v, plat.now(), steal);
         if self.cfg.ivh && !self.degraded() {
             self.ivh.on_tick(kern, plat, &self.vact, v);
         }
@@ -418,7 +416,7 @@ impl SchedHooks for Vsched {
         if self.cfg.ivh {
             self.ivh.on_vcpu_start(kern, plat, &self.vact, v);
         }
-        if self.cfg.vtop && self.vtop.probing() {
+        if self.vtop.probing() {
             match self.vtop.update_sessions(kern, plat) {
                 Ok(_) => self.install_topology(kern, plat),
                 Err(e) => self.probe_error(kern, plat, e),
@@ -426,9 +424,8 @@ impl SchedHooks for Vsched {
         }
     }
 
-    fn on_vcpu_stop(&mut self, kern: &mut Kernel, plat: &mut dyn Platform, v: VcpuId) {
-        let _ = v;
-        if self.cfg.vtop && self.vtop.probing() {
+    fn on_vcpu_stop(&mut self, kern: &mut Kernel, plat: &mut dyn Platform, _v: VcpuId) {
+        if self.vtop.probing() {
             match self.vtop.update_sessions(kern, plat) {
                 Ok(_) => self.install_topology(kern, plat),
                 Err(e) => self.probe_error(kern, plat, e),
@@ -439,7 +436,7 @@ impl SchedHooks for Vsched {
     fn on_timer(&mut self, kern: &mut Kernel, plat: &mut dyn Platform, token: u64) {
         match token {
             TOKEN_VCAP_OPEN => {
-                if self.cfg.vcap && !self.vcap.window_open() {
+                if !self.vcap.window_open() {
                     self.vcap.suppress_heavy = self.degraded();
                     self.vcap.open_window(kern, plat);
                 }
@@ -449,7 +446,7 @@ impl SchedHooks for Vsched {
                 plat.set_timer(TOKEN_VCAP_DEMOTE, now.after(15_000_000));
                 plat.set_timer(TOKEN_VCAP_CLOSE, now.after(VCAP_SAMPLING_PERIOD_NS));
                 plat.set_timer(TOKEN_VCAP_OPEN, now.after(VCAP_LIGHT_EVERY_NS));
-                if self.cfg.vcap && self.vcap.hardened {
+                if self.vcap.hardened {
                     // The hardening baseline: one canary micro-probe per
                     // inter-window gap, at a jittered offset the adversary
                     // cannot predict from the window schedule.
@@ -459,18 +456,18 @@ impl SchedHooks for Vsched {
                     );
                 }
             }
-            TOKEN_VCAP_DEMOTE if self.cfg.vcap => {
+            TOKEN_VCAP_DEMOTE => {
                 self.vcap.demote_heavy(kern, plat);
             }
-            TOKEN_VCAP_CANARY_OPEN if self.cfg.vcap && self.vcap.hardened => {
+            TOKEN_VCAP_CANARY_OPEN if self.vcap.hardened => {
                 self.vcap.open_canary(kern, plat);
                 plat.set_timer(TOKEN_VCAP_CANARY_CLOSE, plat.now().after(vcap::CANARY_NS));
             }
-            TOKEN_VCAP_CANARY_CLOSE if self.cfg.vcap => {
+            TOKEN_VCAP_CANARY_CLOSE => {
                 self.vcap.close_canary(kern, plat);
             }
             TOKEN_VCAP_CLOSE => {
-                if self.cfg.vcap && self.vcap.window_open() {
+                if self.vcap.window_open() {
                     match self.vcap.close_window(kern, plat) {
                         Ok(()) => {
                             if let Some(r) = self.resil.as_mut() {
@@ -487,15 +484,13 @@ impl SchedHooks for Vsched {
                         Err(e) => self.probe_error(kern, plat, e),
                     }
                 }
-                if self.cfg.vact {
-                    self.vact.close_window(kern, plat.now());
-                    if let Some(r) = self.resil.as_mut() {
-                        r.observe_vact(plat.now(), &self.vact);
-                    }
+                self.vact.close_window(kern, plat.now());
+                if let Some(r) = self.resil.as_mut() {
+                    r.observe_vact(plat.now(), &self.vact);
                 }
                 // Degraded: the capacity estimates feeding straggler
                 // detection are untrusted, so rwc relaxation stays capped.
-                if self.cfg.rwc && self.cfg.vcap && !self.degraded() {
+                if self.cfg.rwc && !self.degraded() {
                     self.rwc.update_stragglers(kern, plat, &self.vcap);
                 }
             }
@@ -503,7 +498,7 @@ impl SchedHooks for Vsched {
                 // Degraded: no periodic probe starts — vtop's high-priority
                 // ping-pong probers disturb the workload, and the watchdog's
                 // bounded retries already re-probe at a controlled pace.
-                if self.cfg.vtop && !self.vtop.probing() && !self.degraded() {
+                if !self.vtop.probing() && !self.degraded() {
                     if self.vtop_ran_once {
                         self.vtop.start_validation(kern, plat);
                     } else {
@@ -603,7 +598,7 @@ impl SchedHooks for Vsched {
 /// timers, and attaches the hook set (the paper's out-of-tree module + BPF
 /// programs loading at boot).
 pub fn install(guest: &mut GuestOs, plat: &mut dyn Platform, cfg: VschedConfig) {
-    let nr = guest.kern.cfg.nr_vcpus;
+    let nr = guest.kern.nr_vcpus();
     let now = plat.now();
     let vs = Vsched::new(nr, cfg, now);
     if vs.resil.is_some() {
@@ -615,12 +610,8 @@ pub fn install(guest: &mut GuestOs, plat: &mut dyn Platform, cfg: VschedConfig) 
             now.after(WATCHDOG_PERIOD_NS.min(5_000_000)),
         );
     }
-    if vs.cfg.vcap || vs.cfg.vact {
-        plat.set_timer(TOKEN_VCAP_OPEN, now.after(VCAP_FIRST_WINDOW_NS));
-    }
-    if vs.cfg.vtop {
-        plat.set_timer(TOKEN_VTOP_PERIOD, now.after(50_000_000));
-    }
+    plat.set_timer(TOKEN_VCAP_OPEN, now.after(VCAP_FIRST_WINDOW_NS));
+    plat.set_timer(TOKEN_VTOP_PERIOD, now.after(50_000_000));
     if vs.cfg.vcache {
         // First window after the first vtop pass has had a chance to
         // install real LLC domains (single-domain estimates are still

@@ -46,6 +46,10 @@ pub(crate) const RETRY_BASE_NS: u64 = 250 * MS;
 pub(crate) const MAX_RETRIES: u32 = 5;
 /// Pending ivh pulls older than this are abandoned by the watchdog.
 pub(crate) const PULL_TIMEOUT_NS: u64 = 40 * MS;
+/// A prober quiet for longer than this decays toward distrust: its
+/// confidence then halves roughly every such interval of further silence.
+/// Three vcap window periods ([`crate::tunables::VCAP_LIGHT_EVERY_NS`]).
+pub(crate) const STALENESS_NS: u64 = 3_000 * MS;
 /// Surprise scale: a relative estimate swing of this size drives one
 /// window's confidence contribution to zero.
 const SURPRISE_FULL_SCALE: f64 = 0.5;
@@ -57,8 +61,6 @@ pub struct ResilCfg {
     pub enter_confidence: f64,
     /// Leave degraded mode once every confidence exceeds this (hysteresis).
     pub exit_confidence: f64,
-    /// A prober quiet for longer than this decays toward distrust.
-    pub staleness_ns: u64,
 }
 
 impl Default for ResilCfg {
@@ -66,7 +68,6 @@ impl Default for ResilCfg {
         Self {
             enter_confidence: 0.55,
             exit_confidence: 0.75,
-            staleness_ns: 3_000 * MS,
         }
     }
 }
@@ -285,11 +286,11 @@ impl Resilience {
         // once the bounded retries run out.
         if self.degraded_since.is_none() {
             for i in 0..self.nr_scored() {
-                if now.since(self.last_seen[i]) > self.cfg.staleness_ns {
+                if now.since(self.last_seen[i]) > STALENESS_NS {
                     // Quiet probers drift toward distrust, slowly:
                     // confidence halves roughly every staleness interval
                     // of silence.
-                    let per_tick = WATCHDOG_PERIOD_NS as f64 / self.cfg.staleness_ns as f64;
+                    let per_tick = WATCHDOG_PERIOD_NS as f64 / STALENESS_NS as f64;
                     self.conf[i] *= 0.5f64.powf(per_tick);
                 }
             }
@@ -361,14 +362,14 @@ impl Resilience {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use guestos::{GuestConfig, Kernel};
+    use guestos::Kernel;
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_ms(ms)
     }
 
     fn kern() -> Kernel {
-        Kernel::new(GuestConfig::new(2), t(0))
+        Kernel::new(2, t(0))
     }
 
     #[test]
@@ -451,18 +452,15 @@ mod tests {
 
     #[test]
     fn unfed_vcache_slot_is_inert_unless_enabled() {
-        let cfg = ResilCfg {
-            staleness_ns: 100 * MS,
-            ..ResilCfg::default()
-        };
         // Disabled (the default): the never-fed vcache slot must not
         // decay a healthy VM into degraded mode. Keep the three original
-        // probers fresh and walk far past staleness.
-        let mut r = Resilience::new(cfg.clone(), t(0));
+        // probers fresh and walk far past staleness (four staleness
+        // intervals: long enough that a decaying slot would have entered).
+        let mut r = Resilience::new(ResilCfg::default(), t(0));
         let mut k = kern();
         let vcap = Vcap::new(2);
         let mut now = SimTime::from_ms(10);
-        for _ in 0..200 {
+        for _ in 0..4 * STALENESS_NS / WATCHDOG_PERIOD_NS {
             r.observe_vcap(now, &vcap);
             r.last_seen[idx(ProbeKind::Vact)] = now;
             r.last_seen[idx(ProbeKind::Vtop)] = now;
@@ -471,7 +469,7 @@ mod tests {
         }
         // Enabled but silent: the stale vcache slot degrades like any
         // other quiet prober.
-        let mut r = Resilience::new(cfg, t(0));
+        let mut r = Resilience::new(ResilCfg::default(), t(0));
         r.set_vcache_enabled(true);
         let mut now = SimTime::from_ms(10);
         let mut entered = false;
@@ -508,13 +506,9 @@ mod tests {
 
     #[test]
     fn staleness_decays_confidence() {
-        let cfg = ResilCfg {
-            staleness_ns: 100 * MS,
-            ..ResilCfg::default()
-        };
-        let mut r = Resilience::new(cfg, t(0));
+        let mut r = Resilience::new(ResilCfg::default(), t(0));
         let mut k = kern();
-        let mut now = SimTime::from_ms(150);
+        let mut now = SimTime::from_ns(STALENESS_NS + 50 * MS);
         let mut entered = false;
         for _ in 0..2_000 {
             if r.on_watchdog(&mut k, now) == ResilAction::EnteredDegraded {

@@ -180,14 +180,10 @@ impl Vact {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use guestos::GuestConfig;
     use simcore::time::MS;
 
     fn mk(n: usize) -> (Vact, Kernel) {
-        (
-            Vact::new(n, SimTime::ZERO),
-            Kernel::new(GuestConfig::new(n), SimTime::ZERO),
-        )
+        (Vact::new(n, SimTime::ZERO), Kernel::new(n, SimTime::ZERO))
     }
 
     fn t(ms: u64) -> SimTime {

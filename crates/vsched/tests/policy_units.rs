@@ -2,7 +2,7 @@
 //! bvs's Figure 8 decision tree, rwc's ban bookkeeping, and ivh's
 //! pre-wake protocol — all without the full host simulator.
 
-use guestos::{CommDistance, GuestConfig, Kernel, Platform, RunDelta, SpawnSpec, TaskId, VcpuId};
+use guestos::{CommDistance, Kernel, Platform, RunDelta, SpawnSpec, TaskId, VcpuId};
 use simcore::time::MS;
 use simcore::SimTime;
 use vsched::{bvs, BvsStats, Ivh, Rwc, Vact, Vcap};
@@ -59,7 +59,7 @@ impl Platform for MockPlat {
 }
 
 fn setup(nr: usize) -> (Kernel, MockPlat, Vact, Vcap) {
-    let kern = Kernel::new(GuestConfig::new(nr), SimTime::ZERO);
+    let kern = Kernel::new(nr, SimTime::ZERO);
     let plat = MockPlat::new(nr);
     let vact = Vact::new(nr, SimTime::ZERO);
     let vcap = Vcap::new(nr);

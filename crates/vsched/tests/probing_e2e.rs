@@ -12,7 +12,7 @@ struct Spinners(usize);
 
 impl Workload for Spinners {
     fn start(&mut self, guest: &mut GuestOs, plat: &mut dyn Platform) {
-        let nr = guest.kern.cfg.nr_vcpus;
+        let nr = guest.kern.nr_vcpus();
         for _ in 0..self.0 {
             let t = guest.spawn(plat, SpawnSpec::normal(nr));
             guest.wake_task(plat, t, None);

@@ -377,7 +377,7 @@ impl Adversary {
 
 impl Workload for Adversary {
     fn start(&mut self, guest: &mut GuestOs, plat: &mut dyn Platform) {
-        let nr = guest.kern.cfg.nr_vcpus;
+        let nr = guest.kern.nr_vcpus();
         for v in 0..self.intervals.len() {
             let spec = SpawnSpec::normal(nr).affinity(CpuMask::single(v % nr.max(1)));
             let t = guest.spawn(plat, spec);

@@ -209,7 +209,7 @@ impl LatencyServer {
 
 impl Workload for LatencyServer {
     fn start(&mut self, guest: &mut GuestOs, plat: &mut dyn Platform) {
-        let nr = guest.kern.cfg.nr_vcpus;
+        let nr = guest.kern.nr_vcpus();
         for _ in 0..self.cfg.workers {
             let mut spec = SpawnSpec::normal(nr).latency_sensitive();
             if let Some(g) = self.cfg.comm_group {

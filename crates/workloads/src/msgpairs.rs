@@ -105,7 +105,7 @@ impl MsgPairs {
 
 impl Workload for MsgPairs {
     fn start(&mut self, guest: &mut GuestOs, plat: &mut dyn Platform) {
-        let nr = guest.kern.cfg.nr_vcpus;
+        let nr = guest.kern.nr_vcpus();
         for group in 0..self.cfg.groups {
             let tag = self.cfg.comm_group_base + group as u32;
             for _ in 0..SENDERS {

@@ -126,7 +126,7 @@ impl BarrierParallel {
 
 impl Workload for BarrierParallel {
     fn start(&mut self, guest: &mut GuestOs, plat: &mut dyn Platform) {
-        let nr = guest.kern.cfg.nr_vcpus;
+        let nr = guest.kern.nr_vcpus();
         for _ in 0..self.cfg.threads {
             let mut spec = SpawnSpec::normal(nr);
             if let Some(g) = self.cfg.comm_group {
@@ -333,7 +333,7 @@ impl LockParallel {
 
 impl Workload for LockParallel {
     fn start(&mut self, guest: &mut GuestOs, plat: &mut dyn Platform) {
-        let nr = guest.kern.cfg.nr_vcpus;
+        let nr = guest.kern.nr_vcpus();
         for _ in 0..self.cfg.threads {
             let mut spec = SpawnSpec::normal(nr);
             if let Some(g) = self.cfg.comm_group {

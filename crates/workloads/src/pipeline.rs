@@ -171,7 +171,7 @@ impl Pipeline {
 
 impl Workload for Pipeline {
     fn start(&mut self, guest: &mut GuestOs, plat: &mut dyn Platform) {
-        let nr = guest.kern.cfg.nr_vcpus;
+        let nr = guest.kern.nr_vcpus();
         for stage in &self.cfg.stages {
             let mut tasks = Vec::new();
             for _ in 0..stage.workers {

@@ -71,7 +71,7 @@ impl Stressor {
 
 impl Workload for Stressor {
     fn start(&mut self, guest: &mut GuestOs, plat: &mut dyn Platform) {
-        let nr = guest.kern.cfg.nr_vcpus;
+        let nr = guest.kern.nr_vcpus();
         for i in 0..self.threads {
             let mut spec = SpawnSpec::normal(nr);
             if self.sched_idle {
@@ -158,7 +158,7 @@ impl ThinkIo {
 
 impl Workload for ThinkIo {
     fn start(&mut self, guest: &mut GuestOs, plat: &mut dyn Platform) {
-        let nr = guest.kern.cfg.nr_vcpus;
+        let nr = guest.kern.nr_vcpus();
         for _ in 0..self.threads {
             let t = guest.spawn(plat, SpawnSpec::normal(nr).latency_sensitive());
             self.tasks.push(t);
@@ -243,7 +243,7 @@ impl TaskQueue {
 
 impl Workload for TaskQueue {
     fn start(&mut self, guest: &mut GuestOs, plat: &mut dyn Platform) {
-        let nr = guest.kern.cfg.nr_vcpus;
+        let nr = guest.kern.nr_vcpus();
         for _ in 0..self.threads {
             let t = guest.spawn(plat, SpawnSpec::normal(nr));
             self.tasks.push(t);

@@ -59,7 +59,7 @@ fn adversary_share(sched: HostSched) -> f64 {
 
 #[test]
 fn tick_dodger_steals_under_sampled_accounting() {
-    let share = adversary_share(HostSched::CreditSampled { tick_ns: MS });
+    let share = adversary_share(HostSched::CreditSampled);
     assert!(
         share > 0.65,
         "dodger share {share:.3} — expected well above the 0.5 fair share"
