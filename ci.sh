@@ -65,6 +65,11 @@ echo "== histogram oracle (release, 8x property cases)"
 # The sparse histogram against its dense oracle, over the widened sweep.
 cargo test -q --release -p vsched-metrics --features property-tests
 
+echo "== event queue vs its sorted-vec model (release, 8x property cases)"
+# The packed-key event queue against its reference model, with times in
+# every part of the key, FIFO ties and clock monotonicity, widened.
+cargo test -q --release -p vsched-simcore --features property-tests
+
 echo "== guest-kernel invariants (release, 8x property cases, full-scan shadow)"
 # The guest kernel's structural invariants after every random step, with
 # its kept per-vCPU state among them (the busy, normal-running and
@@ -85,12 +90,13 @@ echo "== registry trace gate: every cell traced vs untraced (release, ignored te
 # events, and every machine a cell builds must come from its context.
 cargo test -q --release --test trace_invariants -- --ignored
 
-echo "== registry trace gate under the guest-kernel shadow (release, ignored test)"
-# The same gate with the guest kernel's full-scan shadow compiled in:
-# every read of a kept load ratio, busy / normal-running / idle-like mask
-# bit, per-level busiest vCPU or communication factor is recomputed by a
-# scan and asserted equal, across all 506 cells.
-cargo test -q --release --test trace_invariants --features guestos/shadow -- --ignored
+echo "== registry trace gate under the full-scan shadows (release, ignored test)"
+# The same gate with the guest kernel's and the trace tables' full-scan
+# shadows compiled in, in one pass: every read of a kept load ratio,
+# busy / normal-running / idle-like mask bit, per-level busiest vCPU or
+# communication factor, and every read of a trace table's live count, is
+# recomputed by a scan and asserted equal, across all 506 cells.
+cargo test -q --release --test trace_invariants --features guestos/shadow,trace/shadow -- --ignored
 
 echo "== randomized sweeps: one drawn seed for five property sweeps"
 # Randomized seed: the chaos fault classes, the fleet migration laws, the

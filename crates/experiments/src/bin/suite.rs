@@ -34,8 +34,8 @@
 //! * `--list` prints every registered job id with its cell count and a
 //!   one-line description, then exits.
 //! * `--fleet-threads N` bounds the host-stepping worker pool inside the
-//!   fleet, fleet-replay and fleet-chaos cells' clusters (default:
-//!   available parallelism; `0` is rejected with a named-field error).
+//!   fleet, fleet-replay and fleet-chaos cells' clusters (default: 1,
+//!   serial stepping; `0` is rejected with a named-field error).
 //!   Worker count never changes suite output — only wall clock.
 
 use experiments::runner::{registry, run_suite, SuiteOptions};
@@ -54,7 +54,7 @@ fn usage() -> ! {
          | --shrink-adversary SEED | --replay-adversary FILE]\n\
          \n\
          --fleet-threads N   host-stepping workers for the fleet, \
-         fleet-replay and fleet-chaos cells (default: available parallelism; output is byte-identical \
+         fleet-replay and fleet-chaos cells (default: 1, serial; output is byte-identical \
          at any worker count)"
     );
     std::process::exit(2);
@@ -189,8 +189,8 @@ fn main() {
         }
         println!(
             "# fleet, fleet-replay and fleet-chaos cells shard host stepping \
-             across a cluster pool; override with --fleet-threads N (default: \
-             available parallelism, byte-identical output at any worker count)"
+             across a cluster pool with --fleet-threads N (default: 1, serial \
+             stepping; byte-identical output at any worker count)"
         );
         return;
     }

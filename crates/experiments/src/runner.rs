@@ -66,8 +66,8 @@ pub struct CellCtx {
     pub seed: u64,
     /// Experiment scale.
     pub scale: Scale,
-    /// Host-stepping workers for the cell's clusters; `None` sizes the
-    /// pool by available parallelism. Never changes a row.
+    /// Host-stepping workers for the cell's clusters; `None` steps them
+    /// serially. Never changes a row.
     pub fleet_threads: Option<NonZeroUsize>,
     /// `Some` when traced: every collector handed out, in order.
     trace: Option<RefCell<Vec<SharedCollector>>>,
@@ -403,9 +403,9 @@ pub struct SuiteOptions {
     pub canary: bool,
     /// Host-stepping workers for the fleet cells' clusters
     /// (`--fleet-threads`), handed to every cell as
-    /// [`CellCtx::fleet_threads`]; `None` sizes each pool by available
-    /// parallelism. Worker count never changes cell output — only wall
-    /// clock.
+    /// [`CellCtx::fleet_threads`]; `None` steps each cluster serially
+    /// ([`fleet::threads::DEFAULT_FLEET_THREADS`]). Worker count never
+    /// changes cell output — only wall clock.
     pub fleet_threads: Option<NonZeroUsize>,
 }
 

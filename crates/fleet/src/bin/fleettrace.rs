@@ -15,8 +15,8 @@
 //! trace that parses but is not in the codec's canonical encoding is
 //! rejected too. `replay` runs the trace through a full cluster and
 //! exits nonzero if any trace law is violated; `--fleet-threads` bounds
-//! the cluster's host-stepping worker pool (default: available
-//! parallelism) and never changes the replay's output — only wall clock.
+//! the cluster's host-stepping worker pool (default: 1, serial stepping)
+//! and never changes the replay's output — only wall clock.
 //! `--chaos-seed` overlays a seed-generated host-failure plan (crashes,
 //! maintenance drains, transient degradations) on the replayed day;
 //! `--migration` picks whether drain evacuations hand probe state to the
@@ -33,9 +33,9 @@ const USAGE: &str = "usage:
   fleettrace gen --profile <name> [--seed <u64>] [--horizon-secs <u64>] [--out <file>]
   fleettrace validate <file>
   fleettrace replay <file> [--policy <name>] [--mode cfs|vsched] [--hosts <n>] [--threads <n>] [--seed <u64>]
-      [--fleet-threads <n>]   host-stepping workers (default: available
-                              parallelism; output is byte-identical at
-                              any worker count)
+      [--fleet-threads <n>]   host-stepping workers (default: 1, serial;
+                              output is byte-identical at any worker
+                              count)
       [--chaos-seed <u64>]    overlay a seed-generated host-failure plan
       [--migration handoff|cold-reprobe]
                               probe-state handling on drain evacuations

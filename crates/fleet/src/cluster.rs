@@ -18,7 +18,7 @@
 //! for the others, which replay every deferred barrier in order, as the
 //! same `run_until` calls, at the start of the next full sync. Worker
 //! count ([`Cluster::with_threads`], default
-//! [`crate::threads::default_fleet_threads`]) never changes output —
+//! [`crate::threads::DEFAULT_FLEET_THREADS`], serial) never changes output —
 //! per-host RNG streams are forked at construction, utilization samples
 //! live per host, and checker reports fold in host-id order — which
 //! `tests/parallel_step.rs` and the `ci.sh` fleet smoke pin down
@@ -240,14 +240,15 @@ pub struct Cluster {
 
 impl Cluster {
     /// Builds the cluster with the default stepping worker count
-    /// ([`threads::default_fleet_threads`]); see [`Cluster::with_threads`].
+    /// ([`threads::DEFAULT_FLEET_THREADS`], one: serial stepping, no
+    /// pool); see [`Cluster::with_threads`].
     pub fn new(
         spec: FleetSpec,
         mode: GuestMode,
         policy: Box<dyn PlacementPolicy>,
         seed: u64,
     ) -> Cluster {
-        Self::with_threads(spec, mode, policy, seed, threads::default_fleet_threads())
+        Self::with_threads(spec, mode, policy, seed, threads::DEFAULT_FLEET_THREADS)
     }
 
     /// Builds the cluster: N started machines with per-host trace

@@ -61,5 +61,5 @@ pub use placement::{
 };
 pub use replay::spec_for_trace;
 pub use slo::{SloSummary, TenantStats};
-pub use threads::{default_fleet_threads, parse_fleet_threads};
+pub use threads::{parse_fleet_threads, DEFAULT_FLEET_THREADS};
 pub use trace_format::{FleetTrace, TraceError, FORMAT_TAG, FORMAT_VERSION};

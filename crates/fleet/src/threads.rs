@@ -2,11 +2,12 @@
 //!
 //! [`Cluster::run`](crate::Cluster::run) shards host stepping across a
 //! scoped worker pool; how many workers it uses is resolved here. The
-//! default is the machine's `available_parallelism`; a caller picks its
-//! own count per cluster with
-//! [`Cluster::with_threads`](crate::Cluster::with_threads). Worker count
-//! only ever changes wall clock, never output — the byte-identity gates in
-//! `tests/parallel_step.rs` and `ci.sh` enforce exactly that.
+//! default is one worker, the serial loop with no pool; a caller that
+//! wants the pool asks for a count per cluster with
+//! [`Cluster::with_threads`](crate::Cluster::with_threads) (the CLIs'
+//! `--fleet-threads N`). Worker count only ever changes wall clock, never
+//! output — the byte-identity gates in `tests/parallel_step.rs` and
+//! `ci.sh` enforce exactly that.
 
 use std::num::NonZeroUsize;
 
@@ -18,11 +19,13 @@ use std::num::NonZeroUsize;
 /// machines.
 pub const MAX_FLEET_THREADS: usize = 256;
 
-/// The worker count a cluster built without an explicit count uses:
-/// `available_parallelism` (1 when that is unknowable).
-pub fn default_fleet_threads() -> NonZeroUsize {
-    std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN)
-}
+/// The worker count a cluster built without an explicit count uses: one,
+/// so stepping is serial unless a caller asks for the pool. The pool pays
+/// off only when every barrier has many busy hosts to step; on a region of
+/// mostly empty hosts it made a replay nearly 3× slower than the serial
+/// loop (DESIGN.md §13), and sizing it by core count would make that the
+/// default.
+pub const DEFAULT_FLEET_THREADS: NonZeroUsize = NonZeroUsize::MIN;
 
 /// Parses a `--fleet-threads` value: a positive count of at most
 /// [`MAX_FLEET_THREADS`]. Errors name the field and the value they

@@ -94,6 +94,8 @@ struct RunCtx {
 pub struct HostVcpu {
     /// Owning VM index.
     pub vm: usize,
+    /// This vCPU's global index, as its events carry it.
+    gv: u32,
     /// Guest-local index.
     pub idx: usize,
     /// Hardware threads this vCPU may run on (preference order).
@@ -196,6 +198,8 @@ pub enum Entity {
 
 /// Per-hardware-thread scheduler state.
 struct HwThread {
+    /// This thread's index, as its events carry it.
+    id: u32,
     current: Option<Entity>,
     queue: VecDeque<Entity>,
     quantum_gen: u64,
@@ -218,66 +222,74 @@ pub struct Vm {
     /// (Figure 20's total-cycles metric).
     pub cycles: Integrator,
     cycles_rate: f64,
+    /// This VM's index, as its events carry it.
+    id: u32,
 }
 
 /// Simulation events.
+///
+/// Index fields are `u32`, narrowed once where each index space grows
+/// (threads in [`Machine::new`], vCPUs and VMs in [`Machine::add_vm`],
+/// script actions in [`Machine::at`], samplers in
+/// [`Machine::add_sampler`]) and kept beside the entity they name. That
+/// makes an event 16 bytes and a queue entry 32; see the size asserts below.
 pub enum Ev {
     /// Re-evaluate a hardware thread's current entity.
     ThreadResched {
         /// Thread index.
-        th: usize,
+        th: u32,
     },
     /// The current entity's quantum on a thread expired.
     QuantumExpire {
         /// Thread index.
-        th: usize,
+        th: u32,
         /// Validity generation.
         gen: u64,
     },
     /// A throttled vCPU's bandwidth period rolled over.
     ThrottleRefill {
         /// Global vCPU.
-        gv: GVcpu,
+        gv: u32,
         /// Validity generation.
         gen: u64,
     },
     /// Guest scheduler tick (1 ms while the vCPU runs).
     GuestTick {
         /// Global vCPU.
-        gv: GVcpu,
+        gv: u32,
         /// Validity generation.
         gen: u64,
     },
     /// Predicted completion of the current task's burst.
     BurstDone {
         /// Global vCPU.
-        gv: GVcpu,
+        gv: u32,
         /// Validity generation.
         gen: u64,
     },
     /// A sleeping task's timer fired.
     TaskWake {
         /// VM index.
-        vm: usize,
+        vm: u32,
         /// Task to wake.
         task: TaskId,
     },
     /// A workload or vSched timer fired.
     Timer {
         /// VM index.
-        vm: usize,
+        vm: u32,
         /// Token (routed by `HOOK_TIMER_BASE`).
         token: u64,
     },
     /// A scripted scenario action fires.
     Script {
         /// Index into the scenario script.
-        idx: usize,
+        idx: u32,
     },
     /// A registered sampler fires.
     Sample {
         /// Sampler index.
-        id: usize,
+        id: u32,
     },
     /// Credit-sampled accounting tick ([`HostSched::CreditSampled`]).
     ChargeTick,
@@ -286,7 +298,7 @@ pub enum Ev {
     /// callbacks run from dispatch context, per the re-entrancy rule).
     CreditKick {
         /// Thread index.
-        th: usize,
+        th: u32,
     },
     /// The active domain slice ended ([`HostSched::Domain`]).
     DomainRotate,
@@ -297,6 +309,18 @@ pub enum Ev {
     LlcSample,
     /// End of the current run window.
     End,
+}
+
+// A new variant that widens the event, or a key change that widens the
+// queue entry, costs every push and pop on every host; make it fail here.
+const _: () = assert!(std::mem::size_of::<Ev>() == 16);
+const _: () = assert!(EventQueue::<Ev>::ENTRY_BYTES == 32);
+
+/// Narrows a new index to the `u32` an [`Ev`] carries. Called once, where
+/// the index space grows; the result is stored, and every post reads it.
+fn event_index(i: usize, what: &str) -> u32 {
+    u32::try_from(i)
+        .unwrap_or_else(|_| panic!("{what} index {i} exceeds the event queue's limit of u32::MAX"))
 }
 
 /// A scripted change to the host configuration at a point in time.
@@ -473,7 +497,8 @@ impl Machine {
             q: EventQueue::new(),
             rng: SimRng::new(seed),
             threads: (0..nr)
-                .map(|_| HwThread {
+                .map(|th| HwThread {
+                    id: event_index(th, "hardware thread"),
                     current: None,
                     queue: VecDeque::new(),
                     quantum_gen: 0,
@@ -532,6 +557,7 @@ impl Machine {
             }
             self.vcpus.push(HostVcpu {
                 vm: vm_idx,
+                gv: event_index(base + i, "vCPU"),
                 idx: i,
                 affinity: aff,
                 weight: spec.weight,
@@ -568,6 +594,7 @@ impl Machine {
             nr_vcpus: nr,
             cycles: Integrator::new(now),
             cycles_rate: 0.0,
+            id: event_index(vm_idx, "VM"),
         });
         vm_idx
     }
@@ -645,15 +672,16 @@ impl Machine {
     /// start (fleet chaos injecting mid-run degradation) it is posted to
     /// the event queue directly, so `t` must not be in the past.
     pub fn at(&mut self, t: SimTime, action: ScriptAction) {
+        let idx = event_index(self.script.len(), "script action");
         self.script.push((t, action));
         if self.started {
-            let idx = self.script.len() - 1;
             self.q.post(t, Ev::Script { idx });
         }
     }
 
     /// Registers a periodic sampler; returns its id.
     pub fn add_sampler(&mut self, interval_ns: u64, f: Box<dyn FnMut(&Machine)>) -> usize {
+        event_index(self.samplers.len(), "sampler");
         self.samplers.push((interval_ns, Some(f)));
         self.samplers.len() - 1
     }
@@ -670,7 +698,8 @@ impl Machine {
         self.load_charge.push(0);
         self.threads[thread].queue.push_back(Entity::Load(id));
         let now = self.q.now();
-        self.q.post(now, Ev::ThreadResched { th: thread });
+        let th = self.threads[thread].id;
+        self.q.post(now, Ev::ThreadResched { th });
         id
     }
 
@@ -685,7 +714,8 @@ impl Machine {
         if self.threads[th].current == Some(Entity::Load(id)) {
             self.stop_current(th);
             let now = self.q.now();
-            self.q.post(now, Ev::ThreadResched { th });
+            let id = self.threads[th].id;
+            self.q.post(now, Ev::ThreadResched { th: id });
         }
     }
 
@@ -955,7 +985,8 @@ impl Machine {
             }
         }
         if let Some((eta, gen)) = arm {
-            self.q.post(now.after(eta), Ev::BurstDone { gv, gen });
+            let id = self.vcpus[gv].gv;
+            self.q.post(now.after(eta), Ev::BurstDone { gv: id, gen });
         }
     }
 
@@ -1137,14 +1168,17 @@ impl Machine {
             // Start guest ticks.
             self.vcpus[gv].tick_gen += 1;
             let tgen = self.vcpus[gv].tick_gen;
+            let id = self.vcpus[gv].gv;
             self.q
-                .post(now.after(TICK_NS), Ev::GuestTick { gv, gen: tgen });
+                .post(now.after(TICK_NS), Ev::GuestTick { gv: id, gen: tgen });
             self.refresh_thread_and_sibling(th);
             self.notify_vcpu_start(gv);
         } else {
             self.refresh_thread_and_sibling(th);
         }
-        self.q.post(now.after(slice), Ev::QuantumExpire { th, gen });
+        let id = self.threads[th].id;
+        self.q
+            .post(now.after(slice), Ev::QuantumExpire { th: id, gen });
     }
 
     /// Handles quantum expiry: bandwidth throttling, then rotation.
@@ -1177,7 +1211,9 @@ impl Machine {
                 self.vcpus[gv].bw_gen += 1;
                 let bwgen = self.vcpus[gv].bw_gen;
                 let refill = self.vcpus[gv].bandwidth.as_ref().unwrap().next_refill();
-                self.q.post(refill, Ev::ThrottleRefill { gv, gen: bwgen });
+                let id = self.vcpus[gv].gv;
+                self.q
+                    .post(refill, Ev::ThrottleRefill { gv: id, gen: bwgen });
                 self.refresh_thread_and_sibling(th);
                 self.notify_vcpu_stop(gv);
                 self.thread_resched(th);
@@ -1196,7 +1232,9 @@ impl Machine {
                 }
             }
             self.threads[th].quantum_started = now;
-            self.q.post(now.after(slice), Ev::QuantumExpire { th, gen });
+            let id = self.threads[th].id;
+            self.q
+                .post(now.after(slice), Ev::QuantumExpire { th: id, gen });
             return;
         }
         // Rotate.
@@ -1370,12 +1408,14 @@ impl Machine {
         self.threads[best].queue.push_back(Entity::Vcpu(gv));
         let now = self.q.now();
         if self.threads[best].current.is_none() {
-            self.q.post(now, Ev::ThreadResched { th: best });
+            let id = self.threads[best].id;
+            self.q.post(now, Ev::ThreadResched { th: id });
         } else if matches!(self.sched, HostSched::CreditSampled) {
             // A freshly woken low-charge entity may deserve the CPU now;
             // decided via a zero-delay event because the preemption's
             // guest callbacks must not run from guest context.
-            self.q.post(now, Ev::CreditKick { th: best });
+            let id = self.threads[best].id;
+            self.q.post(now, Ev::CreditKick { th: id });
         }
     }
 
@@ -1393,7 +1433,8 @@ impl Machine {
                 self.vcpus[gv].bw_gen += 1;
                 let gen = self.vcpus[gv].bw_gen;
                 let refill = self.vcpus[gv].bandwidth.as_ref().unwrap().next_refill();
-                self.q.post(refill, Ev::ThrottleRefill { gv, gen });
+                let id = self.vcpus[gv].gv;
+                self.q.post(refill, Ev::ThrottleRefill { gv: id, gen });
                 return;
             }
         }
@@ -1410,7 +1451,8 @@ impl Machine {
                 self.vcpus[gv].tick_gen += 1;
                 self.remove_current(th);
                 let now = self.q.now();
-                self.q.post(now, Ev::ThreadResched { th });
+                let id = self.threads[th].id;
+                self.q.post(now, Ev::ThreadResched { th: id });
             }
             HostState::Runnable => {
                 for t in &mut self.threads {
@@ -1522,11 +1564,10 @@ impl Machine {
             }
         }
         self.script.sort_by_key(|(t, _)| *t);
-        for (idx, (t, _)) in self.script.iter().enumerate() {
+        for (idx, (t, _)) in (0..).zip(&self.script) {
             self.q.post(*t, Ev::Script { idx });
         }
-        for id in 0..self.samplers.len() {
-            let interval = self.samplers[id].0;
+        for (id, &(interval, _)) in (0..).zip(&self.samplers) {
             self.q.post(SimTime::from_ns(interval), Ev::Sample { id });
         }
         if self.llc.active() && !self.llc_armed {
@@ -1636,18 +1677,20 @@ impl Machine {
 
     fn dispatch(&mut self, ev: Ev) {
         match ev {
-            Ev::ThreadResched { th } => self.thread_resched(th),
-            Ev::QuantumExpire { th, gen } => self.quantum_expire(th, gen),
-            Ev::ThrottleRefill { gv, gen } => self.throttle_refill(gv, gen),
-            Ev::GuestTick { gv, gen } => self.guest_tick(gv, gen),
-            Ev::BurstDone { gv, gen } => self.burst_done(gv, gen),
+            Ev::ThreadResched { th } => self.thread_resched(th as usize),
+            Ev::QuantumExpire { th, gen } => self.quantum_expire(th as usize, gen),
+            Ev::ThrottleRefill { gv, gen } => self.throttle_refill(gv as usize, gen),
+            Ev::GuestTick { gv, gen } => self.guest_tick(gv as usize, gen),
+            Ev::BurstDone { gv, gen } => self.burst_done(gv as usize, gen),
             Ev::TaskWake { vm, task } => {
+                let vm = vm as usize;
                 let state = self.vms[vm].guest.kern.task(task).state;
                 if matches!(state, TaskState::Sleeping) {
                     self.with_vm(vm, |g, p| g.wake_task(p, task, None));
                 }
             }
             Ev::Timer { vm, token } => {
+                let vm = vm as usize;
                 if token >= guestos::platform::HOOK_TIMER_BASE {
                     self.with_vm(vm, |g, p| g.deliver_hook_timer(p, token));
                 } else {
@@ -1656,7 +1699,7 @@ impl Machine {
             }
             Ev::Script { idx } => {
                 let action = std::mem::replace(
-                    &mut self.script[idx].1,
+                    &mut self.script[idx as usize].1,
                     ScriptAction::SetFreq {
                         core: 0,
                         factor: 1.0,
@@ -1666,16 +1709,17 @@ impl Machine {
                 self.apply_script(action);
             }
             Ev::Sample { id } => {
-                if let Some(mut f) = self.samplers[id].1.take() {
+                let i = id as usize;
+                if let Some(mut f) = self.samplers[i].1.take() {
                     f(self);
-                    self.samplers[id].1 = Some(f);
-                    let interval = self.samplers[id].0;
+                    self.samplers[i].1 = Some(f);
+                    let interval = self.samplers[i].0;
                     let now = self.q.now();
                     self.q.post(now.after(interval), Ev::Sample { id });
                 }
             }
             Ev::ChargeTick => self.charge_tick(),
-            Ev::CreditKick { th } => self.credit_resort(th),
+            Ev::CreditKick { th } => self.credit_resort(th as usize),
             Ev::DomainRotate => self.domain_rotate(),
             Ev::LlcSample => self.llc_sample(),
             Ev::End => self.finished = true,
@@ -1694,7 +1738,9 @@ impl Machine {
         // The tick may have halted the vCPU (guest went idle).
         if self.vcpus[gv].tick_gen == gen && matches!(self.vcpus[gv].state, HostState::Running(_)) {
             let now = self.q.now();
-            self.q.post(now.after(TICK_NS), Ev::GuestTick { gv, gen });
+            let id = self.vcpus[gv].gv;
+            self.q
+                .post(now.after(TICK_NS), Ev::GuestTick { gv: id, gen });
         }
     }
 
@@ -1767,8 +1813,9 @@ impl Machine {
                     self.with_vm(vm, |g, p| g.kern.block_task(p, task));
                 }
                 self.vms[vm].guest.kern.task_mut(task).state = TaskState::Sleeping;
-                let now = self.q.now();
-                self.q.post(now.after(ns.max(1)), Ev::TaskWake { vm, task });
+                let (now, id) = (self.q.now(), self.vms[vm].id);
+                self.q
+                    .post(now.after(ns.max(1)), Ev::TaskWake { vm: id, task });
             }
             Block => {
                 if is_curr {
@@ -1833,7 +1880,8 @@ impl Machine {
                 self.vcpus[gv].tick_gen += 1;
                 self.remove_current(th);
                 let now = self.q.now();
-                self.q.post(now, Ev::ThreadResched { th });
+                let id = self.threads[th].id;
+                self.q.post(now, Ev::ThreadResched { th: id });
                 self.notify_vcpu_stop(gv);
             }
             HostState::Runnable => {
@@ -1948,7 +1996,8 @@ impl Machine {
                 self.vcpus[gv].tick_gen += 1;
                 self.remove_current(th);
                 let now = self.q.now();
-                self.q.post(now, Ev::ThreadResched { th });
+                let id = self.threads[th].id;
+                self.q.post(now, Ev::ThreadResched { th: id });
                 self.enqueue_vcpu(gv);
                 self.notify_vcpu_stop(gv);
             }
@@ -2136,7 +2185,24 @@ impl Platform for Ctx<'_> {
     }
 
     fn set_timer(&mut self, token: u64, at: SimTime) {
-        let vm = self.vm;
+        let vm = self.m.vms[self.vm].id;
         self.m.q.post(at, Ev::Timer { vm, token });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::event_index;
+
+    #[test]
+    fn event_index_narrows_up_to_the_u32_limit() {
+        assert_eq!(event_index(0, "vCPU"), 0);
+        assert_eq!(event_index(u32::MAX as usize, "vCPU"), u32::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "vCPU index 4294967296 exceeds the event queue's limit of u32::MAX")]
+    fn event_index_past_the_limit_names_it() {
+        event_index(u32::MAX as usize + 1, "vCPU");
     }
 }

@@ -65,16 +65,35 @@ fn now_is_monotonic_under_interleaving() {
 
 /// Full behavioural equivalence with a reference model: a sorted vec keyed
 /// by `(time, post sequence)`, popped from the front.
+///
+/// The model's clock starts at a drawn offset (zero, or just below 2^40,
+/// 2^63 or `u64::MAX`) so the times set bits in every part of the queue's
+/// packed key, and a quarter of the posts reuse the last instant so FIFO
+/// ties are exercised at every offset.
 #[test]
 fn matches_sorted_vec_reference_model() {
+    /// The furthest the model's clock can advance in one case.
+    const SPAN: u64 = 400 * 10_000;
     forall(0xE3, cases(64), |rng| {
+        let base = match rng.index(4) {
+            0 => 0,
+            1 => (1 << 40) - rng.range(0, SPAN),
+            2 => (1 << 63) - rng.range(0, SPAN),
+            _ => u64::MAX - SPAN - rng.range(0, SPAN),
+        };
         let mut q: EventQueue<u64> = EventQueue::new();
         let mut model: Vec<(u64, u64, u64)> = Vec::new(); // (time, seq, payload)
         let mut seq = 0u64;
-        let mut model_now = 0u64;
+        let mut model_now = base;
+        let mut last_at = base;
         for _ in 0..400 {
             if q.is_empty() || rng.chance(0.55) {
-                let at = model_now + rng.range(0, 10_000);
+                let at = if last_at >= model_now && rng.chance(0.25) {
+                    last_at
+                } else {
+                    model_now + rng.range(0, 10_000)
+                };
+                last_at = at;
                 let payload = rng.u64();
                 q.post(SimTime(at), payload);
                 seq += 1;
@@ -87,6 +106,7 @@ fn matches_sorted_vec_reference_model() {
                 let (mt, _, want) = model.remove(0);
                 assert_eq!(t.ns(), mt, "pop time diverged from model");
                 assert_eq!(got, want, "pop payload diverged from model");
+                assert_eq!(q.now(), t, "clock is not the popped time");
                 model_now = mt;
             }
         }

@@ -9,7 +9,9 @@
 //! order, which the schedstat and wake-latency renders list vCPUs in.
 
 /// A map from `(vm, idx)` to `T`, stored as `[vm][idx]` slots that grow on
-/// insertion. [`VcpuTable::len`] counts occupied slots exactly.
+/// insertion. [`VcpuTable::len`] counts occupied slots exactly: the count
+/// is kept, not scanned, and the `shadow` feature checks every read of it
+/// against a scan.
 #[derive(Debug)]
 pub(crate) struct VcpuTable<T> {
     rows: Vec<Vec<Option<T>>>,
@@ -79,11 +81,22 @@ impl<T> VcpuTable<T> {
 
     /// Occupied slots.
     pub(crate) fn len(&self) -> usize {
+        #[cfg(feature = "shadow")]
+        self.shadow_check_len();
         self.len
     }
 
     pub(crate) fn is_empty(&self) -> bool {
+        #[cfg(feature = "shadow")]
+        self.shadow_check_len();
         self.len == 0
+    }
+
+    /// Asserts the kept live count against a scan of every slot.
+    #[cfg(feature = "shadow")]
+    fn shadow_check_len(&self) {
+        let scanned = self.rows.iter().flatten().filter(|s| s.is_some()).count();
+        assert_eq!(self.len, scanned, "shadow: VcpuTable live count");
     }
 
     /// Occupied slots in ascending `(vm, idx)` order.
