@@ -73,10 +73,12 @@ cargo test -q --release -p vsched-simcore --features property-tests
 echo "== guest-kernel invariants (release, 8x property cases, full-scan shadow)"
 # The guest kernel's structural invariants after every random step, with
 # its kept per-vCPU state among them (the busy, normal-running and
-# idle-like masks and every fresh load ratio against their definitions),
-# and the early-exit communication factor against a full scan, over the
-# widened sweep. The shadow feature also checks every read of a kept mask,
-# ratio or busiest vCPU inside those random steps against a scan.
+# idle-like masks, every fresh load ratio and the misfit candidate masks
+# against their definitions), the early-exit communication factor against
+# a full scan, and each domain level's group index against the first
+# matching group, over the widened sweep. The shadow feature also checks
+# every read of a kept mask, ratio, group or busiest vCPU inside those
+# random steps against a scan.
 cargo test -q --release -p vsched-guestos --features property-tests,shadow
 
 echo "== large-fleet stepping identity (release, ignored tests)"
@@ -91,12 +93,15 @@ echo "== registry trace gate: every cell traced vs untraced (release, ignored te
 cargo test -q --release --test trace_invariants -- --ignored
 
 echo "== registry trace gate under the full-scan shadows (release, ignored test)"
-# The same gate with the guest kernel's and the trace tables' full-scan
-# shadows compiled in, in one pass: every read of a kept load ratio,
-# busy / normal-running / idle-like mask bit, per-level busiest vCPU or
-# communication factor, and every read of a trace table's live count, is
-# recomputed by a scan and asserted equal, across all 506 cells.
-cargo test -q --release --test trace_invariants --features guestos/shadow,trace/shadow -- --ignored
+# The same gate with every full-scan shadow compiled in, in one pass:
+# every read of a kept load ratio, busy / normal-running / idle-like mask
+# bit, per-level busiest vCPU, domain group, misfit candidate mask or
+# communication factor in the guest kernel, every read of a trace table's
+# live count, every fleet placement refresh and every latency-server
+# arrival's idle-worker pick is recomputed by a scan and asserted equal,
+# across all 506 cells.
+cargo test -q --release --test trace_invariants \
+    --features guestos/shadow,trace/shadow,fleet/shadow,workloads/shadow -- --ignored
 
 echo "== randomized sweeps: one drawn seed for five property sweeps"
 # Randomized seed: the chaos fault classes, the fleet migration laws, the

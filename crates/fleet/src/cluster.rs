@@ -538,7 +538,8 @@ impl Cluster {
     /// `probed_scratch`, then one pass over the hosts builds the views:
     /// O(hosts + live) per decision. Each host's sum starts at 0.0 and
     /// adds its residents in `live` order, so it is bit-identical to a
-    /// per-host scan of `live` (the unit tests audit every refresh).
+    /// per-host scan of `live` (the `shadow` feature and the unit tests
+    /// audit every refresh).
     fn refresh_host_views(&mut self) {
         let mode = self.mode;
         let probed = &mut self.probed_scratch;
@@ -565,8 +566,8 @@ impl Cluster {
                 llc_pressure: host.m.llc_pressure(),
             });
         }
-        #[cfg(test)]
-        tests::audit_views(self);
+        #[cfg(any(test, feature = "shadow"))]
+        audit_views(self);
     }
 
     /// Verifies a placement decision against the destination's cap and
@@ -1058,6 +1059,35 @@ fn probed_capacity(m: &mut Machine, vm_idx: usize, vcpus: usize, mode: GuestMode
     }
 }
 
+/// Runs after every `refresh_host_views` under the `shadow` feature and in
+/// this crate's unit tests: the views must cover exactly the non-failed
+/// hosts, in ascending host order, each with the bit-identical probed
+/// capacity of a naive per-host scan of the live VMs.
+#[cfg(any(test, feature = "shadow"))]
+fn audit_views(c: &mut Cluster) {
+    let mut views = c.views_scratch.iter();
+    for h in 0..c.hosts.len() {
+        if c.hosts[h].failed {
+            continue;
+        }
+        let v = views.next().expect("every non-failed host has a view");
+        assert_eq!(v.host, h, "shadow: views skip or reorder host {h}");
+        let mut naive = 0.0;
+        for lv in c.live.iter().filter(|lv| lv.host == h) {
+            naive += probed_capacity(&mut c.hosts[h].m, lv.vm_idx, lv.vcpus, c.mode);
+        }
+        assert_eq!(
+            v.probed_capacity.to_bits(),
+            naive.to_bits(),
+            "shadow: host {h}: one-pass {} vs per-host scan {naive}",
+            v.probed_capacity
+        );
+    }
+    assert!(views.next().is_none(), "shadow: a failed host has a view");
+    #[cfg(test)]
+    tests::AUDITED.with(|n| n.set(n.get() + 1));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1066,34 +1096,7 @@ mod tests {
 
     thread_local! {
         /// `refresh_host_views` calls audited on this test thread.
-        static AUDITED: Cell<u64> = const { Cell::new(0) };
-    }
-
-    /// Runs after every `refresh_host_views` in this crate's unit tests:
-    /// the views must cover exactly the non-failed hosts, in ascending
-    /// host order, each with the bit-identical probed capacity of a naive
-    /// per-host scan of the live VMs.
-    pub(super) fn audit_views(c: &mut Cluster) {
-        let mut views = c.views_scratch.iter();
-        for h in 0..c.hosts.len() {
-            if c.hosts[h].failed {
-                continue;
-            }
-            let v = views.next().expect("every non-failed host has a view");
-            assert_eq!(v.host, h, "views skip or reorder host {h}");
-            let mut naive = 0.0;
-            for lv in c.live.iter().filter(|lv| lv.host == h) {
-                naive += probed_capacity(&mut c.hosts[h].m, lv.vm_idx, lv.vcpus, c.mode);
-            }
-            assert_eq!(
-                v.probed_capacity.to_bits(),
-                naive.to_bits(),
-                "host {h}: one-pass {} vs per-host scan {naive}",
-                v.probed_capacity
-            );
-        }
-        assert!(views.next().is_none(), "a failed host has a view");
-        AUDITED.with(|n| n.set(n.get() + 1));
+        pub(super) static AUDITED: Cell<u64> = const { Cell::new(0) };
     }
 
     thread_local! {

@@ -92,19 +92,73 @@ impl PerceivedTopology {
     }
 }
 
-/// One level of the domain hierarchy: a partition of the vCPUs into groups.
+/// One level of the domain hierarchy: the vCPUs' groups at that level.
 #[derive(Debug, Clone)]
 pub struct DomainLevel {
     /// Human-readable level name ("SMT", "LLC", "MC").
     pub name: &'static str,
-    /// Disjoint vCPU groups at this level.
-    pub groups: Vec<CpuMask>,
+    /// The vCPU groups at this level. A perceived topology can make them
+    /// overlap; a vCPU then belongs to the first group holding it.
+    groups: Vec<CpuMask>,
+    /// For each vCPU, the position in `groups` of the first group holding
+    /// it (`NO_GROUP` where none does), up to the highest vCPU any group
+    /// holds. Empty for a one-group level, which needs no table.
+    first_group: Vec<u16>,
 }
 
+/// `DomainLevel::first_group`'s entry for a vCPU no group holds.
+const NO_GROUP: u16 = u16::MAX;
+
 impl DomainLevel {
-    /// The group containing `v`, if any.
+    /// A level of `groups`, indexing each vCPU's first group.
+    fn new(name: &'static str, groups: Vec<CpuMask>) -> Self {
+        let mut first_group = Vec::new();
+        if groups.len() > 1 {
+            let held = groups.iter().fold(CpuMask::empty(), |u, g| u.or(g));
+            first_group = vec![NO_GROUP; held.iter().last().map_or(0, |c| c + 1)];
+            for (i, g) in groups.iter().enumerate() {
+                let i = u16::try_from(i).expect("a level has at most MAX_CPUS groups");
+                for c in g.iter() {
+                    if first_group[c] == NO_GROUP {
+                        first_group[c] = i;
+                    }
+                }
+            }
+        }
+        Self {
+            name,
+            groups,
+            first_group,
+        }
+    }
+
+    /// The groups at this level.
+    pub fn groups(&self) -> &[CpuMask] {
+        &self.groups
+    }
+
+    /// The first group containing `v`, if any.
     pub fn group_of(&self, v: VcpuId) -> Option<&CpuMask> {
-        self.groups.iter().find(|g| g.contains(v.0))
+        let found = if self.first_group.is_empty() {
+            self.groups.first().filter(|g| g.contains(v.0))
+        } else {
+            match self.first_group.get(v.0) {
+                Some(&i) if i != NO_GROUP => Some(&self.groups[usize::from(i)]),
+                _ => None,
+            }
+        };
+        #[cfg(feature = "shadow")]
+        assert_eq!(
+            found.map(|g| g as *const CpuMask),
+            self.groups
+                .iter()
+                .find(|g| g.contains(v.0))
+                .map(|g| g as *const CpuMask),
+            "shadow: {} group of vCPU {}",
+            self.name,
+            v.0
+        );
+        found
     }
 }
 
@@ -122,10 +176,7 @@ impl DomainTree {
     /// The default single-level tree for the flat/UMA abstraction.
     pub fn flat(nr_vcpus: usize) -> Self {
         Self {
-            levels: vec![DomainLevel {
-                name: "MC",
-                groups: vec![CpuMask::first_n(nr_vcpus)],
-            }],
+            levels: vec![DomainLevel::new("MC", vec![CpuMask::first_n(nr_vcpus)])],
             smt: None,
             llc: None,
         }
@@ -154,10 +205,7 @@ impl DomainTree {
             seen = seen.or(&g);
         }
         if has_smt {
-            levels.push(DomainLevel {
-                name: "SMT",
-                groups: smt_groups,
-            });
+            levels.push(DomainLevel::new("SMT", smt_groups));
         }
 
         let mut socket_groups: Vec<CpuMask> = Vec::new();
@@ -172,16 +220,13 @@ impl DomainTree {
         }
         let multi_socket = socket_groups.len() > 1;
         if multi_socket {
-            levels.push(DomainLevel {
-                name: "LLC",
-                groups: socket_groups,
-            });
+            levels.push(DomainLevel::new("LLC", socket_groups));
         }
 
-        levels.push(DomainLevel {
-            name: "MC",
-            groups: vec![CpuMask::first_n(topo.nr_vcpus)],
-        });
+        levels.push(DomainLevel::new(
+            "MC",
+            vec![CpuMask::first_n(topo.nr_vcpus)],
+        ));
 
         let smt = has_smt.then_some(0);
         let llc = multi_socket.then_some(usize::from(has_smt));

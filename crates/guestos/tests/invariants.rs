@@ -14,25 +14,31 @@
 //!   task, and its idle-like mask exactly those running nothing or a
 //!   `SCHED_IDLE` task with no normal task waiting;
 //! * every load ratio it keeps as fresh equals the vCPU's queue weight
-//!   over its perceived capacity, recomputed from scratch.
+//!   over its perceived capacity, recomputed from scratch;
+//! * its misfit candidate masks equal a pairwise comparison of the
+//!   probed capacities.
 //!
 //! The steps include stolen time (so the tick moves the perceived
-//! capacity), vcap-style capacity overrides and burst completions that
-//! sleep, block or exit the current task, so every place a kept value
-//! goes stale is exercised.
+//! capacity), vcap-style capacity overrides on one vCPU or all of them,
+//! and burst completions that sleep, block or exit the current task, so
+//! every place a kept value goes stale is exercised.
 //!
-//! A second property holds the communication-locality factor, which stops
+//! Further properties hold the communication-locality factor, which stops
 //! scanning a group once no member can lower it, to a full scan of every
-//! running group member.
+//! running group member; the misfit masks to a pairwise comparison under
+//! drawn override sets and withdrawals; and each domain level's kept
+//! group index to the first group holding the vCPU, over random perceived
+//! topologies with overlapping groups.
 //!
 //! Driven by simcore's in-tree `propcheck` harness (deterministic, offline).
 
 use simcore::propcheck::{forall, vec_of};
 use simcore::{SimRng, SimTime};
+use vsched_guestos::balance::MISFIT_CAP_ADVANTAGE;
 use vsched_guestos::kernel::{CROSS_SOCKET_COMM_FACTOR, SAME_LLC_COMM_FACTOR};
 use vsched_guestos::{
-    CommDistance, CpuMask, Kernel, MigrateKind, PerceivedTopology, Platform, Policy, RunDelta,
-    SpawnSpec, TaskId, TaskState, VcpuId,
+    CommDistance, CpuMask, DomainTree, Kernel, MigrateKind, PerceivedTopology, Platform, Policy,
+    RunDelta, SpawnSpec, TaskId, TaskState, VcpuId,
 };
 
 /// An always-active platform that advances a synthetic clock and lets tasks
@@ -115,6 +121,26 @@ impl Platform for FakePlat {
     fn set_timer(&mut self, _token: u64, _at: SimTime) {}
 }
 
+/// `d`'s misfit candidates by their definition: while every vCPU has a
+/// probed capacity, the vCPUs whose capacity times the misfit advantage is
+/// below `d`'s; `None` otherwise.
+fn weaker_by_pairs(kern: &Kernel, d: VcpuId) -> Option<CpuMask> {
+    let caps: Option<Vec<f64>> = (0..kern.nr_vcpus())
+        .map(|c| kern.cap_override(VcpuId(c)))
+        .collect();
+    let caps = caps?;
+    let weaker = (0..caps.len()).filter(|&c| caps[d.0] > MISFIT_CAP_ADVANTAGE * caps[c]);
+    Some(CpuMask::from_iter(weaker))
+}
+
+/// Asserts every vCPU's kept misfit mask against [`weaker_by_pairs`].
+fn check_misfit_masks(kern: &mut Kernel) {
+    for d in (0..kern.nr_vcpus()).map(VcpuId) {
+        let want = weaker_by_pairs(kern, d);
+        assert_eq!(kern.weaker_than(d).copied(), want, "misfit mask of {d:?}");
+    }
+}
+
 /// The randomized operations.
 #[derive(Debug, Clone)]
 enum Op {
@@ -130,13 +156,14 @@ enum Op {
     Advance { ns: u64 },
     Steal { vcpu: usize, ns: u64 },
     CapOverride { vcpu: usize, cap: Option<f64> },
+    OverrideAll { caps: [f64; 4] },
     BurstEnd { vcpu: usize, how: usize },
 }
 
 /// Wakes and ticks are drawn more often than the rest, so vCPUs are busy
 /// and their kept load ratios are fresh when a tick moves a capacity.
 fn gen_op(rng: &mut SimRng) -> Op {
-    match rng.index(16) {
+    match rng.index(17) {
         0 => Op::Spawn {
             idle_policy: rng.chance(0.5),
         },
@@ -172,6 +199,9 @@ fn gen_op(rng: &mut SimRng) -> Op {
         14 => Op::BurstEnd {
             vcpu: rng.index(4),
             how: rng.index(3),
+        },
+        15 => Op::OverrideAll {
+            caps: [(); 4].map(|_| rng.range(64, 1024) as f64),
         },
         _ => Op::Advance {
             ns: rng.range(1, 5_000_000),
@@ -274,6 +304,9 @@ fn kernel_invariants_hold() {
         let ops = vec_of(rng, 1, 120, gen_op);
         let nr = 4;
         let mut kern = Kernel::new(nr, SimTime::ZERO);
+        // Half the cases declare asymmetric capacity, so the balancer's
+        // misfit pass runs and reads the kept masks.
+        kern.asym_capacity = rng.chance(0.5);
         // Half the cases balance over two SMT cores in two sockets, so the
         // SMT-spread and per-level pull paths run as well as the flat one.
         if rng.chance(0.5) {
@@ -341,6 +374,11 @@ fn kernel_invariants_hold() {
                 Op::Advance { ns } => plat.now = plat.now.after(ns),
                 Op::Steal { vcpu, ns } => plat.steal[vcpu] += ns,
                 Op::CapOverride { vcpu, cap } => kern.set_cap_override(VcpuId(vcpu), cap),
+                Op::OverrideAll { caps } => {
+                    for (v, cap) in caps.into_iter().enumerate() {
+                        kern.set_cap_override(VcpuId(v), Some(cap));
+                    }
+                }
                 Op::BurstEnd { vcpu, how } => {
                     let v = VcpuId(vcpu);
                     if kern.on_burst_complete(&mut plat, v).is_some() {
@@ -353,6 +391,98 @@ fn kernel_invariants_hold() {
                 }
             }
             check_invariants(&kern, plat.now, &mut min_floor);
+            check_misfit_masks(&mut kern);
+        }
+    });
+}
+
+#[test]
+fn misfit_masks_match_pairwise_comparison() {
+    let cases = if cfg!(feature = "property-tests") {
+        512
+    } else {
+        64
+    };
+    forall(0x315F, cases, |rng| {
+        let nr = 1 + rng.index(12);
+        let mut kern = Kernel::new(nr, SimTime::ZERO);
+        // Capacities from a short list, so equal capacities and pairs on
+        // either side of the misfit advantage come up often.
+        const CAPS: [f64; 6] = [100.0, 114.0, 115.0, 116.0, 600.0, 1024.0];
+        let cap = |rng: &mut SimRng| match rng.index(3) {
+            0 => CAPS[rng.index(CAPS.len())],
+            _ => rng.range(1, 1024) as f64,
+        };
+        for _ in 0..rng.index(40) {
+            match rng.index(5) {
+                // One vCPU's override set or withdrawn.
+                0 | 1 => {
+                    let c = rng.chance(0.7).then(|| cap(rng));
+                    kern.set_cap_override(VcpuId(rng.index(nr)), c);
+                }
+                // A vcap sampling window: every vCPU's override.
+                2 | 3 => {
+                    for v in 0..nr {
+                        let c = cap(rng);
+                        kern.set_cap_override(VcpuId(v), Some(c));
+                    }
+                }
+                // Degraded-mode entry: every override withdrawn.
+                _ => {
+                    for v in 0..nr {
+                        kern.set_cap_override(VcpuId(v), None);
+                    }
+                }
+            }
+            check_misfit_masks(&mut kern);
+        }
+    });
+}
+
+/// A random mask over `0..bound` that holds `v` when `v` is given.
+fn random_mask(rng: &mut SimRng, bound: usize, v: Option<usize>) -> CpuMask {
+    let mut m = CpuMask::from_iter((0..rng.index(4)).map(|_| rng.index(bound)));
+    if let Some(v) = v {
+        m.set(v);
+    }
+    m
+}
+
+#[test]
+fn domain_group_index_matches_first_match() {
+    let cases = if cfg!(feature = "property-tests") {
+        512
+    } else {
+        64
+    };
+    forall(0xD0A1, cases, |rng| {
+        let nr = 1 + rng.index(40);
+        let mut topo = PerceivedTopology::flat(nr);
+        // Sibling lists drawn per vCPU, so groups overlap; a few name
+        // vCPUs past the last one or leave out their own vCPU.
+        let bound = nr + 2;
+        for v in 0..nr {
+            let own = rng.chance(0.9).then_some(v);
+            topo.smt[v] = if rng.chance(0.5) {
+                random_mask(rng, bound, own)
+            } else {
+                CpuMask::single(v)
+            };
+            let own = rng.chance(0.9).then_some(v);
+            topo.socket[v] = random_mask(rng, bound, own);
+        }
+        let tree = DomainTree::rebuild(&topo);
+        for level in tree.levels() {
+            for v in (0..bound + 2).map(VcpuId) {
+                let first = level.groups().iter().find(|g| g.contains(v.0));
+                assert_eq!(
+                    level.group_of(v).map(|g| g as *const CpuMask),
+                    first.map(|g| g as *const CpuMask),
+                    "{} group of {v:?} in {:?}",
+                    level.name,
+                    level.groups()
+                );
+            }
         }
     });
 }
